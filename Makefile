@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test lint smoke bench experiments experiments-quick quick-parallel quick-resume quick-distributed quick-sweep quick-flight quick-precision quick-topology quick-variance bench-gate examples clean
+.PHONY: install test lint smoke bench experiments experiments-quick quick-parallel quick-resume quick-distributed quick-sweep quick-flight quick-precision quick-topology quick-variance perf-smoke bench-gate examples clean
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
@@ -143,8 +143,9 @@ quick-precision:
 # topology smoke: the whole builder catalog must sweep end-to-end with
 # topology metadata in the manifest and topology-labelled precision cells;
 # a --topology-restricted run must reproduce its slice of the full sweep
-# byte-for-byte; and the dual-hub fast path must stay within 1.3x of the
-# specialized kernel (quick bench profile)
+# byte-for-byte; every CSV must still carry the SHA-256 recorded from the
+# dense kernel the bit-packed one replaced; and the dual-hub fast path
+# must stay within 1.3x of the specialized kernel (quick bench profile)
 quick-topology:
 	rm -rf /tmp/drs-topology /tmp/drs-topology-one
 	$(PYTHON) -m repro.experiments.runner --quick topologysweep --out /tmp/drs-topology
@@ -158,6 +159,7 @@ quick-topology:
 	$(PYTHON) -m repro obs watch /tmp/drs-topology/topologysweep.flight.jsonl --once --no-color | grep -q 'ci: '
 	$(PYTHON) -m repro.experiments.runner --quick topologysweep --topology khub:hubs=3 --out /tmp/drs-topology-one
 	cmp /tmp/drs-topology/topologysweep_mc_khub_hubs3.csv /tmp/drs-topology-one/topologysweep_mc_khub_hubs3.csv
+	cd /tmp/drs-topology && sha256sum -c $(CURDIR)/tests/topology/data/topologysweep_quick.sha256
 	BENCH_TELEMETRY_DIR= TOPOLOGY_BENCH_ITERATIONS=100000 \
 		$(PYTHON) -m pytest benchmarks/bench_topology_kernel.py --benchmark-only -q
 	@echo "quick-topology: OK (catalog sweeps, metadata recorded, fast path within 1.3x)"
@@ -181,6 +183,13 @@ quick-variance:
 	BENCH_TELEMETRY_DIR= VARIANCE_BENCH_TARGET=0.002 \
 		$(PYTHON) -m pytest benchmarks/bench_variance_reduction.py --benchmark-only -q
 	@echo "quick-variance: OK (stratified-cv labelled end-to-end, >= 3x fewer trials)"
+
+# end-to-end benchmark smoke: every workload of benchmarks/e2e once at
+# reduced size, all output checks on (~7 s); the harness self-tests ride along
+perf-smoke:
+	$(PYTHON) benchmarks/e2e/run.py --smoke
+	$(PYTHON) -m pytest benchmarks/e2e/tests -q
+	@echo "perf-smoke: OK (all workloads ran, output checks passed)"
 
 # perf gate: the committed snapshots vs themselves must pass; vs the +25%
 # regression fixture it must exit nonzero (proving the gate actually trips)

@@ -6,11 +6,11 @@ quantities for *any* :class:`~repro.topology.model.Topology` — and
 dispatches back to a topology's attached specialized kernels whenever they
 apply, so the paper's topology pays nothing for the generality:
 
-* :func:`topology_connected_vec` — the batch success predicate: a batched
-  dense-matmul BFS over the failure matrix (``reached @ adjacency`` per
-  hop, ``float32`` so it runs on the BLAS path), with predicate-specific
-  acceptance (pair / all-terminals / quorum) and a row-wise pure-Python
-  fallback for custom predicates.
+* :func:`topology_connected_vec` — the batch success predicate: a
+  bit-packed BFS (64 trials per ``uint64`` word; one hop is a gather
+  through the CSR neighbour index plus one ``bitwise_or.reduceat`` —
+  ``O(E * rows / 64)`` integer word-ops), with pair / all-terminals /
+  quorum acceptance and a row-wise fallback for custom predicates.
 * :func:`topology_connectivity_levels` — per-row breakdown thresholds for
   monotone predicates via a vectorized binary search over the failure
   level (``O(log width)`` BFS passes per batch), which is what keeps the
@@ -84,34 +84,92 @@ def require_baseline_connectivity(
 
 
 # ------------------------------------------------------------------ predicate
-def _alive_matrix(topology: Topology, failed: np.ndarray) -> np.ndarray:
-    """Per-row vertex liveness from a failure-site indicator matrix."""
-    failed = np.asarray(failed, dtype=bool)
-    if failed.ndim != 2 or failed.shape[1] != topology.width:
+def _site_matrix(topology: Topology, matrix, what: str, dtype=None) -> np.ndarray:
+    """``matrix`` as an array, checked to span the topology's failure universe."""
+    matrix = np.asarray(matrix, dtype=dtype)
+    if matrix.ndim != 2 or matrix.shape[1] != topology.width:
         raise ValueError(
-            f"failure matrix must be (iterations, {topology.width}) for "
-            f"topology {topology.name!r}, got {failed.shape}"
+            f"{what} matrix must be (iterations, {topology.width}) for "
+            f"topology {topology.name!r}, got {matrix.shape}"
         )
-    alive = np.ones((failed.shape[0], topology.num_vertices), dtype=bool)
-    alive[:, list(topology.failure_sites)] = ~failed
+    return matrix
+
+
+def _pack_trials(flags_t: np.ndarray) -> np.ndarray:
+    """Pack a ``(n, trials)`` bool matrix 64 trials per ``uint64`` word.
+
+    Trial ``r`` is bit ``r % 8`` of byte ``r // 8``; eight bytes make one
+    word, and the padding bits of the last word are zero.
+    """
+    trials = flags_t.shape[1]
+    packed = np.zeros((flags_t.shape[0], -(-trials // 64) * 8), dtype=np.uint8)
+    packed[:, : -(-trials // 8)] = np.packbits(flags_t, axis=1, bitorder="little")
+    return packed.view(np.uint64)
+
+
+def _unpack_trials(words: np.ndarray, trials: int) -> np.ndarray:
+    """Inverse of :func:`_pack_trials` along the last axis, padding dropped."""
+    bits = np.unpackbits(words.view(np.uint8), axis=-1, count=trials, bitorder="little")
+    return bits.view(bool)
+
+
+def _alive_words(topology: Topology, failed_t: np.ndarray) -> np.ndarray:
+    """Packed ``(V, words)`` vertex liveness from a ``(width, trials)`` failure matrix.
+
+    Padding trials are dead at every vertex — terminals included — so
+    they can neither be reached nor hold a BFS open.
+    """
+    everywhere = _pack_trials(np.ones((1, failed_t.shape[1]), dtype=bool))
+    alive = np.tile(everywhere, (topology.num_vertices, 1))
+    alive[list(topology.failure_sites)] &= ~_pack_trials(failed_t)
     return alive
 
 
-def _batched_reach(adjacency: np.ndarray, alive: np.ndarray, start: int) -> np.ndarray:
-    """Vertices reachable from ``start`` per row, by batched matmul BFS.
+def _packed_reach(index, alive: np.ndarray, start: int) -> np.ndarray:
+    """Vertices reachable from ``start`` per trial, as packed ``(V, words)`` bits.
 
-    One ``reached @ adjacency`` per hop expands every row's frontier at
-    once; iteration count is the graph diameter (small for every shipped
-    family), and each product runs on the BLAS ``float32`` path.
+    One hop gathers each neighbour's reached-words and ORs them per CSR
+    segment — ``O(E * words)`` word-ops, every trial's frontier at once;
+    hop count is the longest surviving shortest path.  Vertices without
+    neighbours own no segment (``reduceat`` misreads an empty one) and
+    can only ever reach themselves.
     """
+    indptr, indices = index
+    linked = np.flatnonzero(np.diff(indptr))
+    starts, alive_linked = indptr[linked], alive[linked]
     reached = np.zeros_like(alive)
-    reached[:, start] = alive[:, start]
+    reached[start] = alive[start]
     while True:
-        frontier = (reached.astype(np.float32) @ adjacency) > 0
-        new = frontier & alive & ~reached
+        frontier = np.bitwise_or.reduceat(reached[indices], starts, axis=0)
+        new = frontier & alive_linked & ~reached[linked]
         if not new.any():
             return reached
-        reached |= new
+        reached[linked] |= new
+
+
+def _connected_t(topology: Topology, index, failed_t: np.ndarray, pred) -> np.ndarray:
+    """Success per trial for a transposed ``(width, trials)`` failure matrix."""
+    terminals = list(topology.terminals)
+    trials = failed_t.shape[1]
+    if pred.kind == "pair":
+        reached = _packed_reach(index, _alive_words(topology, failed_t), terminals[pred.a])
+        return _unpack_trials(reached[terminals[pred.b]], trials)
+    if pred.kind == "all-terminals":
+        reached = _packed_reach(index, _alive_words(topology, failed_t), terminals[0])
+        return _unpack_trials(np.bitwise_and.reduce(reached[terminals], axis=0), trials)
+    if pred.kind == "quorum":
+        need = pred.required(topology)
+        ok = np.zeros(trials, dtype=bool)
+        for t in terminals:
+            pending = np.flatnonzero(~ok)
+            if not pending.size:
+                break
+            reached = _packed_reach(index, _alive_words(topology, failed_t[:, pending]), t)
+            ok[pending] = _unpack_trials(reached[terminals], pending.size).sum(axis=0) >= need
+        return ok
+    return np.array(
+        [topology.connected(np.flatnonzero(column), pred) for column in failed_t.T], dtype=bool
+    )
 
 
 def topology_connected_vec(
@@ -125,46 +183,29 @@ def topology_connected_vec(
     order.  With the topology's own default predicate, an attached
     ``connected_fn`` fast path wins (the dual-hub builder wires
     :func:`~repro.analysis.montecarlo.pair_connected_vec` here); otherwise
-    the batched BFS evaluates the shipped predicate kinds directly, and
+    the bit-packed BFS evaluates the shipped predicate kinds directly, and
     any other :class:`ConnectivityPredicate` falls back to row-wise
     reference evaluation (correct, but O(rows) Python).
     """
-    pred = predicate if predicate is not None else topology.predicate
+    failed = _site_matrix(topology, failed, "failure", dtype=bool)
     if predicate is None and topology.connected_fn is not None:
-        return np.asarray(topology.connected_fn(np.asarray(failed, dtype=bool)), dtype=bool)
-    alive = _alive_matrix(topology, failed)
-    adjacency = topology.adjacency_matrix()
-    if pred.kind == "pair":
-        src = topology.terminals[pred.a]
-        dst = topology.terminals[pred.b]
-        return _batched_reach(adjacency, alive, src)[:, dst]
-    if pred.kind == "all-terminals":
-        reached = _batched_reach(adjacency, alive, topology.terminals[0])
-        return reached[:, list(topology.terminals)].all(axis=1)
-    if pred.kind == "quorum":
-        need = pred.required(topology)
-        terminals = list(topology.terminals)
-        ok = np.zeros(alive.shape[0], dtype=bool)
-        for t in terminals:
-            pending = ~ok
-            if not pending.any():
-                break
-            reached = _batched_reach(adjacency, alive[pending], t)
-            ok[pending] = reached[:, terminals].sum(axis=1) >= need
-        return ok
-    return np.array(
-        [topology.connected(np.flatnonzero(row), pred) for row in np.asarray(failed, dtype=bool)],
-        dtype=bool,
-    )
+        return np.asarray(topology.connected_fn(failed), dtype=bool)
+    pred = predicate if predicate is not None else topology.predicate
+    return _connected_t(topology, topology.neighbor_index(), failed.T, pred)
 
 
 # --------------------------------------------------------------------- levels
-def _rank_rows(keys: np.ndarray) -> np.ndarray:
-    """Per-row rank of each entry in ascending key order (dense, 0-based)."""
+def _rank_columns(keys: np.ndarray) -> np.ndarray:
+    """Site-major ranks, ``[i, r]`` = 0-based rank of ``keys[r, i]`` in row ``r``.
+
+    Narrowest unsigned dtype that holds ``width`` itself, so a search
+    pass is one compare against the midpoints plus one ``packbits``.
+    """
     order = np.argsort(keys, axis=1)
-    ranks = np.empty(keys.shape, dtype=np.int64)
-    np.put_along_axis(ranks, order, np.arange(keys.shape[1])[None, :], axis=1)
-    return ranks
+    dtype = np.min_scalar_type(keys.shape[1])
+    ranks = np.empty(keys.shape, dtype=dtype)
+    np.put_along_axis(ranks, order, np.arange(keys.shape[1], dtype=dtype)[None, :], axis=1)
+    return np.ascontiguousarray(ranks.T)
 
 
 def topology_connectivity_levels(
@@ -189,16 +230,13 @@ def topology_connectivity_levels(
     :func:`require_baseline_connectivity`), so thresholds are well-defined
     and non-negative.
     """
+    keys = _site_matrix(topology, keys, "key")
     if predicate is None and topology.levels_fn is not None:
-        return np.asarray(topology.levels_fn(np.asarray(keys)))
-    keys = np.asarray(keys)
-    if keys.ndim != 2 or keys.shape[1] != topology.width:
-        raise ValueError(
-            f"key matrix must be (iterations, {topology.width}) for "
-            f"topology {topology.name!r}, got {keys.shape}"
-        )
+        return np.asarray(topology.levels_fn(keys))
     require_baseline_connectivity(topology, predicate)
-    ranks = _rank_rows(keys)
+    pred = predicate if predicate is not None else topology.predicate
+    index = topology.neighbor_index()
+    ranks_t = _rank_columns(keys)
     rows = keys.shape[0]
     # invariant: every row survives at lo and fails at hi (hi = width + 1
     # acts as "never observed failing"); binary search shrinks hi - lo to 1
@@ -209,7 +247,7 @@ def topology_connectivity_levels(
         if not active.any():
             return lo
         mid = (lo + hi) // 2
-        ok = topology_connected_vec(topology, ranks < mid[:, None], predicate)
+        ok = _connected_t(topology, index, ranks_t < mid.astype(ranks_t.dtype), pred)
         lo = np.where(active & ok, mid, lo)
         hi = np.where(active & ~ok, mid, hi)
 

@@ -294,17 +294,19 @@ class Topology:
             neighbors[b].add(a)
         return tuple(frozenset(s) for s in neighbors)
 
-    def adjacency_matrix(self, dtype=np.float32) -> np.ndarray:
-        """Dense symmetric adjacency for the batched reachability kernels.
+    def neighbor_index(self) -> tuple[np.ndarray, np.ndarray]:
+        """CSR neighbour index ``(indptr, indices)`` for the batched kernels.
 
-        ``float32`` by default so ``reached @ A`` runs on the BLAS matmul
-        path (counts stay exact well past any plausible vertex count).
+        The neighbours of vertex ``v`` are ``indices[indptr[v]:indptr[v + 1]]``
+        (each undirected edge listed from both ends); a vertex without
+        edges owns an empty slice.
         """
-        adj = np.zeros((self.num_vertices, self.num_vertices), dtype=dtype)
-        for a, b in self.edges:
-            adj[a, b] = 1
-            adj[b, a] = 1
-        return adj
+        ends = np.array(self.edges, dtype=np.intp).reshape(-1, 2)
+        sources = np.concatenate([ends[:, 0], ends[:, 1]])
+        targets = np.concatenate([ends[:, 1], ends[:, 0]])
+        indptr = np.zeros(self.num_vertices + 1, dtype=np.intp)
+        np.cumsum(np.bincount(sources, minlength=self.num_vertices), out=indptr[1:])
+        return indptr, targets[np.argsort(sources, kind="stable")]
 
     def site_index(self) -> dict[int, int]:
         """Vertex id -> position in the canonical failure-universe order."""

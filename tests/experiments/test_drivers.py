@@ -17,7 +17,7 @@ from repro.experiments import (
 
 
 def test_figure1_checkpoints_and_des_validation():
-    result = figure1.run(n_max=30, validate_des=True, des_nodes=4)
+    result = figure1.run(n_max=30, validate_des=True, des_nodes=4, des_seconds=1.0)
     readoff = {row[0]: row for row in result.tables["readoff"].rows}
     # monotone: larger budget supports more nodes within 1s
     assert readoff["5%"][1] < readoff["10%"][1] < readoff["25%"][1]

@@ -1,6 +1,5 @@
 """The Topology dataclass: validation, predicates, views, metadata."""
 
-import numpy as np
 import pytest
 
 from repro.topology import (
@@ -69,13 +68,14 @@ class TestReachability:
     def test_dead_start_reaches_nothing(self):
         assert reachable_from(PATH.adjacency_sets(), lambda v: False, 0) == set()
 
-    def test_adjacency_matrix_is_symmetric_and_matches_sets(self):
-        adj = PATH.adjacency_matrix()
-        assert adj.dtype == np.float32
-        assert (adj == adj.T).all()
+    def test_neighbor_index_is_symmetric_and_matches_sets(self):
+        indptr, indices = PATH.neighbor_index()
+        assert indptr[0] == 0 and indptr[-1] == len(indices) == 2 * len(PATH.edges)
         sets = PATH.adjacency_sets()
         for v in range(PATH.num_vertices):
-            assert set(np.flatnonzero(adj[v])) == set(sets[v])
+            neighbors = indices[indptr[v] : indptr[v + 1]]
+            assert set(neighbors) == set(sets[v])
+            assert all(v in sets[u] for u in neighbors)
 
 
 class TestPredicates:
