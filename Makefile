@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test lint smoke bench experiments experiments-quick quick-parallel quick-resume quick-distributed quick-sweep quick-flight quick-precision quick-topology quick-variance perf-smoke bench-gate examples clean
+.PHONY: install test lint smoke bench experiments experiments-quick quick-engine quick-sweep quick-flight quick-precision quick-topology quick-variance perf-smoke bench-gate examples clean
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
@@ -39,54 +39,38 @@ experiments:
 experiments-quick:
 	$(PYTHON) -m repro.experiments.runner --quick --out results
 
-# quick suite on the process-pool backend, then prove --jobs changed nothing:
-# rerun the two MC-heavy sweeps serially and diff the CSVs byte-for-byte
-quick-parallel:
-	rm -rf results-parallel /tmp/drs-serial-check
+# engine smoke: one serial quick reference (figure2 + availability), then
+# every other way of running the same plans must reproduce its CSVs byte
+# for byte — the whole quick suite on the process pool; figure2 over the
+# loopback coordinator + 2 spawned workers (recording per-host attribution
+# and worker.join events); the same with a worker SIGKILLed mid-chunk
+# (DRS_WORKER_CRASH_AFTER_CHUNKS, its jobs stolen and re-executed); and a
+# run SIGKILLed mid-checkpoint (DRS_ENGINE_CRASH_AFTER), then --resume'd
+ENGINE_REF := /tmp/drs-engine-serial
+FIGURE2_CSVS := figure2_equation1 figure2_montecarlo figure2_endpoints
+same-as-serial = @for f in $(2); do cmp $(1)/$$f.csv $(ENGINE_REF)/$$f.csv || exit 1; done
+
+quick-engine:
+	rm -rf $(ENGINE_REF) results-parallel results-resume /tmp/drs-dist /tmp/drs-dist-faulty
+	$(PYTHON) -m repro.experiments.runner --quick --out $(ENGINE_REF) --jobs 1 figure2 availability
 	$(PYTHON) -m repro.experiments.runner --quick --out results-parallel --jobs 2
-	$(PYTHON) -m repro.experiments.runner --quick --out /tmp/drs-serial-check --jobs 1 figure2 availability
-	@for f in figure2_equation1 figure2_montecarlo figure2_endpoints availability_downtime availability_weighted; do \
-		cmp results-parallel/$$f.csv /tmp/drs-serial-check/$$f.csv || exit 1; \
-	done
-	@echo "quick-parallel: OK (serial and process-pool outputs identical)"
-
-# fault-tolerance smoke: run a quick sweep, SIGKILL it mid-checkpoint (the
-# engine's DRS_ENGINE_CRASH_AFTER injection hook), resume it, and prove the
-# resumed CSVs are byte-identical to an uninterrupted run
-quick-resume:
-	rm -rf results-resume /tmp/drs-resume-check
-	$(PYTHON) -m repro.experiments.runner --quick figure2 --out /tmp/drs-resume-check
-	-DRS_ENGINE_CRASH_AFTER=50 $(PYTHON) -m repro.experiments.runner --quick figure2 --out results-resume
-	test -f results-resume/figure2.checkpoint.jsonl
-	test ! -f results-resume/figure2_montecarlo.csv
-	$(PYTHON) -m repro.experiments.runner --resume results-resume
-	@for f in figure2_equation1 figure2_montecarlo figure2_endpoints; do \
-		cmp results-resume/$$f.csv /tmp/drs-resume-check/$$f.csv || exit 1; \
-	done
-	@echo "quick-resume: OK (killed + resumed run byte-identical to uninterrupted)"
-
-# distributed smoke: the loopback coordinator + 2 spawned workers must
-# reproduce the serial quick figure2 CSVs byte-for-byte, record per-host
-# attribution and worker.join events, and survive a worker killed mid-chunk
-# (crash injection) with the stolen jobs re-executed elsewhere
-quick-distributed:
-	rm -rf /tmp/drs-dist-serial /tmp/drs-dist /tmp/drs-dist-faulty
-	$(PYTHON) -m repro.experiments.runner --quick figure2 --out /tmp/drs-dist-serial
+	$(call same-as-serial,results-parallel,$(FIGURE2_CSVS) availability_downtime availability_weighted)
 	$(PYTHON) -m repro.experiments.runner --quick figure2 \
 		--backend distributed --jobs 2 --out /tmp/drs-dist
-	@for f in figure2_equation1 figure2_montecarlo figure2_endpoints; do \
-		cmp /tmp/drs-dist/$$f.csv /tmp/drs-dist-serial/$$f.csv || exit 1; \
-	done
+	$(call same-as-serial,/tmp/drs-dist,$(FIGURE2_CSVS))
 	grep -q '"kind": "worker.join"' /tmp/drs-dist/figure2.flight.jsonl
 	grep -q '"hosts"' /tmp/drs-dist/figure2.manifest.json
 	DRS_WORKER_CRASH_AFTER_CHUNKS=1 $(PYTHON) -m repro.experiments.runner \
 		--quick figure2 --backend distributed --jobs 2 --out /tmp/drs-dist-faulty
-	@for f in figure2_equation1 figure2_montecarlo figure2_endpoints; do \
-		cmp /tmp/drs-dist-faulty/$$f.csv /tmp/drs-dist-serial/$$f.csv || exit 1; \
-	done
+	$(call same-as-serial,/tmp/drs-dist-faulty,$(FIGURE2_CSVS))
 	grep -q '"kind": "worker.leave"' /tmp/drs-dist-faulty/figure2.flight.jsonl
 	grep -q '"kind": "job.stolen"' /tmp/drs-dist-faulty/figure2.flight.jsonl
-	@echo "quick-distributed: OK (serial/distributed byte-identical, dead worker tolerated)"
+	-DRS_ENGINE_CRASH_AFTER=50 $(PYTHON) -m repro.experiments.runner --quick figure2 --out results-resume
+	test -f results-resume/figure2.checkpoint.jsonl
+	test ! -f results-resume/figure2_montecarlo.csv
+	$(PYTHON) -m repro.experiments.runner --resume results-resume
+	$(call same-as-serial,results-resume,$(FIGURE2_CSVS))
+	@echo "quick-engine: OK (serial == pool == distributed == dead-worker == killed+resumed)"
 
 # perf smoke: the common-random-numbers sweep kernel must never be slower
 # than per-point estimation (quick profile: reduced iteration count; the

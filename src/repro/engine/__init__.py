@@ -9,15 +9,16 @@ with cores while staying bit-for-bit reproducible from one integer seed:
 * :mod:`repro.engine.jobs` — :class:`Job` / :class:`JobPlan`: a sweep
   decomposed into independent units, each with a deterministic child seed
   spawned from ``(root seed, experiment, job name)``.
-* :mod:`repro.engine.executors` — :class:`SerialExecutor` (default), the
-  process-pool :class:`ParallelExecutor` (``drs-experiments --jobs N``),
-  and the multi-host :class:`~repro.engine.distributed.DistributedExecutor`
-  (``--backend distributed`` plus any number of ``drs-worker`` processes);
-  both parallel backends merge per-worker metrics registries and heartbeat
-  counts back into the parent run.
+* :mod:`repro.engine.driver` — :class:`PlanDriver`, the plan lifecycle
+  written once (resume, settle, checkpoint, Ctrl-C, the final
+  :class:`PlanExecution`), over three transports that only move jobs:
+  :class:`SerialExecutor` (default, inline), the process-pool
+  :class:`ParallelExecutor` (``drs-experiments --jobs N``), and the
+  multi-host :class:`~repro.engine.distributed.DistributedExecutor`
+  (``--backend distributed`` plus any number of ``drs-worker`` processes).
 
 Fault tolerance rides on top (``drs-experiments --retries/--resume``):
-:mod:`repro.engine.retry` gives both executors per-job retry budgets,
+:mod:`repro.engine.retry` gives every backend per-job retry budgets,
 deterministic backoff, timeouts, and quarantine;
 :mod:`repro.engine.checkpoint` streams completed jobs to a crash-safe
 JSONL so an interrupted sweep resumes without repeating finished work.
@@ -29,13 +30,8 @@ from typing import Any
 
 from repro.engine.checkpoint import Checkpoint, CheckpointRecord
 from repro.engine.distributed import DistributedExecutor
-from repro.engine.executors import (
-    ParallelExecutor,
-    PlanExecution,
-    PlanInterrupted,
-    SerialExecutor,
-    make_executor,
-)
+from repro.engine.driver import PlanDriver, PlanExecution, PlanInterrupted
+from repro.engine.executors import ParallelExecutor, SerialExecutor, make_executor
 from repro.engine.jobs import Job, JobFn, JobPlan, cell_point, curve_value
 from repro.engine.retry import (
     FAIL_FAST,
@@ -114,6 +110,7 @@ __all__ = [
     "SerialExecutor",
     "ParallelExecutor",
     "DistributedExecutor",
+    "PlanDriver",
     "PlanExecution",
     "PlanInterrupted",
     "make_executor",

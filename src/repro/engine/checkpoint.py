@@ -27,7 +27,7 @@ serialize shortest-round-trip, and the only non-JSON-native job value types
 
 Fault injection for tests and CI: setting ``DRS_ENGINE_CRASH_AFTER=<k>``
 SIGKILLs the process right after the ``k``-th record is persisted — the
-``make quick-resume`` target uses it to prove the interrupted+resumed run
+``make quick-engine`` target uses it to prove the interrupted+resumed run
 matches an uninterrupted one byte for byte.
 """
 

@@ -1,12 +1,16 @@
 """Multi-host distributed execution: a coordinator + worker TCP protocol.
 
-The third executor backend (after :class:`~repro.engine.executors.SerialExecutor`
-and the process-pool :class:`~repro.engine.executors.ParallelExecutor`): a
+The third transport of the :class:`~repro.engine.driver.PlanDriver` (after
+the inline :class:`~repro.engine.executors.SerialExecutor` and the
+process-pool :class:`~repro.engine.executors.ParallelExecutor`): a
 :class:`DistributedExecutor` runs the **coordinator** for one plan, and any
 number of ``drs-worker`` processes — on this machine or others — connect over
 TCP, pull job chunks, and stream results back.  Workers may join and leave at
 any point of the run (elastic membership); the protocol is loopback by
 default and binds a routable address with ``--coordinator 0.0.0.0:PORT``.
+The coordinator owns only the *queue* — which jobs are handed out, to whom,
+and what a dead worker costs; which jobs are settled, and everything done
+with a result, is the driver's.
 
 Wire format
 -----------
@@ -44,12 +48,13 @@ CSVs.  Schedules shape wall time and event ordering, never results.
 Observability
 -------------
 
-Workers run the shared :func:`~repro.engine.executors._run_chunk` path, so
+Workers run the shared :func:`~repro.engine.driver.run_chunk` path, so
 each chunk returns its private metrics registry, silent heartbeat summary,
-and buffered flight events; the coordinator merges/ingests them exactly as
-the process-pool parent does.  The coordinator additionally emits
+and buffered flight events; the coordinator decodes the frame and hands all
+four to :meth:`PlanDriver.settle <repro.engine.driver.PlanDriver.settle>`,
+the call the process-pool parent makes.  The coordinator additionally emits
 ``worker.join`` / ``worker.leave`` / ``job.stolen`` events, and the final
-:class:`~repro.engine.executors.PlanExecution` carries per-host attribution
+:class:`~repro.engine.driver.PlanExecution` carries per-host attribution
 (host, pid, jobs, wall/CPU seconds per worker) that ``run_plan`` folds into
 the manifest under ``engine.hosts``.
 """
@@ -70,18 +75,10 @@ from dataclasses import asdict, dataclass, field
 from typing import Any, Callable
 
 from repro.engine.checkpoint import Checkpoint, decode_value, encode_value
-from repro.engine.executors import (
-    PlanExecution,
-    PlanInterrupted,
-    _announce_plan,
-    _install_progress_totals,
-    _resume_from_checkpoint,
-)
+from repro.engine.driver import PlanDriver, PlanExecution
 from repro.engine.jobs import Job, JobPlan
 from repro.engine.retry import FAIL_FAST, JobError, JobOutcome, RetryPolicy
-from repro.obs.flightrecorder import flight_recorder
-from repro.obs.metrics import Histogram, MetricsRegistry, current_registry
-from repro.obs.progress import heartbeat
+from repro.obs.metrics import Histogram, MetricsRegistry
 
 __all__ = [
     "PROTOCOL_VERSION",
@@ -345,16 +342,15 @@ class Coordinator:
 
     The coordinator is passive about scheduling: workers ask (``next``), it
     answers with a guided-size chunk, an ``idle`` backoff hint, or
-    ``shutdown``.  All shared state — queue, outstanding chunks, absorbed
-    results — lives behind one lock; the ``absorb`` callback (the executor's
-    result sink: values, checkpoint, registry merge, flight ingest) runs
-    under that lock, so the executor needs no locking of its own.
+    ``shutdown``.  It owns the queue of jobs not handed out and who holds
+    which chunk; what is *settled* it reads from the ``driver``, whose
+    ``settle`` (values, checkpoint, registry merge, flight ingest) it calls
+    under its one lock — so handler threads never race in the driver.
     """
 
     def __init__(
         self,
-        plan: JobPlan,
-        jobs: list[Job],
+        driver: PlanDriver,
         policy: RetryPolicy,
         *,
         host: str = "127.0.0.1",
@@ -363,23 +359,19 @@ class Coordinator:
         heartbeat_interval_s: float = HEARTBEAT_INTERVAL_S,
         heartbeat_timeout_s: float = HEARTBEAT_TIMEOUT_S,
         max_job_requeues: int = 3,
-        absorb: Callable[[WorkerHandle, list[Job], dict[str, Any]], None] | None = None,
-        emit: Callable[..., None] | None = None,
     ) -> None:
-        self.plan = plan
+        self.driver = driver
+        self.plan = driver.plan
         self.policy = policy
-        self.pending: deque[Job] = deque(jobs)
-        self.total = len(jobs)
-        self.settled: set[str] = set()
+        self.pending: deque[Job] = deque(driver.remaining())
         self.chunks_per_worker = chunks_per_worker
         self.heartbeat_interval_s = heartbeat_interval_s
         self.heartbeat_timeout_s = heartbeat_timeout_s
         self.max_job_requeues = max_job_requeues
-        self._absorb = absorb if absorb is not None else lambda *a: None
-        self._emit = emit if emit is not None else lambda *a, **k: None
         self._host, self._port = host, port
         self.lock = threading.RLock()
         self.done = threading.Event()
+        self._check_done()  # a fully resumed plan has nothing to serve
         self.failure: JobError | None = None
         self.workers: dict[int, WorkerHandle] = {}
         self.jobs_stolen = 0
@@ -387,7 +379,6 @@ class Coordinator:
         self._next_wid = 0
         self._requeues: dict[str, int] = {}
         self._previous_owner: dict[str, int] = {}
-        self._quarantined_by_death: list[JobOutcome] = []
         self._listener: socket.socket | None = None
         self._accept_thread: threading.Thread | None = None
         self._handler_threads: list[threading.Thread] = []
@@ -518,7 +509,7 @@ class Coordinator:
             self.workers[handle.wid] = handle
             self.workers_joined += 1
             active = sum(1 for w in self.workers.values() if w.alive)
-        self._emit(
+        self.driver.emit(
             "worker.join",
             pid=handle.pid,
             worker=handle.wid,
@@ -534,7 +525,7 @@ class Coordinator:
             elif self.pending:
                 chunk = self._take_chunk(handle)
                 reply = {"type": "chunk", "jobs": [job_to_wire(job) for job in chunk]}
-            elif len(self.settled) >= self.total:
+            elif not self.driver.unsettled:
                 reply = {"type": "shutdown"}
             else:
                 # outstanding chunks elsewhere: poll again shortly — if their
@@ -555,14 +546,14 @@ class Coordinator:
             previous = self._previous_owner.pop(job.name, None)
             if previous is not None and previous != handle.wid:
                 self.jobs_stolen += 1
-                self._emit(
+                self.driver.emit(
                     "job.stolen",
                     job=job.name,
                     pid=handle.pid,
                     worker=handle.wid,
                     from_worker=previous,
                 )
-            self._emit("job.submitted", job=job.name, pid=handle.pid, worker=handle.wid)
+            self.driver.emit("job.submitted", job=job.name, pid=handle.pid, worker=handle.wid)
         return chunk
 
     def _absorb_chunk(self, handle: WorkerHandle, frame: dict[str, Any]) -> None:
@@ -572,9 +563,12 @@ class Coordinator:
             handle.jobs_done += len(chunk)
             handle.wall_s += float(frame.get("wall_s", 0.0))
             handle.cpu_s += float(frame.get("cpu_s", 0.0))
-            self._absorb(handle, chunk, frame)
-            for payload in frame.get("outcomes", ()):
-                self.settled.add(payload["name"])
+            self.driver.settle(
+                [outcome_from_wire(payload) for payload in frame.get("outcomes", ())],
+                registry_from_wire(frame.get("registry", [])),
+                frame.get("heartbeat"),
+                frame.get("flight", []),
+            )
             self._check_done()
         self._sample_scheduler()
 
@@ -600,7 +594,7 @@ class Coordinator:
             handle.chunk = None
             requeued: list[str] = []
             for job in chunk:
-                if not requeue or job.name in self.settled:
+                if not requeue or job.name not in self.driver.unsettled:
                     continue
                 self._requeues[job.name] = self._requeues.get(job.name, 0) + 1
                 if self._requeues[job.name] > self.max_job_requeues:
@@ -611,7 +605,7 @@ class Coordinator:
                 requeued.append(job.name)
             active = sum(1 for w in self.workers.values() if w.alive)
             self._check_done()
-        self._emit(
+        self.driver.emit(
             "worker.leave",
             pid=handle.pid,
             worker=handle.wid,
@@ -637,13 +631,10 @@ class Coordinator:
                 self.failure = JobError(self.plan.experiment, job.name, error)
             self.done.set()
             return
-        outcome = JobOutcome(name=job.name, ok=False, error=error, attempts=1)
-        self._quarantined_by_death.append(outcome)
-        self.settled.add(job.name)
-        self._emit("job.quarantined", job=job.name, attempts=1, timed_out=False, error=error)
+        self.driver.quarantine(job.name, error)
 
     def _check_done(self) -> None:
-        if len(self.settled) >= self.total:
+        if not self.driver.unsettled:
             self.done.set()
 
     def expire_stale_workers(self) -> None:
@@ -662,13 +653,7 @@ class Coordinator:
         with self.lock:
             alive = [w for w in self.workers.values() if w.alive]
             busy = sum(1 for w in alive if w.chunk)
-            fields = dict(
-                queue_depth=self.total - len(self.settled),
-                outstanding_chunks=busy,
-                utilization=round(busy / len(alive), 4) if alive else 0.0,
-                workers=len(alive),
-            )
-        self._emit("scheduler.gauge", **fields)
+            self.driver.sample_scheduler(busy, len(alive))
 
     # ------------------------------------------------------------- reporting
     def host_attribution(self) -> dict[str, dict[str, Any]]:
@@ -753,63 +738,20 @@ class DistributedExecutor:
     # ------------------------------------------------------------------- run
     def run(self, plan: JobPlan, checkpoint: Checkpoint | None = None) -> PlanExecution:
         """Coordinate the plan across the worker fleet; values match serial."""
-        policy = self.policy if self.policy is not None else FAIL_FAST
-        registry = current_registry()
-        reporter = heartbeat()
-        recorder = flight_recorder()
-        values, resumed = _resume_from_checkpoint(plan, checkpoint)
-        _install_progress_totals(plan)
-        _announce_plan(recorder, plan, self.name, self.spawn_workers, resumed)
-        attempts: dict[str, int] = {}
-        quarantined: list[str] = []
-        timed_out: list[str] = []
+        return PlanDriver(plan, checkpoint, self.name, self.spawn_workers).run(self._dispatch)
 
-        def emit(kind: str, **fields: Any) -> None:
-            if recorder is not None:
-                recorder.emit(kind, **fields)
-
-        def absorb(handle: WorkerHandle, chunk: list[Job], frame: dict[str, Any]) -> None:
-            """Fold one chunk result in (runs under the coordinator lock)."""
-            for payload in frame.get("outcomes", ()):
-                outcome = outcome_from_wire(payload)
-                attempts[outcome.name] = outcome.attempts
-                if outcome.ok:
-                    values[outcome.name] = outcome.value
-                    if checkpoint is not None:
-                        checkpoint.record(plan, outcome)
-                else:
-                    quarantined.append(outcome.name)
-                    if outcome.timed_out:
-                        timed_out.append(outcome.name)
-            registry.merge(registry_from_wire(frame.get("registry", [])))
-            if recorder is not None:
-                recorder.ingest(frame.get("flight", []))
-            if reporter is not None:
-                summary = frame.get("heartbeat")
-                if summary:
-                    reporter.absorb(summary)
-                reporter.add(0, jobs=len(chunk))
-
-        remaining = [job for job in plan.jobs if job.name not in values]
+    def _dispatch(self, driver: PlanDriver) -> dict[str, int]:
         server = Coordinator(
-            plan,
-            remaining,
-            policy,
+            driver,
+            self.policy if self.policy is not None else FAIL_FAST,
             host=self.bind_host,
             port=self.bind_port,
             chunks_per_worker=self.chunks_per_worker,
             heartbeat_interval_s=self.heartbeat_interval_s,
             heartbeat_timeout_s=self.heartbeat_timeout_s,
             max_job_requeues=self.max_job_requeues,
-            absorb=absorb,
-            emit=emit,
         )
-        if not remaining:
-            server.done.set()
-        interrupted = False
-        respawns = 0
         spawned: list[subprocess.Popen] = []
-        hosts: dict[str, dict[str, Any]] = {}
         try:
             self.address = server.start()
             if self.spawn_workers:
@@ -817,29 +759,24 @@ class DistributedExecutor:
                     self._spawn_worker(self.address, respawn=False)
                     for _ in range(self.spawn_workers)
                 ]
-            elif remaining:
+            elif driver.unsettled:
                 print(
                     f"[distributed] waiting for workers: "
                     f"drs-worker --coordinator {self.address[0]}:{self.address[1]}",
                     file=sys.stderr,
                     flush=True,
                 )
-            try:
-                while not server.done.wait(timeout=0.1):
-                    server.expire_stale_workers()
-                    respawns = self._keep_fleet_alive(server, spawned, respawns, emit)
-            except KeyboardInterrupt:
-                interrupted = True
-                emit(
-                    "plan.interrupted",
-                    jobs=len(plan.jobs),
-                    completed=len(values),
-                    backend=self.name,
-                )
+            while not server.done.wait(timeout=0.1):
+                server.expire_stale_workers()
+                self._keep_fleet_alive(server, spawned)
         finally:
+            # every chunk_done that arrived is already settled (handler
+            # threads settle as frames land); stop serving and let go of the
+            # fleet, whether the plan finished, failed, or was interrupted
             server.broadcast_shutdown()
             server.stop()
-            hosts = server.host_attribution()
+            driver.hosts = server.host_attribution()
+            driver.workers = self.workers = max(self.spawn_workers, len(driver.hosts), 1)
             for proc in spawned:
                 if proc.poll() is None:
                     proc.terminate()
@@ -848,69 +785,33 @@ class DistributedExecutor:
                     proc.wait(timeout=5.0)
                 except subprocess.TimeoutExpired:
                     proc.kill()
-        for outcome in server._quarantined_by_death:
-            attempts[outcome.name] = outcome.attempts
-            quarantined.append(outcome.name)
-        observed = len(hosts)
-        self.workers = max(self.spawn_workers, observed, 1)
-        execution = PlanExecution(
-            values=values,
-            backend=self.name,
-            workers=self.workers,
-            job_seeds=plan.job_seeds(),
-            attempts=attempts,
-            quarantined=quarantined,
-            timed_out=timed_out,
-            resumed=resumed,
-            pool_respawns=respawns,
-            hosts=hosts,
-            interrupted=interrupted,
-        )
-        if interrupted:
-            raise PlanInterrupted(execution)
         if server.failure is not None:
             raise server.failure
-        emit(
-            "plan.end",
-            jobs=len(plan.jobs),
-            completed=len(values),
-            quarantined=len(quarantined),
-            pool_respawns=respawns,
-            stolen=server.jobs_stolen,
-            workers=observed,
-        )
-        return execution
+        return {
+            "pool_respawns": driver.respawns,
+            "stolen": server.jobs_stolen,
+            "workers": len(driver.hosts),
+        }
 
-    def _keep_fleet_alive(
-        self,
-        server: Coordinator,
-        spawned: list[subprocess.Popen],
-        respawns: int,
-        emit: Callable[..., None],
-    ) -> int:
-        """Replace dead spawned workers while jobs remain; returns respawns."""
-        if not spawned:
-            return respawns
-        with server.lock:
-            work_left = len(server.settled) < server.total and server.failure is None
-        if not work_left:
-            return respawns
+    def _keep_fleet_alive(self, server: Coordinator, spawned: list[subprocess.Popen]) -> None:
+        """Replace dead spawned workers while jobs remain, within the budget."""
+        driver = server.driver
         for i, proc in enumerate(spawned):
             if proc.poll() is None:
                 continue
-            if respawns >= self.max_worker_respawns:
-                with server.lock:
+            with server.lock:
+                if not driver.unsettled or server.failure is not None:
+                    return
+                if driver.respawns >= self.max_worker_respawns:
                     alive = sum(1 for w in server.workers.values() if w.alive)
                     if alive == 0 and all(p.poll() is not None for p in spawned):
                         server.failure = JobError(
-                            server.plan.experiment,
+                            driver.plan.experiment,
                             "<fleet>",
                             f"all spawned workers died and the respawn budget "
                             f"({self.max_worker_respawns}) is exhausted",
                         )
                         server.done.set()
-                return respawns
-            respawns += 1
+                    return
+                driver.respawned(requeued=0, backend=self.name)
             spawned[i] = self._spawn_worker(self.address, respawn=True)
-            emit("pool.respawn", respawns=respawns, requeued=0, backend=self.name)
-        return respawns

@@ -1,158 +1,41 @@
-"""Pluggable executors: run a :class:`~repro.engine.jobs.JobPlan`'s jobs.
+"""Executors: the three transports a :class:`~repro.engine.driver.PlanDriver` runs on.
 
-Two backends live here (a third, the multi-host
-:class:`~repro.engine.distributed.DistributedExecutor`, builds on this
-module's worker chunk path and plan-announcement helpers):
+An executor's ``run(plan, checkpoint=)`` starts a driver — which owns the
+plan's lifecycle: resume, settling, checkpointing, Ctrl-C, the final
+:class:`~repro.engine.driver.PlanExecution` — and gives it a ``dispatch``
+that only moves jobs:
 
-* :class:`SerialExecutor` — runs every job in-process, in plan order.  The
-  default, and the reference behavior: jobs publish metrics and heartbeats
-  directly into the caller's current registry/reporter.
-* :class:`ParallelExecutor` — fans jobs out over a
-  :class:`concurrent.futures.ProcessPoolExecutor`.  Each worker chunk runs
-  under a private :class:`~repro.obs.metrics.MetricsRegistry` and a silent
-  heartbeat collector; the parent merges registries back via
-  :meth:`MetricsRegistry.merge` and absorbs heartbeat summaries, so the
-  run's artifacts aggregate the whole fleet.
+* :class:`SerialExecutor` — the zero-worker transport and the reference
+  behavior: every job runs in-process, in plan order, publishing metrics
+  and heartbeats directly into the caller's current registry/reporter.
+* :class:`ParallelExecutor` — statically chunks the jobs over a
+  :class:`concurrent.futures.ProcessPoolExecutor`; each chunk runs through
+  :func:`~repro.engine.driver.run_chunk` and its private registry,
+  heartbeat summary and flight events ride back to ``settle``.  Survives
+  ``BrokenProcessPool``: the pool is replaced up to ``max_pool_respawns``
+  times and only unsettled jobs are requeued.
+* :class:`~repro.engine.distributed.DistributedExecutor` (its own module)
+  — the same chunks over TCP to ``drs-worker`` processes.
 
-Because every job's random stream is spawned from ``(root seed, experiment,
-job name)`` (see :mod:`repro.engine.jobs`), the two backends produce
-identical values for identical plans — worker count and scheduling order
-can only change wall time, never results.
-
-Fault tolerance
----------------
-
-Both backends take an optional :class:`~repro.engine.retry.RetryPolicy`
+All three take an optional :class:`~repro.engine.retry.RetryPolicy`
 (``policy=``) and run each job through
-:func:`repro.engine.retry.execute_job`: bounded retries with deterministic
-backoff jitter, per-attempt wall-clock timeouts, and quarantine of jobs
-that exhaust the budget (the run completes with partial values instead of
-dying).  Without a policy the legacy fail-fast semantics apply — the first
-failure raises :class:`~repro.engine.retry.JobError`.
-
-``run(plan, checkpoint=...)`` additionally streams completed values into a
-:class:`~repro.engine.checkpoint.Checkpoint` (and skips jobs it already
-holds), which is what makes ``drs-experiments --resume`` crash-safe.  The
-parallel backend also survives ``BrokenProcessPool``: it respawns the pool
-up to ``max_pool_respawns`` times and requeues only the jobs that have not
-settled yet.
+:func:`repro.engine.retry.execute_job`; without one the legacy fail-fast
+semantics apply — the first failure raises
+:class:`~repro.engine.retry.JobError`.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
-from typing import Any
 
 from repro.engine.checkpoint import Checkpoint
+from repro.engine.driver import PlanDriver, PlanExecution, run_chunk
 from repro.engine.jobs import Job, JobPlan
-from repro.engine.retry import FAIL_FAST, JobError, JobOutcome, RetryPolicy, execute_job
-from repro.obs.flightrecorder import FlightRecorder, flight_recorder, set_flight_recorder
-from repro.obs.metrics import MetricsRegistry, current_registry, ensure_core_metrics, use_registry
-from repro.obs.progress import ProgressReporter, heartbeat, set_heartbeat
+from repro.engine.retry import FAIL_FAST, JobError, RetryPolicy, execute_job
 
-__all__ = [
-    "JobError",
-    "PlanExecution",
-    "PlanInterrupted",
-    "SerialExecutor",
-    "ParallelExecutor",
-    "make_executor",
-]
-
-
-@dataclass
-class PlanExecution:
-    """What an executor hands back: values by job name plus provenance."""
-
-    values: dict[str, Any]
-    backend: str
-    workers: int
-    job_seeds: dict[str, int] = field(default_factory=dict)
-    attempts: dict[str, int] = field(default_factory=dict)
-    quarantined: list[str] = field(default_factory=list)
-    timed_out: list[str] = field(default_factory=list)
-    resumed: list[str] = field(default_factory=list)
-    pool_respawns: int = 0
-    #: distributed backend only: per-worker attribution keyed by worker id
-    #: (``{"host", "pid", "jobs", "wall_s", "cpu_s"}`` each)
-    hosts: dict[str, dict[str, Any]] = field(default_factory=dict)
-    #: the run was cut short by SIGINT/Ctrl-C (partial ``values``)
-    interrupted: bool = False
-
-    @property
-    def retries(self) -> int:
-        """Total attempts beyond the first across all jobs run this time."""
-        return sum(a - 1 for a in self.attempts.values())
-
-
-class PlanInterrupted(RuntimeError):
-    """Ctrl-C/SIGINT stopped a plan; ``execution`` holds the partial state.
-
-    Executors catch :class:`KeyboardInterrupt`, settle every outcome that
-    had already arrived (checkpoint records included — nothing finished is
-    lost), cancel the rest, and raise this instead.  The runner turns it
-    into a manifest marked ``status="interrupted"`` and a clean exit, so
-    ``--resume`` picks up exactly where the interrupt landed.
-    """
-
-    def __init__(self, execution: PlanExecution) -> None:
-        done = len(execution.values)
-        super().__init__(
-            f"plan interrupted after {done} settled job{'s' if done != 1 else ''}; "
-            f"partial results checkpointed"
-        )
-        self.execution = execution
-
-
-def _resume_from_checkpoint(
-    plan: JobPlan, checkpoint: Checkpoint | None
-) -> tuple[dict[str, Any], list[str]]:
-    """Values and names of jobs a checkpoint already holds for this plan."""
-    if checkpoint is None:
-        return {}, []
-    records = checkpoint.load(plan)
-    return {r.job: r.value for r in records}, [r.job for r in records]
-
-
-def _install_progress_totals(plan: JobPlan) -> None:
-    """Give the active heartbeat the plan's totals so ETA can be computed.
-
-    Curve-level plans record their full trial budget in
-    ``plan.meta["total_trials"]`` (the sum over every job's iteration
-    count); without it the reporter knows only a trial *rate*, so figure2/
-    figure3 runs under-reported progress and never printed an ETA.
-    """
-    hb = heartbeat()
-    if hb is None:
-        return
-    total = plan.meta.get("total_trials")
-    if hb.total is None and total:
-        hb.total = int(total)
-    hb.jobs_total = len(plan.jobs)
-
-
-def _announce_plan(
-    recorder: FlightRecorder | None, plan: JobPlan, backend: str, workers: int, resumed: list[str]
-) -> None:
-    if recorder is None:
-        return
-    fields: dict[str, Any] = dict(
-        backend=backend,
-        workers=workers,
-        jobs=len(plan.jobs),
-        resumed=len(resumed),
-        total_trials=plan.meta.get("total_trials"),
-    )
-    # topology-parameterized plans label their whole flight stream; legacy
-    # plans omit the field so old consumers see an unchanged event shape
-    if plan.meta.get("topology") is not None:
-        fields["topology"] = plan.meta["topology"]
-    recorder.emit("plan.begin", **fields)
-    for name in resumed:
-        recorder.emit("job.resumed", job=name)
+__all__ = ["SerialExecutor", "ParallelExecutor", "make_executor"]
 
 
 class SerialExecutor:
@@ -167,113 +50,15 @@ class SerialExecutor:
     def run(self, plan: JobPlan, checkpoint: Checkpoint | None = None) -> PlanExecution:
         """Execute every job in plan order; deterministic for a given plan."""
         policy = self.policy if self.policy is not None else FAIL_FAST
-        values, resumed = _resume_from_checkpoint(plan, checkpoint)
-        _install_progress_totals(plan)
-        recorder = flight_recorder()
-        _announce_plan(recorder, plan, self.name, 1, resumed)
-        attempts: dict[str, int] = {}
-        quarantined: list[str] = []
-        timed_out: list[str] = []
 
-        def execution(interrupted: bool = False) -> PlanExecution:
-            return PlanExecution(
-                values=values,
-                backend=self.name,
-                workers=1,
-                job_seeds=plan.job_seeds(),
-                attempts=attempts,
-                quarantined=quarantined,
-                timed_out=timed_out,
-                resumed=resumed,
-                interrupted=interrupted,
-            )
-
-        try:
-            for job in plan.jobs:
-                if job.name in values:
-                    continue
-                if recorder is not None:
-                    recorder.emit("job.submitted", job=job.name)
-                outcome = execute_job(
-                    plan.experiment, plan.seed, job, plan.job_seedseq(job), policy
+        def dispatch(driver: PlanDriver) -> None:
+            for job in driver.remaining():
+                driver.emit("job.submitted", job=job.name)
+                driver.settle(
+                    [execute_job(plan.experiment, plan.seed, job, plan.job_seedseq(job), policy)]
                 )
-                attempts[job.name] = outcome.attempts
-                if outcome.ok:
-                    values[job.name] = outcome.value
-                    if checkpoint is not None:
-                        checkpoint.record(plan, outcome)
-                else:
-                    quarantined.append(job.name)
-                    if outcome.timed_out:
-                        timed_out.append(job.name)
-                hb = heartbeat()
-                if hb is not None:
-                    hb.add(0, jobs=1)
-        except KeyboardInterrupt:
-            # Every settled job is already in `values` and the checkpoint;
-            # only the job that was mid-flight is lost, and --resume reruns
-            # exactly that remainder.
-            if recorder is not None:
-                recorder.emit(
-                    "plan.interrupted",
-                    jobs=len(plan.jobs),
-                    completed=len(values),
-                    backend=self.name,
-                )
-            raise PlanInterrupted(execution(interrupted=True)) from None
-        if recorder is not None:
-            recorder.emit(
-                "plan.end",
-                jobs=len(plan.jobs),
-                completed=len(values),
-                quarantined=len(quarantined),
-            )
-        return execution()
 
-
-#: process-local: has this pool worker announced itself on the flight channel?
-_worker_announced = False
-
-
-def _run_chunk(
-    experiment: str, seed: int, jobs: list[Job], policy: RetryPolicy
-) -> tuple[list[JobOutcome], MetricsRegistry, dict, list[dict]]:
-    """Worker entry point: run a chunk of jobs under private observability.
-
-    Returns the chunk's per-job outcomes, its metrics registry (merged by
-    the parent), the silent heartbeat collector's summary, and the chunk's
-    buffered flight-recorder events (ingested into the parent's sink, so
-    the run's JSONL carries every worker's job lifecycle with its real
-    PID and timestamps).  Module-level so process pools can pickle it
-    regardless of start method.  Retries and timeouts happen here, inside
-    the worker — only quarantined outcomes (or, under a fail-fast policy,
-    a :class:`JobError`) reach the parent.
-    """
-    global _worker_announced
-    from repro.engine.jobs import JobPlan  # re-import friendly under spawn
-    from repro.obs.profiler import install_profiling
-
-    plan = JobPlan(experiment=experiment, seed=seed, jobs=jobs, reduce=lambda v: v)
-    install_profiling()
-    registry = ensure_core_metrics(MetricsRegistry())
-    # Never emits (interval is effectively infinite): pure collector whose
-    # summary the parent absorbs into the run's real reporter.
-    collector = ProgressReporter(experiment, interval_s=1e12)
-    set_heartbeat(collector)
-    buffer = FlightRecorder(None, experiment=experiment)
-    if not _worker_announced:
-        _worker_announced = True
-        buffer.emit("worker.spawn", chunk_jobs=len(jobs))
-    set_flight_recorder(buffer)
-    try:
-        with use_registry(registry):
-            outcomes = [
-                execute_job(experiment, seed, job, plan.job_seedseq(job), policy) for job in jobs
-            ]
-    finally:
-        set_flight_recorder(None)
-        set_heartbeat(None)
-    return outcomes, registry, collector.summary(), buffer.drain()
+        return PlanDriver(plan, checkpoint, self.name, self.workers).run(dispatch)
 
 
 class ParallelExecutor:
@@ -320,178 +105,64 @@ class ParallelExecutor:
 
     def run(self, plan: JobPlan, checkpoint: Checkpoint | None = None) -> PlanExecution:
         """Execute the plan on the pool, merging worker observability back."""
+        return PlanDriver(plan, checkpoint, self.name, self.workers).run(self._dispatch)
+
+    def _dispatch(self, driver: PlanDriver) -> dict[str, int]:
+        plan = driver.plan
         policy = self.policy if self.policy is not None else FAIL_FAST
-        registry = current_registry()
-        reporter = heartbeat()
-        recorder = flight_recorder()
-        values, resumed = _resume_from_checkpoint(plan, checkpoint)
-        _install_progress_totals(plan)
-        _announce_plan(recorder, plan, self.name, self.workers, resumed)
-        attempts: dict[str, int] = {}
-        quarantined: list[str] = []
-        timed_out: list[str] = []
-        settled: set[str] = set(values)
-        pool_pids: set[int] = set()  # workers seen in the current pool generation
-        outstanding_chunks = 0
 
-        def sample_scheduler() -> None:
-            """One queue-depth/utilization gauge sample on the flight channel."""
-            if recorder is None:
-                return
-            recorder.emit(
-                "scheduler.gauge",
-                queue_depth=len(plan.jobs) - len(settled),
-                outstanding_chunks=outstanding_chunks,
-                utilization=round(min(1.0, outstanding_chunks / self.workers), 4),
-                workers=self.workers,
-            )
+        def settle(future: Future) -> None:
+            outcomes, registry, hb_summary, events = future.result()
+            pool_pids.update(int(ev.get("pid", 0)) for ev in events)
+            driver.settle(outcomes, registry, hb_summary, events)
 
-        def absorb(chunk: list[Job], result: tuple) -> None:
-            chunk_outcomes, worker_registry, hb_summary, worker_events = result
-            for outcome in chunk_outcomes:
-                settled.add(outcome.name)
-                attempts[outcome.name] = outcome.attempts
-                if outcome.ok:
-                    values[outcome.name] = outcome.value
-                    if checkpoint is not None:
-                        checkpoint.record(plan, outcome)
-                else:
-                    quarantined.append(outcome.name)
-                    if outcome.timed_out:
-                        timed_out.append(outcome.name)
-            registry.merge(worker_registry)
-            if recorder is not None:
-                recorder.ingest(worker_events)
-            pool_pids.update(int(ev.get("pid", 0)) for ev in worker_events)
-            if reporter is not None:
-                reporter.absorb(hb_summary)
-                reporter.add(0, jobs=len(chunk))
-
-        def retire_pool_workers() -> None:
-            """Record the end of every worker of the just-closed pool."""
-            if recorder is not None:
-                for pid in sorted(pool_pids):
-                    recorder.emit("worker.exit", pid=pid)
-            pool_pids.clear()
-
-        chunks = self._chunk([job for job in plan.jobs if job.name not in settled])
-        respawns = 0
+        chunks = self._chunk(driver.remaining())
         while chunks:
             # The pool is managed by hand (no `with`): its __exit__ is a
             # shutdown(wait=True), which would block a Ctrl-C behind every
-            # chunk still running.  Interrupt and break paths below shut it
-            # down without waiting and cancel whatever never started.
+            # chunk still running.
             pool = ProcessPoolExecutor(max_workers=self.workers)
-            pending: dict[Any, list[Job]] = {}
+            pending: set[Future] = set()
+            pool_pids: set[int] = set()  # workers seen in this pool generation
+            broken: BrokenProcessPool | None = None
             try:
                 for chunk in chunks:
-                    future = pool.submit(_run_chunk, plan.experiment, plan.seed, chunk, policy)
-                    pending[future] = chunk
-                    if recorder is not None:
-                        for job in chunk:
-                            recorder.emit("job.submitted", job=job.name)
-                outstanding_chunks = len(pending)
-                sample_scheduler()
+                    pending.add(pool.submit(run_chunk, plan.experiment, plan.seed, chunk, policy))
+                    for job in chunk:
+                        driver.emit("job.submitted", job=job.name)
+                driver.sample_scheduler(len(pending), self.workers)
                 while pending:
                     done, _ = wait(pending, return_when=FIRST_COMPLETED)
                     for future in done:
-                        chunk = pending.pop(future)
-                        absorb(chunk, future.result())
-                        outstanding_chunks = len(pending)
-                        sample_scheduler()
-                chunks = []
-                pool.shutdown(wait=True)
-                retire_pool_workers()
+                        pending.discard(future)
+                        settle(future)
+                        driver.sample_scheduler(len(pending), self.workers)
             except BrokenProcessPool as exc:
-                pool.shutdown(wait=False, cancel_futures=True)
-                retire_pool_workers()
-                if respawns >= self.max_pool_respawns:
-                    raise JobError(
-                        plan.experiment,
-                        "<pool>",
-                        f"process pool broke {respawns + 1} times; giving up: {exc!r}",
-                    ) from exc
-                respawns += 1
-                registry.counter("engine_pool_respawns_total").add(1)
-                # Requeue (and rebalance) everything whose outcome never
-                # arrived; settled jobs are safe — their results, metrics,
-                # and checkpoint records were absorbed before the break.
-                chunks = self._chunk([job for job in plan.jobs if job.name not in settled])
-                if recorder is not None:
-                    recorder.emit(
-                        "pool.respawn",
-                        respawns=respawns,
-                        requeued=sum(len(c) for c in chunks),
-                    )
-            except KeyboardInterrupt:
-                # Settle every chunk that already finished — those results
-                # (and their checkpoint records) are real — then cancel the
-                # rest and leave without waiting on running workers.
-                for future in [f for f in pending if f.done()]:
-                    chunk = pending.pop(future)
-                    try:
-                        absorb(chunk, future.result())
-                    except BaseException:
-                        pass  # a broken/failed chunk has nothing to settle
-                pool.shutdown(wait=False, cancel_futures=True)
-                retire_pool_workers()
-                if recorder is not None:
-                    recorder.emit(
-                        "plan.interrupted",
-                        jobs=len(plan.jobs),
-                        completed=len(values),
-                        backend=self.name,
-                    )
-                _recompute_rate_gauges(registry)
-                raise PlanInterrupted(
-                    PlanExecution(
-                        values=values,
-                        backend=self.name,
-                        workers=self.workers,
-                        job_seeds=plan.job_seeds(),
-                        attempts=attempts,
-                        quarantined=quarantined,
-                        timed_out=timed_out,
-                        resumed=resumed,
-                        pool_respawns=respawns,
-                        interrupted=True,
-                    )
-                ) from None
-        if recorder is not None:
-            recorder.emit(
-                "plan.end",
-                jobs=len(plan.jobs),
-                completed=len(values),
-                quarantined=len(quarantined),
-                pool_respawns=respawns,
-            )
-        _recompute_rate_gauges(registry)
-        return PlanExecution(
-            values=values,
-            backend=self.name,
-            workers=self.workers,
-            job_seeds=plan.job_seeds(),
-            attempts=attempts,
-            quarantined=quarantined,
-            timed_out=timed_out,
-            resumed=resumed,
-            pool_respawns=respawns,
-        )
-
-
-def _recompute_rate_gauges(registry: MetricsRegistry) -> None:
-    """Derive throughput gauges from merged totals.
-
-    Summing per-worker rate gauges over-counts (each measures a different
-    wall interval); the ratio of the merged counters is the right aggregate.
-    """
-    for gauge_name, total_name, wall_name in (
-        ("sim_events_per_second", "sim_events_total", "sim_run_seconds_total"),
-        ("mc_iterations_per_second", "mc_iterations_total", "mc_wall_seconds_total"),
-    ):
-        total, wall = registry.get(total_name), registry.get(wall_name)
-        if total is not None and wall is not None and wall.value > 0:
-            registry.gauge(gauge_name).set(total.value / wall.value)
+                broken = exc
+            finally:
+                # Leaving early (pool break, job failure, Ctrl-C) with futures
+                # outstanding: the chunks that did finish are real — settle
+                # them, checkpoint records included — then cancel the rest
+                # and go without waiting on running workers.
+                for future in [f for f in pending if f.done() and f.exception() is None]:
+                    settle(future)
+                pool.shutdown(wait=not pending, cancel_futures=True)
+                for pid in sorted(pool_pids):
+                    driver.emit("worker.exit", pid=pid)
+            if broken is None:
+                break
+            if driver.respawns >= self.max_pool_respawns:
+                raise JobError(
+                    plan.experiment,
+                    "<pool>",
+                    f"process pool broke {driver.respawns + 1} times; giving up: {broken!r}",
+                ) from broken
+            # Requeue (and rebalance) everything whose outcome never arrived;
+            # settled jobs are safe — their results, metrics, and checkpoint
+            # records were folded in before the break.
+            chunks = self._chunk(driver.remaining())
+            driver.respawned(requeued=sum(len(c) for c in chunks))
+        return {"pool_respawns": driver.respawns}
 
 
 def make_executor(

@@ -6,11 +6,12 @@ and then pulls job chunks until the coordinator says ``shutdown`` — the
 worker is pure pull, so any number can join or leave at any point of a
 run without coordination among themselves.
 
-Each chunk runs through :func:`repro.engine.executors._run_chunk` — the
+Each chunk runs through :func:`repro.engine.driver.run_chunk` — the
 **same** function process-pool workers execute — so retries, timeouts,
 quarantine, private metrics registries, silent heartbeat collection, and
 buffered flight events all behave identically; the only difference is
-that results travel back over a TCP frame instead of a pickle pipe.  A
+that results travel back over a TCP frame instead of a pickle pipe, to the
+same :meth:`PlanDriver.settle <repro.engine.driver.PlanDriver.settle>`.  A
 daemon thread sends heartbeat frames so the coordinator can tell a slow
 worker from a dead one.
 
@@ -43,7 +44,7 @@ from repro.engine.distributed import (
     registry_to_wire,
     send_frame,
 )
-from repro.engine.executors import _run_chunk
+from repro.engine.driver import run_chunk
 from repro.engine.retry import JobError
 
 __all__ = ["WorkerSession", "main"]
@@ -191,7 +192,7 @@ class WorkerSession:
         wall_start = time.perf_counter()
         cpu_start = time.process_time()
         try:
-            outcomes, registry, hb_summary, flight_events = _run_chunk(
+            outcomes, registry, hb_summary, flight_events = run_chunk(
                 experiment, seed, jobs, policy
             )
         except JobError as exc:

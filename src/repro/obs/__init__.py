@@ -34,7 +34,6 @@ into:
 * :mod:`repro.obs.cli` — the ``repro obs`` pretty-printer plus the
   ``export-trace``, ``postmortem``, ``watch``, ``bench-diff``, and
   ``precision`` verbs.
-* :mod:`repro.obs.compat` — deprecation shims for the legacy primitives.
 """
 
 from repro.obs.artifacts import (

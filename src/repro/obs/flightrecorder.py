@@ -19,6 +19,8 @@ kind                      emitted when
 ``job.timeout``           an attempt hit its wall-clock budget
 ``job.completed``         a job finished OK (wall/CPU time, seed fingerprint)
 ``job.quarantined``       a job exhausted its retry budget
+``job.dropped``           an outcome arrived for a job not awaiting one (not in
+                          the plan, or settled already); it was ignored
 ``worker.spawn``          a pool worker process ran its first chunk
 ``worker.exit``           the parent retired a pool worker at shutdown
 ``worker.join``           a distributed worker completed its handshake
@@ -98,6 +100,7 @@ EVENT_KINDS = frozenset(
         "job.timeout",
         "job.completed",
         "job.quarantined",
+        "job.dropped",
         "worker.spawn",
         "worker.exit",
         "worker.join",

@@ -1,0 +1,295 @@
+"""One plan lifecycle on every backend: serial, process pool, distributed.
+
+The three executors are transports under one :class:`PlanDriver`, so
+everything that is not "where did the job run" must come out the same:
+results and provenance, per-job flight events, derived gauges, what Ctrl-C
+leaves behind.  Job functions are module-level because pool and
+``drs-worker`` processes import them by name (workers inherit pytest's
+working directory, the repo root, so ``tests.engine.test_lifecycle``
+resolves).
+"""
+
+import os
+import signal
+import socket
+import time
+from collections import Counter
+from functools import partial
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from repro.engine import (
+    Checkpoint,
+    DistributedExecutor,
+    Job,
+    JobPlan,
+    ParallelExecutor,
+    PlanInterrupted,
+    RetryPolicy,
+    SerialExecutor,
+)
+from repro.engine.distributed import Coordinator, outcome_to_wire, recv_frame, send_frame
+from repro.engine.driver import PlanDriver
+from repro.engine.retry import JobOutcome
+from repro.obs.flightrecorder import FlightRecorder, set_flight_recorder
+from repro.obs.metrics import MetricsRegistry, ensure_core_metrics, use_registry
+from repro.obs.profiler import publish_mc_throughput
+from repro.obs.progress import ProgressReporter, set_heartbeat
+
+FAST_RETRY = RetryPolicy(max_attempts=2, backoff_base_s=0.001, jitter_frac=0.0)
+
+BACKENDS = {
+    "serial": SerialExecutor,
+    "pool2": partial(ParallelExecutor, workers=2),
+    "distributed2": partial(DistributedExecutor, spawn_workers=2),
+}
+backends = pytest.mark.parametrize("backend", list(BACKENDS))
+
+
+def _draw(params, seed_seq):
+    # a fixed (iterations, wall) pair: every chunk's own rate gauge reads
+    # 100000/s, so a sum over chunks is off by exactly the chunk count
+    publish_mc_throughput(1000, 0.01)
+    return float(np.random.default_rng(seed_seq).random()) + params.get("offset", 0.0)
+
+
+def _flaky_once(params, seed_seq):
+    marker = Path(params["marker"])
+    if not marker.exists():
+        marker.write_text("failed once")
+        raise RuntimeError("transient failure")
+    return _draw(params, seed_seq)
+
+
+def _always_fails(params, seed_seq):
+    raise RuntimeError("permanent failure")
+
+
+def _always_kills(params, seed_seq):
+    os._exit(1)
+
+
+def _ctrl_c_once(params, seed_seq):
+    """First run: SIGINT the coordinating process mid-plan; afterwards a plain draw.
+
+    Waits for ``after`` checkpoint records first, so the interrupt always
+    finds settled work to preserve, then outlives the signal's delivery —
+    the plan cannot finish before the interrupt lands.
+    """
+    marker = Path(params["marker"])
+    if marker.exists():
+        return _draw(params, seed_seq)
+    marker.write_text("interrupted once")
+    checkpoint, deadline = Path(params["checkpoint"]), time.monotonic() + 20.0
+    while time.monotonic() < deadline:
+        if checkpoint.exists() and len(checkpoint.read_text().splitlines()) >= params["after"]:
+            break
+        time.sleep(0.01)
+    os.kill(params["pid"], signal.SIGINT)
+    time.sleep(2.0)
+    return _draw(params, seed_seq)
+
+
+def _plan(jobs, experiment="lifecycle", seed=11):
+    return JobPlan(experiment=experiment, seed=seed, jobs=jobs, reduce=lambda v: v)
+
+
+class _Observed:
+    """A run under its own registry, heartbeat collector and flight recorder."""
+
+    def __init__(self):
+        self.registry = ensure_core_metrics(MetricsRegistry())
+        self.reporter = ProgressReporter("lifecycle", interval_s=1e12)
+        self.recorder = FlightRecorder(None, experiment="lifecycle")
+        self._events = []
+
+    def __enter__(self):
+        set_heartbeat(self.reporter)
+        set_flight_recorder(self.recorder)
+        self._scope = use_registry(self.registry)
+        self._scope.__enter__()
+        return self
+
+    def __exit__(self, *exc_info):
+        self._scope.__exit__(*exc_info)
+        set_flight_recorder(None)
+        set_heartbeat(None)
+
+    def events(self, kind=None):
+        self._events.extend(self.recorder.drain())
+        return [e for e in self._events if kind is None or e["kind"] == kind]
+
+    def job_events(self):
+        """Multiset of (kind, job) over the per-job lifecycle events."""
+        return Counter((e["kind"], e["job"]) for e in self.events() if "job" in e)
+
+
+def _mixed_run(backend, root):
+    """ok + retried + quarantined + resumed jobs, observed, on one backend."""
+    root.mkdir()
+    path = root / "lifecycle.checkpoint.jsonl"
+    jobs = [Job(f"ok/{i}", _draw, {"offset": float(i)}) for i in range(6)]
+    SerialExecutor().run(_plan(jobs[:2]), checkpoint=Checkpoint(path))  # to be resumed
+    jobs.append(Job("flaky", _flaky_once, {"marker": str(root / "flaky")}))
+    jobs.append(Job("doomed", _always_fails))
+    with _Observed() as observed:
+        execution = BACKENDS[backend](policy=FAST_RETRY).run(
+            _plan(jobs), checkpoint=Checkpoint(path)
+        )
+    return execution, observed
+
+
+@backends
+def test_same_plan_same_execution_and_job_events(backend, tmp_path):
+    reference, ref_observed = _mixed_run("serial", tmp_path / "reference")
+    execution, observed = _mixed_run(backend, tmp_path / "run")
+
+    assert execution.values == reference.values
+    assert execution.attempts == reference.attempts
+    assert execution.attempts["flaky"] == 2
+    assert execution.quarantined == reference.quarantined == ["doomed"]
+    assert execution.timed_out == reference.timed_out == []
+    assert sorted(execution.resumed) == sorted(reference.resumed) == ["ok/0", "ok/1"]
+    assert execution.job_seeds == reference.job_seeds
+    assert observed.job_events() == ref_observed.job_events()
+    assert observed.reporter.counts["jobs"] == 6  # every job this run executed
+    assert observed.registry.counter("engine_jobs_quarantined_total").value == 1
+
+
+@backends
+def test_rate_gauge_is_the_ratio_of_the_merged_counters(backend):
+    jobs = [Job(f"ok/{i}", _draw, {"offset": float(i)}) for i in range(8)]
+    with _Observed() as observed:
+        BACKENDS[backend]().run(_plan(jobs))
+    registry = observed.registry
+    total = registry.counter("mc_iterations_total").value
+    wall = registry.counter("mc_wall_seconds_total").value
+    assert total == 8000
+    assert registry.gauge("mc_iterations_per_second").value == pytest.approx(total / wall)
+
+
+@backends
+def test_ctrl_c_checkpoints_settled_jobs_and_resume_completes(backend, tmp_path):
+    path = tmp_path / "lifecycle.checkpoint.jsonl"
+
+    def plan(marker):
+        jobs = [Job(f"ok/{i}", _draw, {"offset": float(i)}) for i in range(7)]
+        jobs.insert(3, Job("ctrl-c", _ctrl_c_once, {
+            "marker": str(marker), "checkpoint": str(path), "after": 3, "pid": os.getpid(),
+        }))
+        return _plan(jobs)
+
+    done_marker = tmp_path / "already-interrupted"
+    done_marker.write_text("reference run: never interrupts")
+    reference = SerialExecutor().run(plan(done_marker))
+
+    with _Observed() as observed:
+        with pytest.raises(PlanInterrupted) as excinfo:
+            BACKENDS[backend]().run(plan(tmp_path / "marker"), checkpoint=Checkpoint(path))
+    partial = excinfo.value.execution
+    assert partial.interrupted and partial.backend == BACKENDS[backend]().name
+    assert 3 <= len(partial.values) < 8 and "ctrl-c" not in partial.values
+    persisted = Checkpoint(path)
+    persisted.load(plan(done_marker))
+    assert sorted(persisted.completed_jobs()) == sorted(partial.values)
+    assert len(observed.events("plan.interrupted")) == 1
+    assert not observed.events("plan.end")
+
+    resumed = BACKENDS[backend]().run(plan(tmp_path / "marker"), checkpoint=Checkpoint(path))
+    assert sorted(resumed.resumed) == sorted(partial.values)
+    assert resumed.values == reference.values
+
+
+def test_jobs_whose_workers_keep_dying_are_quarantined_everywhere():
+    """Death-quarantine and fleet respawns must reach every telemetry channel."""
+    jobs = [Job(f"ok/{i}", _draw, {"offset": float(i)}) for i in range(3)]
+    jobs.insert(1, Job("poison", _always_kills))
+    # one worker: its death leaves nobody to steal the job, so finishing the
+    # plan takes respawns however the schedule falls
+    executor = DistributedExecutor(
+        spawn_workers=1, policy=FAST_RETRY, max_job_requeues=1, max_worker_respawns=6
+    )
+    with _Observed() as observed:
+        execution = executor.run(_plan(jobs))
+
+    assert execution.quarantined == ["poison"]
+    assert sorted(execution.values) == ["ok/0", "ok/1", "ok/2"]
+    assert observed.registry.counter("engine_jobs_quarantined_total").value == 1
+    assert observed.reporter.counts["quarantined"] == 1
+    assert observed.reporter.counts["jobs"] == observed.reporter.jobs_total == 4
+    assert len(observed.events("job.quarantined")) == 1
+    assert execution.pool_respawns >= 1
+    assert (
+        observed.registry.counter("engine_pool_respawns_total").value
+        == len(observed.events("pool.respawn"))
+        == execution.pool_respawns
+    )
+
+
+class _FakeWorker:
+    """A hand-driven peer speaking the worker side of the frame protocol."""
+
+    def __init__(self, address):
+        self.sock = socket.create_connection(address, timeout=5.0)
+        send_frame(self.sock, {"type": "hello", "protocol": 1, "host": "fake", "pid": 4242})
+        assert recv_frame(self.sock)["type"] == "welcome"
+
+    def pull(self):
+        send_frame(self.sock, {"type": "next"})
+        return recv_frame(self.sock)
+
+    def chunk_done(self, outcomes):
+        send_frame(self.sock, {"type": "chunk_done", "outcomes": outcomes})
+
+    def close(self):
+        self.sock.close()
+
+
+@pytest.fixture
+def coordinator(tmp_path):
+    """A served three-job plan whose first pull hands out every job."""
+    jobs = [Job(f"job/{i}", _draw, {"offset": float(i)}) for i in range(3)]
+    with _Observed() as observed:
+        driver = PlanDriver(
+            _plan(jobs), Checkpoint(tmp_path / "lifecycle.checkpoint.jsonl"), "distributed", 0
+        )
+        server = Coordinator(driver, FAST_RETRY, chunks_per_worker=1)
+        worker = _FakeWorker(server.start())
+        try:
+            yield server, driver, worker, observed
+        finally:
+            worker.close()
+            server.stop()
+
+
+def _wire(name, ok=True, value=0.5):
+    return outcome_to_wire(JobOutcome(name=name, ok=ok, value=value if ok else None))
+
+
+class TestSettleValidatesOutsideOutcomes:
+    def test_unknown_job_is_dropped_and_the_connection_survives(self, coordinator):
+        server, driver, worker, observed = coordinator
+        assert len(worker.pull()["jobs"]) == 3
+        worker.chunk_done([_wire("ghost")])
+        worker.chunk_done([_wire(f"job/{i}") for i in range(3)])
+        assert server.done.wait(timeout=5.0), "the handler died on the unknown job"
+        assert sorted(driver.values) == ["job/0", "job/1", "job/2"]
+        dropped = observed.events("job.dropped")
+        assert [(e["job"], e["reason"]) for e in dropped] == [("ghost", "unknown-job")]
+
+    def test_late_duplicate_chunk_is_not_settled_twice(self, coordinator):
+        server, driver, worker, observed = coordinator
+        worker.pull()
+        answer = [_wire("job/0", ok=False), _wire("job/1"), _wire("job/2")]
+        worker.chunk_done(answer)
+        assert server.done.wait(timeout=5.0)
+        worker.chunk_done(answer)  # the requeued chunk's first owner, answering late
+        assert worker.pull()["type"] == "shutdown"  # the duplicate has been processed
+        assert driver.quarantined == ["job/0"]
+        assert driver.attempts == {"job/0": 1, "job/1": 1, "job/2": 1}
+        assert len(observed.events("checkpoint.write")) == 2
+        assert observed.reporter.counts["jobs"] == 3
+        dropped = observed.events("job.dropped")
+        assert [e["reason"] for e in dropped] == ["already-settled"] * 3
