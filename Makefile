@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test lint smoke bench experiments experiments-quick quick-engine quick-sweep quick-flight quick-precision quick-topology quick-variance perf-smoke bench-gate examples clean
+.PHONY: install test lint smoke bench experiments experiments-quick quick-engine quick-estimators quick-flight perf-smoke bench-gate examples clean
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
@@ -72,14 +72,6 @@ quick-engine:
 	$(call same-as-serial,results-resume,$(FIGURE2_CSVS))
 	@echo "quick-engine: OK (serial == pool == distributed == dead-worker == killed+resumed)"
 
-# perf smoke: the common-random-numbers sweep kernel must never be slower
-# than per-point estimation (quick profile: reduced iteration count; the
-# committed BENCH_bench_sweep_kernel.json holds the full-profile numbers)
-quick-sweep:
-	BENCH_TELEMETRY_DIR= SWEEP_BENCH_ITERATIONS=100000 \
-		$(PYTHON) -m pytest benchmarks/bench_sweep_kernel.py --benchmark-only -q
-	@echo "quick-sweep: OK (kernel at least as fast as per-point)"
-
 # flight-recorder smoke: a parallel quick run must leave a tailable flight
 # stream that exports to a schema-valid Perfetto trace with one track per
 # worker, replays in the watch dashboard, and renders via obs --json
@@ -102,71 +94,65 @@ quick-flight:
 	$(PYTHON) -m repro obs --json /tmp/drs-flight/figure2.flight.jsonl > /dev/null
 	@echo "quick-flight: OK (flight stream -> 4 worker tracks + scheduler, watch replays)"
 
-# statistical-observability smoke: an adaptive quick run must emit per-cell
-# CI columns, stats.cell flight telemetry, a manifest precision block that
-# shows real trial savings, and render through the precision verb and the
-# watch panel
-quick-precision:
-	rm -rf /tmp/drs-precision
-	$(PYTHON) -m repro.experiments.runner --quick figure2 --target-ci 0.01 --out /tmp/drs-precision
-	test -f /tmp/drs-precision/figure2_mc_precision.csv
-	head -1 /tmp/drs-precision/figure2_mc_precision.csv | grep -q ci_low
-	grep -q '"kind": "stats.cell"' /tmp/drs-precision/figure2.flight.jsonl
-	grep -q '"precision"' /tmp/drs-precision/figure2.manifest.json
-	$(PYTHON) -m repro obs precision /tmp/drs-precision/figure2.flight.jsonl
+# estimator smoke: every way into the one Monte Carlo sweep loop, end to end.
+# 1. quick figure2/figure3/crossovers/wholecluster/availability/ablations and
+#    the whole topology catalog must reproduce, byte for byte, the CSVs
+#    recorded before the sweep loops were merged (and, for topologysweep, from
+#    the dense kernel the bit-packed one replaced); the catalog run must carry
+#    topology metadata in the manifest and topology-labelled precision cells,
+#    and a --topology-restricted run must reproduce its slice of the full sweep
+# 2. an adaptive run (--target-ci) must emit per-cell CI columns, stats.cell
+#    flight telemetry, a manifest precision block showing real trial savings,
+#    and render through the precision verb and the watch panel
+# 3. the same with --mc-method stratified-cv must label its precision cells
+#    and flight events with the estimator method
+# 4. quick bench profiles: the sweep over the f-grid never slower than one
+#    one-cell call per f; the dual-hub fast path within 1.3x of the
+#    specialized entry point; stratified-cv >= 3x fewer trials than crude CRN
+#    at equal CI width (the committed BENCH_*.json hold the full profiles)
+EST := /tmp/drs-estimators
+DIGESTS := $(CURDIR)/tests/topology/data
+
+quick-estimators:
+	rm -rf $(EST) $(EST)-one $(EST)-ci $(EST)-cv
+	$(PYTHON) -m repro.experiments.runner --quick --out $(EST) \
+		figure2 figure3 crossovers wholecluster availability ablations topologysweep
+	cd $(EST) && sha256sum -c $(DIGESTS)/estimators_quick.sha256 $(DIGESTS)/topologysweep_quick.sha256
+	grep -q '"topologies"' $(EST)/topologysweep.manifest.json
+	grep -q '"family": "fattree3"' $(EST)/topologysweep.manifest.json
+	grep -q '"topology": "dual-hub' $(EST)/topologysweep.flight.jsonl
+	$(PYTHON) -m repro obs precision $(EST)/topologysweep.flight.jsonl | grep -q multicluster
+	$(PYTHON) -m repro obs watch $(EST)/topologysweep.flight.jsonl --once --no-color | grep -q 'ci: '
+	$(PYTHON) -m repro.experiments.runner --quick topologysweep --topology khub:hubs=3 --out $(EST)-one
+	cmp $(EST)/topologysweep_mc_khub_hubs3.csv $(EST)-one/topologysweep_mc_khub_hubs3.csv
+	$(PYTHON) -m repro.experiments.runner --quick figure2 --target-ci 0.01 --out $(EST)-ci
+	test -f $(EST)-ci/figure2_mc_precision.csv
+	head -1 $(EST)-ci/figure2_mc_precision.csv | grep -q ci_low
+	grep -q '"kind": "stats.cell"' $(EST)-ci/figure2.flight.jsonl
+	grep -q '"precision"' $(EST)-ci/figure2.manifest.json
+	$(PYTHON) -m repro obs precision $(EST)-ci/figure2.flight.jsonl
 	$(PYTHON) -c "import json, subprocess, sys; \
 		out = subprocess.run([sys.executable, '-m', 'repro', 'obs', 'precision', \
-			'/tmp/drs-precision/figure2.manifest.json', '--json'], \
+			'$(EST)-ci/figure2.manifest.json', '--json'], \
 			capture_output=True, text=True, check=True).stdout; \
 		report = json.loads(out); \
 		assert report['cells'] and report['met_target'] == report['cells'], report; \
 		assert report['trials_saved_fraction'] > 0, report"
-	$(PYTHON) -m repro obs watch /tmp/drs-precision/figure2.flight.jsonl --once --no-color | grep 'at target'
-	@echo "quick-precision: OK (adaptive run met its CI target with trials to spare)"
-
-# topology smoke: the whole builder catalog must sweep end-to-end with
-# topology metadata in the manifest and topology-labelled precision cells;
-# a --topology-restricted run must reproduce its slice of the full sweep
-# byte-for-byte; every CSV must still carry the SHA-256 recorded from the
-# dense kernel the bit-packed one replaced; and the dual-hub fast path
-# must stay within 1.3x of the specialized kernel (quick bench profile)
-quick-topology:
-	rm -rf /tmp/drs-topology /tmp/drs-topology-one
-	$(PYTHON) -m repro.experiments.runner --quick topologysweep --out /tmp/drs-topology
-	@for t in dual-hub khub_hubs3 fattree2 fattree3 multicluster; do \
-		test -f /tmp/drs-topology/topologysweep_mc_$$t.csv || exit 1; \
-	done
-	grep -q '"topologies"' /tmp/drs-topology/topologysweep.manifest.json
-	grep -q '"family": "fattree3"' /tmp/drs-topology/topologysweep.manifest.json
-	grep -q '"topology": "dual-hub' /tmp/drs-topology/topologysweep.flight.jsonl
-	$(PYTHON) -m repro obs precision /tmp/drs-topology/topologysweep.flight.jsonl | grep -q multicluster
-	$(PYTHON) -m repro obs watch /tmp/drs-topology/topologysweep.flight.jsonl --once --no-color | grep -q 'ci: '
-	$(PYTHON) -m repro.experiments.runner --quick topologysweep --topology khub:hubs=3 --out /tmp/drs-topology-one
-	cmp /tmp/drs-topology/topologysweep_mc_khub_hubs3.csv /tmp/drs-topology-one/topologysweep_mc_khub_hubs3.csv
-	cd /tmp/drs-topology && sha256sum -c $(CURDIR)/tests/topology/data/topologysweep_quick.sha256
-	BENCH_TELEMETRY_DIR= TOPOLOGY_BENCH_ITERATIONS=100000 \
-		$(PYTHON) -m pytest benchmarks/bench_topology_kernel.py --benchmark-only -q
-	@echo "quick-topology: OK (catalog sweeps, metadata recorded, fast path within 1.3x)"
-
-# variance-reduction smoke: a stratified-cv adaptive run must label its
-# precision cells and flight events with the estimator method, render
-# through the precision verb, and beat crude CRN by >= 3x trials at equal
-# CI width (quick bench profile; the committed
-# BENCH_bench_variance_reduction.json holds the full-profile numbers)
-quick-variance:
-	rm -rf /tmp/drs-variance
+	$(PYTHON) -m repro obs watch $(EST)-ci/figure2.flight.jsonl --once --no-color | grep 'at target'
 	$(PYTHON) -m repro.experiments.runner --quick figure2 --target-ci 0.01 \
-		--mc-method stratified-cv --out /tmp/drs-variance
-	head -1 /tmp/drs-variance/figure2_mc_precision.csv | grep -q method
-	grep -q 'stratified-cv' /tmp/drs-variance/figure2_mc_precision.csv
-	grep -q '"method": "stratified-cv"' /tmp/drs-variance/figure2.flight.jsonl
-	grep -q '"mc_method": "stratified-cv"' /tmp/drs-variance/figure2.manifest.json
-	$(PYTHON) -m repro obs precision /tmp/drs-variance/figure2.flight.jsonl > /dev/null
-	$(PYTHON) -m repro obs watch /tmp/drs-variance/figure2.flight.jsonl --once --no-color \
+		--mc-method stratified-cv --out $(EST)-cv
+	head -1 $(EST)-cv/figure2_mc_precision.csv | grep -q method
+	grep -q 'stratified-cv' $(EST)-cv/figure2_mc_precision.csv
+	grep -q '"method": "stratified-cv"' $(EST)-cv/figure2.flight.jsonl
+	grep -q '"mc_method": "stratified-cv"' $(EST)-cv/figure2.manifest.json
+	$(PYTHON) -m repro obs precision $(EST)-cv/figure2.flight.jsonl > /dev/null
+	$(PYTHON) -m repro obs watch $(EST)-cv/figure2.flight.jsonl --once --no-color \
 		| grep -q 'stratified-cv'
-	BENCH_TELEMETRY_DIR= VARIANCE_BENCH_TARGET=0.002 \
-		$(PYTHON) -m pytest benchmarks/bench_variance_reduction.py --benchmark-only -q
-	@echo "quick-variance: OK (stratified-cv labelled end-to-end, >= 3x fewer trials)"
+	BENCH_TELEMETRY_DIR= SWEEP_BENCH_ITERATIONS=100000 TOPOLOGY_BENCH_ITERATIONS=100000 \
+		VARIANCE_BENCH_TARGET=0.002 $(PYTHON) -m pytest benchmarks/bench_sweep_kernel.py \
+		benchmarks/bench_topology_kernel.py benchmarks/bench_variance_reduction.py \
+		--benchmark-only -q
+	@echo "quick-estimators: OK (pinned CSVs, adaptive + stratified-cv telemetry, bench gates)"
 
 # end-to-end benchmark smoke: every workload of benchmarks/e2e once at
 # reduced size, all output checks on (~7 s); the harness self-tests ride along

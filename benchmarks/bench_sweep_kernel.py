@@ -1,14 +1,15 @@
-"""Performance bench — the common-random-numbers sweep kernel vs per-point.
+"""Performance bench — one sweep over the f-grid vs one one-cell sweep per f.
 
-Guards the tentpole optimization of the Monte Carlo hot path: one
-``simulate_grid`` call over the whole f-grid must beat ``len(fs)``
-independent ``simulate_success_probability`` calls at the same iteration
-count — the kernel pays the sampling cost once and reads every f off a
-single per-row breakdown-threshold histogram.
+``simulate_success_probability`` is the sweep loop at a single ``f``
+(``simulate_grid(n, (f,), ...)`` on its own stream key), so both sides of
+this bench run the same kernel: what one ``simulate_grid`` call over the
+whole f-grid saves over ``len(fs)`` per-point calls is ``len(fs) - 1``
+sampling passes — key draws and threshold reductions — because every f is
+read off the one per-row breakdown-threshold histogram.
 
 ``test_speedup_grid_vs_per_point`` is the CI perf smoke: it *fails* if the
-kernel is ever slower than the per-point estimator (a regression to
-per-f sampling or an accidental Python loop would trip it).  The committed
+grid call is ever slower than the per-point calls (a regression to per-f
+sampling or an accidental Python loop would trip it).  The committed
 ``BENCH_bench_sweep_kernel.json`` snapshot records the full-profile
 speedup (>= 3x on the reference machine); ``SWEEP_BENCH_ITERATIONS``
 shrinks the workload for the quick CI profile.

@@ -24,6 +24,12 @@ the remaining ``f-1`` failures must all land on the dead network's NICs —
     P_all(n, f) = G_all(n, f) / C(2n+2, f)
 
 Validated against exhaustive enumeration in the test suite.
+
+:func:`simulate_allpairs_success` is the sweep loop at one cell: the
+dual-hub :class:`~repro.topology.model.Topology` under
+:class:`~repro.topology.model.AllTerminalsConnected`, on the caller's
+generator.  :func:`allpairs_connected_vec` is the hand-derived reference
+predicate the tests compare it (and the closed form) against.
 """
 
 from __future__ import annotations
@@ -32,6 +38,8 @@ import numpy as np
 
 from repro.analysis.combinatorics import comb0
 from repro.analysis.exact import _validate
+from repro.analysis.topokernel import simulate_topology_success
+from repro.topology import AllTerminalsConnected, dual_hub_cluster
 
 
 def allpairs_good_combinations(n: int, f: int) -> int:
@@ -93,14 +101,14 @@ def allpairs_connected_vec(failed: np.ndarray) -> np.ndarray:
 
 
 def simulate_allpairs_success(n: int, f: int, iterations: int, rng: np.random.Generator, batch: int = 200_000) -> float:
-    """Monte Carlo estimate of the all-pairs survivability."""
-    from repro.analysis.montecarlo import sample_failure_matrix
+    """Monte Carlo estimate of the all-pairs survivability.
 
-    remaining = iterations
-    good = 0
-    while remaining > 0:
-        size = min(remaining, batch)
-        failed = sample_failure_matrix(n, f, size, rng)
-        good += int(allpairs_connected_vec(failed).sum())
-        remaining -= size
-    return good / iterations
+    One cell of :func:`~repro.analysis.topokernel.simulate_topology_grid`
+    over ``dual_hub_cluster(n)`` with the all-terminals predicate: the
+    level-``f`` failure set is the row's ``f`` smallest keys, the same set
+    :func:`~repro.analysis.montecarlo.sample_failure_matrix` picks, so the
+    count equals ``allpairs_connected_vec`` over that sample exactly.
+    """
+    return simulate_topology_success(
+        dual_hub_cluster(n), f, iterations, rng, batch=batch, predicate=AllTerminalsConnected()
+    )

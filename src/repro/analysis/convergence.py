@@ -16,19 +16,11 @@ import numpy as np
 
 from repro.analysis.exact import success_probability
 from repro.analysis.montecarlo import (
+    _resolve_streams,
     simulate_full_grid,
     simulate_grid,
     simulate_success_probability,
 )
-from repro.simkit.rng import spawn_seedseq
-
-
-def _require_one_stream(rng: np.random.Generator | None, seed: int | None) -> None:
-    """Exactly one of ``rng``/``seed`` — both used to silently drop ``seed``."""
-    if rng is None and seed is None:
-        raise TypeError("pass either rng= or seed=")
-    if rng is not None and seed is not None:
-        raise TypeError("pass either rng= or seed=, not both")
 
 
 def mean_absolute_deviation(
@@ -44,20 +36,10 @@ def mean_absolute_deviation(
     stream keyed by ``(iterations, n, f)``, so one grid cell's estimate does
     not depend on which cells ran before it.
     """
-    _require_one_stream(rng, seed)
     ns = range(max(2, f + 1), n_max + 1)
+    streams = _resolve_streams({n: f"mad/f={f}/iters={iterations}/n={n}" for n in ns}, rng, seed)
     deviations = [
-        abs(
-            simulate_success_probability(
-                n,
-                f,
-                iterations,
-                rng
-                if rng is not None
-                else np.random.default_rng(spawn_seedseq(seed, f"mad/f={f}/iters={iterations}/n={n}")),
-            )
-            - success_probability(n, f)
-        )
+        abs(simulate_success_probability(n, f, iterations, streams[n]) - success_probability(n, f))
         for n in ns
     ]
     if not deviations:
@@ -76,11 +58,11 @@ def mean_absolute_deviation_grid(
     max_iterations: int | None = None,
     method: str = "crn",
 ) -> dict[int, float]:
-    """MAD for *every* ``f`` in one sweep over the common-random-numbers kernel.
+    """MAD for *every* ``f`` in one pass of the sweep loop.
 
-    With ``seed``, the entire (N, f) grid runs as **one** padded tensor
-    pass (:func:`~repro.analysis.montecarlo.simulate_full_grid` with
-    explicit per-N streams): every N's rows stack into shared kernel
+    With ``seed``, the entire (N, f) grid is **one**
+    :func:`~repro.analysis.montecarlo.simulate_full_grid` call with
+    explicit per-N streams: every N's rows stack into shared kernel
     calls, so a full Figure 3 column costs a handful of kernel
     invocations instead of one sweep per N.  The per-N streams keep the
     historical ``mad-grid/n={n}`` keys, so results are byte-identical to
@@ -89,7 +71,7 @@ def mean_absolute_deviation_grid(
     to the sequential per-N loop (its draws are order-dependent by
     definition).
 
-    ``target_half_width`` switches the kernel to adaptive-stopping mode:
+    ``target_half_width`` switches the loop to adaptive-stopping mode:
     each (N, f) cell samples until its interval at ``confidence`` reaches
     the target (``iterations`` becomes the first-batch floor,
     ``max_iterations`` the per-N budget), so the MAD is computed over
@@ -98,7 +80,6 @@ def mean_absolute_deviation_grid(
     :func:`~repro.analysis.montecarlo.simulate_grid` (``"crn"``,
     ``"stratified"``, ``"stratified-cv"``).
     """
-    _require_one_stream(rng, seed)
     if not f_values:
         raise ValueError("f_values must name at least one failure count")
     per_n_fs: dict[int, tuple[int, ...]] = {}
@@ -106,36 +87,23 @@ def mean_absolute_deviation_grid(
         fs = tuple(f for f in f_values if n >= max(2, f + 1))
         if fs:
             per_n_fs[n] = fs
-    deviations: dict[int, list[float]] = {f: [] for f in f_values}
+    streams = _resolve_streams({n: f"mad-grid/n={n}" for n in per_n_fs}, rng, seed)
+    common = {
+        "target_half_width": target_half_width,
+        "confidence": confidence,
+        "max_iterations": max_iterations,
+        "method": method,
+    }
     if seed is not None and per_n_fs:
-        streams = {
-            n: np.random.default_rng(spawn_seedseq(seed, f"mad-grid/n={n}")) for n in per_n_fs
-        }
-        grid = simulate_full_grid(
-            tuple(per_n_fs),
-            per_n_fs,
-            iterations,
-            rngs=streams,
-            target_half_width=target_half_width,
-            confidence=confidence,
-            max_iterations=max_iterations,
-            method=method,
+        estimates_by_n = simulate_full_grid(
+            tuple(per_n_fs), per_n_fs, iterations, rngs=streams, **common
         )
-        estimates_by_n = {n: grid[n] for n in per_n_fs}
     else:
         estimates_by_n = {
-            n: simulate_grid(
-                n,
-                fs,
-                iterations,
-                rng=rng,
-                target_half_width=target_half_width,
-                confidence=confidence,
-                max_iterations=max_iterations,
-                method=method,
-            )
+            n: simulate_grid(n, fs, iterations, rng=streams[n], **common)
             for n, fs in per_n_fs.items()
         }
+    deviations: dict[int, list[float]] = {f: [] for f in f_values}
     for n, fs in per_n_fs.items():
         estimates = estimates_by_n[n]
         for f in fs:

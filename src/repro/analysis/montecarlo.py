@@ -6,16 +6,25 @@ the DRS algorithm") and the hot path of the reproduction, so it is fully
 vectorized: one NumPy batch evaluates every iteration's failure set and the
 DRS reachability predicate without Python-level loops over iterations.
 
-Two estimator shapes ship:
+There is **one** sweep loop, :func:`_padded_sweep` (docs/model.md §9): per
+round it draws one i.i.d. uniform key matrix per cluster size, reduces
+every row to its breakdown threshold (:func:`connectivity_levels` — the
+level-``f`` failure set is the row's ``f`` smallest keys, so the sets are
+nested in ``f``) and reads the whole f-grid off the threshold histogram —
+common random numbers across ``f``.  Every estimator is a call into it:
 
-* :func:`simulate_success_probability` — one (N, f) point per call, sampling
-  a fresh failure matrix (:func:`sample_failure_matrix`).
-* :func:`simulate_grid` — the sweep kernel: one sampling pass per (N, batch)
-  serves the *entire* f-grid via common random numbers.  Each row's i.i.d.
-  uniform keys are ranked once (:func:`failure_rank_matrix`); the level-``f``
-  failure set is ``rank < f``, so the sets are nested in ``f`` and the whole
-  family of estimates falls out of one reduction to per-row breakdown
-  thresholds (:func:`connectivity_levels`).  See docs/model.md §9.
+* :func:`simulate_full_grid` — the whole (N, f) grid, one group per N;
+* :func:`simulate_grid` — its one-N case (stream key ``mc-grid/n={n}``);
+* :func:`simulate_success_probability` — its one-cell case, one (N, f)
+  point on the legacy per-point stream key ``mc/n={n}/f={f}``;
+* :func:`simulate_curve` — one such point per N.
+
+The stratified estimators (:mod:`repro.analysis.variance`) and the
+any-topology estimators (:mod:`repro.analysis.topokernel`) instantiate the
+same loop with their own draw step and cell builder.
+:func:`sample_failure_matrix`, :func:`failure_rank_matrix`,
+:func:`failure_matrix_at` and :func:`pair_connected_vec` are the reference
+sampler and predicate the tests compare the kernels against.
 """
 
 from __future__ import annotations
@@ -35,27 +44,53 @@ from repro.simkit.rng import spawn_seedseq
 DEFAULT_MAX_ADAPTIVE_TRIALS = 5_000_000
 
 
-def _resolve_rng(
-    rng: np.random.Generator | None, seed: int | None, *names: str
-) -> np.random.Generator:
-    """An explicit generator, or an independent stream spawned from ``seed``.
+def _resolve_streams(
+    keys: dict,
+    rng: np.random.Generator | None,
+    seed: int | None,
+    rngs: dict | None = None,
+) -> dict:
+    """The one ``rng=`` / ``seed=`` / ``rngs=`` resolver: a generator per stream.
 
-    Seed-based callers get a child keyed by the estimator's own grid point
-    (``names``), so every point is an independent stream: running a subset
-    of a sweep reproduces exactly that slice of the full run, and grid
-    points can be evaluated in any order or process.
+    ``keys`` maps each stream's label (a cluster size, a grid point) to its
+    spawn key.  ``seed`` gives every label an independent child stream
+    keyed by that string, so running a subset of a sweep reproduces
+    exactly that slice of the full run, in any order or process.  ``rngs``
+    supplies explicit per-label generators (the convergence study threads
+    its own legacy stream keys through this).  A bare ``rng`` is one shared
+    stream consumed in label order — deterministic, but not sliceable.
 
-    Exactly one of ``rng`` and ``seed`` must be given.  Passing both used to
-    silently drop ``seed`` (and with it the documented per-point independent
-    streams); that is now a ``TypeError``.
+    Exactly one source must be given: passing two used to silently drop
+    ``seed`` (and with it the independent streams) and is a ``TypeError``.
     """
-    if rng is not None and seed is not None:
-        raise TypeError("pass either rng= or seed=, not both")
+    given = [name for name, value in (("rng", rng), ("seed", seed), ("rngs", rngs)) if value is not None]
+    if len(given) > 1:
+        raise TypeError(f"pass either rng= or seed=, not both {given[0]}= and {given[1]}=")
+    if rngs is not None:
+        missing = [n for n in keys if n not in rngs]
+        if missing:
+            raise ValueError(f"rngs must cover every n in ns; missing n={missing[0]}")
+        return {n: rngs[n] for n in keys}
     if rng is not None:
-        return rng
+        return dict.fromkeys(keys, rng)
     if seed is None:
         raise TypeError("pass either rng= or seed=")
-    return np.random.default_rng(spawn_seedseq(seed, *names))
+    return {label: np.random.default_rng(spawn_seedseq(seed, key)) for label, key in keys.items()}
+
+
+def _resolve_rng(
+    rng: np.random.Generator | None, seed: int | None, key: str
+) -> np.random.Generator:
+    """:func:`_resolve_streams` for the single-stream estimators."""
+    return _resolve_streams({key: key}, rng, seed)[key]
+
+
+def _check_method(method: str) -> None:
+    """The estimator names ``method=`` accepts, on every grid entry point."""
+    if method not in ("crn", "stratified", "stratified-cv"):
+        raise ValueError(
+            f"method must be 'crn', 'stratified', or 'stratified-cv', got {method!r}"
+        )
 
 
 def sample_failure_matrix(n: int, f: int, iterations: int, rng: np.random.Generator) -> np.ndarray:
@@ -116,39 +151,15 @@ def simulate_success_probability(
 ) -> float:
     """Monte Carlo estimate of Equation 1 for one (N, f) point.
 
-    Draws from ``rng`` when given; otherwise from an independent stream
-    spawned from ``seed`` and keyed by ``(n, f)``.  Batches keep peak memory
-    at ``batch * (2n+2)`` booleans regardless of the requested iteration
-    count.
+    The one-cell case of :func:`simulate_grid`: the same sweep loop with
+    ``fs = (f,)``, so validation, batching (peak memory ``batch * (2n+2)``
+    keys), heartbeat, throughput and ``stats.cell`` telemetry are the
+    loop's.  Draws from ``rng`` when given; otherwise from an independent
+    stream spawned from ``seed`` and keyed by ``(n, f)`` (``mc/n={n}/f={f}``
+    — per point, unlike the grid's per-N key).
     """
-    if iterations < 1:
-        raise ValueError(f"iterations must be >= 1, got {iterations}")
     rng = _resolve_rng(rng, seed, f"mc/n={n}/f={f}")
-    remaining = iterations
-    good = 0
-    started = perf_counter()
-    while remaining > 0:
-        size = min(remaining, batch)
-        failed = sample_failure_matrix(n, f, size, rng)
-        good += int(pair_connected_vec(failed, two_hop=two_hop).sum())
-        remaining -= size
-        hb = heartbeat()
-        if hb is not None:  # one global lookup per ≥200k-iteration batch
-            hb.add(size)
-        # Per-batch precision snapshot on the flight channel (same None-check
-        # discipline): the Wilson interval costs a handful of scalar ops per
-        # ≥200k-iteration batch, and only when a recorder is installed.
-        if flight_recorder() is not None:
-            publish_cell_precision(
-                CellPrecision.from_counts(
-                    n, f, good, iterations - remaining, elapsed_s=perf_counter() - started
-                ),
-                done=remaining == 0,
-            )
-    # One timing pair + registry update per call (not per batch): the
-    # instrumentation cost is amortized over the whole iteration budget.
-    publish_mc_throughput(iterations, perf_counter() - started)
-    return good / iterations
+    return simulate_grid(n, (f,), iterations, rng=rng, two_hop=two_hop, batch=batch)[f]
 
 
 def failure_rank_matrix(n: int, iterations: int, rng: np.random.Generator) -> np.ndarray:
@@ -242,125 +253,17 @@ def connectivity_levels(
     return below.sum(axis=1)
 
 
-def _grid_sweep(
-    width: int,
-    levels_from_keys,
-    fs: tuple[int, ...],
-    iterations: int,
-    rng: np.random.Generator,
-    batch: int,
-    target_half_width: float | None,
-    confidence: float,
-    max_iterations: int | None,
-    precision: bool,
-    n: int,
-    topology: str | None = None,
-) -> dict[int, float] | dict[int, CellPrecision]:
-    """The common-random-numbers sweep loop behind every grid estimator.
-
-    One sampling pass per batch serves the whole f-grid: draw
-    ``rng.random((size, width))``, reduce each row to its breakdown
-    threshold via ``levels_from_keys``, histogram the thresholds, and read
-    every level's survivor count off the reversed cumulative sum.  The
-    draw shape and order are part of the reproducibility contract —
-    :func:`simulate_grid` (dual-hub) and
-    :func:`repro.analysis.topokernel.simulate_topology_grid` (any
-    topology) both consume ``(size, width)`` uniforms per batch, so the
-    dual-hub topology dispatched through the generic API replays the
-    byte-identical stream of the specialized path.
-
-    ``levels_from_keys`` maps one uniform key matrix to per-row breakdown
-    thresholds in ``[0, width]`` (level ``f`` survives iff threshold
-    ``>= f``); ``n`` and ``topology`` only label the published
-    :class:`~repro.obs.precision.CellPrecision` records.  Fixed-count,
-    ``precision=True``, and adaptive-stopping semantics are exactly those
-    documented on :func:`simulate_grid`.
-    """
-    if iterations < 1:
-        raise ValueError(f"iterations must be >= 1, got {iterations}")
-    if len(fs) == 0:
-        raise ValueError("fs must name at least one failure count")
-    adaptive = target_half_width is not None
-    if adaptive:
-        if target_half_width <= 0:
-            raise ValueError(f"target_half_width must be positive, got {target_half_width}")
-        if max_iterations is None:
-            max_iterations = DEFAULT_MAX_ADAPTIVE_TRIALS
-        if max_iterations < iterations:
-            raise ValueError(
-                f"max_iterations must be >= iterations ({iterations}), got {max_iterations}"
-            )
-    if not 0.0 < confidence < 1.0:
-        raise ValueError(f"confidence must be in (0, 1), got {confidence}")
-    # survivors[s] accumulates rows with breakdown threshold >= s, so the
-    # whole f-grid (indeed every f in [0, width]) reads off one histogram.
-    survivors = np.zeros(width + 1, dtype=np.int64)
-    total = 0
-    budget = max_iterations if adaptive else iterations
-    frozen: dict[int, CellPrecision] = {}
-    started = perf_counter()
-
-    def cell_at(f: int) -> CellPrecision:
-        return CellPrecision.from_counts(
-            n,
-            f,
-            int(survivors[f]),
-            total,
-            confidence=confidence,
-            target_half_width=target_half_width,
-            elapsed_s=perf_counter() - started,
-            topology=topology,
-        )
-
-    while total < budget:
-        if adaptive:
-            # first round is the caller's floor, then double, capped at the
-            # CRN batch size — overshoot past a cell's true stopping point
-            # is at most 2x, and CI checks stay O(log trials)
-            size = min(iterations if total == 0 else total, batch, budget - total)
-        else:
-            size = min(budget - total, batch)
-        levels = levels_from_keys(rng.random((size, width)))
-        counts = np.bincount(levels, minlength=width + 1)
-        survivors += counts[::-1].cumsum()[::-1]
-        total += size
-        hb = heartbeat()
-        if hb is not None:
-            hb.add(size)
-        recording = flight_recorder() is not None
-        if adaptive:
-            exhausted = total >= budget
-            for f in fs:
-                if f in frozen:
-                    continue
-                cell = cell_at(f)
-                if cell.met_target or exhausted:
-                    frozen[f] = cell
-                if recording:
-                    publish_cell_precision(cell, done=f in frozen)
-            if len(frozen) == len(set(fs)):
-                break
-        elif recording:
-            for f in fs:
-                publish_cell_precision(cell_at(f), done=total >= budget)
-    publish_mc_throughput(total, perf_counter() - started)
-    if adaptive:
-        return {f: frozen[f] for f in fs}
-    if precision:
-        return {f: cell_at(f) for f in fs}
-    return {f: int(survivors[f]) / iterations for f in fs}
-
-
 class _SweepGroup:
-    """One cluster size's state inside the padded multi-N sweep engine.
+    """One key stream's state inside the sweep loop (one cluster size, one topology).
 
     ``hists`` holds one accumulated level histogram per named *track*
-    (``"surv"`` for breakdown thresholds; the stratified estimator adds
-    ``"dead"`` for endpoint-death ranks); ``meta`` is free-form per-group
-    state for the cell builder (exact stratum constants, topology label).
+    (``"surv"`` for breakdown thresholds; the hub-stratified estimator adds
+    ``"dead"`` for endpoint-death ranks, the topology-stratified one keeps
+    a threshold histogram per stratum); ``trials`` is the trial count the
+    histograms cover; ``n`` labels the group's precision cells and result.
     """
 
-    __slots__ = ("n", "width", "rng", "fs", "hists", "frozen", "trials", "meta")
+    __slots__ = ("n", "width", "rng", "fs", "hists", "frozen", "trials")
 
     def __init__(
         self,
@@ -368,8 +271,7 @@ class _SweepGroup:
         width: int,
         rng: np.random.Generator,
         fs: tuple[int, ...],
-        tracks: tuple[str, ...] = ("surv",),
-        meta: dict | None = None,
+        tracks=("surv",),
     ) -> None:
         self.n = n
         self.width = width
@@ -378,12 +280,61 @@ class _SweepGroup:
         self.hists = {track: np.zeros(width + 1, dtype=np.int64) for track in tracks}
         self.frozen: dict[int, CellPrecision] = {}
         self.trials = 0
-        self.meta = meta or {}
+
+
+def _stacked_draw(levels_from_keys):
+    """The loop's default draw step: one kernel call over every open group.
+
+    Each open group draws a ``(size, width)`` uniform block from *its own*
+    stream.  A lone group's block goes to ``levels_from_keys(keys, None) ->
+    {track: levels}`` as drawn — no copy, so a single-N sweep touches one
+    key matrix.  Several groups are stacked into one ``(len(active) * size,
+    max_width)`` matrix, right-padded with 1.5 (sorts above every real key,
+    so a padded column can never fall below a breakdown threshold), and
+    reduced by **one** ``levels_from_keys(keys, widths)`` call.  Each
+    group's slice then folds into its per-track histograms.
+    """
+
+    def draw(active: list[_SweepGroup], size: int) -> None:
+        if len(active) == 1:
+            keys, widths = active[0].rng.random((size, active[0].width)), None
+        else:
+            keys = np.full((len(active) * size, max(group.width for group in active)), 1.5)
+            widths = np.empty(len(active) * size, dtype=np.int64)
+            for i, group in enumerate(active):
+                rows = slice(i * size, (i + 1) * size)
+                keys[rows, : group.width] = group.rng.random((size, group.width))
+                widths[rows] = group.width
+        levels = levels_from_keys(keys, widths)
+        for i, group in enumerate(active):
+            rows = slice(i * size, (i + 1) * size)
+            for track, values in levels.items():
+                group.hists[track] += np.bincount(values[rows], minlength=group.width + 1)
+
+    return draw
+
+
+def _crn_cell(confidence: float, target_half_width: float | None, topology: str | None = None):
+    """Cell builder of the crude estimator: a Wilson interval on the survivor count."""
+
+    def cell(group: _SweepGroup, f: int, elapsed: float) -> CellPrecision:
+        return CellPrecision.from_counts(
+            group.n,
+            f,
+            int(group.hists["surv"][f:].sum()),
+            group.trials,
+            confidence=confidence,
+            target_half_width=target_half_width,
+            elapsed_s=elapsed,
+            topology=topology,
+        )
+
+    return cell
 
 
 def _padded_sweep(
     groups: list[_SweepGroup],
-    levels_from_keys,
+    draw,
     cell_from_group,
     iterations: int,
     batch: int,
@@ -391,28 +342,39 @@ def _padded_sweep(
     confidence: float,
     max_iterations: int | None,
     precision: bool,
-    pad_value: float = 1.5,
 ) -> dict[int, dict[int, float]] | dict[int, dict[int, CellPrecision]]:
-    """The padded full-grid tensor loop behind :func:`simulate_full_grid`.
+    """The sweep loop — the only one — behind every Monte Carlo estimator.
 
-    Each round stacks one ``(size, width_n)`` uniform draw per still-active
-    group into a single ``(len(active) * size, max_width)`` matrix (padded
-    with ``pad_value``, which sorts above every real key so padded columns
-    can never fall below a breakdown threshold), reduces the whole stack
-    with **one** call to ``levels_from_keys(keys, widths) -> {track:
-    levels}``, and folds each group's slice into its per-track histograms.
-    The f-grid of every N then reads off those histograms — the entire
-    (N, f) grid costs a handful of kernel calls per round instead of one
-    sweep per N.
+    Per round: fix the round's ``size``, let ``draw(active, size)`` sample
+    and fold ``size`` more trials into every open group's histograms
+    (:func:`_stacked_draw` for the CRN estimators), tick the heartbeat,
+    then read every ``f`` of every group off those histograms through
+    ``cell_from_group(group, f, elapsed) -> CellPrecision`` — the whole
+    f-grid from one sampling pass, nested in ``f``.
 
-    Reproducibility: each group draws ``(size, width)`` blocks from *its
-    own* stream under the same round schedule :func:`_grid_sweep` uses
-    (the schedule depends only on shared totals, never on which cells are
-    open), and a group stops drawing exactly when its solo run would have
-    stopped — so every group's draws, counts, and frozen cells are
-    byte-identical to a per-N :func:`simulate_grid` run on the same
-    stream.  Adaptive stopping, ``precision=True``, flight events, and the
-    validation contract mirror :func:`_grid_sweep` exactly.
+    Fixed-count mode runs exactly ``iterations`` trials per group in
+    ``batch``-sized rounds and returns ``{group.n: {f: estimate}}`` in the
+    order of ``fs`` (``precision=True`` upgrades the values to
+    :class:`~repro.obs.precision.CellPrecision` records at ``confidence``).
+
+    Adaptive-stopping mode (``target_half_width`` set): ``iterations`` is
+    the first round, then the trial count doubles per round up to ``batch``
+    — overshoot past a cell's true stopping point is at most 2x and CI
+    checks stay O(log trials).  Each cell is *frozen* the first time its
+    half-width at ``confidence`` reaches the target; a group stops drawing
+    once all its cells are frozen or it hits ``max_iterations`` (default
+    ``DEFAULT_MAX_ADAPTIVE_TRIALS``; remaining cells are then frozen below
+    target, mirroring :func:`repro.analysis.stats.estimate_to_precision`).
+    Returns ``{group.n: {f: CellPrecision}}``.
+
+    Reproducibility: the round schedule depends only on shared totals,
+    never on which cells or groups are still open, and NumPy fills arrays
+    from a stream in row-major order, so trial consumption is
+    batching-invariant.  Hence a cell frozen at ``T`` trials is
+    **byte-identical** to a fixed-count run at ``iterations=T`` on the same
+    stream, and every group of a multi-group run is byte-identical to its
+    solo run.  Every cell snapshot is published as a ``stats.cell`` flight
+    event when a recorder is installed.
     """
     if iterations < 1:
         raise ValueError(f"iterations must be >= 1, got {iterations}")
@@ -441,24 +403,17 @@ def _padded_sweep(
             size = min(iterations if total == 0 else total, batch, budget - total)
         else:
             size = min(budget - total, batch)
-        width_max = max(group.width for group in active)
-        keys = np.full((len(active) * size, width_max), pad_value)
-        widths = np.empty(len(active) * size, dtype=np.int64)
-        for i, group in enumerate(active):
-            rows = slice(i * size, (i + 1) * size)
-            keys[rows, : group.width] = group.rng.random((size, group.width))
-            widths[rows] = group.width
-        levels = levels_from_keys(keys, widths)
-        for i, group in enumerate(active):
-            rows = slice(i * size, (i + 1) * size)
-            for track, values in levels.items():
-                group.hists[track] += np.bincount(values[rows], minlength=group.width + 1)
-            group.trials = total + size
+        draw(active, size)
         total += size
         drawn += size * len(active)
+        for group in active:
+            group.trials = total
         hb = heartbeat()
-        if hb is not None:
+        if hb is not None:  # one global lookup per round
             hb.add(size * len(active))
+        # Per-round precision snapshots on the flight channel (same None-check
+        # discipline): an interval costs a handful of scalar ops per cell, and
+        # only when a recorder is installed.
         recording = flight_recorder() is not None
         elapsed = perf_counter() - started
         if adaptive:
@@ -477,8 +432,10 @@ def _padded_sweep(
             for group in active:
                 for f in group.fs:
                     publish_cell_precision(cell_from_group(group, f, elapsed), done=total >= budget)
-    publish_mc_throughput(drawn, perf_counter() - started)
+    # One timing pair + registry update per call (not per round): the
+    # instrumentation cost is amortized over the whole iteration budget.
     elapsed = perf_counter() - started
+    publish_mc_throughput(drawn, elapsed)
     results: dict[int, dict] = {}
     for group in groups:
         if adaptive:
@@ -488,38 +445,6 @@ def _padded_sweep(
         else:
             results[group.n] = {f: cell_from_group(group, f, elapsed).point for f in group.fs}
     return results
-
-
-def _resolve_grid_streams(
-    ns: tuple[int, ...],
-    rng: np.random.Generator | None,
-    seed: int | None,
-    rngs: dict[int, np.random.Generator] | None,
-    key: str,
-) -> dict[int, np.random.Generator]:
-    """Per-N streams for the full-grid estimators.
-
-    ``seed`` spawns one independent child per N keyed exactly like the
-    per-N estimator (``{key}/n={n}``), so any (N, f)-subset slice of the
-    full grid reproduces the corresponding per-N runs byte for byte.
-    ``rngs`` supplies explicit per-N generators (the convergence study
-    threads its own legacy stream keys through this).  A bare ``rng`` is a
-    single shared stream consumed by the active groups in N order each
-    round — deterministic, but not sliceable.
-    """
-    given = [name for name, value in (("rng", rng), ("seed", seed), ("rngs", rngs)) if value is not None]
-    if len(given) > 1:
-        raise TypeError(f"pass either rng=, seed=, or rngs=, not both {given[0]}= and {given[1]}=")
-    if rngs is not None:
-        missing = [n for n in ns if n not in rngs]
-        if missing:
-            raise ValueError(f"rngs must cover every n in ns; missing n={missing[0]}")
-        return {n: rngs[n] for n in ns}
-    if rng is not None:
-        return {n: rng for n in ns}
-    if seed is None:
-        raise TypeError("pass either rng= or seed=")
-    return {n: np.random.default_rng(spawn_seedseq(seed, f"{key}/n={n}")) for n in ns}
 
 
 def _full_grid_fs(ns: tuple[int, ...], fs) -> dict[int, tuple[int, ...]]:
@@ -556,14 +481,16 @@ def simulate_full_grid(
     method: str = "crn",
     rngs: dict[int, np.random.Generator] | None = None,
 ) -> dict[int, dict[int, float]] | dict[int, dict[int, CellPrecision]]:
-    """Monte Carlo P[Success] over the *entire* (N, f) grid in padded passes.
+    """Monte Carlo P[Success] over the *entire* (N, f) grid: the sweep loop, one group per N.
 
-    The figure-2/figure-3 workhorse: instead of one CRN sweep per N, every
-    cluster size's key matrix is stacked (right-padded to the widest
-    ``2N + 2``) into one tensor per round, and a single widths-masked
-    kernel call (:func:`connectivity_levels` with ``widths``) reduces the
-    whole stack to breakdown thresholds — the full grid costs a handful of
-    kernel calls per sampling round.
+    The figure-2/figure-3 workhorse and the general form of the dual-hub
+    estimators: every cluster size is one group of :func:`_padded_sweep`,
+    so each round stacks all open groups' key matrices and a single
+    widths-masked kernel call (:func:`connectivity_levels` with ``widths``)
+    reduces the stack to breakdown thresholds.  Fixed-count, adaptive
+    (``target_half_width``), ``precision=True`` and the byte-identity
+    contract are the loop's; the result is one inner dict per N,
+    ``{n: {f: ...}}``.
 
     ``fs`` is one failure-count tuple shared by every N, or a mapping
     ``{n: fs}`` for per-N domains (the paper grid's ``f < N`` restriction).
@@ -573,28 +500,24 @@ def simulate_full_grid(
     dimension and only the both-hubs-up stratum is sampled, over NIC-only
     keys), or ``"stratified-cv"`` (stratified plus the endpoint-dead
     control variate) — see :mod:`repro.analysis.variance` and
-    docs/model.md §11.
+    docs/model.md §11.  Stratified cells carry stratified intervals in
+    place of Wilson.
 
-    Reproducibility: with ``seed``, stream keys match the per-N estimators
-    (``mc-grid/n={n}`` for ``"crn"`` — exactly :func:`simulate_grid`'s —
-    and ``mc-strat/n={n}`` for the stratified methods, matching
-    :func:`repro.analysis.variance.stratified_grid`), and the shared round
-    schedule consumes each stream identically to the per-N run, so any
-    (N, f)-subset slice of the result is **byte-identical** to the
-    corresponding per-N calls.  Adaptive stopping (``target_half_width``),
-    ``precision=True``, and the returned shapes follow
-    :func:`simulate_grid`, one inner dict per N: ``{n: {f: ...}}``.
+    Streams (:func:`_resolve_streams`): with ``seed``, each N draws from
+    its own child keyed ``mc-grid/n={n}`` (``"crn"``) or ``mc-strat/n={n}``
+    (stratified) — never by ``fs`` — so any (N, f)-subset of the grid
+    reproduces exactly that slice of the full run.
     """
     ns = tuple(ns)
     per_n_fs = _full_grid_fs(ns, fs)
-    if method in ("stratified", "stratified-cv"):
-        from repro.analysis.variance import _stratified_full_grid
+    _check_method(method)
+    key = "mc-grid" if method == "crn" else "mc-strat"
+    streams = _resolve_streams({n: f"{key}/n={n}" for n in ns}, rng, seed, rngs)
+    if method != "crn":
+        from repro.analysis.variance import _nic_group, _stratified_full_grid
 
-        streams = _resolve_grid_streams(ns, rng, seed, rngs, "mc-strat")
         return _stratified_full_grid(
-            ns,
-            per_n_fs,
-            streams,
+            [_nic_group(n, streams[n], per_n_fs[n]) for n in ns],
             iterations,
             two_hop,
             batch,
@@ -604,31 +527,14 @@ def simulate_full_grid(
             max_iterations,
             precision,
         )
-    if method != "crn":
-        raise ValueError(
-            f"method must be 'crn', 'stratified', or 'stratified-cv', got {method!r}"
-        )
-    streams = _resolve_grid_streams(ns, rng, seed, rngs, "mc-grid")
-    groups = [_SweepGroup(n, 2 * n + 2, streams[n], per_n_fs[n]) for n in ns]
 
-    def levels(keys: np.ndarray, widths: np.ndarray) -> dict[str, np.ndarray]:
+    def levels(keys: np.ndarray, widths: np.ndarray | None) -> dict[str, np.ndarray]:
         return {"surv": connectivity_levels(keys, two_hop=two_hop, widths=widths)}
 
-    def cell(group: _SweepGroup, f: int, elapsed: float) -> CellPrecision:
-        return CellPrecision.from_counts(
-            group.n,
-            f,
-            int(group.hists["surv"][f:].sum()),
-            group.trials,
-            confidence=confidence,
-            target_half_width=target_half_width,
-            elapsed_s=elapsed,
-        )
-
     return _padded_sweep(
-        groups,
-        levels,
-        cell,
+        [_SweepGroup(n, 2 * n + 2, streams[n], per_n_fs[n]) for n in ns],
+        _stacked_draw(levels),
+        _crn_cell(confidence, target_half_width),
         iterations,
         batch,
         target_half_width,
@@ -654,95 +560,29 @@ def simulate_grid(
 ) -> dict[int, float] | dict[int, CellPrecision]:
     """Monte Carlo P[Success] at one N for *every* ``f`` in ``fs`` at once.
 
-    The sweep kernel: rank one i.i.d. uniform key matrix per batch
-    (:func:`failure_rank_matrix`), reduce each row to its breakdown
-    threshold (:func:`connectivity_levels`), and read the whole f-grid off
-    that single sampling pass — common random numbers across ``f``.  Versus
-    ``len(fs)`` independent :func:`simulate_success_probability` calls this
-    pays the sampling cost once instead of ``len(fs)`` times, and the shared
-    draws make the estimates monotone in ``f`` by construction (nested
-    failure sets), so Figure 2/3 curve crossovers cannot jitter.
-
-    Seeding follows :func:`simulate_success_probability`'s spawned-stream
-    discipline: with ``seed``, the stream is keyed by ``n`` alone — never by
-    ``fs`` — so any subset of the f-grid reproduces exactly that slice of
-    the full sweep.
-
-    Fixed-count mode (the default) runs exactly ``iterations`` trials and
-    returns ``{f: estimate}`` in the order of ``fs`` (``precision=True``
-    upgrades the values to :class:`~repro.obs.precision.CellPrecision`
-    records at ``confidence``).
-
-    Adaptive-stopping mode (``target_half_width`` set) runs the grid in
-    growing common-random-numbers batches — ``iterations`` is the first
-    batch, then the trial count doubles per round up to ``batch`` — and
-    *freezes* each cell the first time its Wilson half-width at
-    ``confidence`` reaches the target, recording the cell's (successes,
-    trials) at that batch boundary.  Sampling for the row continues until
-    every cell is frozen or the row hits ``max_iterations`` (default
-    ``DEFAULT_MAX_ADAPTIVE_TRIALS``; remaining cells are then frozen below
-    target, mirroring :func:`repro.analysis.stats.estimate_to_precision`'s
-    budget semantics).  Returns ``{f: CellPrecision}``.
-
-    Reproducibility contract: trial consumption is batching-invariant
-    (NumPy fills arrays from the stream in row-major order), so a cell
-    frozen at ``T`` trials is **byte-identical** to a fixed-count run at
-    ``iterations=T`` with the same stream — same successes, same estimate
-    — no matter how the adaptive schedule chunked the draws.  Every cell
-    snapshot is published as a ``stats.cell`` flight event when a recorder
-    is installed.
-
-    ``method`` upgrades the estimator in place: ``"stratified"`` and
-    ``"stratified-cv"`` dispatch to
-    :func:`repro.analysis.variance.stratified_grid` (hub-state
-    stratification, optionally with the endpoint-dead control variate) —
-    same call shape, same return shapes, its own ``mc-strat/n={n}`` stream
-    key, and stratified intervals in place of Wilson wherever a cell is no
-    longer a plain binomial proportion.
+    The one-N case of :func:`simulate_full_grid` — same loop, same modes,
+    same ``method`` names, same stream keys (``mc-grid/n={n}`` /
+    ``mc-strat/n={n}``), so a full-grid slice and this call are
+    byte-identical — returning the inner ``{f: ...}`` dict.  Versus
+    ``len(fs)`` :func:`simulate_success_probability` calls this pays the
+    sampling cost once instead of ``len(fs)`` times, and the shared draws
+    make the estimates monotone in ``f`` by construction (nested failure
+    sets), so Figure 2/3 curve crossovers cannot jitter.
     """
-    if method in ("stratified", "stratified-cv"):
-        from repro.analysis.variance import stratified_grid
-
-        return stratified_grid(
-            n,
-            fs,
-            iterations,
-            rng=rng,
-            seed=seed,
-            two_hop=two_hop,
-            batch=batch,
-            control_variate=method == "stratified-cv",
-            target_half_width=target_half_width,
-            confidence=confidence,
-            max_iterations=max_iterations,
-            precision=precision,
-        )
-    if method != "crn":
-        raise ValueError(
-            f"method must be 'crn', 'stratified', or 'stratified-cv', got {method!r}"
-        )
-    if iterations < 1:
-        raise ValueError(f"iterations must be >= 1, got {iterations}")
-    if len(fs) == 0:
-        raise ValueError("fs must name at least one failure count")
-    width = 2 * n + 2
-    for f in fs:
-        if not 0 <= f <= width:
-            raise ValueError(f"f must be in [0, {width}], got {f}")
-    rng = _resolve_rng(rng, seed, f"mc-grid/n={n}")
-    return _grid_sweep(
-        width,
-        lambda keys: connectivity_levels(keys, two_hop=two_hop),
-        fs,
+    return simulate_full_grid(
+        (n,),
+        tuple(fs),
         iterations,
-        rng,
-        batch,
-        target_half_width,
-        confidence,
-        max_iterations,
-        precision,
-        n,
-    )
+        rng=rng,
+        seed=seed,
+        two_hop=two_hop,
+        batch=batch,
+        target_half_width=target_half_width,
+        confidence=confidence,
+        max_iterations=max_iterations,
+        precision=precision,
+        method=method,
+    )[n]
 
 
 def simulate_curve(
@@ -756,15 +596,13 @@ def simulate_curve(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Monte Carlo P[Success] versus N for fixed ``f`` (simulated Figure 2).
 
-    With ``rng``, one shared stream is threaded through the points (each
-    point's draws then depend on its predecessors).  With ``seed``, every
-    point gets its own spawned stream, so any sub-range of N reproduces the
-    corresponding slice of the full curve.  Passing both is a ``TypeError``
-    (it used to silently drop ``seed``), and an empty N range raises
-    ``ValueError`` exactly like :func:`repro.analysis.exact.success_curve`.
+    One :func:`simulate_success_probability` point per N.  With ``rng``,
+    one shared stream is threaded through the points (each point's draws
+    then depend on its predecessors).  With ``seed``, every point gets its
+    own spawned stream, so any sub-range of N reproduces the corresponding
+    slice of the full curve.  An empty N range raises ``ValueError``
+    exactly like :func:`repro.analysis.exact.success_curve`.
     """
-    if rng is not None and seed is not None:
-        raise TypeError("pass either rng= or seed=, not both")
     if n_min is None:
         n_min = max(2, f + 1)
     if n_min > n_max:

@@ -19,12 +19,14 @@ apply, so the paper's topology pays nothing for the generality:
 * :func:`sample_topology_failures` / :func:`topology_keys` — exactly-``f``
   sampling with optional per-site weights (the Gumbel top-k trick of
   :mod:`~repro.analysis.weighted`, generalized to any failure universe).
-* :func:`simulate_topology_success` / :func:`simulate_topology_grid` — the
-  per-point and sweep estimators, mirroring
-  :func:`~repro.analysis.montecarlo.simulate_success_probability` and
-  :func:`~repro.analysis.montecarlo.simulate_grid` (the grid path shares
-  the same sweep loop, so stream consumption is identical and the
-  dual-hub topology replays byte-identical draws).
+* :func:`simulate_topology_grid` — the sweep loop
+  (:func:`repro.analysis.montecarlo._padded_sweep`, the one
+  :func:`~repro.analysis.montecarlo.simulate_grid` runs) with this
+  topology as its single group, so stream consumption is identical and
+  the dual-hub topology replays byte-identical draws;
+  :func:`simulate_topology_success` is its one-cell case, and
+  :func:`_topology_stratified_sweep` the same loop with a per-stratum
+  draw step and a quadrature-combined cell builder.
 * :func:`enumerate_topology_success` / :func:`exact_topology_success` —
   the exhaustive oracle and the closed-form dispatch.
 
@@ -37,21 +39,24 @@ from __future__ import annotations
 
 from itertools import combinations
 from math import comb
-from time import perf_counter
 
 import numpy as np
 
-from repro.analysis.montecarlo import DEFAULT_MAX_ADAPTIVE_TRIALS, _grid_sweep, _resolve_rng
+from repro.analysis.montecarlo import (
+    _check_method,
+    _crn_cell,
+    _padded_sweep,
+    _resolve_rng,
+    _stacked_draw,
+    _SweepGroup,
+)
 from repro.analysis.stats import wilson_interval
 from repro.analysis.variance import (
     _round_allocations,
     allocate_stratum_trials,
     site_stratum_weights,
 )
-from repro.obs.flightrecorder import flight_recorder
-from repro.obs.precision import CellPrecision, publish_cell_precision
-from repro.obs.profiler import publish_mc_throughput
-from repro.obs.progress import heartbeat
+from repro.obs.precision import CellPrecision
 from repro.topology.model import ConnectivityPredicate, Topology
 
 #: refuse exhaustive enumeration beyond this many failure sets
@@ -312,42 +317,17 @@ def simulate_topology_success(
 ) -> float:
     """Monte Carlo survivability of one topology at exactly ``f`` failures.
 
-    Mirrors :func:`~repro.analysis.montecarlo.simulate_success_probability`:
-    seed-based callers get an independent stream keyed by the topology name
-    and ``f``; batches bound peak memory; heartbeat/precision/throughput
-    instrumentation follows the same None-check discipline.
+    The one-cell case of :func:`simulate_topology_grid` (``fs = (f,)``,
+    ``method="crn"``), as
+    :func:`~repro.analysis.montecarlo.simulate_success_probability` is of
+    ``simulate_grid``: seed-based callers get an independent stream keyed
+    by the topology name *and* ``f`` (``topo/{name}/f={f}``).  Like the
+    grid it needs a monotone predicate (every shipped one is).
     """
-    topology.validate_f(f)
-    require_baseline_connectivity(topology, predicate)
-    if iterations < 1:
-        raise ValueError(f"iterations must be >= 1, got {iterations}")
     rng = _resolve_rng(rng, seed, f"topo/{topology.name}/f={f}")
-    n = _cell_n(topology)
-    remaining = iterations
-    good = 0
-    started = perf_counter()
-    while remaining > 0:
-        size = min(remaining, batch)
-        failed = sample_topology_failures(topology, f, size, rng)
-        good += int(topology_connected_vec(topology, failed, predicate).sum())
-        remaining -= size
-        hb = heartbeat()
-        if hb is not None:
-            hb.add(size)
-        if flight_recorder() is not None:
-            publish_cell_precision(
-                CellPrecision.from_counts(
-                    n,
-                    f,
-                    good,
-                    iterations - remaining,
-                    elapsed_s=perf_counter() - started,
-                    topology=topology.name,
-                ),
-                done=remaining == 0,
-            )
-    publish_mc_throughput(iterations, perf_counter() - started)
-    return good / iterations
+    return simulate_topology_grid(
+        topology, (f,), iterations, rng=rng, batch=batch, predicate=predicate
+    )[f]
 
 
 def _topology_stratified_sweep(
@@ -364,13 +344,14 @@ def _topology_stratified_sweep(
 ) -> dict[int, float] | dict[int, CellPrecision]:
     """Stratified CRN sweep conditioning on the declared strata sites.
 
-    Strata are "exactly ``j`` of the topology's
+    The sweep loop with its own draw step and cell builder.  Strata are
+    "exactly ``j`` of the topology's
     :attr:`~repro.topology.model.Topology.strata_sites` failed"
     (``j in [0, s]``), with exact hypergeometric weights per ``f``
     (:func:`repro.analysis.variance.site_stratum_weights`).  Each stratum
-    keeps its own spawned stream and its own common-random-numbers pass:
-    a row picks which ``j`` strata sites fail (uniformly, via their own
-    key order), those columns' keys are shifted down by 2 (failed before
+    keeps its own spawned stream and its own threshold histogram: a row
+    picks which ``j`` strata sites fail (uniformly, via their own key
+    order), those columns' keys are shifted down by 2 (failed before
     anything else) and the surviving strata sites' up by 2 (never fail),
     so the level-``f`` failure set is the ``j`` chosen sites plus the
     ``f - j`` highest-priority other sites — a draw from the conditional
@@ -378,7 +359,7 @@ def _topology_stratified_sweep(
     breakdown-threshold reduction then proceeds exactly as in the crude
     sweep.
 
-    Trials are split per round proportional to each stratum's largest
+    Each round's trials are split proportional to each stratum's largest
     weight over the f-grid — strict one-each apportionment on the first
     round (:func:`repro.analysis.variance.allocate_stratum_trials`, whose
     budget check doubles as the input hardening), largest-remainder
@@ -388,75 +369,18 @@ def _topology_stratified_sweep(
     path, per-round rounding couples the strata, so adaptive runs are
     *not* promised byte-identical to fixed-count reruns cell by cell.
     """
-    if iterations < 1:
-        raise ValueError(f"iterations must be >= 1, got {iterations}")
-    if len(fs) == 0:
-        raise ValueError("fs must name at least one failure count")
-    adaptive = target_half_width is not None
-    if adaptive:
-        if target_half_width <= 0:
-            raise ValueError(f"target_half_width must be positive, got {target_half_width}")
-        if max_iterations is None:
-            max_iterations = DEFAULT_MAX_ADAPTIVE_TRIALS
-        if max_iterations < iterations:
-            raise ValueError(
-                f"max_iterations must be >= iterations ({iterations}), got {max_iterations}"
-            )
-    if not 0.0 < confidence < 1.0:
-        raise ValueError(f"confidence must be in (0, 1), got {confidence}")
     width = topology.width
     positions = np.array(topology.strata_positions(), dtype=np.int64)
-    strata = len(positions)
-    weights_by_f = {f: site_stratum_weights(width, strata, f) for f in fs}
-    scores = [max(weights_by_f[f][j] for f in fs) for j in range(strata + 1)]
-    stratum_rngs = rng.spawn(strata + 1)
-    survivors = [np.zeros(width + 1, dtype=np.int64) for _ in range(strata + 1)]
-    trials = [0] * (strata + 1)
-    n_label = _cell_n(topology)
-    total = 0
-    budget = max_iterations if adaptive else iterations
-    frozen: dict[int, CellPrecision] = {}
-    started = perf_counter()
+    strata = range(len(positions) + 1)
+    weights_by_f = {f: site_stratum_weights(width, len(positions), f) for f in fs}
+    scores = [max((weights_by_f[f][j] for f in fs), default=0.0) for j in strata]
+    stratum_rngs = rng.spawn(len(strata))
+    group = _SweepGroup(_cell_n(topology), width, rng, fs, tracks=strata)
+    sampled = [0] * len(strata)
 
-    def cell_at(f: int) -> CellPrecision:
-        point = 0.0
-        half_sq = 0.0
-        successes = 0
-        for j in range(strata + 1):
-            weight = weights_by_f[f][j]
-            if weight == 0.0 or trials[j] == 0:
-                continue
-            alive = int(survivors[j][f:].sum())
-            interval = wilson_interval(alive, trials[j], confidence)
-            point += weight * interval.point
-            half_sq += (weight * interval.half_width) ** 2
-            successes += alive
-        return CellPrecision.from_stratified(
-            n_label,
-            f,
-            successes,
-            total,
-            point=point,
-            half_width=float(np.sqrt(half_sq)),
-            confidence=confidence,
-            target_half_width=target_half_width,
-            elapsed_s=perf_counter() - started,
-            topology=topology.name,
-            method="stratified",
-        )
-
-    first_round = True
-    while total < budget:
-        if adaptive:
-            size = min(iterations if total == 0 else total, batch, budget - total)
-        else:
-            size = min(budget - total, batch)
-        if first_round:
-            allocations = allocate_stratum_trials(size, scores)
-            first_round = False
-        else:
-            allocations = _round_allocations(size, scores)
-        for j, count in enumerate(allocations):
+    def draw(active: list[_SweepGroup], size: int) -> None:
+        allocate = allocate_stratum_trials if group.trials == 0 else _round_allocations
+        for j, count in enumerate(allocate(size, scores)):
             if count == 0:
                 continue
             u = stratum_rngs[j].random((count, width))
@@ -471,34 +395,47 @@ def _topology_stratified_sweep(
                 rows = np.arange(count)[:, None]
                 keys[rows, chosen] = u[rows, chosen] - 2.0  # chosen sites fail first
             levels = topology_connectivity_levels(topology, keys, predicate)
-            survivors[j] += np.bincount(levels, minlength=width + 1)
-            trials[j] += count
-        total += size
-        hb = heartbeat()
-        if hb is not None:
-            hb.add(size)
-        recording = flight_recorder() is not None
-        if adaptive:
-            exhausted = total >= budget
-            for f in fs:
-                if f in frozen:
-                    continue
-                cell = cell_at(f)
-                if cell.met_target or exhausted:
-                    frozen[f] = cell
-                if recording:
-                    publish_cell_precision(cell, done=f in frozen)
-            if len(frozen) == len(set(fs)):
-                break
-        elif recording:
-            for f in fs:
-                publish_cell_precision(cell_at(f), done=total >= budget)
-    publish_mc_throughput(total, perf_counter() - started)
-    if adaptive:
-        return {f: frozen[f] for f in fs}
-    if precision:
-        return {f: cell_at(f) for f in fs}
-    return {f: cell_at(f).point for f in fs}
+            group.hists[j] += np.bincount(levels, minlength=width + 1)
+            sampled[j] += count
+
+    def cell(group: _SweepGroup, f: int, elapsed: float) -> CellPrecision:
+        point = 0.0
+        half_sq = 0.0
+        successes = 0
+        for j in strata:
+            weight = weights_by_f[f][j]
+            if weight == 0.0 or sampled[j] == 0:
+                continue
+            alive = int(group.hists[j][f:].sum())
+            interval = wilson_interval(alive, sampled[j], confidence)
+            point += weight * interval.point
+            half_sq += (weight * interval.half_width) ** 2
+            successes += alive
+        return CellPrecision.from_stratified(
+            group.n,
+            f,
+            successes,
+            group.trials,
+            point=point,
+            half_width=float(np.sqrt(half_sq)),
+            confidence=confidence,
+            target_half_width=target_half_width,
+            elapsed_s=elapsed,
+            topology=topology.name,
+            method="stratified",
+        )
+
+    return _padded_sweep(
+        [group],
+        draw,
+        cell,
+        iterations,
+        batch,
+        target_half_width,
+        confidence,
+        max_iterations,
+        precision,
+    )[group.n]
 
 
 def simulate_topology_grid(
@@ -517,14 +454,15 @@ def simulate_topology_grid(
 ) -> dict[int, float] | dict[int, CellPrecision]:
     """The CRN sweep over one topology: every ``f`` from one sampling pass.
 
-    Exactly :func:`~repro.analysis.montecarlo.simulate_grid` — shared
-    sweep loop, nested failure sets, adaptive stopping, ``stats.cell``
-    events — with breakdown thresholds from
+    Exactly :func:`~repro.analysis.montecarlo.simulate_grid` — the same
+    sweep loop as one group, nested failure sets, adaptive stopping,
+    ``stats.cell`` events — with breakdown thresholds from
     :func:`topology_connectivity_levels` (monotone predicates only; every
-    shipped predicate qualifies).  Seeding keys the spawned stream by the
-    topology name alone, so any f-subset reproduces its slice of the full
-    sweep, and the dual-hub topology's fast path replays the specialized
-    kernel's byte-identical stream.
+    shipped predicate qualifies) over the topology's weighted keys.
+    Seeding keys the spawned stream by the topology name alone
+    (``topo-grid/{name}``), so any f-subset reproduces its slice of the
+    full sweep, and the dual-hub topology's fast path replays the
+    specialized kernel's byte-identical stream.
 
     ``method="stratified"`` conditions sampling on the topology's declared
     :attr:`~repro.topology.model.Topology.strata_sites` — through the
@@ -535,10 +473,12 @@ def simulate_topology_grid(
     ``method="stratified-cv"`` additionally requires the specialized
     kernel (control variates are family-specific closed forms).
     """
-    if method in ("stratified", "stratified-cv"):
+    _check_method(method)
+    fs = tuple(fs)
+    if method != "crn":
         if predicate is None and topology.stratified_fn is not None:
             return topology.stratified_fn(
-                fs=tuple(fs),
+                fs=fs,
                 iterations=iterations,
                 rng=rng,
                 seed=seed,
@@ -564,15 +504,15 @@ def simulate_topology_grid(
                 f"stratified sampling requires uniform failure weights; topology "
                 f"{topology.name!r} declares per-site weights"
             )
-        for f in fs:
-            topology.validate_f(f)
-        require_baseline_connectivity(topology, predicate)
-        rng = _resolve_rng(rng, seed, f"topo-strat/{topology.name}")
+    for f in fs:
+        topology.validate_f(f)
+    require_baseline_connectivity(topology, predicate)
+    if method != "crn":
         return _topology_stratified_sweep(
             topology,
-            tuple(fs),
+            fs,
             iterations,
-            rng,
+            _resolve_rng(rng, seed, f"topo-strat/{topology.name}"),
             batch,
             target_half_width,
             confidence,
@@ -580,28 +520,25 @@ def simulate_topology_grid(
             precision,
             predicate,
         )
-    if method != "crn":
-        raise ValueError(
-            f"method must be 'crn', 'stratified', or 'stratified-cv', got {method!r}"
-        )
-    for f in fs:
-        topology.validate_f(f)
-    require_baseline_connectivity(topology, predicate)
-    rng = _resolve_rng(rng, seed, f"topo-grid/{topology.name}")
-    return _grid_sweep(
-        topology.width,
-        lambda u: topology_connectivity_levels(topology, _weight_keys(topology, u), predicate),
-        fs,
+
+    def levels(u: np.ndarray, widths: None) -> dict[str, np.ndarray]:
+        keys = _weight_keys(topology, u)
+        return {"surv": topology_connectivity_levels(topology, keys, predicate)}
+
+    group = _SweepGroup(
+        _cell_n(topology), topology.width, _resolve_rng(rng, seed, f"topo-grid/{topology.name}"), fs
+    )
+    return _padded_sweep(
+        [group],
+        _stacked_draw(levels),
+        _crn_cell(confidence, target_half_width, topology=topology.name),
         iterations,
-        rng,
         batch,
         target_half_width,
         confidence,
         max_iterations,
         precision,
-        _cell_n(topology),
-        topology=topology.name,
-    )
+    )[group.n]
 
 
 # -------------------------------------------------------------------- oracles

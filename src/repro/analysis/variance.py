@@ -50,6 +50,16 @@ the combined cell interval is that half-width scaled by ``w_0``.  Cells are
 published as :class:`repro.obs.precision.CellPrecision` records with
 ``method`` set, so precision CSVs, flight events, and the watch dashboard
 distinguish stratified intervals from plain binomial ones.
+
+The sampling itself is :func:`repro.analysis.montecarlo._padded_sweep`,
+the one sweep loop: :func:`_stratified_full_grid` hands it NIC-only groups
+(:func:`_nic_group`), a two-track level function and the stratified cell
+builder.  ``simulate_full_grid(method="stratified" | "stratified-cv")`` is
+the many-N call, :func:`stratified_grid` the one-N case, and
+:func:`stratified_success_probability` the one-cell case for its default
+budget split; its explicit ``allocations`` path, with
+:func:`sample_conditional_failure_matrix`, stays as the reference sampler
+the property tests drive.
 """
 
 from __future__ import annotations
@@ -59,8 +69,10 @@ import numpy as np
 from repro.analysis.combinatorics import comb0, covering_nic_failures
 from repro.analysis.exact import _validate
 from repro.analysis.montecarlo import (
+    _full_grid_fs,
     _padded_sweep,
     _resolve_rng,
+    _stacked_draw,
     _SweepGroup,
     pair_connected_vec,
 )
@@ -362,10 +374,13 @@ def _stratified_cell(
     )
 
 
+def _nic_group(n: int, rng: np.random.Generator, fs: tuple[int, ...]) -> _SweepGroup:
+    """One N of the sampled stratum: NIC-only keys, thresholds + endpoint-death ranks."""
+    return _SweepGroup(n, 2 * n, rng, fs, tracks=("surv", "dead"))
+
+
 def _stratified_full_grid(
-    ns: tuple[int, ...],
-    per_n_fs: dict[int, tuple[int, ...]],
-    streams: dict[int, np.random.Generator],
+    groups: list[_SweepGroup],
     iterations: int,
     two_hop: bool,
     batch: int,
@@ -376,20 +391,18 @@ def _stratified_full_grid(
     precision: bool,
     topology: str | None = None,
 ) -> dict[int, dict[int, float]] | dict[int, dict[int, CellPrecision]]:
-    """The stratified estimator's padded multi-N engine instantiation.
+    """The stratified estimator's instantiation of the sweep loop.
 
-    One NIC-only draw per group per round feeds two level reductions —
-    breakdown thresholds and endpoint-death ranks — whose histograms
-    answer every ``f`` of every ``N``; strata 1 and 2 never cost a trial.
-    Called by :func:`repro.analysis.montecarlo.simulate_full_grid` and
-    (single-N) :func:`stratified_grid`.
+    One NIC-only draw per :func:`_nic_group` per round feeds two level
+    reductions — breakdown thresholds and endpoint-death ranks — whose
+    histograms answer every ``f`` of every ``N``; strata 1 and 2 never
+    cost a trial.  Called by
+    :func:`repro.analysis.montecarlo.simulate_full_grid` (one group per
+    N), :func:`stratified_grid` (one group) and
+    :func:`stratified_success_probability` (one group, one ``f``).
     """
-    groups = [
-        _SweepGroup(n, 2 * n, streams[n], per_n_fs[n], tracks=("surv", "dead"))
-        for n in ns
-    ]
 
-    def levels(keys: np.ndarray, widths: np.ndarray) -> dict[str, np.ndarray]:
+    def levels(keys: np.ndarray, widths: np.ndarray | None) -> dict[str, np.ndarray]:
         return {
             "surv": nic_connectivity_levels(keys, two_hop=two_hop, widths=widths),
             "dead": endpoint_dead_levels(keys, widths=widths),
@@ -402,7 +415,7 @@ def _stratified_full_grid(
 
     return _padded_sweep(
         groups,
-        levels,
+        _stacked_draw(levels),
         cell,
         iterations,
         batch,
@@ -430,36 +443,21 @@ def stratified_grid(
 ) -> dict[int, float] | dict[int, CellPrecision]:
     """Hub-stratified P[Success] at one N for every ``f`` in ``fs`` at once.
 
-    The variance-reduced counterpart of
-    :func:`repro.analysis.montecarlo.simulate_grid` (which dispatches here
-    for ``method="stratified"`` / ``"stratified-cv"``): strata with one or
-    two hub failures are answered exactly, and one NIC-only
+    ``simulate_grid(method="stratified-cv")`` (``control_variate=True``)
+    or ``method="stratified"`` under another spelling — the one-N case of
+    the stratified :func:`~repro.analysis.montecarlo.simulate_full_grid`,
+    on the same ``mc-strat/n={n}`` stream key, byte for byte: strata with
+    one or two hub failures are answered exactly, and one NIC-only
     common-random-numbers sweep serves the sampled both-hubs-up stratum
-    across the whole f-grid.  ``control_variate=True`` additionally folds
-    in the endpoint-dead control variate (see the module docstring).
-
-    Call shape, fixed/adaptive/precision modes, and return shapes follow
-    ``simulate_grid``; intervals are stratified
-    (:meth:`~repro.obs.precision.CellPrecision.from_stratified`,
-    ``method`` set accordingly) instead of plain Wilson.  With ``seed``
-    the stream is keyed ``mc-strat/n={n}`` — independent of the crude
-    estimator's ``mc-grid`` streams, and shared with
-    :func:`~repro.analysis.montecarlo.simulate_full_grid`'s stratified
-    methods so full-grid slices reproduce single-N runs byte for byte.
-    ``topology`` only labels the published precision cells (the dual-hub
-    topology's attached stratified kernel threads its name through).
+    across the whole f-grid (see the module docstring).  The one thing it
+    adds is ``topology``, which labels the published precision cells (the
+    dual-hub topology's attached stratified kernel threads its name
+    through).
     """
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
-    width = 2 * n + 2
-    for f in fs:
-        if not 0 <= f <= width:
-            raise ValueError(f"f must be in [0, {width}], got {f}")
+    fs = _full_grid_fs((n,), fs)[n]
     rng = _resolve_rng(rng, seed, f"mc-strat/n={n}")
-    result = _stratified_full_grid(
-        (n,),
-        {n: tuple(fs)},
-        {n: rng},
+    return _stratified_full_grid(
+        [_nic_group(n, rng, fs)],
         iterations,
         two_hop,
         batch,
@@ -469,8 +467,7 @@ def stratified_grid(
         max_iterations,
         precision,
         topology=topology,
-    )
-    return result[n]
+    )[n]
 
 
 def stratified_success_probability(
@@ -488,13 +485,14 @@ def stratified_success_probability(
 
     The per-point counterpart of :func:`stratified_grid`, mirroring
     :func:`repro.analysis.montecarlo.simulate_success_probability`'s call
-    shape.  ``allocations`` is an optional per-stratum trial split
-    ``(m_0, m_1, m_2)``; the default ``(iterations, 0, 0)`` spends the
-    whole budget on the only stratum that needs sampling — a stratum
-    allocated zero trials is answered by its closed form instead
+    shape.  By default the whole budget goes to the only stratum that
+    needs sampling, as a one-cell call into the sweep loop (the stratum's
+    counts are the ``f``-th entries of its two histograms); strata with
+    zero trials are answered by their closed forms
     (:func:`both_hubs_up_conditional_success`,
     :func:`one_hub_conditional_success`, and the zero of the both-hubs-down
-    stratum).  Explicit allocations exercise the conditional sampler
+    stratum).  ``allocations`` is an explicit per-stratum trial split
+    ``(m_0, m_1, m_2)`` and exercises the reference conditional sampler
     (:func:`sample_conditional_failure_matrix`) per stratum — the
     exhaustive-oracle property tests drive it this way.  Seed-based
     callers get a stream keyed ``mc-strat/n={n}/f={f}``, with one child
@@ -503,9 +501,8 @@ def stratified_success_probability(
     _validate(n, f)
     if iterations < 1:
         raise ValueError(f"iterations must be >= 1, got {iterations}")
-    if allocations is None:
-        allocations = (iterations, 0, 0)
-    else:
+    reference = allocations is not None
+    if reference:
         allocations = tuple(int(m) for m in allocations)
         if len(allocations) != 3:
             raise ValueError(
@@ -519,6 +516,8 @@ def stratified_success_probability(
             raise ValueError(
                 f"stratum allocations sum to {allocated}, exceeding the trial budget {iterations}"
             )
+    else:
+        allocations = (iterations, 0, 0)
     rng = _resolve_rng(rng, seed, f"mc-strat/n={n}/f={f}")
     stratum_rngs = rng.spawn(3)
     weights = hub_stratum_weights(n, f)
@@ -535,19 +534,26 @@ def stratified_success_probability(
         if trials == 0:
             estimate += weight * exact_conditionals[stratum]
             continue
-        survivors = 0
-        endpoint_dead = 0
-        remaining = trials
-        while remaining > 0:
-            size = min(remaining, batch)
-            failed = sample_conditional_failure_matrix(
-                n, f, stratum, size, rng=stratum_rngs[stratum]
+        if reference:
+            survivors = endpoint_dead = 0
+            remaining = trials
+            while remaining > 0:
+                size = min(remaining, batch)
+                failed = sample_conditional_failure_matrix(
+                    n, f, stratum, size, rng=stratum_rngs[stratum]
+                )
+                survivors += int(pair_connected_vec(failed, two_hop=two_hop).sum())
+                if control_variate and stratum == 0:
+                    dead = (failed[:, 2] & failed[:, 3]) | (failed[:, 4] & failed[:, 5])
+                    endpoint_dead += int(dead.sum())
+                remaining -= size
+        else:  # only stratum 0 holds trials: one cell of the sweep loop
+            group = _nic_group(n, stratum_rngs[stratum], (f,))
+            _stratified_full_grid(
+                [group], trials, two_hop, batch, control_variate, None, 0.95, None, False
             )
-            survivors += int(pair_connected_vec(failed, two_hop=two_hop).sum())
-            if control_variate and stratum == 0:
-                dead = (failed[:, 2] & failed[:, 3]) | (failed[:, 4] & failed[:, 5])
-                endpoint_dead += int(dead.sum())
-            remaining -= size
+            survivors = int(group.hists["surv"][f:].sum())
+            endpoint_dead = int(group.hists["dead"][:f].sum())
         if control_variate and stratum == 0:
             mu_x = endpoint_dead_conditional_mean(n, f)
             conditional_trials = trials - endpoint_dead

@@ -7,13 +7,22 @@ module re-evaluates survivability when the f failed components are drawn
 *without replacement with probability proportional to per-kind weights* —
 a weighted version of the conditional model, estimated by Monte Carlo with
 the Gumbel top-k trick (fully vectorized, no Python-level loops).
+
+:func:`simulate_weighted_success` is the sweep loop at one cell: the
+dual-hub :class:`~repro.topology.model.Topology` with its per-site
+``weights`` set, whose keys :mod:`~repro.analysis.topokernel` transforms
+with the same Gumbel top-k trick.  :func:`weighted_failure_matrix` is the
+reference sampler the tests compare it against.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
-from repro.analysis.montecarlo import pair_connected_vec
+from repro.analysis.topokernel import simulate_topology_success
+from repro.topology import dual_hub_cluster
 
 #: Per-failure-event weights implied by the failure-log calibration
 #: (CATEGORY_WEIGHTS: nic 0.07 over 2N cards vs hub 0.04 over 2 hubs —
@@ -74,12 +83,15 @@ def simulate_weighted_success(
     nic_weight: float = 1.0,
     batch: int = 200_000,
 ) -> float:
-    """Pair survivability under kind-weighted exactly-f failures."""
-    remaining = iterations
-    good = 0
-    while remaining > 0:
-        size = min(remaining, batch)
-        failed = weighted_failure_matrix(n, f, size, rng, hub_weight=hub_weight, nic_weight=nic_weight)
-        good += int(pair_connected_vec(failed).sum())
-        remaining -= size
-    return good / iterations
+    """Pair survivability under kind-weighted exactly-f failures.
+
+    One cell of :func:`~repro.analysis.topokernel.simulate_topology_grid`
+    over ``dual_hub_cluster(n)`` carrying ``(hub, hub, nic, ...)`` weights:
+    the topology's weighted keys order components exactly as
+    :func:`weighted_failure_matrix`'s do, and the dual-hub fast path
+    reduces them with :func:`~repro.analysis.montecarlo.connectivity_levels`.
+    """
+    weights = (hub_weight,) * 2 + (nic_weight,) * (2 * n)
+    return simulate_topology_success(
+        replace(dual_hub_cluster(n), weights=weights), f, iterations, rng, batch=batch
+    )

@@ -133,7 +133,13 @@ def build_plan(
         )
         return result
 
-    return JobPlan(experiment="availability", seed=seed, jobs=jobs, reduce=reduce)
+    return JobPlan(
+        experiment="availability",
+        seed=seed,
+        jobs=jobs,
+        reduce=reduce,
+        meta={"total_trials": sum(j.params.get("iterations", 0) for j in jobs)},
+    )
 
 
 def run(

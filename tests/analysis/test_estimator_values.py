@@ -1,0 +1,219 @@
+"""Replay of every Monte Carlo estimator against values pinned before the one-loop refactor.
+
+``data/estimator_values.json`` was recorded once, at the commit *before*
+the sweep loops and per-point batch loops were collapsed into
+``montecarlo._padded_sweep`` (``python -m tests.analysis.test_estimator_values``
+with the parent's ``src`` on ``PYTHONPATH``).  It holds ``repr()`` of every
+returned float and ``(successes, trials, point, low, high)`` of every returned
+``CellPrecision`` for the call table below; calls that take a shared ``rng=``
+also pin the generator's next draw, i.e. how much of the stream the call
+consumed.  Do not re-record it to make a refactor pass: a moved value means
+the estimator changed.
+"""
+
+from __future__ import annotations
+
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from repro.analysis import (
+    mean_absolute_deviation,
+    mean_absolute_deviation_grid,
+    simulate_allpairs_success,
+    simulate_curve,
+    simulate_full_grid,
+    simulate_grid,
+    simulate_success_probability,
+    simulate_topology_grid,
+    simulate_topology_success,
+    simulate_weighted_success,
+    stratified_grid,
+    stratified_success_probability,
+)
+from repro.obs.precision import CellPrecision
+from repro.topology import AllTerminalsConnected, TerminalQuorum, build_topology
+
+DATA = Path(__file__).parent / "data" / "estimator_values.json"
+SEED = 20_000_914
+METHODS = ("crn", "stratified", "stratified-cv")
+#: small batches so fixed runs take several rounds and adaptive runs both
+#: freeze cells early and run others into the budget
+FIXED = {"iterations": 2_500, "batch": 1_000}
+ADAPTIVE = {"iterations": 200, "batch": 1_500, "target_half_width": 0.01, "max_iterations": 12_000}
+GRID_FS = {2: (0, 1, 2, 3, 6), 3: (1, 2, 4), 8: (1, 3, 5, 9), 63: (2, 5, 10, 40)}
+FULL_NS = (4, 9, 20)
+FULL_FS = {4: (1, 2, 3), 9: (2, 4, 8), 20: (3, 10)}
+FAMILIES = ("dual-hub", "khub:hubs=3", "fattree2", "fattree3", "multicluster")
+PREDICATES = {
+    "default": None,
+    "all-terminals": AllTerminalsConnected(),
+    "quorum": TerminalQuorum(0.5),
+}
+
+
+def _with_rng(call):
+    """Run ``call(rng)`` on a fresh generator and pin what it left of the stream."""
+
+    def thunk():
+        rng = np.random.default_rng(SEED)
+        return {"value": call(rng), "next": float(rng.random())}
+
+    return thunk
+
+
+def _calls() -> dict:
+    calls = {}
+    for n, fs in GRID_FS.items():
+        for method in METHODS:
+            for two_hop in (True, False):
+                for mode, kwargs in (("fixed", FIXED), ("adaptive", ADAPTIVE)):
+                    common = {"two_hop": two_hop, "method": method, **kwargs}
+                    key = f"grid/n={n}/{method}/two_hop={two_hop}/{mode}"
+                    calls[f"{key}/seed"] = (
+                        lambda n=n, fs=fs, common=common: simulate_grid(n, fs, seed=SEED, **common)
+                    )
+                    calls[f"{key}/rng"] = _with_rng(
+                        lambda rng, n=n, fs=fs, common=common: simulate_grid(n, fs, rng=rng, **common)
+                    )
+        calls[f"grid/n={n}/crn/precision"] = lambda n=n, fs=fs: simulate_grid(
+            n, fs, seed=SEED, precision=True, confidence=0.99, **FIXED
+        )
+        calls[f"stratified_grid/n={n}/no-cv/labelled"] = lambda n=n, fs=fs: stratified_grid(
+            n, fs, seed=SEED, control_variate=False, precision=True, topology="label", **FIXED
+        )
+    for method in METHODS:
+        for mode, kwargs in (("fixed", FIXED), ("adaptive", ADAPTIVE)):
+            common = {"method": method, **kwargs}
+            key = f"full/{method}/{mode}"
+            calls[f"{key}/seed"] = lambda common=common: simulate_full_grid(
+                FULL_NS, FULL_FS, seed=SEED, **common
+            )
+            calls[f"{key}/rngs"] = lambda common=common: simulate_full_grid(
+                FULL_NS,
+                FULL_FS,
+                rngs={n: np.random.default_rng([SEED, n]) for n in FULL_NS},
+                **common,
+            )
+            calls[f"{key}/rng"] = _with_rng(
+                lambda rng, common=common: simulate_full_grid(FULL_NS, FULL_FS, rng=rng, **common)
+            )
+    calls["full/crn/shared-fs/two_hop=False"] = lambda: simulate_full_grid(
+        FULL_NS, (1, 2, 5), seed=SEED, two_hop=False, **FIXED
+    )
+    for family in FAMILIES:
+        for label, predicate in PREDICATES.items():
+            for method in ("crn", "stratified"):
+                for mode, kwargs in (("fixed", FIXED), ("adaptive", ADAPTIVE)):
+                    key = f"topo-grid/{family}/{label}/{method}/{mode}"
+                    common = {"predicate": predicate, "method": method, **kwargs}
+                    calls[f"{key}/seed"] = lambda family=family, common=common: simulate_topology_grid(
+                        build_topology(family, size=4), (1, 2, 4), seed=SEED, **common
+                    )
+            calls[f"topo-grid/{family}/{label}/crn/fixed/rng"] = _with_rng(
+                lambda rng, family=family, predicate=predicate: simulate_topology_grid(
+                    build_topology(family, size=4), (1, 2, 4), rng=rng, predicate=predicate, **FIXED
+                )
+            )
+            calls[f"topo-point/{family}/{label}/seed"] = (
+                lambda family=family, predicate=predicate: simulate_topology_success(
+                    build_topology(family, size=4), 3, seed=SEED, predicate=predicate, **FIXED
+                )
+            )
+            calls[f"topo-point/{family}/{label}/rng"] = _with_rng(
+                lambda rng, family=family, predicate=predicate: simulate_topology_success(
+                    build_topology(family, size=4), 3, rng=rng, predicate=predicate, **FIXED
+                )
+            )
+    calls["topo-grid/dual-hub/default/stratified-cv/fixed/seed"] = lambda: simulate_topology_grid(
+        build_topology("dual-hub", size=4), (1, 2, 4), seed=SEED, method="stratified-cv", **FIXED
+    )
+    for n, f in ((2, 0), (2, 3), (8, 3), (8, 9), (20, 4), (63, 5)):
+        for two_hop in (True, False):
+            key = f"point/n={n}/f={f}/two_hop={two_hop}"
+            calls[f"{key}/seed"] = lambda n=n, f=f, two_hop=two_hop: simulate_success_probability(
+                n, f, seed=SEED, two_hop=two_hop, **FIXED
+            )
+            calls[f"{key}/rng"] = _with_rng(
+                lambda rng, n=n, f=f, two_hop=two_hop: simulate_success_probability(
+                    n, f, rng=rng, two_hop=two_hop, **FIXED
+                )
+            )
+            for cv in (True, False):
+                calls[f"strat-{key}/cv={cv}/seed"] = (
+                    lambda n=n, f=f, two_hop=two_hop, cv=cv: stratified_success_probability(
+                        n, f, seed=SEED, two_hop=two_hop, control_variate=cv, **FIXED
+                    )
+                )
+            calls[f"strat-{key}/rng"] = _with_rng(
+                lambda rng, n=n, f=f, two_hop=two_hop: stratified_success_probability(
+                    n, f, rng=rng, two_hop=two_hop, **FIXED
+                )
+            )
+    calls["strat-point/allocations"] = lambda: stratified_success_probability(
+        8, 3, 3_000, seed=SEED, allocations=(1_500, 1_000, 500), batch=700
+    )
+    for n, f in ((2, 2), (8, 3), (16, 4), (32, 5)):
+        calls[f"allpairs/n={n}/f={f}"] = _with_rng(
+            lambda rng, n=n, f=f: simulate_allpairs_success(n, f, 2_500, rng, batch=1_000)
+        )
+    for hub_weight, nic_weight in ((1.0, 1.0), (36.5, 1.0), (0.25, 3.0)):
+        calls[f"weighted/hub={hub_weight}/nic={nic_weight}"] = _with_rng(
+            lambda rng, hub_weight=hub_weight, nic_weight=nic_weight: simulate_weighted_success(
+                16, 3, 2_500, rng, hub_weight=hub_weight, nic_weight=nic_weight, batch=1_000
+            )
+        )
+    calls["curve/seed"] = lambda: simulate_curve(3, 800, seed=SEED, n_max=12)[1].tolist()
+    calls["curve/rng"] = _with_rng(
+        lambda rng: simulate_curve(3, 800, rng, n_max=12, two_hop=False)[1].tolist()
+    )
+    calls["mad/seed"] = lambda: mean_absolute_deviation(3, 500, seed=SEED, n_max=20)
+    calls["mad/rng"] = _with_rng(lambda rng: mean_absolute_deviation(3, 500, rng, n_max=20))
+    for method in METHODS:
+        calls[f"mad-grid/{method}/seed"] = lambda method=method: mean_absolute_deviation_grid(
+            (2, 3, 6), 500, n_max=20, seed=SEED, method=method
+        )
+        calls[f"mad-grid/{method}/rng"] = _with_rng(
+            lambda rng, method=method: mean_absolute_deviation_grid(
+                (2, 3, 6), 500, n_max=20, rng=rng, method=method
+            )
+        )
+        calls[f"mad-grid/{method}/adaptive"] = lambda method=method: mean_absolute_deviation_grid(
+            (2, 3), 300, n_max=16, seed=SEED, target_half_width=0.02, max_iterations=6_000, method=method
+        )
+    return calls
+
+
+CALLS = _calls()
+
+
+def _encode(value):
+    if isinstance(value, dict):
+        return {str(key): _encode(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_encode(item) for item in value]
+    if isinstance(value, CellPrecision):
+        return [value.successes, value.trials, repr(value.point), repr(value.low), repr(value.high)]
+    return repr(float(value))
+
+
+@pytest.fixture(scope="module")
+def recorded() -> dict:
+    return json.loads(DATA.read_text())
+
+
+def test_the_table_and_the_recording_name_the_same_calls(recorded):
+    assert sorted(recorded) == sorted(CALLS)
+
+
+@pytest.mark.parametrize("name", sorted(CALLS))
+def test_estimator_replays_its_recorded_value(name, recorded):
+    assert _encode(CALLS[name]()) == recorded[name]
+
+
+if __name__ == "__main__":
+    DATA.parent.mkdir(exist_ok=True)
+    DATA.write_text(json.dumps({name: _encode(CALLS[name]()) for name in sorted(CALLS)}, indent=1) + "\n")
+    print(f"recorded {len(CALLS)} calls to {DATA}")
