@@ -28,7 +28,7 @@ def test_end_to_end_estimate_throughput(benchmark):
     rng = np.random.default_rng(2)
     estimate = benchmark.pedantic(
         lambda: simulate_success_probability(63, 5, 500_000, rng),
-        rounds=1,
+        rounds=5,
         iterations=1,
         warmup_rounds=0,
     )

@@ -152,11 +152,11 @@ def simulate_success_probability(
     """Monte Carlo estimate of Equation 1 for one (N, f) point.
 
     The one-cell case of :func:`simulate_grid`: the same sweep loop with
-    ``fs = (f,)``, so validation, batching (peak memory ``batch * (2n+2)``
-    keys), heartbeat, throughput and ``stats.cell`` telemetry are the
-    loop's.  Draws from ``rng`` when given; otherwise from an independent
-    stream spawned from ``seed`` and keyed by ``(n, f)`` (``mc/n={n}/f={f}``
-    — per point, unlike the grid's per-N key).
+    ``fs = (f,)``, so validation, ``batch``-sized rounds (peak memory is one
+    key tile, whatever ``batch``), heartbeat, throughput and ``stats.cell``
+    telemetry are the loop's.  Draws from ``rng`` when given; otherwise from
+    an independent stream spawned from ``seed`` and keyed by ``(n, f)``
+    (``mc/n={n}/f={f}`` — per point, unlike the grid's per-N key).
     """
     rng = _resolve_rng(rng, seed, f"mc/n={n}/f={f}")
     return simulate_grid(n, (f,), iterations, rng=rng, two_hop=two_hop, batch=batch)[f]
@@ -224,9 +224,9 @@ def connectivity_levels(
     every ``f`` over the shared draw (``connectivity_levels(ranks) >= f``
     equals ``pair_connected_vec(ranks < f)`` exactly).
 
-    ``widths`` enables the padded full-grid tensor pass
-    (:func:`simulate_full_grid`): rows from clusters of different sizes are
-    stacked into one matrix at the widest cluster's ``2N + 2``, each row
+    ``widths`` enables the padded full-grid pass
+    (:func:`simulate_full_grid`): rows from clusters of different sizes
+    share one matrix at the widest of their ``2N + 2``, each row
     right-padded past its own true width.  Padded columns are masked out of
     both the intermediate-router term and the final rank count, so each
     row's threshold is computed exactly as if it were evaluated at its own
@@ -282,34 +282,70 @@ class _SweepGroup:
         self.trials = 0
 
 
-def _stacked_draw(levels_from_keys):
-    """The loop's default draw step: one kernel call over every open group.
+#: keys per tile of the draw step: 64 Ki float64 = 512 KiB, so a tile and the
+#: kernel's temporaries over it stay in L2 and are reused, not faulted in afresh
+_TILE_KEYS = 1 << 16
 
-    Each open group draws a ``(size, width)`` uniform block from *its own*
-    stream.  A lone group's block goes to ``levels_from_keys(keys, None) ->
-    {track: levels}`` as drawn — no copy, so a single-N sweep touches one
-    key matrix.  Several groups are stacked into one ``(len(active) * size,
-    max_width)`` matrix, right-padded with 1.5 (sorts above every real key,
-    so a padded column can never fall below a breakdown threshold), and
-    reduced by **one** ``levels_from_keys(keys, widths)`` call.  Each
-    group's slice then folds into its per-track histograms.
+
+def _tiles(active: list[_SweepGroup], size: int, capacity: int):
+    """Cut a round's group-major row sequence into runs of at most ``capacity`` padded keys."""
+    tile, rows, width = [], 0, 0
+    for group in active:
+        left = size
+        while left:
+            room = capacity // max(width, group.width) - rows
+            if room <= 0:  # full once padded to this group's width
+                yield tile, rows, width
+                tile, rows, width = [], 0, 0
+                continue
+            take = min(left, room)
+            tile.append((group, rows, rows + take))
+            rows, width, left = rows + take, max(width, group.width), left - take
+    yield tile, rows, width
+
+
+def _stacked_draw(levels_from_keys, whole_rounds: bool = False):
+    """The loop's default draw step: each round streamed through one reused key tile.
+
+    A round is the row sequence "open group 0's ``size`` rows, then group
+    1's, ..." — group-major, every group drawing from *its own* stream.  It
+    is cut into consecutive tiles of at most ``_TILE_KEYS`` keys (at least
+    one row), each padded only to the widest group *in that tile* with 1.5
+    (above every real key, so padding never falls below a threshold).  A
+    tile is drawn with ``rng.random(out=...)`` into one buffer allocated
+    once per call, reduced by one ``levels_from_keys(keys, widths) ->
+    {track: levels}`` call (``widths`` is ``None`` for a tile of one
+    group's rows) and folded into its groups' per-track histograms, so peak
+    memory is the tile, whatever ``batch``.  NumPy fills row-major: wherever
+    the sequence is cut, every stream (per group or one shared) yields a
+    whole-round draw's variates in the same order — the tile moves no value.
+
+    The tile belongs to the kernel, so the builder of the draw step picks it:
+    elementwise, memory-bound kernels (the dual-hub closed forms) take the
+    cache-sized tile, ``whole_rounds=True`` is for per-call-bound ones (BFS).
     """
 
     def draw(active: list[_SweepGroup], size: int) -> None:
-        if len(active) == 1:
-            keys, widths = active[0].rng.random((size, active[0].width)), None
-        else:
-            keys = np.full((len(active) * size, max(group.width for group in active)), 1.5)
-            widths = np.empty(len(active) * size, dtype=np.int64)
-            for i, group in enumerate(active):
-                rows = slice(i * size, (i + 1) * size)
-                keys[rows, : group.width] = group.rng.random((size, group.width))
-                widths[rows] = group.width
-        levels = levels_from_keys(keys, widths)
-        for i, group in enumerate(active):
-            rows = slice(i * size, (i + 1) * size)
-            for track, values in levels.items():
-                group.hists[track] += np.bincount(values[rows], minlength=group.width + 1)
+        widest = max(group.width for group in active)
+        capacity = size * len(active) * widest if whole_rounds else max(_TILE_KEYS, widest)
+        # one allocation: the tile the kernel sees + scratch for its narrower groups
+        tile_keys, scratch = np.empty((2, capacity))
+        for tile, rows, width in _tiles(active, size, capacity):
+            keys = tile_keys[: rows * width].reshape(rows, width)
+            for group, lo, hi in tile:
+                if group.width == width:
+                    group.rng.random(out=keys[lo:hi])
+                else:
+                    block = scratch[: (hi - lo) * group.width].reshape(hi - lo, group.width)
+                    keys[lo:hi, : group.width] = group.rng.random(out=block)
+                    keys[lo:hi, group.width :] = 1.5
+            widths = None
+            if len(tile) > 1:
+                widths = np.repeat([g.width for g, _, _ in tile], [hi - lo for _, lo, hi in tile])
+            levels = levels_from_keys(keys, widths)
+            for group, lo, hi in tile:
+                for track, values in levels.items():
+                    group.hists[track] += np.bincount(values[lo:hi], minlength=group.width + 1)
 
     return draw
 
@@ -378,6 +414,8 @@ def _padded_sweep(
     """
     if iterations < 1:
         raise ValueError(f"iterations must be >= 1, got {iterations}")
+    if batch < 1:
+        raise ValueError(f"batch must be >= 1, got {batch}")
     for group in groups:
         if len(group.fs) == 0:
             raise ValueError("fs must name at least one failure count")
@@ -485,9 +523,9 @@ def simulate_full_grid(
 
     The figure-2/figure-3 workhorse and the general form of the dual-hub
     estimators: every cluster size is one group of :func:`_padded_sweep`,
-    so each round stacks all open groups' key matrices and a single
-    widths-masked kernel call (:func:`connectivity_levels` with ``widths``)
-    reduces the stack to breakdown thresholds.  Fixed-count, adaptive
+    so each round streams all open groups' rows through one reused key tile
+    (:func:`_stacked_draw`), one widths-masked :func:`connectivity_levels`
+    call per tile — never a round-sized matrix.  Fixed-count, adaptive
     (``target_half_width``), ``precision=True`` and the byte-identity
     contract are the loop's; the result is one inner dict per N,
     ``{n: {f: ...}}``.

@@ -525,12 +525,14 @@ def simulate_topology_grid(
         keys = _weight_keys(topology, u)
         return {"surv": topology_connectivity_levels(topology, keys, predicate)}
 
+    closed_form = predicate is None and topology.levels_fn is not None  # no binary search
     group = _SweepGroup(
         _cell_n(topology), topology.width, _resolve_rng(rng, seed, f"topo-grid/{topology.name}"), fs
     )
     return _padded_sweep(
         [group],
-        _stacked_draw(levels),
+        # the packed BFS costs per call, not per key: only an attached closed form is tiled
+        _stacked_draw(levels, whole_rounds=not closed_form),
         _crn_cell(confidence, target_half_width, topology=topology.name),
         iterations,
         batch,

@@ -278,7 +278,8 @@ class PlanDriver:
         )
 
 
-#: process-local: has this pool worker announced itself on the flight channel?
+#: process-local: has this worker installed profiling and announced itself on
+#: the flight channel?
 _worker_announced = False
 
 
@@ -297,18 +298,18 @@ def run_chunk(
     :class:`~repro.engine.retry.JobError`) reach the parent.
     """
     global _worker_announced
-    from repro.obs.profiler import install_profiling
-
     plan = JobPlan(experiment=experiment, seed=seed, jobs=jobs, reduce=lambda v: v)
-    install_profiling()
     registry = ensure_core_metrics(MetricsRegistry())
     # Never emits (interval is effectively infinite): pure collector whose
     # summary the parent absorbs into the run's real reporter.
     collector = ProgressReporter(experiment, interval_s=1e12)
     set_heartbeat(collector)
     buffer = FlightRecorder(None, experiment=experiment)
-    if not _worker_announced:
+    if not _worker_announced:  # this process's first chunk
         _worker_announced = True
+        from repro.obs.profiler import install_profiling
+
+        install_profiling()
         buffer.emit("worker.spawn", chunk_jobs=len(jobs))
     set_flight_recorder(buffer)
     try:

@@ -168,3 +168,12 @@ def test_quick_experiment_reports_exactly_the_trials_its_plan_declares(name, ove
         set_heartbeat(None)
     assert reporter.total, "the plan declares no total_trials: no ETA, no trial rate"
     assert reporter.trials == reporter.total
+
+
+@pytest.mark.parametrize("batch", [0, -3])
+def test_batch_below_one_is_rejected_by_the_loop(batch):
+    """``batch=0`` used to spin forever (a round of zero trials never reaches the budget)."""
+    with pytest.raises(ValueError, match=f"batch must be >= 1, got {batch}"):
+        simulate_grid(5, (1,), 10, seed=1, batch=batch)
+    with pytest.raises(ValueError, match="batch must be >= 1"):
+        simulate_topology_grid(_topology("fattree2"), (1,), 10, seed=1, batch=batch)

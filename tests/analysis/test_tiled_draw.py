@@ -1,0 +1,220 @@
+"""The draw step's tile size moves no value and bounds the memory.
+
+``montecarlo._stacked_draw`` streams every round through one reused,
+cache-sized key tile.  Its contract is that a tile boundary is invisible:
+draw order stays group-major and NumPy fills row-major, so every stream —
+per-N or one shared generator — yields the same variates in the same order
+wherever the round is cut.  Asserted here three ways:
+
+* the draw step against a whole-round reference written out in this file
+  (one fresh ``(size, width)`` matrix per group, the pre-tiling algorithm);
+* every estimator method x stream source x schedule x group shape through
+  the public entry points, tile by tile, against the run at the default
+  tile (larger than every round here): histograms, trial counts, returned
+  cells and the generator's next draw;
+* two runs that cross several default-sized tiles against values recorded
+  from the parent commit's ``src`` before the draw step was tiled.
+
+The last two tests pin the point of the tile: ``tracemalloc`` (NumPy
+reports its buffers there) never sees a round-sized temporary.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import hashlib
+import json
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from repro.analysis import montecarlo, simulate_full_grid, simulate_grid, variance
+from repro.analysis.montecarlo import _stacked_draw, _SweepGroup, connectivity_levels
+
+SEED = 20_000_915
+F_VALUES = tuple(range(2, 11))
+PAPER_NS = tuple(range(3, 64))
+PAPER_FS = {n: tuple(f for f in F_VALUES if f < n) for n in PAPER_NS}
+METHODS = ("crn", "stratified", "stratified-cv")
+SHAPES = {"lone": (9,), "mixed": (2, 9, 5)}  # not sorted: tiles widen and narrow again
+FS = {2: (0, 1, 3), 5: (1, 2, 4), 9: (2, 4, 8)}
+SCHEDULES = {
+    "fixed": {"iterations": 150, "batch": 60},
+    "adaptive": {"iterations": 20, "batch": 100, "target_half_width": 0.05, "max_iterations": 400},
+}
+TILES = ("one-key", "prime", "divisor", "whole-round")
+
+
+def _tile_keys(kind: str, widths: list[int], size: int) -> int:
+    """The tile constant for ``kind``, given the groups' widths and the largest round."""
+    return {
+        "one-key": 1,  # below every width: one row per tile
+        "prime": 251,
+        "divisor": (size // 3) * widths[0],  # tile edges meet the first group's last row
+        "whole-round": size * len(widths) * max(widths),
+    }[kind]
+
+
+def _levels(keys: np.ndarray, widths: np.ndarray | None) -> dict[str, np.ndarray]:
+    return {"surv": connectivity_levels(keys, widths=widths)}
+
+
+def _groups(ns: tuple[int, ...], shared: bool) -> list[_SweepGroup]:
+    rng = np.random.default_rng(SEED)
+    return [
+        _SweepGroup(n, 2 * n + 2, rng if shared else np.random.default_rng([SEED, n]), FS[n])
+        for n in ns
+    ]
+
+
+@pytest.mark.parametrize("shared", [False, True], ids=["own-streams", "shared-stream"])
+@pytest.mark.parametrize("shape", SHAPES)
+@pytest.mark.parametrize("tile", TILES)
+def test_draw_step_equals_the_whole_round_reference(monkeypatch, tile, shape, shared):
+    size = 60
+    reference = _groups(SHAPES[shape], shared)
+    for _ in range(2):  # two rounds: the histograms accumulate
+        for group in reference:  # the pre-tiling draw: one fresh matrix per group
+            levels = connectivity_levels(group.rng.random((size, group.width)))
+            group.hists["surv"] += np.bincount(levels, minlength=group.width + 1)
+    tiled = _groups(SHAPES[shape], shared)
+    monkeypatch.setattr(montecarlo, "_TILE_KEYS", _tile_keys(tile, [g.width for g in tiled], size))
+    draw = _stacked_draw(_levels)
+    draw(tiled, size)
+    draw(tiled, size)
+    for want, got in zip(reference, tiled):
+        assert np.array_equal(got.hists["surv"], want.hists["surv"])
+        assert got.hists["surv"].sum() == 2 * size
+        assert got.rng.random() == want.rng.random()
+
+
+def test_whole_rounds_hands_the_kernel_each_round_in_one_call(monkeypatch):
+    """The BFS kernel's setting: per-call cost dominates, so the tile constant is not consulted."""
+    monkeypatch.setattr(montecarlo, "_TILE_KEYS", 1)
+    shapes = []
+
+    def levels(keys, widths):
+        shapes.append((keys.shape, widths))
+        return _levels(keys, widths)
+
+    (group,) = tiled = _groups(SHAPES["lone"], shared=False)
+    (want,) = _groups(SHAPES["lone"], shared=False)
+    _stacked_draw(levels, whole_rounds=True)(tiled, 500)
+    assert shapes == [((500, group.width), None)]
+    expected = np.bincount(connectivity_levels(want.rng.random((500, want.width))), minlength=21)
+    assert np.array_equal(group.hists["surv"], expected)
+
+
+def _run(monkeypatch, ns, method, streams, schedule, tile_keys=None):
+    """One public call; returns what must not depend on the tile."""
+    seen: list[_SweepGroup] = []
+    loop = montecarlo._padded_sweep
+
+    def spy(groups, *args, **kwargs):
+        seen.extend(groups)
+        return loop(groups, *args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(montecarlo, "_padded_sweep", spy)
+        patch.setattr(variance, "_padded_sweep", spy)
+        if tile_keys is not None:
+            patch.setattr(montecarlo, "_TILE_KEYS", tile_keys)
+        rng = np.random.default_rng(SEED)
+        source = {
+            "seed": {"seed": SEED},
+            "rngs": {"rngs": {n: np.random.default_rng([SEED, n]) for n in ns}},
+            "rng": {"rng": rng},
+        }[streams]
+        fs = {n: FS[n] for n in ns}
+        common = {"method": method, "precision": True, **source, **schedule}
+        if len(ns) == 1 and streams != "rngs":  # the one-N entry point takes no rngs=
+            result = {ns[0]: simulate_grid(ns[0], fs[ns[0]], **common)}
+        else:
+            result = simulate_full_grid(ns, fs, **common)
+    cells = {
+        (n, f): dataclasses.replace(cell, elapsed_s=0.0)
+        for n, row in result.items()
+        for f, cell in row.items()
+    }
+    groups = [
+        (g.n, g.trials, {track: hist.tolist() for track, hist in g.hists.items()}) for g in seen
+    ]
+    return cells, groups, rng.random()
+
+
+@pytest.mark.parametrize("schedule", SCHEDULES)
+@pytest.mark.parametrize("streams", ["seed", "rngs", "rng"])
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("shape", SHAPES)
+def test_every_entry_point_is_tile_invariant(monkeypatch, shape, method, streams, schedule):
+    ns, kwargs = SHAPES[shape], SCHEDULES[schedule]
+    whole = _run(monkeypatch, ns, method, streams, kwargs)
+    assert whole[1], "the spy saw no groups"
+    widths = [2 * n + 2 if method == "crn" else 2 * n for n in ns]
+    for tile in TILES:
+        tile_keys = _tile_keys(tile, widths, kwargs["batch"])
+        got = _run(monkeypatch, ns, method, streams, kwargs, tile_keys=tile_keys)
+        assert got == whole, f"tile={tile} ({tile_keys} keys) moved a value"
+
+
+def _digest(result: dict) -> str:
+    flat = [(n, f, repr(value)) for n, row in result.items() for f, value in row.items()]
+    return hashlib.sha256(json.dumps(flat).encode()).hexdigest()
+
+
+def test_values_recorded_at_the_parent_across_default_sized_tiles():
+    """Recorded from the parent's ``src`` before ``_stacked_draw`` was tiled.
+
+    N=63 at 40 000 trials is 78 default tiles; the paper grid at 1 200 is
+    ~80, most of them mixing several N.  Do not re-record: a moved value
+    means the draw order changed.
+    """
+    grid = simulate_grid(63, F_VALUES, 40_000, seed=SEED)
+    assert {f: repr(p) for f, p in grid.items()} == {
+        2: "0.998975",
+        3: "0.997275",
+        4: "0.99475",
+        5: "0.991875",
+        6: "0.98775",
+        7: "0.98255",
+        8: "0.97715",
+        9: "0.971525",
+        10: "0.964475",
+    }
+    recorded = {
+        "crn": "248af46a2ced5572fd725d2decc6ed719fd5a4e06a7cafc19be274de3c1c42ed",
+        "stratified-cv": "be8155814ef48ec7bc7f292a4a8714f896255aa5d91ae4376bd30a94ad06c90b",
+    }
+    for method, digest in recorded.items():
+        full = simulate_full_grid(PAPER_NS, PAPER_FS, 1_200, seed=SEED, method=method)
+        assert _digest(full) == digest, method
+    rng = np.random.default_rng(SEED)
+    shared = simulate_full_grid(PAPER_NS, PAPER_FS, 1_200, rng=rng)
+    assert _digest(shared) == "641a446e8b7fd74ee2a873004c8b509e1afec50c5d5d1e079181e3bd1a62625d"
+    assert repr(float(rng.random())) == "0.07160932897600392"
+
+
+def _traced_peak(call) -> int:
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+#: a 64 Ki-key tile is 512 KiB; with its scratch twin and the kernel's
+#: temporaries over it the draw step peaks near 2 MiB.  Before tiling these
+#: two calls peaked at 205 MB and over 300 MB (one round-sized key matrix).
+PEAK_LIMIT = 6 * 2**20
+
+
+def test_one_n_sweep_never_holds_a_round_of_keys():
+    peak = _traced_peak(lambda: simulate_grid(63, F_VALUES, 200_000, seed=SEED))
+    assert peak < PEAK_LIMIT, f"{peak / 2**20:.1f} MiB"
+
+
+def test_full_grid_sweep_never_holds_a_round_of_keys():
+    peak = _traced_peak(lambda: simulate_full_grid(PAPER_NS, PAPER_FS, 5_000, seed=SEED))
+    assert peak < PEAK_LIMIT, f"{peak / 2**20:.1f} MiB"

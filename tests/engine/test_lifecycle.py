@@ -228,6 +228,22 @@ def test_jobs_whose_workers_keep_dying_are_quarantined_everywhere():
     )
 
 
+def test_a_worker_process_sets_itself_up_on_its_first_chunk_only(monkeypatch):
+    """Profiling install and ``worker.spawn`` are per process, not per chunk."""
+    from repro.engine import driver
+    from repro.obs import profiler
+
+    installs = []
+    monkeypatch.setattr(profiler, "install_profiling", lambda: installs.append(1))
+    monkeypatch.setattr(driver, "_worker_announced", False)
+    spawns = []
+    for i in range(3):
+        outcomes, _, _, flight = driver.run_chunk("unit", 1, [Job(f"ok/{i}", _draw)], FAST_RETRY)
+        assert [o.ok for o in outcomes] == [True]
+        spawns.append(sum(event["kind"] == "worker.spawn" for event in flight))
+    assert installs == [1] and spawns == [1, 0, 0]
+
+
 class _FakeWorker:
     """A hand-driven peer speaking the worker side of the frame protocol."""
 
