@@ -100,7 +100,8 @@ quick-flight:
 #    recorded before the sweep loops were merged (and, for topologysweep, from
 #    the dense kernel the bit-packed one replaced); the catalog run must carry
 #    topology metadata in the manifest and topology-labelled precision cells,
-#    and a --topology-restricted run must reproduce its slice of the full sweep
+#    a --topology-restricted run must reproduce its slice of the full sweep,
+#    and a --jobs 2 rerun all seven CSVs (the enumerated exact_check included)
 # 2. an adaptive run (--target-ci) must emit per-cell CI columns, stats.cell
 #    flight telemetry, a manifest precision block showing real trial savings,
 #    and render through the precision verb and the watch panel
@@ -114,7 +115,7 @@ EST := /tmp/drs-estimators
 DIGESTS := $(CURDIR)/tests/topology/data
 
 quick-estimators:
-	rm -rf $(EST) $(EST)-one $(EST)-ci $(EST)-cv
+	rm -rf $(EST) $(EST)-one $(EST)-pool $(EST)-ci $(EST)-cv
 	$(PYTHON) -m repro.experiments.runner --quick --out $(EST) \
 		figure2 figure3 crossovers wholecluster availability ablations topologysweep
 	cd $(EST) && sha256sum -c $(DIGESTS)/estimators_quick.sha256 $(DIGESTS)/topologysweep_quick.sha256
@@ -125,6 +126,9 @@ quick-estimators:
 	$(PYTHON) -m repro obs watch $(EST)/topologysweep.flight.jsonl --once --no-color | grep -q 'ci: '
 	$(PYTHON) -m repro.experiments.runner --quick topologysweep --topology khub:hubs=3 --out $(EST)-one
 	cmp $(EST)/topologysweep_mc_khub_hubs3.csv $(EST)-one/topologysweep_mc_khub_hubs3.csv
+	$(PYTHON) -m repro.experiments.runner --quick topologysweep --jobs 2 --out $(EST)-pool
+	for csv in $(EST)/topologysweep_*.csv; do cmp $$csv $(EST)-pool/$$(basename $$csv) || exit 1; done
+	test $$(ls $(EST)-pool/topologysweep_*.csv | wc -l) -eq 7
 	$(PYTHON) -m repro.experiments.runner --quick figure2 --target-ci 0.01 --out $(EST)-ci
 	test -f $(EST)-ci/figure2_mc_precision.csv
 	head -1 $(EST)-ci/figure2_mc_precision.csv | grep -q ci_low
@@ -152,7 +156,8 @@ quick-estimators:
 		VARIANCE_BENCH_TARGET=0.002 $(PYTHON) -m pytest benchmarks/bench_sweep_kernel.py \
 		benchmarks/bench_topology_kernel.py benchmarks/bench_variance_reduction.py \
 		--benchmark-only -q
-	@echo "quick-estimators: OK (pinned CSVs, adaptive + stratified-cv telemetry, bench gates)"
+	@echo "quick-estimators: OK (pinned CSVs, pool == serial on all seven topologysweep CSVs," \
+		"adaptive + stratified-cv telemetry, bench gates; ~16 s — ~45 s before enumeration went packed)"
 
 # end-to-end benchmark smoke: every workload of benchmarks/e2e once at
 # reduced size, all output checks on (~7 s); the harness self-tests ride along

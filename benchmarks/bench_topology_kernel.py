@@ -11,6 +11,8 @@ Guards the tentpole refactor's "generality is free for the paper" claim:
   kernels, so every threshold goes through the bit-packed BFS binary
   search.  No assertion on the ratio — the snapshot documents it and the
   bench-gate diff catches regressions.
+* ``test_exact_enumeration_throughput`` prices the exhaustive oracle per
+  failure set; it trips on a return to one Python BFS per set (~25 us).
 
 Every row is ``ROUNDS`` measured rounds, so the committed
 ``BENCH_bench_topology_kernel.json`` (full-profile numbers) carries a
@@ -19,12 +21,23 @@ workload for the quick CI profile.
 """
 
 import os
+from math import comb
 from time import perf_counter
 
 import numpy as np
 
-from repro.analysis import simulate_grid, simulate_topology_grid, topology_connected_vec
-from repro.topology import dual_hub_cluster, fat_tree_three_level, k_hub_cluster
+from repro.analysis import (
+    enumerate_topology_success,
+    simulate_grid,
+    simulate_topology_grid,
+    topology_connected_vec,
+)
+from repro.topology import (
+    dual_hub_cluster,
+    fat_tree_three_level,
+    k_hub_cluster,
+    multi_cluster_wan,
+)
 
 N = 63
 F_GRID = (2, 3, 4, 5, 6)
@@ -85,3 +98,20 @@ def test_batched_bfs_predicate_throughput(benchmark):
     )
     assert ok.shape == (50_000,)
     assert 0 < ok.sum() < 50_000
+
+
+def test_exact_enumeration_throughput(benchmark):
+    """Exhaustive enumeration runs in the packed domain: microseconds, not tens, per set."""
+    topology = multi_cluster_wan(4)  # width 33: C(33, 4) = 40,920 failure sets
+    combinations = comb(topology.width, 4)
+    exact = benchmark.pedantic(
+        lambda: enumerate_topology_success(topology, 4), rounds=ROUNDS, iterations=1, warmup_rounds=1
+    )
+    us_per_combination = benchmark.stats.stats.median / combinations * 1e6
+    benchmark.extra_info["combinations"] = combinations
+    benchmark.extra_info["us_per_combination"] = round(us_per_combination, 3)
+    assert 0.0 < exact < 1.0
+    assert us_per_combination <= 3.0, (
+        f"enumeration costs {us_per_combination:.2f} us per failure set; the packed "
+        f"kernel runs at ~0.3 and one pure-Python BFS per set at ~25"
+    )

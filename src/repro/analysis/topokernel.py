@@ -28,7 +28,10 @@ apply, so the paper's topology pays nothing for the generality:
   :func:`_topology_stratified_sweep` the same loop with a per-stratum
   draw step and a quadrature-combined cell builder.
 * :func:`enumerate_topology_success` / :func:`exact_topology_success` —
-  the exhaustive oracle and the closed-form dispatch.
+  the exhaustive oracle and the closed-form dispatch.  Enumeration feeds
+  the packed BFS too, a block of at most 2^16 failure sets at a time (its
+  memory bound); the 50 M-set default budget is about half a minute.  The
+  per-subset reference lives in ``tests/topology/test_enumeration.py``.
 
 Every kernel validates ``f`` through
 :meth:`~repro.topology.model.Topology.validate_f` — the same clear
@@ -37,7 +40,7 @@ Every kernel validates ``f`` through
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import chain, combinations
 from math import comb
 
 import numpy as np
@@ -59,8 +62,12 @@ from repro.analysis.variance import (
 from repro.obs.precision import CellPrecision
 from repro.topology.model import ConnectivityPredicate, Topology
 
-#: refuse exhaustive enumeration beyond this many failure sets
-DEFAULT_MAX_ENUMERATION = 2_000_000
+#: refuse exhaustive enumeration beyond this many failure sets (~half a minute)
+DEFAULT_MAX_ENUMERATION = 50_000_000
+
+#: failure sets per enumeration block: the ``(width, rows)`` bool matrix
+#: stays ~2-7 MB for catalog widths 30-100, whatever the universe
+_ENUMERATION_BLOCK = 1 << 16
 
 
 def _cell_n(topology: Topology) -> int:
@@ -552,21 +559,33 @@ def enumerate_topology_success(
 ) -> float:
     """Exact survivability by enumerating all ``C(width, f)`` failure sets.
 
-    The assumption-free oracle (reference BFS per subset) the vectorized
-    kernels are tested against; refuses universes larger than
-    ``max_combinations`` subsets rather than silently running for hours.
+    The assumption-free oracle, through the packed BFS the samplers use:
+    subsets in lexicographic order, at most :data:`_ENUMERATION_BLOCK` at a
+    time, scattered into the transposed 0/1 failure matrix and counted, 64
+    per machine word (a custom predicate takes :func:`_connected_t`'s
+    row-wise branch).  One block bounds memory whatever the budget; more
+    than ``max_combinations`` subsets are refused before anything is
+    allocated rather than silently running for hours.
     """
     topology.validate_f(f)
-    total = comb(topology.width, f)
+    width = topology.width
+    total = comb(width, f)
     if total > max_combinations:
         raise ValueError(
-            f"enumeration over C({topology.width}, {f}) = {total} failure sets "
+            f"enumeration over C({width}, {f}) = {total} failure sets "
             f"exceeds max_combinations={max_combinations}"
         )
-    good = sum(
-        topology.connected(subset, predicate)
-        for subset in combinations(range(topology.width), f)
-    )
+    pred = predicate if predicate is not None else topology.predicate
+    index = topology.neighbor_index()
+    sites = chain.from_iterable(combinations(range(width), f))
+    good = 0
+    for start in range(0, total, _ENUMERATION_BLOCK):
+        rows = min(_ENUMERATION_BLOCK, total - start)
+        # ``count`` stops the shared iterator exactly at the block's last subset
+        block = np.fromiter(sites, dtype=np.intp, count=rows * f).reshape(rows, f)
+        failed_t = np.zeros((width, rows), dtype=bool)
+        failed_t[block, np.arange(rows)[:, None]] = True
+        good += int(np.count_nonzero(_connected_t(topology, index, failed_t, pred)))
     return good / total
 
 

@@ -209,13 +209,20 @@ def resolve_job_fn(ref: str) -> Callable[..., Any]:
     return obj
 
 
+def _required(payload: Any, what: str, *fields: str) -> list[Any]:
+    """The named fields of a wire payload; a missing one is a :class:`ProtocolError`."""
+    if not isinstance(payload, dict):
+        raise ProtocolError(f"{what} payload is not an object: {payload!r:.80}")
+    try:
+        return [payload[field] for field in fields]
+    except KeyError as exc:
+        raise ProtocolError(f"{what} payload lacks required field {exc.args[0]!r}") from None
+
+
 def job_from_wire(payload: dict[str, Any]) -> Job:
     """Inverse of :func:`job_to_wire` (imports the job function)."""
-    return Job(
-        name=payload["name"],
-        fn=resolve_job_fn(payload["fn"]),
-        params=decode_value(payload["params"]),
-    )
+    name, fn, params = _required(payload, "job", "name", "fn", "params")
+    return Job(name=name, fn=resolve_job_fn(fn), params=decode_value(params))
 
 
 def outcome_to_wire(outcome: JobOutcome) -> dict[str, Any]:
@@ -246,9 +253,10 @@ def outcome_to_wire(outcome: JobOutcome) -> dict[str, Any]:
 
 def outcome_from_wire(payload: dict[str, Any]) -> JobOutcome:
     """Inverse of :func:`outcome_to_wire`."""
+    name, ok = _required(payload, "outcome", "name", "ok")
     return JobOutcome(
-        name=payload["name"],
-        ok=bool(payload["ok"]),
+        name=name,
+        ok=bool(ok),
         value=decode_value(payload.get("value")),
         error=payload.get("error"),
         attempts=int(payload.get("attempts", 1)),
@@ -557,18 +565,17 @@ class Coordinator:
         return chunk
 
     def _absorb_chunk(self, handle: WorkerHandle, frame: dict[str, Any]) -> None:
+        # decode first: a malformed frame must leave the chunk with its worker,
+        # so that the disconnect it causes requeues those jobs
+        outcomes = [outcome_from_wire(payload) for payload in frame.get("outcomes", ())]
+        registry = registry_from_wire(frame.get("registry", []))
         with self.lock:
             chunk = handle.chunk or []
             handle.chunk = None
             handle.jobs_done += len(chunk)
             handle.wall_s += float(frame.get("wall_s", 0.0))
             handle.cpu_s += float(frame.get("cpu_s", 0.0))
-            self.driver.settle(
-                [outcome_from_wire(payload) for payload in frame.get("outcomes", ())],
-                registry_from_wire(frame.get("registry", [])),
-                frame.get("heartbeat"),
-                frame.get("flight", []),
-            )
+            self.driver.settle(outcomes, registry, frame.get("heartbeat"), frame.get("flight", []))
             self._check_done()
         self._sample_scheduler()
 

@@ -156,6 +156,21 @@ class TestWireCodecs:
         assert wire["ok"] is False
         assert "not wire-encodable" in wire["error"]
 
+    @pytest.mark.parametrize(
+        "decode,payload,complaint",
+        [
+            (outcome_from_wire, {"ok": True, "value": 0.5}, "outcome payload lacks .*'name'"),
+            (outcome_from_wire, {"name": "j"}, "outcome payload lacks .*'ok'"),
+            (outcome_from_wire, ["j", True], "outcome payload is not an object"),
+            (job_from_wire, {"name": "j", "params": {}}, "job payload lacks .*'fn'"),
+            (job_from_wire, "j", "job payload is not an object"),
+        ],
+    )
+    def test_malformed_payloads_are_protocol_errors(self, decode, payload, complaint):
+        # the coordinator's handler survives ProtocolError, not KeyError/TypeError
+        with pytest.raises(ProtocolError, match=complaint):
+            decode(payload)
+
     def test_policy_round_trip(self):
         policy = RetryPolicy(max_attempts=4, timeout_s=2.5, quarantine=True)
         assert policy_from_wire(json.loads(json.dumps(policy_to_wire(policy)))) == policy
@@ -275,35 +290,12 @@ class TestFaultInjection:
 
     def test_late_joining_worker_steals_from_a_saturated_queue(self):
         ex = DistributedExecutor(spawn_workers=0, chunks_per_worker=8)
-        plan = _plan(n=10, fn=_slow_draw, sleep_s=0.15)
-        result: dict = {}
-
-        def drive():
-            result["execution"] = ex.run(plan)
-
-        coordinator = threading.Thread(target=drive, daemon=True)
-        coordinator.start()
-        deadline = time.monotonic() + 10.0
-        while ex.address is None and time.monotonic() < deadline:
-            time.sleep(0.01)
-        assert ex.address is not None, "coordinator never bound"
-        address = f"{ex.address[0]}:{ex.address[1]}"
-
-        env = dict(os.environ)
-        env["PYTHONPATH"] = REPO_SRC + os.pathsep + env.get("PYTHONPATH", "")
-        env.pop(WORKER_CRASH_ENV, None)
-
-        def launch_worker():
-            return subprocess.Popen(
-                [sys.executable, "-m", "repro.engine.worker", "--coordinator", address,
-                 "--quiet"],
-                env=env,
-                cwd=REPO_ROOT,
-            )
-
-        first = launch_worker()
+        coordinator, result, address = _coordinate_in_thread(
+            ex, _plan(n=10, fn=_slow_draw, sleep_s=0.15)
+        )
+        first = _launch_worker(address)
         time.sleep(1.0)  # let the first worker saturate itself with chunks
-        second = launch_worker()
+        second = _launch_worker(address)
         coordinator.join(timeout=60.0)
         assert not coordinator.is_alive(), "distributed run never finished"
         first.wait(timeout=10.0)
@@ -318,6 +310,70 @@ class TestFaultInjection:
         assert len(execution.hosts) == 2, "the late joiner never registered"
         jobs_by_worker = sorted(h["jobs"] for h in execution.hosts.values())
         assert jobs_by_worker[0] >= 1, "the late joiner pulled no work from the queue"
+
+    def test_chunk_done_missing_a_field_drops_the_worker_not_the_handler(
+        self, recorder, monkeypatch
+    ):
+        # a worker whose chunk_done outcome lacks "name" used to kill the
+        # coordinator's handler thread with a KeyError *after* the chunk had
+        # been taken off its handle, so those jobs were never requeued
+        crashes = []
+        monkeypatch.setattr(threading, "excepthook", crashes.append)
+        ex = DistributedExecutor(spawn_workers=0)
+        coordinator, result, address = _coordinate_in_thread(ex, _plan(n=8))
+
+        host, port = parse_address(address)
+        with socket.create_connection((host, port), timeout=10.0) as fake:
+            send_frame(fake, {"type": "hello", "host": "fake", "pid": 1})
+            assert recv_frame(fake)["type"] == "welcome"
+            send_frame(fake, {"type": "next"})
+            chunk = recv_frame(fake)
+            assert chunk["type"] == "chunk" and chunk["jobs"]
+            send_frame(fake, {"type": "chunk_done", "outcomes": [{"ok": True, "value": 0.5}]})
+            assert recv_frame(fake) is None, "the coordinator kept a malformed peer connected"
+
+        healthy = _launch_worker(address)
+        try:
+            coordinator.join(timeout=60.0)
+            assert not coordinator.is_alive(), "the malformed worker's chunk was never requeued"
+            healthy.wait(timeout=10.0)
+        finally:
+            if healthy.poll() is None:
+                healthy.kill()
+
+        assert result["execution"].values == SerialExecutor().run(_plan(n=8)).values
+        assert crashes == []
+        events = recorder.drain()
+        (fake_left,) = [e for e in events if e["kind"] == "worker.leave" and e["host"] == "fake"]
+        assert fake_left["reason"] == "disconnect"
+        assert fake_left["requeued"] == len(chunk["jobs"])
+        stolen = sorted(e["job"] for e in events if e["kind"] == "job.stolen")
+        assert stolen == sorted(job["name"] for job in chunk["jobs"])
+
+
+def _coordinate_in_thread(ex, plan):
+    """Run ``plan`` on a background thread; returns (thread, result dict, "HOST:PORT")."""
+    result: dict = {}
+
+    def drive():
+        result["execution"] = ex.run(plan)
+
+    coordinator = threading.Thread(target=drive, daemon=True)
+    coordinator.start()
+    deadline = time.monotonic() + 10.0
+    while ex.address is None and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert ex.address is not None, "coordinator never bound"
+    return coordinator, result, f"{ex.address[0]}:{ex.address[1]}"
+
+
+def _launch_worker(address):
+    """One real ``drs-worker`` subprocess against ``address`` (no crash injection)."""
+    return subprocess.Popen(
+        [sys.executable, "-m", "repro.engine.worker", "--coordinator", address, "--quiet"],
+        env=_env_with_src(),
+        cwd=REPO_ROOT,
+    )
 
 
 FIGURE2_ARGS = ["figure2", "--quick", "--heartbeat", "0"]

@@ -20,6 +20,7 @@ import hashlib
 import json
 from dataclasses import replace
 from itertools import combinations
+from math import comb
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +36,7 @@ from repro.analysis import (
     topology_connected_vec,
     topology_connectivity_levels,
 )
+from repro.analysis.exact import good_combinations
 from repro.analysis.montecarlo import pair_connected_vec
 from repro.analysis.stats import wilson_interval
 from repro.experiments.topologysweep import DEFAULT_TOPOLOGIES
@@ -74,10 +76,13 @@ def _all_failure_matrices(width: int, f: int) -> np.ndarray:
     return failed
 
 
-@pytest.mark.parametrize("n", [2, 3])
+REFERENCE_SIZES = pytest.mark.parametrize("n", [2, 3])  # pure-Python BFS per subset
+
+
 class TestExhaustiveEquivalence:
     """Generic BFS == specialized kernel == reference BFS, every subset."""
 
+    @REFERENCE_SIZES
     def test_all_three_predicates_agree_on_every_failure_set(self, n):
         topology = dual_hub_cluster(n)
         generic = strip_fast_paths(topology)
@@ -92,6 +97,7 @@ class TestExhaustiveEquivalence:
             np.testing.assert_array_equal(via_bfs, via_specialized)
             np.testing.assert_array_equal(via_bfs, via_reference)
 
+    @REFERENCE_SIZES
     def test_fast_path_dispatch_matches_generic_bfs(self, n):
         topology = dual_hub_cluster(n)
         failed = _all_failure_matrices(topology.width, 3)
@@ -100,13 +106,16 @@ class TestExhaustiveEquivalence:
             topology_connected_vec(strip_fast_paths(topology), failed),
         )
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])  # 2^14 failure sets at n = 6
     def test_enumeration_matches_equation1_at_every_f(self, n):
         topology = strip_fast_paths(dual_hub_cluster(n))
         for f in range(topology.width + 1):
-            assert enumerate_topology_success(topology, f) == pytest.approx(
-                success_probability(n, f), abs=1e-12
-            )
+            enumerated = enumerate_topology_success(topology, f)
+            # the same two integers Equation 1 counts, so the same float
+            assert enumerated == good_combinations(n, f) / comb(topology.width, f)
+            assert enumerated == pytest.approx(success_probability(n, f), abs=1e-12)
 
+    @REFERENCE_SIZES
     def test_exact_dispatch_uses_the_closed_form(self, n):
         topology = dual_hub_cluster(n)
         for f in range(topology.width + 1):
@@ -285,17 +294,15 @@ class TestDifferentialAgainstTheDenseKernel:
         recorded = json.loads(LEVELS_FIXTURE.read_text())
         assert differential_levels(spec, size) == recorded[f"{spec}/size={size}"]
 
-    def test_quick_topologysweep_csvs_match_the_pinned_digests(self, tmp_path, monkeypatch):
-        import repro.experiments.topologysweep as topologysweep
+    def test_quick_topologysweep_csvs_match_the_pinned_digests(self, tmp_path):
         from repro.engine import get_spec
 
-        # the mc_* CSVs do not depend on the enumeration overlay: skip its 11 s
-        monkeypatch.setattr(topologysweep, "EXACT_BUDGET", 0)
+        # all seven CSVs, the 742 k-set enumeration overlay (exact_check) included
         spec = get_spec("topologysweep")
         spec.run(**spec.kwargs("quick")).write(tmp_path)
         pinned = dict(line.split()[::-1] for line in QUICK_DIGESTS.read_text().splitlines())
-        produced = sorted(path.name for path in tmp_path.glob("topologysweep_mc_*.csv"))
-        assert len(produced) == len(DEFAULT_TOPOLOGIES)
+        produced = sorted(path.name for path in tmp_path.glob("topologysweep_*.csv"))
+        assert produced == sorted(pinned) and len(produced) == len(DEFAULT_TOPOLOGIES) + 2
         for name in produced:
             assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == pinned[name]
 
