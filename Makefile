@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test lint smoke bench experiments experiments-quick quick-engine quick-estimators quick-flight perf-smoke bench-gate examples clean
+.PHONY: install test lint smoke bench experiments experiments-quick quick-engine quick-estimators quick-obs perf-smoke examples clean
 
 install:
 	$(PYTHON) -m pip install -e . || $(PYTHON) setup.py develop
@@ -72,27 +72,55 @@ quick-engine:
 	$(call same-as-serial,results-resume,$(FIGURE2_CSVS))
 	@echo "quick-engine: OK (serial == pool == distributed == dead-worker == killed+resumed)"
 
-# flight-recorder smoke: a parallel quick run must leave a tailable flight
-# stream that exports to a schema-valid Perfetto trace with one track per
-# worker, replays in the watch dashboard, and renders via obs --json
-quick-flight:
-	rm -rf /tmp/drs-flight
-	$(PYTHON) -m repro.experiments.runner --quick figure2 --jobs 4 --out /tmp/drs-flight
-	test -f /tmp/drs-flight/figure2.flight.jsonl
-	grep -q '"kind": "worker.spawn"' /tmp/drs-flight/figure2.flight.jsonl
-	grep -q '"kind": "run.end"' /tmp/drs-flight/figure2.flight.jsonl
-	grep -q flight_recorder /tmp/drs-flight/figure2.manifest.json
-	$(PYTHON) -m repro obs export-trace /tmp/drs-flight/figure2.flight.jsonl
+# `repro obs` smoke: every verb, end to end.
+# 1. a parallel quick run must leave a tailable flight stream that exports to
+#    a schema-valid Perfetto trace with one track per worker, replays in the
+#    watch dashboard, and renders via obs --json
+# 2. the committed golden stream (tests/obs/data, assembled from real runs
+#    before the views were folded onto one reader) must print byte-identical
+#    watch / precision / export-trace output through the CLI
+# 3. perf gate: the committed snapshots vs themselves must pass; vs the +25%
+#    regression fixture bench-diff must exit nonzero (the gate actually trips)
+OBS := /tmp/drs-obs
+GOLDEN := tests/obs/data
+
+quick-obs:
+	rm -rf $(OBS)
+	$(PYTHON) -m repro.experiments.runner --quick figure2 --jobs 4 --out $(OBS)
+	test -f $(OBS)/figure2.flight.jsonl
+	grep -q '"kind": "worker.spawn"' $(OBS)/figure2.flight.jsonl
+	grep -q '"kind": "run.end"' $(OBS)/figure2.flight.jsonl
+	grep -q flight_recorder $(OBS)/figure2.manifest.json
+	$(PYTHON) -m repro obs export-trace $(OBS)/figure2.flight.jsonl
 	$(PYTHON) -c "import json; from repro.obs.spans import validate_chrome_trace; \
-		trace = json.load(open('/tmp/drs-flight/figure2.chrome.json')); \
+		trace = json.load(open('$(OBS)/figure2.chrome.json')); \
 		problems = validate_chrome_trace(trace); assert not problems, problems; \
 		tracks = {e['args']['name'] for e in trace['traceEvents'] \
 			if e.get('ph') == 'M' and e.get('name') == 'process_name'}; \
 		workers = sum(1 for t in tracks if t.startswith('worker ')); \
 		assert 'scheduler' in tracks and workers == 4, tracks"
-	$(PYTHON) -m repro obs watch /tmp/drs-flight/figure2.flight.jsonl --once --no-color
-	$(PYTHON) -m repro obs --json /tmp/drs-flight/figure2.flight.jsonl > /dev/null
-	@echo "quick-flight: OK (flight stream -> 4 worker tracks + scheduler, watch replays)"
+	$(PYTHON) -m repro obs watch $(OBS)/figure2.flight.jsonl --once --no-color
+	$(PYTHON) -m repro obs --json $(OBS)/figure2.flight.jsonl > /dev/null
+	$(PYTHON) -m repro obs watch $(GOLDEN)/golden.flight.jsonl --once --json \
+		| cmp - $(GOLDEN)/golden.watch.json
+	$(PYTHON) -m repro obs precision $(GOLDEN)/golden.flight.jsonl --json \
+		| cmp - $(GOLDEN)/golden.precision.json
+	$(PYTHON) -m repro obs export-trace $(GOLDEN)/golden.flight.jsonl --out $(OBS)/golden.chrome.json
+	cmp $(OBS)/golden.chrome.json $(GOLDEN)/golden.flight.chrome.json
+	$(PYTHON) -m repro obs export-trace $(GOLDEN)/golden.trace.jsonl --out $(OBS)/golden.spans.json
+	cmp $(OBS)/golden.spans.json $(GOLDEN)/golden.trace.spans.json
+	$(PYTHON) -m repro obs bench-diff \
+		benchmarks/BENCH_bench_sweep_kernel.json benchmarks/BENCH_bench_sweep_kernel.json
+	$(PYTHON) -m repro obs bench-diff \
+		benchmarks/BENCH_bench_topology_kernel.json benchmarks/BENCH_bench_topology_kernel.json
+	$(PYTHON) -m repro obs bench-diff \
+		benchmarks/BENCH_bench_variance_reduction.json \
+		benchmarks/BENCH_bench_variance_reduction.json
+	! $(PYTHON) -m repro obs bench-diff \
+		benchmarks/BENCH_bench_sweep_kernel.json \
+		tests/obs/data/BENCH_bench_sweep_kernel_regressed.json
+	@echo "quick-obs: OK (flight stream -> 4 worker tracks + scheduler, watch replays," \
+		"golden views byte-identical, clean bench diffs pass, injected regression trips)"
 
 # estimator smoke: every way into the one Monte Carlo sweep loop, end to end.
 # 1. quick figure2/figure3/crossovers/wholecluster/availability/ablations and
@@ -165,21 +193,6 @@ perf-smoke:
 	$(PYTHON) benchmarks/e2e/run.py --smoke
 	$(PYTHON) -m pytest benchmarks/e2e/tests -q
 	@echo "perf-smoke: OK (all workloads ran, output checks passed)"
-
-# perf gate: the committed snapshots vs themselves must pass; vs the +25%
-# regression fixture it must exit nonzero (proving the gate actually trips)
-bench-gate:
-	$(PYTHON) -m repro obs bench-diff \
-		benchmarks/BENCH_bench_sweep_kernel.json benchmarks/BENCH_bench_sweep_kernel.json
-	$(PYTHON) -m repro obs bench-diff \
-		benchmarks/BENCH_bench_topology_kernel.json benchmarks/BENCH_bench_topology_kernel.json
-	$(PYTHON) -m repro obs bench-diff \
-		benchmarks/BENCH_bench_variance_reduction.json \
-		benchmarks/BENCH_bench_variance_reduction.json
-	! $(PYTHON) -m repro obs bench-diff \
-		benchmarks/BENCH_bench_sweep_kernel.json \
-		tests/obs/data/BENCH_bench_sweep_kernel_regressed.json
-	@echo "bench-gate: OK (clean diffs pass, injected regression trips)"
 
 examples:
 	for ex in examples/*.py; do echo "== $$ex"; $(PYTHON) $$ex || exit 1; done

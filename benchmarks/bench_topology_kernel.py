@@ -10,7 +10,7 @@ Guards the tentpole refactor's "generality is free for the paper" claim:
   path costs: the same graph rebuilt as ``khub(hubs=2)`` has no attached
   kernels, so every threshold goes through the bit-packed BFS binary
   search.  No assertion on the ratio — the snapshot documents it and the
-  bench-gate diff catches regressions.
+  bench-diff step of ``make quick-obs`` catches regressions.
 * ``test_exact_enumeration_throughput`` prices the exhaustive oracle per
   failure set; it trips on a return to one Python BFS per set (~25 us).
 

@@ -93,7 +93,6 @@ from repro.analysis.topokernel import (
 )
 from repro.analysis.stats import (
     ProportionEstimate,
-    estimate_to_precision,
     mc_success_estimate,
     normal_ppf,
     wilson_interval,
@@ -169,7 +168,6 @@ __all__ = [
     "AvailabilityReport",
     "wilson_interval",
     "normal_ppf",
-    "estimate_to_precision",
     "mc_success_estimate",
     "ProportionEstimate",
 ]

@@ -39,8 +39,7 @@ from repro.obs.profiler import publish_mc_throughput
 from repro.obs.progress import heartbeat
 from repro.simkit.rng import spawn_seedseq
 
-#: hard trial ceiling per (N, f-grid) row in adaptive-stopping mode, matching
-#: :func:`repro.analysis.stats.estimate_to_precision`'s default budget
+#: hard trial ceiling per (N, f-grid) row in adaptive-stopping mode
 DEFAULT_MAX_ADAPTIVE_TRIALS = 5_000_000
 
 
@@ -400,7 +399,7 @@ def _padded_sweep(
     half-width at ``confidence`` reaches the target; a group stops drawing
     once all its cells are frozen or it hits ``max_iterations`` (default
     ``DEFAULT_MAX_ADAPTIVE_TRIALS``; remaining cells are then frozen below
-    target, mirroring :func:`repro.analysis.stats.estimate_to_precision`).
+    target: best effort, not an error).
     Returns ``{group.n: {f: CellPrecision}}``.
 
     Reproducibility: the round schedule depends only on shared totals,

@@ -5,17 +5,20 @@ say how sure it is.  This module provides
 
 * the Wilson score interval for Bernoulli proportions (well-behaved near 0
   and 1, where survivability estimates live), and
-* :func:`estimate_to_precision` — run the Monte Carlo in growing batches
-  until the interval half-width reaches a target, so callers ask for a
-  precision instead of guessing an iteration count.
+* :func:`mc_success_estimate` — one pair-survivability cell run to a
+  requested interval half-width, so callers ask for a precision instead of
+  guessing an iteration count (the sweep loop's adaptive mode, one cell).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import TYPE_CHECKING
 
 import numpy as np
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.obs.precision import CellPrecision
 
 
 @dataclass(frozen=True)
@@ -117,67 +120,23 @@ def wilson_interval(successes: int, trials: int, confidence: float = 0.95) -> Pr
     )
 
 
-def estimate_to_precision(
-    trial_batch: Callable[[int], int],
-    target_half_width: float,
-    confidence: float = 0.95,
-    batch: int = 10_000,
-    max_trials: int = 5_000_000,
-) -> ProportionEstimate:
-    """Run ``trial_batch(k) -> successes`` until the Wilson CI is tight enough.
-
-    Parameters
-    ----------
-    trial_batch:
-        Callable running ``k`` Bernoulli trials and returning the success
-        count (e.g. a closure over the vectorized survivability predicate).
-    target_half_width:
-        Stop once the interval half-width is at or below this.
-    batch, max_trials:
-        Batch size per round and the hard trial budget; hitting the budget
-        returns the best estimate achieved rather than raising.
-
-    ``target_half_width <= 0`` and ``confidence`` outside (0, 1) raise
-    ``ValueError`` (the estimator-API convention: invalid numeric domains
-    are ``ValueError``, wrong argument shapes are ``TypeError``).  A
-    degenerate all-success or all-failure stream still terminates: the
-    Wilson half-width at p ∈ {0, 1} shrinks like z²/(2·trials), so the
-    loop always reaches any positive target within a finite trial count.
-    """
-    if target_half_width <= 0:
-        raise ValueError(f"target_half_width must be positive, got {target_half_width}")
-    if not 0.0 < confidence < 1.0:
-        raise ValueError(f"confidence must be in (0, 1), got {confidence}")
-    if batch <= 0 or max_trials <= 0:
-        raise ValueError("batch and max_trials must be positive")
-    successes = 0
-    trials = 0
-    estimate = None
-    while trials < max_trials:
-        size = min(batch, max_trials - trials)
-        got = int(trial_batch(size))
-        if not 0 <= got <= size:
-            raise ValueError(f"trial_batch returned {got} successes for {size} trials")
-        successes += got
-        trials += size
-        estimate = wilson_interval(successes, trials, confidence)
-        if estimate.half_width <= target_half_width:
-            return estimate
-    return estimate
-
-
 def mc_success_estimate(
     n: int,
     f: int,
     rng: np.random.Generator,
     target_half_width: float = 0.001,
     confidence: float = 0.95,
-    **kwargs,
-) -> ProportionEstimate:
-    """Pair survivability with a confidence interval at requested precision."""
-    from repro.analysis.montecarlo import pair_connected_vec, sample_failure_matrix
+) -> CellPrecision:
+    """Pair survivability with a confidence interval at requested precision.
 
-    def batch(k: int) -> int:
-        return int(pair_connected_vec(sample_failure_matrix(n, f, k, rng)).sum())
+    One adaptive cell of the sweep loop
+    (:func:`repro.analysis.montecarlo.simulate_grid` with
+    ``target_half_width``): rounds of 10,000 trials, doubling, until the
+    Wilson half-width is at or below the target or the sweep's trial
+    ceiling is hit (the best estimate achieved is returned either way).
+    """
+    from repro.analysis.montecarlo import simulate_grid
 
-    return estimate_to_precision(batch, target_half_width, confidence, **kwargs)
+    return simulate_grid(
+        n, (f,), 10_000, rng, target_half_width=target_half_width, confidence=confidence
+    )[f]

@@ -43,7 +43,7 @@ from typing import TYPE_CHECKING, Any
 import numpy as np
 
 from repro.obs.artifacts import atomic_write_text
-from repro.obs.flightrecorder import flight_recorder
+from repro.obs.flightrecorder import JsonlReader, flight_recorder
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.engine.jobs import JobPlan
@@ -145,40 +145,38 @@ class Checkpoint:
 
         Validates each stored record against the plan: experiment name,
         root seed, and the job's current spawned-seed fingerprint must all
-        match, and the job must still exist in the plan.  Corrupt lines
-        (e.g. a torn write from a crash mid-rename) are skipped.
+        match, and the job must still exist in the plan.  The file is read
+        through the one JSONL reader (:class:`~repro.obs.flightrecorder.JsonlReader`),
+        which skips and counts corrupt lines — e.g. the torn tail of a crash
+        mid-append.
         """
         self._fingerprints = plan.job_seeds()
         kept: dict[str, CheckpointRecord] = {}
-        lines_seen = 0
-        if self.path.exists():
-            for line in self.path.read_text().splitlines():
-                line = line.strip()
-                if not line:
-                    continue
-                lines_seen += 1
-                try:
-                    raw = json.loads(line)
-                    record = CheckpointRecord(
-                        experiment=raw["experiment"],
-                        root_seed=int(raw["root_seed"]),
-                        job=raw["job"],
-                        seed_fingerprint=int(raw["seed_fingerprint"]),
-                        value=decode_value(raw["value"]),
-                        attempts=int(raw.get("attempts", 1)),
-                        elapsed_s=float(raw.get("elapsed_s", 0.0)),
-                    )
-                except (json.JSONDecodeError, KeyError, TypeError, ValueError):
-                    continue
-                if record.experiment != plan.experiment or record.root_seed != plan.seed:
-                    continue
-                if self._fingerprints.get(record.job) != record.seed_fingerprint:
-                    continue
-                kept[record.job] = record  # duplicates: last write wins
+        reader = JsonlReader(self.path)
+        rows = reader.read() if self.path.exists() else []
+        for raw in rows:
+            try:
+                record = CheckpointRecord(
+                    experiment=raw["experiment"],
+                    root_seed=int(raw["root_seed"]),
+                    job=raw["job"],
+                    seed_fingerprint=int(raw["seed_fingerprint"]),
+                    value=decode_value(raw["value"]),
+                    attempts=int(raw.get("attempts", 1)),
+                    elapsed_s=float(raw.get("elapsed_s", 0.0)),
+                )
+            except (KeyError, TypeError, ValueError):
+                continue
+            if record.experiment != plan.experiment or record.root_seed != plan.seed:
+                continue
+            if self._fingerprints.get(record.job) != record.seed_fingerprint:
+                continue
+            kept[record.job] = record  # duplicates: last write wins
         self._records = list(kept.values())
-        # corrupt, foreign, and superseded lines all occupy file space
-        # without being live records — they are what compaction reclaims
-        self._stale_lines = lines_seen - len(kept)
+        # corrupt (skipped by the reader), malformed, foreign, and superseded
+        # lines all occupy file space without being live records — they are
+        # what compaction reclaims
+        self._stale_lines = reader.skipped + len(rows) - len(kept)
         self._loaded_for = (plan.experiment, plan.seed)
         return list(self._records)
 

@@ -72,6 +72,7 @@ import threading
 import time
 from collections import deque
 from dataclasses import asdict, dataclass, field
+from functools import partial
 from typing import Any, Callable
 
 from repro.engine.checkpoint import Checkpoint, decode_value, encode_value
@@ -219,6 +220,35 @@ def _required(payload: Any, what: str, *fields: str) -> list[Any]:
         raise ProtocolError(f"{what} payload lacks required field {exc.args[0]!r}") from None
 
 
+_ABSENT = object()
+
+
+def _typed(payload: dict[str, Any], what: str, field: str, convert: Callable, default=_ABSENT):
+    """``convert(payload[field])``; a rejected value is a :class:`ProtocolError` naming the field."""
+    value = payload.get(field, default)
+    if value is _ABSENT:
+        raise ProtocolError(f"{what} payload lacks required field {field!r}")
+    try:
+        return convert(value)
+    except (KeyError, TypeError, ValueError):
+        raise ProtocolError(f"{what} field {field!r} is wrong-typed: {value!r:.80}") from None
+
+
+def _optional_object(value: Any) -> dict[str, Any] | None:
+    """``None``/empty, or a JSON object: the shape of labels and heartbeat summaries."""
+    if value and not isinstance(value, dict):
+        raise TypeError(f"not an object: {value!r:.80}")
+    return value or None
+
+
+def _objects(frame: dict[str, Any], field: str) -> list[dict[str, Any]]:
+    """A frame field that must be a list of JSON objects (absent reads as empty)."""
+    rows = frame.get(field, [])
+    if not isinstance(rows, list) or not all(isinstance(row, dict) for row in rows):
+        raise ProtocolError(f"frame field {field!r} is not a list of objects: {rows!r:.80}")
+    return rows
+
+
 def job_from_wire(payload: dict[str, Any]) -> Job:
     """Inverse of :func:`job_to_wire` (imports the job function)."""
     name, fn, params = _required(payload, "job", "name", "fn", "params")
@@ -254,14 +284,16 @@ def outcome_to_wire(outcome: JobOutcome) -> dict[str, Any]:
 def outcome_from_wire(payload: dict[str, Any]) -> JobOutcome:
     """Inverse of :func:`outcome_to_wire`."""
     name, ok = _required(payload, "outcome", "name", "ok")
+    if not isinstance(name, str):
+        raise ProtocolError(f"outcome field 'name' is wrong-typed: {name!r:.80}")
     return JobOutcome(
         name=name,
         ok=bool(ok),
-        value=decode_value(payload.get("value")),
+        value=_typed(payload, "outcome", "value", decode_value, None),
         error=payload.get("error"),
-        attempts=int(payload.get("attempts", 1)),
+        attempts=_typed(payload, "outcome", "attempts", int, 1),
         timed_out=bool(payload.get("timed_out", False)),
-        elapsed_s=float(payload.get("elapsed_s", 0.0)),
+        elapsed_s=_typed(payload, "outcome", "elapsed_s", float, 0.0),
     )
 
 
@@ -302,23 +334,26 @@ def registry_from_wire(rows: list[dict[str, Any]]) -> MetricsRegistry:
     """Rebuild a registry from :func:`registry_to_wire` rows (for ``merge``)."""
     registry = MetricsRegistry()
     for row in rows:
-        labels = row.get("labels") or None
-        kind = row["kind"]
-        if kind == "counter":
-            counter = registry.counter(row["name"], labels)
-            counter.value = float(row["value"])
-            counter.events = int(row["events"])
-        elif kind == "gauge":
-            registry.gauge(row["name"], labels).set(float(row["value"]))
-        else:
-            hist: Histogram = registry.histogram(
-                row["name"], buckets=tuple(row["bounds"]), labels=labels
-            )
-            hist.counts = [int(c) for c in row["counts"]]
-            hist.count = int(row["count"])
-            hist.sum = float(row["sum"])
-            hist.min = float("inf") if row.get("min") is None else float(row["min"])
-            hist.max = float("-inf") if row.get("max") is None else float(row["max"])
+        name, kind = _required(row, "registry row", "name", "kind")
+        what = f"registry row {name!r:.80}"
+        decode = partial(_typed, row, what)
+        try:
+            labels = decode("labels", _optional_object, None)
+            if kind == "counter":
+                counter = registry.counter(name, labels)
+                counter.value, counter.events = decode("value", float), decode("events", int)
+            elif kind == "gauge":
+                registry.gauge(name, labels).set(decode("value", float))
+            else:
+                hist: Histogram = registry.histogram(
+                    name, buckets=decode("bounds", tuple), labels=labels
+                )
+                hist.counts = decode("counts", lambda v: [int(c) for c in v])
+                hist.count, hist.sum = decode("count", int), decode("sum", float)
+                hist.min = decode("min", lambda v: float("inf") if v is None else float(v), None)
+                hist.max = decode("max", lambda v: float("-inf") if v is None else float(v), None)
+        except (TypeError, ValueError) as exc:  # an unhashable name; a kind or bounds it rejects
+            raise ProtocolError(f"{what} is malformed: {exc}") from None
     return registry
 
 
@@ -338,7 +373,6 @@ class WorkerHandle:
     cpu_s: float = 0.0
     chunk: list[Job] | None = None
     alive: bool = True
-    reason: str = ""
 
     @property
     def label(self) -> str:
@@ -383,7 +417,6 @@ class Coordinator:
         self.failure: JobError | None = None
         self.workers: dict[int, WorkerHandle] = {}
         self.jobs_stolen = 0
-        self.workers_joined = 0
         self._next_wid = 0
         self._requeues: dict[str, int] = {}
         self._previous_owner: dict[str, int] = {}
@@ -515,7 +548,6 @@ class Coordinator:
                 sock=conn,
             )
             self.workers[handle.wid] = handle
-            self.workers_joined += 1
             active = sum(1 for w in self.workers.values() if w.alive)
         self.driver.emit(
             "worker.join",
@@ -567,15 +599,19 @@ class Coordinator:
     def _absorb_chunk(self, handle: WorkerHandle, frame: dict[str, Any]) -> None:
         # decode first: a malformed frame must leave the chunk with its worker,
         # so that the disconnect it causes requeues those jobs
-        outcomes = [outcome_from_wire(payload) for payload in frame.get("outcomes", ())]
-        registry = registry_from_wire(frame.get("registry", []))
+        outcomes = [outcome_from_wire(payload) for payload in _objects(frame, "outcomes")]
+        registry = registry_from_wire(_objects(frame, "registry"))
+        heartbeat = _typed(frame, "chunk_done", "heartbeat", _optional_object, None)
+        flight = _objects(frame, "flight")
+        wall_s = _typed(frame, "chunk_done", "wall_s", float, 0.0)
+        cpu_s = _typed(frame, "chunk_done", "cpu_s", float, 0.0)
         with self.lock:
             chunk = handle.chunk or []
             handle.chunk = None
             handle.jobs_done += len(chunk)
-            handle.wall_s += float(frame.get("wall_s", 0.0))
-            handle.cpu_s += float(frame.get("cpu_s", 0.0))
-            self.driver.settle(outcomes, registry, frame.get("heartbeat"), frame.get("flight", []))
+            handle.wall_s += wall_s
+            handle.cpu_s += cpu_s
+            self.driver.settle(outcomes, registry, heartbeat, flight)
             self._check_done()
         self._sample_scheduler()
 
@@ -596,7 +632,6 @@ class Coordinator:
             if not handle.alive:
                 return
             handle.alive = False
-            handle.reason = reason
             chunk = handle.chunk or []
             handle.chunk = None
             requeued: list[str] = []

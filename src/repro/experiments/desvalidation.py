@@ -55,12 +55,6 @@ def one_replicate(n: int, f: int, rng: np.random.Generator, settle_s: float = 2.
     return bool(results) and results[0].status is PingStatus.REPLY
 
 
-def _seeded_replicate(args: tuple[int, int, int]) -> bool:
-    """Worker entry point: one replicate from an explicit seed (picklable)."""
-    n, f, seed = args
-    return one_replicate(n, f, np.random.default_rng(seed))
-
-
 def _replicate_job(params: dict[str, Any], seed_seq: np.random.SeedSequence) -> bool:
     """Engine job: one live-DES replicate at (n, f)."""
     outcome = one_replicate(params["n"], params["f"], np.random.default_rng(seed_seq))
@@ -70,30 +64,15 @@ def _replicate_job(params: dict[str, Any], seed_seq: np.random.SeedSequence) -> 
     return outcome
 
 
-def empirical_success(
-    n: int,
-    f: int,
-    replicates: int,
-    rng: np.random.Generator,
-    workers: int | None = None,
-) -> float:
+def empirical_success(n: int, f: int, replicates: int, rng: np.random.Generator) -> float:
     """Empirical pair-survivability of the implemented protocol.
 
-    Standalone helper (the experiment drivers below go through the engine):
-    replicates are independent simulations, so they parallelize perfectly;
-    ``workers`` > 1 fans them out over a process pool with per-replicate
-    seeds drawn up front (the result is deterministic for a given ``rng``
-    state regardless of worker count or scheduling).
+    Standalone serial helper, one shared ``rng`` across the replicates; the
+    experiment drivers below go through the engine, which is where
+    replicates run in parallel (``drs-experiments desvalidation --jobs N``,
+    byte-identical to serial).
     """
-    if workers is None or workers <= 1:
-        return sum(one_replicate(n, f, rng) for _ in range(replicates)) / replicates
-    from concurrent.futures import ProcessPoolExecutor
-
-    seeds = rng.integers(0, 2**63 - 1, size=replicates)
-    jobs = [(n, f, int(seed)) for seed in seeds]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        outcomes = list(pool.map(_seeded_replicate, jobs, chunksize=max(1, replicates // (4 * workers))))
-    return sum(outcomes) / replicates
+    return sum(one_replicate(n, f, rng) for _ in range(replicates)) / replicates
 
 
 def _replicate_jobs(pairs: list[tuple[int, int]], replicates: int) -> list[Job]:

@@ -25,12 +25,18 @@ into:
 * :mod:`repro.obs.flightrecorder` — the engine flight recorder: a
   multiprocessing-safe structured event channel streaming every job,
   worker, checkpoint, and heartbeat lifecycle event to a crash-tolerant
-  JSONL sink.
+  JSONL sink.  It is also where the stream is *declared* — the ``KINDS``
+  schema table, from which ``EVENT_KINDS``, the documentation tables and
+  the Perfetto export's drawing rules are derived — and where every
+  ``*.jsonl`` artifact (flight, checkpoint, trace, metrics) is *read*:
+  ``read_jsonl`` / ``JsonlReader``, one torn-tail policy.
 * :mod:`repro.obs.watch` — live ANSI dashboard (``repro obs watch``)
   folding a flight stream into per-worker run state.
 * :mod:`repro.obs.precision` — statistical observability: per-cell Wilson
-  CI records (``stats.cell`` flight events), adaptive-stopping bookkeeping,
-  and the ``repro obs precision`` sweep-quality report.
+  CI records (``stats.cell`` flight events, written by
+  ``CellPrecision.event_fields`` and parsed by ``cell_from_event`` alone),
+  adaptive-stopping bookkeeping, and the ``repro obs precision``
+  sweep-quality report.
 * :mod:`repro.obs.cli` — the ``repro obs`` pretty-printer plus the
   ``export-trace``, ``postmortem``, ``watch``, ``bench-diff``, and
   ``precision`` verbs.
@@ -63,10 +69,12 @@ from repro.obs.benchtrack import (
 )
 from repro.obs.flightrecorder import (
     FLIGHT_SUFFIX,
+    KINDS,
     FlightRecorder,
     flight_recorder,
     flight_summary,
     read_flight_events,
+    read_jsonl,
     set_flight_recorder,
 )
 from repro.obs.postmortem import (
@@ -150,6 +158,8 @@ __all__ = [
     "bench_diff_report",
     "FlightRecorder",
     "FLIGHT_SUFFIX",
+    "KINDS",
+    "read_jsonl",
     "flight_recorder",
     "set_flight_recorder",
     "read_flight_events",

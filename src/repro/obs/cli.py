@@ -42,19 +42,12 @@ import os
 import sys
 from collections import Counter as TallyCounter
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 from repro.obs.artifacts import load_manifest
+from repro.obs.flightrecorder import FLIGHT_SUFFIX, flight_summary, read_flight_events, read_jsonl
+from repro.obs.watch import WatchState, follow
 from repro.viz import metrics_summary_table, render_table
-
-ARTIFACT_GLOBS = (
-    "*.manifest.json",
-    "*.metrics.jsonl",
-    "*.metrics.prom",
-    "*.trace.jsonl",
-    "*.checkpoint.jsonl",
-    "*.flight.jsonl",
-)
 
 
 def _render_manifest(path: Path) -> str:
@@ -80,18 +73,18 @@ def _render_manifest(path: Path) -> str:
 
 
 def _render_metrics_jsonl(path: Path) -> str:
-    snapshot = [json.loads(line) for line in path.read_text().splitlines() if line.strip()]
-    return metrics_summary_table(snapshot, title=f"metrics: {path.name}")
+    return metrics_summary_table(read_jsonl(path), title=f"metrics: {path.name}")
+
+
+def _render_prometheus(path: Path) -> str:
+    return f"prometheus snapshot: {path.name}\n{path.read_text().rstrip()}"
 
 
 def _trace_tally(path: Path) -> dict[str, dict[str, float]]:
     tally: TallyCounter = TallyCounter()
     first: dict[str, float] = {}
     last: dict[str, float] = {}
-    for line in path.read_text().splitlines():
-        if not line.strip():
-            continue
-        row = json.loads(line)
+    for row in read_jsonl(path):
         category = row.get("category", "?")
         tally[category] += 1
         t = float(row.get("time", 0.0))
@@ -117,23 +110,15 @@ def _render_trace_jsonl(path: Path) -> str:
 
 
 def _checkpoint_rows(path: Path) -> list[dict[str, Any]]:
-    rows = []
-    for line in path.read_text().splitlines():
-        if not line.strip():
-            continue
-        try:
-            row = json.loads(line)
-        except json.JSONDecodeError:
-            continue
-        rows.append(
-            {
-                "experiment": row.get("experiment", "?"),
-                "job": row.get("job", "?"),
-                "attempts": int(row.get("attempts", 1)),
-                "elapsed_s": float(row.get("elapsed_s", 0.0)),
-            }
-        )
-    return rows
+    return [
+        {
+            "experiment": row.get("experiment", "?"),
+            "job": row.get("job", "?"),
+            "attempts": int(row.get("attempts", 1)),
+            "elapsed_s": float(row.get("elapsed_s", 0.0)),
+        }
+        for row in read_jsonl(path)
+    ]
 
 
 def _render_checkpoint_jsonl(path: Path) -> str:
@@ -150,8 +135,6 @@ def _render_checkpoint_jsonl(path: Path) -> str:
 
 
 def _render_flight_jsonl(path: Path) -> str:
-    from repro.obs.flightrecorder import flight_summary, read_flight_events
-
     events = read_flight_events(path)
     if not events:
         return f"flight: {path.name}: (empty)"
@@ -159,27 +142,38 @@ def _render_flight_jsonl(path: Path) -> str:
     rows = [[kind, count] for kind, count in sorted(summary["by_kind"].items())]
     for pid, info in sorted(summary["workers"].items()):
         rows.append([f"worker pid {pid}", f"{info['jobs']} job(s)"])
-    wall = max(e["t"] for e in events) - min(e["t"] for e in events)
+    wall = WatchState().apply_all(events).elapsed_s
     title = f"flight: {path.name} ({summary['events']} event(s), {wall:.1f}s wall)"
     return render_table(["event kind / worker", "count"], rows, title=title)
 
 
+#: the one suffix dispatch: suffix -> (kind, ``--json`` payload of a path, pretty form of a path)
+ARTIFACTS: dict[str, tuple[str, Callable[[Path], Any], Callable[[Path], str]]] = {
+    ".manifest.json": ("manifest", lambda path: load_manifest(path).to_dict(), _render_manifest),
+    ".metrics.jsonl": ("metrics", read_jsonl, _render_metrics_jsonl),
+    ".metrics.prom": ("prometheus", lambda path: {"text": path.read_text()}, _render_prometheus),
+    ".trace.jsonl": ("trace", lambda path: {"categories": _trace_tally(path)}, _render_trace_jsonl),
+    ".checkpoint.jsonl": (
+        "checkpoint", lambda path: {"jobs": _checkpoint_rows(path)}, _render_checkpoint_jsonl,
+    ),
+    FLIGHT_SUFFIX: (
+        "flight", lambda path: flight_summary(read_flight_events(path)), _render_flight_jsonl,
+    ),
+}
+
+ARTIFACT_GLOBS = tuple(f"*{suffix}" for suffix in ARTIFACTS)
+
+
+def _artifact(path: Path) -> tuple[str, Callable[[Path], Any], Callable[[Path], str]]:
+    for suffix, entry in ARTIFACTS.items():
+        if path.name.endswith(suffix):
+            return entry
+    raise ValueError(f"unrecognized artifact {path} (expected {', '.join(ARTIFACT_GLOBS)})")
+
+
 def render_artifact(path: Path) -> str:
     """Pretty-print one artifact file by suffix."""
-    name = path.name
-    if name.endswith(".manifest.json"):
-        return _render_manifest(path)
-    if name.endswith(".metrics.jsonl"):
-        return _render_metrics_jsonl(path)
-    if name.endswith(".metrics.prom"):
-        return f"prometheus snapshot: {path.name}\n{path.read_text().rstrip()}"
-    if name.endswith(".trace.jsonl"):
-        return _render_trace_jsonl(path)
-    if name.endswith(".checkpoint.jsonl"):
-        return _render_checkpoint_jsonl(path)
-    if name.endswith(".flight.jsonl"):
-        return _render_flight_jsonl(path)
-    raise ValueError(f"unrecognized artifact {path} (expected {', '.join(ARTIFACT_GLOBS)})")
+    return _artifact(path)[2](path)
 
 
 def artifact_data(path: Path) -> dict[str, Any]:
@@ -188,25 +182,8 @@ def artifact_data(path: Path) -> dict[str, Any]:
     The ``--json`` counterpart of :func:`render_artifact` — same suffix
     dispatch, JSON-native payloads instead of tables.
     """
-    name = path.name
-    if name.endswith(".manifest.json"):
-        kind, data = "manifest", load_manifest(path).to_dict()
-    elif name.endswith(".metrics.jsonl"):
-        kind = "metrics"
-        data = [json.loads(line) for line in path.read_text().splitlines() if line.strip()]
-    elif name.endswith(".metrics.prom"):
-        kind, data = "prometheus", {"text": path.read_text()}
-    elif name.endswith(".trace.jsonl"):
-        kind, data = "trace", {"categories": _trace_tally(path)}
-    elif name.endswith(".checkpoint.jsonl"):
-        kind, data = "checkpoint", {"jobs": _checkpoint_rows(path)}
-    elif name.endswith(".flight.jsonl"):
-        from repro.obs.flightrecorder import flight_summary, read_flight_events
-
-        kind, data = "flight", flight_summary(read_flight_events(path))
-    else:
-        raise ValueError(f"unrecognized artifact {path} (expected {', '.join(ARTIFACT_GLOBS)})")
-    return {"path": str(path), "kind": kind, "data": data}
+    kind, data, _ = _artifact(path)
+    return {"path": str(path), "kind": kind, "data": data(path)}
 
 
 def _expand(paths: list[str]) -> list[Path]:
@@ -258,8 +235,7 @@ def _cmd_export_trace(argv: list[str]) -> int:
                         "or <stem>.chrome.json for flight recordings)")
     args = parser.parse_args(argv)
 
-    if args.source.endswith(".flight.jsonl"):
-        from repro.obs.flightrecorder import flight_summary, read_flight_events
+    if args.source.endswith(FLIGHT_SUFFIX):
         from repro.obs.spans import write_flight_chrome_trace
 
         events = read_flight_events(args.source)
@@ -267,7 +243,7 @@ def _cmd_export_trace(argv: list[str]) -> int:
             print(f"error: {args.source}: no flight events recorded", file=sys.stderr)
             return 1
         out = Path(args.out) if args.out else Path(
-            args.source.removesuffix(".flight.jsonl") + ".chrome.json"
+            args.source.removesuffix(FLIGHT_SUFFIX) + ".chrome.json"
         )
         write_flight_chrome_trace(out, events)
         workers = len(flight_summary(events)["workers"])
@@ -338,8 +314,6 @@ def _cmd_postmortem(argv: list[str]) -> int:
 
 
 def _cmd_watch(argv: list[str]) -> int:
-    from repro.obs.watch import follow
-
     parser = argparse.ArgumentParser(
         prog="repro obs watch",
         description="Live dashboard tailing an engine flight-recorder stream.",
@@ -436,9 +410,7 @@ def _cmd_precision(argv: list[str]) -> int:
     args = parser.parse_args(argv)
 
     source = Path(args.source)
-    if source.name.endswith(".flight.jsonl"):
-        from repro.obs.flightrecorder import read_flight_events
-
+    if source.name.endswith(FLIGHT_SUFFIX):
         cells = list(fold_cells(read_flight_events(source)).values())
     elif source.name.endswith(".manifest.json"):
         cells, _ = cells_from_manifest(load_manifest(source).to_dict())

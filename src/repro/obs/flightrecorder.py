@@ -6,38 +6,10 @@ but nothing recorded *when* each job ran, *where* (which worker PID), how
 many attempts it took, or what the scheduler's queue looked like while it
 waited.  The flight recorder closes that gap with one append-only JSONL
 stream per run — ``<out>/<name>.flight.jsonl`` — holding every engine
-lifecycle event:
+lifecycle event (the table is :func:`kinds_table`, rendered from :data:`KINDS`
+when the module is imported):
 
-========================  ====================================================
-kind                      emitted when
-========================  ====================================================
-``plan.begin/plan.end``   an executor starts/finishes a :class:`JobPlan`
-``job.submitted``         the scheduler hands a job to a backend
-``job.resumed``           a checkpoint satisfied the job without running it
-``job.attempt``           one attempt starts (``attempt`` counts from 1)
-``job.retry``             a failed attempt schedules another (with backoff)
-``job.timeout``           an attempt hit its wall-clock budget
-``job.completed``         a job finished OK (wall/CPU time, seed fingerprint)
-``job.quarantined``       a job exhausted its retry budget
-``job.dropped``           an outcome arrived for a job not awaiting one (not in
-                          the plan, or settled already); it was ignored
-``worker.spawn``          a pool worker process ran its first chunk
-``worker.exit``           the parent retired a pool worker at shutdown
-``worker.join``           a distributed worker completed its handshake
-``worker.leave``          a distributed worker left (goodbye, heartbeat
-                          timeout, or dropped connection); counts requeues
-``job.stolen``            a requeued job was picked up by a different worker
-``pool.respawn``          a broken process pool (or dead spawned distributed
-                          worker) was replaced mid-plan
-``plan.interrupted``      Ctrl-C/SIGINT cut the plan short (partial results
-                          checkpointed; the manifest says ``interrupted``)
-``scheduler.gauge``       queue depth / in-flight / utilization sample
-``checkpoint.write``      one job record persisted to the checkpoint stream
-``checkpoint.compact``    the checkpoint file was rewritten to shed stale lines
-``heartbeat``             a :class:`~repro.obs.progress.ProgressReporter` beat
-``stats.cell``            a Monte Carlo (N, f) cell's precision snapshot
-``run.end``               the recorder closed (carries the event tally)
-========================  ====================================================
+@KINDS@
 
 Every event carries a wall-clock timestamp ``t``, the emitting (or, for
 events the parent records *about* a worker, the described) process ``pid``,
@@ -81,41 +53,99 @@ import threading
 import time
 import weakref
 from pathlib import Path
-from typing import Any, Callable, Iterable, Mapping
+from typing import Any, Callable, Iterable, Mapping, NamedTuple
 
 FLIGHT_SCHEMA_VERSION = 1
 
 #: canonical suffix of flight-recorder artifacts (``repro obs`` dispatches on it)
 FLIGHT_SUFFIX = ".flight.jsonl"
 
+#: fields any event may carry, whatever its kind (``job`` on job events only)
+COMMON_FIELDS = ("t", "kind", "pid", "seq", "experiment", "job")
+
+
+class Kind(NamedTuple):
+    """One row of the flight schema."""
+
+    #: the "emitted when" line of the documentation tables
+    when: str
+    #: the kind's own fields, beyond :data:`COMMON_FIELDS`
+    fields: tuple[str, ...] = ()
+    #: how the Perfetto export draws it: ``"bar"`` (a job bar on the worker's
+    #: track), ``"worker"`` / ``"scheduler"`` (an instant marker on that track),
+    #: ``"counter"`` (scheduler counter tracks), or ``None`` (not drawn)
+    draw: str | None = None
+
+
+#: the flight schema, declared once: every kind the engine emits, in
+#: documentation order.  ``EVENT_KINDS``, the table in the module docstring,
+#: the one in docs/observability.md and the Perfetto export's instant sets are
+#: all derived from it; tests hold real streams to it (``emit`` checks nothing).
+KINDS: dict[str, Kind] = {
+    "plan.begin": Kind("an executor starts a `JobPlan`",
+                       ("backend", "workers", "jobs", "resumed", "total_trials", "topology"),
+                       "scheduler"),
+    "plan.end": Kind("an executor finishes a `JobPlan`",
+                     ("jobs", "completed", "quarantined", "pool_respawns", "stolen", "workers"),
+                     "scheduler"),
+    "job.submitted": Kind("the scheduler hands a job to a backend", ("worker",), "scheduler"),
+    "job.resumed": Kind("a checkpoint satisfied the job without running it", (), "scheduler"),
+    "job.attempt": Kind("one attempt starts (`attempt` counts from 1)", ("attempt",)),
+    "job.retry": Kind("a failed attempt schedules another, after a backoff",
+                      ("attempt", "backoff_s"), "worker"),
+    "job.timeout": Kind("an attempt hit its wall-clock budget", ("attempt", "timeout_s"), "worker"),
+    "job.completed": Kind("a job finished OK",
+                          ("ok", "attempts", "wall_s", "cpu_s", "seed_fingerprint"), "bar"),
+    "job.quarantined": Kind("a job exhausted its retry budget",
+                            ("attempts", "timed_out", "error", "wall_s", "cpu_s"), "bar"),
+    "job.dropped": Kind("an outcome arrived for a job not awaiting one (`unknown-job` / "
+                        "`already-settled`); it was ignored", ("reason",)),
+    "worker.spawn": Kind("a pool worker process ran its first chunk", ("chunk_jobs",), "worker"),
+    "worker.exit": Kind("the parent retired a pool worker at shutdown", (), "worker"),
+    "worker.join": Kind("a distributed worker completed its handshake",
+                        ("worker", "host", "workers")),
+    "worker.leave": Kind("a distributed worker left (goodbye, heartbeat timeout, or dropped "
+                         "connection)",
+                         ("worker", "host", "reason", "jobs", "requeued", "workers")),
+    "job.stolen": Kind("a dead worker's requeued job was handed to a different worker",
+                       ("worker", "from_worker")),
+    "pool.respawn": Kind("a broken process pool (or dead spawned distributed worker) was "
+                         "replaced mid-plan", ("respawns", "requeued", "backend"), "scheduler"),
+    "plan.interrupted": Kind("Ctrl-C/SIGINT cut the plan short (partial results checkpointed)",
+                             ("jobs", "completed", "backend")),
+    "scheduler.gauge": Kind("queue depth / in-flight / utilization sample",
+                            ("queue_depth", "outstanding_chunks", "utilization", "workers"),
+                            "counter"),
+    "checkpoint.write": Kind("one job record persisted to the checkpoint stream",
+                             ("records", "bytes"), "scheduler"),
+    "checkpoint.compact": Kind("the checkpoint file was rewritten to shed stale lines",
+                               ("records", "reclaimed", "compactions", "bytes")),
+    "heartbeat": Kind("a `ProgressReporter` beat",
+                      ("label", "trials", "total", "trials_per_second", "jobs", "jobs_total"),
+                      "scheduler"),
+    "stats.cell": Kind("a Monte Carlo cell finished a sampling round (`target`, `met` when "
+                       "adaptive)",
+                       ("n", "f", "successes", "trials", "confidence", "point", "half_width",
+                        "done", "target", "met", "topology", "method", "std_error"),
+                       "counter"),
+    "run.end": Kind("the recorder closed (carries the event tally)", ("events", "by_kind")),
+}
+
 #: every kind the engine emits today (readers must tolerate unknown kinds)
-EVENT_KINDS = frozenset(
-    {
-        "plan.begin",
-        "plan.end",
-        "job.submitted",
-        "job.resumed",
-        "job.attempt",
-        "job.retry",
-        "job.timeout",
-        "job.completed",
-        "job.quarantined",
-        "job.dropped",
-        "worker.spawn",
-        "worker.exit",
-        "worker.join",
-        "worker.leave",
-        "job.stolen",
-        "pool.respawn",
-        "plan.interrupted",
-        "scheduler.gauge",
-        "checkpoint.write",
-        "checkpoint.compact",
-        "heartbeat",
-        "stats.cell",
-        "run.end",
-    }
-)
+EVENT_KINDS = frozenset(KINDS)
+
+
+def kinds_table() -> str:
+    """:data:`KINDS` as the Markdown table the docs and the docstring above embed."""
+    rows = ["| kind | emitted when | fields |", "| --- | --- | --- |"]
+    for name, kind in KINDS.items():
+        fields = ", ".join(f"`{field}`" for field in kind.fields)
+        rows.append(f"| `{name}` | {kind.when} | {fields} |")
+    return "\n".join(rows)
+
+
+if __doc__:  # absent under -OO
+    __doc__ = __doc__.replace("@KINDS@", kinds_table())
 
 
 def _drain_pending(
@@ -310,45 +340,85 @@ def flight_recorder() -> FlightRecorder | None:
 
 
 # -------------------------------------------------------------------- reading
-def read_flight_events(path: str | Path) -> list[dict[str, Any]]:
-    """Read a flight JSONL back, tolerating a torn tail.
+class JsonlReader:
+    """The one JSONL reader, for every ``*.jsonl`` artifact a run leaves behind.
 
-    A process killed mid-write leaves at most one truncated final line;
-    any line that does not parse as a JSON object is skipped, so readers
-    (``repro obs watch``, the Perfetto exporter, manifests) always see a
-    valid prefix of the stream.
+    One policy: a line is a record iff it parses as a JSON object; anything
+    else — the torn final line of a killed writer, a corrupt interior line,
+    foreign text — is skipped and counted in :attr:`skipped`, so callers always
+    see the valid records of a damaged file.  Each :meth:`read` returns what
+    was appended since the previous one.
     """
-    events: list[dict[str, Any]] = []
-    for line in Path(path).read_text().splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            event = json.loads(line)
-        except json.JSONDecodeError:
-            continue
-        if isinstance(event, dict) and "kind" in event:
-            events.append(event)
-    return events
+
+    def __init__(self, path: str | Path) -> None:
+        self.path = Path(path)
+        self.skipped = 0
+        self._offset = 0
+        self._held = ""
+
+    def read(self, follow: bool = False) -> list[dict[str, Any]]:
+        """Records appended since the last call.
+
+        ``follow=True`` is for tailing a file that is still being written:
+        a file that does not exist yet reads as empty, and an unterminated
+        tail is held back until its newline arrives ("not yet", rather than
+        torn).  Otherwise the tail is read like any other line.
+        """
+        if follow and not self.path.exists():
+            return []
+        with self.path.open("r") as fh:
+            fh.seek(self._offset)
+            text = self._held + fh.read()
+            self._offset = fh.tell()
+        self._held = ""
+        if follow:
+            text, _, self._held = text.rpartition("\n")
+        records: list[dict[str, Any]] = []
+        for line in text.splitlines():
+            if not line.strip():
+                continue
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError:
+                record = None
+            if isinstance(record, dict):
+                records.append(record)
+            else:
+                self.skipped += 1
+        return records
+
+
+def read_jsonl(path: str | Path) -> list[dict[str, Any]]:
+    """Every record of a JSONL file (see :class:`JsonlReader` for the policy)."""
+    return JsonlReader(path).read()
+
+
+def read_flight_events(path: str | Path) -> list[dict[str, Any]]:
+    """Read a flight JSONL back: the records that carry a ``kind``.
+
+    A process killed mid-write leaves at most one truncated final line, which
+    the reader skips, so consumers (``repro obs watch``, the Perfetto
+    exporter, manifests) always see a valid prefix of the stream.
+    """
+    return [event for event in read_jsonl(path) if "kind" in event]
+
+
+def event_head(event: Mapping[str, Any]) -> tuple[str, float, int]:
+    """``(kind, t, pid)`` of one event, defaulted and typed — the common fields
+    every fold of the stream reads."""
+    return str(event.get("kind", "?")), float(event.get("t", 0.0)), int(event.get("pid", 0))
 
 
 def flight_summary(events: Iterable[Mapping[str, Any]]) -> dict[str, Any]:
-    """Offline :meth:`FlightRecorder.summary` equivalent over raw events."""
-    by_kind: dict[str, int] = {}
-    workers: dict[int, list[str]] = {}
-    count = 0
-    for event in events:
-        count += 1
-        kind = str(event.get("kind", "?"))
-        by_kind[kind] = by_kind.get(kind, 0) + 1
-        if kind == "job.completed" and "job" in event:
-            workers.setdefault(int(event.get("pid", 0)), []).append(str(event["job"]))
-    return {
-        "schema": FLIGHT_SCHEMA_VERSION,
-        "events": count,
-        "by_kind": dict(sorted(by_kind.items())),
-        "workers": {
-            str(pid): {"jobs": len(names), "names": sorted(names)}
-            for pid, names in sorted(workers.items())
-        },
-    }
+    """Offline :meth:`FlightRecorder.summary`: what a recorder that had seen
+    ``events`` would report (minus the sink ``path``).
+
+    The events are replayed through a buffer-mode recorder, so the tally —
+    event count, count per kind, completed jobs per pid — exists once, in
+    :meth:`FlightRecorder._record`.
+    """
+    replay = FlightRecorder(None)
+    replay.ingest(events)
+    summary = replay.summary()
+    del summary["path"]
+    return summary

@@ -147,9 +147,7 @@ class MetricsRegistry:
 
     Metrics are keyed by ``(name, labels)``; asking twice for the same key
     returns the same object, so independent components (every NIC, every
-    daemon) share one aggregate by using one name.  Legacy
-    :class:`~repro.simkit.trace.Counter` objects can be adopted with
-    :meth:`attach` so existing call sites keep working unchanged.
+    daemon) share one aggregate by using one name.
     """
 
     def __init__(self) -> None:
@@ -173,15 +171,6 @@ class MetricsRegistry:
     ) -> Histogram:
         """Get or create a fixed-bucket histogram."""
         return self._get_or_create(name, labels, help, "histogram", lambda: Histogram(name, buckets))
-
-    def attach(self, counter: Counter, name: str | None = None, help: str = "") -> Counter:
-        """Adopt an existing legacy ``Counter`` under its own (or a new) name."""
-        key = _key(name or counter.name, None)
-        entry = self._metrics.get(key)
-        if entry is None:
-            self._metrics[key] = {"kind": "counter", "help": help, "obj": counter}
-            return counter
-        return entry["obj"]
 
     def _get_or_create(self, name, labels, help, kind, factory):
         key = _key(name, labels)

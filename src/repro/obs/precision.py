@@ -256,39 +256,47 @@ def publish_cell_precision(cell: CellPrecision, done: bool = False) -> None:
 
 
 # ----------------------------------------------------------------- reduction
+def cell_from_event(event: Mapping[str, Any]) -> tuple[tuple, dict[str, Any]]:
+    """``(key, row)`` of one ``stats.cell`` event — the one place it is parsed.
+
+    Cells are keyed ``(n, f)`` for legacy (topology-less) events and
+    ``(topology, n, f)`` when the event carries a topology label, so one
+    multi-topology sweep can share a stream without same-(n, f) cells
+    clobbering each other.  The row is the event's payload, defaulted and
+    typed; the watch panel, :func:`fold_cells` and the Perfetto "ci
+    half-width" counter all read it.
+    """
+    n, f = int(event.get("n", -1)), int(event.get("f", -1))
+    topology = event.get("topology")
+    row = {
+        "n": n,
+        "f": f,
+        "topology": topology,
+        "successes": int(event.get("successes", 0)),
+        "trials": int(event.get("trials", 0)),
+        "confidence": float(event.get("confidence", 0.95)),
+        "point": float(event.get("point", 0.0)),
+        "half_width": float(event.get("half_width", 0.0)),
+        "target": event.get("target"),
+        "met": bool(event.get("met", False)),
+        "done": bool(event.get("done", False)),
+        "method": str(event.get("method", "wilson")),
+    }
+    return ((n, f) if topology is None else (str(topology), n, f)), row
+
+
 def fold_cells(events: Iterable[Mapping[str, Any]]) -> dict[tuple, dict[str, Any]]:
     """Latest ``stats.cell`` state per cell from a flight stream.
 
     Batch-progress events for one cell supersede each other; the returned
     dict holds each cell's most recent snapshot (the ``done`` one, for a
-    completed run).  Non-``stats.cell`` events are ignored, so the whole
-    stream can be passed as-is.  Cells are keyed ``(n, f)`` for legacy
-    (topology-less) events and ``(topology, n, f)`` when the event carries
-    a topology label — one multi-topology sweep can share a stream without
-    same-(n, f) cells clobbering each other.
+    completed run), keyed as :func:`cell_from_event` keys it.
+    Non-``stats.cell`` events are ignored, so the whole stream can be passed
+    as-is.
     """
-    cells: dict[tuple, dict[str, Any]] = {}
-    for event in events:
-        if event.get("kind") != STATS_CELL_KIND:
-            continue
-        n, f = int(event.get("n", -1)), int(event.get("f", -1))
-        topology = event.get("topology")
-        key = (n, f) if topology is None else (str(topology), n, f)
-        cells[key] = {
-            "n": n,
-            "f": f,
-            "topology": topology,
-            "successes": int(event.get("successes", 0)),
-            "trials": int(event.get("trials", 0)),
-            "confidence": float(event.get("confidence", 0.95)),
-            "point": float(event.get("point", 0.0)),
-            "half_width": float(event.get("half_width", 0.0)),
-            "target": event.get("target"),
-            "met": bool(event.get("met", False)),
-            "done": bool(event.get("done", False)),
-            "method": str(event.get("method", "wilson")),
-        }
-    return cells
+    return dict(
+        cell_from_event(event) for event in events if event.get("kind") == STATS_CELL_KIND
+    )
 
 
 def cells_from_manifest(manifest: Mapping[str, Any]) -> tuple[list[dict[str, Any]], dict[str, Any]]:

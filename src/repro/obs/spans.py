@@ -34,6 +34,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterable, Mapping
 
+from repro.obs.flightrecorder import KINDS, event_head, read_jsonl
+from repro.obs.precision import cell_from_event
 from repro.simkit.trace import TraceEntry, TraceRecorder
 
 #: trace category all closed spans are emitted under
@@ -268,12 +270,13 @@ def spans_from_entries(entries: Iterable[TraceEntry | Mapping[str, Any]]) -> lis
 
 
 def load_trace_jsonl(path: str | Path) -> list[dict[str, Any]]:
-    """Read a ``*.trace.jsonl`` artifact back into flat dict rows."""
-    rows = []
-    for line in Path(path).read_text().splitlines():
-        if line.strip():
-            rows.append(json.loads(line))
-    return rows
+    """Read a ``*.trace.jsonl`` artifact back into flat dict rows.
+
+    Through the one reader (:func:`repro.obs.flightrecorder.read_jsonl`): a
+    torn final line — ``write_trace_jsonl`` is a plain write, so a kill
+    mid-write leaves one — is skipped, not raised.
+    """
+    return read_jsonl(path)
 
 
 # --------------------------------------------------------- Chrome trace export
@@ -295,6 +298,37 @@ def _tid_for(phase: str, tids: dict[str, int]) -> int:
     return tids.setdefault(phase, len(tids) + 1)
 
 
+def _bar(name: str, cat: str, ts: float, dur: float, pid: int, tid: int, args: dict) -> dict:
+    """A complete (``ph: "X"``) event."""
+    return {"name": name, "cat": cat, "ph": "X", "ts": ts, "dur": dur, "pid": pid, "tid": tid,
+            "args": args}
+
+
+def _instant(name: str, cat: str, ts: float, pid: int, tid: int, args: dict) -> dict:
+    """A global-scope instant (``ph: "i"``) marker."""
+    return {"name": name, "cat": cat, "ph": "i", "s": "g", "ts": ts, "pid": pid, "tid": tid,
+            "args": args}
+
+
+def _document(pids: dict[int, str], tids: dict[str, int], events: list[dict]) -> dict[str, Any]:
+    """The trace document: ``M`` records naming every process and thread, then the events."""
+    meta: list[dict[str, Any]] = []
+    for pid, name in sorted(pids.items()):
+        meta.append({"ph": "M", "name": "process_name", "pid": pid, "args": {"name": name}})
+        for thread, tid in sorted(tids.items(), key=lambda kv: kv[1]):
+            meta.append(
+                {"ph": "M", "name": "thread_name", "pid": pid, "tid": tid, "args": {"name": thread}}
+            )
+    return {"traceEvents": meta + events, "displayTimeUnit": "ms"}
+
+
+def _write_document(path: str | Path, doc: dict[str, Any]) -> Path:
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(doc) + "\n")
+    return path
+
+
 def to_chrome_trace(
     spans: Iterable[Span],
     instants: Iterable[TraceEntry | Mapping[str, Any]] = (),
@@ -310,14 +344,18 @@ def to_chrome_trace(
     events: list[dict[str, Any]] = []
     tids: dict[str, int] = {}
     pids: dict[int, str] = {}
+
+    def lane(node: Any) -> int:
+        pid = _CLUSTER_PID if node is None else int(node) + 1
+        pids.setdefault(pid, "cluster" if node is None else f"node{node}")
+        return pid
+
     horizon = 0.0
     spans = list(spans)
     for span in spans:
         horizon = max(horizon, span.start, span.end or 0.0)
 
     for span in spans:
-        pid = _CLUSTER_PID if span.node is None else span.node + 1
-        pids.setdefault(pid, "cluster" if span.node is None else f"node{span.node}")
         end = span.end if span.end is not None else horizon
         args: dict[str, Any] = {"span_id": span.span_id, **span.attrs}
         if span.parent_id is not None:
@@ -325,16 +363,8 @@ def to_chrome_trace(
         if span.incident_id is not None:
             args["incident_id"] = span.incident_id
         events.append(
-            {
-                "name": span.name,
-                "cat": span.phase,
-                "ph": "X",
-                "ts": span.start * 1e6,
-                "dur": max(0.0, end - span.start) * 1e6,
-                "pid": pid,
-                "tid": _tid_for(span.phase, tids),
-                "args": args,
-            }
+            _bar(span.name, span.phase, span.start * 1e6, max(0.0, end - span.start) * 1e6,
+                 lane(span.node), _tid_for(span.phase, tids), args)
         )
 
     for entry in instants:
@@ -346,30 +376,11 @@ def to_chrome_trace(
             time = float(fields.pop("time", 0.0))
         if category not in INSTANT_CATEGORIES:
             continue
-        node = fields.get("node")
-        pid = _CLUSTER_PID if node is None else int(node) + 1
-        pids.setdefault(pid, "cluster" if node is None else f"node{node}")
         events.append(
-            {
-                "name": category,
-                "cat": category,
-                "ph": "i",
-                "s": "g",
-                "ts": time * 1e6,
-                "pid": pid,
-                "tid": _tid_for("events", tids),
-                "args": {k: v for k, v in fields.items() if k != "node"},
-            }
+            _instant(category, category, time * 1e6, lane(fields.get("node")),
+                     _tid_for("events", tids), {k: v for k, v in fields.items() if k != "node"})
         )
-
-    meta: list[dict[str, Any]] = []
-    for pid, name in sorted(pids.items()):
-        meta.append({"ph": "M", "name": "process_name", "pid": pid, "args": {"name": name}})
-        for phase, tid in sorted(tids.items(), key=lambda kv: kv[1]):
-            meta.append(
-                {"ph": "M", "name": "thread_name", "pid": pid, "tid": tid, "args": {"name": phase}}
-            )
-    return {"traceEvents": meta + events, "displayTimeUnit": "ms"}
+    return _document(pids, tids, events)
 
 
 def write_chrome_trace(
@@ -378,10 +389,7 @@ def write_chrome_trace(
     instants: Iterable[TraceEntry | Mapping[str, Any]] = (),
 ) -> Path:
     """Write :func:`to_chrome_trace` output as JSON; returns the path."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(to_chrome_trace(spans, instants)) + "\n")
-    return path
+    return _write_document(path, to_chrome_trace(spans, instants))
 
 
 def validate_chrome_trace(doc: Any) -> list[str]:
@@ -428,28 +436,21 @@ def validate_chrome_trace(doc: Any) -> list[str]:
 
 
 # ------------------------------------------------- flight-recorder trace export
+def _drawn_as(how: str) -> set[str]:
+    return {name for name, kind in KINDS.items() if kind.draw == how}
+
+
+#: flight-event kinds rendered as job bars on their worker's track
+FLIGHT_JOB_BARS = _drawn_as("bar")
+
 #: flight-event kinds rendered as instant markers on their worker's track
-FLIGHT_INSTANT_KINDS = {
-    "worker.spawn",
-    "worker.exit",
-    "job.retry",
-    "job.timeout",
-}
+FLIGHT_INSTANT_KINDS = _drawn_as("worker")
 
 #: flight-event kinds rendered as instant markers on the scheduler track
-FLIGHT_SCHEDULER_INSTANTS = {
-    "plan.begin",
-    "plan.end",
-    "job.submitted",
-    "job.resumed",
-    "pool.respawn",
-    "checkpoint.write",
-    "heartbeat",
-}
+FLIGHT_SCHEDULER_INSTANTS = _drawn_as("scheduler")
 
 _SCHEDULER_PID = 0
-_JOBS_TID = 1
-_EVENTS_TID = 2
+_FLIGHT_TIDS = {"jobs": 1, "events": 2}
 
 
 def flight_to_chrome_trace(events: Iterable[Mapping[str, Any]]) -> dict[str, Any]:
@@ -475,10 +476,8 @@ def flight_to_chrome_trace(events: Iterable[Mapping[str, Any]]) -> dict[str, Any
     non-negative ``ts``); wall-clock ordering across workers is preserved
     because every event carries the emitting process's own clock.
     """
-    events = [dict(e) for e in events]
-    if not events:
-        return {"traceEvents": [], "displayTimeUnit": "ms"}
-    t0 = min(float(e.get("t", 0.0)) for e in events)
+    events = list(events)
+    t0 = min((event_head(event)[1] for event in events), default=0.0)
     scheduler_os_pid: int | None = None
     for event in events:
         if event.get("kind") in ("plan.begin", "plan.end", "run.end"):
@@ -489,113 +488,55 @@ def flight_to_chrome_trace(events: Iterable[Mapping[str, Any]]) -> dict[str, Any
 
     def track(os_pid: int) -> int:
         if scheduler_os_pid is not None and os_pid == scheduler_os_pid:
-            pids.setdefault(_SCHEDULER_PID, "scheduler")
-            return _SCHEDULER_PID
+            return scheduler()
         pids.setdefault(os_pid, f"worker {os_pid}")
         return os_pid
 
+    def scheduler() -> int:
+        pids.setdefault(_SCHEDULER_PID, "scheduler")
+        return _SCHEDULER_PID
+
+    def counter(name: str, ts: float, **args: float) -> dict[str, Any]:
+        return {"name": name, "ph": "C", "ts": ts, "pid": scheduler(),
+                "tid": _FLIGHT_TIDS["events"], "args": args}
+
     out: list[dict[str, Any]] = []
-    #: latest Wilson half-width per (n, f) cell, for the running-worst counter
-    cell_widths: dict[tuple[int, int], float] = {}
+    #: latest half-width per Monte Carlo cell, for the running-worst counter
+    cell_widths: dict[tuple, float] = {}
     for event in events:
-        kind = str(event.get("kind", "?"))
-        ts = max(0.0, (float(event.get("t", t0)) - t0) * 1e6)
-        os_pid = int(event.get("pid", 0))
+        kind, t, os_pid = event_head(event)
+        ts = max(0.0, (t - t0) * 1e6)
         pid = track(os_pid)
-        if kind in ("job.completed", "job.quarantined"):
+        if kind in FLIGHT_JOB_BARS:
             wall_us = max(0.0, float(event.get("wall_s", 0.0)) * 1e6)
             args = {
                 k: v
                 for k, v in event.items()
                 if k in ("attempts", "ok", "seed_fingerprint", "cpu_s", "error", "timed_out")
             }
-            out.append(
-                {
-                    "name": str(event.get("job", "?")),
-                    "cat": kind,
-                    "ph": "X",
-                    "ts": max(0.0, ts - wall_us),
-                    "dur": wall_us,
-                    "pid": pid,
-                    "tid": _JOBS_TID,
-                    "args": args,
-                }
-            )
+            out.append(_bar(str(event.get("job", "?")), kind, max(0.0, ts - wall_us), wall_us,
+                            pid, _FLIGHT_TIDS["jobs"], args))
         elif kind == "scheduler.gauge":
-            pids.setdefault(_SCHEDULER_PID, "scheduler")
-            out.append(
-                {
-                    "name": "queue depth",
-                    "ph": "C",
-                    "ts": ts,
-                    "pid": _SCHEDULER_PID,
-                    "tid": _EVENTS_TID,
-                    "args": {"jobs": float(event.get("queue_depth", 0))},
-                }
-            )
-            out.append(
-                {
-                    "name": "pool utilization",
-                    "ph": "C",
-                    "ts": ts,
-                    "pid": _SCHEDULER_PID,
-                    "tid": _EVENTS_TID,
-                    "args": {"busy_fraction": float(event.get("utilization", 0.0))},
-                }
-            )
+            out.append(counter("queue depth", ts, jobs=float(event.get("queue_depth", 0))))
+            out.append(counter("pool utilization", ts,
+                               busy_fraction=float(event.get("utilization", 0.0))))
         elif kind == "stats.cell":
-            key = (int(event.get("n", -1)), int(event.get("f", -1)))
-            cell_widths[key] = float(event.get("half_width", 0.0))
-            pids.setdefault(_SCHEDULER_PID, "scheduler")
-            out.append(
-                {
-                    "name": "ci half-width",
-                    "ph": "C",
-                    "ts": ts,
-                    "pid": _SCHEDULER_PID,
-                    "tid": _EVENTS_TID,
-                    "args": {"worst": max(cell_widths.values())},
-                }
-            )
+            key, row = cell_from_event(event)
+            cell_widths[key] = row["half_width"]
+            out.append(counter("ci half-width", ts, worst=max(cell_widths.values())))
         elif kind in FLIGHT_INSTANT_KINDS or kind in FLIGHT_SCHEDULER_INSTANTS:
-            if kind in FLIGHT_SCHEDULER_INSTANTS:
-                pids.setdefault(_SCHEDULER_PID, "scheduler")
-                pid = _SCHEDULER_PID
             name = kind if "job" not in event else f"{kind}: {event['job']}"
             args = {
                 k: v
                 for k, v in event.items()
                 if k not in ("t", "kind", "pid", "seq", "experiment") and v is not None
             }
-            out.append(
-                {
-                    "name": name,
-                    "cat": kind,
-                    "ph": "i",
-                    "s": "g",
-                    "ts": ts,
-                    "pid": pid,
-                    "tid": _EVENTS_TID,
-                    "args": args,
-                }
-            )
-
-    meta: list[dict[str, Any]] = []
-    for pid, name in sorted(pids.items()):
-        meta.append({"ph": "M", "name": "process_name", "pid": pid, "args": {"name": name}})
-        meta.append(
-            {"ph": "M", "name": "thread_name", "pid": pid, "tid": _JOBS_TID, "args": {"name": "jobs"}}
-        )
-        meta.append(
-            {"ph": "M", "name": "thread_name", "pid": pid, "tid": _EVENTS_TID,
-             "args": {"name": "events"}}
-        )
-    return {"traceEvents": meta + out, "displayTimeUnit": "ms"}
+            if kind in FLIGHT_SCHEDULER_INSTANTS:
+                pid = scheduler()
+            out.append(_instant(name, kind, ts, pid, _FLIGHT_TIDS["events"], args))
+    return _document(pids, _FLIGHT_TIDS, out)
 
 
 def write_flight_chrome_trace(path: str | Path, events: Iterable[Mapping[str, Any]]) -> Path:
     """Write :func:`flight_to_chrome_trace` output as JSON; returns the path."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(flight_to_chrome_trace(events)) + "\n")
-    return path
+    return _write_document(path, flight_to_chrome_trace(events))

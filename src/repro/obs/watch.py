@@ -33,6 +33,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping, TextIO
 
+from repro.obs.flightrecorder import JsonlReader, event_head
+from repro.obs.precision import cell_from_event
+
 #: exit code when the watched stream never produced a ``run.end`` in budget
 WATCH_EXIT_TIMEOUT = 4
 
@@ -98,9 +101,7 @@ class WatchState:
     # ------------------------------------------------------------------ fold
     def apply(self, event: Mapping[str, Any]) -> None:
         """Fold one flight event into the view (unknown kinds count only)."""
-        kind = str(event.get("kind", "?"))
-        t = float(event.get("t", 0.0))
-        pid = int(event.get("pid", 0))
+        kind, t, pid = event_head(event)
         self.events += 1
         if self.started_t is None:
             self.started_t = t
@@ -166,20 +167,8 @@ class WatchState:
             if event.get("total"):
                 self.total_trials = int(event["total"])
         elif kind == "stats.cell":
-            n, f = int(event.get("n", -1)), int(event.get("f", -1))
-            topology = event.get("topology")
-            key = (n, f) if topology is None else (str(topology), n, f)
-            self.cells[key] = {
-                "n": n,
-                "f": f,
-                "topology": topology,
-                "trials": int(event.get("trials", 0)),
-                "half_width": float(event.get("half_width", 0.0)),
-                "target": event.get("target"),
-                "met": bool(event.get("met", False)),
-                "done": bool(event.get("done", False)),
-                "method": str(event.get("method", "wilson")),
-            }
+            key, row = cell_from_event(event)
+            self.cells[key] = row
         elif kind == "run.end":
             self.finished = True
 
@@ -416,39 +405,10 @@ def follow(
     Only complete lines (newline-terminated) are consumed, so a writer
     mid-flush never produces a half-parsed frame.
     """
-    path = Path(path)
+    reader = JsonlReader(path)
     out = stream if stream is not None else sys.stdout
     state = WatchState()
-    offset = 0
-    buffered = ""
     deadline = None if duration_s is None else clock() + duration_s
-
-    def drain_new_events() -> int:
-        nonlocal offset, buffered
-        if not path.exists():
-            return 0
-        with path.open("r") as fh:
-            fh.seek(offset)
-            chunk = fh.read()
-            offset = fh.tell()
-        if not chunk:
-            return 0
-        buffered += chunk
-        lines = buffered.split("\n")
-        buffered = lines.pop()  # tail with no newline yet: keep for next read
-        applied = 0
-        for line in lines:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                event = json.loads(line)
-            except json.JSONDecodeError:
-                continue
-            if isinstance(event, dict) and "kind" in event:
-                state.apply(event)
-                applied += 1
-        return applied
 
     def paint_frame() -> None:
         if as_json:
@@ -458,7 +418,7 @@ def follow(
             print(prefix + render_watch(state, color=color), file=out, flush=True)
 
     while True:
-        drain_new_events()
+        state.apply_all(event for event in reader.read(follow=True) if "kind" in event)
         if once or state.finished:
             paint_frame()
             return 0

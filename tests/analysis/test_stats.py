@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.analysis import (
-    estimate_to_precision,
     mc_success_estimate,
     normal_ppf,
     success_probability,
@@ -103,60 +102,6 @@ def test_wilson_coverage_empirical():
         est = wilson_interval(int(successes), 200)
         covered += est.low <= p_true <= est.high
     assert covered / runs > 0.90
-
-
-def test_estimate_to_precision_reaches_target():
-    rng = np.random.default_rng(1)
-    p_true = 0.7
-
-    def batch(k):
-        return int(rng.binomial(k, p_true))
-
-    est = estimate_to_precision(batch, target_half_width=0.01, batch=2_000)
-    assert est.half_width <= 0.01
-    assert abs(est.point - p_true) < 0.05
-
-
-def test_estimate_to_precision_respects_budget():
-    rng = np.random.default_rng(2)
-    est = estimate_to_precision(
-        lambda k: int(rng.binomial(k, 0.5)),
-        target_half_width=1e-6,  # unreachable within the budget
-        batch=1_000,
-        max_trials=5_000,
-    )
-    assert est.trials == 5_000
-    assert est.half_width > 1e-6
-
-
-def test_estimate_to_precision_validation():
-    with pytest.raises(ValueError, match="target_half_width must be positive"):
-        estimate_to_precision(lambda k: 0, target_half_width=0)
-    with pytest.raises(ValueError, match="target_half_width must be positive"):
-        estimate_to_precision(lambda k: 0, target_half_width=-0.5)
-    with pytest.raises(ValueError, match="confidence must be in"):
-        estimate_to_precision(lambda k: 0, target_half_width=0.1, confidence=1.0)
-    with pytest.raises(ValueError, match="confidence must be in"):
-        estimate_to_precision(lambda k: 0, target_half_width=0.1, confidence=-0.2)
-    with pytest.raises(ValueError):
-        estimate_to_precision(lambda k: 0, target_half_width=0.1, batch=0)
-    with pytest.raises(ValueError):
-        estimate_to_precision(lambda k: k + 1, target_half_width=0.1, batch=10)
-
-
-@pytest.mark.parametrize("all_success", [True, False])
-def test_estimate_to_precision_degenerate_stream_terminates(all_success):
-    # p̂ pinned at 0 or 1: the Wilson half-width still shrinks (~z²/2T), so
-    # the loop reaches any positive target well inside the budget
-    est = estimate_to_precision(
-        (lambda k: k) if all_success else (lambda k: 0),
-        target_half_width=0.004,
-        batch=100,
-        max_trials=50_000,
-    )
-    assert est.half_width <= 0.004
-    assert est.trials < 50_000
-    assert est.point == (1.0 if all_success else 0.0)
 
 
 def test_mc_success_estimate_brackets_equation1():

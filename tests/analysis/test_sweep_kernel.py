@@ -14,8 +14,8 @@ family of per-point ``simulate_success_probability`` calls:
 * the adaptive-stopping contract — a cell frozen at T trials is
   byte-identical to a fixed-count run at ``iterations=T`` (trial
   consumption is batching-invariant), its estimate still agrees with
-  Equation 1 at Wilson 99.9%, and the budget/validation semantics mirror
-  ``estimate_to_precision``.
+  Equation 1 at Wilson 99.9%, and an exhausted budget returns the best
+  estimate achieved.
 """
 
 import numpy as np
@@ -207,7 +207,7 @@ def test_adaptive_meets_target_and_reports_it():
 
 def test_adaptive_budget_exhaustion_freezes_below_target():
     # an unreachably tight target: every cell must freeze at the budget,
-    # marked unmet, mirroring estimate_to_precision's best-effort return
+    # marked unmet: best effort, not an error
     cells = simulate_grid(
         8, (3, 5), 1_000, seed=PINNED_SEED, target_half_width=1e-6, max_iterations=4_000
     )

@@ -164,6 +164,18 @@ class TestWireCodecs:
             (outcome_from_wire, ["j", True], "outcome payload is not an object"),
             (job_from_wire, {"name": "j", "params": {}}, "job payload lacks .*'fn'"),
             (job_from_wire, "j", "job payload is not an object"),
+            (outcome_from_wire, {"name": "j", "ok": True, "attempts": "x"}, "'attempts' is wrong-typed"),
+            (outcome_from_wire, {"name": ["j"], "ok": True}, "'name' is wrong-typed"),
+            (outcome_from_wire, {"name": "j", "ok": True, "value": {"__ndarray__": [1]}},
+             "'value' is wrong-typed"),
+            (registry_from_wire, [{"name": "n", "value": 1.0}], "registry row .* lacks .*'kind'"),
+            (registry_from_wire, [{"name": "n", "kind": "gauge", "value": "x"}],
+             "registry row 'n' field 'value' is wrong-typed"),
+            (registry_from_wire, [{"name": "n", "kind": "counter", "value": 1.0}],
+             "registry row 'n' payload lacks required field 'events'"),
+            (registry_from_wire, [{"name": "n", "kind": "gauge", "value": 1, "labels": [1]}],
+             "'labels' is wrong-typed"),
+            (registry_from_wire, [7], "registry row payload is not an object"),
         ],
     )
     def test_malformed_payloads_are_protocol_errors(self, decode, payload, complaint):
@@ -311,12 +323,27 @@ class TestFaultInjection:
         jobs_by_worker = sorted(h["jobs"] for h in execution.hosts.values())
         assert jobs_by_worker[0] >= 1, "the late joiner pulled no work from the queue"
 
+    @pytest.mark.parametrize(
+        "malformed",
+        [
+            {"outcomes": [{"ok": True, "value": 0.5}]},
+            {"outcomes": [{"name": "job/0", "ok": True, "value": 0.5, "attempts": "x"}]},
+            {"registry": [{"name": "jobs_total", "value": 1.0, "events": 1}]},
+            {"heartbeat": [1]},
+            {"flight": [7]},
+        ],
+        ids=["outcome-without-name", "attempts-not-a-number", "registry-row-without-kind",
+             "heartbeat-not-an-object", "flight-not-objects"],
+    )
     def test_chunk_done_missing_a_field_drops_the_worker_not_the_handler(
-        self, recorder, monkeypatch
+        self, recorder, monkeypatch, malformed
     ):
         # a worker whose chunk_done outcome lacks "name" used to kill the
         # coordinator's handler thread with a KeyError *after* the chunk had
-        # been taken off its handle, so those jobs were never requeued
+        # been taken off its handle, so those jobs were never requeued; a
+        # wrong-typed field did the same with a ValueError / AttributeError —
+        # the heartbeat and flight ones inside settle(), under the lock, after
+        # the chunk's outcomes had been recorded
         crashes = []
         monkeypatch.setattr(threading, "excepthook", crashes.append)
         ex = DistributedExecutor(spawn_workers=0)
@@ -329,7 +356,7 @@ class TestFaultInjection:
             send_frame(fake, {"type": "next"})
             chunk = recv_frame(fake)
             assert chunk["type"] == "chunk" and chunk["jobs"]
-            send_frame(fake, {"type": "chunk_done", "outcomes": [{"ok": True, "value": 0.5}]})
+            send_frame(fake, {"type": "chunk_done", **malformed})
             assert recv_frame(fake) is None, "the coordinator kept a malformed peer connected"
 
         healthy = _launch_worker(address)

@@ -87,22 +87,6 @@ def test_desvalidation_within_noise():
     assert 0 <= measured <= 1
 
 
-def test_desvalidation_process_pool_path():
-    import numpy as np
-
-    from repro.experiments.desvalidation import empirical_success
-
-    # the parallel path must produce a sane estimate (determinism holds per
-    # rng state; worker count must not change the sampled seeds)
-    serial = empirical_success(4, 2, 12, np.random.default_rng(3), workers=1)
-    parallel = empirical_success(4, 2, 12, np.random.default_rng(3), workers=2)
-    assert 0 <= serial <= 1 and 0 <= parallel <= 1
-    # note: serial path consumes rng differently (no pre-drawn seeds), so
-    # only the parallel path is seed-for-seed deterministic:
-    parallel_again = empirical_success(4, 2, 12, np.random.default_rng(3), workers=2)
-    assert parallel == parallel_again
-
-
 def test_desvalidation_curve_tracks_equation1():
     result = desvalidation.run_curve(f=2, n_values=(4, 6), replicates=25, seed=9)
     rows = result.tables["curve_points"].rows

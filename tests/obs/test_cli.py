@@ -93,6 +93,46 @@ def test_obs_cli_renders_directory(tmp_path, scenario_file, capsys):
     assert "drs_probe_rtt_seconds" in out
 
 
+@pytest.fixture
+def torn_artifacts(tmp_path, scenario_file, capsys):
+    """A scenario's trace and metrics snapshot, each killed mid-way through its last line."""
+    assert sim_main([str(scenario_file), "--metrics-out", str(tmp_path)]) == 0
+    torn = []
+    for name in ("obs-smoke.trace.jsonl", "obs-smoke.metrics.jsonl"):
+        path = tmp_path / name
+        text = path.read_text()
+        path.write_text(text[: text.rstrip().rindex("\n") + 12])
+        torn.append(path)
+    capsys.readouterr()
+    return torn
+
+
+def test_export_trace_renders_the_valid_prefix_of_a_torn_trace(torn_artifacts, tmp_path, capsys):
+    trace, _ = torn_artifacts
+    out = tmp_path / "torn.spans.json"
+    assert obs_main(["export-trace", str(trace), "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["traceEvents"]
+    assert "span(s)" in capsys.readouterr().out
+
+
+def test_postmortem_reads_the_valid_prefix_of_a_torn_trace(torn_artifacts, capsys):
+    trace, _ = torn_artifacts
+    assert obs_main(["postmortem", str(trace), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["episodes"]
+
+
+def test_bare_obs_renders_torn_trace_and_metrics_like_torn_flight(torn_artifacts, capsys):
+    trace, metrics = torn_artifacts
+    assert obs_main([str(trace), str(metrics)]) == 0
+    captured = capsys.readouterr()
+    assert "trace: obs-smoke.trace.jsonl" in captured.out
+    assert "metrics: obs-smoke.metrics.jsonl" in captured.out
+    assert captured.err == ""
+    assert obs_main(["--json", str(trace), str(metrics)]) == 0
+    kinds = [doc["kind"] for doc in json.loads(capsys.readouterr().out)]
+    assert kinds == ["trace", "metrics"]
+
+
 def test_obs_cli_errors(tmp_path, capsys):
     assert obs_main([str(tmp_path / "missing.manifest.json")]) == 1
     assert obs_main([str(tmp_path)]) == 1  # empty dir: nothing to show

@@ -15,7 +15,6 @@ from repro.obs import (
     use_registry,
 )
 from repro.obs.metrics import CORE_COUNTERS, CORE_GAUGES, CORE_HISTOGRAMS
-from repro.simkit import Counter
 
 
 def test_gauge_set_add_reset():
@@ -82,15 +81,6 @@ def test_registry_kind_conflict_raises():
     reg.counter("x")
     with pytest.raises(ValueError):
         reg.gauge("x")
-
-
-def test_registry_attach_legacy_counter():
-    reg = MetricsRegistry()
-    legacy = Counter("bits_carried")
-    assert reg.attach(legacy) is legacy
-    assert reg.get("bits_carried") is legacy
-    # attaching again under the same name returns the registered one
-    assert reg.attach(Counter("bits_carried")) is legacy
 
 
 def test_snapshot_shapes():

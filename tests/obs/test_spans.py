@@ -116,6 +116,13 @@ def test_spans_round_trip_through_jsonl(tmp_path):
     assert spans_from_entries(log.trace.entries()) == rebuilt
 
 
+def test_load_trace_jsonl_skips_a_torn_tail(tmp_path):
+    # write_trace_jsonl is a plain open("w"): a kill mid-write leaves exactly this
+    path = tmp_path / "t.trace.jsonl"
+    path.write_text('{"time": 1.0, "category": "fault"}\n{"time": 2.0, "categ')
+    assert load_trace_jsonl(path) == [{"time": 1.0, "category": "fault"}]
+
+
 def test_chrome_trace_layout_and_validation():
     spans = [
         Span(1, "incident:hub0", "fault", 1.0, 5.0, attrs={"component": "hub0"}),
