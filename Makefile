@@ -44,14 +44,17 @@ experiments-quick:
 # for byte — the whole quick suite on the process pool; figure2 over the
 # loopback coordinator + 2 spawned workers (recording per-host attribution
 # and worker.join events); the same with a worker SIGKILLed mid-chunk
-# (DRS_WORKER_CRASH_AFTER_CHUNKS, its jobs stolen and re-executed); and a
-# run SIGKILLed mid-checkpoint (DRS_ENGINE_CRASH_AFTER), then --resume'd
+# (DRS_WORKER_CRASH_AFTER_CHUNKS, its jobs stolen and re-executed); and two
+# runs SIGKILLed mid-checkpoint (DRS_ENGINE_CRASH_AFTER), then --resume'd —
+# one serial (a commit is one record) and one over the coordinator, where
+# record 50 falls inside a chunk's group commit and the file is a torn group
 ENGINE_REF := /tmp/drs-engine-serial
 FIGURE2_CSVS := figure2_equation1 figure2_montecarlo figure2_endpoints
 same-as-serial = @for f in $(2); do cmp $(1)/$$f.csv $(ENGINE_REF)/$$f.csv || exit 1; done
 
 quick-engine:
-	rm -rf $(ENGINE_REF) results-parallel results-resume /tmp/drs-dist /tmp/drs-dist-faulty
+	rm -rf $(ENGINE_REF) results-parallel results-resume /tmp/drs-dist /tmp/drs-dist-faulty \
+		/tmp/drs-dist-resume
 	$(PYTHON) -m repro.experiments.runner --quick --out $(ENGINE_REF) --jobs 1 figure2 availability
 	$(PYTHON) -m repro.experiments.runner --quick --out results-parallel --jobs 2
 	$(call same-as-serial,results-parallel,$(FIGURE2_CSVS) availability_downtime availability_weighted)
@@ -70,7 +73,14 @@ quick-engine:
 	test ! -f results-resume/figure2_montecarlo.csv
 	$(PYTHON) -m repro.experiments.runner --resume results-resume
 	$(call same-as-serial,results-resume,$(FIGURE2_CSVS))
-	@echo "quick-engine: OK (serial == pool == distributed == dead-worker == killed+resumed)"
+	-DRS_ENGINE_CRASH_AFTER=50 $(PYTHON) -m repro.experiments.runner --quick figure2 \
+		--backend distributed --jobs 2 --out /tmp/drs-dist-resume
+	test $$(wc -l < /tmp/drs-dist-resume/figure2.checkpoint.jsonl) -eq 50
+	test ! -f /tmp/drs-dist-resume/figure2_montecarlo.csv
+	$(PYTHON) -m repro.experiments.runner --resume /tmp/drs-dist-resume
+	$(call same-as-serial,/tmp/drs-dist-resume,$(FIGURE2_CSVS))
+	@echo "quick-engine: OK (serial == pool == distributed == dead-worker == killed+resumed," \
+		"serial and distributed)"
 
 # `repro obs` smoke: every verb, end to end.
 # 1. a parallel quick run must leave a tailable flight stream that exports to

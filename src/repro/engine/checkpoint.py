@@ -1,13 +1,18 @@
 """Crash-safe checkpointing of completed job results.
 
 A long sweep streams every finished job into ``<run>/<name>.checkpoint.jsonl``
-— one JSON record per job, **appended** with a flush+fsync, so persisting a
-record costs O(1) I/O regardless of how many came before it (the first
-implementation rewrote the whole file per record: O(n²) over a plan, which
-a distributed coordinator absorbing chunks from a fleet would feel hardest).
-A torn tail from a crash mid-append is at most one unparseable line, which
-the loader skips; everything before it is intact, so the artifact stays
-loadable through ``SIGKILL`` at any instant.  Superseded duplicates (a job
+— one JSON record per job, **appended** in *commits*: every batch of outcomes
+the driver settles together (one job on the serial backend, one chunk on the
+process pool and the TCP coordinator) goes out as one write + flush + fsync,
+so persisting costs O(1) I/O per commit regardless of how many records came
+before it and one fsync per chunk rather than per job.  What a crash can
+lose is therefore the commits in flight — the running job on serial, the
+chunks not yet settled on the parallel backends — and never a record whose
+``checkpoint.write`` event was emitted: the events follow the fsync.  A
+``SIGKILL`` mid-append leaves a *torn group*: a prefix of the commit's lines,
+the last of them possibly cut short.  The loader skips the one unparseable
+line and keeps every whole record before it, so the artifact stays loadable
+through a kill at any instant.  Superseded duplicates (a job
 re-recorded after a retry or requeue) and foreign lines accumulate as
 *stale* lines; once they outnumber the live records the file is compacted —
 rewritten via write-temp-then-``os.replace`` down to one line per live
@@ -27,8 +32,10 @@ serialize shortest-round-trip, and the only non-JSON-native job value types
 
 Fault injection for tests and CI: setting ``DRS_ENGINE_CRASH_AFTER=<k>``
 SIGKILLs the process right after the ``k``-th record is persisted — the
-``make quick-engine`` target uses it to prove the interrupted+resumed run
-matches an uninterrupted one byte for byte.
+commit that crosses ``k`` is cut to the prefix that reaches it, so the file
+holds *exactly* ``k`` records (a torn group, at any position the test
+picks).  The ``make quick-engine`` target uses it to prove the
+interrupted+resumed run matches an uninterrupted one byte for byte.
 """
 
 from __future__ import annotations
@@ -38,7 +45,7 @@ import os
 import signal
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Iterable
 
 import numpy as np
 
@@ -117,15 +124,18 @@ class Checkpoint:
     """Streamed record of completed jobs backing ``--resume``.
 
     One instance per (experiment run, output directory).  ``load(plan)``
-    returns the records still valid for the plan; ``record(plan, outcome)``
-    persists one more completed job — an O(1) fsync'd append, with the file
+    returns the records still valid for the plan; ``commit(plan, outcomes)``
+    persists a batch of completed jobs as one fsync'd append — O(1) I/O per
+    commit — and ``record(plan, outcome)`` is the commit of one.  The file is
     compacted (atomic full rewrite) only when stale lines pile up.  A crash
-    at any point tears at most the final line, which the loader skips.
+    at any point tears at most the commit in flight, down to a prefix whose
+    cut-short final line the loader skips.
 
     ``compact_threshold`` fixes the stale-line count that triggers
-    compaction; by default it scales with the live record count (never
-    fewer than 64), which bounds the file at ~2× its compacted size while
-    keeping compactions rare enough to stay amortized O(1) per record.
+    compaction (checked once per commit); by default it scales with the live
+    record count (never fewer than 64), which bounds the file at ~2× its
+    compacted size while keeping compactions rare enough to stay amortized
+    O(1) per record.
     """
 
     def __init__(self, path: str | Path, compact_threshold: int | None = None) -> None:
@@ -134,7 +144,8 @@ class Checkpoint:
         self.path = Path(path)
         self.compact_threshold = compact_threshold
         self.compactions = 0
-        self._records: list[CheckpointRecord] = []
+        #: live records by job, in order of last write
+        self._records: dict[str, CheckpointRecord] = {}
         self._stale_lines = 0
         self._fingerprints: dict[str, int] | None = None
         self._loaded_for: tuple[str, int] | None = None
@@ -172,49 +183,74 @@ class Checkpoint:
             if self._fingerprints.get(record.job) != record.seed_fingerprint:
                 continue
             kept[record.job] = record  # duplicates: last write wins
-        self._records = list(kept.values())
+        self._records = kept
         # corrupt (skipped by the reader), malformed, foreign, and superseded
         # lines all occupy file space without being live records — they are
         # what compaction reclaims
         self._stale_lines = reader.skipped + len(rows) - len(kept)
         self._loaded_for = (plan.experiment, plan.seed)
-        return list(self._records)
+        return list(kept.values())
 
     # ------------------------------------------------------------ recording
     def record(self, plan: "JobPlan", outcome: "JobOutcome") -> bool:
         """Persist one completed job; returns False if its value can't encode."""
+        return self.commit(plan, [outcome]) == 1
+
+    def commit(self, plan: "JobPlan", outcomes: Iterable["JobOutcome"]) -> int:
+        """Persist a batch of completed jobs as one durable group; returns how many.
+
+        Every outcome whose value encodes is serialised, the lines are
+        appended with one write + flush + fsync, and only then is each
+        record's ``checkpoint.write`` event emitted — an event never names a
+        record a crash could still lose.  An unencodable value is skipped
+        (that job reruns on resume).
+        """
         if self._loaded_for != (plan.experiment, plan.seed):
             self.load(plan)
         assert self._fingerprints is not None
-        try:
-            encoded = encode_value(outcome.value)
-        except TypeError:
-            return False
-        record = CheckpointRecord(
-            experiment=plan.experiment,
-            root_seed=plan.seed,
-            job=outcome.name,
-            seed_fingerprint=self._fingerprints[outcome.name],
-            value=outcome.value,
-            attempts=outcome.attempts,
-            elapsed_s=outcome.elapsed_s,
-        )
-        live = [r for r in self._records if r.job != record.job]
-        if len(live) != len(self._records):
-            self._stale_lines += 1  # the old line for this job is now dead
-        self._records = live + [record]
-        self._append(self._serialize(record, encoded))
-        recorder = flight_recorder()
-        if recorder is not None:
-            recorder.emit(
-                "checkpoint.write",
+        group: list[tuple[CheckpointRecord, bytes]] = []
+        for outcome in outcomes:
+            try:
+                encoded = encode_value(outcome.value)
+            except TypeError:
+                continue
+            record = CheckpointRecord(
+                experiment=plan.experiment,
+                root_seed=plan.seed,
                 job=outcome.name,
-                records=len(self._records),
-                bytes=self.path.stat().st_size if self.path.exists() else 0,
+                seed_fingerprint=self._fingerprints[outcome.name],
+                value=outcome.value,
+                attempts=outcome.attempts,
+                elapsed_s=outcome.elapsed_s,
             )
+            group.append((record, (self._serialize(record, encoded) + "\n").encode("utf-8")))
+        if not group:
+            return 0
+        # the crash-injection hook fires here: the group that crosses the
+        # k-th record is cut to the prefix that reaches it, made durable, and
+        # the process dies — "exactly k records on disk", now mid-group
+        cut = _injected_crash_cut(len(group))
+        if cut is not None:
+            group = group[:cut]
+        data = b"".join(line for _, line in group)
+        offset = self._append(data) - len(data)
+        if cut is not None:
+            # SIGKILL (not an exception) so nothing — no finally blocks, no
+            # atexit — gets to tidy up: the failure mode resume must survive
+            os.kill(os.getpid(), signal.SIGKILL)
+        recorder = flight_recorder()
+        for record, line in group:
+            if self._records.pop(record.job, None) is not None:
+                self._stale_lines += 1  # the old line for this job is now dead
+            self._records[record.job] = record
+            offset += len(line)
+            if recorder is not None:
+                recorder.emit(
+                    "checkpoint.write", job=record.job, records=len(self._records), bytes=offset
+                )
         if self._stale_lines >= self._effective_compact_threshold():
             self.compact()
-        return True
+        return len(group)
 
     def _serialize(self, record: CheckpointRecord, encoded_value: Any) -> str:
         return json.dumps(
@@ -230,19 +266,18 @@ class Checkpoint:
             }
         )
 
-    def _append(self, line: str) -> None:
-        """Persist one record: append + flush + fsync — O(1) in file size.
-
-        The crash-injection hook fires here (after the bytes are durable),
-        so ``DRS_ENGINE_CRASH_AFTER=k`` still means "die with exactly k
-        records on disk".
-        """
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        with self.path.open("a", encoding="utf-8") as fh:
-            fh.write(line + "\n")
+    def _append(self, data: bytes) -> int:
+        """Make one commit durable: append + flush + fsync; returns the file offset after it."""
+        try:
+            fh = self.path.open("ab")
+        except FileNotFoundError:  # first commit of a run whose directory does not exist yet
+            self.path.parent.mkdir(parents=True, exist_ok=True)
+            fh = self.path.open("ab")
+        with fh:
+            fh.write(data)
             fh.flush()
             os.fsync(fh.fileno())
-        _maybe_injected_crash()
+            return fh.tell()
 
     def _effective_compact_threshold(self) -> int:
         if self.compact_threshold is not None:
@@ -258,7 +293,7 @@ class Checkpoint:
         during compaction leaves the previous (valid, merely bloated) file.
         """
         reclaimed = self._stale_lines
-        lines = [self._serialize(r, encode_value(r.value)) for r in self._records]
+        lines = [self._serialize(r, encode_value(r.value)) for r in self._records.values()]
         atomic_write_text(self.path, "\n".join(lines) + ("\n" if lines else ""))
         self._stale_lines = 0
         self.compactions += 1
@@ -275,19 +310,20 @@ class Checkpoint:
     # --------------------------------------------------------------- queries
     def completed_jobs(self) -> list[str]:
         """Names of the jobs currently persisted (after ``load``)."""
-        return [record.job for record in self._records]
+        return list(self._records)
 
 
-def _maybe_injected_crash() -> None:
-    """Honor ``DRS_ENGINE_CRASH_AFTER``: die hard after the k-th record.
+def _injected_crash_cut(group: int) -> int | None:
+    """Honor ``DRS_ENGINE_CRASH_AFTER``: where a commit of ``group`` records must be cut.
 
-    SIGKILL (not an exception) so nothing — no finally blocks, no atexit —
-    gets to tidy up: exactly the failure mode resume must survive.
+    Returns how many of the group's records may reach disk before the
+    process dies — the prefix that makes the file hold exactly k — or None
+    while the k-th record is still ahead (or the hook is off).
     """
     budget = os.environ.get(CRASH_AFTER_ENV)
     if not budget:
-        return
+        return None
     global _records_persisted
-    _records_persisted += 1
-    if _records_persisted >= int(budget):
-        os.kill(os.getpid(), signal.SIGKILL)
+    _records_persisted += group
+    excess = _records_persisted - int(budget)
+    return None if excess < 0 else max(group - excess, 0)

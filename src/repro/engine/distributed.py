@@ -27,18 +27,37 @@ protocol on a loopback or private network, not the open internet.
 Scheduling
 ----------
 
-The coordinator owns the job queue; **idle workers pull** (work stealing in
-the scheduling-theory sense — there is no push or static partition).  Chunk
+The coordinator owns the job queue; **workers pull** (work stealing in the
+scheduling-theory sense — there is no push or static partition).  Chunk
 sizes follow guided self-scheduling: each pull takes
-``ceil(pending / (chunks_per_worker * active_workers))`` jobs, so early
-chunks amortize round trips and late chunks keep the fleet balanced.  A
-worker that misses its heartbeat deadline (or whose connection drops — a
-SIGKILLed worker closes its socket immediately) is declared dead: its
-outstanding chunk is requeued and the next idle worker picks the jobs up,
-recorded as ``job.stolen`` flight events.  A job whose workers keep dying
-exhausts a requeue budget and lands in the existing quarantine machinery
-(or raises :class:`~repro.engine.retry.JobError` under a fail-fast policy),
-exactly like a poison job that keeps breaking a process pool.
+``ceil(pending / (chunks_per_worker * fleet))`` jobs, so early chunks
+amortize round trips and late chunks keep the fleet balanced; ``fleet`` is
+the larger of the workers alive at that instant and the workers the
+executor spawned, so the first spawned worker to finish importing is not
+handed the share of a one-worker fleet.
+
+The chunk is the unit of the wire.  A worker **pulls before it reports**:
+having run chunk A it sends ``next``, takes the answer (chunk B, ``idle`` or
+``shutdown``) and only then sends ``chunk_done(A)`` — it runs B while the
+coordinator settles A (checkpoint commit, registry merge, flight ingest), so
+it never waits for its own settle.  The coordinator therefore tracks, per
+worker, the *jobs handed to it and not yet answered*, by name — at most two
+chunks' worth; a ``chunk_done`` removes exactly the names it answers.  A
+peer that speaks ``next`` → ``chunk`` → ``chunk_done`` one at a time is the
+same protocol with nothing in hand while it asks.  Pulls are answered from
+the queue under a lock of their own: settles stay one at a time, but a pull
+never waits behind another worker's settle.  Both ends set ``TCP_NODELAY``:
+a worker writes ``chunk_done`` and later ``next`` with no reply in between,
+and under Nagle's algorithm the second write waits for the coordinator's
+delayed ACK of the first (~40 ms per chunk, against frames 14 µs apart).
+
+A worker that misses its heartbeat deadline (or whose connection drops — a
+SIGKILLed worker closes its socket immediately) is declared dead: whatever
+it still held is requeued and the next pull picks the jobs up, recorded as
+``job.stolen`` flight events.  A job whose workers keep dying exhausts a
+requeue budget and lands in the existing quarantine machinery (or raises
+:class:`~repro.engine.retry.JobError` under a fail-fast policy), exactly
+like a poison job that keeps breaking a process pool.
 
 Because every job's stream is spawned from ``(root seed, experiment, job
 name)``, none of this affects values: serial, ``--jobs N``, and distributed
@@ -110,7 +129,7 @@ MAX_FRAME_BYTES = 64 * 1024 * 1024
 HEARTBEAT_INTERVAL_S = 1.0
 HEARTBEAT_TIMEOUT_S = 10.0
 
-#: test/CI fault injection: a worker SIGKILLs itself on receiving its
+#: test/CI fault injection: a worker SIGKILLs itself on starting its
 #: (k+1)-th chunk — i.e. it dies *mid-chunk*, with jobs outstanding
 WORKER_CRASH_ENV = "DRS_WORKER_CRASH_AFTER_CHUNKS"
 
@@ -371,7 +390,9 @@ class WorkerHandle:
     jobs_done: int = 0
     wall_s: float = 0.0
     cpu_s: float = 0.0
-    chunk: list[Job] | None = None
+    #: jobs handed to this worker and not yet answered, by name — at most two
+    #: chunks' worth, since a worker pulls its next chunk before it reports
+    held: dict[str, Job] = field(default_factory=dict)
     alive: bool = True
 
     @property
@@ -384,10 +405,12 @@ class Coordinator:
 
     The coordinator is passive about scheduling: workers ask (``next``), it
     answers with a guided-size chunk, an ``idle`` backoff hint, or
-    ``shutdown``.  It owns the queue of jobs not handed out and who holds
-    which chunk; what is *settled* it reads from the ``driver``, whose
-    ``settle`` (values, checkpoint, registry merge, flight ingest) it calls
-    under its one lock — so handler threads never race in the driver.
+    ``shutdown``.  It owns the queue of jobs not handed out and which jobs
+    each worker holds (``queue_lock``); what is *settled* it reads from the
+    ``driver``, whose ``settle`` (values, checkpoint, registry merge, flight
+    ingest) it calls under ``lock`` — so handler threads never race in the
+    driver, and a pull, which takes only ``queue_lock``, never waits for a
+    settle.  ``lock`` is never acquired while ``queue_lock`` is held.
     """
 
     def __init__(
@@ -411,7 +434,8 @@ class Coordinator:
         self.heartbeat_timeout_s = heartbeat_timeout_s
         self.max_job_requeues = max_job_requeues
         self._host, self._port = host, port
-        self.lock = threading.RLock()
+        self.lock = threading.RLock()  # the driver: settle, quarantine, respawns, failure
+        self.queue_lock = threading.RLock()  # pending, workers, what each worker holds
         self.done = threading.Event()
         self._check_done()  # a fully resumed plan has nothing to serve
         self.failure: JobError | None = None
@@ -454,7 +478,7 @@ class Coordinator:
             except OSError:
                 pass
             self._listener = None
-        with self.lock:
+        with self.queue_lock:
             handles = list(self.workers.values())
         for handle in handles:
             try:
@@ -466,7 +490,7 @@ class Coordinator:
 
     def broadcast_shutdown(self) -> None:
         """Tell every connected worker to exit after its current frame."""
-        with self.lock:
+        with self.queue_lock:
             handles = [h for h in self.workers.values() if h.alive]
         for handle in handles:
             try:
@@ -492,6 +516,7 @@ class Coordinator:
     def _serve_worker(self, conn: socket.socket) -> None:
         handle: WorkerHandle | None = None
         try:
+            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             conn.settimeout(self.heartbeat_timeout_s)
             hello = recv_frame(conn)
             if hello is None or hello.get("type") != "hello":
@@ -526,20 +551,25 @@ class Coordinator:
                 elif kind == "job_error":
                     self._record_failure(frame)
                 elif kind == "goodbye":
-                    self._worker_gone(handle, reason="left", requeue=True)
+                    self._worker_gone(handle, reason="left")
                     return
         except (ProtocolError, OSError, socket.timeout):
             pass
         finally:
             if handle is not None and handle.alive:
-                self._worker_gone(handle, reason="disconnect", requeue=True)
+                self._worker_gone(handle, reason="disconnect")
             try:
                 conn.close()
             except OSError:
                 pass
 
+    def alive_workers(self) -> int:
+        """How many workers are connected right now."""
+        with self.queue_lock:
+            return sum(1 for w in self.workers.values() if w.alive)
+
     def _register(self, conn: socket.socket, hello: dict[str, Any]) -> WorkerHandle:
-        with self.lock:
+        with self.queue_lock:
             self._next_wid += 1
             handle = WorkerHandle(
                 wid=self._next_wid,
@@ -548,7 +578,7 @@ class Coordinator:
                 sock=conn,
             )
             self.workers[handle.wid] = handle
-            active = sum(1 for w in self.workers.values() if w.alive)
+            active = self.alive_workers()
         self.driver.emit(
             "worker.join",
             pid=handle.pid,
@@ -559,8 +589,8 @@ class Coordinator:
         return handle
 
     def _answer_next(self, handle: WorkerHandle) -> None:
-        with self.lock:
-            if self.failure is not None or self.done.is_set():
+        with self.queue_lock:
+            if self.failure is not None or self.done.is_set() or not handle.alive:
                 reply: dict[str, Any] = {"type": "shutdown"}
             elif self.pending:
                 chunk = self._take_chunk(handle)
@@ -568,8 +598,9 @@ class Coordinator:
             elif not self.driver.unsettled:
                 reply = {"type": "shutdown"}
             else:
-                # outstanding chunks elsewhere: poll again shortly — if their
-                # worker dies, the requeued jobs are this worker's to steal
+                # chunks outstanding (this worker's unreported one included):
+                # poll again shortly — if their worker dies, the requeued jobs
+                # are this worker's to steal
                 reply = {"type": "idle", "wait_s": 0.05}
         with handle.send_lock:
             send_frame(handle.sock, reply)
@@ -577,12 +608,14 @@ class Coordinator:
             self._sample_scheduler()
 
     def _take_chunk(self, handle: WorkerHandle) -> list[Job]:
-        """Pop a guided-size chunk for ``handle`` (caller holds the lock)."""
-        active = max(1, sum(1 for w in self.workers.values() if w.alive))
-        size = max(1, math.ceil(len(self.pending) / (self.chunks_per_worker * active)))
+        """Pop a guided-size chunk for ``handle`` (caller holds ``queue_lock``)."""
+        # a spawned fleet counts in full from the first pull: workers still
+        # importing are about to ask (driver.workers is 0 for an external fleet)
+        fleet = max(self.alive_workers(), self.driver.workers)  # >= 1: the asker is alive
+        size = max(1, math.ceil(len(self.pending) / (self.chunks_per_worker * fleet)))
         chunk = [self.pending.popleft() for _ in range(min(size, len(self.pending)))]
-        handle.chunk = chunk
         for job in chunk:
+            handle.held[job.name] = job
             previous = self._previous_owner.pop(job.name, None)
             if previous is not None and previous != handle.wid:
                 self.jobs_stolen += 1
@@ -597,20 +630,23 @@ class Coordinator:
         return chunk
 
     def _absorb_chunk(self, handle: WorkerHandle, frame: dict[str, Any]) -> None:
-        # decode first: a malformed frame must leave the chunk with its worker,
-        # so that the disconnect it causes requeues those jobs
+        # decode first: a malformed frame must leave the jobs with their worker,
+        # so that the disconnect it causes requeues them
         outcomes = [outcome_from_wire(payload) for payload in _objects(frame, "outcomes")]
         registry = registry_from_wire(_objects(frame, "registry"))
         heartbeat = _typed(frame, "chunk_done", "heartbeat", _optional_object, None)
         flight = _objects(frame, "flight")
         wall_s = _typed(frame, "chunk_done", "wall_s", float, 0.0)
         cpu_s = _typed(frame, "chunk_done", "cpu_s", float, 0.0)
-        with self.lock:
-            chunk = handle.chunk or []
-            handle.chunk = None
-            handle.jobs_done += len(chunk)
+        with self.queue_lock:
+            # exactly the names answered leave the worker's hands; anything
+            # else it holds (the chunk it pulled before reporting) stays
+            handle.jobs_done += sum(
+                handle.held.pop(outcome.name, None) is not None for outcome in outcomes
+            )
             handle.wall_s += wall_s
             handle.cpu_s += cpu_s
+        with self.lock:
             self.driver.settle(outcomes, registry, heartbeat, flight)
             self._check_done()
         self._sample_scheduler()
@@ -626,27 +662,31 @@ class Coordinator:
                 )
             self.done.set()
 
-    def _worker_gone(self, handle: WorkerHandle, reason: str, requeue: bool) -> None:
-        """Retire a worker; requeue (or quarantine) its outstanding chunk."""
-        with self.lock:
+    def _worker_gone(self, handle: WorkerHandle, reason: str) -> None:
+        """Retire a worker; requeue (or quarantine) whatever it still held."""
+        with self.queue_lock:
             if not handle.alive:
                 return
             handle.alive = False
-            chunk = handle.chunk or []
-            handle.chunk = None
-            requeued: list[str] = []
-            for job in chunk:
-                if not requeue or job.name not in self.driver.unsettled:
+            held, handle.held = handle.held, {}
+            requeued = 0
+            poisoned: list[Job] = []
+            for job in held.values():
+                if job.name not in self.driver.unsettled:
                     continue
                 self._requeues[job.name] = self._requeues.get(job.name, 0) + 1
                 if self._requeues[job.name] > self.max_job_requeues:
-                    self._poison_job(job)
+                    poisoned.append(job)
                     continue
                 self._previous_owner[job.name] = handle.wid
                 self.pending.appendleft(job)
-                requeued.append(job.name)
-            active = sum(1 for w in self.workers.values() if w.alive)
-            self._check_done()
+                requeued += 1
+            active = self.alive_workers()
+        if poisoned:
+            with self.lock:
+                for job in poisoned:
+                    self._poison_job(job)
+                self._check_done()
         self.driver.emit(
             "worker.leave",
             pid=handle.pid,
@@ -654,7 +694,7 @@ class Coordinator:
             host=handle.host,
             reason=reason,
             jobs=handle.jobs_done,
-            requeued=len(requeued),
+            requeued=requeued,
             workers=active,
         )
         try:
@@ -663,7 +703,7 @@ class Coordinator:
             pass
 
     def _poison_job(self, job: Job) -> None:
-        """A job that keeps killing its workers: quarantine or fail the plan."""
+        """A job that keeps killing its workers: quarantine or fail the plan (under ``lock``)."""
         error = (
             f"workers died {self._requeues[job.name]} times while running this job "
             f"(requeue budget {self.max_job_requeues})"
@@ -682,25 +722,25 @@ class Coordinator:
     def expire_stale_workers(self) -> None:
         """Heartbeat-deadline sweep; the executor's watchdog calls this."""
         now = time.monotonic()
-        with self.lock:
+        with self.queue_lock:
             stale = [
                 w
                 for w in self.workers.values()
                 if w.alive and now - w.last_heard > self.heartbeat_timeout_s
             ]
         for handle in stale:
-            self._worker_gone(handle, reason="heartbeat-timeout", requeue=True)
+            self._worker_gone(handle, reason="heartbeat-timeout")
 
     def _sample_scheduler(self) -> None:
-        with self.lock:
-            alive = [w for w in self.workers.values() if w.alive]
-            busy = sum(1 for w in alive if w.chunk)
-            self.driver.sample_scheduler(busy, len(alive))
+        with self.queue_lock:
+            busy = sum(1 for w in self.workers.values() if w.alive and w.held)
+            alive = self.alive_workers()
+        self.driver.sample_scheduler(busy, alive)
 
     # ------------------------------------------------------------- reporting
     def host_attribution(self) -> dict[str, dict[str, Any]]:
         """Manifest block: per-worker host, pid, jobs, wall/CPU seconds."""
-        with self.lock:
+        with self.queue_lock:
             return {
                 str(handle.wid): {
                     "host": handle.host,
@@ -845,8 +885,9 @@ class DistributedExecutor:
                 if not driver.unsettled or server.failure is not None:
                     return
                 if driver.respawns >= self.max_worker_respawns:
-                    alive = sum(1 for w in server.workers.values() if w.alive)
-                    if alive == 0 and all(p.poll() is not None for p in spawned):
+                    if server.alive_workers() == 0 and all(
+                        p.poll() is not None for p in spawned
+                    ):
                         server.failure = JobError(
                             driver.plan.experiment,
                             "<fleet>",

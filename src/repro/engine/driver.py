@@ -6,8 +6,8 @@ inline, a process pool, TCP.  The *lifecycle* does not, and lives here:
 
 * :class:`PlanDriver` (coordinating process): resume from the checkpoint,
   progress totals, ``plan.begin``/``job.resumed``, then :meth:`~PlanDriver.settle`
-  for every batch of outcomes — values, attempts, quarantine, checkpoint
-  record, registry merge, flight ingest, heartbeat absorb — and one ending:
+  for every batch of outcomes — values, attempts, quarantine, one checkpoint
+  commit, registry merge, flight ingest, heartbeat absorb — and one ending:
   ``plan.end`` or Ctrl-C → ``plan.interrupted`` → :class:`PlanInterrupted`,
   rate gauges recomputed from the merged counters, the
   :class:`PlanExecution` built.
@@ -167,9 +167,13 @@ class PlanDriver:
         process, so each is checked against the plan: one naming a job that
         is not awaiting settlement (unknown, or settled already — a requeued
         chunk's first owner answering late) is dropped with a
-        ``job.dropped`` event, never recorded twice.
+        ``job.dropped`` event, never recorded twice.  The batch's ok
+        outcomes reach the checkpoint as **one** commit (one fsync): a crash
+        loses the batches in flight — a job on serial, chunks elsewhere —
+        and nothing whose ``checkpoint.write`` event was emitted.
         """
         accepted = 0
+        completed: list[JobOutcome] = []
         for outcome in outcomes:
             if outcome.name not in self.unsettled:
                 known = outcome.name in self.attempts or outcome.name in self.values
@@ -184,12 +188,14 @@ class PlanDriver:
             self.attempts[outcome.name] = outcome.attempts
             if outcome.ok:
                 self.values[outcome.name] = outcome.value
-                if self.checkpoint is not None:
-                    self.checkpoint.record(self.plan, outcome)
+                completed.append(outcome)
             else:
                 self.quarantined.append(outcome.name)
                 if outcome.timed_out:
                     self.timed_out.append(outcome.name)
+        if self.checkpoint is not None and completed:
+            # one durable commit per batch: a job on serial, a chunk elsewhere
+            self.checkpoint.commit(self.plan, completed)
         if registry is not None:
             self.registry.merge(registry)
         if self.recorder is not None:

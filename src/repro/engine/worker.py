@@ -15,6 +15,17 @@ same :meth:`PlanDriver.settle <repro.engine.driver.PlanDriver.settle>`.  A
 daemon thread sends heartbeat frames so the coordinator can tell a slow
 worker from a dead one.
 
+The worker **pulls before it reports**: with chunk A run it asks for the
+next chunk, takes the answer, and only then sends ``chunk_done(A)`` — the
+coordinator settles A (one checkpoint fsync, registry merge, flight ingest)
+while B already runs here, so the worker never idles through its own settle.
+It can therefore hold two chunks at once (A unreported, B running); if it
+dies the coordinator requeues both.  The socket sets ``TCP_NODELAY``: the
+``chunk_done`` → ``next`` pair is two writes with no read in between, which
+Nagle's algorithm would hold back until the coordinator's delayed ACK.  An
+``idle`` answer is waited out *on the socket*, so the coordinator's
+``shutdown`` broadcast ends the wait at once instead of after a sleep.
+
 Run it anywhere the coordinator's address is reachable and the repro
 package (plus the experiment modules whose job functions it must import)
 is installed.  On this machine, ``drs-experiments --backend distributed
@@ -25,6 +36,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import select
 import signal
 import socket
 import sys
@@ -68,7 +80,7 @@ class WorkerSession:
         self.sock: socket.socket | None = None
         self.send_lock = threading.Lock()
         self._stop_heartbeats = threading.Event()
-        self._chunks_received = 0
+        self._chunks_started = 0
         self._crash_after = self._parse_crash_injection()
         self.jobs_done = 0
 
@@ -103,6 +115,7 @@ class WorkerSession:
             raise SystemExit(
                 f"drs-worker: cannot reach coordinator at {self.host}:{self.port}: {last_error}"
             )
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         sock.settimeout(REPLY_TIMEOUT_S)
         self.sock = sock
         send_frame(
@@ -133,6 +146,11 @@ class WorkerSession:
         with self.send_lock:
             send_frame(self.sock, frame)
 
+    def _pull(self) -> dict[str, Any] | None:
+        """Ask for work; the coordinator's answer (None: it closed the connection)."""
+        self._send({"type": "next"})
+        return recv_frame(self.sock)
+
     def _heartbeat_loop(self, interval_s: float) -> None:
         while not self._stop_heartbeats.wait(interval_s):
             try:
@@ -155,23 +173,30 @@ class WorkerSession:
         )
         beats.start()
         try:
-            while True:
-                self._send({"type": "next"})
-                reply = recv_frame(self.sock)
-                if reply is None:
-                    self._say("coordinator closed the connection")
-                    return self.jobs_done
+            reply = self._pull()
+            while reply is not None:
                 kind = reply.get("type")
-                if kind == "idle":
-                    time.sleep(float(reply.get("wait_s", 0.05)))
-                elif kind == "chunk":
-                    self._handle_chunk(experiment, seed, policy, reply)
+                if kind == "chunk":
+                    done = self._run_chunk(experiment, seed, policy, reply)
+                    # pull before report: the coordinator settles this chunk
+                    # while the next one already runs here
+                    reply = self._pull()
+                    if done is not None:
+                        self._send(done)
+                elif kind == "idle":
+                    # chunks are outstanding elsewhere; a frame from the
+                    # coordinator (its shutdown broadcast) ends the wait at once
+                    wait_s = float(reply.get("wait_s", 0.05))
+                    ready, _, _ = select.select([self.sock], [], [], wait_s)
+                    reply = recv_frame(self.sock) if ready else self._pull()
                 elif kind == "shutdown":
                     self._send({"type": "goodbye"})
                     self._say(f"done ({self.jobs_done} jobs); leaving")
                     return self.jobs_done
                 else:
                     raise ProtocolError(f"unexpected frame from coordinator: {kind!r}")
+            self._say("coordinator closed the connection")
+            return self.jobs_done
         except (ConnectionError, socket.timeout):
             self._say("lost the coordinator; exiting")
             return self.jobs_done
@@ -182,9 +207,12 @@ class WorkerSession:
             except OSError:
                 pass
 
-    def _handle_chunk(self, experiment: str, seed: int, policy, reply: dict[str, Any]) -> None:
-        self._chunks_received += 1
-        if self._crash_after is not None and self._chunks_received > self._crash_after:
+    def _run_chunk(
+        self, experiment: str, seed: int, policy, reply: dict[str, Any]
+    ) -> dict[str, Any] | None:
+        """Run one chunk; its ``chunk_done`` frame (None: a ``job_error`` went out instead)."""
+        self._chunks_started += 1
+        if self._crash_after is not None and self._chunks_started > self._crash_after:
             # fault injection: die *mid-chunk* — the coordinator has handed
             # these jobs out and must detect the death and requeue them
             os.kill(os.getpid(), signal.SIGKILL)
@@ -196,8 +224,8 @@ class WorkerSession:
                 experiment, seed, jobs, policy
             )
         except JobError as exc:
-            # fail-fast policy: report which job sank the plan and let the
-            # coordinator fail the run (our next "next" gets a shutdown)
+            # fail-fast policy: report which job sank the plan at once and
+            # let the coordinator fail the run (our next "next" gets a shutdown)
             self._send(
                 {
                     "type": "job_error",
@@ -206,19 +234,17 @@ class WorkerSession:
                     "cause": exc.cause,
                 }
             )
-            return
+            return None
         self.jobs_done += len(outcomes)
-        self._send(
-            {
-                "type": "chunk_done",
-                "outcomes": [outcome_to_wire(o) for o in outcomes],
-                "registry": registry_to_wire(registry),
-                "heartbeat": hb_summary,
-                "flight": flight_events,
-                "wall_s": time.perf_counter() - wall_start,
-                "cpu_s": time.process_time() - cpu_start,
-            }
-        )
+        return {
+            "type": "chunk_done",
+            "outcomes": [outcome_to_wire(o) for o in outcomes],
+            "registry": registry_to_wire(registry),
+            "heartbeat": hb_summary,
+            "flight": flight_events,
+            "wall_s": time.perf_counter() - wall_start,
+            "cpu_s": time.process_time() - cpu_start,
+        }
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -9,9 +9,12 @@ working directory, the repo root, so ``tests.engine.test_lifecycle``
 resolves).
 """
 
+import json
 import os
 import signal
 import socket
+import sys
+import threading
 import time
 from collections import Counter
 from functools import partial
@@ -309,3 +312,205 @@ class TestSettleValidatesOutsideOutcomes:
         assert observed.reporter.counts["jobs"] == 3
         dropped = observed.events("job.dropped")
         assert [e["reason"] for e in dropped] == ["already-settled"] * 3
+
+
+def _eventually(predicate, timeout_s=5.0):
+    deadline = time.monotonic() + timeout_s
+    while not predicate():
+        assert time.monotonic() < deadline, "condition never became true"
+        time.sleep(0.01)
+
+
+def _finish_as_a_second_worker(server, reference):
+    """A fresh fake worker pulls until shutdown, answering with the serial values."""
+    second, pulled = _FakeWorker(server.address), []
+    try:
+        while (reply := second.pull())["type"] != "shutdown":
+            assert reply["type"] == "chunk", "the second worker was left idle: the plan hangs"
+            names = [job["name"] for job in reply["jobs"]]
+            pulled += names
+            second.chunk_done([_wire(name, value=reference[name]) for name in names])
+    finally:
+        second.close()
+    return pulled
+
+
+class TestWhatAWorkerHolds:
+    """The coordinator tracks the jobs a worker holds by name, not one chunk slot."""
+
+    def test_stray_chunk_done_then_disconnect_requeues_the_chunk(self, coordinator):
+        # the stray answer used to clear the worker's chunk slot, so the
+        # disconnect requeued nothing and every later pull was answered idle
+        server, driver, worker, observed = coordinator
+        reference = SerialExecutor().run(driver.plan).values
+        assert len(worker.pull()["jobs"]) == 3
+        worker.chunk_done([_wire("ghost")])
+        worker.close()
+        _eventually(lambda: observed.events("worker.leave"))
+        (left,) = observed.events("worker.leave")
+        assert left["reason"] == "disconnect" and left["requeued"] == 3
+
+        assert sorted(_finish_as_a_second_worker(server, reference)) == sorted(reference)
+        assert server.done.wait(timeout=5.0)
+        assert driver.values == reference
+        assert sorted(e["job"] for e in observed.events("job.stolen")) == sorted(reference)
+
+    def test_a_worker_that_pulled_twice_holds_two_chunks_and_loses_both(self, tmp_path):
+        jobs = [Job(f"job/{i}", _draw, {"offset": float(i)}) for i in range(6)]
+        reference = SerialExecutor().run(_plan(jobs)).values
+        with _Observed() as observed:
+            driver = PlanDriver(_plan(jobs), None, "distributed", 0)
+            server = Coordinator(driver, FAST_RETRY, chunks_per_worker=2)
+            greedy = _FakeWorker(server.start())
+            try:
+                first, second = greedy.pull(), greedy.pull()  # pull before report
+                held = [job["name"] for job in first["jobs"] + second["jobs"]]
+                assert len(first["jobs"]) == 3 and len(second["jobs"]) == 2
+                (handle,) = server.workers.values()
+                assert sorted(handle.held) == sorted(held)
+                greedy.chunk_done([_wire(name, value=reference[name]) for name in held[:1]])
+                _eventually(lambda: held[0] in driver.values)
+                assert sorted(handle.held) == sorted(held[1:])  # exactly the answered name left
+                greedy.close()  # dies holding the rest of both chunks
+                _eventually(lambda: observed.events("worker.leave"))
+                assert observed.events("worker.leave")[0]["requeued"] == 4
+                _finish_as_a_second_worker(server, reference)
+                assert server.done.wait(timeout=5.0)
+            finally:
+                greedy.close()
+                server.stop()
+        assert driver.values == reference
+        assert sorted(e["job"] for e in observed.events("job.stolen")) == sorted(held[1:])
+        assert sum(h["jobs"] for h in server.host_attribution().values()) == len(jobs)
+
+    def test_a_pull_is_answered_while_another_workers_settle_is_blocked(self, monkeypatch):
+        jobs = [Job(f"job/{i}", _draw, {"offset": float(i)}) for i in range(6)]
+        driver = PlanDriver(_plan(jobs), None, "distributed", 0)
+        settling, release, settle = threading.Event(), threading.Event(), driver.settle
+
+        def blocked_settle(*args, **kwargs):
+            settling.set()
+            assert release.wait(timeout=10.0)
+            return settle(*args, **kwargs)
+
+        monkeypatch.setattr(driver, "settle", blocked_settle)
+        server = Coordinator(driver, FAST_RETRY, chunks_per_worker=2)
+        worker = _FakeWorker(server.start())
+        other = None
+        try:
+            assert len(worker.pull()["jobs"]) == 3
+            worker.chunk_done([_wire("job/0")])
+            assert settling.wait(timeout=5.0)
+            other = _FakeWorker(server.address)  # joins and asks while the settle holds its lock
+            assert other.pull()["type"] == "chunk"  # used to wait for the settle: a timeout
+            assert not release.is_set()
+        finally:
+            release.set()
+            worker.close()
+            if other is not None:
+                other.close()
+            server.stop()
+
+    def test_more_workers_than_cores_settle_every_job_exactly_once(self, tmp_path):
+        """Stress the two locks: six pull-before-report peers, a short switch interval."""
+        jobs = [Job(f"job/{i}", _draw, {"offset": float(i)}) for i in range(240)]
+        reference = SerialExecutor().run(_plan(jobs)).values
+        path = tmp_path / "lifecycle.checkpoint.jsonl"
+        errors = []
+
+        def work(address):
+            try:
+                worker = _FakeWorker(address)
+                reply = worker.pull()
+                while reply["type"] != "shutdown":
+                    names = [job["name"] for job in reply.get("jobs", [])]  # idle: none
+                    reply = worker.pull()  # before reporting what is in hand
+                    worker.chunk_done([_wire(name, value=reference[name]) for name in names])
+                worker.close()
+            except Exception as exc:  # surfaced below: a thread cannot fail the test itself
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with _Observed() as observed:
+                driver = PlanDriver(_plan(jobs), Checkpoint(path), "distributed", 0)
+                server = Coordinator(driver, FAST_RETRY, chunks_per_worker=8)
+                address = server.start()
+                peers = [threading.Thread(target=work, args=(address,)) for _ in range(6)]
+                try:
+                    for peer in peers:
+                        peer.start()
+                    assert server.done.wait(timeout=60.0)
+                    for peer in peers:
+                        peer.join(timeout=30.0)
+                        assert not peer.is_alive()
+                finally:
+                    server.stop()
+        finally:
+            sys.setswitchinterval(interval)
+        assert errors == []
+        assert driver.values == reference and not driver.unsettled
+        assert not observed.events("job.dropped")
+        assert sorted(e["job"] for e in observed.events("checkpoint.write")) == sorted(reference)
+        assert sorted(json.loads(line)["job"] for line in path.read_text().splitlines()) == sorted(
+            reference
+        )
+        assert sum(h["jobs"] for h in server.host_attribution().values()) == len(jobs)
+        assert not any(handle.held for handle in server.workers.values())
+
+    @pytest.mark.parametrize("spawned,expected", [(0, 4), (2, 2)], ids=["external", "spawn2"])
+    def test_the_first_joiner_takes_its_share_of_the_spawned_fleet(self, spawned, expected):
+        # 16 jobs, 4 chunks per worker: a lone early joiner of a two-worker
+        # spawn used to be handed ceil(16 / (4 * 1)) = 4 jobs
+        jobs = [Job(f"job/{i}", _draw) for i in range(16)]
+        server = Coordinator(PlanDriver(_plan(jobs), None, "distributed", spawned), FAST_RETRY)
+        early = _FakeWorker(server.start())
+        try:
+            assert len(early.pull()["jobs"]) == expected
+        finally:
+            early.close()
+            server.stop()
+
+
+class TestTheWire:
+    def test_both_ends_of_a_live_connection_disable_nagle(self, coordinator):
+        from repro.engine.worker import WorkerSession
+
+        server = coordinator[0]
+        session = WorkerSession(*server.address, quiet=True)
+        session.connect()
+        try:
+            _eventually(lambda: len(server.workers) == 2)
+            dialled, accepted = session.sock, max(server.workers.items())[1].sock
+            for sock in (dialled, accepted):
+                assert sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY) == 1
+        finally:
+            session.sock.close()
+
+    def test_a_frame_from_the_coordinator_ends_the_idle_wait_at_once(self):
+        """An idle worker reads the shutdown broadcast without sleeping out ``wait_s``."""
+        from repro.engine.distributed import policy_to_wire
+        from repro.engine.worker import WorkerSession
+
+        listener = socket.create_server(("127.0.0.1", 0))
+        session = WorkerSession(*listener.getsockname(), quiet=True)
+        serving = threading.Thread(target=session.serve, daemon=True)
+        serving.start()
+        conn, _ = listener.accept()
+        try:
+            conn.settimeout(5.0)
+            assert recv_frame(conn)["type"] == "hello"
+            send_frame(conn, {
+                "type": "welcome", "protocol": 1, "worker": 1, "experiment": "lifecycle",
+                "seed": 11, "policy": policy_to_wire(FAST_RETRY), "heartbeat_interval_s": 60.0,
+            })
+            assert recv_frame(conn)["type"] == "next"
+            send_frame(conn, {"type": "idle", "wait_s": 30.0})
+            send_frame(conn, {"type": "shutdown"})
+            assert recv_frame(conn)["type"] == "goodbye"  # a sleeping worker times this out
+        finally:
+            conn.close()
+            listener.close()
+        serving.join(timeout=5.0)
+        assert not serving.is_alive()
