@@ -41,13 +41,16 @@ experiments-quick:
 
 # engine smoke: one serial quick reference (figure2 + availability), then
 # every other way of running the same plans must reproduce its CSVs byte
-# for byte — the whole quick suite on the process pool; figure2 over the
-# loopback coordinator + 2 spawned workers (recording per-host attribution
-# and worker.join events); the same with a worker SIGKILLed mid-chunk
-# (DRS_WORKER_CRASH_AFTER_CHUNKS, its jobs stolen and re-executed); and two
-# runs SIGKILLed mid-checkpoint (DRS_ENGINE_CRASH_AFTER), then --resume'd —
-# one serial (a commit is one record) and one over the coordinator, where
-# record 50 falls inside a chunk's group commit and the file is a torn group
+# for byte — the whole quick suite on the process pool, whose twelve
+# DES-backed CSVs must also match the digests a *serial* run recorded before
+# the event core was rebuilt (same events; pool == serial for the DES
+# experiments too); figure2 over the loopback coordinator + 2 spawned
+# workers (recording per-host attribution and worker.join events); the same
+# with a worker SIGKILLed mid-chunk (DRS_WORKER_CRASH_AFTER_CHUNKS, its jobs
+# stolen and re-executed); and two runs SIGKILLed mid-checkpoint
+# (DRS_ENGINE_CRASH_AFTER), then --resume'd — one serial (a commit is one
+# record) and one over the coordinator, where record 50 falls inside a
+# chunk's group commit and the file is a torn group
 ENGINE_REF := /tmp/drs-engine-serial
 FIGURE2_CSVS := figure2_equation1 figure2_montecarlo figure2_endpoints
 same-as-serial = @for f in $(2); do cmp $(1)/$$f.csv $(ENGINE_REF)/$$f.csv || exit 1; done
@@ -58,6 +61,7 @@ quick-engine:
 	$(PYTHON) -m repro.experiments.runner --quick --out $(ENGINE_REF) --jobs 1 figure2 availability
 	$(PYTHON) -m repro.experiments.runner --quick --out results-parallel --jobs 2
 	$(call same-as-serial,results-parallel,$(FIGURE2_CSVS) availability_downtime availability_weighted)
+	cd results-parallel && sha256sum -c $(CURDIR)/tests/simkit/data/des_quick.sha256
 	$(PYTHON) -m repro.experiments.runner --quick figure2 \
 		--backend distributed --jobs 2 --out /tmp/drs-dist
 	$(call same-as-serial,/tmp/drs-dist,$(FIGURE2_CSVS))

@@ -51,6 +51,7 @@ def test_des_event_throughput(benchmark):
         sim.run(until=1.0)
         return cluster
 
-    cluster = benchmark.pedantic(one_second, rounds=1, iterations=1, warmup_rounds=0)
+    # ~0.05 s a round: seven of them (one more to warm up) give the snapshot a spread
+    cluster = benchmark.pedantic(one_second, rounds=7, iterations=1, warmup_rounds=1)
     # 10 nodes * 18 links / 0.1s sweep = 1800 probes per simulated second
     assert sum(bp.frames_carried.value for bp in cluster.backplanes) > 3000

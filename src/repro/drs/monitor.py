@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Callable
 
-from repro.drs.config import DrsConfig
+from repro.drs.config import PROBE_WIRE_BYTES, DrsConfig
 from repro.drs.state import PeerTable
 from repro.obs.metrics import MetricsRegistry, resolve_registry
 from repro.obs.spans import span_log
@@ -79,8 +79,6 @@ class LinkMonitor:
 
     # ---------------------------------------------------------------- probe
     def _probe(self, peer: int, network: int) -> None:
-        from repro.drs.config import PROBE_WIRE_BYTES
-
         self.probes_sent.add()
         self.probe_bytes.add(PROBE_WIRE_BYTES)
         self._m_probes.add()
@@ -143,8 +141,6 @@ class LinkMonitor:
                 self._span_probe_loss(peer, network, result.status.value)
                 self.table.record_failure(peer, network, self.sim.now, threshold=1)
             callback(up)
-
-        from repro.drs.config import PROBE_WIRE_BYTES
 
         self.probes_sent.add()
         self.probe_bytes.add(PROBE_WIRE_BYTES)

@@ -106,14 +106,15 @@ class Backplane(Component):
             self._drop(frame, reason="hub-down")
             return
         now = self.sim.now
-        tx_time = frame.wire_bits / self.bandwidth_bps
+        bits = frame.wire_bits  # walks payload -> packet -> message sizes: once per frame
+        tx_time = bits / self.bandwidth_bps
         start = max(now, self._medium_free_at)
         self._m_queue_depth.observe(start - now)
         done = start + tx_time
         self._medium_free_at = done
-        self.bits_carried.add(frame.wire_bits)
+        self.bits_carried.add(bits)
         self.frames_carried.add()
-        self._m_bits.add(frame.wire_bits)
+        self._m_bits.add(bits)
         self.sim.schedule_at(done + self.prop_delay_s, lambda: self._deliver(frame, sender))
 
     def set_loss_rate(self, loss_rate: float, rng=None) -> None:

@@ -78,8 +78,7 @@ class Nic(Component):
         self._degraded_direction = direction
 
     def _degraded_loss(self, side: str) -> bool:
-        if self.degraded_drop_rate <= 0.0:
-            return False
+        # callers test degraded_drop_rate > 0 first: a healthy card pays no call
         if self._degraded_direction not in ("both", side):
             return False
         return self._degraded_rng.random() < self.degraded_drop_rate
@@ -95,7 +94,7 @@ class Nic(Component):
         if not self.up:
             self._drop(frame, reason="tx-nic-down")
             return False
-        if self._degraded_loss("tx"):
+        if self.degraded_drop_rate > 0.0 and self._degraded_loss("tx"):
             # A flaky card reports success to its driver, then mangles the
             # frame on the wire — the caller cannot tell.
             self._drop(frame, reason="tx-degraded")
@@ -111,7 +110,7 @@ class Nic(Component):
         if not self.up:
             self._drop(frame, reason="rx-nic-down")
             return
-        if self._degraded_loss("rx"):
+        if self.degraded_drop_rate > 0.0 and self._degraded_loss("rx"):
             self._drop(frame, reason="rx-degraded")
             return
         self.frames_received.add()

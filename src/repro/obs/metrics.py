@@ -19,6 +19,7 @@ parameter for direct use.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Iterator, Sequence
@@ -67,9 +68,8 @@ class Histogram:
     """Fixed-bucket histogram with sum/count/min/max sidecars.
 
     Buckets are upper bounds (``le`` in Prometheus terms); an implicit
-    +inf bucket catches overflow.  Observation is O(#buckets) worst case
-    with an early exit, which for the ~20 default buckets is cheap enough
-    for per-probe hot paths.
+    +inf bucket catches overflow.  Observation is one C-level bisection of
+    the bounds — it runs once per frame and once per probe reply.
     """
 
     def __init__(self, name: str = "", buckets: Sequence[float] = DEFAULT_LATENCY_BUCKETS) -> None:
@@ -94,11 +94,10 @@ class Histogram:
             self.min = value
         if value > self.max:
             self.max = value
-        for i, bound in enumerate(self.bounds):
-            if value <= bound:
-                self.counts[i] += 1
-                return
-        self.counts[-1] += 1
+        if value != value:  # NaN is <= no bound: the +inf bucket, not bisect's slot 0
+            self.counts[-1] += 1
+        else:
+            self.counts[bisect_left(self.bounds, value)] += 1
 
     def mean(self) -> float:
         """Arithmetic mean of all observations (0 if empty)."""

@@ -15,9 +15,11 @@ the style of SimPy, purpose-built for the DRS reproduction:
 * :mod:`~repro.simkit.trace` — counters, time-weighted averages and event
   traces used by the measurement harness.
 
-The kernel is intentionally pure Python: per the project's HPC guidelines the
-event loop is not the hot path (the vectorized Monte Carlo estimator in
-:mod:`repro.analysis` is), so clarity and determinism win here.
+The kernel is intentionally pure Python.  For the Monte Carlo experiments the
+vectorized estimator in :mod:`repro.analysis` is the hot path; for the
+protocol experiments this loop is, so its per-event path is one queue call
+(:meth:`~repro.simkit.events.EventQueue.pop_due`), one clock store and the
+callback, with heap ordering left to C tuple comparison.
 """
 
 from repro.simkit.errors import SimulationError, ScheduleInPastError, StoppedSimulation

@@ -76,7 +76,7 @@ class Process:
         self.name = name or getattr(gen, "__name__", "process")
         self._gen = gen
         self._state = _ProcState()
-        self._pending_event = sim.schedule(0.0, lambda: self._resume(None))
+        self._pending_event = sim.schedule(0.0, self._resume)
         self._interrupted_with: Any = None
 
     # --------------------------------------------------------------- status
@@ -106,7 +106,7 @@ class Process:
         return sig
 
     # ---------------------------------------------------------------- drive
-    def _resume(self, value: Any) -> None:
+    def _resume(self, value: Any = None) -> None:
         if self._state.finished:
             return
         self._pending_event = None
@@ -121,13 +121,14 @@ class Process:
         self._wait_on(yielded)
 
     def _wait_on(self, yielded: Any) -> None:
-        if isinstance(yielded, Timeout):
-            self._pending_event = self.sim.schedule(yielded.delay, lambda: self._resume(None))
-        elif isinstance(yielded, (int, float)):
+        # sleeps wake through the bound _resume itself: no closure per sleep
+        if isinstance(yielded, (float, int)):
             if yielded < 0:
                 self._fail(SimulationError(f"process {self.name!r} yielded negative delay {yielded!r}"))
                 return
-            self._pending_event = self.sim.schedule(float(yielded), lambda: self._resume(None))
+            self._pending_event = self.sim.schedule(float(yielded), self._resume)
+        elif isinstance(yielded, Timeout):
+            self._pending_event = self.sim.schedule(yielded.delay, self._resume)
         elif isinstance(yielded, Signal):
             yielded._add_waiter(self)
         elif isinstance(yielded, Process):

@@ -1,8 +1,18 @@
-"""The simulation event loop."""
+"""The simulation event loop.
+
+One queue call per fired event: :meth:`Simulator.run` asks
+:meth:`~repro.simkit.events.EventQueue.pop_due` for the next live event due
+by ``until``, sets the clock, and calls back.  Scheduling is one range check
+(``now <= when < inf``, which NaN fails) and one ``push``; the sequence
+number ``push`` assigns is the tie-breaker, so the order of ``schedule``
+calls is the determinism contract.  With profiling on, the same loop times
+each callback and files it under its defining module's category — one dict
+lookup per event, totals written once per ``run``.
+"""
 
 from __future__ import annotations
 
-import math
+from math import inf
 from time import perf_counter
 from typing import Any, Callable
 
@@ -28,17 +38,6 @@ class SimProfile:
         #: category -> [events, callback seconds]
         self.by_category: dict[str, list] = {}
         self._published = [0, 0.0, 0.0, {}]
-
-    def record(self, category: str, seconds: float) -> None:
-        """Account one fired event."""
-        self.events += 1
-        self.callback_seconds += seconds
-        slot = self.by_category.get(category)
-        if slot is None:
-            self.by_category[category] = [1, seconds]
-        else:
-            slot[0] += 1
-            slot[1] += seconds
 
     def events_per_second(self) -> float:
         """Throughput over all :meth:`Simulator.run` wall time so far."""
@@ -124,7 +123,6 @@ class Simulator:
     def __init__(self) -> None:
         self._queue = EventQueue()
         self._now = 0.0
-        self._running = False
         self._stopped = False
         self._profile: SimProfile | None = SimProfile() if _AUTO_PROFILE else None
         self._categorize: Callable[[Callable[[], Any]], str] = _default_categorize
@@ -166,8 +164,14 @@ class Simulator:
 
     # -------------------------------------------------------------- schedule
     def schedule(self, delay: float, callback: Callable[[], Any], priority: int = 0) -> Event:
-        """Schedule ``callback`` to fire ``delay`` seconds from now."""
-        return self.schedule_at(self._now + delay, callback, priority)
+        """Schedule ``callback`` to fire ``delay`` seconds from now.
+
+        Raises :class:`ScheduleInPastError` like :meth:`schedule_at`.
+        """
+        when = self._now + delay
+        if not self._now <= when < inf:  # NaN fails every comparison
+            raise ScheduleInPastError(self._now, when)
+        return self._queue.push(when, callback, priority)
 
     def schedule_at(self, when: float, callback: Callable[[], Any], priority: int = 0) -> Event:
         """Schedule ``callback`` at absolute time ``when``.
@@ -177,31 +181,68 @@ class Simulator:
         ScheduleInPastError
             If ``when`` is before the current time or not a finite number.
         """
-        if not math.isfinite(when):
-            raise ScheduleInPastError(self._now, when)
-        if when < self._now:
+        if not self._now <= when < inf:  # NaN fails every comparison
             raise ScheduleInPastError(self._now, when)
         return self._queue.push(when, callback, priority)
 
     def cancel(self, event: Event) -> None:
-        """Cancel a previously scheduled event (safe to call twice)."""
+        """Cancel a previously scheduled event.
+
+        Safe to call twice, and on an event that has already fired: a spent
+        event is left alone and nothing else is dropped.
+        """
         self._queue.cancel(event)
 
     # ------------------------------------------------------------------- run
+    def _fire(self, horizon: float, budget: float) -> int:
+        """Fire live events in order; return how many fired.
+
+        Stops once ``budget`` events have fired (checked before each pop),
+        when nothing live is due by ``horizon``, or after a callback that
+        called :meth:`stop`.  With profiling on, each callback is timed and
+        filed under its category; the row is remembered per defining module
+        for the rest of this call, and the totals are written once.
+        """
+        pop_due = self._queue.pop_due
+        prof = self._profile
+        by_module = self._categorize is _default_categorize
+        rows: dict[str, list] = {}
+        seconds = 0.0
+        fired = 0
+        try:
+            while fired < budget:
+                ev = pop_due(horizon)
+                if ev is None:
+                    break
+                self._now = ev.time
+                callback = ev.callback
+                if prof is None:
+                    callback()
+                else:
+                    started = perf_counter()
+                    callback()
+                    elapsed = perf_counter() - started
+                    module = getattr(callback, "__module__", None)
+                    row = rows.get(module)
+                    if row is None:
+                        row = prof.by_category.setdefault(self._categorize(callback), [0, 0.0])
+                        if by_module and module is not None:
+                            rows[module] = row
+                    row[0] += 1
+                    row[1] += elapsed
+                    seconds += elapsed
+                fired += 1
+                if self._stopped:
+                    break
+        finally:
+            if prof is not None:
+                prof.events += fired
+                prof.callback_seconds += seconds
+        return fired
+
     def step(self) -> bool:
         """Fire the single earliest event.  Return ``False`` if none remain."""
-        if not self._queue:
-            return False
-        ev = self._queue.pop()
-        self._now = ev.time
-        prof = self._profile
-        if prof is None:
-            ev.callback()
-        else:
-            started = perf_counter()
-            ev.callback()
-            prof.record(self._categorize(ev.callback), perf_counter() - started)
-        return True
+        return self._fire(inf, 1) == 1
 
     def run(self, until: float | None = None, max_events: int | None = None) -> None:
         """Run until the queue drains, ``until`` is reached, or event budget spent.
@@ -213,26 +254,23 @@ class Simulator:
             this time, and advance the clock exactly to ``until``.
         max_events:
             Safety valve for runaway models; stop after firing this many.
+            A budget spent with events still queued leaves the clock at the
+            last fired event.
         """
-        self._running = True
         self._stopped = False
-        fired = 0
+        budget = inf if max_events is None else max_events
         prof = self._profile
         run_started = perf_counter() if prof is not None else 0.0
         try:
-            while self._queue and not self._stopped:
-                if max_events is not None and fired >= max_events:
-                    return
-                next_time = self._queue.peek_time()
-                if until is not None and next_time is not None and next_time > until:
+            fired = self._fire(inf if until is None else until, budget)
+            if until is None or self._stopped:
+                return
+            if not self._queue:  # drained
+                if self._now < until:
                     self._now = until
-                    return
-                self.step()
-                fired += 1
-            if until is not None and not self._stopped and self._now < until:
+            elif fired < budget:  # the next live event lies beyond until
                 self._now = until
         finally:
-            self._running = False
             if prof is not None:
                 prof.run_seconds += perf_counter() - run_started
                 if _PROFILE_SINK is not None:

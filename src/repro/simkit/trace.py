@@ -11,6 +11,8 @@ from repro.simkit.simulator import Simulator
 class Counter:
     """A monotonically accumulating scalar (packets sent, bits on wire, ...)."""
 
+    __slots__ = ("name", "value", "events")
+
     def __init__(self, name: str = "") -> None:
         self.name = name
         self.value = 0.0
