@@ -41,10 +41,11 @@ experiments-quick:
 
 # engine smoke: one serial quick reference (figure2 + availability), then
 # every other way of running the same plans must reproduce its CSVs byte
-# for byte — the whole quick suite on the process pool, whose twelve
-# DES-backed CSVs must also match the digests a *serial* run recorded before
-# the event core was rebuilt (same events; pool == serial for the DES
-# experiments too); figure2 over the loopback coordinator + 2 spawned
+# for byte — the whole quick suite on the process pool, 33 of whose 36 CSVs
+# must also match the digests *serial* runs recorded (the twelve DES-backed
+# ones before the event core was rebuilt, the fourteen estimator and seven
+# topologysweep ones `make quick-estimators` checks serially: pool == serial
+# for every pinned experiment); figure2 over the loopback coordinator + 2 spawned
 # workers (recording per-host attribution and worker.join events); the same
 # with a worker SIGKILLed mid-chunk (DRS_WORKER_CRASH_AFTER_CHUNKS, its jobs
 # stolen and re-executed); and two runs SIGKILLed mid-checkpoint
@@ -61,7 +62,9 @@ quick-engine:
 	$(PYTHON) -m repro.experiments.runner --quick --out $(ENGINE_REF) --jobs 1 figure2 availability
 	$(PYTHON) -m repro.experiments.runner --quick --out results-parallel --jobs 2
 	$(call same-as-serial,results-parallel,$(FIGURE2_CSVS) availability_downtime availability_weighted)
-	cd results-parallel && sha256sum -c $(CURDIR)/tests/simkit/data/des_quick.sha256
+	cd results-parallel && sha256sum -c $(CURDIR)/tests/simkit/data/des_quick.sha256 \
+		$(CURDIR)/tests/topology/data/estimators_quick.sha256 \
+		$(CURDIR)/tests/topology/data/topologysweep_quick.sha256
 	$(PYTHON) -m repro.experiments.runner --quick figure2 \
 		--backend distributed --jobs 2 --out /tmp/drs-dist
 	$(call same-as-serial,/tmp/drs-dist,$(FIGURE2_CSVS))
@@ -83,8 +86,8 @@ quick-engine:
 	test ! -f /tmp/drs-dist-resume/figure2_montecarlo.csv
 	$(PYTHON) -m repro.experiments.runner --resume /tmp/drs-dist-resume
 	$(call same-as-serial,/tmp/drs-dist-resume,$(FIGURE2_CSVS))
-	@echo "quick-engine: OK (serial == pool == distributed == dead-worker == killed+resumed," \
-		"serial and distributed)"
+	@echo "quick-engine: OK (serial == pool on 33 pinned CSVs == distributed == dead-worker" \
+		"== killed+resumed, serial and distributed)"
 
 # `repro obs` smoke: every verb, end to end.
 # 1. a parallel quick run must leave a tailable flight stream that exports to

@@ -16,6 +16,7 @@ with cores while staying bit-for-bit reproducible from one integer seed:
   :class:`ParallelExecutor` (``drs-experiments --jobs N``), and the
   multi-host :class:`~repro.engine.distributed.DistributedExecutor`
   (``--backend distributed`` plus any number of ``drs-worker`` processes).
+  The last two share one chunk size, carrier and decoder (:mod:`repro.engine.chunk`).
 
 Fault tolerance rides on top (``drs-experiments --retries/--resume``):
 :mod:`repro.engine.retry` gives every backend per-job retry budgets,

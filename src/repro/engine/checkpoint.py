@@ -67,12 +67,14 @@ _records_persisted = 0  # process-wide, for the injection hook only
 def encode_value(value: Any) -> Any:
     """JSON-safe form of a job value, tagging tuples and NumPy types.
 
-    Raises ``TypeError`` for values with no faithful JSON round-trip; the
-    checkpoint then simply skips that job (it reruns on resume) rather
-    than corrupting the record stream.
+    Raises ``TypeError`` for values with no faithful JSON round-trip:
+    ``execute_job`` makes that the job's failure, so no such value reaches a
+    checkpoint from the engine (``commit`` skips a hand-built one).
     """
-    if value is None or isinstance(value, (bool, int, str, float)):
+    if value is None or isinstance(value, (bool, int, str)):
         return value
+    if isinstance(value, float):  # np.float64 subclasses float: one form, the builtin
+        return value if type(value) is float else float(value)
     if isinstance(value, np.bool_):
         return bool(value)
     if isinstance(value, np.integer):
@@ -202,8 +204,8 @@ class Checkpoint:
         Every outcome whose value encodes is serialised, the lines are
         appended with one write + flush + fsync, and only then is each
         record's ``checkpoint.write`` event emitted — an event never names a
-        record a crash could still lose.  An unencodable value is skipped
-        (that job reruns on resume).
+        record a crash could still lose.  An unencodable value is skipped —
+        only a hand-built outcome can hold one (``execute_job`` fails the job).
         """
         if self._loaded_for != (plan.experiment, plan.seed):
             self.load(plan)

@@ -15,73 +15,51 @@ with a result, is the driver's.
 Wire format
 -----------
 
-Length-prefixed JSON frames: a 4-byte big-endian length followed by one
-UTF-8 JSON object.  Job params and values cross the wire through the
-checkpoint codec (:func:`~repro.engine.checkpoint.encode_value` /
-:func:`decode_value`), so tuples and NumPy scalars/arrays survive exactly;
-job *functions* travel as ``"module:qualname"`` references resolved by
-import on the worker (the same module-level-function rule process pools
-already impose).  Workers therefore trust their coordinator — run the
-protocol on a loopback or private network, not the open internet.
+Length-prefixed JSON frames: a 4-byte big-endian length, then one UTF-8 JSON
+object.  What the frames carry is declared in :mod:`repro.engine.chunk` (its
+codecs are re-exported here): params and values go through the checkpoint
+codec, job *functions* travel as ``"module:qualname"`` references resolved by
+import on the worker (the module-level-function rule process pools already
+impose), and a ``chunk_done`` is ``ChunkResult.to_wire()``, the very dict a
+pool pickles.  Workers trust their coordinator — run the protocol on a
+loopback or private network.  ``PROTOCOL_VERSION`` is checked both ways: the
+coordinator refuses a ``hello`` naming another, the worker such a ``welcome``.
 
 Scheduling
 ----------
 
-The coordinator owns the job queue; **workers pull** (work stealing in the
-scheduling-theory sense — there is no push or static partition).  Chunk
-sizes follow guided self-scheduling: each pull takes
-``ceil(pending / (chunks_per_worker * fleet))`` jobs, so early chunks
-amortize round trips and late chunks keep the fleet balanced; ``fleet`` is
-the larger of the workers alive at that instant and the workers the
-executor spawned, so the first spawned worker to finish importing is not
-handed the share of a one-worker fleet.
+**Workers pull**; there is no push or static partition.  Each pull takes
+:func:`~repro.engine.chunk.guided_size` jobs — the rule the process pool
+cuts its chunks by — with ``fleet`` the larger of the workers alive at that
+instant and the workers the executor spawned, so the first spawned worker to
+finish importing is not handed the share of a one-worker fleet.  A worker
+pulls its next chunk *before* it reports the last (:mod:`repro.engine.worker`
+says why, and why both ends set ``TCP_NODELAY``), so the coordinator tracks,
+per worker, the *jobs handed to it and not yet answered*, by name — at most
+two chunks' worth; a ``chunk_done`` removes exactly the names it answers.
+Pulls are answered under a lock of their own: settles stay one at a time, but
+a pull never waits behind another worker's settle.
 
-The chunk is the unit of the wire.  A worker **pulls before it reports**:
-having run chunk A it sends ``next``, takes the answer (chunk B, ``idle`` or
-``shutdown``) and only then sends ``chunk_done(A)`` — it runs B while the
-coordinator settles A (checkpoint commit, registry merge, flight ingest), so
-it never waits for its own settle.  The coordinator therefore tracks, per
-worker, the *jobs handed to it and not yet answered*, by name — at most two
-chunks' worth; a ``chunk_done`` removes exactly the names it answers.  A
-peer that speaks ``next`` → ``chunk`` → ``chunk_done`` one at a time is the
-same protocol with nothing in hand while it asks.  Pulls are answered from
-the queue under a lock of their own: settles stay one at a time, but a pull
-never waits behind another worker's settle.  Both ends set ``TCP_NODELAY``:
-a worker writes ``chunk_done`` and later ``next`` with no reply in between,
-and under Nagle's algorithm the second write waits for the coordinator's
-delayed ACK of the first (~40 ms per chunk, against frames 14 µs apart).
+A worker that misses its heartbeat deadline or drops its connection is
+declared dead: whatever it still held is requeued and stolen by the next pull
+(``job.stolen``).  A job whose workers keep dying exhausts a requeue budget
+and is quarantined (or raises :class:`~repro.engine.retry.JobError` under a
+fail-fast policy), like a poison job that keeps breaking a process pool.  A
+``chunk_done`` that cannot be absorbed (a malformed field, registry rows the
+run's registry refuses) is refused whole: nothing of it is recorded, and its
+sender is dropped like a dead worker.  None of this affects values — every
+job's stream is spawned from ``(root seed, experiment, job name)`` — so
+serial, ``--jobs N`` and distributed runs produce byte-identical CSVs.
 
-A worker that misses its heartbeat deadline (or whose connection drops — a
-SIGKILLed worker closes its socket immediately) is declared dead: whatever
-it still held is requeued and the next pull picks the jobs up, recorded as
-``job.stolen`` flight events.  A job whose workers keep dying exhausts a
-requeue budget and lands in the existing quarantine machinery (or raises
-:class:`~repro.engine.retry.JobError` under a fail-fast policy), exactly
-like a poison job that keeps breaking a process pool.
-
-Because every job's stream is spawned from ``(root seed, experiment, job
-name)``, none of this affects values: serial, ``--jobs N``, and distributed
-runs — including runs where workers died mid-chunk — produce byte-identical
-CSVs.  Schedules shape wall time and event ordering, never results.
-
-Observability
--------------
-
-Workers run the shared :func:`~repro.engine.driver.run_chunk` path, so
-each chunk returns its private metrics registry, silent heartbeat summary,
-and buffered flight events; the coordinator decodes the frame and hands all
-four to :meth:`PlanDriver.settle <repro.engine.driver.PlanDriver.settle>`,
-the call the process-pool parent makes.  The coordinator additionally emits
-``worker.join`` / ``worker.leave`` / ``job.stolen`` events, and the final
-:class:`~repro.engine.driver.PlanExecution` carries per-host attribution
-(host, pid, jobs, wall/CPU seconds per worker) that ``run_plan`` folds into
-the manifest under ``engine.hosts``.
+The coordinator emits ``worker.join`` / ``worker.leave`` / ``job.stolen``
+events, and the final :class:`~repro.engine.driver.PlanExecution` carries
+per-host attribution (host, pid, jobs, wall/CPU seconds per worker) that
+``run_plan`` folds into the manifest under ``engine.hosts``.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import os
 import socket
 import struct
@@ -91,34 +69,32 @@ import threading
 import time
 from collections import deque
 from dataclasses import asdict, dataclass, field
-from functools import partial
-from typing import Any, Callable
+from typing import Any
 
-from repro.engine.checkpoint import Checkpoint, decode_value, encode_value
+from repro.engine.checkpoint import Checkpoint
+from repro.engine.chunk import (
+    ChunkResult,
+    ProtocolError,
+    exactly,
+    guided_size,
+    job_from_wire,
+    job_to_wire,
+    outcome_from_wire,
+    outcome_to_wire,
+    typed,
+)
 from repro.engine.driver import PlanDriver, PlanExecution
 from repro.engine.jobs import Job, JobPlan
-from repro.engine.retry import FAIL_FAST, JobError, JobOutcome, RetryPolicy
-from repro.obs.metrics import Histogram, MetricsRegistry
+from repro.engine.retry import FAIL_FAST, JobError, RetryPolicy
 
 __all__ = [
-    "PROTOCOL_VERSION",
-    "ProtocolError",
-    "send_frame",
-    "recv_frame",
-    "parse_address",
-    "job_to_wire",
-    "job_from_wire",
-    "outcome_to_wire",
-    "outcome_from_wire",
-    "policy_to_wire",
-    "policy_from_wire",
-    "registry_to_wire",
-    "registry_from_wire",
-    "Coordinator",
-    "DistributedExecutor",
+    "PROTOCOL_VERSION", "ProtocolError", "send_frame", "recv_frame", "parse_address",
+    "job_to_wire", "job_from_wire", "outcome_to_wire", "outcome_from_wire",  # from engine.chunk
+    "policy_to_wire", "policy_from_wire", "Coordinator", "DistributedExecutor",
 ]
 
-PROTOCOL_VERSION = 1
+#: 2: ``chunk_done.registry`` is ``MetricsRegistry.snapshot()`` rows
+PROTOCOL_VERSION = 2
 
 #: hard ceiling on one frame; a legitimate chunk result is orders smaller
 MAX_FRAME_BYTES = 64 * 1024 * 1024
@@ -132,10 +108,6 @@ HEARTBEAT_TIMEOUT_S = 10.0
 #: test/CI fault injection: a worker SIGKILLs itself on starting its
 #: (k+1)-th chunk — i.e. it dies *mid-chunk*, with jobs outstanding
 WORKER_CRASH_ENV = "DRS_WORKER_CRASH_AFTER_CHUNKS"
-
-
-class ProtocolError(RuntimeError):
-    """A malformed, oversized, or truncated frame on the wire."""
 
 
 # ------------------------------------------------------------------- framing
@@ -196,184 +168,18 @@ def parse_address(spec: str) -> tuple[str, int]:
     return host, port_num
 
 
-# -------------------------------------------------------------- wire codecs
-def job_to_wire(job: Job) -> dict[str, Any]:
-    """A job as a frame payload: name, ``module:qualname`` ref, tagged params."""
-    fn = job.fn
-    if getattr(fn, "__name__", "<lambda>") == "<lambda>" or "<locals>" in getattr(
-        fn, "__qualname__", ""
-    ):
-        raise TypeError(
-            f"job {job.name!r} function {fn!r} is not module-level; distributed "
-            f"workers resolve functions by import, exactly like process pools pickle them"
-        )
-    return {
-        "name": job.name,
-        "fn": f"{fn.__module__}:{fn.__qualname__}",
-        "params": encode_value(job.params),
-    }
-
-
-def resolve_job_fn(ref: str) -> Callable[..., Any]:
-    """Import-resolve a ``module:qualname`` function reference."""
-    module_name, sep, qualname = ref.partition(":")
-    if not sep or not module_name or not qualname:
-        raise ProtocolError(f"malformed function reference {ref!r}")
-    import importlib
-
-    obj: Any = importlib.import_module(module_name)
-    for part in qualname.split("."):
-        obj = getattr(obj, part)
-    if not callable(obj):
-        raise ProtocolError(f"function reference {ref!r} resolved to non-callable {obj!r}")
-    return obj
-
-
-def _required(payload: Any, what: str, *fields: str) -> list[Any]:
-    """The named fields of a wire payload; a missing one is a :class:`ProtocolError`."""
-    if not isinstance(payload, dict):
-        raise ProtocolError(f"{what} payload is not an object: {payload!r:.80}")
-    try:
-        return [payload[field] for field in fields]
-    except KeyError as exc:
-        raise ProtocolError(f"{what} payload lacks required field {exc.args[0]!r}") from None
-
-
-_ABSENT = object()
-
-
-def _typed(payload: dict[str, Any], what: str, field: str, convert: Callable, default=_ABSENT):
-    """``convert(payload[field])``; a rejected value is a :class:`ProtocolError` naming the field."""
-    value = payload.get(field, default)
-    if value is _ABSENT:
-        raise ProtocolError(f"{what} payload lacks required field {field!r}")
-    try:
-        return convert(value)
-    except (KeyError, TypeError, ValueError):
-        raise ProtocolError(f"{what} field {field!r} is wrong-typed: {value!r:.80}") from None
-
-
-def _optional_object(value: Any) -> dict[str, Any] | None:
-    """``None``/empty, or a JSON object: the shape of labels and heartbeat summaries."""
-    if value and not isinstance(value, dict):
-        raise TypeError(f"not an object: {value!r:.80}")
-    return value or None
-
-
-def _objects(frame: dict[str, Any], field: str) -> list[dict[str, Any]]:
-    """A frame field that must be a list of JSON objects (absent reads as empty)."""
-    rows = frame.get(field, [])
-    if not isinstance(rows, list) or not all(isinstance(row, dict) for row in rows):
-        raise ProtocolError(f"frame field {field!r} is not a list of objects: {rows!r:.80}")
-    return rows
-
-
-def job_from_wire(payload: dict[str, Any]) -> Job:
-    """Inverse of :func:`job_to_wire` (imports the job function)."""
-    name, fn, params = _required(payload, "job", "name", "fn", "params")
-    return Job(name=name, fn=resolve_job_fn(fn), params=decode_value(params))
-
-
-def outcome_to_wire(outcome: JobOutcome) -> dict[str, Any]:
-    """A job outcome as a frame payload; unencodable values become failures.
-
-    The process-pool path moves values by pickle; the wire moves them through
-    the checkpoint codec.  A value with no faithful JSON form cannot reach
-    the coordinator intact, so it is reported as a failed outcome (the job
-    quarantines) rather than silently degraded.
-    """
-    wire = {
-        "name": outcome.name,
-        "ok": outcome.ok,
-        "error": outcome.error,
-        "attempts": outcome.attempts,
-        "timed_out": outcome.timed_out,
-        "elapsed_s": outcome.elapsed_s,
-    }
-    if outcome.ok:
-        try:
-            wire["value"] = encode_value(outcome.value)
-        except TypeError as exc:
-            wire.update(ok=False, error=f"job value not wire-encodable: {exc}", value=None)
-    else:
-        wire["value"] = None
-    return wire
-
-
-def outcome_from_wire(payload: dict[str, Any]) -> JobOutcome:
-    """Inverse of :func:`outcome_to_wire`."""
-    name, ok = _required(payload, "outcome", "name", "ok")
-    if not isinstance(name, str):
-        raise ProtocolError(f"outcome field 'name' is wrong-typed: {name!r:.80}")
-    return JobOutcome(
-        name=name,
-        ok=bool(ok),
-        value=_typed(payload, "outcome", "value", decode_value, None),
-        error=payload.get("error"),
-        attempts=_typed(payload, "outcome", "attempts", int, 1),
-        timed_out=bool(payload.get("timed_out", False)),
-        elapsed_s=_typed(payload, "outcome", "elapsed_s", float, 0.0),
-    )
-
-
+# ---------------------------------------------------------------- handshake
 def policy_to_wire(policy: RetryPolicy) -> dict[str, Any]:
     """A retry policy as plain fields (it is a frozen dataclass of scalars)."""
     return asdict(policy)
 
 
 def policy_from_wire(payload: dict[str, Any]) -> RetryPolicy:
-    """Inverse of :func:`policy_to_wire`."""
-    return RetryPolicy(**payload)
-
-
-def registry_to_wire(registry: MetricsRegistry) -> list[dict[str, Any]]:
-    """A worker registry's full state, mergeable on the coordinator side."""
-    rows: list[dict[str, Any]] = []
-    for name, labels, kind, obj in registry:
-        row: dict[str, Any] = {"name": name, "labels": labels, "kind": kind}
-        if kind == "counter":
-            row.update(value=obj.value, events=obj.events)
-        elif kind == "gauge":
-            row.update(value=obj.value)
-        else:  # histogram
-            row.update(
-                bounds=list(obj.bounds),
-                counts=list(obj.counts),
-                count=obj.count,
-                sum=obj.sum,
-                # +-inf round-trips through python json; encode defensively
-                min=None if obj.count == 0 else obj.min,
-                max=None if obj.count == 0 else obj.max,
-            )
-        rows.append(row)
-    return rows
-
-
-def registry_from_wire(rows: list[dict[str, Any]]) -> MetricsRegistry:
-    """Rebuild a registry from :func:`registry_to_wire` rows (for ``merge``)."""
-    registry = MetricsRegistry()
-    for row in rows:
-        name, kind = _required(row, "registry row", "name", "kind")
-        what = f"registry row {name!r:.80}"
-        decode = partial(_typed, row, what)
-        try:
-            labels = decode("labels", _optional_object, None)
-            if kind == "counter":
-                counter = registry.counter(name, labels)
-                counter.value, counter.events = decode("value", float), decode("events", int)
-            elif kind == "gauge":
-                registry.gauge(name, labels).set(decode("value", float))
-            else:
-                hist: Histogram = registry.histogram(
-                    name, buckets=decode("bounds", tuple), labels=labels
-                )
-                hist.counts = decode("counts", lambda v: [int(c) for c in v])
-                hist.count, hist.sum = decode("count", int), decode("sum", float)
-                hist.min = decode("min", lambda v: float("inf") if v is None else float(v), None)
-                hist.max = decode("max", lambda v: float("-inf") if v is None else float(v), None)
-        except (TypeError, ValueError) as exc:  # an unhashable name; a kind or bounds it rejects
-            raise ProtocolError(f"{what} is malformed: {exc}") from None
-    return registry
+    """Inverse of :func:`policy_to_wire`; a field the policy lacks or refuses is a ProtocolError."""
+    try:
+        return RetryPolicy(**payload)
+    except (TypeError, ValueError) as exc:
+        raise ProtocolError(f"policy payload is malformed: {exc}") from None
 
 
 # ------------------------------------------------------------- coordinator
@@ -394,10 +200,6 @@ class WorkerHandle:
     #: chunks' worth, since a worker pulls its next chunk before it reports
     held: dict[str, Job] = field(default_factory=dict)
     alive: bool = True
-
-    @property
-    def label(self) -> str:
-        return f"{self.host}/{self.pid}"
 
 
 class Coordinator:
@@ -420,7 +222,6 @@ class Coordinator:
         *,
         host: str = "127.0.0.1",
         port: int = 0,
-        chunks_per_worker: int = 4,
         heartbeat_interval_s: float = HEARTBEAT_INTERVAL_S,
         heartbeat_timeout_s: float = HEARTBEAT_TIMEOUT_S,
         max_job_requeues: int = 3,
@@ -429,7 +230,6 @@ class Coordinator:
         self.plan = driver.plan
         self.policy = policy
         self.pending: deque[Job] = deque(driver.remaining())
-        self.chunks_per_worker = chunks_per_worker
         self.heartbeat_interval_s = heartbeat_interval_s
         self.heartbeat_timeout_s = heartbeat_timeout_s
         self.max_job_requeues = max_job_requeues
@@ -553,7 +353,10 @@ class Coordinator:
                 elif kind == "goodbye":
                     self._worker_gone(handle, reason="left")
                     return
-        except (ProtocolError, OSError, socket.timeout):
+        except ProtocolError as exc:
+            peer = f"{handle.host}/{handle.pid}" if handle is not None else "an unregistered peer"
+            print(f"[distributed] dropping {peer}: {exc}", file=sys.stderr, flush=True)
+        except (OSError, socket.timeout):
             pass
         finally:
             if handle is not None and handle.alive:
@@ -569,14 +372,14 @@ class Coordinator:
             return sum(1 for w in self.workers.values() if w.alive)
 
     def _register(self, conn: socket.socket, hello: dict[str, Any]) -> WorkerHandle:
+        host = typed(hello, "hello", "host", exactly(str), "?")
+        pid = typed(hello, "hello", "pid", int, 0)
+        theirs = typed(hello, "hello", "protocol", int, PROTOCOL_VERSION)  # unstated: taken as ours
+        if theirs != PROTOCOL_VERSION:
+            raise ProtocolError(f"hello field 'protocol' is {theirs}, not {PROTOCOL_VERSION}")
         with self.queue_lock:
             self._next_wid += 1
-            handle = WorkerHandle(
-                wid=self._next_wid,
-                host=str(hello.get("host", "?")),
-                pid=int(hello.get("pid", 0)),
-                sock=conn,
-            )
+            handle = WorkerHandle(wid=self._next_wid, host=host, pid=pid, sock=conn)
             self.workers[handle.wid] = handle
             active = self.alive_workers()
         self.driver.emit(
@@ -612,8 +415,7 @@ class Coordinator:
         # a spawned fleet counts in full from the first pull: workers still
         # importing are about to ask (driver.workers is 0 for an external fleet)
         fleet = max(self.alive_workers(), self.driver.workers)  # >= 1: the asker is alive
-        size = max(1, math.ceil(len(self.pending) / (self.chunks_per_worker * fleet)))
-        chunk = [self.pending.popleft() for _ in range(min(size, len(self.pending)))]
+        chunk = [self.pending.popleft() for _ in range(guided_size(len(self.pending), fleet))]
         for job in chunk:
             handle.held[job.name] = job
             previous = self._previous_owner.pop(job.name, None)
@@ -630,24 +432,21 @@ class Coordinator:
         return chunk
 
     def _absorb_chunk(self, handle: WorkerHandle, frame: dict[str, Any]) -> None:
-        # decode first: a malformed frame must leave the jobs with their worker,
-        # so that the disconnect it causes requeues them
-        outcomes = [outcome_from_wire(payload) for payload in _objects(frame, "outcomes")]
-        registry = registry_from_wire(_objects(frame, "registry"))
-        heartbeat = _typed(frame, "chunk_done", "heartbeat", _optional_object, None)
-        flight = _objects(frame, "flight")
-        wall_s = _typed(frame, "chunk_done", "wall_s", float, 0.0)
-        cpu_s = _typed(frame, "chunk_done", "cpu_s", float, 0.0)
-        with self.queue_lock:
-            # exactly the names answered leave the worker's hands; anything
-            # else it holds (the chunk it pulled before reporting) stays
-            handle.jobs_done += sum(
-                handle.held.pop(outcome.name, None) is not None for outcome in outcomes
-            )
-            handle.wall_s += wall_s
-            handle.cpu_s += cpu_s
+        # refused whole or absorbed whole: decoded first, merged first (by settle), released
+        # last — a refused chunk stays in its worker's hands until the disconnect requeues it
+        result = ChunkResult.from_wire(frame)
         with self.lock:
-            self.driver.settle(outcomes, registry, heartbeat, flight)
+            try:
+                self.driver.settle(result)
+            except ValueError as exc:  # rows of another kind or other bounds than the run holds
+                raise ProtocolError(f"chunk_done field 'registry' is refused: {exc}") from None
+            with self.queue_lock:
+                # exactly the names answered leave its hands; the chunk it pulled since stays
+                handle.jobs_done += sum(
+                    handle.held.pop(outcome.name, None) is not None for outcome in result.outcomes
+                )
+                handle.wall_s += result.wall_s
+                handle.cpu_s += result.cpu_s
             self._check_done()
         self._sample_scheduler()
 
@@ -773,7 +572,6 @@ class DistributedExecutor:
         coordinator: str | None = None,
         spawn_workers: int = 0,
         policy: RetryPolicy | None = None,
-        chunks_per_worker: int = 4,
         heartbeat_interval_s: float = HEARTBEAT_INTERVAL_S,
         heartbeat_timeout_s: float = HEARTBEAT_TIMEOUT_S,
         max_worker_respawns: int = 3,
@@ -781,15 +579,12 @@ class DistributedExecutor:
     ) -> None:
         if spawn_workers < 0:
             raise ValueError(f"spawn_workers must be >= 0, got {spawn_workers}")
-        if chunks_per_worker < 1:
-            raise ValueError(f"chunks_per_worker must be >= 1, got {chunks_per_worker}")
         if heartbeat_timeout_s <= heartbeat_interval_s:
             raise ValueError("heartbeat_timeout_s must exceed heartbeat_interval_s")
         self.bind_host, self.bind_port = parse_address(coordinator or "127.0.0.1:0")
         self.spawn_workers = spawn_workers
         self.workers = max(spawn_workers, 1)
         self.policy = policy
-        self.chunks_per_worker = chunks_per_worker
         self.heartbeat_interval_s = heartbeat_interval_s
         self.heartbeat_timeout_s = heartbeat_timeout_s
         self.max_worker_respawns = max_worker_respawns
@@ -828,7 +623,6 @@ class DistributedExecutor:
             self.policy if self.policy is not None else FAIL_FAST,
             host=self.bind_host,
             port=self.bind_port,
-            chunks_per_worker=self.chunks_per_worker,
             heartbeat_interval_s=self.heartbeat_interval_s,
             heartbeat_timeout_s=self.heartbeat_timeout_s,
             max_job_requeues=self.max_job_requeues,

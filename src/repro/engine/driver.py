@@ -13,7 +13,7 @@ inline, a process pool, TCP.  The *lifecycle* does not, and lives here:
   :class:`PlanExecution` built.
 * :func:`run_chunk` (wherever jobs execute off-process): a chunk of jobs
   under a private registry, silent heartbeat collector and buffered flight
-  recorder — the three things ``settle`` folds back in.
+  recorder, returned in the one wire form of :mod:`repro.engine.chunk`.
 
 A transport is a callable ``dispatch(driver)``: it hands
 :meth:`~PlanDriver.remaining` jobs out, calls ``settle`` with what comes
@@ -32,9 +32,11 @@ time and event order, never values.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Mapping
+from time import perf_counter, process_time
+from typing import Any, Callable
 
 from repro.engine.checkpoint import Checkpoint
+from repro.engine.chunk import ChunkResult
 from repro.engine.jobs import Job, JobPlan
 from repro.engine.retry import JobOutcome, RetryPolicy, execute_job
 from repro.obs.flightrecorder import FlightRecorder, flight_recorder, set_flight_recorder
@@ -152,29 +154,24 @@ class PlanDriver:
         """The unsettled jobs in plan order — what a transport hands out."""
         return [job for job in self.plan.jobs if job.name in self.unsettled]
 
-    def settle(
-        self,
-        outcomes: Iterable[JobOutcome],
-        registry: MetricsRegistry | None = None,
-        hb_summary: Mapping[str, Any] | None = None,
-        flight: Iterable[Mapping[str, Any]] = (),
-    ) -> None:
+    def settle(self, result: ChunkResult) -> None:
         """Fold one batch of results in — the only way results enter a run.
 
-        ``registry``/``hb_summary``/``flight`` are what :func:`run_chunk`
-        collected off-process; the inline transport publishes straight into
-        the caller's and passes none.  Outcomes may come from outside the
-        process, so each is checked against the plan: one naming a job that
-        is not awaiting settlement (unknown, or settled already — a requeued
-        chunk's first owner answering late) is dropped with a
-        ``job.dropped`` event, never recorded twice.  The batch's ok
-        outcomes reach the checkpoint as **one** commit (one fsync): a crash
-        loses the batches in flight — a job on serial, chunks elsewhere —
-        and nothing whose ``checkpoint.write`` event was emitted.
+        The inline transport settles bare outcomes; an off-process chunk brings
+        its registry, heartbeat summary and flight events.  The registry merge
+        comes first and is all or nothing: a refused chunk leaves no trace.
+        Outcomes may come from outside the process, so each is checked against
+        the plan: one naming a job that is not awaiting settlement (unknown,
+        or settled already — a requeued chunk's first owner answering late) is
+        dropped with a ``job.dropped`` event, never recorded twice.  The
+        batch's ok outcomes reach the checkpoint as **one** commit (one fsync):
+        a crash loses the batches in flight — a job on serial, chunks
+        elsewhere — and nothing whose ``checkpoint.write`` event was emitted.
         """
+        self.registry.merge(result.registry)
         accepted = 0
         completed: list[JobOutcome] = []
-        for outcome in outcomes:
+        for outcome in result.outcomes:
             if outcome.name not in self.unsettled:
                 known = outcome.name in self.attempts or outcome.name in self.values
                 self.emit(
@@ -196,13 +193,11 @@ class PlanDriver:
         if self.checkpoint is not None and completed:
             # one durable commit per batch: a job on serial, a chunk elsewhere
             self.checkpoint.commit(self.plan, completed)
-        if registry is not None:
-            self.registry.merge(registry)
         if self.recorder is not None:
-            self.recorder.ingest(flight)
+            self.recorder.ingest(result.flight)
         if self.reporter is not None:
-            if hb_summary:
-                self.reporter.absorb(hb_summary)
+            if result.heartbeat:
+                self.reporter.absorb(result.heartbeat)
             self.reporter.add(0, jobs=accepted)
 
     def quarantine(self, name: str, error: str) -> None:
@@ -216,7 +211,7 @@ class PlanDriver:
         if self.reporter is not None:
             self.reporter.add(0, quarantined=1)
         self.emit("job.quarantined", job=name, attempts=1, timed_out=False, error=error)
-        self.settle([JobOutcome(name=name, ok=False, error=error)])
+        self.settle(ChunkResult([JobOutcome(name=name, ok=False, error=error)]))
 
     def respawned(self, requeued: int, **fields: Any) -> None:
         """A transport replaced dead workers: count it everywhere at once."""
@@ -289,21 +284,19 @@ class PlanDriver:
 _worker_announced = False
 
 
-def run_chunk(
-    experiment: str, seed: int, jobs: list[Job], policy: RetryPolicy
-) -> tuple[list[JobOutcome], MetricsRegistry, dict, list[dict]]:
+def run_chunk(experiment: str, seed: int, jobs: list[Job], policy: RetryPolicy) -> dict[str, Any]:
     """Worker entry point: run a chunk of jobs under private observability.
 
-    Returns the chunk's per-job outcomes, its metrics registry, the silent
-    heartbeat collector's summary, and the chunk's buffered flight-recorder
-    events — the arguments of :meth:`PlanDriver.settle`, so the run's JSONL
-    carries every worker's job lifecycle with its real PID and timestamps.
+    Returns :meth:`ChunkResult.to_wire <repro.engine.chunk.ChunkResult.to_wire>`:
+    the per-job outcomes, the chunk's metrics registry, its silent heartbeat
+    collector's summary, its buffered flight events (real PIDs and timestamps)
+    and its wall/CPU seconds — plain data a pool pickles and ``drs-worker`` frames.
     Module-level so process pools can pickle it regardless of start method.
-    Retries and timeouts happen here, inside the worker — only quarantined
-    outcomes (or, under a fail-fast policy, a
-    :class:`~repro.engine.retry.JobError`) reach the parent.
+    Retries and timeouts happen here: only quarantined outcomes (or, under a
+    fail-fast policy, a :class:`~repro.engine.retry.JobError`) reach the parent.
     """
     global _worker_announced
+    wall_start, cpu_start = perf_counter(), process_time()
     plan = JobPlan(experiment=experiment, seed=seed, jobs=jobs, reduce=lambda v: v)
     registry = ensure_core_metrics(MetricsRegistry())
     # Never emits (interval is effectively infinite): pure collector whose
@@ -326,4 +319,7 @@ def run_chunk(
     finally:
         set_flight_recorder(None)
         set_heartbeat(None)
-    return outcomes, registry, collector.summary(), buffer.drain()
+    return ChunkResult(
+        outcomes, registry, collector.summary(), buffer.drain(),
+        wall_s=perf_counter() - wall_start, cpu_s=process_time() - cpu_start,
+    ).to_wire()

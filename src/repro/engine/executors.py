@@ -8,20 +8,17 @@ that only moves jobs:
 * :class:`SerialExecutor` — the zero-worker transport and the reference
   behavior: every job runs in-process, in plan order, publishing metrics
   and heartbeats directly into the caller's current registry/reporter.
-* :class:`ParallelExecutor` — statically chunks the jobs over a
+* :class:`ParallelExecutor` — submits the jobs, in guided-size chunks, to a
   :class:`concurrent.futures.ProcessPoolExecutor`; each chunk runs through
-  :func:`~repro.engine.driver.run_chunk` and its private registry,
-  heartbeat summary and flight events ride back to ``settle``.  Survives
-  ``BrokenProcessPool``: the pool is replaced up to ``max_pool_respawns``
-  times and only unsettled jobs are requeued.
+  :func:`~repro.engine.driver.run_chunk` and comes back, pickled, in the
+  wire form ``ChunkResult.from_wire`` decodes for ``settle``
+  (:mod:`repro.engine.chunk`).  Survives ``BrokenProcessPool``.
 * :class:`~repro.engine.distributed.DistributedExecutor` (its own module)
-  — the same chunks over TCP to ``drs-worker`` processes.
+  — the same chunks, the same wire form, over TCP to ``drs-worker`` processes.
 
-All three take an optional :class:`~repro.engine.retry.RetryPolicy`
-(``policy=``) and run each job through
-:func:`repro.engine.retry.execute_job`; without one the legacy fail-fast
-semantics apply — the first failure raises
-:class:`~repro.engine.retry.JobError`.
+All three run each job through :func:`repro.engine.retry.execute_job` under
+an optional :class:`~repro.engine.retry.RetryPolicy` (``policy=``); without
+one the first failure raises :class:`~repro.engine.retry.JobError`.
 """
 
 from __future__ import annotations
@@ -31,8 +28,9 @@ from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wai
 from concurrent.futures.process import BrokenProcessPool
 
 from repro.engine.checkpoint import Checkpoint
+from repro.engine.chunk import ChunkResult, guided_chunks
 from repro.engine.driver import PlanDriver, PlanExecution, run_chunk
-from repro.engine.jobs import Job, JobPlan
+from repro.engine.jobs import JobPlan
 from repro.engine.retry import FAIL_FAST, JobError, RetryPolicy, execute_job
 
 __all__ = ["SerialExecutor", "ParallelExecutor", "make_executor"]
@@ -54,9 +52,9 @@ class SerialExecutor:
         def dispatch(driver: PlanDriver) -> None:
             for job in driver.remaining():
                 driver.emit("job.submitted", job=job.name)
-                driver.settle(
-                    [execute_job(plan.experiment, plan.seed, job, plan.job_seedseq(job), policy)]
-                )
+                seed_seq = plan.job_seedseq(job)
+                outcome = execute_job(plan.experiment, plan.seed, job, seed_seq, policy)
+                driver.settle(ChunkResult([outcome]))
 
         return PlanDriver(plan, checkpoint, self.name, self.workers).run(dispatch)
 
@@ -64,9 +62,9 @@ class SerialExecutor:
 class ParallelExecutor:
     """Fan jobs out over a process pool; results identical to serial.
 
-    ``workers`` defaults to the machine's CPU count.  Jobs are grouped into
-    chunks (several jobs per round trip) to amortize pickling and registry
-    transfer; chunking affects only scheduling, never values.
+    ``workers`` defaults to the machine's CPU count.  Jobs go out in
+    guided-size chunks (several per round trip, fewer towards the end): that
+    amortizes pickling and registry transfer, and affects scheduling only.
 
     If the pool breaks (a worker segfaults, is OOM-killed, …) the executor
     replaces it — up to ``max_pool_respawns`` times per plan — and requeues
@@ -81,27 +79,16 @@ class ParallelExecutor:
     def __init__(
         self,
         workers: int | None = None,
-        chunks_per_worker: int = 4,
         policy: RetryPolicy | None = None,
         max_pool_respawns: int = 3,
     ) -> None:
         if workers is not None and workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
-        if chunks_per_worker < 1:
-            raise ValueError(f"chunks_per_worker must be >= 1, got {chunks_per_worker}")
         if max_pool_respawns < 0:
             raise ValueError(f"max_pool_respawns must be >= 0, got {max_pool_respawns}")
         self.workers = workers if workers is not None else (os.cpu_count() or 1)
-        self.chunks_per_worker = chunks_per_worker
         self.policy = policy
         self.max_pool_respawns = max_pool_respawns
-
-    def _chunk(self, jobs: list[Job]) -> list[list[Job]]:
-        if not jobs:
-            return []
-        target = self.workers * self.chunks_per_worker
-        size = max(1, -(-len(jobs) // target))  # ceil division
-        return [jobs[i : i + size] for i in range(0, len(jobs), size)]
 
     def run(self, plan: JobPlan, checkpoint: Checkpoint | None = None) -> PlanExecution:
         """Execute the plan on the pool, merging worker observability back."""
@@ -112,11 +99,11 @@ class ParallelExecutor:
         policy = self.policy if self.policy is not None else FAIL_FAST
 
         def settle(future: Future) -> None:
-            outcomes, registry, hb_summary, events = future.result()
-            pool_pids.update(int(ev.get("pid", 0)) for ev in events)
-            driver.settle(outcomes, registry, hb_summary, events)
+            result = ChunkResult.from_wire(future.result())
+            pool_pids.update(event["pid"] for event in result.flight)
+            driver.settle(result)
 
-        chunks = self._chunk(driver.remaining())
+        chunks = guided_chunks(driver.remaining(), self.workers)
         while chunks:
             # The pool is managed by hand (no `with`): its __exit__ is a
             # shutdown(wait=True), which would block a Ctrl-C behind every
@@ -160,7 +147,7 @@ class ParallelExecutor:
             # Requeue (and rebalance) everything whose outcome never arrived;
             # settled jobs are safe — their results, metrics, and checkpoint
             # records were folded in before the break.
-            chunks = self._chunk(driver.remaining())
+            chunks = guided_chunks(driver.remaining(), self.workers)
             driver.respawned(requeued=sum(len(c) for c in chunks))
         return {"pool_respawns": driver.respawns}
 

@@ -30,8 +30,8 @@ time from the plan's root seed via
 ``(root seed, experiment name, job name)`` — never on the executor backend,
 the worker count, scheduling order, or which other jobs ran.  Running a
 subset of the grid therefore reproduces exactly the corresponding slice of
-the full run, and serial and process-pool backends produce byte-identical
-results.
+the full run, and serial, process-pool and distributed backends produce
+byte-identical results.
 """
 
 from __future__ import annotations
@@ -89,8 +89,9 @@ class Job:
     """One independent unit of work inside a plan.
 
     ``fn`` must be a module-level function (process-pool executors pickle
-    jobs); ``name`` must be unique within the plan — it keys both the result
-    and the job's spawned seed.
+    jobs) returning what the checkpoint codec carries (docs/engine.md, "One
+    value path"); ``name`` must be unique within the plan — it keys both the
+    result and the job's spawned seed.
     """
 
     name: str

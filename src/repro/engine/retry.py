@@ -3,8 +3,13 @@
 A multi-hour sweep must not lose everything to one flaky job.  This module
 gives the executors a :class:`RetryPolicy` — per-job attempt budget,
 exponential backoff with deterministic jitter, and a per-job wall-clock
-timeout — and :func:`execute_job`, the single code path both the serial
-executor and the process-pool workers run a job through.
+timeout — and :func:`execute_job`, the single code path the serial
+executor, the process-pool workers and every ``drs-worker`` run a job through.
+
+It also normalises every ok value through the checkpoint codec, so ``reduce``
+receives the same object whether the job ran here, in a pool worker, on another
+host, or was replayed by ``--resume``; a value the codec cannot carry (a ``set``)
+is that job's failure — quarantined or raised like any other, but never retried.
 
 Determinism contract
 --------------------
@@ -33,6 +38,7 @@ from typing import Any, Callable
 
 import numpy as np
 
+from repro.engine.checkpoint import decode_value, encode_value
 from repro.obs.flightrecorder import flight_recorder
 from repro.obs.metrics import current_registry
 from repro.obs.progress import heartbeat
@@ -113,7 +119,7 @@ FAIL_FAST = RetryPolicy(max_attempts=1, backoff_base_s=0.0, jitter_frac=0.0, qua
 
 @dataclass
 class JobOutcome:
-    """What running one job under a policy produced (picklable)."""
+    """What running one job under a policy produced; ``value`` is in codec-normal form."""
 
     name: str
     ok: bool
@@ -170,13 +176,13 @@ def execute_job(
     """Run one job under ``policy``; the shared serial/worker code path.
 
     Every attempt recreates the job's stream from the same ``seed_seq``,
-    so retried successes are byte-identical to first-try successes.
-    Publishes ``engine_job_attempts_total`` / ``engine_job_retries_total``
-    / ``engine_job_timeouts_total`` / ``engine_jobs_quarantined_total``
-    into the current registry, retry/quarantine incident counts into
-    the current heartbeat, and per-attempt lifecycle events — with wall/CPU
-    time and the job's seed fingerprint — into the current flight recorder
-    (:mod:`repro.obs.flightrecorder`), when one is installed.
+    so retried successes are byte-identical to first-try successes; the
+    value comes back normalised through the checkpoint codec.  Publishes
+    ``engine_job_attempts_total`` / ``engine_job_retries_total`` /
+    ``engine_job_timeouts_total`` / ``engine_jobs_quarantined_total`` into the
+    current registry, retry/quarantine incident counts into the current
+    heartbeat, and per-attempt lifecycle events — with wall/CPU time and the
+    job's seed fingerprint — into the current flight recorder, when installed.
     """
     registry = current_registry()
     recorder = flight_recorder()
@@ -206,6 +212,12 @@ def execute_job(
             value = _call_with_timeout(
                 job.fn, job.params, seed_seq, policy.timeout_s, experiment, job.name
             )
+            try:
+                # one form on every backend: what the checkpoint replays and the wire carries
+                value = decode_value(encode_value(value))
+            except TypeError as exc:  # the job's failure, and a deterministic one: not retried
+                timed_out, last_error = False, repr(exc)
+                break
             elapsed = perf_counter() - started
             if recorder is not None:
                 recorder.emit(
@@ -243,13 +255,13 @@ def execute_job(
         recorder.emit(
             "job.quarantined",
             job=job.name,
-            attempts=policy.max_attempts,
+            attempts=attempt,
             timed_out=timed_out,
             error=last_error,
             wall_s=round(elapsed, 6),
             cpu_s=round(process_time() - started_cpu, 6),
         )
     return JobOutcome(
-        name=job.name, ok=False, error=last_error, attempts=policy.max_attempts,
+        name=job.name, ok=False, error=last_error, attempts=attempt,
         timed_out=timed_out, elapsed_s=elapsed,
     )

@@ -8,12 +8,11 @@ run without coordination among themselves.
 
 Each chunk runs through :func:`repro.engine.driver.run_chunk` — the
 **same** function process-pool workers execute — so retries, timeouts,
-quarantine, private metrics registries, silent heartbeat collection, and
-buffered flight events all behave identically; the only difference is
-that results travel back over a TCP frame instead of a pickle pipe, to the
-same :meth:`PlanDriver.settle <repro.engine.driver.PlanDriver.settle>`.  A
-daemon thread sends heartbeat frames so the coordinator can tell a slow
-worker from a dead one.
+quarantine and private observability all behave identically, and what it
+returns *is* the ``chunk_done`` frame: the wire form the pool pickles travels
+over TCP unchanged, to the same ``ChunkResult.from_wire`` and the same
+``PlanDriver.settle``.  A daemon thread sends heartbeat frames so the
+coordinator can tell a slow worker from a dead one.
 
 The worker **pulls before it reports**: with chunk A run it asks for the
 next chunk, takes the answer, and only then sends ``chunk_done(A)`` — the
@@ -49,11 +48,9 @@ from repro.engine.distributed import (
     WORKER_CRASH_ENV,
     ProtocolError,
     job_from_wire,
-    outcome_to_wire,
     parse_address,
     policy_from_wire,
     recv_frame,
-    registry_to_wire,
     send_frame,
 )
 from repro.engine.driver import run_chunk
@@ -217,12 +214,8 @@ class WorkerSession:
             # these jobs out and must detect the death and requeue them
             os.kill(os.getpid(), signal.SIGKILL)
         jobs = [job_from_wire(payload) for payload in reply["jobs"]]
-        wall_start = time.perf_counter()
-        cpu_start = time.process_time()
         try:
-            outcomes, registry, hb_summary, flight_events = run_chunk(
-                experiment, seed, jobs, policy
-            )
+            done = run_chunk(experiment, seed, jobs, policy)
         except JobError as exc:
             # fail-fast policy: report which job sank the plan at once and
             # let the coordinator fail the run (our next "next" gets a shutdown)
@@ -235,16 +228,8 @@ class WorkerSession:
                 }
             )
             return None
-        self.jobs_done += len(outcomes)
-        return {
-            "type": "chunk_done",
-            "outcomes": [outcome_to_wire(o) for o in outcomes],
-            "registry": registry_to_wire(registry),
-            "heartbeat": hb_summary,
-            "flight": flight_events,
-            "wall_s": time.perf_counter() - wall_start,
-            "cpu_s": time.process_time() - cpu_start,
-        }
+        self.jobs_done += len(jobs)
+        return done
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -6,8 +6,8 @@ cheap (plain dicts, no locks — the simulator is single-threaded) and
 exportable two ways:
 
 * :meth:`MetricsRegistry.render_prometheus` — Prometheus text exposition,
-* :meth:`MetricsRegistry.snapshot` — plain dicts, one per metric, suitable
-  for JSONL dumps and the ``repro obs`` pretty-printer.
+* :meth:`MetricsRegistry.snapshot` — plain dicts, one per metric: JSONL dumps, the
+  ``repro obs`` pretty-printer, a worker's registry on the wire (``from_rows`` inverts).
 
 A process-wide *current* registry lets deep model code publish without
 threading a handle through every constructor; experiment drivers swap in a
@@ -228,6 +228,35 @@ class MetricsRegistry:
             out.append(row)
         return out
 
+    @classmethod
+    def from_rows(cls, rows: Sequence[Any]) -> "MetricsRegistry":
+        """Inverse of :meth:`snapshot`, for :meth:`merge`.  Rows are how a worker's registry
+        crosses a process boundary or a wire, so each is checked: one that is not a snapshot
+        row raises ``ValueError`` showing it.  Derived fields (mean, p50, p99) are ignored."""
+        registry = cls()
+        for row in rows:
+            try:
+                name, kind, labels = row["name"], row["kind"], row.get("labels")
+                if not isinstance(name, str) or kind not in ("counter", "gauge", "histogram"):
+                    raise ValueError("name or kind")
+                if kind == "counter":
+                    counter = registry.counter(name, labels)
+                    counter.value, counter.events = float(row["value"]), int(row["events"])
+                elif kind == "gauge":
+                    registry.gauge(name, labels).set(float(row["value"]))
+                else:
+                    *finite, (inf, overflow) = row["buckets"]  # [[bound, n], ..., ["+inf", n]]
+                    if inf != "+inf":
+                        raise ValueError("last bucket")
+                    hist = registry.histogram(name, [b for b, _ in finite], labels)
+                    hist.counts = [int(n) for _, n in finite] + [int(overflow)]
+                    hist.count, hist.sum = int(row["count"]), float(row["sum"])
+                    hist.min = float(row["min"] if hist.count else "inf")
+                    hist.max = float(row["max"] if hist.count else "-inf")
+            except (AttributeError, KeyError, TypeError, ValueError) as exc:
+                raise ValueError(f"not a registry snapshot row ({exc!r}): {row!r:.80}") from None
+        return registry
+
     def write_jsonl(self, path: str | Path) -> Path:
         """Write the snapshot as one JSON object per line."""
         path = Path(path)
@@ -288,8 +317,18 @@ class MetricsRegistry:
           (bucket bounds must match, else the streams are not comparable).
 
         ``other`` is left untouched; merging the same registry twice
-        double-counts, exactly like Prometheus federation would.
+        double-counts, exactly like Prometheus federation would.  All or nothing:
+        every metric is checked before any is changed (``ValueError``).
         """
+        for key, entry in other._metrics.items():
+            held = self._metrics.get(key, entry)
+            if held["kind"] != entry["kind"]:
+                raise ValueError(f"cannot merge {entry['kind']} {key[0]!r} into a {held['kind']}")
+            if entry["kind"] == "histogram" and held["obj"].bounds != entry["obj"].bounds:
+                raise ValueError(
+                    f"cannot merge histogram {key[0]!r}: bucket bounds differ "
+                    f"({held['obj'].bounds} vs {entry['obj'].bounds})"
+                )
         for (name, labels), entry in other._metrics.items():
             kind, obj = entry["kind"], entry["obj"]
             label_dict = dict(labels) or None
@@ -302,11 +341,6 @@ class MetricsRegistry:
                 mine.value += obj.value
             else:
                 mine = self.histogram(name, buckets=obj.bounds, labels=label_dict, help=entry["help"])
-                if mine.bounds != obj.bounds:
-                    raise ValueError(
-                        f"cannot merge histogram {name!r}: bucket bounds differ "
-                        f"({mine.bounds} vs {obj.bounds})"
-                    )
                 mine.counts = [a + b for a, b in zip(mine.counts, obj.counts)]
                 mine.count += obj.count
                 mine.sum += obj.sum

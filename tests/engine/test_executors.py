@@ -12,6 +12,8 @@ from repro.engine import (
     make_executor,
     run_plan,
 )
+from repro.engine import chunk as chunk_module
+from repro.engine.chunk import guided_chunks, guided_size
 from repro.obs.metrics import MetricsRegistry, ensure_core_metrics, use_registry
 from repro.obs.progress import ProgressReporter, set_heartbeat
 
@@ -46,10 +48,11 @@ def test_serial_and_parallel_values_identical():
     assert parallel.workers == 2
 
 
-def test_values_independent_of_worker_count_and_chunking():
+def test_values_independent_of_worker_count_and_chunking(monkeypatch):
     baseline = SerialExecutor().run(_plan()).values
     for workers, chunks in ((2, 1), (2, 4), (3, 2)):
-        got = ParallelExecutor(workers=workers, chunks_per_worker=chunks).run(_plan()).values
+        monkeypatch.setattr(chunk_module, "CHUNKS_PER_WORKER", chunks)
+        got = ParallelExecutor(workers=workers).run(_plan()).values
         assert got == baseline
 
 
@@ -121,9 +124,13 @@ def test_make_executor_mapping():
 
 
 def test_chunking_covers_all_jobs_exactly_once():
-    executor = ParallelExecutor(workers=2, chunks_per_worker=2)
     jobs = [Job(name=f"j{i}", fn=_draw, params={"k": 1}) for i in range(11)]
-    chunks = executor._chunk(jobs)
-    flat = [job.name for chunk in chunks for job in chunk]
-    assert flat == [f"j{i}" for i in range(11)]
-    assert executor._chunk([]) == []
+    for fleet in (1, 2, 3, 16):
+        chunks = guided_chunks(jobs, fleet)
+        flat = [job.name for chunk in chunks for job in chunk]
+        assert flat == [f"j{i}" for i in range(11)]
+        # each chunk is what a coordinator's pull would take at that point of the queue
+        taken = [sum(map(len, chunks[:i])) for i in range(len(chunks))]
+        assert [len(c) for c in chunks] == [guided_size(11 - done, fleet) for done in taken]
+        assert guided_chunks([], fleet) == []
+    assert [len(c) for c in guided_chunks(jobs, 2)] == [2, 2, 1, 1, 1, 1, 1, 1, 1]

@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 
 from repro.engine import Checkpoint, Job, JobOutcome, JobPlan, SerialExecutor
+from repro.engine.chunk import guided_chunks
 from repro.experiments import runner
 from repro.obs.flightrecorder import (
     FlightRecorder,
@@ -126,7 +127,7 @@ def test_one_fsync_per_settle(backend, tmp_path, recorder, fsyncs):
     gauges = recorder.by_kind.get("scheduler.gauge", 0)
     chunks = {
         "serial": 16,  # every job is its own settle
-        "pool2": 8,  # 16 jobs in 2 workers x 4 static chunks
+        "pool2": len(guided_chunks(plan.jobs, 2)),  # 12: 2, 2, 2, 2, then eight single jobs
         "distributed2": gauges // 2,  # one sample per chunk handed out, one per absorb
     }[backend]
     assert len(fsyncs) == chunks
@@ -176,10 +177,10 @@ def baseline(tmp_path_factory):
     return out
 
 
-# quick figure2 is 61 jobs.  --jobs 2 cuts them into static chunks of 8, so
-# the second group to commit is records 9..16 whichever chunk it is; the
-# coordinator's guided chunks (8, 7, 6, ...) commit in completion order, so
-# the same k land on other positions of its groups — the contract is the same
+# quick figure2 is 61 jobs, cut on both backends into guided chunks (8, 7, 6,
+# 5, 5, ...) that commit in completion order: the first group is records 1..8
+# or 1..7, so k = 9, 12 and 16 land on the first, a middle or the last record
+# of a later group depending on the schedule — the contract is the same
 @pytest.mark.parametrize("k", [9, 12, 16], ids=["first-of-group", "mid-group", "last-of-group"])
 @pytest.mark.parametrize(
     "backend_args", [["--jobs", "2"], ["--backend", "distributed", "--jobs", "2"]],

@@ -33,7 +33,15 @@ from repro.engine import (
     RetryPolicy,
     SerialExecutor,
 )
-from repro.engine.distributed import Coordinator, outcome_to_wire, recv_frame, send_frame
+from repro.engine import chunk as chunk_module
+from repro.engine.chunk import ChunkResult
+from repro.engine.distributed import (
+    PROTOCOL_VERSION,
+    Coordinator,
+    outcome_to_wire,
+    recv_frame,
+    send_frame,
+)
 from repro.engine.driver import PlanDriver
 from repro.engine.retry import JobOutcome
 from repro.obs.flightrecorder import FlightRecorder, set_flight_recorder
@@ -241,9 +249,11 @@ def test_a_worker_process_sets_itself_up_on_its_first_chunk_only(monkeypatch):
     monkeypatch.setattr(driver, "_worker_announced", False)
     spawns = []
     for i in range(3):
-        outcomes, _, _, flight = driver.run_chunk("unit", 1, [Job(f"ok/{i}", _draw)], FAST_RETRY)
-        assert [o.ok for o in outcomes] == [True]
-        spawns.append(sum(event["kind"] == "worker.spawn" for event in flight))
+        result = ChunkResult.from_wire(
+            driver.run_chunk("unit", 1, [Job(f"ok/{i}", _draw)], FAST_RETRY)
+        )
+        assert [o.ok for o in result.outcomes] == [True]
+        spawns.append(sum(event["kind"] == "worker.spawn" for event in result.flight))
     assert installs == [1] and spawns == [1, 0, 0]
 
 
@@ -252,7 +262,7 @@ class _FakeWorker:
 
     def __init__(self, address):
         self.sock = socket.create_connection(address, timeout=5.0)
-        send_frame(self.sock, {"type": "hello", "protocol": 1, "host": "fake", "pid": 4242})
+        send_frame(self.sock, {"type": "hello", "protocol": PROTOCOL_VERSION, "host": "fake", "pid": 4242})
         assert recv_frame(self.sock)["type"] == "welcome"
 
     def pull(self):
@@ -267,14 +277,21 @@ class _FakeWorker:
 
 
 @pytest.fixture
-def coordinator(tmp_path):
+def chunks_per_worker(monkeypatch):
+    """Set the one guided-size constant, for tests that count on a chunk's exact size."""
+    return partial(monkeypatch.setattr, chunk_module, "CHUNKS_PER_WORKER")
+
+
+@pytest.fixture
+def coordinator(tmp_path, chunks_per_worker):
     """A served three-job plan whose first pull hands out every job."""
     jobs = [Job(f"job/{i}", _draw, {"offset": float(i)}) for i in range(3)]
+    chunks_per_worker(1)
     with _Observed() as observed:
         driver = PlanDriver(
             _plan(jobs), Checkpoint(tmp_path / "lifecycle.checkpoint.jsonl"), "distributed", 0
         )
-        server = Coordinator(driver, FAST_RETRY, chunks_per_worker=1)
+        server = Coordinator(driver, FAST_RETRY)
         worker = _FakeWorker(server.start())
         try:
             yield server, driver, worker, observed
@@ -355,12 +372,13 @@ class TestWhatAWorkerHolds:
         assert driver.values == reference
         assert sorted(e["job"] for e in observed.events("job.stolen")) == sorted(reference)
 
-    def test_a_worker_that_pulled_twice_holds_two_chunks_and_loses_both(self, tmp_path):
+    def test_a_worker_that_pulled_twice_holds_two_chunks_and_loses_both(self, chunks_per_worker):
         jobs = [Job(f"job/{i}", _draw, {"offset": float(i)}) for i in range(6)]
         reference = SerialExecutor().run(_plan(jobs)).values
+        chunks_per_worker(2)
         with _Observed() as observed:
             driver = PlanDriver(_plan(jobs), None, "distributed", 0)
-            server = Coordinator(driver, FAST_RETRY, chunks_per_worker=2)
+            server = Coordinator(driver, FAST_RETRY)
             greedy = _FakeWorker(server.start())
             try:
                 first, second = greedy.pull(), greedy.pull()  # pull before report
@@ -383,7 +401,10 @@ class TestWhatAWorkerHolds:
         assert sorted(e["job"] for e in observed.events("job.stolen")) == sorted(held[1:])
         assert sum(h["jobs"] for h in server.host_attribution().values()) == len(jobs)
 
-    def test_a_pull_is_answered_while_another_workers_settle_is_blocked(self, monkeypatch):
+    def test_a_pull_is_answered_while_another_workers_settle_is_blocked(
+        self, monkeypatch, chunks_per_worker
+    ):
+        chunks_per_worker(2)
         jobs = [Job(f"job/{i}", _draw, {"offset": float(i)}) for i in range(6)]
         driver = PlanDriver(_plan(jobs), None, "distributed", 0)
         settling, release, settle = threading.Event(), threading.Event(), driver.settle
@@ -394,7 +415,7 @@ class TestWhatAWorkerHolds:
             return settle(*args, **kwargs)
 
         monkeypatch.setattr(driver, "settle", blocked_settle)
-        server = Coordinator(driver, FAST_RETRY, chunks_per_worker=2)
+        server = Coordinator(driver, FAST_RETRY)
         worker = _FakeWorker(server.start())
         other = None
         try:
@@ -435,7 +456,7 @@ class TestWhatAWorkerHolds:
         try:
             with _Observed() as observed:
                 driver = PlanDriver(_plan(jobs), Checkpoint(path), "distributed", 0)
-                server = Coordinator(driver, FAST_RETRY, chunks_per_worker=8)
+                server = Coordinator(driver, FAST_RETRY)
                 address = server.start()
                 peers = [threading.Thread(target=work, args=(address,)) for _ in range(6)]
                 try:
@@ -502,7 +523,7 @@ class TestTheWire:
             conn.settimeout(5.0)
             assert recv_frame(conn)["type"] == "hello"
             send_frame(conn, {
-                "type": "welcome", "protocol": 1, "worker": 1, "experiment": "lifecycle",
+                "type": "welcome", "protocol": PROTOCOL_VERSION, "worker": 1, "experiment": "lifecycle",
                 "seed": 11, "policy": policy_to_wire(FAST_RETRY), "heartbeat_interval_s": 60.0,
             })
             assert recv_frame(conn)["type"] == "next"

@@ -128,3 +128,74 @@ class TestFleetMerge:
         summary = parent.summary()
         assert summary["trials"] == 500
         assert summary["counts"] == {"jobs": 12, "pair_down": 2, "hook_errors": 1}
+
+
+# ------------------------------------------------ one row format, both ways
+def _busy_registry():
+    registry = ensure_core_metrics(MetricsRegistry())
+    registry.counter("sim_events_total", labels={"category": "probe"}).add(7)
+    registry.gauge("mc_iterations_per_second").set(1.5e6)
+    for seen in (1e-6, 3e-4, 0.02, 50.0):
+        registry.histogram("drs_probe_rtt_seconds").observe(seen)
+    return registry
+
+
+def test_snapshot_rows_rebuild_the_registry_and_its_artifacts(tmp_path):
+    import json
+
+    registry = _busy_registry()
+    rebuilt = MetricsRegistry.from_rows(json.loads(json.dumps(registry.snapshot())))
+    assert rebuilt.snapshot() == registry.snapshot()
+    # the two files a run writes come out byte for byte the same from the rows
+    assert rebuilt.render_prometheus() == registry.render_prometheus()
+    assert (rebuilt.write_jsonl(tmp_path / "b.jsonl").read_bytes()
+            == registry.write_jsonl(tmp_path / "a.jsonl").read_bytes())
+    parent = _busy_registry()
+    parent.merge(rebuilt)
+    assert parent.counter("sim_events_total", labels={"category": "probe"}).value == 14
+    assert parent.histogram("drs_probe_rtt_seconds").count == 8
+
+
+@pytest.mark.parametrize(
+    "row",
+    [
+        7,
+        {"name": "n", "value": 1.0},
+        {"name": "n", "kind": "timer", "value": 1.0},
+        {"name": ["n"], "kind": "gauge", "value": 1.0},
+        {"name": "n", "kind": "gauge", "value": "x"},
+        {"name": "n", "kind": "counter", "value": 1.0},
+        {"name": "n", "kind": "counter", "value": 1.0, "events": "many"},
+        {"name": "n", "kind": "gauge", "value": 1, "labels": [1]},
+        {"name": "n", "kind": "histogram", "count": 0, "sum": 0.0},
+        {"name": "n", "kind": "histogram", "count": 0, "sum": 0.0, "buckets": 7},
+        {"name": "n", "kind": "histogram", "count": 0, "sum": 0.0, "buckets": [["+inf", 0]]},
+        {"name": "n", "kind": "histogram", "count": 0, "sum": 0.0, "buckets": [[1.0, 0], [2.0, 0]]},
+        {"name": "n", "kind": "histogram", "count": 0, "sum": 0.0,
+         "buckets": [[2.0, 0], [1.0, 0], ["+inf", 0]]},
+        {"name": "n", "kind": "histogram", "count": 1, "sum": 0.5,
+         "buckets": [[1.0, 1], ["+inf", 0]]},  # observed, yet no min/max
+    ],
+)
+def test_rows_that_are_not_snapshot_rows_are_value_errors(row):
+    with pytest.raises(ValueError):
+        MetricsRegistry.from_rows([row])
+
+
+def test_a_refused_merge_changes_nothing():
+    """Every metric is checked before any is changed: the chunk decoder relies on it."""
+    parent = _busy_registry()
+    before = parent.snapshot()
+    clash = MetricsRegistry()
+    clash.counter("sim_events_total").add(99)  # fine on its own, and first in line
+    clash.counter("brand_new_total").add(1)
+    clash.histogram("drs_probe_rtt_seconds", buckets=(1.0, 2.0)).observe(1.5)
+    with pytest.raises(ValueError, match="cannot merge histogram .* bucket bounds differ"):
+        parent.merge(clash)
+    assert parent.snapshot() == before and parent.get("brand_new_total") is None
+    other_kind = MetricsRegistry()
+    other_kind.counter("sim_events_total").add(99)
+    other_kind.counter("mc_iterations_per_second").add(1)  # the parent holds a gauge
+    with pytest.raises(ValueError, match="cannot merge counter 'mc_iterations_per_second'"):
+        parent.merge(other_kind)
+    assert parent.snapshot() == before
