@@ -1,0 +1,97 @@
+"""Hub and switch are read by one instrument: each registry total equals the
+sum of the per-component counters that feed it, on either fabric."""
+
+import pytest
+
+from repro.drs import DrsConfig, install_drs
+from repro.netsim import (
+    Backplane,
+    Frame,
+    InterfaceAddr,
+    Nic,
+    Switch,
+    build_dual_backplane_cluster,
+    build_dual_switched_cluster,
+)
+from repro.obs import MetricsRegistry, ensure_core_metrics, use_registry
+from repro.protocols import install_stacks
+from repro.simkit import Simulator, TraceRecorder
+
+FABRICS = pytest.mark.parametrize(
+    "build", [build_dual_backplane_cluster, build_dual_switched_cluster], ids=["hub", "switch"]
+)
+
+
+@FABRICS
+def test_registry_totals_equal_the_component_sums(build):
+    registry = ensure_core_metrics(MetricsRegistry())
+    with use_registry(registry):
+        sim = Simulator()
+        cluster = build(sim, 6)
+        stacks = install_stacks(cluster)
+        deployment = install_drs(cluster, stacks, DrsConfig(sweep_period_s=0.5))
+        cluster.backplanes[0].fail()
+        sim.run(until=3.0)
+    segments = cluster.backplanes
+    nics = [nic for node in cluster.nodes for nic in node.nics.values()]
+    monitors = [d.monitor for d in deployment.daemons.values()]
+    engines = [d.failover for d in deployment.daemons.values()]
+
+    def total(name, components):
+        counter = registry.counter(name)
+        assert counter.value == sum(c.value for c in components), name
+        assert counter.events == sum(c.events for c in components), name
+        return counter
+
+    bits = total("net_bits_carried_total", [s.bits_carried for s in segments])
+    drops = total(
+        "net_frames_dropped_total",
+        [n.frames_dropped for n in nics] + [s.frames_dropped for s in segments],
+    )
+    assert bits.value > 0 and drops.value > 0
+    carried = sum(s.frames_carried.value for s in segments)
+    assert registry.histogram("net_queue_depth_seconds").count == carried == bits.events
+    probe_bytes = total("drs_probe_bytes_total", [m.probe_bytes for m in monitors])
+    assert probe_bytes.value == deployment.total_probe_bytes() > 0
+    total("drs_probes_sent_total", [m.probes_sent for m in monitors])
+    repairs = total("drs_repairs_total", [e.repairs for e in engines])
+    assert repairs.value == deployment.total_repairs() > 0
+    assert total("icmp_timeouts_total", [s.icmp.timeouts for s in stacks.values()]).value > 0
+
+
+@FABRICS
+def test_builder_publishes_into_the_registry_it_is_given(build):
+    registry = ensure_core_metrics(MetricsRegistry())
+    sim = Simulator()
+    cluster = build(sim, 3, metrics=registry)
+    assert cluster.metrics is registry
+    stacks = install_stacks(cluster)
+    stacks[0].icmp.ping(1, timeout_s=0.05, callback=lambda result: None)
+    sim.run(until=0.1)
+    assert registry.counter("net_bits_carried_total").value == sum(
+        s.bits_carried.value for s in cluster.backplanes
+    )
+    assert registry.counter("net_frames_sent_total").value > 0
+
+
+class _Unprintable(Frame):
+    def __str__(self):
+        raise AssertionError("a drop nobody records must not format its frame")
+
+
+class _Payload:
+    size_bytes = 28
+
+
+@pytest.mark.parametrize("segment_type", [Backplane, Switch], ids=["hub", "switch"])
+def test_disabled_drop_category_formats_no_frame(segment_type):
+    sim = Simulator()
+    trace = TraceRecorder(sim)
+    trace.disable_category("drop")
+    segment = segment_type(sim, network_id=0, trace=trace)
+    nic = Nic(InterfaceAddr(0, 0), segment, trace=trace)
+    segment.fail()
+    nic.send(_Unprintable(nic.addr, InterfaceAddr(1, 0), "t", _Payload()))
+    sim.run()
+    assert segment.frames_dropped.value == 1
+    assert trace.count("drop") == 0
