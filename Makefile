@@ -18,7 +18,10 @@ lint:
 		echo "ruff not installed; skipped (compileall passed)"; \
 	fi
 
-# end-to-end check: a quick experiment must emit its observability artifacts
+# end-to-end check: a quick experiment must emit its observability artifacts,
+# and a switched scenario must publish the bits its own report prints (the
+# switched copy is written here, not shipped: scenariosuite runs every file
+# under examples/scenarios)
 smoke:
 	rm -rf /tmp/drs-smoke
 	$(PYTHON) -m repro.experiments.runner --quick figure2 --out /tmp/drs-smoke
@@ -28,6 +31,14 @@ smoke:
 	grep -q drs_probe_rtt_seconds /tmp/drs-smoke/figure2.metrics.jsonl
 	grep -q drs_failover_latency_seconds /tmp/drs-smoke/figure2.metrics.jsonl
 	$(PYTHON) -m repro obs /tmp/drs-smoke
+	$(PYTHON) -c "import json; s = json.load(open('examples/scenarios/nic_failure_drs.json')); \
+		s.update(name='nic-failure-switched', fabric='switch'); \
+		json.dump(s, open('/tmp/drs-smoke/nic_failure_switched.json', 'w'))"
+	$(PYTHON) -m repro.scenario.cli /tmp/drs-smoke/nic_failure_switched.json \
+		--metrics-out /tmp/drs-smoke/switched > /tmp/drs-smoke/switched.txt
+	grep -q "wire bits carried *1.29443e+07" /tmp/drs-smoke/switched.txt
+	grep -q '"net_bits_carried_total", "kind": "counter", "value": 12944272.0, "events": 18051' \
+		/tmp/drs-smoke/switched/nic-failure-switched.metrics.jsonl
 	@echo "smoke: OK"
 
 bench:

@@ -25,8 +25,21 @@ from repro.baselines.reactive import ReactiveConfig, ReactiveRouter, install_rea
 from repro.baselines.distvector import DistVectorConfig, DistVectorRouter, install_distvector
 from repro.baselines.linkstate import LinkStateConfig, LinkStateRouter, install_linkstate
 from repro.baselines.static_tcp import StaticOnlyDeployment, install_static_only
+from repro.drs import DrsConfig, install_drs
+
+#: every routing regime the comparisons run, in report order: kind ->
+#: (config class, or None for the regime that takes none; install function).
+#: The scenario spec's ``protocol.kind`` and ``experiments.failover`` read this.
+ROUTING_PROTOCOLS = {
+    "drs": (DrsConfig, install_drs),
+    "reactive": (ReactiveConfig, install_reactive),
+    "distvector": (DistVectorConfig, install_distvector),
+    "linkstate": (LinkStateConfig, install_linkstate),
+    "static": (None, install_static_only),
+}
 
 __all__ = [
+    "ROUTING_PROTOCOLS",
     "ReactiveRouter",
     "ReactiveConfig",
     "install_reactive",

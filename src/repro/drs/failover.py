@@ -98,15 +98,12 @@ class FailoverEngine:
         self.recheck_link = None
         #: suppression window for notification storms: (peer, net) -> time
         self._notified_at: dict[tuple[NodeId, NetworkId], float] = {}
-        self.repairs = Counter(f"drs{table.owner}.repairs")
-        self.discoveries_started = Counter(f"drs{table.owner}.discoveries")
-        self.failed_repairs = Counter(f"drs{table.owner}.failed_repairs")
-        self.control_bytes = Counter(f"drs{table.owner}.control_bytes")
         registry = resolve_registry(metrics)
-        self._m_repairs = registry.counter("drs_repairs_total")
-        self._m_discoveries = registry.counter("drs_discoveries_total")
-        self._m_failed = registry.counter("drs_failed_repairs_total")
-        self._m_control_bytes = registry.counter("drs_control_bytes_total")
+        self.repairs = Counter(f"drs{table.owner}.repairs", total=registry.counter("drs_repairs_total"))
+        # nothing reads these three per daemon: the run's totals are the only count
+        self._discoveries_started = registry.counter("drs_discoveries_total")
+        self._failed_repairs = registry.counter("drs_failed_repairs_total")
+        self._control_bytes = registry.counter("drs_control_bytes_total")
         self._m_latency = registry.histogram("drs_failover_latency_seconds")
         self._m_fanout = registry.histogram("drs_broadcast_fanout", buckets=DEFAULT_COUNT_BUCKETS)
         table.on_transition(self._on_link_transition)
@@ -190,8 +187,7 @@ class FailoverEngine:
         fanout = 0
         for net in self.stack.node.networks:
             if self.stack.udp.broadcast(net, DRS_PORT, data=note, data_bytes=LINK_DOWN_NOTIFICATION_BYTES):
-                self.control_bytes.add(LINK_DOWN_NOTIFICATION_BYTES)
-                self._m_control_bytes.add(LINK_DOWN_NOTIFICATION_BYTES)
+                self._control_bytes.add(LINK_DOWN_NOTIFICATION_BYTES)
                 fanout += 1
         self._m_fanout.observe(fanout)
 
@@ -256,7 +252,6 @@ class FailoverEngine:
         self.repaired_via.pop(peer, None)
         self.unreachable.discard(peer)
         self.repairs.add()
-        self._m_repairs.add()
         self._m_latency.observe(self.sim.now - detected_at)
         self._span_end_failover(peer, "direct-swap", network=network)
         hb = heartbeat()
@@ -287,8 +282,7 @@ class FailoverEngine:
             failure_detected_at=detected_at,
         )
         self._discoveries[request_id] = disc
-        self.discoveries_started.add()
-        self._m_discoveries.add()
+        self._discoveries_started.add()
         # Path-check retries and triggered rechecks reach here without an
         # open failover span; open one so the episode is still attributed.
         self._span_begin_failover(target, detected_at, trigger="discovery")
@@ -306,8 +300,7 @@ class FailoverEngine:
         fanout = 0
         for net in self.stack.node.networks:
             if self.stack.udp.broadcast(net, DRS_PORT, data=request, data_bytes=DISCOVERY_REQUEST_BYTES):
-                self.control_bytes.add(DISCOVERY_REQUEST_BYTES)
-                self._m_control_bytes.add(DISCOVERY_REQUEST_BYTES)
+                self._control_bytes.add(DISCOVERY_REQUEST_BYTES)
                 sent_any = True
                 fanout += 1
         self._m_fanout.observe(fanout)
@@ -331,8 +324,7 @@ class FailoverEngine:
     def _settle_failure(self, disc: _Discovery) -> None:
         disc.settled = True
         self._discoveries.pop(disc.request_id, None)
-        self.failed_repairs.add()
-        self._m_failed.add()
+        self._failed_repairs.add()
         self.unreachable.add(disc.target)
         if disc.span is not None:
             self._spans.end(disc.span, outcome="no-route", offers=len(disc.offers))
@@ -363,8 +355,7 @@ class FailoverEngine:
         # Ask the volunteer to pin its leg; routed send (our route to the
         # volunteer is intact, or its offer could not have reached us).
         if self.stack.udp.send(offer.router, DRS_PORT, data=request, data_bytes=INSTALL_REQUEST_BYTES):
-            self.control_bytes.add(INSTALL_REQUEST_BYTES)
-            self._m_control_bytes.add(INSTALL_REQUEST_BYTES)
+            self._control_bytes.add(INSTALL_REQUEST_BYTES)
         # Install optimistically on offer selection; the ack confirms, and a
         # failed install surfaces via the path checker.
         self._install_via(disc, offer)
@@ -390,7 +381,6 @@ class FailoverEngine:
         self.repaired_via[disc.target] = offer.router
         self.unreachable.discard(disc.target)
         self.repairs.add()
-        self._m_repairs.add()
         self._m_latency.observe(self.sim.now - disc.failure_detected_at)
         self._span_end_failover(disc.target, "two-hop", router=offer.router, leg1_network=leg1)
         hb = heartbeat()
@@ -449,8 +439,7 @@ class FailoverEngine:
             # The origin can evidently reach us on the arrival network.
             offer = RouteOffer(router=self.owner, target=self.owner, request_id=msg.request_id, leg2_network=arrived_on)
             if self.stack.udp.send_direct(arrived_on, msg.origin, DRS_PORT, data=offer, data_bytes=ROUTE_OFFER_BYTES):
-                self.control_bytes.add(ROUTE_OFFER_BYTES)
-                self._m_control_bytes.add(ROUTE_OFFER_BYTES)
+                self._control_bytes.add(ROUTE_OFFER_BYTES)
             return
         up_nets = self.table.up_networks_to(msg.target)
         if not up_nets:
@@ -459,8 +448,7 @@ class FailoverEngine:
         leg2 = next((n for n in up_nets if n != arrived_on), up_nets[0])
         offer = RouteOffer(router=self.owner, target=msg.target, request_id=msg.request_id, leg2_network=leg2)
         if self.stack.udp.send_direct(arrived_on, msg.origin, DRS_PORT, data=offer, data_bytes=ROUTE_OFFER_BYTES):
-            self.control_bytes.add(ROUTE_OFFER_BYTES)
-            self._m_control_bytes.add(ROUTE_OFFER_BYTES)
+            self._control_bytes.add(ROUTE_OFFER_BYTES)
 
     def _pin_second_leg(self, msg: RouteInstallRequest) -> None:
         # Pin a direct host route for the target so forwarded traffic from
@@ -477,8 +465,7 @@ class FailoverEngine:
         self.volunteered_legs[(msg.origin, msg.target)] = msg.leg2_network
         ack = InstallAck(router=self.owner, target=msg.target, request_id=msg.request_id)
         if self.stack.udp.send(msg.origin, DRS_PORT, data=ack, data_bytes=INSTALL_ACK_BYTES):
-            self.control_bytes.add(INSTALL_ACK_BYTES)
-            self._m_control_bytes.add(INSTALL_ACK_BYTES)
+            self._control_bytes.add(INSTALL_ACK_BYTES)
 
     # ------------------------------------------------------------ path checks
     def check_repaired_paths(self) -> None:

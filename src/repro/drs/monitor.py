@@ -36,11 +36,10 @@ class LinkMonitor:
         self.table = table
         self.config = config
         self._spans = span_log(trace) if trace is not None else None
-        self.probes_sent = Counter(f"drs{table.owner}.probes")
-        self.probe_bytes = Counter(f"drs{table.owner}.probe_bytes")
         registry = resolve_registry(metrics)
-        self._m_probes = registry.counter("drs_probes_sent_total")
-        self._m_probe_bytes = registry.counter("drs_probe_bytes_total")
+        owner = f"drs{table.owner}"
+        self.probes_sent = Counter(f"{owner}.probes", total=registry.counter("drs_probes_sent_total"))
+        self.probe_bytes = Counter(f"{owner}.probe_bytes", total=registry.counter("drs_probe_bytes_total"))
         self._m_rtt = registry.histogram("drs_probe_rtt_seconds")
         self._proc: Process | None = None
         self._outstanding = 0
@@ -81,8 +80,6 @@ class LinkMonitor:
     def _probe(self, peer: int, network: int) -> None:
         self.probes_sent.add()
         self.probe_bytes.add(PROBE_WIRE_BYTES)
-        self._m_probes.add()
-        self._m_probe_bytes.add(PROBE_WIRE_BYTES)
         link = self.table.link(peer, network)
         link.last_probe_at = self.sim.now
         self._outstanding += 1
@@ -144,6 +141,4 @@ class LinkMonitor:
 
         self.probes_sent.add()
         self.probe_bytes.add(PROBE_WIRE_BYTES)
-        self._m_probes.add()
-        self._m_probe_bytes.add(PROBE_WIRE_BYTES)
         self.icmp.ping_direct(network, peer, timeout_s=self.config.probe_timeout_s, callback=on_result)

@@ -17,17 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-
-from repro.baselines import (
-    DistVectorConfig,
-    LinkStateConfig,
-    ReactiveConfig,
-    install_distvector,
-    install_linkstate,
-    install_reactive,
-    install_static_only,
-)
-from repro.drs import DrsConfig, install_drs
+from repro.baselines import ROUTING_PROTOCOLS, DistVectorConfig, LinkStateConfig, ReactiveConfig
+from repro.drs import DrsConfig
 from repro.engine import ExperimentSpec, register
 from repro.experiments.base import ExperimentResult
 from repro.netsim import build_dual_backplane_cluster
@@ -36,10 +27,12 @@ from repro.simkit import Process, Simulator
 
 #: Comparable timing configurations: DRS probes each link once a second;
 #: the reactive/DV baselines use a classic 3 s / 9 s query/timeout scaling.
-DRS_CONFIG = DrsConfig(sweep_period_s=1.0, probe_timeout_s=0.02, probe_retries=2, discovery_timeout_s=0.05)
-REACTIVE_CONFIG = ReactiveConfig(query_interval_s=3.0, timeout_s=9.0)
-DV_CONFIG = DistVectorConfig(advertise_interval_s=3.0, timeout_s=9.0)
-LS_CONFIG = LinkStateConfig(hello_interval_s=3.0, dead_interval_s=9.0)
+CONFIGS = {
+    "drs": DrsConfig(sweep_period_s=1.0, probe_timeout_s=0.02, probe_retries=2, discovery_timeout_s=0.05),
+    "reactive": ReactiveConfig(query_interval_s=3.0, timeout_s=9.0),
+    "distvector": DistVectorConfig(advertise_interval_s=3.0, timeout_s=9.0),
+    "linkstate": LinkStateConfig(hello_interval_s=3.0, dead_interval_s=9.0),
+}
 
 SCENARIOS: dict[str, list[str]] = {
     "peer-nic": ["nic1.0"],
@@ -48,7 +41,7 @@ SCENARIOS: dict[str, list[str]] = {
     "crossed": ["nic0.1", "nic1.0"],
 }
 
-PROTOCOLS = ("drs", "reactive", "distvector", "linkstate", "static")
+PROTOCOLS = tuple(ROUTING_PROTOCOLS)
 
 
 @dataclass
@@ -71,17 +64,12 @@ class FailoverOutcome:
 
 
 def _install(protocol: str, cluster, stacks):
-    if protocol == "drs":
-        return install_drs(cluster, stacks, DRS_CONFIG)
-    if protocol == "reactive":
-        return install_reactive(cluster, stacks, REACTIVE_CONFIG)
-    if protocol == "distvector":
-        return install_distvector(cluster, stacks, DV_CONFIG)
-    if protocol == "linkstate":
-        return install_linkstate(cluster, stacks, LS_CONFIG)
-    if protocol == "static":
-        return install_static_only(cluster, stacks)
-    raise ValueError(f"unknown protocol {protocol!r}")
+    if protocol not in ROUTING_PROTOCOLS:
+        raise ValueError(f"unknown protocol {protocol!r}")
+    install = ROUTING_PROTOCOLS[protocol][1]
+    if protocol in CONFIGS:
+        return install(cluster, stacks, CONFIGS[protocol])
+    return install(cluster, stacks)
 
 
 def run_one(

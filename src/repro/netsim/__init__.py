@@ -4,9 +4,13 @@ This package models the exact topology the DRS paper evaluates: N servers,
 each with two NICs, attached to two separate, non-meshed backplanes (hubs).
 It provides
 
-* :class:`~repro.netsim.backplane.Backplane` — a shared-medium hub with a
-  finite bit rate, propagation delay, FIFO serialization, and utilization
-  accounting (the 100 Mb/s network of Figure 1),
+* :class:`~repro.netsim.segment.Segment` — what every fabric is: one
+  failable segment that NICs attach to and that accounts, once, every bit
+  carried, every frame dropped and each frame's wait to get on,
+* :class:`~repro.netsim.backplane.Backplane` — the segment as a shared-medium
+  hub with FIFO serialization and a random-loss model (the 100 Mb/s network
+  of Figure 1); :class:`~repro.netsim.switch.Switch` — the same segment as a
+  learning store-and-forward switch with per-port links,
 * :class:`~repro.netsim.nic.Nic` — a failable network interface,
 * :class:`~repro.netsim.node.Node` — a server chassis holding NICs and
   dispatching received frames to registered handlers (the protocol stack
@@ -15,7 +19,8 @@ It provides
   scenarios over the component universe the paper's probability model
   counts (2N NICs + 2 hubs),
 * :func:`~repro.netsim.topology.build_dual_backplane_cluster` — the
-  canonical topology builder.
+  canonical topology builder (``build_dual_switched_cluster`` is the same
+  builder handed switches).
 
 Frame sizes follow minimal-Ethernet framing so that an ICMP echo occupies 84
 bytes on the wire per direction — the calibration that reproduces Figure 1's
@@ -31,6 +36,7 @@ from repro.netsim.frames import (
     wire_bytes,
 )
 from repro.netsim.component import Component, ComponentKind
+from repro.netsim.segment import Segment
 from repro.netsim.backplane import Backplane
 from repro.netsim.nic import Nic
 from repro.netsim.node import Node
@@ -51,6 +57,7 @@ __all__ = [
     "PREAMBLE_IFG_BYTES",
     "Component",
     "ComponentKind",
+    "Segment",
     "Backplane",
     "Nic",
     "Node",

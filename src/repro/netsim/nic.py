@@ -11,11 +11,11 @@ from repro.obs.metrics import MetricsRegistry, resolve_registry
 from repro.simkit import Counter, TraceRecorder
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
-    from repro.netsim.backplane import Backplane
+    from repro.netsim.segment import Segment
 
 
 class Nic(Component):
-    """One failable interface attaching a node to a backplane.
+    """One failable interface attaching a node to a backplane (hub or switch).
 
     A down NIC loses traffic in both directions without notifying either
     side — modelling the card/driver/cabling failures the paper's one-year
@@ -25,7 +25,7 @@ class Nic(Component):
     def __init__(
         self,
         addr: InterfaceAddr,
-        backplane: "Backplane",
+        backplane: "Segment",
         trace: TraceRecorder | None = None,
         metrics: MetricsRegistry | None = None,
     ) -> None:
@@ -40,13 +40,11 @@ class Nic(Component):
         self._degraded_rng = None
         self._degraded_direction = "both"
         self._receiver: Callable[[Frame, "Nic"], None] | None = None
-        self.frames_sent = Counter(f"{self.name}.tx")
-        self.frames_received = Counter(f"{self.name}.rx")
-        self.frames_dropped = Counter(f"{self.name}.drops")
         registry = resolve_registry(metrics)
-        self._m_tx = registry.counter("net_frames_sent_total")
-        self._m_rx = registry.counter("net_frames_received_total")
-        self._m_drops = registry.counter("net_frames_dropped_total")
+        # nothing reads sent/received per card: the run's totals are the only count
+        self._sent = registry.counter("net_frames_sent_total")
+        self._received = registry.counter("net_frames_received_total")
+        self.frames_dropped = Counter(f"{self.name}.drops", total=registry.counter("net_frames_dropped_total"))
         backplane.attach(self)
 
     def set_receiver(self, receiver: Callable[[Frame, "Nic"], None]) -> None:
@@ -99,8 +97,7 @@ class Nic(Component):
             # frame on the wire — the caller cannot tell.
             self._drop(frame, reason="tx-degraded")
             return True
-        self.frames_sent.add()
-        self._m_tx.add()
+        self._sent.add()
         self.backplane.transmit(frame, self)
         return True
 
@@ -113,13 +110,11 @@ class Nic(Component):
         if self.degraded_drop_rate > 0.0 and self._degraded_loss("rx"):
             self._drop(frame, reason="rx-degraded")
             return
-        self.frames_received.add()
-        self._m_rx.add()
+        self._received.add()
         if self._receiver is not None:
             self._receiver(frame, self)
 
     def _drop(self, frame: Frame, reason: str) -> None:
         self.frames_dropped.add()
-        self._m_drops.add()
         if self.trace is not None and self.trace.wants("drop"):
             self.trace.record("drop", where=self.name, reason=reason, frame=str(frame))

@@ -16,11 +16,13 @@ Performance semantics differ from :class:`~repro.netsim.backplane.Backplane`:
 Failure semantics are identical: the switch is still one shared component
 whose death severs the whole segment — so the paper's survivability model
 (Equation 1) applies to switched clusters unchanged, while the *cost* model
-(Figure 1) relaxes: probe sweeps no longer compete for one medium.  The
-``bench_switched`` benchmark quantifies both statements.
+(Figure 1) relaxes: probe sweeps no longer compete for one medium.
+``examples/switched_fabric.py`` and ``benchmarks/bench_switched.py`` show
+both statements side by side.
 
-The class is interface-compatible with ``Backplane`` (attach/transmit plus
-the accounting counters), so NICs, protocols, and DRS run unmodified.
+The class is a :class:`~repro.netsim.segment.Segment` like ``Backplane``
+(same attachment, counters, drops and registry rows), so NICs, protocols,
+and DRS run unmodified and both fabrics are read by one instrument.
 """
 
 from __future__ import annotations
@@ -28,15 +30,17 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.netsim.addresses import NetworkId
-from repro.netsim.component import Component, ComponentKind
 from repro.netsim.frames import Frame
+from repro.netsim.segment import Segment
+from repro.netsim.topology import Cluster, _build_dual_cluster
+from repro.obs.metrics import MetricsRegistry
 from repro.simkit import Counter, Simulator, TraceRecorder
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
     from repro.netsim.nic import Nic
 
 
-class Switch(Component):
+class Switch(Segment):
     """A learning store-and-forward switch with per-port full-duplex links."""
 
     def __init__(
@@ -47,45 +51,18 @@ class Switch(Component):
         prop_delay_s: float = 5e-6,
         switching_delay_s: float = 10e-6,
         trace: TraceRecorder | None = None,
+        metrics: MetricsRegistry | None = None,
     ) -> None:
-        super().__init__(name=f"switch{network_id}", kind=ComponentKind.HUB)
-        if bandwidth_bps <= 0:
-            raise ValueError(f"bandwidth_bps must be positive, got {bandwidth_bps}")
-        if prop_delay_s < 0 or switching_delay_s < 0:
-            raise ValueError("delays must be >= 0")
-        self.sim = sim
-        self.network_id = network_id
-        self.bandwidth_bps = float(bandwidth_bps)
-        self.prop_delay_s = float(prop_delay_s)
+        super().__init__(sim, f"switch{network_id}", network_id, bandwidth_bps, prop_delay_s, trace, metrics)
+        if switching_delay_s < 0:
+            raise ValueError(f"switching_delay_s must be >= 0, got {switching_delay_s}")
         self.switching_delay_s = float(switching_delay_s)
-        self.trace = trace
-        self._nics: dict[int, "Nic"] = {}
-        #: per-port link busy-until times, per direction
+        #: per-port link busy-until times, per direction (absent: never used, free)
         self._ingress_free: dict[int, float] = {}
         self._egress_free: dict[int, float] = {}
         #: the learning table: node id -> port (node id); ages not modelled
         self.mac_table: dict[int, int] = {}
-        self.bits_carried = Counter(f"switch{network_id}.bits")
-        self.frames_carried = Counter(f"switch{network_id}.frames")
-        self.frames_dropped = Counter(f"switch{network_id}.drops")
-        self.frames_flooded = Counter(f"switch{network_id}.floods")
-
-    # ------------------------------------------------------------ attachment
-    def attach(self, nic: "Nic") -> None:
-        """Attach a NIC to its own switch port."""
-        node = nic.addr.node
-        if node in self._nics:
-            raise ValueError(f"node {node} already has a NIC on network {self.network_id}")
-        if nic.addr.network != self.network_id:
-            raise ValueError(f"NIC {nic.addr} does not belong on network {self.network_id}")
-        self._nics[node] = nic
-        self._ingress_free[node] = 0.0
-        self._egress_free[node] = 0.0
-
-    @property
-    def attached(self) -> list["Nic"]:
-        """All NICs attached to this switch (up or down)."""
-        return list(self._nics.values())
+        self.frames_flooded = Counter(f"{self.name}.floods")
 
     # ------------------------------------------------------------- transport
     def transmit(self, frame: Frame, sender: "Nic") -> None:
@@ -94,12 +71,7 @@ class Switch(Component):
             self._drop(frame, reason="switch-down")
             return
         port = sender.addr.node
-        tx_time = frame.wire_bits / self.bandwidth_bps
-        start = max(self.sim.now, self._ingress_free[port])
-        done = start + tx_time
-        self._ingress_free[port] = done
-        self.bits_carried.add(frame.wire_bits)
-        self.frames_carried.add()
+        done = self._ingress_free[port] = self._carry(frame, self._ingress_free.get(port, 0.0))
         # store-and-forward: the switch acts once the whole frame is in
         self.sim.schedule_at(done + self.switching_delay_s, lambda: self._switch(frame, port))
 
@@ -136,7 +108,7 @@ class Switch(Component):
             self._drop(frame, reason="no-port")
             return
         tx_time = frame.wire_bits / self.bandwidth_bps
-        start = max(self.sim.now, self._egress_free[port])
+        start = max(self.sim.now, self._egress_free.get(port, 0.0))
         done = start + tx_time
         self._egress_free[port] = done
 
@@ -151,25 +123,6 @@ class Switch(Component):
 
         self.sim.schedule_at(done + self.prop_delay_s, deliver)
 
-    def _drop(self, frame: Frame, reason: str) -> None:
-        self.frames_dropped.add()
-        if self.trace is not None:
-            self.trace.record("drop", where=self.name, reason=reason, frame=str(frame), network=self.network_id)
-
-    # ------------------------------------------------------------- metering
-    def utilization(self) -> float:
-        """Mean fraction of *one link's* capacity used since t=0.
-
-        With per-port links the meaningful aggregate is bits over
-        ``ports * bandwidth * time``; this single-link form is kept for
-        interface parity with :class:`Backplane` and reads as "how much of
-        one shared pipe this traffic would have needed".
-        """
-        duration = self.sim.now
-        if duration <= 0:
-            return 0.0
-        return self.bits_carried.value / (self.bandwidth_bps * duration)
-
 
 def build_dual_switched_cluster(
     sim: Simulator,
@@ -178,44 +131,20 @@ def build_dual_switched_cluster(
     prop_delay_s: float = 5e-6,
     switching_delay_s: float = 10e-6,
     trace: TraceRecorder | None = None,
-):
+    metrics: MetricsRegistry | None = None,
+) -> Cluster:
     """The paper's topology on switches instead of hubs.
 
     Returns the same :class:`~repro.netsim.topology.Cluster` shape (the
     switches sit in ``cluster.backplanes``), so stacks, DRS, baselines, and
     fault injection work unchanged; component names are ``switch0/1``.
     """
-    from repro.netsim.faults import FaultInjector, component_universe
-    from repro.netsim.nic import Nic
-    from repro.netsim.node import Node
-    from repro.netsim.topology import Cluster
-    from repro.netsim.addresses import InterfaceAddr
-
-    if n < 2:
-        raise ValueError(f"a cluster needs at least 2 nodes, got {n}")
-    if trace is None:
-        trace = TraceRecorder(sim)
-    switches = [
-        Switch(
-            sim,
-            network_id=net,
-            bandwidth_bps=bandwidth_bps,
-            prop_delay_s=prop_delay_s,
-            switching_delay_s=switching_delay_s,
-            trace=trace,
-        )
-        for net in (0, 1)
-    ]
-    nodes = []
-    for i in range(n):
-        node = Node(sim, node_id=i)
-        for net in (0, 1):
-            node.add_nic(Nic(InterfaceAddr(node=i, network=net), switches[net], trace=trace))
-        nodes.append(node)
-    from repro.obs.metrics import resolve_registry
-
-    cluster = Cluster(
-        sim=sim, nodes=nodes, backplanes=switches, faults=None, trace=trace, metrics=resolve_registry(None)  # type: ignore[arg-type]
+    return _build_dual_cluster(
+        sim,
+        n,
+        trace,
+        metrics,
+        lambda net, trace, registry: Switch(
+            sim, net, bandwidth_bps, prop_delay_s, switching_delay_s, trace, registry
+        ),
     )
-    cluster.faults = FaultInjector(sim, component_universe(cluster), trace=trace)
-    return cluster

@@ -3,23 +3,25 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from repro.netsim.addresses import InterfaceAddr
 from repro.netsim.backplane import Backplane
 from repro.netsim.faults import FaultInjector, component_universe
 from repro.netsim.nic import Nic
 from repro.netsim.node import Node
+from repro.netsim.segment import Segment
 from repro.obs.metrics import MetricsRegistry, resolve_registry
 from repro.simkit import Simulator, TraceRecorder
 
 
 @dataclass
 class Cluster:
-    """A built dual-backplane cluster: nodes, hubs, faults, shared trace."""
+    """A built dual-segment cluster: nodes, two hubs or switches, faults, shared trace."""
 
     sim: Simulator
     nodes: list[Node]
-    backplanes: list[Backplane]
+    backplanes: list[Segment]
     faults: FaultInjector
     trace: TraceRecorder
     #: shared metrics registry every component of this cluster publishes into
@@ -71,34 +73,46 @@ def build_dual_backplane_cluster(
         Optional random per-frame loss on both segments (see
         :class:`~repro.netsim.backplane.Backplane`).
     """
+    return _build_dual_cluster(
+        sim,
+        n,
+        trace,
+        metrics,
+        lambda net, trace, registry: Backplane(
+            sim, net, bandwidth_bps, prop_delay_s, trace, loss_rate, rng, registry
+        ),
+    )
+
+
+def _build_dual_cluster(
+    sim: Simulator,
+    n: int,
+    trace: TraceRecorder | None,
+    metrics: MetricsRegistry | None,
+    make_segment: Callable[[int, TraceRecorder, MetricsRegistry], Segment],
+) -> Cluster:
+    """``n`` dual-NIC nodes on two segments from ``make_segment(net, trace, registry)``.
+
+    The one place nodes, NICs, the :class:`Cluster` and its fault injector
+    are put together, whatever the fabric: every component publishes into
+    the one resolved registry and records into the one trace.
+    """
     if n < 2:
         raise ValueError(f"a cluster needs at least 2 nodes, got {n}")
     if trace is None:
         trace = TraceRecorder(sim)
     registry = resolve_registry(metrics)
-    backplanes = [
-        Backplane(
-            sim,
-            network_id=net,
-            bandwidth_bps=bandwidth_bps,
-            prop_delay_s=prop_delay_s,
-            trace=trace,
-            loss_rate=loss_rate,
-            rng=rng,
-            metrics=registry,
-        )
-        for net in (0, 1)
-    ]
+    segments = [make_segment(net, trace, registry) for net in (0, 1)]
     nodes: list[Node] = []
     for i in range(n):
         node = Node(sim, node_id=i)
         for net in (0, 1):
             node.add_nic(
-                Nic(InterfaceAddr(node=i, network=net), backplanes[net], trace=trace, metrics=registry)
+                Nic(InterfaceAddr(node=i, network=net), segments[net], trace=trace, metrics=registry)
             )
         nodes.append(node)
     cluster = Cluster(
-        sim=sim, nodes=nodes, backplanes=backplanes, faults=None, trace=trace, metrics=registry  # type: ignore[arg-type]
+        sim=sim, nodes=nodes, backplanes=segments, faults=None, trace=trace, metrics=registry  # type: ignore[arg-type]
     )
     cluster.faults = FaultInjector(sim, component_universe(cluster), trace=trace)
     return cluster

@@ -1,8 +1,11 @@
 """Metrics registry: named counters, gauges, and fixed-bucket histograms.
 
-This is the measurement substrate the model components register into instead
-of hand-rolling :class:`~repro.simkit.trace.Counter` objects.  A registry is
-cheap (plain dicts, no locks — the simulator is single-threaded) and
+This is the measurement substrate the model components publish into.  A
+registry counter is a :class:`~repro.simkit.trace.Counter`; a component that
+also keeps its own count of a fact (one hub's bits, one daemon's probes)
+builds that counter on the registry's (``Counter(name, total=...)``), so each
+fact is counted by one ``add`` and a total is the sum of its components.  A
+registry is cheap (plain dicts, no locks — the simulator is single-threaded) and
 exportable two ways:
 
 * :meth:`MetricsRegistry.render_prometheus` — Prometheus text exposition,
@@ -396,21 +399,21 @@ CORE_HISTOGRAMS: tuple[tuple[str, tuple[float, ...], str], ...] = (
     ("drs_probe_rtt_seconds", DEFAULT_LATENCY_BUCKETS, "round-trip time of answered DRS link probes"),
     ("drs_failover_latency_seconds", DEFAULT_LATENCY_BUCKETS, "failure detection to repair-route install"),
     ("drs_broadcast_fanout", DEFAULT_COUNT_BUCKETS, "segments each DRS broadcast actually reached"),
-    ("net_queue_depth_seconds", DEFAULT_LATENCY_BUCKETS, "medium backlog seen by each transmitted frame"),
+    ("net_queue_depth_seconds", DEFAULT_LATENCY_BUCKETS, "each frame's wait for the hub's medium / switch's port"),
 )
 
 CORE_COUNTERS: tuple[tuple[str, str], ...] = (
-    ("drs_probes_sent_total", "link probes sent by all monitors"),
-    ("drs_probe_bytes_total", "request-side probe bytes on the wire"),
-    ("drs_repairs_total", "successful repair-route installations"),
-    ("drs_discoveries_total", "two-hop discovery rounds started"),
-    ("drs_failed_repairs_total", "discovery rounds that found no route"),
-    ("drs_control_bytes_total", "DRS control-plane bytes on the wire"),
-    ("net_frames_sent_total", "frames handed to the medium by all NICs"),
-    ("net_frames_received_total", "frames delivered to all NICs"),
-    ("net_frames_dropped_total", "frames dropped by NICs and segments"),
-    ("net_bits_carried_total", "bits serialized through all segments"),
-    ("icmp_timeouts_total", "echo transactions that timed out"),
+    ("drs_probes_sent_total", "link probes sent: sum of every LinkMonitor.probes_sent"),
+    ("drs_probe_bytes_total", "request-side probe bytes: sum of every LinkMonitor.probe_bytes"),
+    ("drs_repairs_total", "repair routes installed: sum of every FailoverEngine.repairs"),
+    ("drs_discoveries_total", "two-hop discovery rounds started, by any FailoverEngine"),
+    ("drs_failed_repairs_total", "discovery rounds that found no route, on any FailoverEngine"),
+    ("drs_control_bytes_total", "DRS control-plane bytes sent by any FailoverEngine"),
+    ("net_frames_sent_total", "frames a Nic handed to its segment"),
+    ("net_frames_received_total", "frames a Nic passed up to its node"),
+    ("net_frames_dropped_total", "sum of every Nic.frames_dropped and every hub's or switch's"),
+    ("net_bits_carried_total", "sum of every hub's or switch's bits_carried"),
+    ("icmp_timeouts_total", "echo timeouts: sum of every IcmpService.timeouts"),
     ("sim_events_total", "simulator events fired"),
     ("sim_callback_seconds_total", "wall-clock seconds inside event callbacks"),
     ("sim_run_seconds_total", "wall-clock seconds inside Simulator.run"),

@@ -100,8 +100,10 @@ class IcmpService:
         self._pending: dict[tuple[int, int], tuple] = {}
         self.requests_answered = Counter(f"icmp{net.node.node_id}.answered")
         self.replies_matched = Counter(f"icmp{net.node.node_id}.matched")
-        self.timeouts = Counter(f"icmp{net.node.node_id}.timeouts")
-        self._m_timeouts = resolve_registry(metrics).counter("icmp_timeouts_total")
+        self.timeouts = Counter(
+            f"icmp{net.node.node_id}.timeouts",
+            total=resolve_registry(metrics).counter("icmp_timeouts_total"),
+        )
         net.register_protocol(self.PROTOCOL, self._on_packet)
 
     # ------------------------------------------------------------------ client
@@ -162,7 +164,6 @@ class IcmpService:
             return
         _, callback, _, network, dst_node, span = entry
         self.timeouts.add()
-        self._m_timeouts.add()
         if span is not None:
             self._spans.end(span, outcome="timeout")
         callback(PingResult(PingStatus.TIMEOUT, dst_node, network, None))

@@ -7,15 +7,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.baselines import (
-    DistVectorConfig,
-    LinkStateConfig,
-    ReactiveConfig,
-    install_distvector,
-    install_linkstate,
-    install_reactive,
-    install_static_only,
-)
+from repro.baselines import ROUTING_PROTOCOLS
 from repro.cluster import (
     MpiJobConfig,
     MpiRingJob,
@@ -23,7 +15,6 @@ from repro.cluster import (
     VoicemailConfig,
     install_messaging,
 )
-from repro.drs import DrsConfig, install_drs
 from repro.netsim import FaultScenario, build_dual_backplane_cluster
 from repro.obs import MetricsRegistry, resolve_registry, use_registry
 from repro.obs.spans import span_log
@@ -68,23 +59,18 @@ class ScenarioReport:
 
 
 def _install_protocol(spec: ScenarioSpec, cluster, stacks):
-    options = dict(spec.protocol_options)
+    kind, options = spec.protocol_kind, dict(spec.protocol_options)
+    if kind not in ROUTING_PROTOCOLS:
+        raise ScenarioError(f"unknown protocol {kind!r}")
+    config_type, install = ROUTING_PROTOCOLS[kind]
     try:
-        if spec.protocol_kind == "drs":
-            return install_drs(cluster, stacks, DrsConfig(**options))
-        if spec.protocol_kind == "reactive":
-            return install_reactive(cluster, stacks, ReactiveConfig(**options))
-        if spec.protocol_kind == "distvector":
-            return install_distvector(cluster, stacks, DistVectorConfig(**options))
-        if spec.protocol_kind == "linkstate":
-            return install_linkstate(cluster, stacks, LinkStateConfig(**options))
-        if spec.protocol_kind == "static":
-            if options:
-                raise ScenarioError(f"static protocol takes no options, got {sorted(options)}")
-            return install_static_only(cluster, stacks)
+        if config_type is not None:
+            return install(cluster, stacks, config_type(**options))
+        if options:
+            raise ScenarioError(f"{kind} protocol takes no options, got {sorted(options)}")
+        return install(cluster, stacks)
     except TypeError as exc:
-        raise ScenarioError(f"bad protocol options for {spec.protocol_kind!r}: {exc}") from exc
-    raise ScenarioError(f"unknown protocol {spec.protocol_kind!r}")
+        raise ScenarioError(f"bad protocol options for {kind!r}: {exc}") from exc
 
 
 def _start_workload(spec: ScenarioSpec, sim, cluster, stacks, rng):

@@ -7,12 +7,14 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
+from repro.baselines import ROUTING_PROTOCOLS
+
 
 class ScenarioError(ValueError):
     """A scenario spec is malformed; the message says which field and why."""
 
 
-VALID_PROTOCOLS = ("drs", "reactive", "distvector", "linkstate", "static")
+VALID_PROTOCOLS = tuple(ROUTING_PROTOCOLS)
 VALID_WORKLOADS = ("stream", "voicemail", "mpi", "none")
 
 

@@ -9,22 +9,32 @@ from repro.simkit.simulator import Simulator
 
 
 class Counter:
-    """A monotonically accumulating scalar (packets sent, bits on wire, ...)."""
+    """A monotonically accumulating scalar (packets sent, bits on wire, ...).
 
-    __slots__ = ("name", "value", "events")
+    ``total`` is the aggregate this counter is one component of (a hub's bits
+    of the run's ``net_bits_carried_total``): every :meth:`add` counts there
+    too, so the fact is stated once and the total is the sum of its children.
+    """
 
-    def __init__(self, name: str = "") -> None:
+    __slots__ = ("name", "value", "events", "total")
+
+    def __init__(self, name: str = "", total: "Counter | None" = None) -> None:
         self.name = name
         self.value = 0.0
         self.events = 0
+        self.total = total
 
     def add(self, amount: float = 1.0) -> None:
-        """Accumulate ``amount`` and record one contributing event."""
+        """Accumulate ``amount`` and record one contributing event, here and in the total."""
         self.value += amount
         self.events += 1
+        total = self.total
+        if total is not None:
+            total.value += amount
+            total.events += 1
 
     def reset(self) -> None:
-        """Zero the counter."""
+        """Zero this counter; its total keeps what it was fed."""
         self.value = 0.0
         self.events = 0
 

@@ -4,6 +4,7 @@ import pytest
 
 from repro.obs.metrics import MetricsRegistry, ensure_core_metrics
 from repro.obs.progress import ProgressReporter
+from repro.simkit import Counter
 
 
 def test_merge_counters_adds_values_and_events():
@@ -137,6 +138,9 @@ def _busy_registry():
     registry.gauge("mc_iterations_per_second").set(1.5e6)
     for seen in (1e-6, 3e-4, 0.02, 50.0):
         registry.histogram("drs_probe_rtt_seconds").observe(seen)
+    # a total fed by component counters is a row like any other
+    for hub in ("hub0", "hub1"):
+        Counter(f"{hub}.bits", total=registry.counter("net_bits_carried_total")).add(672)
     return registry
 
 
@@ -154,6 +158,8 @@ def test_snapshot_rows_rebuild_the_registry_and_its_artifacts(tmp_path):
     parent.merge(rebuilt)
     assert parent.counter("sim_events_total", labels={"category": "probe"}).value == 14
     assert parent.histogram("drs_probe_rtt_seconds").count == 8
+    bits = parent.counter("net_bits_carried_total")
+    assert (bits.value, bits.events) == (4 * 672, 4)
 
 
 @pytest.mark.parametrize(
