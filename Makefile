@@ -17,6 +17,8 @@ lint:
 	else \
 		echo "ruff not installed; skipped (compileall passed)"; \
 	fi
+	@# benchmarks/e2e is the one benchmark: no second timing suite beside it
+	@test -z "$$(ls benchmarks/bench_*.py benchmarks/conftest.py benchmarks/BENCH_*.json 2>/dev/null)"
 
 # end-to-end check: a quick experiment must emit its observability artifacts,
 # and a switched scenario must publish the bits its own report prints (the
@@ -42,7 +44,7 @@ smoke:
 	@echo "smoke: OK"
 
 bench:
-	$(PYTHON) -m pytest benchmarks/ --benchmark-only
+	$(PYTHON) benchmarks/e2e/run.py
 
 experiments:
 	$(PYTHON) -m repro.experiments.runner --out results --html
@@ -107,8 +109,6 @@ quick-engine:
 # 2. the committed golden stream (tests/obs/data, assembled from real runs
 #    before the views were folded onto one reader) must print byte-identical
 #    watch / precision / export-trace output through the CLI
-# 3. perf gate: the committed snapshots vs themselves must pass; vs the +25%
-#    regression fixture bench-diff must exit nonzero (the gate actually trips)
 OBS := /tmp/drs-obs
 GOLDEN := tests/obs/data
 
@@ -137,18 +137,8 @@ quick-obs:
 	cmp $(OBS)/golden.chrome.json $(GOLDEN)/golden.flight.chrome.json
 	$(PYTHON) -m repro obs export-trace $(GOLDEN)/golden.trace.jsonl --out $(OBS)/golden.spans.json
 	cmp $(OBS)/golden.spans.json $(GOLDEN)/golden.trace.spans.json
-	$(PYTHON) -m repro obs bench-diff \
-		benchmarks/BENCH_bench_sweep_kernel.json benchmarks/BENCH_bench_sweep_kernel.json
-	$(PYTHON) -m repro obs bench-diff \
-		benchmarks/BENCH_bench_topology_kernel.json benchmarks/BENCH_bench_topology_kernel.json
-	$(PYTHON) -m repro obs bench-diff \
-		benchmarks/BENCH_bench_variance_reduction.json \
-		benchmarks/BENCH_bench_variance_reduction.json
-	! $(PYTHON) -m repro obs bench-diff \
-		benchmarks/BENCH_bench_sweep_kernel.json \
-		tests/obs/data/BENCH_bench_sweep_kernel_regressed.json
 	@echo "quick-obs: OK (flight stream -> 4 worker tracks + scheduler, watch replays," \
-		"golden views byte-identical, clean bench diffs pass, injected regression trips)"
+		"golden views byte-identical)"
 
 # estimator smoke: every way into the one Monte Carlo sweep loop, end to end.
 # 1. quick figure2/figure3/crossovers/wholecluster/availability/ablations and
@@ -163,10 +153,6 @@ quick-obs:
 #    and render through the precision verb and the watch panel
 # 3. the same with --mc-method stratified-cv must label its precision cells
 #    and flight events with the estimator method
-# 4. quick bench profiles: the sweep over the f-grid never slower than one
-#    one-cell call per f; the dual-hub fast path within 1.3x of the
-#    specialized entry point; stratified-cv >= 3x fewer trials than crude CRN
-#    at equal CI width (the committed BENCH_*.json hold the full profiles)
 EST := /tmp/drs-estimators
 DIGESTS := $(CURDIR)/tests/topology/data
 
@@ -208,12 +194,8 @@ quick-estimators:
 	$(PYTHON) -m repro obs precision $(EST)-cv/figure2.flight.jsonl > /dev/null
 	$(PYTHON) -m repro obs watch $(EST)-cv/figure2.flight.jsonl --once --no-color \
 		| grep -q 'stratified-cv'
-	BENCH_TELEMETRY_DIR= SWEEP_BENCH_ITERATIONS=100000 TOPOLOGY_BENCH_ITERATIONS=100000 \
-		VARIANCE_BENCH_TARGET=0.002 $(PYTHON) -m pytest benchmarks/bench_sweep_kernel.py \
-		benchmarks/bench_topology_kernel.py benchmarks/bench_variance_reduction.py \
-		--benchmark-only -q
 	@echo "quick-estimators: OK (pinned CSVs, pool == serial on all seven topologysweep CSVs," \
-		"adaptive + stratified-cv telemetry, bench gates; ~16 s — ~45 s before enumeration went packed)"
+		"adaptive + stratified-cv telemetry)"
 
 # end-to-end benchmark smoke: every workload of benchmarks/e2e once at
 # reduced size, all output checks on (~7 s); the harness self-tests ride along

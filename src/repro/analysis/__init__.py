@@ -9,7 +9,7 @@ This package reproduces the paper's quantitative evaluation:
   and against the paper's 0.99 crossovers (N=18/32/45 for f=2/3/4).
 * :mod:`~repro.analysis.exhaustive` — brute-force enumeration over all
   ``C(2N+2, f)`` failure sets, with ablation switches (no two-hop routing,
-  single backplane) for the design-choice benchmarks.
+  single backplane) for the design-choice ablations.
 * :mod:`~repro.analysis.montecarlo` — the vectorized Monte Carlo estimator
   (the paper's "DRS Simulation" used to validate the model, Figure 3).
 * :mod:`~repro.analysis.variance` — variance-reduced estimators: hub-state

@@ -3,7 +3,7 @@
 Exponentially expensive (``C(2N+2, f)`` predicate evaluations) but
 assumption-free: the predicate below is a direct transcription of the DRS
 reachability rules.  The test suite uses it to prove the closed form exact;
-the ablation benchmarks use its switches to quantify the value of the second
+the ablations use its switches to quantify the value of the second
 backplane and of two-hop routing.
 
 Component indexing matches :func:`repro.netsim.faults.component_universe`:

@@ -11,7 +11,7 @@ RIP-like cadence.  Only after a peer has failed queries continuously for
 and, failing that, broadcasts for a volunteer router that performs an
 *on-demand* check of its own link to the target (reactive end to end).
 
-The repair mechanics deliberately mirror DRS so that benchmark differences
+The repair mechanics deliberately mirror DRS so that measured differences
 isolate the paper's actual claim: proactive detection beats reactive
 detection, not "DRS has a better repair path."
 """

@@ -7,7 +7,7 @@ The original log is proprietary; this generator produces a categorical
 hardware-failure log for a fleet, with the category mix calibrated so the
 network-related share (NICs, hubs, cabling) lands at the paper's 13%, and
 re-derives the statistic from the generated events — so the motivation table
-in the benchmark harness is computed, not hard-coded.
+in the ``motivation`` experiment is computed, not hard-coded.
 """
 
 from __future__ import annotations

@@ -12,7 +12,7 @@ server-to-server traffic DRS exists to protect.
 
 Metrics: per-operation completion latency (transport-level delivery) and the
 count of operations stalled beyond a threshold — the "application noticed
-the failure" signal used by the failover benchmarks.
+the failure" signal used by the failover experiments.
 """
 
 from __future__ import annotations

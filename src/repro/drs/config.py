@@ -49,7 +49,7 @@ class DrsConfig:
         broadcasts a :class:`~repro.drs.messages.LinkDownNotification`, and
         recipients recheck that link immediately instead of waiting for
         their own sweep.  Off by default (the published protocol relies on
-        independent detection); the ablation benchmarks quantify the gain.
+        independent detection); ``tests/drs/test_notify.py`` quantifies the gain.
     """
 
     sweep_period_s: float = 1.0

@@ -17,7 +17,7 @@ Failure semantics are identical: the switch is still one shared component
 whose death severs the whole segment — so the paper's survivability model
 (Equation 1) applies to switched clusters unchanged, while the *cost* model
 (Figure 1) relaxes: probe sweeps no longer compete for one medium.
-``examples/switched_fabric.py`` and ``benchmarks/bench_switched.py`` show
+``examples/switched_fabric.py`` and ``tests/netsim/test_switch.py`` show
 both statements side by side.
 
 The class is a :class:`~repro.netsim.segment.Segment` like ``Backplane``

@@ -18,10 +18,6 @@ into:
   paths scored against the TCP-retransmit deadline budget.
 * :mod:`repro.obs.progress` — heartbeat reporter for long sweeps
   (trials/sec, ETA, incident counts on stderr + run manifests).
-* :mod:`repro.obs.bench` — ``BENCH_*.json`` snapshot writer for the
-  pytest-benchmark suite.
-* :mod:`repro.obs.benchtrack` — CI-width-aware diffing of committed
-  ``BENCH_*.json`` snapshots (the ``bench-diff`` perf gate).
 * :mod:`repro.obs.flightrecorder` — the engine flight recorder: a
   multiprocessing-safe structured event channel streaming every job,
   worker, checkpoint, and heartbeat lifecycle event to a crash-tolerant
@@ -38,8 +34,10 @@ into:
   adaptive-stopping bookkeeping, and the ``repro obs precision``
   sweep-quality report.
 * :mod:`repro.obs.cli` — the ``repro obs`` pretty-printer plus the
-  ``export-trace``, ``postmortem``, ``watch``, ``bench-diff``, and
-  ``precision`` verbs.
+  ``export-trace``, ``postmortem``, ``watch``, and ``precision`` verbs.
+
+Timings are not measured here: ``benchmarks/e2e`` is the repo's one
+benchmark (see its README).
 """
 
 from repro.obs.artifacts import (
@@ -59,13 +57,6 @@ from repro.obs.metrics import (
     ensure_core_metrics,
     resolve_registry,
     use_registry,
-)
-from repro.obs.bench import load_bench_snapshot, write_bench_snapshots
-from repro.obs.benchtrack import (
-    BenchDelta,
-    bench_diff_report,
-    diff_snapshots,
-    render_bench_diff,
 )
 from repro.obs.flightrecorder import (
     FLIGHT_SUFFIX,
@@ -150,12 +141,6 @@ __all__ = [
     "ProgressReporter",
     "set_heartbeat",
     "heartbeat",
-    "write_bench_snapshots",
-    "load_bench_snapshot",
-    "BenchDelta",
-    "diff_snapshots",
-    "render_bench_diff",
-    "bench_diff_report",
     "FlightRecorder",
     "FLIGHT_SUFFIX",
     "KINDS",

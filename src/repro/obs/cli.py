@@ -9,7 +9,7 @@ Usage::
     python -m repro obs export-trace /tmp/r/figure2.flight.jsonl
     python -m repro obs postmortem examples/scenarios/voicemail_hub_outage.json
     python -m repro obs watch /tmp/r/figure2.flight.jsonl
-    python -m repro obs bench-diff benchmarks/ --metric mean
+    python -m repro obs precision /tmp/r/figure2.flight.jsonl
 
 The bare form dispatches on artifact suffix: ``*.manifest.json`` (run
 provenance), ``*.metrics.jsonl`` / ``*.metrics.prom`` (registry snapshots),
@@ -26,8 +26,6 @@ machine-readable JSON document.  Four verbs:
   path and score it against the TCP-retransmit deadline budget.
 * ``watch`` — live ANSI dashboard tailing a ``*.flight.jsonl`` stream
   while (or after) an engine run writes it.
-* ``bench-diff`` — CI-width-aware deltas between committed ``BENCH_*.json``
-  snapshots; exits nonzero on regression (the CI perf gate).
 * ``precision`` — sweep-quality report over a run's per-cell Wilson
   intervals: worst cells, per-f target attainment, and trials saved versus
   a fixed-count run.  Reads ``stats.cell`` events from a ``*.flight.jsonl``
@@ -340,49 +338,6 @@ def _cmd_watch(argv: list[str]) -> int:
     )
 
 
-def _cmd_bench_diff(argv: list[str]) -> int:
-    from repro.obs.benchtrack import (
-        BENCH_DIFF_EXIT_REGRESSION,
-        DEFAULT_MIN_REL,
-        DEFAULT_Z,
-        DIFF_METRICS,
-        bench_diff_report,
-        diff_snapshots,
-        render_bench_diff,
-    )
-
-    parser = argparse.ArgumentParser(
-        prog="repro obs bench-diff",
-        description="Diff BENCH_*.json snapshots with CI-width-aware regression gates.",
-    )
-    parser.add_argument("paths", nargs="+",
-                        help="two or more snapshot files, or directories of them "
-                        "(oldest vs newest per module, by created_unix)")
-    parser.add_argument("--metric", choices=DIFF_METRICS, default="mean",
-                        help="stat to compare (default: mean; ops is higher-is-better)")
-    parser.add_argument("--threshold", type=float, default=DEFAULT_MIN_REL, metavar="FRAC",
-                        help=f"minimum relative move to flag (default: {DEFAULT_MIN_REL})")
-    parser.add_argument("--z", type=float, default=DEFAULT_Z, metavar="Z",
-                        help="multiplier on the combined relative standard error "
-                        f"(default: {DEFAULT_Z})")
-    parser.add_argument("--json", action="store_true",
-                        help="emit the machine-readable report instead of the table")
-    args = parser.parse_args(argv)
-
-    try:
-        deltas = diff_snapshots(
-            args.paths, metric=args.metric, min_rel=args.threshold, z=args.z
-        )
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    if args.json:
-        print(json.dumps(bench_diff_report(deltas), indent=2))
-    else:
-        print(render_bench_diff(deltas))
-    return BENCH_DIFF_EXIT_REGRESSION if any(d.regressed for d in deltas) else 0
-
-
 def _cmd_precision(argv: list[str]) -> int:
     from repro.obs.precision import (
         cells_from_manifest,
@@ -441,8 +396,6 @@ def main(argv: list[str] | None = None) -> int:
         return _cmd_postmortem(argv[1:])
     if argv and argv[0] == "watch":
         return _cmd_watch(argv[1:])
-    if argv and argv[0] == "bench-diff":
-        return _cmd_bench_diff(argv[1:])
     if argv and argv[0] == "precision":
         return _cmd_precision(argv[1:])
     parser = argparse.ArgumentParser(

@@ -3,7 +3,7 @@
 This is the application-transport model the paper's headline claim is stated
 against: *"the new route is often found in the time of a TCP retransmit, so
 server applications are unaware that a network failure has occurred."*  The
-failover benchmarks open a TCP-lite stream, inject a failure, and compare the
+failover experiments open a TCP-lite stream, inject a failure, and compare the
 application-visible stall with and without DRS.
 
 Implemented subset (documented simplifications):

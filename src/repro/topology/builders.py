@@ -10,7 +10,7 @@ reproducibility contract), scaled by one primary ``size`` parameter so the
   attached as fast paths.  Size = N (nodes).
 * :func:`k_hub_cluster` — the generalized k-backplane/k-NIC cluster
   (``hubs=2`` reproduces the paper's graph *without* the fast paths, which
-  is what the equivalence tests and the kernel benchmark lean on).
+  is what the equivalence tests lean on).
   Size = N (nodes).
 * :func:`fat_tree_two_level` — a leaf/spine fabric with per-host NICs
   (Couto et al. / Gliksberg et al. in PAPERS.md motivate the family).

@@ -64,6 +64,8 @@ def test_faster_repair_buys_availability():
     fast = pair_availability(10, 10_000, 24, repair_latency_s=1.0)   # DRS-ish
     assert fast.combined_availability > slow.combined_availability
     assert fast.downtime_minutes_per_year < slow.downtime_minutes_per_year
+    # EXP-AVAIL's headline row: N=12, MTBF one year, DRS repair latency
+    assert pair_availability(12, 8_760, 24, repair_latency_s=1.1).nines > 4
 
 
 def test_bigger_cluster_buys_structural_availability():

@@ -29,6 +29,21 @@ def test_mad_at_1000_iterations_below_paper_bound():
         assert mad < 0.01, (f, mad)
 
 
+def test_mad_at_1000_iterations_for_every_f():
+    rng = np.random.default_rng(2000)
+    for f in range(2, 11):
+        mad = mean_absolute_deviation(f, 1_000, rng)
+        assert mad < 0.012, (f, mad)
+
+
+def test_mad_scales_like_one_over_sqrt_iterations():
+    rng = np.random.default_rng(0)
+    coarse = mean_absolute_deviation(3, 100, rng, n_max=40)
+    fine = mean_absolute_deviation(3, 10_000, rng, n_max=40)
+    # 100x the samples -> ~10x less error; generous slack
+    assert 3 < coarse / fine < 40
+
+
 def test_mad_empty_domain_raises():
     rng = np.random.default_rng(0)
     with pytest.raises(ValueError):

@@ -106,6 +106,19 @@ def test_grid_independent_of_f_subset():
     assert full[4] == alone[4]
 
 
+def test_grid_is_one_sampling_pass_whatever_the_f_grid():
+    # what the grid call saves over per-f calls is len(fs) - 1 sampling
+    # passes; a regression to per-f sampling moves the generator further
+    fs = (2, 3, 4, 5, 6)
+    grid, one_f, per_point = (np.random.default_rng(PINNED_SEED) for _ in range(3))
+    simulate_grid(63, fs, 100_000, rng=grid)
+    simulate_grid(63, (4,), 100_000, rng=one_f)
+    for f in fs:
+        simulate_success_probability(63, f, 100_000, per_point)
+    assert grid.bit_generator.state == one_f.bit_generator.state
+    assert per_point.bit_generator.state != grid.bit_generator.state
+
+
 def test_grid_deterministic_for_seed_and_sensitive_to_it():
     a = simulate_grid(10, (2, 3), 5_000, seed=1)
     b = simulate_grid(10, (2, 3), 5_000, seed=1)
@@ -170,6 +183,34 @@ def test_adaptive_cell_byte_identical_to_fixed_run_at_stopped_count():
     for f, cell in cells.items():
         fixed = simulate_grid(12, (f,), cell.trials, seed=PINNED_SEED)
         assert fixed[f] == cell.point == cell.successes / cell.trials, (f, cell)
+
+
+def test_adaptive_saves_397_of_1000_fixed_trials_at_equal_precision():
+    # the figure-2 quick shape (one f-family per N row): trial counts at
+    # equal precision are deterministic for the seed, so they are exact
+    ns, fs, seed, budget = (7, 12, 17, 22, 27), (2, 3, 4, 5, 6), 2026, 200_000
+    bar = max(
+        cell.half_width
+        for n in ns
+        for cell in simulate_grid(n, fs, budget, seed=seed, precision=True).values()
+    )
+    assert bar == pytest.approx(0.0021828766, abs=1e-10)
+    rows = [
+        simulate_grid(
+            n, fs, 2_000, seed=seed, target_half_width=bar, max_iterations=budget, batch=25_000
+        )
+        for n in ns
+    ]
+    for cells in rows:
+        assert all(c.met_target and c.half_width <= bar for c in cells.values())
+    # CRN accounting: a row's sampling cost is the max over its cells
+    spent = [max(c.trials for c in cells.values()) for cells in rows]
+    assert spent == [200_000, 157_000, 107_000, 82_000, 57_000]
+    assert sum(spent) == 603_000 and len(ns) * budget == 1_000_000  # 0.397 saved
+    # and each cell is the fixed-count run at the count it stopped at
+    cells = simulate_grid(17, fs, 2_000, seed=seed, target_half_width=0.01, max_iterations=budget)
+    for f, cell in cells.items():
+        assert simulate_grid(17, (f,), cell.trials, seed=seed)[f] == cell.point
 
 
 def test_adaptive_cell_independent_of_f_subset():

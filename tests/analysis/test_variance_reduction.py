@@ -167,6 +167,29 @@ def test_reduced_estimators_beat_crude_variance_at_matched_trials(n, f):
     assert float(np.mean(cv)) == pytest.approx(exact, abs=5e-3)
 
 
+@pytest.mark.parametrize(
+    "target,crude_trials,reduced_trials", [(0.0002, 1_256_000, 16_000), (0.002, 16_000, 1_000)]
+)
+def test_cv_reaches_the_crude_half_width_in_fewer_trials(target, crude_trials, reduced_trials):
+    # trials to a half-width are deterministic for the seed, so the 78.5x
+    # headline (1,256,000 / 16,000) is an exact fact, not a timing
+    spent = {}
+    for method in ("crn", "stratified-cv"):
+        cells = simulate_grid(
+            63,
+            (2, 3, 4, 5, 6),
+            1_000,
+            seed=PINNED_SEED,
+            method=method,
+            target_half_width=target,
+            max_iterations=50_000_000,
+        )
+        assert all(cell.met_target for cell in cells.values())
+        spent[method] = max(cell.trials for cell in cells.values())
+    assert all(cell.method == "stratified-cv" for cell in cells.values())
+    assert spent == {"crn": crude_trials, "stratified-cv": reduced_trials}
+
+
 def test_cv_interval_coverage_meets_nominal():
     # n=4, f=4 has a genuine crossed-covering term (c > 0), so the CV
     # estimate is non-degenerate and its scaled-Wilson interval is the

@@ -45,7 +45,7 @@ def test_notifications_speed_up_cluster_convergence():
         results[name] = done - t_fail
     # with notifications, cluster-wide convergence collapses to roughly the
     # first detector's latency; without, stragglers wait out their own sweeps
-    assert results["notify"] < results["base"]
+    assert results["notify"] < 0.8 * results["base"]
 
 
 def test_notify_repairs_remain_correct():

@@ -6,15 +6,19 @@ from repro.experiments import availability, grayfailure, wholecluster
 
 
 def test_grayfailure_tradeoff_shape():
-    result = grayfailure.run(loss_rates=(0.0, 0.05), retry_values=(1, 2), sim_seconds=30.0)
+    result = grayfailure.run(loss_rates=(0.0, 0.05), retry_values=(1, 2, 3), sim_seconds=30.0)
     fp = {(row[0], row[1]): row[2] for row in result.tables["false_positives"].rows}
     # no loss -> no false positives at any threshold
     assert fp[(0.0, 1)] == 0 and fp[(0.0, 2)] == 0
+    assert all(row[3] == 0 for row in result.tables["false_positives"].rows if row[0] == 0.0)
     # under loss, a higher threshold suppresses false positives
-    assert fp[(0.05, 2)] < fp[(0.05, 1)]
+    assert fp[(0.05, 3)] <= fp[(0.05, 2)] < fp[(0.05, 1)]
     lat = {row[0]: row[1] for row in result.tables["detection_latency"].rows}
     # patience costs detection latency on clean networks
     assert lat[1] < lat[2]
+    # a real failure is still found within a few sweeps despite 5% loss
+    lossy = {row[0]: row[2] for row in result.tables["detection_latency"].rows}
+    assert lossy[2] < 4 * 0.5 + 1.0
 
 
 def test_wholecluster_orderings():

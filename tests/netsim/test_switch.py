@@ -2,10 +2,17 @@
 
 import pytest
 
-from repro.netsim import Frame, InterfaceAddr, Nic, Switch, build_dual_switched_cluster
+from repro.netsim import (
+    Frame,
+    InterfaceAddr,
+    Nic,
+    Switch,
+    build_dual_backplane_cluster,
+    build_dual_switched_cluster,
+)
 from repro.netsim.addresses import broadcast_addr
 from repro.protocols import install_stacks
-from repro.simkit import Simulator
+from repro.simkit import Process, Simulator
 
 
 class _Payload:
@@ -78,6 +85,29 @@ def test_parallel_ports_do_not_contend():
     assert len(received) == 20
 
 
+def test_disjoint_tcp_flows_scale_with_ports_not_with_the_shared_medium():
+    def goodput(build, flows=3, seconds=0.2):
+        sim = Simulator()
+        stacks = install_stacks(build(sim, 2 * flows))
+        delivered = []
+        for i in range(flows):
+            src, dst = 2 * i, 2 * i + 1
+            stacks[dst].tcp.listen(9000, on_message=lambda c, d, size: delivered.append(size))
+            conn = stacks[src].tcp.connect(dst, 9000, window_segments=64)
+
+            def pump(conn=conn):
+                while True:
+                    conn.send_message(data_bytes=100_000)
+                    yield 0.01
+
+            Process(sim, pump(), name=f"flow{i}")
+        sim.run(until=seconds)
+        return sum(delivered)
+
+    # 6.0 MB against 2.1 MB in 0.2 s: the hub caps the sum, the switch each port
+    assert goodput(build_dual_switched_cluster) > 1.5 * goodput(build_dual_backplane_cluster)
+
+
 def test_switch_down_drops():
     sim, sw, nics, received = _rig()
     sw.fail()
@@ -127,6 +157,28 @@ def test_switched_cluster_runs_drs_end_to_end():
     # node 1 is now crossed (nic1.0 dead, switch1 dead): two-hop impossible
     # since every path to 1 needs switch1; unreachable, as Equation 1 says
     assert not routed_ping_ok(sim, stacks, 0, 1)
+
+
+def test_drs_repairs_as_fast_on_switches_as_on_hubs():
+    from repro.drs import DrsConfig, install_drs
+
+    def repair_latency(build):
+        sim = Simulator()
+        cluster = build(sim, 5)
+        config = DrsConfig(sweep_period_s=0.2, probe_timeout_s=0.01)
+        install_drs(cluster, install_stacks(cluster), config)
+        sim.run(until=1.0)
+        cluster.faults.fail("nic1.0")
+        sim.run(until=2.0)
+        return next(
+            e.time - 1.0
+            for e in cluster.trace.entries("drs-repair")
+            if e.time > 1.0 and e.fields["node"] == 0 and e.fields["peer"] == 1
+        )
+
+    # same protocol, same timers: within one sweep of each other
+    hub = repair_latency(build_dual_backplane_cluster)
+    assert abs(hub - repair_latency(build_dual_switched_cluster)) < 0.4
 
 
 def test_component_universe_names_switches():

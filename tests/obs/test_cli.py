@@ -140,6 +140,9 @@ def test_obs_cli_errors(tmp_path, capsys):
     stray.write_text("hello")
     assert obs_main([str(stray)]) == 1
     assert "unrecognized artifact" in capsys.readouterr().err
+    # a word that is not a verb is a path, and a missing one says so
+    assert obs_main(["retired-verb", "x"]) == 1
+    assert "error: retired-verb: no such file" in capsys.readouterr().err
 
 
 def test_python_m_repro_obs_verb(tmp_path, scenario_file, capsys):

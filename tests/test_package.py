@@ -11,6 +11,15 @@ def test_top_level_exports_importable():
         assert hasattr(repro, name), name
 
 
+def test_obs_surface_resolves_and_measures_no_timings():
+    import repro.obs
+
+    for name in repro.obs.__all__:
+        assert hasattr(repro.obs, name), name
+    # benchmarks/e2e is the one benchmark: no snapshot writer, differ or module here
+    assert not [n for n in dir(repro.obs) if "bench" in n.lower() or n == "diff_snapshots"]
+
+
 def test_version_string():
     import repro
 

@@ -116,6 +116,18 @@ class TestBlockBoundaries:
         )
 
 
+def test_enumeration_stays_in_the_packed_domain(monkeypatch):
+    # C(33, 4) = 40,920 failure sets are 640 words: at most one BFS per word
+    # (one per block today), never one per set
+    topology = build_topology("multicluster", size=4)
+    assert comb(topology.width, 4) == 40_920
+    calls = []
+    real = topokernel._packed_reach
+    monkeypatch.setattr(topokernel, "_packed_reach", lambda *args: calls.append(1) or real(*args))
+    assert 0.0 < enumerate_topology_success(topology, 4) < 1.0
+    assert 1 <= len(calls) <= -(-40_920 // 64)
+
+
 class TestBudget:
     def test_over_budget_is_refused_before_anything_is_allocated(self, monkeypatch):
         topology = k_hub_cluster(16, hubs=3)  # C(51, 25) ~ 2.5e14 failure sets

@@ -173,6 +173,24 @@ class TestLevelsEquivalence:
         )
         assert specialized == generic  # same draws, same thresholds, exactly
 
+    def test_dual_hub_grid_never_enters_the_packed_bfs(self, monkeypatch):
+        # "generality is free for the paper": the attached kernels answer the
+        # dual-hub grid; the same graph without them pays a BFS per search step
+        import repro.analysis.topokernel as topokernel
+        from repro.analysis import simulate_grid
+
+        calls = []
+        real = topokernel._packed_reach
+        monkeypatch.setattr(
+            topokernel, "_packed_reach", lambda *args: calls.append(1) or real(*args)
+        )
+        fs = (2, 3, 4, 5, 6)
+        generic = simulate_topology_grid(dual_hub_cluster(63), fs, 20_000, np.random.default_rng(0))
+        assert not calls
+        assert generic == simulate_grid(63, fs, 20_000, np.random.default_rng(0))
+        simulate_topology_grid(k_hub_cluster(63, hubs=2), fs, 20_000, np.random.default_rng(0))
+        assert calls
+
     def test_generic_path_grid_agrees_statistically(self):
         # no fast path: same estimator, independent verification of the BFS
         fs = (2, 3, 4)
