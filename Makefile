@@ -19,6 +19,8 @@ lint:
 	fi
 	@# benchmarks/e2e is the one benchmark: no second timing suite beside it
 	@test -z "$$(ls benchmarks/bench_*.py benchmarks/conftest.py benchmarks/BENCH_*.json 2>/dev/null)"
+	@# package __init__s re-export lazily; only baselines/ (ROUTING_PROTOCOLS uses its imports) is eager
+	@! grep -nE '^(from|import) repro\.' $$(find src/repro -name __init__.py ! -path '*/baselines/*')
 
 # end-to-end check: a quick experiment must emit its observability artifacts,
 # and a switched scenario must publish the bits its own report prints (the

@@ -21,6 +21,10 @@ The package layers, bottom to top:
   failure-log generator,
 * :mod:`repro.experiments` — drivers regenerating every figure and table.
 
+Every package re-exports its public names lazily (PEP 562, through
+:func:`_lazy_exports` below): importing a package loads nothing else, and
+reading a name loads the one module that defines it.
+
 Quickstart::
 
     from repro import (
@@ -40,39 +44,62 @@ Quickstart::
     success_probability(18, 2)          # Equation 1: 0.9900...
 """
 
-from repro.simkit import Simulator
-from repro.netsim import build_dual_backplane_cluster
-from repro.protocols import install_stacks
-from repro.drs import DrsConfig, install_drs
-from repro.baselines import install_distvector, install_reactive, install_static_only
-from repro.analysis import (
-    crossover_n,
-    simulate_success_probability,
-    success_curve,
-    success_probability,
-    sweep_time_s,
-)
-from repro.cluster import install_messaging
-from repro.scenario import load_scenario, run_scenario
+import importlib
+import sys
+from typing import Any, Callable
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "Simulator",
-    "build_dual_backplane_cluster",
-    "install_stacks",
-    "DrsConfig",
-    "install_drs",
-    "install_reactive",
-    "install_distvector",
-    "install_static_only",
-    "install_messaging",
-    "success_probability",
-    "success_curve",
-    "crossover_n",
-    "simulate_success_probability",
-    "sweep_time_s",
-    "load_scenario",
-    "run_scenario",
-    "__version__",
-]
+
+def _lazy_exports(
+    package: str, exports: dict[str, list[str]]
+) -> tuple[list[str], Callable, Callable]:
+    """PEP 562 re-exports: what a package ``__init__`` binds instead of eager imports.
+
+    ``exports`` maps each submodule of ``package`` to the public names it
+    defines.  Returns ``(__all__, __getattr__, __dir__)``: a name's submodule
+    is imported the first time the name is read (the value is then cached on
+    the package), so importing a package costs only its own ``__init__``, and
+    a submodule is still an attribute of its package without an explicit
+    import, as the eager imports made it.
+    """
+    home = {name: module for module, names in exports.items() for name in names}
+
+    def __getattr__(name: str) -> Any:
+        if name not in home:
+            try:
+                return importlib.import_module(f"{package}.{name}")
+            except ModuleNotFoundError as exc:
+                if exc.name != f"{package}.{name}":
+                    raise
+                raise AttributeError(f"module {package!r} has no attribute {name!r}") from None
+        value = getattr(importlib.import_module(f"{package}.{home[name]}"), name)
+        setattr(sys.modules[package], name, value)
+        return value
+
+    def __dir__() -> list[str]:
+        return sorted({*vars(sys.modules[package]), *home})
+
+    return list(home), __getattr__, __dir__
+
+
+__all__, __getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        "simkit": ["Simulator"],
+        "netsim": ["build_dual_backplane_cluster"],
+        "protocols": ["install_stacks"],
+        "drs": ["DrsConfig", "install_drs"],
+        "baselines": ["install_reactive", "install_distvector", "install_static_only"],
+        "cluster": ["install_messaging"],
+        "analysis": [
+            "success_probability",
+            "success_curve",
+            "crossover_n",
+            "simulate_success_probability",
+            "sweep_time_s",
+        ],
+        "scenario": ["load_scenario", "run_scenario"],
+    },
+)
+__all__.append("__version__")

@@ -23,151 +23,86 @@ This package reproduces the paper's quantitative evaluation:
   weights ``q^f`` combined with Equation 1.
 """
 
-from repro.analysis.combinatorics import comb0, covering_nic_failures
-from repro.analysis.exact import (
-    bad_combinations,
-    crossover_n,
-    expected_dark_pairs,
-    good_combinations,
-    success_curve,
-    success_probability,
-    total_combinations,
-)
-from repro.analysis.exhaustive import enumerate_success_probability, pair_connected
-from repro.analysis.montecarlo import (
-    DEFAULT_MAX_ADAPTIVE_TRIALS,
-    connectivity_levels,
-    failure_matrix_at,
-    failure_rank_matrix,
-    sample_failure_matrix,
-    simulate_curve,
-    simulate_full_grid,
-    simulate_grid,
-    simulate_success_probability,
-)
-from repro.analysis.variance import (
-    allocate_stratum_trials,
-    endpoint_dead_conditional_mean,
-    hub_stratum_weights,
-    one_hub_conditional_success,
-    sample_conditional_failure_matrix,
-    site_stratum_weights,
-    stratified_grid,
-    stratified_success_probability,
-)
-from repro.analysis.convergence import (
-    convergence_study,
-    mean_absolute_deviation,
-    mean_absolute_deviation_grid,
-)
-from repro.analysis.cost import (
-    detection_time_s,
-    frame_size_sensitivity,
-    max_nodes_within,
-    probe_bits_per_sweep,
-    response_time_curve,
-    sweep_time_s,
-)
-from repro.analysis.qmodel import failure_count_pmf, unconditional_success
-from repro.analysis.allpairs import (
-    allpairs_good_combinations,
-    allpairs_success_curve,
-    allpairs_success_probability,
-    simulate_allpairs_success,
-)
-from repro.analysis.weighted import (
-    hub_nic_weight_ratio,
-    simulate_weighted_success,
-    weighted_failure_matrix,
-)
-from repro.analysis.topokernel import (
-    enumerate_topology_success,
-    exact_topology_success,
-    require_baseline_connectivity,
-    sample_topology_failures,
-    simulate_topology_grid,
-    simulate_topology_success,
-    topology_connected_vec,
-    topology_connectivity_levels,
-    topology_keys,
-)
-from repro.analysis.stats import (
-    ProportionEstimate,
-    mc_success_estimate,
-    normal_ppf,
-    wilson_interval,
-)
-from repro.analysis.availability import (
-    AvailabilityReport,
-    component_unavailability,
-    iid_allpairs_success_probability,
-    iid_success_probability,
-    pair_availability,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "comb0",
-    "covering_nic_failures",
-    "bad_combinations",
-    "good_combinations",
-    "total_combinations",
-    "success_probability",
-    "success_curve",
-    "crossover_n",
-    "expected_dark_pairs",
-    "enumerate_success_probability",
-    "pair_connected",
-    "simulate_success_probability",
-    "simulate_curve",
-    "simulate_grid",
-    "simulate_full_grid",
-    "DEFAULT_MAX_ADAPTIVE_TRIALS",
-    "site_stratum_weights",
-    "hub_stratum_weights",
-    "one_hub_conditional_success",
-    "endpoint_dead_conditional_mean",
-    "allocate_stratum_trials",
-    "sample_conditional_failure_matrix",
-    "stratified_grid",
-    "stratified_success_probability",
-    "sample_failure_matrix",
-    "failure_rank_matrix",
-    "failure_matrix_at",
-    "connectivity_levels",
-    "mean_absolute_deviation",
-    "mean_absolute_deviation_grid",
-    "convergence_study",
-    "sweep_time_s",
-    "max_nodes_within",
-    "response_time_curve",
-    "detection_time_s",
-    "frame_size_sensitivity",
-    "probe_bits_per_sweep",
-    "failure_count_pmf",
-    "unconditional_success",
-    "allpairs_good_combinations",
-    "allpairs_success_probability",
-    "allpairs_success_curve",
-    "simulate_allpairs_success",
-    "weighted_failure_matrix",
-    "simulate_weighted_success",
-    "hub_nic_weight_ratio",
-    "topology_connected_vec",
-    "topology_connectivity_levels",
-    "topology_keys",
-    "sample_topology_failures",
-    "simulate_topology_success",
-    "simulate_topology_grid",
-    "enumerate_topology_success",
-    "exact_topology_success",
-    "require_baseline_connectivity",
-    "component_unavailability",
-    "iid_success_probability",
-    "iid_allpairs_success_probability",
-    "pair_availability",
-    "AvailabilityReport",
-    "wilson_interval",
-    "normal_ppf",
-    "mc_success_estimate",
-    "ProportionEstimate",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        "combinatorics": ["comb0", "covering_nic_failures"],
+        "exact": [
+            "bad_combinations",
+            "good_combinations",
+            "total_combinations",
+            "success_probability",
+            "success_curve",
+            "crossover_n",
+            "expected_dark_pairs",
+        ],
+        "exhaustive": ["enumerate_success_probability", "pair_connected"],
+        "montecarlo": [
+            "simulate_success_probability",
+            "simulate_curve",
+            "simulate_grid",
+            "simulate_full_grid",
+            "DEFAULT_MAX_ADAPTIVE_TRIALS",
+            "sample_failure_matrix",
+            "failure_rank_matrix",
+            "failure_matrix_at",
+            "connectivity_levels",
+        ],
+        "variance": [
+            "site_stratum_weights",
+            "hub_stratum_weights",
+            "one_hub_conditional_success",
+            "endpoint_dead_conditional_mean",
+            "allocate_stratum_trials",
+            "sample_conditional_failure_matrix",
+            "stratified_grid",
+            "stratified_success_probability",
+        ],
+        "convergence": [
+            "mean_absolute_deviation",
+            "mean_absolute_deviation_grid",
+            "convergence_study",
+        ],
+        "cost": [
+            "sweep_time_s",
+            "max_nodes_within",
+            "response_time_curve",
+            "detection_time_s",
+            "frame_size_sensitivity",
+            "probe_bits_per_sweep",
+        ],
+        "qmodel": ["failure_count_pmf", "unconditional_success"],
+        "allpairs": [
+            "allpairs_good_combinations",
+            "allpairs_success_probability",
+            "allpairs_success_curve",
+            "simulate_allpairs_success",
+        ],
+        "weighted": [
+            "weighted_failure_matrix",
+            "simulate_weighted_success",
+            "hub_nic_weight_ratio",
+        ],
+        "topokernel": [
+            "topology_connected_vec",
+            "topology_connectivity_levels",
+            "topology_keys",
+            "sample_topology_failures",
+            "simulate_topology_success",
+            "simulate_topology_grid",
+            "enumerate_topology_success",
+            "exact_topology_success",
+            "require_baseline_connectivity",
+        ],
+        "availability": [
+            "component_unavailability",
+            "iid_success_probability",
+            "iid_allpairs_success_probability",
+            "pair_availability",
+            "AvailabilityReport",
+        ],
+        "stats": ["wilson_interval", "normal_ppf", "mc_success_estimate", "ProportionEstimate"],
+    },
+)

@@ -14,32 +14,21 @@ provides the application-level pieces the experiments drive:
   network-related).
 """
 
-from repro.cluster.messaging import ClusterComm, Endpoint, install_messaging
-from repro.cluster.voicemail import VoicemailCluster, VoicemailConfig, VoicemailStats
-from repro.cluster.mpijob import MpiJobConfig, MpiJobStats, MpiRingJob
-from repro.cluster.failurelog import (
-    FailureEvent,
-    FailureLogConfig,
-    category_breakdown,
-    generate_failure_log,
-    network_fraction,
-    to_fault_scenario,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "Endpoint",
-    "ClusterComm",
-    "install_messaging",
-    "VoicemailCluster",
-    "VoicemailConfig",
-    "VoicemailStats",
-    "MpiRingJob",
-    "MpiJobConfig",
-    "MpiJobStats",
-    "FailureEvent",
-    "FailureLogConfig",
-    "generate_failure_log",
-    "category_breakdown",
-    "network_fraction",
-    "to_fault_scenario",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        "messaging": ["Endpoint", "ClusterComm", "install_messaging"],
+        "voicemail": ["VoicemailCluster", "VoicemailConfig", "VoicemailStats"],
+        "mpijob": ["MpiRingJob", "MpiJobConfig", "MpiJobStats"],
+        "failurelog": [
+            "FailureEvent",
+            "FailureLogConfig",
+            "generate_failure_log",
+            "category_breakdown",
+            "network_fraction",
+            "to_fault_scenario",
+        ],
+    },
+)

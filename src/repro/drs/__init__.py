@@ -23,37 +23,23 @@ also carry a TTL as a backstop).
 Entry point: :func:`~repro.drs.daemon.install_drs`.
 """
 
-from repro.drs.config import DrsConfig
-from repro.drs.state import LinkKey, LinkState, PeerLink, PeerTable
-from repro.drs.messages import (
-    DRS_PORT,
-    DiscoveryRequest,
-    InstallAck,
-    RouteInstallRequest,
-    RouteOffer,
-)
-from repro.drs.monitor import LinkMonitor
-from repro.drs.failover import FailoverEngine
-from repro.drs.daemon import DrsDaemon, DrsDeployment, install_drs
-from repro.drs.status import DeploymentHealth, deployment_health, status_report
+from repro import _lazy_exports
 
-__all__ = [
-    "DrsConfig",
-    "LinkState",
-    "LinkKey",
-    "PeerLink",
-    "PeerTable",
-    "DRS_PORT",
-    "DiscoveryRequest",
-    "RouteOffer",
-    "RouteInstallRequest",
-    "InstallAck",
-    "LinkMonitor",
-    "FailoverEngine",
-    "DrsDaemon",
-    "DrsDeployment",
-    "install_drs",
-    "DeploymentHealth",
-    "deployment_health",
-    "status_report",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        "config": ["DrsConfig"],
+        "state": ["LinkState", "LinkKey", "PeerLink", "PeerTable"],
+        "messages": [
+            "DRS_PORT",
+            "DiscoveryRequest",
+            "RouteOffer",
+            "RouteInstallRequest",
+            "InstallAck",
+        ],
+        "monitor": ["LinkMonitor"],
+        "failover": ["FailoverEngine"],
+        "daemon": ["DrsDaemon", "DrsDeployment", "install_drs"],
+        "status": ["DeploymentHealth", "deployment_health", "status_report"],
+    },
+)

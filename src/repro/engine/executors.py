@@ -24,8 +24,8 @@ one the first failure raises :class:`~repro.engine.retry.JobError`.
 from __future__ import annotations
 
 import os
-from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
+from concurrent.futures import FIRST_COMPLETED, Future, wait
+from typing import Any
 
 from repro.engine.checkpoint import Checkpoint
 from repro.engine.chunk import ChunkResult, guided_chunks
@@ -33,7 +33,7 @@ from repro.engine.driver import PlanDriver, PlanExecution, run_chunk
 from repro.engine.jobs import JobPlan
 from repro.engine.retry import FAIL_FAST, JobError, RetryPolicy, execute_job
 
-__all__ = ["SerialExecutor", "ParallelExecutor", "make_executor"]
+__all__ = ["SerialExecutor", "ParallelExecutor", "make_executor", "run_plan"]
 
 
 class SerialExecutor:
@@ -89,6 +89,11 @@ class ParallelExecutor:
         self.workers = workers if workers is not None else (os.cpu_count() or 1)
         self.policy = policy
         self.max_pool_respawns = max_pool_respawns
+        # the pool's module, and multiprocessing under it, load when a pool is
+        # configured: never in a serial run, and before a pool run's plan starts
+        from concurrent.futures import process
+
+        self._process = process
 
     def run(self, plan: JobPlan, checkpoint: Checkpoint | None = None) -> PlanExecution:
         """Execute the plan on the pool, merging worker observability back."""
@@ -108,10 +113,10 @@ class ParallelExecutor:
             # The pool is managed by hand (no `with`): its __exit__ is a
             # shutdown(wait=True), which would block a Ctrl-C behind every
             # chunk still running.
-            pool = ProcessPoolExecutor(max_workers=self.workers)
+            pool = self._process.ProcessPoolExecutor(max_workers=self.workers)
             pending: set[Future] = set()
             pool_pids: set[int] = set()  # workers seen in this pool generation
-            broken: BrokenProcessPool | None = None
+            broken: Exception | None = None
             try:
                 for chunk in chunks:
                     pending.add(pool.submit(run_chunk, plan.experiment, plan.seed, chunk, policy))
@@ -124,7 +129,7 @@ class ParallelExecutor:
                         pending.discard(future)
                         settle(future)
                         driver.sample_scheduler(len(pending), self.workers)
-            except BrokenProcessPool as exc:
+            except self._process.BrokenProcessPool as exc:
                 broken = exc
             finally:
                 # Leaving early (pool break, job failure, Ctrl-C) with futures
@@ -194,3 +199,43 @@ def make_executor(
     if workers == 1:
         return SerialExecutor(policy=policy)
     return ParallelExecutor(workers=workers, policy=policy)
+
+
+def run_plan(
+    plan: JobPlan, executor: Any | None = None, checkpoint: Checkpoint | None = None
+) -> Any:
+    """Execute a plan on an executor (default serial) and reduce the values.
+
+    With a ``checkpoint``, jobs it already holds are skipped and every newly
+    completed job is streamed into it (crash-safe), which is what backs
+    ``drs-experiments --resume``.
+
+    The reduced result's ``meta`` — when it has one, as every
+    :class:`~repro.experiments.base.ExperimentResult` does — gains an
+    ``engine`` section recording backend, worker count, job count, root
+    seed, the per-job seed fingerprints, and the fault-tolerance tallies
+    (attempts per executed job, total retries, quarantined/timed-out job
+    names, jobs resumed from checkpoint, pool respawns), which the runner
+    folds into the run manifest.
+    """
+    executor = executor if executor is not None else SerialExecutor()
+    execution = executor.run(plan, checkpoint=checkpoint)
+    result = plan.reduce(execution.values)
+    meta = getattr(result, "meta", None)
+    if isinstance(meta, dict):
+        meta["engine"] = {
+            "backend": execution.backend,
+            "workers": execution.workers,
+            "jobs": len(plan.jobs),
+            "root_seed": plan.seed,
+            "job_seeds": execution.job_seeds,
+            "attempts": execution.attempts,
+            "retries": execution.retries,
+            "quarantined": sorted(execution.quarantined),
+            "timed_out": sorted(execution.timed_out),
+            "resumed": sorted(execution.resumed),
+            "pool_respawns": execution.pool_respawns,
+        }
+        if execution.hosts:
+            meta["engine"]["hosts"] = execution.hosts
+    return result

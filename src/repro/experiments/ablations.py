@@ -20,7 +20,7 @@ import numpy as np
 from repro.analysis import simulate_success_probability, success_probability
 from repro.analysis.combinatorics import comb0
 from repro.drs import DrsConfig, install_drs
-from repro.engine import ExperimentSpec, Job, JobPlan, register, run_plan
+from repro.engine import Job, JobPlan, run_plan
 from repro.experiments.base import ExperimentResult
 from repro.netsim import build_dual_backplane_cluster
 from repro.protocols import install_stacks
@@ -194,18 +194,3 @@ def run(
         run_des=run_des,
     )
     return run_plan(plan, executor, checkpoint=checkpoint)
-
-
-register(
-    ExperimentSpec(
-        name="ablations",
-        run=run,
-        profiles={
-            "quick": {"n_values": (8, 32), "mc_iterations": 20_000, "sweep_periods": (0.5, 2.0)},
-            "full": {},
-        },
-        parallel=True,
-        order=80,
-        description="two-hop / dual-backplane / sweep-period ablations",
-    )
-)

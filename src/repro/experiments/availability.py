@@ -27,7 +27,7 @@ from repro.analysis import (
     simulate_weighted_success,
     success_probability,
 )
-from repro.engine import ExperimentSpec, Job, JobPlan, register, run_plan
+from repro.engine import Job, JobPlan, run_plan
 from repro.experiments.base import ExperimentResult
 
 #: (N, f) grid of the field-calibrated weighted-failure spot checks.
@@ -164,15 +164,3 @@ def run(
         seed=seed,
     )
     return run_plan(plan, executor, checkpoint=checkpoint)
-
-
-register(
-    ExperimentSpec(
-        name="availability",
-        run=run,
-        profiles={"quick": {"n_values": (4, 16), "mc_iterations": 30_000}, "full": {}},
-        parallel=True,
-        order=110,
-        description="downtime minutes/year planning + field-weighted correction",
-    )
-)

@@ -20,7 +20,7 @@ from typing import Any
 import numpy as np
 
 from repro.analysis import crossover_n, simulate_grid, success_probability
-from repro.engine import ExperimentSpec, Job, JobPlan, cell_point, register, run_plan
+from repro.engine import Job, JobPlan, cell_point, run_plan
 from repro.experiments.base import (
     ExperimentResult,
     add_precision_artifacts,
@@ -177,15 +177,3 @@ def run(
         ci_confidence=ci_confidence,
     )
     return run_plan(plan, executor, checkpoint=checkpoint)
-
-
-register(
-    ExperimentSpec(
-        name="crossovers",
-        run=run,
-        profiles={"quick": {"mc_iterations": 2_000}, "full": {"mc_iterations": 20_000}},
-        parallel=True,
-        order=40,
-        description="prose 0.99 crossovers (18/32/45), with MC validation",
-    )
-)

@@ -22,7 +22,7 @@ import numpy as np
 
 from repro.analysis import success_probability
 from repro.drs import DrsConfig, install_drs
-from repro.engine import ExperimentSpec, Job, JobPlan, register, run_plan
+from repro.engine import Job, JobPlan, run_plan
 from repro.experiments.base import ExperimentResult
 from repro.netsim import build_dual_backplane_cluster
 from repro.obs.progress import heartbeat
@@ -191,26 +191,3 @@ def run(
     """Empirical-vs-analytic comparison table for one cluster size."""
     plan = build_plan(n=n, f_values=f_values, replicates=replicates, seed=seed)
     return run_plan(plan, executor, checkpoint=checkpoint)
-
-
-register(
-    ExperimentSpec(
-        name="desval",
-        run=run,
-        profiles={"quick": {"replicates": 30, "f_values": (2, 3, 4)}, "full": {}},
-        parallel=True,
-        order=70,
-        description="DES survivability vs Equation 1",
-    )
-)
-
-register(
-    ExperimentSpec(
-        name="desval-curve",
-        run=run_curve,
-        profiles={"quick": {"replicates": 25, "n_values": (4, 6, 8)}, "full": {}},
-        parallel=True,
-        order=130,
-        description="live-protocol Figure 2 slice at fixed f",
-    )
-)

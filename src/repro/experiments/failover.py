@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 from repro.baselines import ROUTING_PROTOCOLS, DistVectorConfig, LinkStateConfig, ReactiveConfig
 from repro.drs import DrsConfig
-from repro.engine import ExperimentSpec, register
 from repro.experiments.base import ExperimentResult
 from repro.netsim import build_dual_backplane_cluster
 from repro.protocols import install_stacks
@@ -175,14 +174,3 @@ def run(
         "static routing never recovers on the failed network."
     )
     return result
-
-
-register(
-    ExperimentSpec(
-        name="failover",
-        run=run,
-        profiles={"quick": {"post_failure_s": 30.0}, "full": {}},
-        order=60,
-        description="proactive vs reactive outage (DES)",
-    )
-)

@@ -16,7 +16,6 @@ import numpy as np
 
 from repro.analysis.cost import frame_size_sensitivity, max_nodes_within, response_time_curve, sweep_time_s
 from repro.drs import DrsConfig, install_drs
-from repro.engine import ExperimentSpec, register
 from repro.experiments.base import ExperimentResult
 from repro.netsim import build_dual_backplane_cluster
 from repro.protocols import install_stacks
@@ -100,17 +99,3 @@ def run(
             caption=f"DES cross-validation: measured probe load on the wire, N={des_nodes}",
         )
     return result
-
-
-register(
-    ExperimentSpec(
-        name="figure1",
-        run=run,
-        profiles={
-            "quick": {"n_max": 100, "validate_des": True, "des_nodes": 6, "des_seconds": 1.0},
-            "full": {},
-        },
-        order=10,
-        description="Fig. 1 response time vs N per probe-bandwidth budget",
-    )
-)

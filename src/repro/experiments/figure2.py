@@ -25,7 +25,7 @@ from typing import Any
 import numpy as np
 
 from repro.analysis import simulate_grid, success_curve
-from repro.engine import ExperimentSpec, Job, JobPlan, cell_point, register, run_plan
+from repro.engine import Job, JobPlan, cell_point, run_plan
 from repro.experiments.base import (
     ExperimentResult,
     add_precision_artifacts,
@@ -194,15 +194,3 @@ def run(
         mc_method=mc_method,
     )
     return run_plan(plan, executor, checkpoint=checkpoint)
-
-
-register(
-    ExperimentSpec(
-        name="figure2",
-        run=run,
-        profiles={"quick": {"mc_iterations": 2_000}, "full": {"mc_iterations": 20_000}},
-        parallel=True,
-        order=20,
-        description="Fig. 2 P[Success] vs N, f=2..10, with MC overlay",
-    )
-)

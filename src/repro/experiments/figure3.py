@@ -26,7 +26,7 @@ import numpy as np
 
 from repro.analysis import mean_absolute_deviation_grid
 from repro.analysis.convergence import ConvergenceStudy
-from repro.engine import ExperimentSpec, Job, JobPlan, curve_value, register, run_plan
+from repro.engine import Job, JobPlan, curve_value, run_plan
 from repro.experiments.base import ExperimentResult
 from repro.simkit.rng import seed_fingerprint
 
@@ -185,15 +185,3 @@ def run(
         mc_method=mc_method,
     )
     return run_plan(plan, executor, checkpoint=checkpoint)
-
-
-register(
-    ExperimentSpec(
-        name="figure3",
-        run=run,
-        profiles={"quick": {"iteration_grid": (10, 100, 1_000), "n_max": 40}, "full": {}},
-        parallel=True,
-        order=30,
-        description="Fig. 3 MC convergence (MAD vs iterations)",
-    )
-)

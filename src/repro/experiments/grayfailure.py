@@ -19,7 +19,6 @@ import dataclasses
 import numpy as np
 
 from repro.drs import DrsConfig, install_drs
-from repro.engine import ExperimentSpec, register
 from repro.experiments.base import ExperimentResult
 from repro.netsim import build_dual_backplane_cluster
 from repro.protocols import install_stacks
@@ -132,17 +131,3 @@ def run(
         "adding about one sweep of detection latency"
     )
     return result
-
-
-register(
-    ExperimentSpec(
-        name="grayfailure",
-        run=run,
-        profiles={
-            "quick": {"loss_rates": (0.0, 0.05), "retry_values": (1, 2), "sim_seconds": 30.0},
-            "full": {},
-        },
-        order=90,
-        description="false positives under random frame loss",
-    )
-)

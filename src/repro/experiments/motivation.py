@@ -12,7 +12,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.cluster import FailureLogConfig, category_breakdown, generate_failure_log, network_fraction
-from repro.engine import ExperimentSpec, register
 from repro.experiments.base import ExperimentResult
 
 
@@ -49,14 +48,3 @@ def run(fleet_years: int = 20, seed: int = 1999) -> ExperimentResult:
             f"across {len(single_years)} observation years (paper observed 0.13 in one year)"
         )
     return result
-
-
-register(
-    ExperimentSpec(
-        name="motivation",
-        run=run,
-        profiles={"quick": {"fleet_years": 5}, "full": {}},
-        order=50,
-        description="prose 13% network-failure share",
-    )
-)

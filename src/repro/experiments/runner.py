@@ -16,11 +16,12 @@ Usage::
         --coordinator 0.0.0.0:7077    # wait for remote drs-worker joins
 
 The experiments come from the declarative registry in :mod:`repro.engine`:
-each :mod:`repro.experiments.*` module registers an
-:class:`~repro.engine.ExperimentSpec` with ``quick``/``full`` parameter
-profiles, and sweep-style experiments decompose into independent jobs with
-deterministic spawned seeds — so ``--jobs N`` changes wall time, never
-results.
+one :class:`~repro.engine.ExperimentSpec` per row of the ``EXPERIMENTS``
+table in :mod:`repro.experiments`, with ``quick``/``full`` parameter
+profiles; ``--list`` reads the table alone, and a run imports only the
+driver module it runs.  Sweep-style experiments decompose into independent
+jobs with deterministic spawned seeds — so ``--jobs N`` changes wall time,
+never results.
 
 Sweep experiments run fault-tolerant by default: each job gets
 ``--retries`` attempts beyond the first (exponential backoff, deterministic
@@ -50,7 +51,6 @@ import sys
 import time
 from pathlib import Path
 
-import repro.experiments  # noqa: F401  — importing registers every ExperimentSpec
 from repro.engine import Checkpoint, PlanInterrupted, RetryPolicy, experiment_specs, make_executor
 from repro.obs import (
     MetricsRegistry,

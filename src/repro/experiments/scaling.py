@@ -17,7 +17,7 @@ from typing import Any
 import numpy as np
 
 from repro.drs import DrsConfig, install_drs
-from repro.engine import ExperimentSpec, Job, JobPlan, register, run_plan
+from repro.engine import Job, JobPlan, run_plan
 from repro.experiments.base import ExperimentResult
 from repro.netsim import build_dual_backplane_cluster
 from repro.protocols import install_stacks
@@ -136,15 +136,3 @@ def run(
         budget_cap=budget_cap,
     )
     return run_plan(plan, executor, checkpoint=checkpoint)
-
-
-register(
-    ExperimentSpec(
-        name="scaling",
-        run=run,
-        profiles={"quick": {"n_values": (4, 8, 12)}, "full": {}},
-        parallel=True,
-        order=140,
-        description="deployed-range size sweep + feasibility boundary",
-    )
-)

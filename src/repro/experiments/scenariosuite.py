@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from repro.engine import ExperimentSpec, register
 from repro.experiments.base import ExperimentResult
 from repro.scenario import load_scenario, run_scenario
 
@@ -65,14 +64,3 @@ def _workload_verdict(report) -> str:
     if "mpi job completed" in metrics:
         return "job completed" if metrics["mpi job completed"] else "JOB HUNG"
     return "-"
-
-
-register(
-    ExperimentSpec(
-        name="scenarios",
-        run=run,
-        profiles={"quick": {}, "full": {}},
-        order=120,
-        description="every shipped drs-sim scenario, end to end",
-    )
-)

@@ -25,7 +25,7 @@ from typing import Any
 import numpy as np
 
 from repro.analysis import exact_topology_success, simulate_topology_grid
-from repro.engine import ExperimentSpec, Job, JobPlan, cell_point, register, run_plan
+from repro.engine import Job, JobPlan, cell_point, run_plan
 from repro.experiments.base import (
     ExperimentResult,
     add_precision_artifacts,
@@ -217,18 +217,3 @@ def run(
         mc_method=mc_method,
     )
     return run_plan(plan, executor, checkpoint=checkpoint)
-
-
-register(
-    ExperimentSpec(
-        name="topologysweep",
-        run=run,
-        profiles={
-            "quick": {"mc_iterations": 2_000, "sizes": (4, 6, 8)},
-            "full": {},
-        },
-        parallel=True,
-        order=150,  # after every paper artifact: this is the generalization
-        description="P[Success] grids over the pluggable topology catalog",
-    )
-)

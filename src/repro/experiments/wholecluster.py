@@ -24,7 +24,7 @@ from repro.analysis import (
     simulate_allpairs_success,
     success_curve,
 )
-from repro.engine import ExperimentSpec, Job, JobPlan, register, run_plan
+from repro.engine import Job, JobPlan, run_plan
 from repro.experiments.base import ExperimentResult
 
 #: (N, f) points where the all-pairs closed form is spot-checked by MC.
@@ -138,15 +138,3 @@ def run(
         seed=seed,
     )
     return run_plan(plan, executor, checkpoint=checkpoint)
-
-
-register(
-    ExperimentSpec(
-        name="wholecluster",
-        run=run,
-        profiles={"quick": {"mc_iterations": 10_000}, "full": {}},
-        parallel=True,
-        order=100,
-        description="pairwise vs all-pairs survivability",
-    )
-)

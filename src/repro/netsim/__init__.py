@@ -27,47 +27,27 @@ bytes on the wire per direction — the calibration that reproduces Figure 1's
 "90 hosts in under a second at 10% bandwidth" checkpoint (see DESIGN.md §2).
 """
 
-from repro.netsim.addresses import BROADCAST_NODE, InterfaceAddr, NetworkId, NodeId
-from repro.netsim.frames import (
-    ETHER_OVERHEAD_BYTES,
-    MIN_FRAME_BYTES,
-    PREAMBLE_IFG_BYTES,
-    Frame,
-    wire_bytes,
-)
-from repro.netsim.component import Component, ComponentKind
-from repro.netsim.segment import Segment
-from repro.netsim.backplane import Backplane
-from repro.netsim.nic import Nic
-from repro.netsim.node import Node
-from repro.netsim.faults import FaultInjector, FaultScenario, component_universe
-from repro.netsim.capture import CapturedFrame, FrameCapture
-from repro.netsim.switch import Switch, build_dual_switched_cluster
-from repro.netsim.topology import Cluster, build_dual_backplane_cluster
+from repro import _lazy_exports
 
-__all__ = [
-    "NodeId",
-    "NetworkId",
-    "InterfaceAddr",
-    "BROADCAST_NODE",
-    "Frame",
-    "wire_bytes",
-    "ETHER_OVERHEAD_BYTES",
-    "MIN_FRAME_BYTES",
-    "PREAMBLE_IFG_BYTES",
-    "Component",
-    "ComponentKind",
-    "Segment",
-    "Backplane",
-    "Nic",
-    "Node",
-    "FaultInjector",
-    "FaultScenario",
-    "component_universe",
-    "FrameCapture",
-    "CapturedFrame",
-    "Cluster",
-    "build_dual_backplane_cluster",
-    "Switch",
-    "build_dual_switched_cluster",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        "addresses": ["NodeId", "NetworkId", "InterfaceAddr", "BROADCAST_NODE"],
+        "frames": [
+            "Frame",
+            "wire_bytes",
+            "ETHER_OVERHEAD_BYTES",
+            "MIN_FRAME_BYTES",
+            "PREAMBLE_IFG_BYTES",
+        ],
+        "component": ["Component", "ComponentKind"],
+        "segment": ["Segment"],
+        "backplane": ["Backplane"],
+        "nic": ["Nic"],
+        "node": ["Node"],
+        "faults": ["FaultInjector", "FaultScenario", "component_universe"],
+        "capture": ["FrameCapture", "CapturedFrame"],
+        "topology": ["Cluster", "build_dual_backplane_cluster"],
+        "switch": ["Switch", "build_dual_switched_cluster"],
+    },
+)

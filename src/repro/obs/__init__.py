@@ -40,123 +40,73 @@ Timings are not measured here: ``benchmarks/e2e`` is the repo's one
 benchmark (see its README).
 """
 
-from repro.obs.artifacts import (
-    RunManifest,
-    load_manifest,
-    spec_hash,
-    write_metrics_files,
-    write_trace_jsonl,
-)
-from repro.obs.metrics import (
-    DEFAULT_COUNT_BUCKETS,
-    DEFAULT_LATENCY_BUCKETS,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    current_registry,
-    ensure_core_metrics,
-    resolve_registry,
-    use_registry,
-)
-from repro.obs.flightrecorder import (
-    FLIGHT_SUFFIX,
-    KINDS,
-    FlightRecorder,
-    flight_recorder,
-    flight_summary,
-    read_flight_events,
-    read_jsonl,
-    set_flight_recorder,
-)
-from repro.obs.postmortem import (
-    IncidentReport,
-    build_postmortems,
-    render_postmortems,
-    summarize_postmortems,
-)
-from repro.obs.profiler import (
-    install_profiling,
-    publish_mc_throughput,
-    publish_profile,
-    uninstall_profiling,
-)
-from repro.obs.precision import (
-    STATS_CELL_KIND,
-    CellPrecision,
-    cells_from_manifest,
-    fold_cells,
-    precision_report,
-    publish_cell_precision,
-    render_precision_report,
-)
-from repro.obs.progress import ProgressReporter, heartbeat, set_heartbeat
-from repro.obs.watch import WatchState, render_watch
-from repro.obs.watch import follow as follow_flight
-from repro.obs.spans import (
-    SPAN_CATEGORY,
-    Span,
-    SpanLog,
-    flight_to_chrome_trace,
-    span_log,
-    spans_from_entries,
-    to_chrome_trace,
-    validate_chrome_trace,
-    write_chrome_trace,
-    write_flight_chrome_trace,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "MetricsRegistry",
-    "Gauge",
-    "Histogram",
-    "DEFAULT_LATENCY_BUCKETS",
-    "DEFAULT_COUNT_BUCKETS",
-    "current_registry",
-    "resolve_registry",
-    "use_registry",
-    "ensure_core_metrics",
-    "RunManifest",
-    "load_manifest",
-    "spec_hash",
-    "write_metrics_files",
-    "write_trace_jsonl",
-    "install_profiling",
-    "uninstall_profiling",
-    "publish_profile",
-    "publish_mc_throughput",
-    "SPAN_CATEGORY",
-    "Span",
-    "SpanLog",
-    "span_log",
-    "spans_from_entries",
-    "to_chrome_trace",
-    "write_chrome_trace",
-    "validate_chrome_trace",
-    "flight_to_chrome_trace",
-    "write_flight_chrome_trace",
-    "IncidentReport",
-    "build_postmortems",
-    "render_postmortems",
-    "summarize_postmortems",
-    "ProgressReporter",
-    "set_heartbeat",
-    "heartbeat",
-    "FlightRecorder",
-    "FLIGHT_SUFFIX",
-    "KINDS",
-    "read_jsonl",
-    "flight_recorder",
-    "set_flight_recorder",
-    "read_flight_events",
-    "flight_summary",
-    "WatchState",
-    "render_watch",
-    "follow_flight",
-    "STATS_CELL_KIND",
-    "CellPrecision",
-    "publish_cell_precision",
-    "fold_cells",
-    "cells_from_manifest",
-    "precision_report",
-    "render_precision_report",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        "metrics": [
+            "MetricsRegistry",
+            "Gauge",
+            "Histogram",
+            "DEFAULT_LATENCY_BUCKETS",
+            "DEFAULT_COUNT_BUCKETS",
+            "current_registry",
+            "resolve_registry",
+            "use_registry",
+            "ensure_core_metrics",
+        ],
+        "artifacts": [
+            "RunManifest",
+            "load_manifest",
+            "spec_hash",
+            "write_metrics_files",
+            "write_trace_jsonl",
+        ],
+        "profiler": [
+            "install_profiling",
+            "uninstall_profiling",
+            "publish_profile",
+            "publish_mc_throughput",
+        ],
+        "spans": [
+            "SPAN_CATEGORY",
+            "Span",
+            "SpanLog",
+            "span_log",
+            "spans_from_entries",
+            "to_chrome_trace",
+            "write_chrome_trace",
+            "validate_chrome_trace",
+            "flight_to_chrome_trace",
+            "write_flight_chrome_trace",
+        ],
+        "postmortem": [
+            "IncidentReport",
+            "build_postmortems",
+            "render_postmortems",
+            "summarize_postmortems",
+        ],
+        "progress": ["ProgressReporter", "set_heartbeat", "heartbeat"],
+        "flightrecorder": [
+            "FlightRecorder",
+            "FLIGHT_SUFFIX",
+            "KINDS",
+            "read_jsonl",
+            "flight_recorder",
+            "set_flight_recorder",
+            "read_flight_events",
+            "flight_summary",
+        ],
+        "watch": ["WatchState", "render_watch", "follow_flight"],
+        "precision": [
+            "STATS_CELL_KIND",
+            "CellPrecision",
+            "publish_cell_precision",
+            "fold_cells",
+            "cells_from_manifest",
+            "precision_report",
+            "render_precision_report",
+        ],
+    },
+)

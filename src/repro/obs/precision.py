@@ -33,6 +33,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Iterable, Mapping
 
+from repro.analysis.stats import _z_for, wilson_interval
+from repro.obs.flightrecorder import flight_recorder
+
 #: flight-event kind carrying one cell's precision snapshot
 STATS_CELL_KIND = "stats.cell"
 
@@ -83,8 +86,6 @@ class CellPrecision:
         topology: str | None = None,
     ) -> "CellPrecision":
         """Build the record (Wilson interval included) from raw counts."""
-        from repro.analysis.stats import wilson_interval  # no cycle at module load
-
         est = wilson_interval(successes, trials, confidence)
         return cls(
             n=n,
@@ -127,8 +128,6 @@ class CellPrecision:
         and ``std_error`` back-solves the implied normal standard error so
         downstream variance accounting is method-agnostic.
         """
-        from repro.analysis.stats import _z_for  # no cycle at module load
-
         return cls(
             n=n,
             f=f,
@@ -181,8 +180,6 @@ class CellPrecision:
         hw = self.half_width
         if hw <= 0 or self.trials <= 0:
             return 0.0
-        from repro.analysis.stats import _z_for
-
         z = _z_for(self.confidence)
         floor = z * z * self.point * (1.0 - self.point) / (hw * hw)
         ratio = floor / self.trials
@@ -247,8 +244,6 @@ def publish_cell_precision(cell: CellPrecision, done: bool = False) -> None:
     global lookup plus a ``None`` check when recording is off, matching
     the metrics/heartbeat hot-path pattern.
     """
-    from repro.obs.flightrecorder import flight_recorder
-
     recorder = flight_recorder()
     if recorder is None:
         return

@@ -18,6 +18,8 @@ import sys
 import time
 from typing import Callable, TextIO
 
+from repro.obs.flightrecorder import flight_recorder
+
 
 class ProgressReporter:
     """Interval-throttled trials/sec + ETA + incident-count reporter."""
@@ -97,8 +99,6 @@ class ProgressReporter:
         line = self._format(elapsed, final)
         stream = self._stream if self._stream is not None else sys.stderr
         print(line, file=stream, flush=True)
-        from repro.obs.flightrecorder import flight_recorder  # no import cycle at module load
-
         recorder = flight_recorder()
         if recorder is not None:
             recorder.emit(

@@ -426,3 +426,7 @@ def follow(
         if deadline is not None and clock() >= deadline:
             return WATCH_EXIT_TIMEOUT
         sleep(interval_s)
+
+
+#: the name :mod:`repro.obs` re-exports :func:`follow` under
+follow_flight = follow

@@ -18,41 +18,23 @@ The stack mirrors the slice of TCP/IP the DRS paper's clusters ran:
 * :mod:`~repro.protocols.stack` — the per-host bundle and cluster installer.
 """
 
-from repro.protocols.packet import (
-    ICMP_HEADER_BYTES,
-    IP_HEADER_BYTES,
-    TCP_HEADER_BYTES,
-    UDP_HEADER_BYTES,
-    Packet,
-)
-from repro.protocols.routing import Route, RouteSource, RoutingTable
-from repro.protocols.ip import NetworkLayer
-from repro.protocols.icmp import EchoReply, EchoRequest, IcmpService, PingResult, PingStatus
-from repro.protocols.udp import Datagram, UdpService
-from repro.protocols.tcp import TcpConnection, TcpSegment, TcpStack
-from repro.protocols.stack import HostStack, build_host_stack, install_stacks
+from repro import _lazy_exports
 
-__all__ = [
-    "Packet",
-    "IP_HEADER_BYTES",
-    "ICMP_HEADER_BYTES",
-    "UDP_HEADER_BYTES",
-    "TCP_HEADER_BYTES",
-    "Route",
-    "RouteSource",
-    "RoutingTable",
-    "NetworkLayer",
-    "IcmpService",
-    "EchoRequest",
-    "EchoReply",
-    "PingResult",
-    "PingStatus",
-    "UdpService",
-    "Datagram",
-    "TcpStack",
-    "TcpConnection",
-    "TcpSegment",
-    "HostStack",
-    "build_host_stack",
-    "install_stacks",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        "packet": [
+            "Packet",
+            "IP_HEADER_BYTES",
+            "ICMP_HEADER_BYTES",
+            "UDP_HEADER_BYTES",
+            "TCP_HEADER_BYTES",
+        ],
+        "routing": ["Route", "RouteSource", "RoutingTable"],
+        "ip": ["NetworkLayer"],
+        "icmp": ["IcmpService", "EchoRequest", "EchoReply", "PingResult", "PingStatus"],
+        "udp": ["UdpService", "Datagram"],
+        "tcp": ["TcpStack", "TcpConnection", "TcpSegment"],
+        "stack": ["HostStack", "build_host_stack", "install_stacks"],
+    },
+)

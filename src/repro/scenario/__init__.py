@@ -23,15 +23,13 @@ Example spec::
     }
 """
 
-from repro.scenario.spec import ScenarioError, ScenarioSpec, load_scenario
-from repro.scenario.run import ScenarioReport, run_scenario
-from repro.scenario.cli import main
+from repro import _lazy_exports
 
-__all__ = [
-    "ScenarioSpec",
-    "ScenarioError",
-    "load_scenario",
-    "run_scenario",
-    "ScenarioReport",
-    "main",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        "spec": ["ScenarioSpec", "ScenarioError", "load_scenario"],
+        "run": ["run_scenario", "ScenarioReport"],
+        "cli": ["main"],
+    },
+)

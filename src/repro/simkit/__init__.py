@@ -22,31 +22,16 @@ protocol experiments this loop is, so its per-event path is one queue call
 callback, with heap ordering left to C tuple comparison.
 """
 
-from repro.simkit.errors import SimulationError, ScheduleInPastError, StoppedSimulation
-from repro.simkit.events import Event, EventQueue
-from repro.simkit.simulator import SimProfile, Simulator, set_auto_profile
-from repro.simkit.process import Process, Signal, Timeout
-from repro.simkit.rng import RngRegistry, seed_fingerprint, spawn_seedseq, spawned_rng
-from repro.simkit.trace import Counter, TimeWeightedValue, TraceRecorder, TraceEntry
+from repro import _lazy_exports
 
-__all__ = [
-    "Simulator",
-    "SimProfile",
-    "set_auto_profile",
-    "Event",
-    "EventQueue",
-    "Process",
-    "Signal",
-    "Timeout",
-    "RngRegistry",
-    "spawn_seedseq",
-    "spawned_rng",
-    "seed_fingerprint",
-    "Counter",
-    "TimeWeightedValue",
-    "TraceRecorder",
-    "TraceEntry",
-    "SimulationError",
-    "ScheduleInPastError",
-    "StoppedSimulation",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        "simulator": ["Simulator", "SimProfile", "set_auto_profile"],
+        "events": ["Event", "EventQueue"],
+        "process": ["Process", "Signal", "Timeout"],
+        "rng": ["RngRegistry", "spawn_seedseq", "spawned_rng", "seed_fingerprint"],
+        "trace": ["Counter", "TimeWeightedValue", "TraceRecorder", "TraceEntry"],
+        "errors": ["SimulationError", "ScheduleInPastError", "StoppedSimulation"],
+    },
+)

@@ -10,40 +10,29 @@ that estimate survivability over any topology live in
 :mod:`repro.analysis.topokernel`; see docs/topology.md.
 """
 
-from repro.topology.builders import (
-    TOPOLOGY_FAMILIES,
-    build_topology,
-    dual_hub_cluster,
-    fat_tree_three_level,
-    fat_tree_two_level,
-    k_hub_cluster,
-    multi_cluster_wan,
-    parse_topology_spec,
-    topology_catalog,
-)
-from repro.topology.model import (
-    AllTerminalsConnected,
-    ConnectivityPredicate,
-    PairConnected,
-    TerminalQuorum,
-    Topology,
-    reachable_from,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "Topology",
-    "ConnectivityPredicate",
-    "PairConnected",
-    "AllTerminalsConnected",
-    "TerminalQuorum",
-    "reachable_from",
-    "dual_hub_cluster",
-    "k_hub_cluster",
-    "fat_tree_two_level",
-    "fat_tree_three_level",
-    "multi_cluster_wan",
-    "TOPOLOGY_FAMILIES",
-    "topology_catalog",
-    "parse_topology_spec",
-    "build_topology",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        "model": [
+            "Topology",
+            "ConnectivityPredicate",
+            "PairConnected",
+            "AllTerminalsConnected",
+            "TerminalQuorum",
+            "reachable_from",
+        ],
+        "builders": [
+            "dual_hub_cluster",
+            "k_hub_cluster",
+            "fat_tree_two_level",
+            "fat_tree_three_level",
+            "multi_cluster_wan",
+            "TOPOLOGY_FAMILIES",
+            "topology_catalog",
+            "parse_topology_spec",
+            "build_topology",
+        ],
+    },
+)

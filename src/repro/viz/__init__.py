@@ -6,17 +6,15 @@ an ASCII rendering good enough to read the curve shapes directly in a
 terminal or in EXPERIMENTS.md.
 """
 
-from repro.viz.textplot import line_chart
-from repro.viz.tables import metrics_summary_table, render_table
-from repro.viz.csvout import write_csv
-from repro.viz.svg import svg_line_chart
-from repro.viz.timeline import render_timeline
+from repro import _lazy_exports
 
-__all__ = [
-    "line_chart",
-    "render_table",
-    "metrics_summary_table",
-    "write_csv",
-    "svg_line_chart",
-    "render_timeline",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        "textplot": ["line_chart"],
+        "tables": ["render_table", "metrics_summary_table"],
+        "csvout": ["write_csv"],
+        "svg": ["svg_line_chart"],
+        "timeline": ["render_timeline"],
+    },
+)

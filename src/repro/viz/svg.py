@@ -8,10 +8,14 @@ color-blind-safe cycle.
 
 from __future__ import annotations
 
+import html
 import math
+from functools import partial
 from typing import Mapping, Sequence
 
-from xml.sax.saxutils import escape
+#: text-node escaping of ``&``, ``<`` and ``>`` (not ``xml.sax.saxutils``,
+#: whose import pulls in ``urllib.request`` and the mail and HTTP stack)
+escape = partial(html.escape, quote=False)
 
 #: Okabe-Ito color-blind-safe cycle.
 COLORS = (

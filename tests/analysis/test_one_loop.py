@@ -16,7 +16,6 @@ import dataclasses
 import numpy as np
 import pytest
 
-import repro.experiments  # noqa: F401  (registers the experiment specs)
 from repro.analysis import (
     simulate_allpairs_success,
     simulate_grid,

@@ -1,5 +1,10 @@
 """Serial and process-pool executors agree on values and aggregate telemetry."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -134,3 +139,19 @@ def test_chunking_covers_all_jobs_exactly_once():
         assert [len(c) for c in chunks] == [guided_size(11 - done, fleet) for done in taken]
         assert guided_chunks([], fleet) == []
     assert [len(c) for c in guided_chunks(jobs, 2)] == [2, 2, 1, 1, 1, 1, 1, 1, 1]
+
+
+def test_a_serial_executor_does_not_load_multiprocessing():
+    src = Path(__file__).resolve().parents[2] / "src"
+    env = dict(os.environ, PYTHONPATH=f"{src}{os.pathsep}{os.environ.get('PYTHONPATH', '')}")
+    code = (
+        "import sys\n"
+        "from repro.engine import make_executor\n"
+        "make_executor(1)\n"
+        "serial = 'multiprocessing' in sys.modules\n"
+        "make_executor(2)\n"
+        "print(serial, 'multiprocessing' in sys.modules)\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=60).stdout
+    assert out.split() == ["False", "True"]  # the pool's import happens when a pool is built

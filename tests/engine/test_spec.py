@@ -1,10 +1,12 @@
 """The declarative experiment registry."""
 
+import sys
+
 import pytest
 
-import repro.experiments  # noqa: F401  — registers every spec
 from repro.engine import ExperimentSpec, experiment_specs, get_spec, spec_names
 from repro.engine.spec import PROFILES
+from repro.experiments import EXPERIMENTS
 
 
 def test_every_experiment_module_registers_a_spec():
@@ -25,6 +27,25 @@ def test_every_experiment_module_registers_a_spec():
         "scaling",
         "topologysweep",
     ]
+
+
+def test_the_registry_is_the_table():
+    # one spec per EXPERIMENTS row, with nothing else beside it
+    assert sorted(spec_names()) == sorted(row["name"] for row in EXPERIMENTS)
+    for row in EXPERIMENTS:
+        spec = get_spec(row["name"])
+        module, _, qualname = row["run"].partition(":")
+        assert (spec.run.__module__, spec.run.__qualname__) == (module, qualname)
+        assert module in sys.modules  # get_spec imported the driver
+
+
+def test_a_reference_resolves_on_first_read():
+    spec = ExperimentSpec(name="ref", run="repro.experiments.figure2:build_plan",
+                          profiles={"quick": {}, "full": {}})
+    assert spec.__dict__["run"] == "repro.experiments.figure2:build_plan"
+    assert spec.run is sys.modules["repro.experiments.figure2"].build_plan
+    assert spec.__dict__["run"] is spec.run  # resolved once
+    assert spec.accepts("mc_iterations")
 
 
 def test_specs_have_both_profiles_and_callables():

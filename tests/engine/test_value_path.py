@@ -21,7 +21,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-import repro.experiments  # noqa: F401 - registers every ExperimentSpec
 from repro.engine import (
     Checkpoint,
     DistributedExecutor,

@@ -1,5 +1,10 @@
 """Tests for SVG chart rendering and HTML reports."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.viz.svg import svg_line_chart
@@ -17,6 +22,20 @@ def test_svg_title_and_labels_escaped():
     svg = svg_line_chart({"s": ([0, 1], [0, 1])}, title="A <B>", x_label="n & m", y_label="p")
     assert "A &lt;B&gt;" in svg
     assert "n &amp; m" in svg
+
+
+def test_svg_escapes_exactly_the_three_text_entities():
+    svg = svg_line_chart({"s": ([0, 1], [0, 1])}, title="a&b<c>\"d'")
+    assert ">a&amp;b&lt;c&gt;\"d'</text>" in svg  # quotes stay as they are
+
+
+def test_importing_svg_leaves_out_the_mail_and_http_stack():
+    src = Path(__file__).resolve().parents[2] / "src"
+    env = dict(os.environ, PYTHONPATH=f"{src}{os.pathsep}{os.environ.get('PYTHONPATH', '')}")
+    code = "import sys, repro.viz.svg; print(sorted({'http.client', 'email'} & set(sys.modules)))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=60).stdout
+    assert out.strip() == "[]"
 
 
 def test_svg_log_axis():
