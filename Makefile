@@ -19,13 +19,14 @@ lint:
 	fi
 	@# benchmarks/e2e is the one benchmark: no second timing suite beside it
 	@test -z "$$(ls benchmarks/bench_*.py benchmarks/conftest.py benchmarks/BENCH_*.json 2>/dev/null)"
-	@# package __init__s re-export lazily; only baselines/ (ROUTING_PROTOCOLS uses its imports) is eager
-	@! grep -nE '^(from|import) repro\.' $$(find src/repro -name __init__.py ! -path '*/baselines/*')
+	@# package __init__s re-export lazily: none imports a repro module eagerly
+	@! grep -nE '^(from|import) repro\.' $$(find src/repro -name __init__.py)
 
 # end-to-end check: a quick experiment must emit its observability artifacts,
-# and a switched scenario must publish the bits its own report prints (the
-# switched copy is written here, not shipped: scenariosuite runs every file
-# under examples/scenarios)
+# a switched scenario must publish the bits its own report prints, and a
+# desval-style replicate in the scenario grammar (warm-up boundary, exact-f
+# step, post-run ping) must report its ping (both files are written here, not
+# shipped: scenariosuite runs every file under examples/scenarios)
 smoke:
 	rm -rf /tmp/drs-smoke
 	$(PYTHON) -m repro.experiments.runner --quick figure2 --out /tmp/drs-smoke
@@ -43,6 +44,14 @@ smoke:
 	grep -q "wire bits carried *1.29443e+07" /tmp/drs-smoke/switched.txt
 	grep -q '"net_bits_carried_total", "kind": "counter", "value": 12944272.0, "events": 18051' \
 		/tmp/drs-smoke/switched/nic-failure-switched.metrics.jsonl
+	$(PYTHON) -c "import json; json.dump({'name': 'exact-f-replicate', 'nodes': 8, 'duration_s': 3.0, \
+		'protocol': {'kind': 'drs', 'sweep_period_s': 0.1, 'probe_timeout_s': 0.01, \
+			'discovery_timeout_s': 0.02, 'path_check_period_s': 0.25}, \
+		'warmup': {'until_s': 1.0, 'fail_exactly': 2}, 'ping': True, 'trace': False, 'seed': 7}, \
+		open('/tmp/drs-smoke/exact_f.json', 'w'))"
+	$(PYTHON) -m repro.scenario.cli /tmp/drs-smoke/exact_f.json > /tmp/drs-smoke/exact_f.txt
+	grep -q "faults injected *2" /tmp/drs-smoke/exact_f.txt
+	grep -q "ping 0 -> 1 *reply" /tmp/drs-smoke/exact_f.txt
 	@echo "smoke: OK"
 
 bench:

@@ -19,36 +19,19 @@ comparison measurable on the same substrate:
 * :mod:`~repro.baselines.linkstate` — an **OSPF-like link-state protocol**
   (hellos, sequence-numbered LSA flooding, SPF over the broadcast-segment
   pseudo-node graph); reactive with dead-interval detection.
+
+The table of every routing regime, DRS included, is
+:data:`repro.scenario.spec.ROUTING_PROTOCOLS`.
 """
 
-from repro.baselines.reactive import ReactiveConfig, ReactiveRouter, install_reactive
-from repro.baselines.distvector import DistVectorConfig, DistVectorRouter, install_distvector
-from repro.baselines.linkstate import LinkStateConfig, LinkStateRouter, install_linkstate
-from repro.baselines.static_tcp import StaticOnlyDeployment, install_static_only
-from repro.drs import DrsConfig, install_drs
+from repro import _lazy_exports
 
-#: every routing regime the comparisons run, in report order: kind ->
-#: (config class, or None for the regime that takes none; install function).
-#: The scenario spec's ``protocol.kind`` and ``experiments.failover`` read this.
-ROUTING_PROTOCOLS = {
-    "drs": (DrsConfig, install_drs),
-    "reactive": (ReactiveConfig, install_reactive),
-    "distvector": (DistVectorConfig, install_distvector),
-    "linkstate": (LinkStateConfig, install_linkstate),
-    "static": (None, install_static_only),
-}
-
-__all__ = [
-    "ROUTING_PROTOCOLS",
-    "ReactiveRouter",
-    "ReactiveConfig",
-    "install_reactive",
-    "DistVectorRouter",
-    "DistVectorConfig",
-    "install_distvector",
-    "LinkStateRouter",
-    "LinkStateConfig",
-    "install_linkstate",
-    "StaticOnlyDeployment",
-    "install_static_only",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(
+    __name__,
+    {
+        "reactive": ["ReactiveRouter", "ReactiveConfig", "install_reactive"],
+        "distvector": ["DistVectorRouter", "DistVectorConfig", "install_distvector"],
+        "linkstate": ["LinkStateRouter", "LinkStateConfig", "install_linkstate"],
+        "static_tcp": ["StaticOnlyDeployment", "install_static_only"],
+    },
+)

@@ -16,18 +16,18 @@ executor backend and worker count.
 
 from __future__ import annotations
 
+from dataclasses import asdict
 from typing import Any
 
 import numpy as np
 
 from repro.analysis import success_probability
-from repro.drs import DrsConfig, install_drs
+from repro.drs import DrsConfig
 from repro.engine import Job, JobPlan, run_plan
 from repro.experiments.base import ExperimentResult
-from repro.netsim import build_dual_backplane_cluster
 from repro.obs.progress import heartbeat
-from repro.protocols import PingStatus, install_stacks
-from repro.simkit import Simulator
+from repro.scenario.run import run_scenario
+from repro.scenario.spec import ScenarioSpec, Warmup
 
 #: Fast timings so each replicate settles in ~2 simulated seconds.
 VALIDATION_CONFIG = DrsConfig(
@@ -37,42 +37,28 @@ VALIDATION_CONFIG = DrsConfig(
     discovery_timeout_s=0.02,
     path_check_period_s=0.25,
 )
+_VALIDATION_OPTIONS = asdict(VALIDATION_CONFIG)
 
 
-def one_replicate(n: int, f: int, rng: np.random.Generator, settle_s: float = 2.0) -> bool:
-    """One trial: build, warm up, fail f components, settle, ping 0 -> 1."""
-    sim = Simulator()
-    cluster = build_dual_backplane_cluster(sim, n)
-    cluster.trace.enabled = False  # keep replicates cheap
-    stacks = install_stacks(cluster)
-    install_drs(cluster, stacks, VALIDATION_CONFIG)
-    sim.run(until=1.0)
-    cluster.faults.apply_exact_failures(f, rng)
-    sim.run(until=1.0 + settle_s)
-    results = []
-    stacks[0].icmp.ping(1, timeout_s=0.05, callback=results.append)
-    sim.run(until=sim.now + 0.2)
-    return bool(results) and results[0].status is PingStatus.REPLY
+def one_replicate(n: int, f: int, rng: Any, settle_s: float = 2.0) -> bool:
+    """One trial: build, warm up, fail f components, settle, ping 0 -> 1.
+
+    The f are drawn from ``rng``, or from anything ``np.random.default_rng`` takes.
+    """
+    warmup = Warmup(1.0, fail_exactly=f)  # and no trace, to keep replicates cheap
+    spec = ScenarioSpec(
+        "desval", n, 1.0 + settle_s, "drs", _VALIDATION_OPTIONS, seed=rng, warmup=warmup, ping=True, trace=False
+    )
+    return run_scenario(spec).ping_ok
 
 
 def _replicate_job(params: dict[str, Any], seed_seq: np.random.SeedSequence) -> bool:
     """Engine job: one live-DES replicate at (n, f)."""
-    outcome = one_replicate(params["n"], params["f"], np.random.default_rng(seed_seq))
+    outcome = one_replicate(params["n"], params["f"], seed_seq)
     hb = heartbeat()
     if hb is not None:
         hb.add(1, **({} if outcome else {"pair_down": 1}))
     return outcome
-
-
-def empirical_success(n: int, f: int, replicates: int, rng: np.random.Generator) -> float:
-    """Empirical pair-survivability of the implemented protocol.
-
-    Standalone serial helper, one shared ``rng`` across the replicates; the
-    experiment drivers below go through the engine, which is where
-    replicates run in parallel (``drs-experiments desvalidation --jobs N``,
-    byte-identical to serial).
-    """
-    return sum(one_replicate(n, f, rng) for _ in range(replicates)) / replicates
 
 
 def _replicate_jobs(pairs: list[tuple[int, int]], replicates: int) -> list[Job]:

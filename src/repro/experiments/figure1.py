@@ -12,35 +12,27 @@ at that budget — i.e. the analytic curve describes the implemented system.
 
 from __future__ import annotations
 
+from dataclasses import asdict
+
 import numpy as np
 
 from repro.analysis.cost import frame_size_sensitivity, max_nodes_within, response_time_curve, sweep_time_s
-from repro.drs import DrsConfig, install_drs
+from repro.drs import DrsConfig
 from repro.experiments.base import ExperimentResult
-from repro.netsim import build_dual_backplane_cluster
-from repro.protocols import install_stacks
-from repro.simkit import Simulator
+from repro.scenario.run import run_scenario
+from repro.scenario.spec import ScenarioSpec
 
 BUDGETS = (0.05, 0.10, 0.15, 0.25)
 
 
 def measured_probe_fraction(n: int, budget: float, sim_seconds: float = 10.0) -> float:
     """Run a DRS cluster paced for ``budget`` and measure wire utilization."""
-    sim = Simulator()
-    cluster = build_dual_backplane_cluster(sim, n)
-    stacks = install_stacks(cluster)
     config = DrsConfig.paced_for(n, budget, probe_timeout_s=0.005)
-    install_drs(cluster, stacks, config)
     warmup = config.sweep_period_s  # let the staggered monitors fill the pipe
-    sim.run(until=warmup)
-    start_bits = [bp.bits_carried.value for bp in cluster.backplanes]
-    start_t = sim.now
-    sim.run(until=warmup + sim_seconds)
-    fractions = [
-        (bp.bits_carried.value - b0) / (bp.bandwidth_bps * (sim.now - start_t))
-        for bp, b0 in zip(cluster.backplanes, start_bits)
-    ]
-    return float(np.mean(fractions))
+    end = warmup + sim_seconds
+    report = run_scenario(ScenarioSpec("figure1", n, end, "drs", asdict(config), window_s=(warmup, end)))
+    window = report.spec.bandwidth_bps * (end - warmup)
+    return float(np.mean([bits / window for bits in report.window_bits]))
 
 
 def run(

@@ -28,7 +28,7 @@ from repro import _lazy_exports
 __all__, __getattr__, __dir__ = _lazy_exports(
     __name__,
     {
-        "spec": ["ScenarioSpec", "ScenarioError", "load_scenario"],
+        "spec": ["ScenarioSpec", "ScenarioError", "Warmup", "load_scenario"],
         "run": ["run_scenario", "ScenarioReport"],
         "cli": ["main"],
     },

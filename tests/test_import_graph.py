@@ -113,6 +113,8 @@ def test_get_spec_loads_exactly_its_driver(name):
         assert not under(modules, *DES_TOWER)
     if name == "desval":
         assert "repro.analysis.topokernel" not in modules
+        # the scenario recipe resolves baselines and workloads when a spec names one
+        assert not under(modules, "cluster", "baselines")
 
 
 RUN_SCRIPT = """
