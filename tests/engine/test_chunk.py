@@ -153,7 +153,9 @@ UNABSORBABLE = {
 
 
 @pytest.mark.parametrize("case", list(UNABSORBABLE))
-def test_a_chunk_that_cannot_be_absorbed_is_refused_whole(case, tmp_path, monkeypatch, capsys):
+def test_a_chunk_that_cannot_be_absorbed_is_refused_whole(
+    case, tmp_path, monkeypatch, capsys, serving
+):
     crashes = []
     monkeypatch.setattr(threading, "excepthook", crashes.append)
     plan, path = _plan(n=6), tmp_path / "chunktest.checkpoint.jsonl"
@@ -168,7 +170,7 @@ def test_a_chunk_that_cannot_be_absorbed_is_refused_whole(case, tmp_path, monkey
         with use_registry(registry):
             driver = PlanDriver(plan, Checkpoint(path), "distributed", 0)
         server = Coordinator(driver, POLICY)
-        address = server.start()
+        address, done = serving(server)
         try:
             # pull before report lets a worker hold several chunks: this one takes the whole
             # plan, so its answer is the last settle — the one that has to notice "done"
@@ -191,7 +193,7 @@ def test_a_chunk_that_cannot_be_absorbed_is_refused_whole(case, tmp_path, monkey
                 send_frame(good.sock, {"type": "chunk_done", "outcomes": [
                     outcome_to_wire(JobOutcome(job["name"], ok=True, value=reference[job["name"]]))
                     for job in reply["jobs"]]})
-            assert server.done.wait(timeout=5.0)
+            assert done.wait(timeout=5.0)
         finally:
             server.stop()
     finally:
@@ -211,11 +213,10 @@ def test_a_chunk_that_cannot_be_absorbed_is_refused_whole(case, tmp_path, monkey
 
 # ------------------------------------------------------------ the handshake
 @pytest.fixture
-def server():
+def server(serving):
     coordinator = Coordinator(PlanDriver(_plan(n=2), None, "distributed", 0), POLICY)
-    coordinator.start()
-    yield coordinator
-    coordinator.stop()
+    serving(coordinator)
+    return coordinator
 
 
 @pytest.mark.parametrize(
@@ -233,9 +234,7 @@ def test_a_malformed_hello_is_refused_at_the_handshake(server, hello, complaint,
     monkeypatch.setattr(threading, "excepthook", crashes.append)
     peer = _FakeWorker(server.address, **hello)
     assert peer.welcome is None, "the coordinator welcomed a peer it cannot serve"
-    for thread in server._handler_threads:
-        thread.join(timeout=5.0)
-    assert crashes == [] and not server.workers
+    assert crashes == [] and not server.core.workers
     assert complaint in capsys.readouterr().err
     assert _FakeWorker(server.address).welcome["protocol"] == PROTOCOL_VERSION == 2
 

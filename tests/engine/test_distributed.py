@@ -30,6 +30,8 @@ from repro.engine import (
     SerialExecutor,
     make_executor,
 )
+from repro.engine import coordinator as coordinator_module
+from repro.engine import distributed as distributed_module
 from repro.engine.chunk import ChunkResult
 from repro.engine.distributed import (
     WORKER_CRASH_ENV,
@@ -290,7 +292,8 @@ class TestFaultInjection:
     def test_killed_worker_jobs_are_requeued_and_bytes_match(self, recorder, monkeypatch):
         serial = SerialExecutor().run(_plan(n=12))
         monkeypatch.setenv(WORKER_CRASH_ENV, "1")
-        ex = DistributedExecutor(spawn_workers=2, heartbeat_timeout_s=4.0)
+        monkeypatch.setattr(distributed_module, "HEARTBEAT_TIMEOUT_S", 4.0)
+        ex = DistributedExecutor(spawn_workers=2)
         dist = ex.run(_plan(n=12))
         assert dist.values == serial.values
         assert dist.pool_respawns >= 1  # the dead spawned workers were replaced
@@ -300,9 +303,9 @@ class TestFaultInjection:
 
     def test_all_workers_dead_with_no_respawn_budget_fails(self, monkeypatch):
         monkeypatch.setenv(WORKER_CRASH_ENV, "0")  # die on the very first chunk
-        ex = DistributedExecutor(
-            spawn_workers=2, max_worker_respawns=0, heartbeat_timeout_s=4.0
-        )
+        monkeypatch.setattr(coordinator_module, "MAX_WORKER_RESPAWNS", 0)
+        monkeypatch.setattr(distributed_module, "HEARTBEAT_TIMEOUT_S", 4.0)
+        ex = DistributedExecutor(spawn_workers=2)
         with pytest.raises(JobError, match="respawn budget"):
             ex.run(_plan(n=6))
 

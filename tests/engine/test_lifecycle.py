@@ -34,6 +34,8 @@ from repro.engine import (
     SerialExecutor,
 )
 from repro.engine import chunk as chunk_module
+from repro.engine import coordinator as coordinator_module
+from repro.engine import distributed as distributed_module
 from repro.engine.chunk import ChunkResult
 from repro.engine.distributed import (
     PROTOCOL_VERSION,
@@ -213,15 +215,15 @@ def test_ctrl_c_checkpoints_settled_jobs_and_resume_completes(backend, tmp_path)
     assert resumed.values == reference.values
 
 
-def test_jobs_whose_workers_keep_dying_are_quarantined_everywhere():
+def test_jobs_whose_workers_keep_dying_are_quarantined_everywhere(monkeypatch):
     """Death-quarantine and fleet respawns must reach every telemetry channel."""
     jobs = [Job(f"ok/{i}", _draw, {"offset": float(i)}) for i in range(3)]
     jobs.insert(1, Job("poison", _always_kills))
     # one worker: its death leaves nobody to steal the job, so finishing the
     # plan takes respawns however the schedule falls
-    executor = DistributedExecutor(
-        spawn_workers=1, policy=FAST_RETRY, max_job_requeues=1, max_worker_respawns=6
-    )
+    monkeypatch.setattr(coordinator_module, "MAX_JOB_REQUEUES", 1)
+    monkeypatch.setattr(coordinator_module, "MAX_WORKER_RESPAWNS", 6)
+    executor = DistributedExecutor(spawn_workers=1, policy=FAST_RETRY)
     with _Observed() as observed:
         execution = executor.run(_plan(jobs))
 
@@ -283,7 +285,7 @@ def chunks_per_worker(monkeypatch):
 
 
 @pytest.fixture
-def coordinator(tmp_path, chunks_per_worker):
+def coordinator(tmp_path, chunks_per_worker, serving):
     """A served three-job plan whose first pull hands out every job."""
     jobs = [Job(f"job/{i}", _draw, {"offset": float(i)}) for i in range(3)]
     chunks_per_worker(1)
@@ -292,9 +294,10 @@ def coordinator(tmp_path, chunks_per_worker):
             _plan(jobs), Checkpoint(tmp_path / "lifecycle.checkpoint.jsonl"), "distributed", 0
         )
         server = Coordinator(driver, FAST_RETRY)
-        worker = _FakeWorker(server.start())
+        address, done = serving(server)
+        worker = _FakeWorker(address)
         try:
-            yield server, driver, worker, observed
+            yield server, driver, worker, observed, done
         finally:
             worker.close()
             server.stop()
@@ -306,23 +309,24 @@ def _wire(name, ok=True, value=0.5):
 
 class TestSettleValidatesOutsideOutcomes:
     def test_unknown_job_is_dropped_and_the_connection_survives(self, coordinator):
-        server, driver, worker, observed = coordinator
+        server, driver, worker, observed, done = coordinator
         assert len(worker.pull()["jobs"]) == 3
         worker.chunk_done([_wire("ghost")])
         worker.chunk_done([_wire(f"job/{i}") for i in range(3)])
-        assert server.done.wait(timeout=5.0), "the handler died on the unknown job"
+        assert done.wait(timeout=5.0), "the handler died on the unknown job"
         assert sorted(driver.values) == ["job/0", "job/1", "job/2"]
         dropped = observed.events("job.dropped")
         assert [(e["job"], e["reason"]) for e in dropped] == [("ghost", "unknown-job")]
 
     def test_late_duplicate_chunk_is_not_settled_twice(self, coordinator):
-        server, driver, worker, observed = coordinator
+        server, driver, worker, observed, done = coordinator
         worker.pull()
         answer = [_wire("job/0", ok=False), _wire("job/1"), _wire("job/2")]
         worker.chunk_done(answer)
-        assert server.done.wait(timeout=5.0)
+        assert done.wait(timeout=5.0)
         worker.chunk_done(answer)  # the requeued chunk's first owner, answering late
-        assert worker.pull()["type"] == "shutdown"  # the duplicate has been processed
+        assert worker.pull()["type"] == "shutdown"
+        _eventually(lambda: len(observed.events("job.dropped")) == 3)  # the duplicate is settled
         assert driver.quarantined == ["job/0"]
         assert driver.attempts == {"job/0": 1, "job/1": 1, "job/2": 1}
         assert len(observed.events("checkpoint.write")) == 2
@@ -358,7 +362,7 @@ class TestWhatAWorkerHolds:
     def test_stray_chunk_done_then_disconnect_requeues_the_chunk(self, coordinator):
         # the stray answer used to clear the worker's chunk slot, so the
         # disconnect requeued nothing and every later pull was answered idle
-        server, driver, worker, observed = coordinator
+        server, driver, worker, observed, done = coordinator
         reference = SerialExecutor().run(driver.plan).values
         assert len(worker.pull()["jobs"]) == 3
         worker.chunk_done([_wire("ghost")])
@@ -368,23 +372,42 @@ class TestWhatAWorkerHolds:
         assert left["reason"] == "disconnect" and left["requeued"] == 3
 
         assert sorted(_finish_as_a_second_worker(server, reference)) == sorted(reference)
-        assert server.done.wait(timeout=5.0)
+        assert done.wait(timeout=5.0)
         assert driver.values == reference
         assert sorted(e["job"] for e in observed.events("job.stolen")) == sorted(reference)
 
-    def test_a_worker_that_pulled_twice_holds_two_chunks_and_loses_both(self, chunks_per_worker):
+    def test_a_hung_worker_is_declared_dead_by_its_heartbeat_timeout(
+        self, coordinator, monkeypatch
+    ):
+        # a second detector used to watch the same silence and always lost the race
+        # to the recv timeout, labelled "disconnect": "heartbeat-timeout" never appeared
+        server, driver, worker, observed, done = coordinator
+        monkeypatch.setattr(distributed_module, "HEARTBEAT_TIMEOUT_S", 0.5)
+        hung = _FakeWorker(server.address)
+        try:
+            held = hung.pull()["jobs"]  # and then silence: no heartbeat, no EOF
+            _eventually(lambda: observed.events("worker.leave"))
+            (left,) = observed.events("worker.leave")
+            assert left["reason"] == "heartbeat-timeout" and left["requeued"] == len(held) > 0
+        finally:
+            hung.close()
+
+    def test_a_worker_that_pulled_twice_holds_two_chunks_and_loses_both(
+        self, chunks_per_worker, serving
+    ):
         jobs = [Job(f"job/{i}", _draw, {"offset": float(i)}) for i in range(6)]
         reference = SerialExecutor().run(_plan(jobs)).values
         chunks_per_worker(2)
         with _Observed() as observed:
             driver = PlanDriver(_plan(jobs), None, "distributed", 0)
             server = Coordinator(driver, FAST_RETRY)
-            greedy = _FakeWorker(server.start())
+            address, done = serving(server)
+            greedy = _FakeWorker(address)
             try:
                 first, second = greedy.pull(), greedy.pull()  # pull before report
                 held = [job["name"] for job in first["jobs"] + second["jobs"]]
                 assert len(first["jobs"]) == 3 and len(second["jobs"]) == 2
-                (handle,) = server.workers.values()
+                (handle,) = server.core.workers.values()
                 assert sorted(handle.held) == sorted(held)
                 greedy.chunk_done([_wire(name, value=reference[name]) for name in held[:1]])
                 _eventually(lambda: held[0] in driver.values)
@@ -393,16 +416,16 @@ class TestWhatAWorkerHolds:
                 _eventually(lambda: observed.events("worker.leave"))
                 assert observed.events("worker.leave")[0]["requeued"] == 4
                 _finish_as_a_second_worker(server, reference)
-                assert server.done.wait(timeout=5.0)
+                assert done.wait(timeout=5.0)
             finally:
                 greedy.close()
                 server.stop()
         assert driver.values == reference
         assert sorted(e["job"] for e in observed.events("job.stolen")) == sorted(held[1:])
-        assert sum(h["jobs"] for h in server.host_attribution().values()) == len(jobs)
+        assert sum(h["jobs"] for h in server.core.host_attribution().values()) == len(jobs)
 
     def test_a_pull_is_answered_while_another_workers_settle_is_blocked(
-        self, monkeypatch, chunks_per_worker
+        self, monkeypatch, chunks_per_worker, serving
     ):
         chunks_per_worker(2)
         jobs = [Job(f"job/{i}", _draw, {"offset": float(i)}) for i in range(6)]
@@ -416,7 +439,7 @@ class TestWhatAWorkerHolds:
 
         monkeypatch.setattr(driver, "settle", blocked_settle)
         server = Coordinator(driver, FAST_RETRY)
-        worker = _FakeWorker(server.start())
+        worker = _FakeWorker(serving(server)[0])
         other = None
         try:
             assert len(worker.pull()["jobs"]) == 3
@@ -432,8 +455,8 @@ class TestWhatAWorkerHolds:
                 other.close()
             server.stop()
 
-    def test_more_workers_than_cores_settle_every_job_exactly_once(self, tmp_path):
-        """Stress the two locks: six pull-before-report peers, a short switch interval."""
+    def test_more_workers_than_cores_settle_every_job_exactly_once(self, tmp_path, serving):
+        """Stress the three threads: six pull-before-report peers, a short switch interval."""
         jobs = [Job(f"job/{i}", _draw, {"offset": float(i)}) for i in range(240)]
         reference = SerialExecutor().run(_plan(jobs)).values
         path = tmp_path / "lifecycle.checkpoint.jsonl"
@@ -457,12 +480,12 @@ class TestWhatAWorkerHolds:
             with _Observed() as observed:
                 driver = PlanDriver(_plan(jobs), Checkpoint(path), "distributed", 0)
                 server = Coordinator(driver, FAST_RETRY)
-                address = server.start()
+                address, done = serving(server)
                 peers = [threading.Thread(target=work, args=(address,)) for _ in range(6)]
                 try:
                     for peer in peers:
                         peer.start()
-                    assert server.done.wait(timeout=60.0)
+                    assert done.wait(timeout=60.0)
                     for peer in peers:
                         peer.join(timeout=30.0)
                         assert not peer.is_alive()
@@ -477,16 +500,18 @@ class TestWhatAWorkerHolds:
         assert sorted(json.loads(line)["job"] for line in path.read_text().splitlines()) == sorted(
             reference
         )
-        assert sum(h["jobs"] for h in server.host_attribution().values()) == len(jobs)
-        assert not any(handle.held for handle in server.workers.values())
+        assert sum(h["jobs"] for h in server.core.host_attribution().values()) == len(jobs)
+        assert not any(handle.held for handle in server.core.workers.values())
 
     @pytest.mark.parametrize("spawned,expected", [(0, 4), (2, 2)], ids=["external", "spawn2"])
-    def test_the_first_joiner_takes_its_share_of_the_spawned_fleet(self, spawned, expected):
+    def test_the_first_joiner_takes_its_share_of_the_spawned_fleet(
+        self, spawned, expected, serving
+    ):
         # 16 jobs, 4 chunks per worker: a lone early joiner of a two-worker
         # spawn used to be handed ceil(16 / (4 * 1)) = 4 jobs
         jobs = [Job(f"job/{i}", _draw) for i in range(16)]
         server = Coordinator(PlanDriver(_plan(jobs), None, "distributed", spawned), FAST_RETRY)
-        early = _FakeWorker(server.start())
+        early = _FakeWorker(serving(server)[0])
         try:
             assert len(early.pull()["jobs"]) == expected
         finally:
@@ -502,8 +527,9 @@ class TestTheWire:
         session = WorkerSession(*server.address, quiet=True)
         session.connect()
         try:
-            _eventually(lambda: len(server.workers) == 2)
-            dialled, accepted = session.sock, max(server.workers.items())[1].sock
+            _eventually(lambda: len(server.core.workers) == 2)
+            joined = max(server.core.workers.items())[1]
+            dialled, accepted = session.sock, server.socks[joined.conn]
             for sock in (dialled, accepted):
                 assert sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY) == 1
         finally:
@@ -535,3 +561,46 @@ class TestTheWire:
             listener.close()
         serving.join(timeout=5.0)
         assert not serving.is_alive()
+
+    @pytest.mark.parametrize(
+        "welcome,reply,complaint",
+        [
+            ({"seed": None}, None, "welcome payload lacks required field 'seed'"),
+            ({}, {"type": "idle", "wait_s": "soon"}, "idle field 'wait_s' is wrong-typed"),
+            ({}, {"type": "chunk"}, "chunk payload lacks required field 'jobs'"),
+        ],
+        ids=["welcome-without-seed", "idle-wait-a-string", "chunk-without-jobs"],
+    )
+    def test_a_malformed_frame_from_the_coordinator_ends_the_worker_cleanly(
+        self, welcome, reply, complaint, capsys
+    ):
+        """A frame the worker cannot decode closes its socket and names the field."""
+        from repro.engine.distributed import policy_to_wire
+        from repro.engine.worker import WorkerSession
+
+        listener = socket.create_server(("127.0.0.1", 0))
+        session, served = WorkerSession(*listener.getsockname(), quiet=True), []
+        serving = threading.Thread(target=lambda: served.append(session.serve()), daemon=True)
+        serving.start()
+        conn, _ = listener.accept()
+        try:
+            conn.settimeout(5.0)
+            assert recv_frame(conn)["type"] == "hello"
+            frame = {
+                "type": "welcome", "protocol": PROTOCOL_VERSION, "worker": 1,
+                "experiment": "lifecycle", "seed": 11, "policy": policy_to_wire(FAST_RETRY),
+                "heartbeat_interval_s": 60.0, **welcome,
+            }
+            send_frame(conn, {key: value for key, value in frame.items() if value is not None})
+            if reply is not None:
+                assert recv_frame(conn)["type"] == "next"
+                send_frame(conn, reply)
+            assert recv_frame(conn) is None  # the worker hung up: no goodbye, no hang
+        finally:
+            conn.close()
+            listener.close()
+        serving.join(timeout=5.0)
+        assert not serving.is_alive() and served == [None]  # drs-worker exits with status 1
+        assert session.sock.fileno() == -1
+        _eventually(lambda: "drs-worker-heartbeat" not in {t.name for t in threading.enumerate()})
+        assert f"drs-worker: {complaint}" in capsys.readouterr().err
