@@ -29,7 +29,7 @@ lint:
 # shipped: scenariosuite runs every file under examples/scenarios)
 smoke:
 	rm -rf /tmp/drs-smoke
-	$(PYTHON) -m repro.experiments.runner --quick figure2 --out /tmp/drs-smoke
+	$(PYTHON) -m repro run --quick figure2 --out /tmp/drs-smoke
 	test -f /tmp/drs-smoke/figure2.manifest.json
 	test -f /tmp/drs-smoke/figure2.metrics.jsonl
 	test -f /tmp/drs-smoke/figure2.metrics.prom
@@ -39,7 +39,7 @@ smoke:
 	$(PYTHON) -c "import json; s = json.load(open('examples/scenarios/nic_failure_drs.json')); \
 		s.update(name='nic-failure-switched', fabric='switch'); \
 		json.dump(s, open('/tmp/drs-smoke/nic_failure_switched.json', 'w'))"
-	$(PYTHON) -m repro.scenario.cli /tmp/drs-smoke/nic_failure_switched.json \
+	$(PYTHON) -m repro sim /tmp/drs-smoke/nic_failure_switched.json \
 		--metrics-out /tmp/drs-smoke/switched > /tmp/drs-smoke/switched.txt
 	grep -q "wire bits carried *1.29443e+07" /tmp/drs-smoke/switched.txt
 	grep -q '"net_bits_carried_total", "kind": "counter", "value": 12944272.0, "events": 18051' \
@@ -49,7 +49,7 @@ smoke:
 			'discovery_timeout_s': 0.02, 'path_check_period_s': 0.25}, \
 		'warmup': {'until_s': 1.0, 'fail_exactly': 2}, 'ping': True, 'trace': False, 'seed': 7}, \
 		open('/tmp/drs-smoke/exact_f.json', 'w'))"
-	$(PYTHON) -m repro.scenario.cli /tmp/drs-smoke/exact_f.json > /tmp/drs-smoke/exact_f.txt
+	$(PYTHON) -m repro sim /tmp/drs-smoke/exact_f.json > /tmp/drs-smoke/exact_f.txt
 	grep -q "faults injected *2" /tmp/drs-smoke/exact_f.txt
 	grep -q "ping 0 -> 1 *reply" /tmp/drs-smoke/exact_f.txt
 	@echo "smoke: OK"
@@ -58,10 +58,10 @@ bench:
 	$(PYTHON) benchmarks/e2e/run.py
 
 experiments:
-	$(PYTHON) -m repro.experiments.runner --out results --html
+	$(PYTHON) -m repro run --out results --html
 
 experiments-quick:
-	$(PYTHON) -m repro.experiments.runner --quick --out results
+	$(PYTHON) -m repro run --quick --out results
 
 # engine smoke: one serial quick reference (figure2 + availability), then
 # every other way of running the same plans must reproduce its CSVs byte
@@ -83,32 +83,32 @@ same-as-serial = @for f in $(2); do cmp $(1)/$$f.csv $(ENGINE_REF)/$$f.csv || ex
 quick-engine:
 	rm -rf $(ENGINE_REF) results-parallel results-resume /tmp/drs-dist /tmp/drs-dist-faulty \
 		/tmp/drs-dist-resume
-	$(PYTHON) -m repro.experiments.runner --quick --out $(ENGINE_REF) --jobs 1 figure2 availability
-	$(PYTHON) -m repro.experiments.runner --quick --out results-parallel --jobs 2
+	$(PYTHON) -m repro run --quick --out $(ENGINE_REF) --jobs 1 figure2 availability
+	$(PYTHON) -m repro run --quick --out results-parallel --jobs 2
 	$(call same-as-serial,results-parallel,$(FIGURE2_CSVS) availability_downtime availability_weighted)
 	cd results-parallel && sha256sum -c $(CURDIR)/tests/simkit/data/des_quick.sha256 \
 		$(CURDIR)/tests/topology/data/estimators_quick.sha256 \
 		$(CURDIR)/tests/topology/data/topologysweep_quick.sha256
-	$(PYTHON) -m repro.experiments.runner --quick figure2 \
+	$(PYTHON) -m repro run --quick figure2 \
 		--backend distributed --jobs 2 --out /tmp/drs-dist
 	$(call same-as-serial,/tmp/drs-dist,$(FIGURE2_CSVS))
 	grep -q '"kind": "worker.join"' /tmp/drs-dist/figure2.flight.jsonl
 	grep -q '"hosts"' /tmp/drs-dist/figure2.manifest.json
-	DRS_WORKER_CRASH_AFTER_CHUNKS=1 $(PYTHON) -m repro.experiments.runner \
+	DRS_WORKER_CRASH_AFTER_CHUNKS=1 $(PYTHON) -m repro run \
 		--quick figure2 --backend distributed --jobs 2 --out /tmp/drs-dist-faulty
 	$(call same-as-serial,/tmp/drs-dist-faulty,$(FIGURE2_CSVS))
 	grep -q '"kind": "worker.leave"' /tmp/drs-dist-faulty/figure2.flight.jsonl
 	grep -q '"kind": "job.stolen"' /tmp/drs-dist-faulty/figure2.flight.jsonl
-	-DRS_ENGINE_CRASH_AFTER=50 $(PYTHON) -m repro.experiments.runner --quick figure2 --out results-resume
+	-DRS_ENGINE_CRASH_AFTER=50 $(PYTHON) -m repro run --quick figure2 --out results-resume
 	test -f results-resume/figure2.checkpoint.jsonl
 	test ! -f results-resume/figure2_montecarlo.csv
-	$(PYTHON) -m repro.experiments.runner --resume results-resume
+	$(PYTHON) -m repro run --resume results-resume
 	$(call same-as-serial,results-resume,$(FIGURE2_CSVS))
-	-DRS_ENGINE_CRASH_AFTER=50 $(PYTHON) -m repro.experiments.runner --quick figure2 \
+	-DRS_ENGINE_CRASH_AFTER=50 $(PYTHON) -m repro run --quick figure2 \
 		--backend distributed --jobs 2 --out /tmp/drs-dist-resume
 	test $$(wc -l < /tmp/drs-dist-resume/figure2.checkpoint.jsonl) -eq 50
 	test ! -f /tmp/drs-dist-resume/figure2_montecarlo.csv
-	$(PYTHON) -m repro.experiments.runner --resume /tmp/drs-dist-resume
+	$(PYTHON) -m repro run --resume /tmp/drs-dist-resume
 	$(call same-as-serial,/tmp/drs-dist-resume,$(FIGURE2_CSVS))
 	@echo "quick-engine: OK (serial == pool on 33 pinned CSVs == distributed == dead-worker" \
 		"== killed+resumed, serial and distributed)"
@@ -125,7 +125,7 @@ GOLDEN := tests/obs/data
 
 quick-obs:
 	rm -rf $(OBS)
-	$(PYTHON) -m repro.experiments.runner --quick figure2 --jobs 4 --out $(OBS)
+	$(PYTHON) -m repro run --quick figure2 --jobs 4 --out $(OBS)
 	test -f $(OBS)/figure2.flight.jsonl
 	grep -q '"kind": "worker.spawn"' $(OBS)/figure2.flight.jsonl
 	grep -q '"kind": "run.end"' $(OBS)/figure2.flight.jsonl
@@ -169,7 +169,7 @@ DIGESTS := $(CURDIR)/tests/topology/data
 
 quick-estimators:
 	rm -rf $(EST) $(EST)-one $(EST)-pool $(EST)-ci $(EST)-cv
-	$(PYTHON) -m repro.experiments.runner --quick --out $(EST) \
+	$(PYTHON) -m repro run --quick --out $(EST) \
 		figure2 figure3 crossovers wholecluster availability ablations topologysweep
 	cd $(EST) && sha256sum -c $(DIGESTS)/estimators_quick.sha256 $(DIGESTS)/topologysweep_quick.sha256
 	grep -q '"topologies"' $(EST)/topologysweep.manifest.json
@@ -177,12 +177,12 @@ quick-estimators:
 	grep -q '"topology": "dual-hub' $(EST)/topologysweep.flight.jsonl
 	$(PYTHON) -m repro obs precision $(EST)/topologysweep.flight.jsonl | grep -q multicluster
 	$(PYTHON) -m repro obs watch $(EST)/topologysweep.flight.jsonl --once --no-color | grep -q 'ci: '
-	$(PYTHON) -m repro.experiments.runner --quick topologysweep --topology khub:hubs=3 --out $(EST)-one
+	$(PYTHON) -m repro run --quick topologysweep --topology khub:hubs=3 --out $(EST)-one
 	cmp $(EST)/topologysweep_mc_khub_hubs3.csv $(EST)-one/topologysweep_mc_khub_hubs3.csv
-	$(PYTHON) -m repro.experiments.runner --quick topologysweep --jobs 2 --out $(EST)-pool
+	$(PYTHON) -m repro run --quick topologysweep --jobs 2 --out $(EST)-pool
 	for csv in $(EST)/topologysweep_*.csv; do cmp $$csv $(EST)-pool/$$(basename $$csv) || exit 1; done
 	test $$(ls $(EST)-pool/topologysweep_*.csv | wc -l) -eq 7
-	$(PYTHON) -m repro.experiments.runner --quick figure2 --target-ci 0.01 --out $(EST)-ci
+	$(PYTHON) -m repro run --quick figure2 --target-ci 0.01 --out $(EST)-ci
 	test -f $(EST)-ci/figure2_mc_precision.csv
 	head -1 $(EST)-ci/figure2_mc_precision.csv | grep -q ci_low
 	grep -q '"kind": "stats.cell"' $(EST)-ci/figure2.flight.jsonl
@@ -196,7 +196,7 @@ quick-estimators:
 		assert report['cells'] and report['met_target'] == report['cells'], report; \
 		assert report['trials_saved_fraction'] > 0, report"
 	$(PYTHON) -m repro obs watch $(EST)-ci/figure2.flight.jsonl --once --no-color | grep 'at target'
-	$(PYTHON) -m repro.experiments.runner --quick figure2 --target-ci 0.01 \
+	$(PYTHON) -m repro run --quick figure2 --target-ci 0.01 \
 		--mc-method stratified-cv --out $(EST)-cv
 	head -1 $(EST)-cv/figure2_mc_precision.csv | grep -q method
 	grep -q 'stratified-cv' $(EST)-cv/figure2_mc_precision.csv

@@ -1,4 +1,4 @@
-"""``drs-analyze``: the survivability calculator as a command-line tool.
+"""``repro analyze``: the survivability calculator as a command-line tool.
 
 Subcommands wrap the analytic API for operators planning a cluster:
 
@@ -121,7 +121,7 @@ def _cmd_report(args) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     """Entry point; returns the process exit code."""
-    parser = argparse.ArgumentParser(prog="drs-analyze", description=__doc__.splitlines()[0])
+    parser = argparse.ArgumentParser(prog="repro analyze", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("pair", help="Equation 1 for one (N, f)")
@@ -173,7 +173,3 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())

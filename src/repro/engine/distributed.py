@@ -1,7 +1,7 @@
 """Multi-host distributed execution: the TCP shell around the coordinator's core.
 
 A :class:`DistributedExecutor` runs the coordinator of one plan, and any
-number of ``drs-worker`` processes, here or on other hosts, join over TCP,
+number of ``repro worker`` processes, here or on other hosts, join over TCP,
 pull job chunks and stream results back.  Frames are length-prefixed JSON (a
 4-byte big-endian length, then one UTF-8 object) of the types in
 :data:`~repro.engine.coordinator.FRAMES`.  Workers trust their coordinator:
@@ -127,7 +127,7 @@ def parse_address(spec: str) -> tuple[str, int]:
 
 # ------------------------------------------------------------- coordinator
 class Coordinator:
-    """The sockets, threads and spawned ``drs-worker`` processes around a ``CoordinatorCore``:
+    """The sockets, threads and spawned ``repro worker`` processes around a ``CoordinatorCore``:
     the thread that calls :meth:`step` after :meth:`start` is the loop, which owns :attr:`core`."""
 
     def __init__(
@@ -297,10 +297,10 @@ class Coordinator:
 class DistributedExecutor:
     """Run a plan as the coordinator of a TCP worker fleet.
 
-    ``spawn_workers`` local ``drs-worker`` subprocesses are launched against
+    ``spawn_workers`` local ``repro worker`` subprocesses are launched against
     the bound address (the ``--jobs N`` analogue), and replaced when they die
     within the core's respawn budget; with ``spawn_workers=0`` the coordinator
-    waits for ``drs-worker --coordinator HOST:PORT`` to join from anywhere.
+    waits for ``repro worker --coordinator HOST:PORT`` to join from anywhere.
     """
 
     name = "distributed"
@@ -335,7 +335,7 @@ class DistributedExecutor:
             if not self.spawn_workers and driver.unsettled:
                 print(
                     f"[distributed] waiting for workers: "
-                    f"drs-worker --coordinator {self.address[0]}:{self.address[1]}",
+                    f"repro worker --coordinator {self.address[0]}:{self.address[1]}",
                     file=sys.stderr,
                     flush=True,
                 )

@@ -1,10 +1,10 @@
-"""``drs-worker``: one elastic member of a distributed worker fleet.
+"""``repro worker``: one elastic member of a distributed worker fleet.
 
 A worker dials a :class:`~repro.engine.distributed.Coordinator`
-(``drs-worker --coordinator HOST:PORT``), says ``hello`` and pulls job chunks
+(``repro worker --coordinator HOST:PORT``), says ``hello`` and pulls job chunks
 until told ``shutdown``; any number can join or leave at any point.  It reads
 every frame through the coordinator's :data:`~repro.engine.coordinator.FRAMES`
-table, and one it cannot decode ends it cleanly, with one ``drs-worker:``
+table, and one it cannot decode ends it cleanly, with one ``repro worker:``
 line naming the frame and the field.  Each chunk runs through
 :func:`repro.engine.driver.run_chunk`, as on a process-pool worker, and what
 it returns *is* the ``chunk_done`` frame.  A daemon thread beats so the
@@ -71,7 +71,7 @@ class WorkerSession:
 
     def _say(self, message: str) -> None:
         if not self.quiet:
-            print(f"[drs-worker {os.getpid()}] {message}", file=sys.stderr, flush=True)
+            print(f"[repro worker {os.getpid()}] {message}", file=sys.stderr, flush=True)
 
     # ------------------------------------------------------------ connection
     def connect(self) -> dict[str, Any]:
@@ -87,7 +87,7 @@ class WorkerSession:
                 time.sleep(0.2)
         else:
             raise SystemExit(
-                f"drs-worker: cannot reach coordinator at {self.host}:{self.port}: {last_error}"
+                f"repro worker: cannot reach coordinator at {self.host}:{self.port}: {last_error}"
             )
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         sock.settimeout(REPLY_TIMEOUT_S)
@@ -141,7 +141,7 @@ class WorkerSession:
             welcome = self.connect()
             threading.Thread(
                 target=self._heartbeat_loop, args=(welcome["heartbeat_interval_s"],),
-                name="drs-worker-heartbeat", daemon=True,
+                name="repro-worker-heartbeat", daemon=True,
             ).start()
             reply = self._pull()
             while reply is not None:
@@ -164,7 +164,7 @@ class WorkerSession:
                     return self.jobs_done
             self._say("coordinator closed the connection")
         except ProtocolError as exc:
-            print(f"drs-worker: {exc}", file=sys.stderr, flush=True)
+            print(f"repro worker: {exc}", file=sys.stderr, flush=True)
             return None
         except (ConnectionError, socket.timeout):
             self._say("lost the coordinator; exiting")
@@ -194,10 +194,10 @@ class WorkerSession:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """CLI entry point for ``drs-worker``."""
+    """CLI entry point for ``repro worker``."""
     parser = argparse.ArgumentParser(
-        prog="drs-worker",
-        description="Join a drs-experiments distributed run as a worker.",
+        prog="repro worker",
+        description="Join a `repro run --backend distributed` run as a worker.",
     )
     parser.add_argument(
         "--coordinator",

@@ -1,19 +1,18 @@
-"""``drs-experiments`` CLI: regenerate every paper artifact.
+"""``repro run``: regenerate every paper artifact.
 
 Usage::
 
-    drs-experiments                      # run everything into ./results
-    drs-experiments figure2 crossovers   # a subset
-    drs-experiments --quick              # reduced iteration counts
-    drs-experiments --quick --jobs 4     # sweeps fan out over 4 processes
-    drs-experiments --out /tmp/results
-    drs-experiments --resume results     # pick up an interrupted run
-    drs-experiments --quick --target-ci 0.01   # adaptive: stop each MC cell
-                                               # at Wilson half-width 0.01
-    drs-experiments --backend distributed --jobs 2       # TCP coordinator
-                                                         # + 2 local workers
-    drs-experiments --backend distributed --jobs 0 \
-        --coordinator 0.0.0.0:7077    # wait for remote drs-worker joins
+    repro run                      # run everything into ./results
+    repro run figure2 crossovers   # a subset
+    repro run --quick              # reduced iteration counts
+    repro run --quick --jobs 4     # sweeps fan out over 4 processes
+    repro run --out /tmp/results
+    repro run --resume results     # pick up an interrupted run
+    repro run --quick --target-ci 0.01         # adaptive: stop each MC cell at
+                                               # Wilson half-width 0.01
+    repro run --backend distributed --jobs 2   # TCP coordinator + 2 local workers
+    repro run --backend distributed --jobs 0 \
+        --coordinator 0.0.0.0:7077    # wait for remote repro worker joins
 
 The experiments come from the declarative registry in :mod:`repro.engine`:
 one :class:`~repro.engine.ExperimentSpec` per row of the ``EXPERIMENTS``
@@ -92,80 +91,49 @@ def _write_run_state(out_dir: Path, args: argparse.Namespace) -> None:
     atomic_write_text(out_dir / "run.json", json.dumps(state, indent=2, sort_keys=True) + "\n")
 
 
-def _load_run_state(out_dir: Path) -> dict:
-    path = out_dir / "run.json"
-    if not path.exists():
-        raise FileNotFoundError(
-            f"{path} not found — --resume needs the run.json a previous drs-experiments "
-            f"invocation wrote into its output directory"
-        )
-    return json.loads(path.read_text())
+#: the engine tallies a run manifest records as ``fault_tolerance``
+FAULT_TOLERANCE = (
+    "attempts", "retries", "quarantined", "timed_out", "resumed", "pool_respawns", "hosts",
+)
 
 
-def _handle_interrupt(
-    args: argparse.Namespace,
-    name: str,
-    spec,
-    executor,
-    interrupt: BaseException,
-    out_dir: Path,
-    metrics,
-    recorder,
-    elapsed: float,
-) -> int:
-    """Ctrl-C landed mid-experiment: record it and exit like a shell would.
+def _write_manifest(
+    args, spec, executor, out_dir: Path, metrics, recorder, engine, **fields
+) -> None:
+    """Write one experiment's manifest and metrics snapshot (unless ``--no-metrics``).
 
-    Everything the executor settled before the interrupt is already in the
-    checkpoint, so the manifest is written with ``status="interrupted"``
-    (plus the partial fault-tolerance tallies when the executor handed them
-    back through :class:`PlanInterrupted`) and the exit code is 130 — the
-    conventional 128+SIGINT.  ``--resume <out>`` then re-runs only what is
-    missing.
+    ``engine`` is what the engine tallied: a finished result's
+    ``meta["engine"]``, an interrupted plan's ``PlanExecution``, or None.
+    ``fields`` are the manifest fields a finished and an interrupted run
+    record differently.
     """
-    execution = getattr(interrupt, "execution", None)
-    if not args.no_metrics:
-        fault = None
-        if execution is not None:
-            fault = {
-                "attempts": execution.attempts,
-                "retries": execution.retries,
-                "quarantined": sorted(execution.quarantined),
-                "timed_out": sorted(execution.timed_out),
-                "resumed": sorted(execution.resumed),
-                "pool_respawns": execution.pool_respawns,
-            }
-            if execution.hosts:
-                fault["hosts"] = execution.hosts
-        manifest = RunManifest.build(
-            name=name,
-            kind="experiment",
-            seed=None,
-            config={"quick": args.quick},
-            wall_seconds=elapsed,
-            event_count=int(metrics.counter("sim_events_total").value),
-            status="interrupted",
-            completed_jobs=len(execution.values) if execution is not None else None,
-            backend=executor.name if spec.parallel else "direct",
-            workers=executor.workers if spec.parallel else 1,
-            fault_tolerance=fault,
-            flight_recorder=recorder.summary() if recorder is not None else None,
-        )
-        manifest.write(out_dir / f"{name}.manifest.json")
-        write_metrics_files(metrics, out_dir, name)
-    done = len(execution.values) if execution is not None else 0
-    print(
-        f"[drs-experiments] {name} interrupted after {elapsed:.1f}s "
-        f"({done} job(s) checkpointed); resume with: drs-experiments --resume {out_dir}",
-        file=sys.stderr,
-        flush=True,
-    )
-    return 130
+    if args.no_metrics:
+        return
+    fault = None
+    if engine:
+        read = engine.get if isinstance(engine, dict) else lambda key: getattr(engine, key)
+        fault = {}
+        for key in FAULT_TOLERANCE:
+            value = read(key)
+            if key != "hosts" or value:  # per-host attribution: distributed runs only
+                fault[key] = sorted(value) if isinstance(value, list) else value
+    RunManifest.build(
+        name=spec.name,
+        kind="experiment",
+        event_count=int(metrics.counter("sim_events_total").value),
+        backend=executor.name if spec.parallel else "direct",
+        workers=executor.workers if spec.parallel else 1,
+        fault_tolerance=fault,
+        flight_recorder=recorder.summary() if recorder is not None else None,
+        **fields,
+    ).write(out_dir / f"{spec.name}.manifest.json")
+    write_metrics_files(metrics, out_dir, spec.name)
 
 
 def main(argv: list[str] | None = None) -> int:
     """Entry point; returns the process exit code."""
     parser = argparse.ArgumentParser(
-        prog="drs-experiments",
+        prog="repro run",
         description="Regenerate the figures and tables of the DRS survivability paper.",
     )
     parser.add_argument("names", nargs="*", help="experiments to run (default: all)")
@@ -177,7 +145,7 @@ def main(argv: list[str] | None = None) -> int:
         default=1,
         metavar="N",
         help="worker processes for sweep experiments (1 = serial, 0 = all cores); "
-        "with --backend distributed: local drs-worker processes to spawn "
+        "with --backend distributed: local repro worker processes to spawn "
         "(0 = none, rely on external workers joining)",
     )
     parser.add_argument(
@@ -185,7 +153,7 @@ def main(argv: list[str] | None = None) -> int:
         choices=("local", "distributed"),
         default="local",
         help="execution backend for sweep experiments: local (serial or process "
-        "pool, the default) or distributed (TCP coordinator + drs-worker fleet)",
+        "pool, the default) or distributed (TCP coordinator + repro worker fleet)",
     )
     parser.add_argument(
         "--coordinator",
@@ -305,9 +273,9 @@ def main(argv: list[str] | None = None) -> int:
                          "experiment names, --quick, --seed, or --topology")
         resume_dir = Path(args.resume)
         try:
-            state = _load_run_state(resume_dir)
-        except (FileNotFoundError, json.JSONDecodeError) as exc:
-            parser.error(str(exc))
+            state = json.loads((resume_dir / "run.json").read_text())
+        except (OSError, json.JSONDecodeError) as exc:
+            parser.error(f"--resume needs the run.json a previous run wrote into DIR: {exc}")
         for field in RUN_STATE_FIELDS:
             if field in state:
                 setattr(args, field, state[field])
@@ -362,7 +330,7 @@ def main(argv: list[str] | None = None) -> int:
             if not args.no_checkpoint:
                 kwargs["checkpoint"] = Checkpoint(out_dir / f"{name}.checkpoint.jsonl")
         started = time.perf_counter()
-        print(f"[drs-experiments] running {name} ...", flush=True)
+        print(f"[repro run] running {name} ...", flush=True)
         metrics = ensure_core_metrics(MetricsRegistry())
         reporter = ProgressReporter(name, interval_s=args.heartbeat) if args.heartbeat > 0 else None
         set_heartbeat(reporter)
@@ -382,48 +350,46 @@ def main(argv: list[str] | None = None) -> int:
                 set_flight_recorder(None)
                 recorder.close()
         if interrupt is not None:
-            return _handle_interrupt(args, name, spec, executor, interrupt, out_dir,
-                                     metrics, recorder, time.perf_counter() - started)
+            # Ctrl-C: what the executor settled is already checkpointed, so
+            # record the run as interrupted (with the partial tallies, when
+            # the executor handed them back) and exit 128+SIGINT, as a shell
+            # would; --resume then re-runs only what is missing
+            elapsed = time.perf_counter() - started
+            execution = getattr(interrupt, "execution", None)
+            done = len(execution.values) if execution is not None else None
+            _write_manifest(args, spec, executor, out_dir, metrics, recorder, execution,
+                            seed=None, config={"quick": args.quick}, wall_seconds=elapsed,
+                            status="interrupted", completed_jobs=done)
+            print(
+                f"[repro run] {name} interrupted after {elapsed:.1f}s ({done or 0} job(s) "
+                f"checkpointed); resume with: repro run --resume {out_dir}",
+                file=sys.stderr,
+                flush=True,
+            )
+            return 130
         results.append(result)
         files = result.write(out_dir)
         elapsed = time.perf_counter() - started
         engine_meta = result.meta.get("engine") if isinstance(result.meta, dict) else None
-        if not args.no_metrics:
-            manifest = RunManifest.build(
-                name=name,
-                kind="experiment",
-                seed=result.meta.get("seed"),
-                config={"quick": args.quick, **result.meta},
-                wall_seconds=elapsed,
-                event_count=int(metrics.counter("sim_events_total").value),
-                heartbeat=reporter.summary() if reporter is not None else None,
-                backend=executor.name if spec.parallel else "direct",
-                workers=executor.workers if spec.parallel else 1,
-                fault_tolerance={
-                    k: engine_meta[k]
-                    for k in ("attempts", "retries", "quarantined", "timed_out", "resumed",
-                              "pool_respawns", "hosts")
-                    if k in engine_meta
-                } if engine_meta else None,
-                flight_recorder=recorder.summary() if recorder is not None else None,
-            )
-            manifest.write(out_dir / f"{name}.manifest.json")
-            write_metrics_files(metrics, out_dir, name)
+        _write_manifest(args, spec, executor, out_dir, metrics, recorder, engine_meta,
+                        seed=result.meta.get("seed"), config={"quick": args.quick, **result.meta},
+                        wall_seconds=elapsed,
+                        heartbeat=reporter.summary() if reporter is not None else None)
         print(result.render())
         if engine_meta and engine_meta.get("quarantined"):
             print(
-                f"[drs-experiments] WARNING: {name} quarantined "
+                f"[repro run] WARNING: {name} quarantined "
                 f"{len(engine_meta['quarantined'])} job(s): "
                 f"{', '.join(engine_meta['quarantined'])}",
                 file=sys.stderr,
                 flush=True,
             )
-        print(f"[drs-experiments] {name} done in {elapsed:.1f}s -> {files[0]}", flush=True)
+        print(f"[repro run] {name} done in {elapsed:.1f}s -> {files[0]}", flush=True)
     if args.html:
         from repro.experiments.base import write_html_index
 
         index = write_html_index(results, out_dir)
-        print(f"[drs-experiments] combined report -> {index}", flush=True)
+        print(f"[repro run] combined report -> {index}", flush=True)
     return 0
 
 

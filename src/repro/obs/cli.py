@@ -2,14 +2,14 @@
 
 Usage::
 
-    python -m repro obs results/                 # everything in a directory
-    python -m repro obs results/figure2.manifest.json
-    python -m repro obs --json /tmp/r/figure2.flight.jsonl
-    python -m repro obs export-trace /tmp/r/nic-failure-drs.trace.jsonl
-    python -m repro obs export-trace /tmp/r/figure2.flight.jsonl
-    python -m repro obs postmortem examples/scenarios/voicemail_hub_outage.json
-    python -m repro obs watch /tmp/r/figure2.flight.jsonl
-    python -m repro obs precision /tmp/r/figure2.flight.jsonl
+    repro obs results/                 # everything in a directory
+    repro obs results/figure2.manifest.json
+    repro obs --json /tmp/r/figure2.flight.jsonl
+    repro obs export-trace /tmp/r/nic-failure-drs.trace.jsonl
+    repro obs export-trace /tmp/r/figure2.flight.jsonl
+    repro obs postmortem examples/scenarios/voicemail_hub_outage.json
+    repro obs watch /tmp/r/figure2.flight.jsonl
+    repro obs precision /tmp/r/figure2.flight.jsonl
 
 The bare form dispatches on artifact suffix: ``*.manifest.json`` (run
 provenance), ``*.metrics.jsonl`` / ``*.metrics.prom`` (registry snapshots),
@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from collections import Counter as TallyCounter
 from pathlib import Path
@@ -327,6 +326,8 @@ def _cmd_watch(argv: list[str]) -> int:
     parser.add_argument("--json", action="store_true",
                         help="emit state snapshots as JSON lines instead of the dashboard")
     args = parser.parse_args(argv)
+    if args.once:
+        Path(args.path).stat()  # a replay needs the stream; the live form waits for it
 
     return follow(
         args.path,
@@ -386,18 +387,19 @@ def _cmd_precision(argv: list[str]) -> int:
     return 0
 
 
-def main(argv: list[str] | None = None) -> int:
+#: ``repro obs <command> ...``; any other first word is an artifact path
+COMMANDS = {
+    "export-trace": _cmd_export_trace,
+    "postmortem": _cmd_postmortem,
+    "watch": _cmd_watch,
+    "precision": _cmd_precision,
+}
+
+
+def main(argv: list[str]) -> int:
     """Entry point; returns the process exit code."""
-    if argv is None:
-        argv = sys.argv[1:]
-    if argv and argv[0] == "export-trace":
-        return _cmd_export_trace(argv[1:])
-    if argv and argv[0] == "postmortem":
-        return _cmd_postmortem(argv[1:])
-    if argv and argv[0] == "watch":
-        return _cmd_watch(argv[1:])
-    if argv and argv[0] == "precision":
-        return _cmd_precision(argv[1:])
+    if argv and argv[0] in COMMANDS:
+        return COMMANDS[argv[0]](argv[1:])
     parser = argparse.ArgumentParser(
         prog="repro obs",
         description="Pretty-print run manifests, metrics snapshots, and trace dumps.",
@@ -414,30 +416,20 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     status = 0
     documents: list[dict[str, Any]] = []
-    try:
-        for path in paths:
-            if not path.exists():
-                print(f"error: {path}: no such file", file=sys.stderr)
-                status = 1
-                continue
-            try:
-                if args.json:
-                    documents.append(artifact_data(path))
-                else:
-                    print(path.read_text().rstrip() if args.raw else render_artifact(path))
-                    print()
-            except (ValueError, json.JSONDecodeError, TypeError) as exc:
-                print(f"error: {path}: {exc}", file=sys.stderr)
-                status = 1
-                continue
-        if args.json:
-            print(json.dumps(documents, indent=2, default=str))
-    except BrokenPipeError:
-        # reader (e.g. `| head`) closed the pipe: exit quietly, and point
-        # stdout at devnull so the interpreter's final flush doesn't retrip
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    for path in paths:
+        if not path.exists():
+            print(f"error: {path}: no such file", file=sys.stderr)
+            status = 1
+            continue
+        try:
+            if args.json:
+                documents.append(artifact_data(path))
+            else:
+                print(path.read_text().rstrip() if args.raw else render_artifact(path))
+                print()
+        except (ValueError, json.JSONDecodeError, TypeError) as exc:
+            print(f"error: {path}: {exc}", file=sys.stderr)
+            status = 1
+    if args.json:
+        print(json.dumps(documents, indent=2, default=str))
     return status
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())

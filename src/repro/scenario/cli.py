@@ -1,10 +1,10 @@
-"""``drs-sim``: run scenario files from the command line.
+"""``repro sim``: run scenario files from the command line.
 
 Usage::
 
-    drs-sim examples/scenarios/nic_failure_drs.json
-    drs-sim --compare examples/scenarios/nic_failure_*.json
-    drs-sim --metrics-out /tmp/obs examples/scenarios/nic_failure_drs.json
+    repro sim examples/scenarios/nic_failure_drs.json
+    repro sim --compare examples/scenarios/nic_failure_*.json
+    repro sim --metrics-out /tmp/obs examples/scenarios/nic_failure_drs.json
 
 ``--metrics-out DIR`` writes, per scenario, a run manifest plus metrics
 snapshots (JSONL + Prometheus text), the event trace as JSONL, and — when
@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import errno
+import json
 import sys
 import time
 from pathlib import Path
@@ -31,14 +33,14 @@ from repro.obs import (
 )
 from repro.obs.spans import span_log, write_chrome_trace
 from repro.scenario.run import run_scenario
-from repro.scenario.spec import ScenarioError, load_scenario
+from repro.scenario.spec import ScenarioError, ScenarioSpec
 from repro.viz import render_table
 
 
 def main(argv: list[str] | None = None) -> int:
     """Entry point; returns the process exit code."""
     parser = argparse.ArgumentParser(
-        prog="drs-sim",
+        prog="repro sim",
         description="Run declarative DRS cluster scenarios (JSON specs).",
     )
     parser.add_argument("scenarios", nargs="+", help="scenario JSON files")
@@ -64,10 +66,15 @@ def main(argv: list[str] | None = None) -> int:
         metrics = ensure_core_metrics(MetricsRegistry())
         started = time.perf_counter()
         try:
-            spec = load_scenario(path)
+            raw = json.loads(Path(path).read_text())
+        except json.JSONDecodeError as exc:
+            # input that is not JSON is unreadable, like a missing file
+            raise OSError(errno.EINVAL, f"invalid JSON: {exc}", path) from exc
+        try:
+            spec = ScenarioSpec.from_dict(raw)
             report = run_scenario(spec, metrics=metrics)
         except ScenarioError as exc:
-            print(f"error: {path}: {exc}", file=sys.stderr)
+            print(f"{parser.prog}: error: {path}: {exc}", file=sys.stderr)
             return 2
         reports.append(report)
         if obs_dir is not None:
@@ -106,7 +113,3 @@ def main(argv: list[str] | None = None) -> int:
             rows.append([key] + [r.workload_metrics.get(key, "-") for r in reports])
         print(render_table(headers, rows, title="scenario comparison"))
     return 0
-
-
-if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())

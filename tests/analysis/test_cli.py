@@ -1,4 +1,4 @@
-"""Tests for the drs-analyze CLI."""
+"""Tests for the `repro analyze` verb."""
 
 import pytest
 

@@ -404,7 +404,7 @@ def _coordinate_in_thread(ex, plan):
 
 
 def _launch_worker(address):
-    """One real ``drs-worker`` subprocess against ``address`` (no crash injection)."""
+    """One real ``repro worker`` subprocess against ``address`` (no crash injection)."""
     return subprocess.Popen(
         [sys.executable, "-m", "repro.engine.worker", "--coordinator", address, "--quiet"],
         env=_env_with_src(),
@@ -433,7 +433,7 @@ class TestCoordinatorCrashResume:
 
         out = tmp_path / "killed"
         proc = subprocess.run(
-            [sys.executable, "-m", "repro.experiments.runner", *FIGURE2_ARGS,
+            [sys.executable, "-m", "repro", "run", *FIGURE2_ARGS,
              "--backend", "distributed", "--jobs", "2", "--out", str(out)],
             env=_env_with_src(DRS_ENGINE_CRASH_AFTER="20"),
             capture_output=True,

@@ -191,7 +191,7 @@ def test_a_run_killed_inside_a_group_resumes_byte_identical(tmp_path, baseline, 
     # its own session, no pipes: SIGKILL orphans the pool's worker processes,
     # which would hold captured pipes open and outlive the test
     proc = subprocess.Popen(
-        [sys.executable, "-m", "repro.experiments.runner", *FIGURE2_ARGS, *backend_args,
+        [sys.executable, "-m", "repro", "run", *FIGURE2_ARGS, *backend_args,
          "--out", str(out)],
         env=_env(DRS_ENGINE_CRASH_AFTER=str(k)), cwd=REPO_ROOT, start_new_session=True,
         stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,

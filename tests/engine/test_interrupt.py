@@ -2,7 +2,7 @@
 
 In-process tests inject ``KeyboardInterrupt`` from a job function (what a
 SIGINT delivered mid-job looks like to the executor); the CLI test sends a
-real SIGINT to a ``drs-experiments`` subprocess and then resumes it.
+real SIGINT to a ``repro run`` subprocess and then resumes it.
 """
 
 import json
@@ -111,7 +111,7 @@ class TestCliSigint:
         env = dict(os.environ)
         env["PYTHONPATH"] = REPO_SRC + os.pathsep + env.get("PYTHONPATH", "")
         proc = subprocess.Popen(
-            [sys.executable, "-m", "repro.experiments.runner", *FIGURE2_ARGS,
+            [sys.executable, "-m", "repro", "run", *FIGURE2_ARGS,
              "--out", str(out)],
             env=env,
             cwd=REPO_ROOT,

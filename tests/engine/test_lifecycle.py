@@ -4,7 +4,7 @@ The three executors are transports under one :class:`PlanDriver`, so
 everything that is not "where did the job run" must come out the same:
 results and provenance, per-job flight events, derived gauges, what Ctrl-C
 leaves behind.  Job functions are module-level because pool and
-``drs-worker`` processes import them by name (workers inherit pytest's
+``repro worker`` processes import them by name (workers inherit pytest's
 working directory, the repo root, so ``tests.engine.test_lifecycle``
 resolves).
 """
@@ -600,7 +600,7 @@ class TestTheWire:
             conn.close()
             listener.close()
         serving.join(timeout=5.0)
-        assert not serving.is_alive() and served == [None]  # drs-worker exits with status 1
+        assert not serving.is_alive() and served == [None]  # repro worker exits with status 1
         assert session.sock.fileno() == -1
-        _eventually(lambda: "drs-worker-heartbeat" not in {t.name for t in threading.enumerate()})
-        assert f"drs-worker: {complaint}" in capsys.readouterr().err
+        _eventually(lambda: "repro-worker-heartbeat" not in {t.name for t in threading.enumerate()})
+        assert f"repro worker: {complaint}" in capsys.readouterr().err

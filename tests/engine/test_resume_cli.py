@@ -21,7 +21,7 @@ def _run_killed(out_dir, crash_after=50):
     env["PYTHONPATH"] = REPO_SRC + os.pathsep + env.get("PYTHONPATH", "")
     env["DRS_ENGINE_CRASH_AFTER"] = str(crash_after)
     proc = subprocess.run(
-        [sys.executable, "-m", "repro.experiments.runner", *FIGURE2_ARGS, "--out", str(out_dir)],
+        [sys.executable, "-m", "repro", "run", *FIGURE2_ARGS, "--out", str(out_dir)],
         env=env,
         capture_output=True,
         timeout=300,

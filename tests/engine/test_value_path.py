@@ -1,12 +1,12 @@
 """One value path: ``reduce`` receives the same object whoever ran the job.
 
 ``execute_job`` normalises every ok value through the checkpoint codec, so a
-serial run, a process pool, a ``drs-worker`` and a ``--resume`` replay hand
+serial run, a process pool, a ``repro worker`` and a ``--resume`` replay hand
 ``reduce`` values of identical type and ``repr`` *by construction* — at the
 parent commit a ``np.float32`` stayed a ``float32`` on serial and the pool
 and became a ``float`` over the wire and on resume, and a ``{1: 2.0}`` was
 kept (and silently never checkpointed) locally but quarantined when
-distributed.  The job functions are module-level: pool and ``drs-worker``
+distributed.  The job functions are module-level: pool and ``repro worker``
 processes import them by name.
 """
 

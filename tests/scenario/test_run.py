@@ -1,4 +1,4 @@
-"""Tests for scenario execution and the drs-sim CLI."""
+"""Tests for scenario execution and the `repro sim` verb."""
 
 import json
 from dataclasses import asdict

@@ -4,7 +4,7 @@ Every case runs in a fresh interpreter (this one already holds every module
 the suite touched) and asserts which ``repro.*`` modules it loaded.  The
 experiment registry is one table in :mod:`repro.experiments` whose rows name
 their driver modules, and every package ``__init__`` re-exports lazily, so
-``drs-worker`` loads the engine, ``--list`` loads no driver, and a run loads
+``repro worker`` loads the engine, ``--list`` loads no driver, and a run loads
 its one driver before the timed region starts, not inside it.
 """
 
@@ -18,6 +18,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.__main__ import VERBS
 from repro.experiments import EXPERIMENTS
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -29,7 +30,7 @@ DRIVERS = sorted({row["run"].partition(":")[0] for row in EXPERIMENTS})
 #: the protocol simulator above the event kernel (simkit itself is shared)
 DES_TOWER = ("netsim", "protocols", "drs", "baselines", "cluster", "scenario")
 
-#: ``drs-experiments --list``, byte for byte as the per-module registrations printed it
+#: ``repro run --list``, byte for byte as the per-module registrations printed it
 LISTING = """\
 figure1        Fig. 1 response time vs N per probe-bandwidth budget
 figure2        Fig. 2 P[Success] vs N, f=2..10, with MC overlay
@@ -87,6 +88,24 @@ def test_worker_loads_the_engine_and_not_the_tower():
     assert not under(modules, *DES_TOWER, "topology", "viz", "obs.watch", "obs.spans", "obs.postmortem")
     assert not modules & set(DRIVERS)
     assert "repro.engine.distributed" in modules
+
+
+def test_help_loads_no_verb_module():
+    modules = loaded(
+        "import contextlib, io\n"
+        "from repro.__main__ import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert main(['--help']) == 0\n"
+    )
+    assert not modules & {target.partition(":")[0] for target, _ in VERBS.values()}
+    assert not under(modules, "analysis", "engine", "experiments", "obs", "scenario")
+
+
+def test_the_worker_verb_loads_the_engine_and_not_the_tower():
+    modules = loaded("from repro.__main__ import resolve\nresolve('worker')")
+    assert not under(modules, *DES_TOWER, "topology", "viz", "obs.watch", "obs.spans", "obs.postmortem")
+    assert not modules & set(DRIVERS)
+    assert "repro.engine.worker" in modules
 
 
 def test_list_loads_no_driver_and_prints_the_same_bytes():
