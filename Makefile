@@ -23,10 +23,13 @@ lint:
 	@! grep -nE '^(from|import) repro\.' $$(find src/repro -name __init__.py)
 
 # end-to-end check: a quick experiment must emit its observability artifacts,
-# a switched scenario must publish the bits its own report prints, and a
+# a switched scenario must publish the bits its own report prints, a
 # desval-style replicate in the scenario grammar (warm-up boundary, exact-f
-# step, post-run ping) must report its ping (both files are written here, not
-# shipped: scenariosuite runs every file under examples/scenarios)
+# step, post-run ping) must report its ping, every routing regime the
+# ROUTING_PROTOCOLS table names must run one scenario side by side, and a
+# malformed option must end in one error line and exit 2, not a traceback
+# (the files are written here, not shipped: scenariosuite runs every file
+# under examples/scenarios)
 smoke:
 	rm -rf /tmp/drs-smoke
 	$(PYTHON) -m repro run --quick figure2 --out /tmp/drs-smoke
@@ -52,6 +55,19 @@ smoke:
 	$(PYTHON) -m repro sim /tmp/drs-smoke/exact_f.json > /tmp/drs-smoke/exact_f.txt
 	grep -q "faults injected *2" /tmp/drs-smoke/exact_f.txt
 	grep -q "ping 0 -> 1 *reply" /tmp/drs-smoke/exact_f.txt
+	$(PYTHON) -c "import json; from repro.scenario.spec import ROUTING_PROTOCOLS; \
+		[json.dump({'name': f'regime-{kind}', 'nodes': 4, 'duration_s': 3.0, 'protocol': {'kind': kind}, \
+			'workload': {'kind': 'stream'}, 'faults': [{'at': 1.0, 'fail': 'nic1.0'}]}, \
+			open(f'/tmp/drs-smoke/regime_{kind}.json', 'w')) for kind in ROUTING_PROTOCOLS]"
+	$(PYTHON) -m repro sim --compare /tmp/drs-smoke/regime_*.json > /tmp/drs-smoke/regimes.txt
+	$(PYTHON) -c "from repro.scenario.spec import ROUTING_PROTOCOLS; \
+		out = open('/tmp/drs-smoke/regimes.txt').read(); \
+		assert all(f'regime-{kind}' in out for kind in ROUTING_PROTOCOLS), out"
+	echo '{"name": "malformed", "nodes": 4, "duration_s": 3.0, "protocol": {"kind": "reactive", "timeout_s": -1}}' \
+		> /tmp/drs-smoke/malformed.json
+	$(PYTHON) -m repro sim /tmp/drs-smoke/malformed.json 2> /tmp/drs-smoke/malformed.err; test $$? -eq 2
+	test $$(wc -l < /tmp/drs-smoke/malformed.err) -eq 1
+	! grep -q Traceback /tmp/drs-smoke/malformed.err
 	@echo "smoke: OK"
 
 bench:

@@ -32,6 +32,6 @@ __all__, __getattr__, __dir__ = _lazy_exports(
         "reactive": ["ReactiveRouter", "ReactiveConfig", "install_reactive"],
         "distvector": ["DistVectorRouter", "DistVectorConfig", "install_distvector"],
         "linkstate": ["LinkStateRouter", "LinkStateConfig", "install_linkstate"],
-        "static_tcp": ["StaticOnlyDeployment", "install_static_only"],
+        "static_tcp": ["install_static_only"],
     },
 )

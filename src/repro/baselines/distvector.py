@@ -16,13 +16,13 @@ flag in the config).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.netsim.addresses import NetworkId, NodeId
 from repro.netsim.topology import Cluster
-from repro.protocols.routing import Route, RouteSource
+from repro.protocols.routing import Deployment, PeriodicRouter, RouteSource, deploy
 from repro.protocols.stack import HostStack
-from repro.simkit import Counter, Process, Simulator, TraceRecorder
+from repro.simkit import Counter, Simulator, TraceRecorder
 
 #: Well-known UDP port (RIP's 520).
 RIP_PORT = 520
@@ -41,8 +41,8 @@ class DistVectorConfig:
     triggered_updates: bool = False
 
     def __post_init__(self) -> None:
-        if self.advertise_interval_s <= 0 or self.timeout_s <= 0:
-            raise ValueError("intervals must be positive")
+        if self.advertise_interval_s <= 0:
+            raise ValueError("advertise_interval_s must be positive")
         if self.timeout_s < 2 * self.advertise_interval_s:
             raise ValueError("timeout_s should cover at least two advertise intervals")
 
@@ -66,8 +66,10 @@ class _Candidate:
     last_heard: float
 
 
-class DistVectorRouter:
+class DistVectorRouter(PeriodicRouter):
     """One node's RIP-like routing agent."""
+
+    PREFIX = "dv"
 
     def __init__(
         self,
@@ -76,36 +78,14 @@ class DistVectorRouter:
         config: DistVectorConfig,
         trace: TraceRecorder | None = None,
     ) -> None:
-        self.sim = sim
-        self.stack = stack
-        self.config = config
-        self.trace = trace
+        super().__init__(sim, stack, config, trace)
         # (dst, next_hop, network) -> candidate
         self._candidates: dict[tuple[NodeId, NodeId, NetworkId], _Candidate] = {}
-        self._proc: Process | None = None
         self.adverts_sent = Counter(f"dv{stack.node.node_id}.adverts")
         self.adverts_received = Counter(f"dv{stack.node.node_id}.received")
-        self.route_changes = Counter(f"dv{stack.node.node_id}.changes")
         stack.udp.bind(RIP_PORT, self._on_advert)
 
-    @property
-    def owner(self) -> NodeId:
-        """The node this router runs on."""
-        return self.stack.node.node_id
-
-    # --------------------------------------------------------------- lifecycle
-    def start(self) -> None:
-        """Start periodic advertising (and implicit route maintenance)."""
-        if self._proc is None or self._proc.finished:
-            self._proc = Process(self.sim, self._advertise_loop(), name=f"dv{self.owner}")
-
-    def stop(self) -> None:
-        """Stop advertising."""
-        if self._proc is not None:
-            self._proc.kill()
-            self._proc = None
-
-    def _advertise_loop(self):
+    def _loop(self):
         # Desynchronize routers like real RIP implementations do.
         yield (self.owner * 0.37) % self.config.advertise_interval_s
         while True:
@@ -166,68 +146,15 @@ class DistVectorRouter:
         return best
 
     def _recompute_routes(self) -> None:
-        best = self._best_routes()
-        for dst, (metric, next_hop, net) in best.items():
-            active = self.stack.table.lookup(dst)
-            if (
-                active is None
-                or active.source is not RouteSource.DISTVECTOR
-                or active.next_hop != next_hop
-                or active.network != net
-                or active.metric != metric
-            ):
-                self.stack.table.install(
-                    Route(
-                        dst=dst,
-                        network=net,
-                        next_hop=next_hop,
-                        source=RouteSource.DISTVECTOR,
-                        metric=metric,
-                        installed_at=self.sim.now,
-                    )
-                )
-                self.route_changes.add()
-                if self.trace is not None:
-                    self.trace.record("dv-route-change", node=self.owner, dst=dst, via=next_hop, network=net, metric=metric)
         # destinations that lost every candidate fall back to whatever is
         # shadowed (static boot route), mirroring RIP garbage collection
-        for dst in list(self.stack.table.snapshot()):
-            if dst not in best:
-                self.stack.table.withdraw(dst, RouteSource.DISTVECTOR)
-
-
-@dataclass
-class DistVectorDeployment:
-    """All RIP-like routers of one cluster."""
-
-    config: DistVectorConfig
-    routers: dict[int, DistVectorRouter] = field(default_factory=dict)
-
-    def start(self) -> None:
-        """Start every router."""
-        for router in self.routers.values():
-            router.start()
-
-    def stop(self) -> None:
-        """Stop every router."""
-        for router in self.routers.values():
-            router.stop()
+        best = {dst: (next_hop, net, metric) for dst, (metric, next_hop, net) in self._best_routes().items()}
+        self._set_routes(RouteSource.DISTVECTOR, best, "dv-route-change")
 
 
 def install_distvector(
-    cluster: Cluster,
-    stacks: dict[int, HostStack],
-    config: DistVectorConfig | None = None,
-    start: bool = True,
-) -> DistVectorDeployment:
-    """Install (and by default start) a distance-vector router per node."""
-    if config is None:
-        config = DistVectorConfig()
-    routers = {
-        node.node_id: DistVectorRouter(cluster.sim, stacks[node.node_id], config, trace=cluster.trace)
-        for node in cluster.nodes
-    }
-    deployment = DistVectorDeployment(config=config, routers=routers)
-    if start:
-        deployment.start()
-    return deployment
+    cluster: Cluster, stacks: dict[int, HostStack], config: DistVectorConfig | None = None
+) -> Deployment:
+    """Install and start a distance-vector router on every node."""
+    config = config or DistVectorConfig()
+    return deploy(cluster, config, lambda node: DistVectorRouter(cluster.sim, stacks[node], config, cluster.trace))

@@ -23,13 +23,13 @@ design, which is the comparison the paper draws.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.netsim.addresses import NetworkId, NodeId
 from repro.netsim.topology import Cluster
-from repro.protocols.routing import Route, RouteSource
+from repro.protocols.routing import Deployment, PeriodicRouter, RouteSource, deploy
 from repro.protocols.stack import HostStack
-from repro.simkit import Counter, Process, Simulator, TraceRecorder
+from repro.simkit import Counter, Simulator, TraceRecorder
 
 #: Well-known UDP port (OSPF is IP protocol 89; we ride UDP for simplicity).
 LINKSTATE_PORT = 89
@@ -83,8 +83,10 @@ class _LsdbEntry:
     received_at: float
 
 
-class LinkStateRouter:
+class LinkStateRouter(PeriodicRouter):
     """One node's OSPF-like agent."""
+
+    PREFIX = "ls"
 
     def __init__(
         self,
@@ -93,37 +95,16 @@ class LinkStateRouter:
         config: LinkStateConfig,
         trace: TraceRecorder | None = None,
     ) -> None:
-        self.sim = sim
-        self.stack = stack
-        self.config = config
-        self.trace = trace
+        super().__init__(sim, stack, config, trace)
         # (neighbor, network) -> last hello time
         self._last_hello: dict[tuple[NodeId, NetworkId], float] = {}
         self._lsdb: dict[NodeId, _LsdbEntry] = {}
         self._seq = 0
-        self._proc: Process | None = None
         self.hellos_sent = Counter(f"ls{stack.node.node_id}.hellos")
         self.lsas_originated = Counter(f"ls{stack.node.node_id}.lsas")
         self.lsas_flooded = Counter(f"ls{stack.node.node_id}.floods")
         self.spf_runs = Counter(f"ls{stack.node.node_id}.spf")
         stack.udp.bind(LINKSTATE_PORT, self._on_packet)
-
-    @property
-    def owner(self) -> NodeId:
-        """The node this router runs on."""
-        return self.stack.node.node_id
-
-    # --------------------------------------------------------------- lifecycle
-    def start(self) -> None:
-        """Start the hello/refresh loop."""
-        if self._proc is None or self._proc.finished:
-            self._proc = Process(self.sim, self._loop(), name=f"ls{self.owner}")
-
-    def stop(self) -> None:
-        """Stop periodic activity."""
-        if self._proc is not None:
-            self._proc.kill()
-            self._proc = None
 
     def _loop(self):
         yield (self.owner * 0.29) % self.config.hello_interval_s
@@ -235,74 +216,18 @@ class LinkStateRouter:
         self._install_routes(dist, first_hop)
 
     def _install_routes(self, dist, first_hop) -> None:
-        reachable: set[NodeId] = set()
-        for (kind, ident), hop in first_hop.items():
-            if kind != "router" or ident == self.owner or hop is None:
-                continue
-            reachable.add(ident)
-            next_hop, network = hop
-            metric = int(dist[(kind, ident)])
-            active = self.stack.table.lookup(ident)
-            if (
-                active is not None
-                and active.source is RouteSource.LINKSTATE
-                and active.next_hop == next_hop
-                and active.network == network
-                and active.metric == metric
-            ):
-                continue
-            self.stack.table.install(
-                Route(
-                    dst=ident,
-                    network=network,
-                    next_hop=next_hop,
-                    source=RouteSource.LINKSTATE,
-                    metric=metric,
-                    installed_at=self.sim.now,
-                )
-            )
-            if self.trace is not None:
-                self.trace.record(
-                    "ls-route-change", node=self.owner, dst=ident, via=next_hop, network=network, metric=metric
-                )
-        # withdraw link-state routes to routers SPF can no longer reach
-        for dst in list(self.stack.table.snapshot()):
-            if dst not in reachable:
-                self.stack.table.withdraw(dst, RouteSource.LINKSTATE)
-
-
-@dataclass
-class LinkStateDeployment:
-    """All OSPF-like routers of one cluster."""
-
-    config: LinkStateConfig
-    routers: dict[int, LinkStateRouter] = field(default_factory=dict)
-
-    def start(self) -> None:
-        """Start every router."""
-        for router in self.routers.values():
-            router.start()
-
-    def stop(self) -> None:
-        """Stop every router."""
-        for router in self.routers.values():
-            router.stop()
+        # link-state routes to routers SPF can no longer reach are withdrawn
+        routes = {
+            ident: (*hop, int(dist[(kind, ident)]))
+            for (kind, ident), hop in first_hop.items()
+            if kind == "router" and ident != self.owner and hop is not None
+        }
+        self._set_routes(RouteSource.LINKSTATE, routes, "ls-route-change")
 
 
 def install_linkstate(
-    cluster: Cluster,
-    stacks: dict[int, HostStack],
-    config: LinkStateConfig | None = None,
-    start: bool = True,
-) -> LinkStateDeployment:
-    """Install (and by default start) a link-state router per node."""
-    if config is None:
-        config = LinkStateConfig()
-    routers = {
-        node.node_id: LinkStateRouter(cluster.sim, stacks[node.node_id], config, trace=cluster.trace)
-        for node in cluster.nodes
-    }
-    deployment = LinkStateDeployment(config=config, routers=routers)
-    if start:
-        deployment.start()
-    return deployment
+    cluster: Cluster, stacks: dict[int, HostStack], config: LinkStateConfig | None = None
+) -> Deployment:
+    """Install and start a link-state router on every node."""
+    config = config or LinkStateConfig()
+    return deploy(cluster, config, lambda node: LinkStateRouter(cluster.sim, stacks[node], config, cluster.trace))

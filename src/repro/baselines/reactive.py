@@ -34,9 +34,9 @@ from repro.drs.messages import (
 from repro.netsim.addresses import NetworkId, NodeId
 from repro.netsim.topology import Cluster
 from repro.protocols.icmp import PingResult, PingStatus
-from repro.protocols.routing import Route, RouteSource
+from repro.protocols.routing import Deployment, PeriodicRouter, Route, RouteSource, deploy
 from repro.protocols.stack import HostStack
-from repro.simkit import Counter, Process, Simulator, TraceRecorder
+from repro.simkit import Counter, Simulator, TraceRecorder
 
 #: Well-known UDP port for the reactive baseline's control plane.
 REACTIVE_PORT = 1113
@@ -54,8 +54,8 @@ class ReactiveConfig:
     discovery_timeout_s: float = 0.05
 
     def __post_init__(self) -> None:
-        if self.query_interval_s <= 0 or self.timeout_s <= 0:
-            raise ValueError("query_interval_s and timeout_s must be positive")
+        if self.query_interval_s <= 0:
+            raise ValueError("query_interval_s must be positive")
         if self.timeout_s < self.query_interval_s:
             raise ValueError("timeout_s must be >= query_interval_s")
 
@@ -70,8 +70,10 @@ class _Repair:
     settled: bool = False
 
 
-class ReactiveRouter:
+class ReactiveRouter(PeriodicRouter):
     """One node's reactive routing agent."""
+
+    PREFIX = "reactive"
 
     def __init__(
         self,
@@ -81,37 +83,16 @@ class ReactiveRouter:
         config: ReactiveConfig,
         trace: TraceRecorder | None = None,
     ) -> None:
-        self.sim = sim
-        self.stack = stack
-        self.config = config
-        self.trace = trace
+        super().__init__(sim, stack, config, trace)
         self.peers = [p for p in peers if p != stack.node.node_id]
         self._failing_since: dict[NodeId, float] = {}
         self._repairs_active: dict[NodeId, _Repair] = {}
-        self._proc: Process | None = None
         self.repairs = Counter(f"reactive{stack.node.node_id}.repairs")
         self.queries = Counter(f"reactive{stack.node.node_id}.queries")
         self.failed_repairs = Counter(f"reactive{stack.node.node_id}.failed_repairs")
         stack.udp.bind(REACTIVE_PORT, self._on_control)
 
-    @property
-    def owner(self) -> NodeId:
-        """The node this router runs on."""
-        return self.stack.node.node_id
-
-    # --------------------------------------------------------------- lifecycle
-    def start(self) -> None:
-        """Start the periodic route-query loop."""
-        if self._proc is None or self._proc.finished:
-            self._proc = Process(self.sim, self._query_loop(), name=f"reactive{self.owner}")
-
-    def stop(self) -> None:
-        """Stop querying (control handlers stay registered)."""
-        if self._proc is not None:
-            self._proc.kill()
-            self._proc = None
-
-    def _query_loop(self):
+    def _loop(self):
         if not self.peers:
             return
         gap = self.config.query_interval_s / len(self.peers)
@@ -289,43 +270,10 @@ class ReactiveRouter:
             self.stack.icmp.ping_direct(net, msg.target, timeout_s=self.config.probe_timeout_s, callback=on_check)
 
 
-@dataclass
-class ReactiveDeployment:
-    """All reactive routers of one cluster."""
-
-    config: ReactiveConfig
-    routers: dict[int, ReactiveRouter]
-
-    def start(self) -> None:
-        """Start every router."""
-        for router in self.routers.values():
-            router.start()
-
-    def stop(self) -> None:
-        """Stop every router."""
-        for router in self.routers.values():
-            router.stop()
-
-    def total_repairs(self) -> int:
-        """Cluster-wide successful repairs."""
-        return sum(int(r.repairs.value) for r in self.routers.values())
-
-
 def install_reactive(
-    cluster: Cluster,
-    stacks: dict[int, HostStack],
-    config: ReactiveConfig | None = None,
-    start: bool = True,
-) -> ReactiveDeployment:
-    """Install (and by default start) a reactive router on every node."""
-    if config is None:
-        config = ReactiveConfig()
-    node_ids = [node.node_id for node in cluster.nodes]
-    routers = {
-        nid: ReactiveRouter(cluster.sim, stacks[nid], node_ids, config, trace=cluster.trace)
-        for nid in node_ids
-    }
-    deployment = ReactiveDeployment(config=config, routers=routers)
-    if start:
-        deployment.start()
-    return deployment
+    cluster: Cluster, stacks: dict[int, HostStack], config: ReactiveConfig | None = None
+) -> Deployment:
+    """Install and start a reactive router on every node."""
+    config = config or ReactiveConfig()
+    peers = [node.node_id for node in cluster.nodes]
+    return deploy(cluster, config, lambda node: ReactiveRouter(cluster.sim, stacks[node], peers, config, cluster.trace))

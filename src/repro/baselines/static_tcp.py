@@ -8,29 +8,11 @@ retransmission (transient faults) or the connection dies (permanent faults).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.netsim.topology import Cluster
+from repro.protocols.routing import Deployment
 from repro.protocols.stack import HostStack
 
 
-@dataclass
-class StaticOnlyDeployment:
-    """Marker deployment: nothing runs; routes stay as installed at boot."""
-
-    stacks: dict[int, HostStack]
-
-    def start(self) -> None:
-        """No daemons to start."""
-
-    def stop(self) -> None:
-        """No daemons to stop."""
-
-    def total_probe_bytes(self) -> float:
-        """Static routing sends no probes at all."""
-        return 0.0
-
-
-def install_static_only(cluster: Cluster, stacks: dict[int, HostStack]) -> StaticOnlyDeployment:
-    """Return the do-nothing deployment (parallel to ``install_drs``)."""
-    return StaticOnlyDeployment(stacks=stacks)
+def install_static_only(cluster: Cluster, stacks: dict[int, HostStack], config: None = None) -> Deployment:
+    """The do-nothing deployment: no routers run; routes stay as installed at boot."""
+    return Deployment(config)

@@ -17,10 +17,12 @@ under reactive schemes, and by roughly one probe sweep under DRS.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Any
 
 import numpy as np
 
-from repro.cluster.messaging import ClusterComm
+from repro.cluster.messaging import ClusterComm, install_messaging
+from repro.protocols.stack import HostStack
 from repro.simkit import Process, Signal, Simulator
 
 
@@ -143,3 +145,19 @@ class MpiRingJob:
     def done(self) -> bool:
         """True once every rank has completed every iteration."""
         return self.finished
+
+    def metrics(self) -> dict[str, Any]:
+        """The scenario report's MPI rows."""
+        return {
+            "mpi job completed": self.done,
+            "mpi iterations finished": self.stats.completed_iterations,
+            "mpi median iteration (s)": self.stats.median_iteration_s(),
+            "mpi slowest iteration (s)": self.stats.max_iteration_s(),
+        }
+
+
+def start_mpi_job(sim: Simulator, stacks: dict[int, HostStack], config: MpiJobConfig, rng) -> MpiRingJob:
+    """Install the messaging layer on ``stacks``, then launch one rank per node."""
+    job = MpiRingJob(sim, install_messaging(sim, stacks), config)
+    job.start()
+    return job

@@ -18,10 +18,12 @@ the failure" signal used by the failover experiments.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Any
 
 import numpy as np
 
-from repro.cluster.messaging import ClusterComm
+from repro.cluster.messaging import ClusterComm, install_messaging
+from repro.protocols.stack import HostStack
 from repro.simkit import Process, Simulator
 
 
@@ -182,3 +184,23 @@ class VoicemailCluster:
             if latency > self.config.stall_threshold_s:
                 self.stats.stalled += 1
         self._pending = still_pending
+
+    def metrics(self) -> dict[str, Any]:
+        """The scenario report's voice-mail rows."""
+        self.collect_completions()
+        return {
+            "voicemail operations": self.stats.operations,
+            "voicemail transfers": self.stats.transfers,
+            "voicemail completion rate": self.stats.completion_rate(),
+            "voicemail mean latency (s)": self.stats.mean_latency(),
+            "voicemail stalled ops": self.stats.stalled,
+        }
+
+
+def start_voicemail(
+    sim: Simulator, stacks: dict[int, HostStack], config: VoicemailConfig, rng: np.random.Generator
+) -> VoicemailCluster:
+    """Install the messaging layer on ``stacks``, then start the workload over it."""
+    workload = VoicemailCluster(sim, install_messaging(sim, stacks), config, rng=rng)
+    workload.start()
+    return workload

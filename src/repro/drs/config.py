@@ -69,6 +69,8 @@ class DrsConfig:
             raise ValueError("probe_retries must be >= 1")
         if self.discovery_timeout_s <= 0:
             raise ValueError("discovery_timeout_s must be positive")
+        if self.path_check_period_s <= 0:  # the path checker's loop waits this long: 0 never advances time
+            raise ValueError("path_check_period_s must be positive")
 
     @staticmethod
     def paced_for(

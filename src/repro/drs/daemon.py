@@ -9,15 +9,13 @@ the pieces together per node and runs the periodic loops.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.drs.config import DrsConfig
 from repro.drs.failover import FailoverEngine
 from repro.drs.monitor import LinkMonitor
 from repro.drs.state import PeerTable
 from repro.netsim.topology import Cluster
-from repro.obs.metrics import MetricsRegistry, resolve_registry
 from repro.obs.spans import Span, span_log
+from repro.protocols.routing import Deployment, deploy
 from repro.protocols.stack import HostStack
 from repro.simkit import Process, Simulator, TraceRecorder
 
@@ -32,14 +30,13 @@ class DrsDaemon:
         peers: list[int],
         config: DrsConfig,
         trace: TraceRecorder | None = None,
-        metrics: MetricsRegistry | None = None,
     ) -> None:
         self.sim = sim
         self.stack = stack
         self.config = config
         self.table = PeerTable(owner=stack.node.node_id, peers=peers, networks=stack.node.networks)
-        self.monitor = LinkMonitor(sim, stack.icmp, self.table, config, metrics=metrics, trace=trace)
-        self.failover = FailoverEngine(sim, stack, self.table, config, trace=trace, metrics=metrics)
+        self.monitor = LinkMonitor(sim, stack.icmp, self.table, config, trace=trace)
+        self.failover = FailoverEngine(sim, stack, self.table, config, trace=trace)
         # Triggered updates (notify_peers): notifications prompt an immediate
         # out-of-band recheck of the announced link.
         self.failover.recheck_link = lambda peer, net: self.monitor.immediate_recheck(peer, net, lambda up: None)
@@ -80,66 +77,14 @@ class DrsDaemon:
             yield self.config.path_check_period_s
             self.failover.check_repaired_paths()
 
-    # ------------------------------------------------------------ diagnostics
-    def probe_overhead_bytes(self) -> float:
-        """Request-side probe bytes this daemon has put on the wire."""
-        return self.monitor.probe_bytes.value
 
-    def repairs_made(self) -> int:
-        """Total successful repair installations (direct swaps + two-hop)."""
-        return int(self.failover.repairs.value)
-
-
-@dataclass
-class DrsDeployment:
-    """All daemons of one cluster plus the shared configuration."""
-
-    config: DrsConfig
-    daemons: dict[int, DrsDaemon]
-
-    def start(self) -> None:
-        """Start every daemon."""
-        for daemon in self.daemons.values():
-            daemon.start()
-
-    def stop(self) -> None:
-        """Stop every daemon."""
-        for daemon in self.daemons.values():
-            daemon.stop()
-
-    def total_probe_bytes(self) -> float:
-        """Cluster-wide request-side probe bytes."""
-        return sum(d.probe_overhead_bytes() for d in self.daemons.values())
-
-    def total_repairs(self) -> int:
-        """Cluster-wide successful repairs."""
-        return sum(d.repairs_made() for d in self.daemons.values())
-
-
-def install_drs(
-    cluster: Cluster,
-    stacks: dict[int, HostStack],
-    config: DrsConfig | None = None,
-    start: bool = True,
-    metrics: MetricsRegistry | None = None,
-) -> DrsDeployment:
-    """Install (and by default start) a DRS daemon on every cluster node.
+def install_drs(cluster: Cluster, stacks: dict[int, HostStack], config: DrsConfig | None = None) -> Deployment:
+    """Install and start a DRS daemon on every cluster node.
 
     Every daemon monitors every other node on both networks — the full-mesh
     check schedule the paper's deployment used within a cluster.  All daemons
-    publish into one shared ``metrics`` registry (default: the current one).
+    publish into the current metrics registry.
     """
-    if config is None:
-        config = DrsConfig()
-    registry = resolve_registry(metrics)
-    node_ids = [node.node_id for node in cluster.nodes]
-    daemons = {
-        node_id: DrsDaemon(
-            cluster.sim, stacks[node_id], peers=node_ids, config=config, trace=cluster.trace, metrics=registry
-        )
-        for node_id in node_ids
-    }
-    deployment = DrsDeployment(config=config, daemons=daemons)
-    if start:
-        deployment.start()
-    return deployment
+    config = config or DrsConfig()
+    peers = [node.node_id for node in cluster.nodes]
+    return deploy(cluster, config, lambda node: DrsDaemon(cluster.sim, stacks[node], peers, config, cluster.trace))

@@ -42,7 +42,7 @@ from repro.drs.messages import (
 )
 from repro.drs.state import LinkState, PeerLink, PeerTable
 from repro.netsim.addresses import NetworkId, NodeId
-from repro.obs.metrics import DEFAULT_COUNT_BUCKETS, MetricsRegistry, resolve_registry
+from repro.obs.metrics import DEFAULT_COUNT_BUCKETS, current_registry
 from repro.obs.progress import heartbeat
 from repro.obs.spans import Span, span_log
 from repro.protocols.icmp import PingResult, PingStatus
@@ -77,7 +77,6 @@ class FailoverEngine:
         table: PeerTable,
         config: DrsConfig,
         trace: TraceRecorder | None = None,
-        metrics: MetricsRegistry | None = None,
     ) -> None:
         self.sim = sim
         self.stack = stack
@@ -98,7 +97,7 @@ class FailoverEngine:
         self.recheck_link = None
         #: suppression window for notification storms: (peer, net) -> time
         self._notified_at: dict[tuple[NodeId, NetworkId], float] = {}
-        registry = resolve_registry(metrics)
+        registry = current_registry()
         self.repairs = Counter(f"drs{table.owner}.repairs", total=registry.counter("drs_repairs_total"))
         # nothing reads these three per daemon: the run's totals are the only count
         self._discoveries_started = registry.counter("drs_discoveries_total")

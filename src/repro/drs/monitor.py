@@ -13,7 +13,7 @@ from typing import Callable
 
 from repro.drs.config import PROBE_WIRE_BYTES, DrsConfig
 from repro.drs.state import PeerTable
-from repro.obs.metrics import MetricsRegistry, resolve_registry
+from repro.obs.metrics import current_registry
 from repro.obs.spans import span_log
 from repro.protocols.icmp import IcmpService, PingResult, PingStatus
 from repro.simkit import Counter, Process, Simulator, TraceRecorder
@@ -28,7 +28,6 @@ class LinkMonitor:
         icmp: IcmpService,
         table: PeerTable,
         config: DrsConfig,
-        metrics: MetricsRegistry | None = None,
         trace: TraceRecorder | None = None,
     ) -> None:
         self.sim = sim
@@ -36,7 +35,7 @@ class LinkMonitor:
         self.table = table
         self.config = config
         self._spans = span_log(trace) if trace is not None else None
-        registry = resolve_registry(metrics)
+        registry = current_registry()
         owner = f"drs{table.owner}"
         self.probes_sent = Counter(f"{owner}.probes", total=registry.counter("drs_probes_sent_total"))
         self.probe_bytes = Counter(f"{owner}.probe_bytes", total=registry.counter("drs_probe_bytes_total"))

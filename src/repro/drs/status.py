@@ -9,8 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.drs.daemon import DrsDeployment
 from repro.drs.state import LinkState
+from repro.protocols.routing import Deployment
 from repro.viz import render_table
 
 
@@ -45,12 +45,11 @@ class DeploymentHealth:
         return "DEGRADED: " + ", ".join(parts)
 
 
-def deployment_health(deployment: DrsDeployment) -> DeploymentHealth:
+def deployment_health(deployment: Deployment) -> DeploymentHealth:
     """Compute aggregate health across all daemons."""
     links_total = links_up = links_down = links_unknown = 0
-    two_hop = 0
-    unreachable = 0
-    for daemon in deployment.daemons.values():
+    two_hop = unreachable = repairs = probe_bytes = 0
+    for daemon in deployment.routers.values():
         for link in daemon.table.links():
             links_total += 1
             if link.state is LinkState.UP:
@@ -61,20 +60,22 @@ def deployment_health(deployment: DrsDeployment) -> DeploymentHealth:
                 links_unknown += 1
         two_hop += len(daemon.failover.repaired_via)
         unreachable += len(daemon.failover.unreachable)
+        repairs += int(daemon.failover.repairs.value)
+        probe_bytes += daemon.monitor.probe_bytes.value
     return DeploymentHealth(
-        nodes=len(deployment.daemons),
+        nodes=len(deployment.routers),
         links_total=links_total,
         links_up=links_up,
         links_down=links_down,
         links_unknown=links_unknown,
         active_two_hop_routes=two_hop,
         unreachable_peers=unreachable,
-        total_repairs=deployment.total_repairs(),
-        total_probe_bytes=deployment.total_probe_bytes(),
+        total_repairs=repairs,
+        total_probe_bytes=probe_bytes,
     )
 
 
-def status_report(deployment: DrsDeployment, verbose: bool = False) -> str:
+def status_report(deployment: Deployment, verbose: bool = False) -> str:
     """Render the deployment status as text.
 
     ``verbose`` adds the full per-daemon link table; the default shows only
@@ -94,7 +95,7 @@ def status_report(deployment: DrsDeployment, verbose: bool = False) -> str:
     parts.append(render_table(["metric", "value"], summary_rows, title="deployment summary"))
 
     exception_rows = []
-    for node_id, daemon in sorted(deployment.daemons.items()):
+    for node_id, daemon in sorted(deployment.routers.items()):
         for link in daemon.table.links():
             if verbose or link.state is not LinkState.UP:
                 exception_rows.append(

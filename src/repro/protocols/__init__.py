@@ -4,6 +4,7 @@ The stack mirrors the slice of TCP/IP the DRS paper's clusters ran:
 
 * :mod:`~repro.protocols.packet` — the L3 datagram and header-size constants,
 * :mod:`~repro.protocols.routing` — the per-host routing table DRS rewrites,
+  and the :class:`Deployment` every routing regime installs,
 * :mod:`~repro.protocols.ip` — forwarding network layer with TTL-based loop
   protection (nodes can act as routers, which is how DRS two-hop repair
   routes traffic around failures),
@@ -30,7 +31,7 @@ __all__, __getattr__, __dir__ = _lazy_exports(
             "UDP_HEADER_BYTES",
             "TCP_HEADER_BYTES",
         ],
-        "routing": ["Route", "RouteSource", "RoutingTable"],
+        "routing": ["Route", "RouteSource", "RoutingTable", "Deployment"],
         "ip": ["NetworkLayer"],
         "icmp": ["IcmpService", "EchoRequest", "EchoReply", "PingResult", "PingStatus"],
         "udp": ["UdpService", "Datagram"],

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from repro.netsim.addresses import NetworkId, NodeId
-from repro.obs.metrics import MetricsRegistry, resolve_registry
+from repro.obs.metrics import current_registry
 from repro.obs.spans import span_log
 from repro.protocols.ip import NetworkLayer
 from repro.protocols.packet import ICMP_HEADER_BYTES, Packet
@@ -86,7 +86,6 @@ class IcmpService:
         self,
         sim: Simulator,
         net: NetworkLayer,
-        metrics: MetricsRegistry | None = None,
         trace: TraceRecorder | None = None,
     ) -> None:
         self.sim = sim
@@ -100,10 +99,8 @@ class IcmpService:
         self._pending: dict[tuple[int, int], tuple] = {}
         self.requests_answered = Counter(f"icmp{net.node.node_id}.answered")
         self.replies_matched = Counter(f"icmp{net.node.node_id}.matched")
-        self.timeouts = Counter(
-            f"icmp{net.node.node_id}.timeouts",
-            total=resolve_registry(metrics).counter("icmp_timeouts_total"),
-        )
+        timeouts_total = current_registry().counter("icmp_timeouts_total")
+        self.timeouts = Counter(f"icmp{net.node.node_id}.timeouts", total=timeouts_total)
         net.register_protocol(self.PROTOCOL, self._on_packet)
 
     # ------------------------------------------------------------------ client

@@ -8,15 +8,24 @@ Routes carry a :class:`RouteSource` tag so the protocols can reason about
 ownership: DRS never evicts a static route permanently — it installs repair
 routes on top and withdraws them once the direct path heals, exactly the
 point-to-point route surgery the paper describes.
+
+A routing regime runs one router per host; :class:`Deployment` holds a
+cluster's routers and starts and stops them together.  The baselines'
+routers are each one :class:`PeriodicRouter` loop.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Callable, Iterator
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Any, Callable, Iterator
 
 from repro.netsim.addresses import NetworkId, NodeId
+from repro.simkit import Process, Simulator, TraceRecorder
+
+if TYPE_CHECKING:
+    from repro.netsim.topology import Cluster
+    from repro.protocols.stack import HostStack
 
 
 class RouteSource(enum.Enum):
@@ -141,3 +150,86 @@ class RoutingTable:
     def snapshot(self) -> dict[NodeId, Route]:
         """A copy of the active table (for assertions and diffing)."""
         return dict(self._routes)
+
+
+class PeriodicRouter:
+    """One host's routing agent whose periodic work is one process.
+
+    A subclass defines the process body ``_loop()`` and its name's ``PREFIX``
+    (the process is ``f"{PREFIX}{owner}"``).  Stopping kills the process; the
+    agent's control-plane handlers stay registered.
+    """
+
+    def __init__(self, sim: Simulator, stack: HostStack, config: Any, trace: TraceRecorder | None) -> None:
+        self.sim = sim
+        self.stack = stack
+        self.config = config
+        self.trace = trace
+        self._proc: Process | None = None
+
+    @property
+    def owner(self) -> NodeId:
+        """The node this router runs on."""
+        return self.stack.node.node_id
+
+    def start(self) -> None:
+        """Start the loop, unless it is running."""
+        if self._proc is None or self._proc.finished:
+            self._proc = Process(self.sim, self._loop(), name=f"{self.PREFIX}{self.owner}")
+
+    def stop(self) -> None:
+        """Stop the loop."""
+        if self._proc is not None:
+            self._proc.kill()
+            self._proc = None
+
+    def _set_routes(
+        self, source: RouteSource, routes: dict[NodeId, tuple[NodeId, NetworkId, int]], category: str
+    ) -> None:
+        """Make ``routes`` (``dst -> (next_hop, network, metric)``) this host's ``source`` routes.
+
+        Each route that differs from the active one is installed and traced
+        under ``category``; a ``source`` route to any other destination is
+        withdrawn, which restores whatever it shadowed.
+        """
+        table = self.stack.table
+        for dst, (next_hop, network, metric) in routes.items():
+            active = table.lookup(dst)
+            wanted = (source, next_hop, network, metric)
+            if active is not None and (active.source, active.next_hop, active.network, active.metric) == wanted:
+                continue
+            table.install(Route(dst, network, next_hop, source, metric, installed_at=self.sim.now))
+            if self.trace is not None:
+                self.trace.record(category, node=self.owner, dst=dst, via=next_hop, network=network, metric=metric)
+        for dst in list(table.snapshot()):
+            if dst not in routes:
+                table.withdraw(dst, source)
+
+
+@dataclass
+class Deployment:
+    """Every router one routing regime runs on a cluster, and the regime's configuration.
+
+    Each router has ``start()`` and ``stop()``; a regime without a daemon
+    (static routes) has no routers, so starting and stopping it do nothing.
+    """
+
+    config: Any
+    routers: dict[NodeId, Any] = field(default_factory=dict)
+
+    def start(self) -> None:
+        """Start every router, in node order."""
+        for router in self.routers.values():
+            router.start()
+
+    def stop(self) -> None:
+        """Stop every router, in node order."""
+        for router in self.routers.values():
+            router.stop()
+
+
+def deploy(cluster: Cluster, config: Any, router: Callable[[NodeId], Any]) -> Deployment:
+    """Build ``router(node_id)`` on every node of ``cluster``, then start them all, in node order."""
+    deployment = Deployment(config, {node.node_id: router(node.node_id) for node in cluster.nodes})
+    deployment.start()
+    return deployment

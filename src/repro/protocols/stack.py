@@ -6,7 +6,6 @@ from dataclasses import dataclass
 
 from repro.netsim.node import Node
 from repro.netsim.topology import Cluster
-from repro.obs.metrics import MetricsRegistry, resolve_registry
 from repro.protocols.icmp import IcmpService
 from repro.protocols.ip import NetworkLayer
 from repro.protocols.routing import RoutingTable
@@ -27,12 +26,7 @@ class HostStack:
     tcp: TcpStack
 
 
-def build_host_stack(
-    sim: Simulator,
-    node: Node,
-    trace: TraceRecorder | None = None,
-    metrics: MetricsRegistry | None = None,
-) -> HostStack:
+def build_host_stack(sim: Simulator, node: Node, trace: TraceRecorder | None = None) -> HostStack:
     """Assemble the full stack on one node."""
     table = RoutingTable(owner=node.node_id)
     net = NetworkLayer(node, table, trace=trace)
@@ -40,27 +34,23 @@ def build_host_stack(
         node=node,
         table=table,
         net=net,
-        icmp=IcmpService(sim, net, metrics=metrics, trace=trace),
+        icmp=IcmpService(sim, net, trace=trace),
         udp=UdpService(net),
         tcp=TcpStack(sim, net),
     )
 
 
-def install_stacks(
-    cluster: Cluster, primary_network: int = 0, metrics: MetricsRegistry | None = None
-) -> dict[int, HostStack]:
+def install_stacks(cluster: Cluster, primary_network: int = 0) -> dict[int, HostStack]:
     """Install a stack on every cluster node with boot-time static routes.
 
     The static table sends everything direct on ``primary_network`` — the
     deployed configuration the paper starts from, which DRS then repairs
-    around failures.  All stacks share one metrics registry (default: the
-    current one).
+    around failures.  All stacks publish into the current metrics registry.
     """
-    registry = resolve_registry(metrics)
     stacks: dict[int, HostStack] = {}
     node_ids = [node.node_id for node in cluster.nodes]
     for node in cluster.nodes:
-        stack = build_host_stack(cluster.sim, node, trace=cluster.trace, metrics=registry)
+        stack = build_host_stack(cluster.sim, node, trace=cluster.trace)
         stack.table.install_defaults(node_ids, network=primary_network)
         stacks[node.node_id] = stack
     return stacks

@@ -5,7 +5,7 @@ topology, a routing protocol, a workload, a failure script, and a duration;
 :func:`run_scenario` builds the whole stack, drives it, and returns a
 :class:`ScenarioReport` with routing, transport, and workload metrics.
 
-This is the operator-facing front door of the library: the `drs-sim` CLI
+This is the operator-facing front door of the library: `repro sim`
 wraps it, and the shipped scenario files under ``examples/scenarios/``
 reproduce the paper's qualitative claims without writing Python.
 

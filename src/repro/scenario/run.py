@@ -7,11 +7,10 @@ replicate as a :class:`~repro.scenario.spec.ScenarioSpec` and reads the
 
 from __future__ import annotations
 
-import importlib
 from dataclasses import dataclass, field, replace
 from math import inf
 from operator import attrgetter
-from typing import Any, Callable, Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -19,8 +18,8 @@ from repro.netsim import FaultScenario, build_dual_backplane_cluster
 from repro.obs import MetricsRegistry, resolve_registry, use_registry
 from repro.obs.spans import span_log
 from repro.protocols import PingStatus, install_stacks
-from repro.scenario.spec import ROUTING_PROTOCOLS, STREAM_OPTIONS, ScenarioError, ScenarioSpec, Warmup
-from repro.simkit import Process, Simulator, TraceEntry, TraceRecorder
+from repro.scenario.spec import ROUTING_PROTOCOLS, WORKLOADS, ScenarioError, ScenarioSpec, Warmup
+from repro.simkit import Simulator, TraceEntry, TraceRecorder
 from repro.viz import render_table
 
 #: where each regime records a route it installs after a failure
@@ -84,101 +83,9 @@ class ScenarioReport:
         return render_table(["metric", "value"], rows, title=f"scenario: {self.spec.name}")
 
 
-def resolve_protocol(kind: str) -> tuple[type | None, Callable[..., Any]]:
-    """The (config class or None, install function) ``ROUTING_PROTOCOLS`` names for ``kind``."""
-    package, config_name, install_name = ROUTING_PROTOCOLS[kind]
-    module = importlib.import_module(package)
-    return (getattr(module, config_name) if config_name else None), getattr(module, install_name)
-
-
-resolve_protocol("drs")  # every DES experiment runs DRS: load it now, not inside a run's wall clock
-
-
-def _install_protocol(spec: ScenarioSpec, cluster, stacks):
-    kind, options = spec.protocol_kind, spec.protocol_options
-    if kind not in ROUTING_PROTOCOLS:
-        raise ScenarioError(f"unknown protocol {kind!r}")
-    config_type, install = resolve_protocol(kind)
-    try:
-        if config_type is not None:
-            return install(cluster, stacks, config_type(**options))
-        if options:
-            raise ScenarioError(f"{kind} protocol takes no options, got {sorted(options)}")
-        return install(cluster, stacks)
-    except TypeError as exc:
-        raise ScenarioError(f"bad protocol options for {kind!r}: {exc}") from exc
-
-
-def _start_workload(spec: ScenarioSpec, sim, stacks, rng) -> Callable[[], dict[str, Any]]:
-    """Start the spec's workload; return what reads its metrics."""
-    kind, options = spec.workload_kind, dict(spec.workload_options)
-    if kind == "none":
-        return lambda: {}
-    if kind == "stream":
-        options = STREAM_OPTIONS | options
-        src, dst = options["src"], options["dst"]
-        arrivals: list[float] = []
-        stacks[dst].tcp.listen(9000, on_message=lambda c, d, s: arrivals.append(sim.now))
-        conn = stacks[src].tcp.connect(
-            dst, 9000, max_retries=options["max_retries"], window_segments=options["window_segments"]
-        )
-
-        def stream():
-            while True:
-                conn.send_message(data=sim.now, data_bytes=options["message_bytes"])
-                yield options["interval_s"]
-
-        Process(sim, stream(), name="scenario.stream")
-
-        def metrics():
-            latencies = list(conn.message_latencies.values())
-            return {
-                "stream messages sent": conn.messages_sent,
-                "stream messages delivered": len(latencies),
-                "stream worst latency (s)": max(latencies) if latencies else float("inf"),
-                "stream last arrival (s)": arrivals[-1] if arrivals else float("nan"),
-                "stream retransmissions": int(conn.retransmissions.value),
-            }
-
-        return metrics
-    if kind not in ("voicemail", "mpi"):
-        raise ScenarioError(f"unknown workload {kind!r}")
-    # the application workloads load when a scenario first names one
-    from repro.cluster import MpiJobConfig, MpiRingJob, VoicemailCluster, VoicemailConfig, install_messaging
-
-    comm = install_messaging(sim, stacks)
-    try:
-        config = (VoicemailConfig if kind == "voicemail" else MpiJobConfig)(**options)
-    except TypeError as exc:
-        raise ScenarioError(f"bad {kind} options: {exc}") from exc
-    if kind == "voicemail":
-        workload = VoicemailCluster(sim, comm, config, rng=rng)
-        workload.start()
-
-        def metrics():
-            workload.collect_completions()
-            stats = workload.stats
-            return {
-                "voicemail operations": stats.operations,
-                "voicemail transfers": stats.transfers,
-                "voicemail completion rate": stats.completion_rate(),
-                "voicemail mean latency (s)": stats.mean_latency(),
-                "voicemail stalled ops": stats.stalled,
-            }
-
-        return metrics
-    job = MpiRingJob(sim, comm, config)
-    job.start()
-
-    def metrics():
-        return {
-            "mpi job completed": job.done,
-            "mpi iterations finished": job.stats.completed_iterations,
-            "mpi median iteration (s)": job.stats.median_iteration_s(),
-            "mpi slowest iteration (s)": job.stats.max_iteration_s(),
-        }
-
-    return metrics
+# every DES experiment runs DRS, the failover matrix under a stream: load both now, not inside a run's wall clock
+ROUTING_PROTOCOLS["drs"].starter()
+WORKLOADS["stream"].starter()
 
 
 def run_scenario(spec: ScenarioSpec, metrics: MetricsRegistry | None = None) -> ScenarioReport:
@@ -204,7 +111,8 @@ def run_scenario(spec: ScenarioSpec, metrics: MetricsRegistry | None = None) -> 
             )
         cluster.trace.enabled = spec.trace
         stacks = install_stacks(cluster)
-        _install_protocol(spec, cluster, stacks)
+        protocol = ROUTING_PROTOCOLS[spec.protocol_kind]
+        protocol.starter()(cluster, stacks, protocol.configure(spec.protocol_options))
 
         warmup = spec.warmup
         names = {c.name for c in cluster.faults.components}
@@ -216,7 +124,8 @@ def run_scenario(spec: ScenarioSpec, metrics: MetricsRegistry | None = None) -> 
             (script.fail if step.action == "fail" else script.repair)(step.at, step.component)
         cluster.faults.schedule(script)
 
-        workload_metrics = _start_workload(spec, sim, stacks, rng)
+        plug_in = WORKLOADS[spec.workload_kind]
+        workload = plug_in.starter()(sim, stacks, plug_in.configure(spec.workload_options), rng)
         # stop at each window end and the boundary; its fault step lands between two runs
         window = spec.window_s or ()
         window_ends = []
@@ -246,7 +155,7 @@ def run_scenario(spec: ScenarioSpec, metrics: MetricsRegistry | None = None) -> 
             faults_injected=len(spec.faults) + (len(warmup.fail) + (warmup.fail_exactly or 0) if warmup else 0),
             wire_bits=sum(bp.bits_carried.value for bp in cluster.backplanes),
             wire_utilization=float(np.mean([bp.utilization() for bp in cluster.backplanes])),
-            workload_metrics=workload_metrics(),
+            workload_metrics=workload.metrics(),
             repair_latencies=[e.fields["repair_latency"] for e in repairs if "repair_latency" in e.fields],
             trace=cluster.trace,
             window_bits=tuple(end - start for start, end in zip(*window_ends)),

@@ -2,36 +2,61 @@
 
 from __future__ import annotations
 
+import importlib
 import json
 import math
 from contextlib import suppress
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, get_args, get_type_hints
 
 
 class ScenarioError(ValueError):
     """A scenario spec is malformed; the message says which field and why."""
 
 
-#: every routing regime, in report order: ``protocol.kind`` -> (package, config class or None,
-#: install function), resolved when a run installs the kind, so a DRS run loads no baseline
+@dataclass(frozen=True)
+class PlugIn:
+    """One row of a plug-in table: the module holding a kind's config dataclass and its starter.
+
+    The names resolve when a spec or a run first names the kind, so a DRS
+    run loads no baseline and a stream no messaging layer.
+    """
+
+    module: str
+    config_name: str | None  #: None: the kind takes no options
+    starter_name: str
+
+    def config(self) -> type | None:
+        """The kind's config dataclass, or None."""
+        return getattr(importlib.import_module(self.module), self.config_name) if self.config_name else None
+
+    def starter(self) -> Callable[..., Any]:
+        """What installs the regime or starts the workload."""
+        return getattr(importlib.import_module(self.module), self.starter_name)
+
+    def configure(self, options: dict[str, Any]) -> Any:
+        """The config ``options`` state (None for a kind without one)."""
+        config = self.config()
+        return config(**options) if config else None
+
+
+#: every routing regime, in report order: ``protocol.kind`` -> its row; each starter is
+#: ``install_<regime>(cluster, stacks, config)`` and returns a ``repro.protocols.Deployment``
 ROUTING_PROTOCOLS = {
-    "drs": ("repro.drs", "DrsConfig", "install_drs"),
-    "reactive": ("repro.baselines", "ReactiveConfig", "install_reactive"),
-    "distvector": ("repro.baselines", "DistVectorConfig", "install_distvector"),
-    "linkstate": ("repro.baselines", "LinkStateConfig", "install_linkstate"),
-    "static": ("repro.baselines", None, "install_static_only"),
+    "drs": PlugIn("repro.drs", "DrsConfig", "install_drs"),
+    "reactive": PlugIn("repro.baselines", "ReactiveConfig", "install_reactive"),
+    "distvector": PlugIn("repro.baselines", "DistVectorConfig", "install_distvector"),
+    "linkstate": PlugIn("repro.baselines", "LinkStateConfig", "install_linkstate"),
+    "static": PlugIn("repro.baselines", None, "install_static_only"),
 }
-VALID_WORKLOADS = ("stream", "voicemail", "mpi", "none")
-#: the stream workload's options and their defaults; all but ``interval_s`` are integers
-STREAM_OPTIONS = {
-    "src": 0,
-    "dst": 1,
-    "interval_s": 0.1,
-    "message_bytes": 256,
-    "max_retries": 20,
-    "window_segments": 8,
+#: every workload: ``workload.kind`` -> its row; each starter is ``start(sim, stacks, config, rng)``
+#: and returns what the report reads through ``metrics()``
+WORKLOADS = {
+    "stream": PlugIn("repro.scenario.workloads", "StreamConfig", "MessageStream"),
+    "voicemail": PlugIn("repro.cluster.voicemail", "VoicemailConfig", "start_voicemail"),
+    "mpi": PlugIn("repro.cluster.mpijob", "MpiJobConfig", "start_mpi_job"),
+    "none": PlugIn("repro.scenario.workloads", None, "Idle"),
 }
 
 
@@ -103,13 +128,17 @@ class ScenarioSpec:
                 raise ScenarioError(f"missing required field {key!r}")
 
         name = _typed(raw["name"], "name", str)
+        if name in ("", ".", "..") or "/" in name or "\\" in name:
+            raise ScenarioError(f"name must be a file name (no path separator, not '.' or '..'), got {name!r}")
         nodes = _number(raw["nodes"], "nodes", lambda v: v >= 2, " >= 2", integer=True)
         duration = _number(raw["duration_s"], "duration_s", lambda v: v > 0, " > 0")
 
-        protocol_kind, protocol_options = _kind_and_options(raw, "protocol", "static", tuple(ROUTING_PROTOCOLS))
-        workload_kind, workload_options = _kind_and_options(raw, "workload", "none", VALID_WORKLOADS)
-        if workload_kind == "stream":
-            _check_stream(workload_options, nodes)
+        protocol_kind, protocol_options, _ = _plug_in(raw, "protocol", ROUTING_PROTOCOLS, "static")
+        workload_kind, workload_options, workload = _plug_in(raw, "workload", WORKLOADS, "none")
+        if workload_kind == "stream" and (max(workload.src, workload.dst) >= nodes or workload.src == workload.dst):
+            raise ScenarioError(f"stream src/dst out of range: {workload.src}->{workload.dst}")
+        if workload_kind == "mpi" and nodes < 3:
+            raise ScenarioError(f"the mpi ring job needs nodes >= 3, got {nodes}")
 
         steps: list[FaultStep] = []
         for index, entry in enumerate(raw.get("faults", [])):
@@ -154,30 +183,46 @@ class ScenarioSpec:
         )
 
 
-def _kind_and_options(raw: dict[str, Any], key: str, default: str, valid: tuple[str, ...]):
-    value = raw.get(key, {"kind": default})
+def _plug_in(raw: dict[str, Any], axis: str, table: dict[str, PlugIn], default: str) -> tuple[str, dict, Any]:
+    """The ``axis`` object's kind, its options as given, and the config they build.
+
+    Every option is checked against its config field's annotation before the
+    config is built, so the config's own range checks see only well-typed values.
+    """
+    value = raw.get(axis, {"kind": default})
     if not isinstance(value, dict) or "kind" not in value:
-        raise ScenarioError(f"{key} must be an object with a 'kind' field")
-    if value["kind"] not in valid:
-        raise ScenarioError(f"{key}.kind must be one of {valid}, got {value['kind']!r}")
-    return value["kind"], {k: v for k, v in value.items() if k != "kind"}
-
-
-def _check_stream(options: dict[str, Any], nodes: int) -> None:
-    unknown = sorted(set(options) - set(STREAM_OPTIONS))
+        raise ScenarioError(f"{axis} must be an object with a 'kind' field")
+    kind = value["kind"]
+    if not isinstance(kind, str) or kind not in table:
+        raise ScenarioError(f"{axis}.kind must be one of {tuple(table)}, got {kind!r}")
+    options = {k: v for k, v in value.items() if k != "kind"}
+    config = table[kind].config()
+    if config is None:
+        if options:
+            raise ScenarioError(f"{kind} {axis} takes no options, got {sorted(options)}")
+        return kind, options, None
+    hints = get_type_hints(config)
+    unknown = sorted(set(options) - {f.name for f in fields(config)})
     if unknown:
-        raise ScenarioError(f"unknown stream options: {unknown}")
-    for key, value in options.items():
-        if key == "interval_s":
-            _number(value, "workload.interval_s", lambda v: v > 0, " > 0")
-        elif key == "window_segments":
-            _number(value, "workload.window_segments", lambda v: v >= 1, " >= 1", integer=True)
-        else:
-            _number(value, f"workload.{key}", lambda v: v >= 0, " >= 0", integer=True)
-    src = options.get("src", STREAM_OPTIONS["src"])
-    dst = options.get("dst", STREAM_OPTIONS["dst"])
-    if not (src < nodes and dst < nodes and src != dst):
-        raise ScenarioError(f"stream src/dst out of range: {src}->{dst}")
+        raise ScenarioError(f"bad {axis} options: unknown {kind} options {unknown}")
+    for key, option in options.items():
+        _option(option, f"{axis}.{key}", hints[key])
+    try:
+        return kind, options, config(**options)
+    except ValueError as exc:  # each config's message starts with the field it names
+        raise ScenarioError(f"bad {axis} options for {kind}: {axis}.{exc}") from exc
+
+
+def _option(value: Any, where: str, annotation: Any) -> None:
+    """Check ``value`` against a config field's annotation: ``float`` a finite number,
+    ``int`` an integer (not a bool), ``bool`` a bool, and ``X | None`` also None."""
+    expected, *rest = get_args(annotation) or (annotation,)
+    if value is None and type(None) in rest:
+        return
+    if expected in (int, float):
+        _number(value, where, lambda v: True, "", integer=expected is int)
+    else:
+        _typed(value, where, expected)
 
 
 def _warmup(raw: Any, nodes: int, duration: float) -> Warmup:

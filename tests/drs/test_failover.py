@@ -1,6 +1,6 @@
 """Integration tests: DRS detection and repair across failure modes."""
 
-from repro.drs import LinkState
+from repro.drs import LinkState, deployment_health
 from repro.protocols import RouteSource
 
 from tests.drs.conftest import routed_ping_ok
@@ -8,7 +8,7 @@ from tests.drs.conftest import routed_ping_ok
 
 def test_warmup_marks_all_links_up(drs_rig):
     sim, cluster, stacks, deployment = drs_rig
-    for daemon in deployment.daemons.values():
+    for daemon in deployment.routers.values():
         assert all(l.state is LinkState.UP for l in daemon.table.links())
 
 
@@ -100,7 +100,7 @@ def test_two_hop_withdrawn_when_direct_heals(drs_rig):
     sim.run(until=sim.now + 2.0)
     route = stacks[0].table.lookup(1)
     assert route.direct, f"healed direct link not restored: {route}"
-    assert 1 not in deployment.daemons[0].failover.repaired_via
+    assert 1 not in deployment.routers[0].failover.repaired_via
 
 
 def test_both_hubs_down_peer_unreachable_then_recovers(drs_rig):
@@ -156,16 +156,16 @@ def test_probe_traffic_stays_within_budget(drs_rig):
 def test_stop_halts_probing(drs_rig):
     sim, cluster, stacks, deployment = drs_rig
     deployment.stop()
-    probes_before = deployment.total_probe_bytes()
+    probes_before = deployment_health(deployment).total_probe_bytes
     sim.run(until=sim.now + 1.0)
-    assert deployment.total_probe_bytes() == probes_before
-    assert not deployment.daemons[0].running
+    assert deployment_health(deployment).total_probe_bytes == probes_before
+    assert not deployment.routers[0].running
 
 
 def test_restart_after_stop(drs_rig):
     sim, cluster, stacks, deployment = drs_rig
     deployment.stop()
     deployment.start()
-    probes_before = deployment.total_probe_bytes()
+    probes_before = deployment_health(deployment).total_probe_bytes
     sim.run(until=sim.now + 1.0)
-    assert deployment.total_probe_bytes() > probes_before
+    assert deployment_health(deployment).total_probe_bytes > probes_before

@@ -22,12 +22,12 @@ def _rig(n=5):
 def test_monitor_start_twice_raises():
     sim, cluster, stacks, deployment = _rig()
     with pytest.raises(RuntimeError):
-        deployment.daemons[0].monitor.start()
+        deployment.routers[0].monitor.start()
 
 
 def test_daemon_start_is_idempotent_after_stop():
     sim, cluster, stacks, deployment = _rig()
-    daemon = deployment.daemons[0]
+    daemon = deployment.routers[0]
     daemon.stop()
     assert not daemon.running
     daemon.start()
@@ -39,22 +39,22 @@ def test_daemon_start_is_idempotent_after_stop():
 def test_immediate_recheck_confirms_up_link():
     sim, cluster, stacks, deployment = _rig()
     results = []
-    deployment.daemons[0].monitor.immediate_recheck(1, 0, results.append)
+    deployment.routers[0].monitor.immediate_recheck(1, 0, results.append)
     sim.run(until=sim.now + 0.1)
     assert results == [True]
-    assert deployment.daemons[0].table.is_up(1, 0)
+    assert deployment.routers[0].table.is_up(1, 0)
 
 
 def test_immediate_recheck_detects_down_link_at_threshold_one():
     sim, cluster, stacks, deployment = _rig()
     cluster.faults.fail("nic1.0")
     # stop the periodic monitor so only the recheck observes the failure
-    deployment.daemons[0].monitor.stop()
+    deployment.routers[0].monitor.stop()
     results = []
-    deployment.daemons[0].monitor.immediate_recheck(1, 0, results.append)
+    deployment.routers[0].monitor.immediate_recheck(1, 0, results.append)
     sim.run(until=sim.now + 0.1)
     assert results == [False]
-    assert deployment.daemons[0].table.link(1, 0).state is LinkState.DOWN
+    assert deployment.routers[0].table.link(1, 0).state is LinkState.DOWN
 
 
 def test_path_check_catches_silent_blackhole():
@@ -63,12 +63,12 @@ def test_path_check_catches_silent_blackhole():
     cluster.faults.fail("nic0.1")
     cluster.faults.fail("nic1.0")
     sim.run(until=sim.now + 2.0)
-    engine = deployment.daemons[0].failover
+    engine = deployment.routers[0].failover
     assert 1 in engine.repaired_via
     router = engine.repaired_via[1]
     # sabotage: silently remove the volunteer's pinned leg and freeze its
     # daemon, so only the origin's path checker can notice the black hole
-    deployment.daemons[router].stop()
+    deployment.routers[router].stop()
     from repro.protocols import RouteSource
 
     stacks[router].table.withdraw(1, RouteSource.DRS)
@@ -83,7 +83,7 @@ def test_path_check_catches_silent_blackhole():
 
 def test_probe_bytes_accounting_matches_probe_count():
     sim, cluster, stacks, deployment = _rig()
-    daemon = deployment.daemons[0]
+    daemon = deployment.routers[0]
     assert daemon.monitor.probe_bytes.value == 84 * daemon.monitor.probes_sent.value
 
 
@@ -103,7 +103,7 @@ def test_secondary_network_failure_needs_no_repair():
     before = cluster.trace.count("drs-repair")
     cluster.faults.fail("nic2.1")
     sim.run(until=sim.now + 1.0)
-    assert deployment.daemons[0].table.link(2, 1).state.value == "down"
+    assert deployment.routers[0].table.link(2, 1).state.value == "down"
     assert cluster.trace.count("drs-detect") == 0
     assert cluster.trace.count("drs-repair") == before
     # the active route is untouched and still works

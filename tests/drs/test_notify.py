@@ -65,7 +65,7 @@ def test_notification_suppression_no_storm():
     # count LinkDownNotification control bytes: bounded, not O(n^2) per sweep
     notes = sum(
         1
-        for daemon in deployment.daemons.values()
+        for daemon in deployment.routers.values()
         for (peer, net), t in daemon.failover._notified_at.items()
     )
     # suppression allows at most one announcement per (peer, network) per

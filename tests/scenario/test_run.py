@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from repro.experiments.desvalidation import VALIDATION_CONFIG, one_replicate
+from repro.obs import uninstall_profiling
 from repro.scenario import ScenarioError, ScenarioSpec, run_scenario
 from repro.scenario.cli import main
 from repro.scenario.run import peer_nic_failures
@@ -172,8 +173,23 @@ def test_cli_compare_mode(tmp_path, capsys):
     assert "scenario comparison" in out and "a" in out and "b" in out
 
 
-def test_cli_reports_spec_errors(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"nodes": 1},
+        {"protocol": {"kind": "reactive", "timeout_s": -1}},
+        {"workload": {"kind": "voicemail", "subscribers": 0}},
+        {"name": "../escaped"},
+    ],
+    ids=["nodes", "reactive-timeout", "voicemail-subscribers", "escaping-name"],
+)
+def test_cli_reports_spec_errors(tmp_path, capsys, fields):
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps({"name": "x", "nodes": 1, "duration_s": 2.0}))
-    assert main([str(path)]) == 2
-    assert "error" in capsys.readouterr().err
+    path.write_text(json.dumps({"name": "x", "nodes": 4, "duration_s": 2.0, **fields}))
+    try:
+        assert main([str(path), "--metrics-out", str(tmp_path / "obs")]) == 2
+    finally:
+        uninstall_profiling()  # --metrics-out installs the global profiling hook
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "error" in err and "Traceback" not in err
+    assert [path.name for path in tmp_path.iterdir()] == ["bad.json"]  # no artifact, inside or out

@@ -2,10 +2,13 @@
 
 import json
 import re
+from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
 from repro.scenario import ScenarioError, ScenarioSpec, Warmup, load_scenario
+from repro.scenario.spec import ROUTING_PROTOCOLS, WORKLOADS
 
 
 def _minimal(**overrides):
@@ -92,12 +95,39 @@ def test_invalid_specs_rejected(mutation, message):
         ({"workload": {"kind": "stream", "window_segments": 0}}, "workload.window_segments"),
         ({"workload": {"kind": "stream", "interval_s": 0}}, "workload.interval_s"),
         ({"workload": {"kind": "stream", "dst": 4}}, "src/dst"),
+        # every protocol and workload option is checked against its config field, then by the config
+        ({"protocol": {"kind": ["drs"]}}, "protocol.kind"),
+        ({"protocol": {"kind": "reactive", "timeout_s": -1}}, "protocol.timeout_s"),
+        ({"protocol": {"kind": "linkstate", "hello_interval_s": 0}}, "protocol.hello_interval_s"),
+        ({"protocol": {"kind": "drs", "sweep_period_s": float("nan")}}, "protocol.sweep_period_s"),
+        ({"protocol": {"kind": "drs", "path_check_period_s": 0}}, "protocol.path_check_period_s"),
+        ({"protocol": {"kind": "drs", "probe_retries": True}}, "protocol.probe_retries"),
+        ({"protocol": {"kind": "drs", "probe_retries": 1.5}}, "protocol.probe_retries"),
+        ({"protocol": {"kind": "drs", "notify_peers": "yes"}}, "protocol.notify_peers"),
+        ({"workload": {"kind": "voicemail", "subscribers": 0}}, "workload.subscribers"),
+        ({"workload": {"kind": "voicemail", "call_rate_per_s": 1e400}}, "workload.call_rate_per_s"),
+        ({"workload": {"kind": "none", "src": 0}}, "none workload takes no options"),
+        ({"nodes": 2, "workload": {"kind": "mpi"}}, "nodes >= 3"),
+        # the name becomes the artifact file names under --metrics-out
+        ({"name": "../escaped"}, "name"),
+        ({"name": "a/b"}, "name"),
+        ({"name": ""}, "name"),
+        ({"name": "."}, "name"),
+        ({"name": ".."}, "name"),
     ],
 )
 def test_malformed_fields_raise_an_error_naming_them(mutation, field):
     # from_dict alone: a spec that would hang or fail at run time is refused here
     with pytest.raises(ScenarioError, match=re.escape(field)):
         ScenarioSpec.from_dict(_minimal(**mutation))
+
+
+def test_options_are_checked_not_converted():
+    # an int is a number where a float is declared, None is allowed where the field is optional,
+    # and the options are kept as given, so a manifest shows what the file said
+    options = {"sweep_period_s": 1, "probe_retries": 3, "bandwidth_budget": None, "notify_peers": True}
+    spec = ScenarioSpec.from_dict(_minimal(protocol={"kind": "drs", **options}))
+    assert spec.protocol_options == options and type(spec.protocol_options["sweep_period_s"]) is int
 
 
 def test_run_shaping_fields_parse():
@@ -140,11 +170,29 @@ def test_load_invalid_json(tmp_path):
 
 
 def test_shipped_scenarios_parse():
-    from pathlib import Path
-
     scenario_dir = Path(__file__).resolve().parents[2] / "examples" / "scenarios"
     files = sorted(scenario_dir.glob("*.json"))
     assert len(files) >= 4
     for path in files:
         spec = load_scenario(path)
         assert spec.nodes >= 2
+
+
+def options_table(axis, table):
+    """``table``'s option sets as the Markdown table ``docs/scenarios.md`` shows under ``axis``."""
+    rows = [f"| `{axis}.kind` | option | type | default |", "|---|---|---|---|"]
+    for kind, row in table.items():
+        config = row.config()
+        if config is None:
+            rows.append(f"| `{kind}` | no options | | |")
+        for index, option in enumerate(fields(config) if config else ()):
+            label = f"`{kind}` (`{config.__name__}`)" if index == 0 else ""
+            annotation = option.type.replace("|", "\\|")
+            rows.append(f"| {label} | `{option.name}` | `{annotation}` | `{json.dumps(option.default)}` |")
+    return "\n".join(rows)
+
+
+@pytest.mark.parametrize("axis,table", [("protocol", ROUTING_PROTOCOLS), ("workload", WORKLOADS)])
+def test_the_option_tables_are_documented_as_declared(axis, table):
+    docs = (Path(__file__).resolve().parents[2] / "docs" / "scenarios.md").read_text()
+    assert options_table(axis, table) in docs
