@@ -180,6 +180,9 @@ quick-obs:
 #    and render through the precision verb and the watch panel
 # 3. the same with --mc-method stratified-cv must label its precision cells
 #    and flight events with the estimator method
+# 4. the stats.cell events of quick figure2/figure3/crossovers/topologysweep
+#    and of both adaptive runs must hash to the digests recorded before the
+#    sweep loop built its cells a whole f-grid at a time
 EST := /tmp/drs-estimators
 DIGESTS := $(CURDIR)/tests/topology/data
 
@@ -201,7 +204,6 @@ quick-estimators:
 	$(PYTHON) -m repro run --quick figure2 --target-ci 0.01 --out $(EST)-ci
 	test -f $(EST)-ci/figure2_mc_precision.csv
 	head -1 $(EST)-ci/figure2_mc_precision.csv | grep -q ci_low
-	grep -q '"kind": "stats.cell"' $(EST)-ci/figure2.flight.jsonl
 	grep -q '"precision"' $(EST)-ci/figure2.manifest.json
 	$(PYTHON) -m repro obs precision $(EST)-ci/figure2.flight.jsonl
 	$(PYTHON) -c "import json, subprocess, sys; \
@@ -221,8 +223,14 @@ quick-estimators:
 	$(PYTHON) -m repro obs precision $(EST)-cv/figure2.flight.jsonl > /dev/null
 	$(PYTHON) -m repro obs watch $(EST)-cv/figure2.flight.jsonl --once --no-color \
 		| grep -q 'stratified-cv'
+	$(PYTHON) tests/obs/stats_cell_digest.py figure2=$(EST)/figure2.flight.jsonl \
+		figure3=$(EST)/figure3.flight.jsonl crossovers=$(EST)/crossovers.flight.jsonl \
+		topologysweep=$(EST)/topologysweep.flight.jsonl \
+		figure2-ci-crn=$(EST)-ci/figure2.flight.jsonl \
+		figure2-ci-stratified-cv=$(EST)-cv/figure2.flight.jsonl \
+		| diff - tests/obs/data/stats_cell_quick.sha256
 	@echo "quick-estimators: OK (pinned CSVs, pool == serial on all seven topologysweep CSVs," \
-		"adaptive + stratified-cv telemetry)"
+		"adaptive + stratified-cv telemetry, pinned stats.cell events)"
 
 # end-to-end benchmark smoke: every workload of benchmarks/e2e once at
 # reduced size, all output checks on (~7 s); the harness self-tests ride along

@@ -98,25 +98,37 @@ def _z_for(confidence: float) -> float:
     return normal_ppf((1.0 + confidence) / 2.0)
 
 
+def wilson_bounds(successes, trials, z: float):
+    """Wilson score interval ``(point, low, high)`` at two-sided ``z`` — the one formula.
+
+    Elementwise over NumPy columns (the sweep loop's grid builders read a
+    whole f-grid at once) or over plain ints (:func:`wilson_interval`, its
+    one-cell case).  Every operation is a correctly rounded IEEE step in one
+    fixed order, so a column entry equals the one-cell value bit for bit.
+    ``trials`` must be positive wherever an entry is read.
+    """
+    p = successes / trials
+    z2 = z * z
+    denominator = 1 + z2 / trials
+    center = (p + z2 / (2 * trials)) / denominator
+    margin = z * np.sqrt(p * (1 - p) / trials + z2 / (4 * trials * trials)) / denominator
+    return p, np.maximum(0.0, center - margin), np.minimum(1.0, center + margin)
+
+
 def wilson_interval(successes: int, trials: int, confidence: float = 0.95) -> ProportionEstimate:
     """Wilson score interval for ``successes`` out of ``trials``."""
     if trials <= 0:
         raise ValueError(f"trials must be positive, got {trials}")
     if not 0 <= successes <= trials:
         raise ValueError(f"successes must be in [0, trials], got {successes}/{trials}")
-    z = _z_for(confidence)
-    p = successes / trials
-    z2 = z * z
-    denominator = 1 + z2 / trials
-    center = (p + z2 / (2 * trials)) / denominator
-    margin = z * np.sqrt(p * (1 - p) / trials + z2 / (4 * trials * trials)) / denominator
+    point, low, high = wilson_bounds(successes, trials, _z_for(confidence))
     return ProportionEstimate(
         successes=successes,
         trials=trials,
         confidence=confidence,
-        point=p,
-        low=max(0.0, float(center - margin)),
-        high=min(1.0, float(center + margin)),
+        point=point,
+        low=float(low),
+        high=float(high),
     )
 
 

@@ -69,6 +69,7 @@ import numpy as np
 from repro.analysis.combinatorics import comb0, covering_nic_failures
 from repro.analysis.exact import _validate
 from repro.analysis.montecarlo import (
+    _at_least,
     _full_grid_fs,
     _padded_sweep,
     _resolve_rng,
@@ -76,8 +77,8 @@ from repro.analysis.montecarlo import (
     _SweepGroup,
     pair_connected_vec,
 )
-from repro.analysis.stats import wilson_interval
-from repro.obs.precision import CellPrecision
+from repro.analysis.stats import _z_for, wilson_bounds
+from repro.obs.precision import CellPrecision, PrecisionGrid
 
 
 # ------------------------------------------------------------- closed forms
@@ -317,17 +318,15 @@ def endpoint_dead_levels(
 
 
 # -------------------------------------------------------- grid estimators
-def _stratified_cell(
+def _stratified_grid(
     group: _SweepGroup,
-    f: int,
     elapsed: float,
-    two_hop: bool,
     control_variate: bool,
     confidence: float,
     target_half_width: float | None,
     topology: str | None,
-) -> CellPrecision:
-    """Fold one group's histograms into a stratified (N, f) precision cell.
+) -> PrecisionGrid:
+    """Fold one group's histograms into its stratified f-grid of precision cells.
 
     ``a`` counts stratum-0 rows surviving at level ``f``; the CV form also
     needs ``d`` (endpoint-dead rows, indicator known-mean μ_X) and ``c``
@@ -337,31 +336,30 @@ def _stratified_cell(
     combined cell interval is the stratum-0 half-width times ``w_0``
     (strata 1 and 2 are exact and contribute no width).
     """
-    n = group.n
-    trials = group.trials
-    w0, w1, _ = hub_stratum_weights(n, f)
-    exact_part = w1 * one_hub_conditional_success(n, f)
-    survivors = int(group.hists["surv"][f:].sum())
+    n, fs, trials = group.n, group.fs, group.trials
+    weights = [hub_stratum_weights(n, f) for f in fs]
+    w0 = np.array([w[0] for w in weights])
+    exact_part = np.array([w[1] * one_hub_conditional_success(n, f) for w, f in zip(weights, fs)])
+    survivors = _at_least(group.hists["surv"], fs)
+    z = _z_for(confidence)
     if control_variate:
-        mu_x = endpoint_dead_conditional_mean(n, f)
-        dead = int(group.hists["dead"][:f].sum())
+        mu_x = np.array([endpoint_dead_conditional_mean(n, f) for f in fs])
+        ranks = group.hists["dead"]
+        dead = ranks.sum() - _at_least(ranks, fs)  # ranks[:f].sum() per f
         covered_bad = trials - survivors - dead
         conditional_trials = survivors + covered_bad
-        if conditional_trials == 0:
-            stratum_estimate, stratum_half = 0.0, 1.0 - mu_x
-        else:
-            interval = wilson_interval(survivors, conditional_trials, confidence)
-            stratum_estimate = (1.0 - mu_x) * interval.point
-            stratum_half = (1.0 - mu_x) * interval.half_width
+        empty = conditional_trials == 0
+        point, low, high = wilson_bounds(survivors, np.where(empty, 1, conditional_trials), z)
+        stratum_estimate = np.where(empty, 0.0, (1.0 - mu_x) * point)
+        stratum_half = np.where(empty, 1.0 - mu_x, (1.0 - mu_x) * ((high - low) / 2.0))
         method = "stratified-cv"
     else:
-        interval = wilson_interval(survivors, trials, confidence)
-        stratum_estimate = interval.point
-        stratum_half = interval.half_width
+        stratum_estimate, low, high = wilson_bounds(survivors, trials, z)
+        stratum_half = (high - low) / 2.0
         method = "stratified"
-    return CellPrecision.from_stratified(
+    return PrecisionGrid.from_stratified(
         n,
-        f,
+        fs,
         survivors,
         trials,
         point=exact_part + w0 * stratum_estimate,
@@ -408,15 +406,15 @@ def _stratified_full_grid(
             "dead": endpoint_dead_levels(keys, widths=widths),
         }
 
-    def cell(group: _SweepGroup, f: int, elapsed: float) -> CellPrecision:
-        return _stratified_cell(
-            group, f, elapsed, two_hop, control_variate, confidence, target_half_width, topology
+    def grid(group: _SweepGroup, elapsed: float) -> PrecisionGrid:
+        return _stratified_grid(
+            group, elapsed, control_variate, confidence, target_half_width, topology
         )
 
     return _padded_sweep(
         groups,
         _stacked_draw(levels),
-        cell,
+        grid,
         iterations,
         batch,
         target_half_width,

@@ -29,8 +29,10 @@ into:
 * :mod:`repro.obs.watch` — live ANSI dashboard (``repro obs watch``)
   folding a flight stream into per-worker run state.
 * :mod:`repro.obs.precision` — statistical observability: per-cell Wilson
-  CI records (``stats.cell`` flight events, written by
-  ``CellPrecision.event_fields`` and parsed by ``cell_from_event`` alone),
+  CI records and the sweep loop's per-group ``PrecisionGrid`` columns
+  (``stats.cell`` flight events, formatted by ``_stats_cell_fields`` alone —
+  ``PrecisionGrid.publish`` and ``CellPrecision.event_fields`` both call
+  it — and parsed by ``cell_from_event`` alone),
   adaptive-stopping bookkeeping, and the ``repro obs precision``
   sweep-quality report.
 * :mod:`repro.obs.cli` — the ``repro obs`` pretty-printer plus the

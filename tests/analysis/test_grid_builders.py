@@ -1,0 +1,229 @@
+"""The sweep loop's three grid builders equal a per-cell scalar reference, bit for bit.
+
+Each builder reads a group's whole f-grid as columns in one pass
+(:class:`repro.obs.precision.PrecisionGrid`).  The references below are the
+per-cell forms the builders replaced: one ``hists[f:].sum()`` and one scalar
+Wilson interval per ``f``.  Over generated histograms — survivor counts of 0
+and of every trial, up to 5 M trials, table and non-table confidences — every
+:class:`~repro.obs.precision.CellPrecision` field and every ``stats.cell``
+payload must be equal with ``==`` (the payloads as serialized JSON, so a
+NumPy scalar where the reference has a Python number fails too).
+"""
+
+import json
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.analysis.montecarlo import _crn_grid, _SweepGroup
+from repro.analysis.stats import _z_for
+from repro.analysis.topokernel import _strata_grid
+from repro.analysis.variance import (
+    _nic_group,
+    _stratified_grid,
+    endpoint_dead_conditional_mean,
+    hub_stratum_weights,
+    one_hub_conditional_success,
+    site_stratum_weights,
+)
+from repro.obs.flightrecorder import FlightRecorder, set_flight_recorder
+from repro.obs.precision import CellPrecision
+
+CONFIDENCES = st.sampled_from([0.90, 0.95, 0.99, 0.999, 0.975, 0.9973])
+TARGETS = st.sampled_from([None, 0.001, 0.01, 0.05])
+ELAPSED = 0.25
+#: a bin is empty, small, or large: 17 large bins reach 5 M trials
+COUNTS = st.one_of(st.just(0), st.integers(1, 50), st.integers(0, 300_000))
+
+
+# ------------------------------------------------------------------ reference
+def reference_wilson(successes: int, trials: int, confidence: float):
+    """The scalar Wilson interval the builders replaced: ``(point, half_width, low, high)``."""
+    z = _z_for(confidence)
+    p = successes / trials
+    z2 = z * z
+    denominator = 1 + z2 / trials
+    center = (p + z2 / (2 * trials)) / denominator
+    margin = z * np.sqrt(p * (1 - p) / trials + z2 / (4 * trials * trials)) / denominator
+    low, high = max(0.0, float(center - margin)), min(1.0, float(center + margin))
+    return p, (high - low) / 2.0, low, high
+
+
+def reference_stratified(n, f, successes, trials, point, half_width, confidence, target,
+                         topology, method):
+    return CellPrecision(
+        n=n, f=f, successes=successes, trials=trials, confidence=confidence, point=point,
+        low=max(0.0, point - half_width), high=min(1.0, point + half_width),
+        target_half_width=target, elapsed_s=ELAPSED, topology=topology, method=method,
+        std_error=half_width / _z_for(confidence),
+    )
+
+
+def reference_crn(group, f, confidence, target, topology):
+    successes = int(group.hists["surv"][f:].sum())
+    point, _, low, high = reference_wilson(successes, group.trials, confidence)
+    return CellPrecision(
+        n=group.n, f=f, successes=successes, trials=group.trials, confidence=confidence,
+        point=point, low=low, high=high, target_half_width=target, elapsed_s=ELAPSED,
+        topology=topology,
+    )
+
+
+def reference_dual_hub(group, f, control_variate, confidence, target, topology):
+    n, trials = group.n, group.trials
+    w0, w1, _ = hub_stratum_weights(n, f)
+    exact_part = w1 * one_hub_conditional_success(n, f)
+    survivors = int(group.hists["surv"][f:].sum())
+    if control_variate:
+        mu_x = endpoint_dead_conditional_mean(n, f)
+        dead = int(group.hists["dead"][:f].sum())
+        conditional_trials = survivors + (trials - survivors - dead)
+        if conditional_trials == 0:
+            estimate, half = 0.0, 1.0 - mu_x
+        else:
+            point, half_width, _, _ = reference_wilson(survivors, conditional_trials, confidence)
+            estimate, half = (1.0 - mu_x) * point, (1.0 - mu_x) * half_width
+        method = "stratified-cv"
+    else:
+        estimate, half, _, _ = reference_wilson(survivors, trials, confidence)
+        method = "stratified"
+    return reference_stratified(n, f, survivors, trials, exact_part + w0 * estimate, w0 * half,
+                                confidence, target, topology, method)
+
+
+def reference_strata(group, f, weights, sampled, confidence, target, topology):
+    point = half_sq = 0.0
+    successes = 0
+    for j, trials in enumerate(sampled):
+        weight = weights[f][j]
+        if weight == 0.0 or trials == 0:
+            continue
+        alive = int(group.hists[j][f:].sum())
+        p, half_width, _, _ = reference_wilson(alive, trials, confidence)
+        point += weight * p
+        half_sq += (weight * half_width) ** 2
+        successes += alive
+    return reference_stratified(group.n, f, successes, group.trials, point,
+                                float(np.sqrt(half_sq)), confidence, target, topology,
+                                "stratified")
+
+
+# ------------------------------------------------------------------ harness
+def assert_grid_equals(grid, references):
+    assert [grid.cell(i) for i in range(len(grid.fs))] == references
+    recorder = FlightRecorder(None)
+    set_flight_recorder(recorder)
+    try:
+        grid.publish((i, i % 2 == 0) for i in range(len(grid.fs)))
+    finally:
+        set_flight_recorder(None)
+    published = [
+        json.dumps({k: v for k, v in event.items() if k not in ("t", "kind", "pid")})
+        for event in recorder.drain()
+    ]
+    assert published == [json.dumps(cell.event_fields(done=i % 2 == 0))
+                         for i, cell in enumerate(references)]
+
+
+@st.composite
+def f_grids(draw, top):
+    """A non-empty f-grid over ``[0, top]``, in any order."""
+    return tuple(draw(st.lists(st.integers(0, top), min_size=1, max_size=top + 1, unique=True)))
+
+
+@st.composite
+def crn_groups(draw):
+    width = draw(st.integers(2, 16))
+    hist = np.array(draw(st.lists(COUNTS, min_size=width + 1, max_size=width + 1)), np.int64)
+    if hist.sum() == 0:
+        hist[draw(st.integers(0, width))] = draw(st.integers(1, 5_000_000))
+    group = _SweepGroup(width, width, None, draw(f_grids(width)))
+    group.hists["surv"][:] = hist
+    group.trials = int(hist.sum())
+    return group
+
+
+@given(crn_groups(), CONFIDENCES, TARGETS, st.sampled_from([None, "ring(n=4)"]))
+@settings(max_examples=150)
+def test_crn_grid_equals_the_per_cell_reference(group, confidence, target, topology):
+    grid = _crn_grid(confidence, target, topology)(group, ELAPSED)
+    assert_grid_equals(grid, [reference_crn(group, f, confidence, target, topology)
+                              for f in group.fs])
+
+
+def test_crn_grid_at_five_million_trials():
+    group = _SweepGroup(4, 10, None, tuple(range(11)))
+    group.hists["surv"][[0, 3, 7, 10]] = [1, 4_999_000, 998, 1]
+    group.trials = 5_000_000
+    for confidence in (0.95, 0.9973):
+        grid = _crn_grid(confidence, 0.001)(group, ELAPSED)
+        assert_grid_equals(grid, [reference_crn(group, f, confidence, 0.001, None)
+                                  for f in group.fs])
+
+
+@st.composite
+def nic_groups(draw):
+    """Threshold ranks ``S`` and endpoint-death ranks ``D >= S``: the two events never overlap."""
+    n = draw(st.integers(2, 8))
+    width = 2 * n
+    surv = np.array(draw(st.lists(COUNTS, min_size=width + 1, max_size=width + 1)), np.int64)
+    if surv.sum() == 0:
+        surv[draw(st.integers(0, width))] = draw(st.integers(1, 5_000_000))
+    dead = np.zeros(width + 1, np.int64)
+    for s, count in enumerate(surv):
+        dead[draw(st.integers(s, width))] += count
+    group = _nic_group(n, None, draw(f_grids(width + 2)))
+    group.hists["surv"][:] = surv
+    group.hists["dead"][:] = dead
+    group.trials = int(surv.sum())
+    return group
+
+
+@given(nic_groups(), st.booleans(), CONFIDENCES, TARGETS, st.sampled_from([None, "dual-hub(n=4)"]))
+@settings(max_examples=150)
+def test_dual_hub_stratified_grid_equals_the_per_cell_reference(
+    group, control_variate, confidence, target, topology
+):
+    grid = _stratified_grid(group, ELAPSED, control_variate, confidence, target, topology)
+    assert_grid_equals(grid, [
+        reference_dual_hub(group, f, control_variate, confidence, target, topology)
+        for f in group.fs
+    ])
+
+
+def test_dual_hub_cv_grid_with_an_empty_conditional_stratum():
+    """Every row dead from f = 1 on: the control-variate stratum has no trials there."""
+    group = _nic_group(3, None, (0, 1, 2, 5, 8))
+    group.hists["surv"][0] = group.hists["dead"][0] = group.trials = 40
+    for confidence in (0.95, 0.975):
+        grid = _stratified_grid(group, ELAPSED, True, confidence, 0.01, None)
+        assert_grid_equals(grid, [reference_dual_hub(group, f, True, confidence, 0.01, None)
+                                  for f in group.fs])
+
+
+@st.composite
+def strata_groups(draw):
+    width = draw(st.integers(3, 12))
+    sites = draw(st.integers(1, 3))
+    group = _SweepGroup(width, width, None, draw(f_grids(width)), tracks=range(sites + 1))
+    sampled = []
+    for j in range(sites + 1):
+        hist = np.array(draw(st.lists(COUNTS, min_size=width + 1, max_size=width + 1)), np.int64)
+        group.hists[j][:] = hist
+        sampled.append(int(hist.sum()))
+    group.trials = sum(sampled)
+    weights = {f: site_stratum_weights(width, sites, f) for f in group.fs}
+    return group, weights, sampled
+
+
+@given(strata_groups(), CONFIDENCES, TARGETS)
+@settings(max_examples=150)
+def test_topology_stratified_grid_equals_the_per_cell_reference(drawn, confidence, target):
+    group, weights, sampled = drawn
+    columns = np.array([weights[f] for f in group.fs])
+    grid = _strata_grid(group, ELAPSED, columns, sampled, confidence, target, "khub(n=3)")
+    assert_grid_equals(grid, [
+        reference_strata(group, f, weights, sampled, confidence, target, "khub(n=3)")
+        for f in group.fs
+    ])
