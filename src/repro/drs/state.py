@@ -104,7 +104,8 @@ class PeerTable:
         link.consecutive_failures = 0
         link.last_ok_at = now
         link.down_since = None
-        self._transition(link, LinkState.UP)
+        if link.state is not LinkState.UP:  # most replies confirm what is known
+            self._transition(link, LinkState.UP)
 
     def record_failure(self, peer: NodeId, network: NetworkId, now: float, threshold: int) -> None:
         """A probe on this link failed; declare DOWN at ``threshold`` misses."""

@@ -29,15 +29,12 @@ class Component:
     def __init__(self, name: str, kind: ComponentKind) -> None:
         self.name = name
         self.kind = kind
-        self._up = True
+        #: True while the component is operational; a plain attribute, so the
+        #: frame path's up/down test is one compare (change it via fail/repair)
+        self.up = True
         self._listeners: list[Callable[["Component", bool], None]] = []
         self.fail_count = 0
         self.repair_count = 0
-
-    @property
-    def up(self) -> bool:
-        """True while the component is operational."""
-        return self._up
 
     def on_state_change(self, listener: Callable[["Component", bool], None]) -> None:
         """Register ``listener(component, up)`` for future transitions."""
@@ -45,26 +42,26 @@ class Component:
 
     def fail(self) -> bool:
         """Take the component down. Returns True if the state changed."""
-        if not self._up:
+        if not self.up:
             return False
-        self._up = False
+        self.up = False
         self.fail_count += 1
         self._notify()
         return True
 
     def repair(self) -> bool:
         """Bring the component back up. Returns True if the state changed."""
-        if self._up:
+        if self.up:
             return False
-        self._up = True
+        self.up = True
         self.repair_count += 1
         self._notify()
         return True
 
     def _notify(self) -> None:
         for listener in self._listeners:
-            listener(self, self._up)
+            listener(self, self.up)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        state = "up" if self._up else "DOWN"
+        state = "up" if self.up else "DOWN"
         return f"<{type(self).__name__} {self.name} {state}>"

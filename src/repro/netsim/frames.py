@@ -14,7 +14,6 @@ DESIGN.md §2 calibrates Figure 1 against.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from typing import Any
 
 from repro.netsim.addresses import InterfaceAddr
@@ -23,7 +22,8 @@ ETHER_OVERHEAD_BYTES = 18   #: MAC header (14) + FCS (4)
 MIN_FRAME_BYTES = 64        #: minimum Ethernet frame, padded if shorter
 PREAMBLE_IFG_BYTES = 20     #: preamble + start delimiter (8) + inter-frame gap (12)
 
-_frame_ids = itertools.count()
+#: draws the next frame id; a frame takes one only once its size is known
+_next_frame_id = itertools.count().__next__
 
 
 def wire_bytes(payload_bytes: int) -> int:
@@ -33,38 +33,40 @@ def wire_bytes(payload_bytes: int) -> int:
     return max(MIN_FRAME_BYTES, payload_bytes + ETHER_OVERHEAD_BYTES) + PREAMBLE_IFG_BYTES
 
 
-@dataclass(slots=True)
 class Frame:
     """A layer-2 frame in flight on one backplane.
 
     ``payload`` is an arbitrary L3 object exposing ``size_bytes`` (the
     protocol stack's :class:`~repro.protocols.packet.Packet`); ``protocol``
     is the ethertype-like demux key the receiving node dispatches on.
+
+    The size is read once, here: ``payload_bytes`` and ``wire_bits`` are
+    plain attributes both fabrics read, and a payload without a size is
+    refused with :class:`TypeError` before the frame takes an id.
     """
 
-    src: InterfaceAddr
-    dst: InterfaceAddr
-    protocol: str
-    payload: Any
-    frame_id: int = field(default_factory=lambda: next(_frame_ids))
+    __slots__ = ("src", "dst", "protocol", "payload", "payload_bytes", "wire_bits", "frame_id")
 
-    @property
-    def payload_bytes(self) -> int:
-        """Size of the L3 payload carried by this frame."""
-        size = getattr(self.payload, "size_bytes", None)
-        if size is None:
-            raise TypeError(f"frame payload {self.payload!r} lacks a size_bytes attribute")
-        return int(size)
+    def __init__(self, src: InterfaceAddr, dst: InterfaceAddr, protocol: str, payload: Any) -> None:
+        try:
+            size = int(payload.size_bytes)
+        except AttributeError:
+            raise TypeError(f"frame payload {payload!r} lacks a size_bytes attribute") from None
+        self.src = src
+        self.dst = dst
+        self.protocol = protocol
+        self.payload = payload
+        self.payload_bytes = size
+        self.wire_bits = wire_bytes(size) * 8
+        self.frame_id = _next_frame_id()
 
     @property
     def wire_bytes(self) -> int:
         """Total wire occupancy of this frame including framing overhead."""
-        return wire_bytes(self.payload_bytes)
+        return self.wire_bits // 8
 
-    @property
-    def wire_bits(self) -> int:
-        """Wire occupancy in bits."""
-        return self.wire_bytes * 8
+    def __repr__(self) -> str:  # pragma: no cover - debug aid
+        return f"<{self}>"
 
     def __str__(self) -> str:
         return f"Frame#{self.frame_id}[{self.src}->{self.dst} {self.protocol} {self.payload_bytes}B]"

@@ -80,7 +80,7 @@ class Segment(Component):
         port of a switch.  Returns when the frame's last bit is through it.
         """
         now = self.sim.now
-        bits = frame.wire_bits  # walks payload -> packet -> message sizes: once per frame
+        bits = frame.wire_bits  # worked out once, when the frame was built
         start = max(now, free_at)
         self._queue_wait.observe(start - now)
         self.bits_carried.add(bits)

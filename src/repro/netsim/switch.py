@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.netsim.addresses import NetworkId
+from repro.netsim.addresses import BROADCAST_NODE, NetworkId
 from repro.netsim.frames import Frame
 from repro.netsim.segment import Segment
 from repro.netsim.topology import Cluster, _build_dual_cluster
@@ -80,12 +80,13 @@ class Switch(Segment):
             self._drop(frame, reason="switch-died-in-flight")
             return
         self.mac_table[frame.src.node] = ingress_port
-        if frame.dst.is_broadcast():
+        dst_node = frame.dst.node
+        if dst_node == BROADCAST_NODE:
             for port in self._nics:
                 if port != ingress_port:
                     self._egress(frame, port)
             return
-        port = self.mac_table.get(frame.dst.node)
+        port = self.mac_table.get(dst_node)
         if port is None:
             # unknown unicast: flood (the real thing; also how the first
             # frame to a silent host finds it)
@@ -118,7 +119,8 @@ class Switch(Segment):
                 return
             # only the addressed (or broadcast-reached) NIC consumes it;
             # flooded copies to the wrong host are dropped by addressing
-            if frame.dst.is_broadcast() or frame.dst.node == nic.addr.node:
+            dst_node = frame.dst.node
+            if dst_node == BROADCAST_NODE or dst_node == nic.addr.node:
                 nic.deliver(frame)
 
         self.sim.schedule_at(done + self.prop_delay_s, deliver)

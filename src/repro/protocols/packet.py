@@ -15,7 +15,7 @@ TCP_HEADER_BYTES = 20   #: TCP header without options
 
 DEFAULT_TTL = 16        #: small diameter: cluster paths are at most 2 hops
 
-_packet_ids = itertools.count()
+_next_packet_id = itertools.count().__next__
 
 
 @dataclass(slots=True)
@@ -32,7 +32,7 @@ class Packet:
     protocol: str
     payload: Any
     ttl: int = DEFAULT_TTL
-    packet_id: int = field(default_factory=lambda: next(_packet_ids))
+    packet_id: int = field(default_factory=_next_packet_id)
 
     @property
     def size_bytes(self) -> int:
