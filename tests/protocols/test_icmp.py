@@ -101,6 +101,23 @@ def test_zero_timeout_rejected(rig):
         stacks[0].icmp.ping_direct(0, 1, timeout_s=0, callback=lambda r: None)
 
 
+@pytest.mark.parametrize("timeout_s", [float("nan"), float("inf")])
+@pytest.mark.parametrize("routed", [False, True], ids=["direct", "routed"])
+def test_non_finite_timeout_is_refused_before_anything_is_sent(rig, timeout_s, routed):
+    sim, cluster, stacks = rig
+    icmp = stacks[0].icmp
+    with pytest.raises(ValueError, match="timeout_s"):
+        if routed:
+            icmp.ping(1, timeout_s=timeout_s, callback=lambda r: None)
+        else:
+            icmp.ping_direct(0, 1, timeout_s=timeout_s, callback=lambda r: None)
+    sim.run()
+    assert sum(hub.bits_carried.value for hub in cluster.backplanes) == 0
+    assert stacks[0].net.sent.value == 0
+    assert stacks[1].icmp.requests_answered.value == 0
+    assert sim.pending == 0
+
+
 def test_responder_counts(rig):
     sim, cluster, stacks = rig
     results = []
