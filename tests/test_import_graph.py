@@ -171,6 +171,15 @@ def test_running_a_plan_imports_nothing_more(name, tmp_path):
     assert fresh(RUN_SCRIPT, name, json.dumps(SMOKE[name]), str(tmp_path)) == []
 
 
+@pytest.mark.parametrize("name", ["figure2", "figure3", "topologysweep"])
+def test_an_estimator_run_loads_nothing_of_the_live_protocol(name, tmp_path):
+    # the benchmark's fig2/fig3/topologysweep children: a frame-path edit
+    # cannot move their heap layout (and so their page-fault counts)
+    modules = set(fresh(RUN_SCRIPT + REPORT, name, json.dumps(SMOKE[name]), str(tmp_path)))
+    assert "repro.engine" in modules
+    assert not under(modules, "netsim", "protocols", "drs", "scenario")
+
+
 #: how many names ``docs/api.md`` lists that its packages export (or hold as
 #: submodules), counted when the re-exports became lazy: a name that leaves
 #: an ``__all__`` lowers it
