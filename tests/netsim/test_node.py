@@ -71,3 +71,14 @@ def test_foreign_nic_rejected():
 def test_networks_property():
     sim, bps, (a, _) = _two_nodes()
     assert a.networks == [0, 1]
+
+
+def test_a_card_has_either_its_nodes_table_or_a_receiver_never_both():
+    # a receiver on a node's card would never see the node's protocols
+    sim, bps, (a, b) = _two_nodes()
+    with pytest.raises(RuntimeError, match="handler table"):
+        b.nics[0].set_receiver(lambda f, nic: None)
+    loose = Nic(InterfaceAddr(2, 0), bps[0])
+    loose.set_receiver(lambda f, nic: None)
+    with pytest.raises(RuntimeError, match="already has a receiver"):
+        Node(sim, 2).add_nic(loose)
