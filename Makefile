@@ -27,7 +27,8 @@ lint:
 # desval-style replicate in the scenario grammar (warm-up boundary, exact-f
 # step, post-run ping) must report its ping, every routing regime the
 # ROUTING_PROTOCOLS table names must run one scenario side by side, and a
-# malformed option must end in one error line and exit 2, not a traceback
+# malformed option (a scenario's, or a NaN --target-ci) must end in one
+# error line and exit 2, not a traceback
 # (the files are written here, not shipped: scenariosuite runs every file
 # under examples/scenarios)
 smoke:
@@ -68,6 +69,8 @@ smoke:
 	$(PYTHON) -m repro sim /tmp/drs-smoke/malformed.json 2> /tmp/drs-smoke/malformed.err; test $$? -eq 2
 	test $$(wc -l < /tmp/drs-smoke/malformed.err) -eq 1
 	! grep -q Traceback /tmp/drs-smoke/malformed.err
+	$(PYTHON) -m repro run --quick figure2 --target-ci nan --out /tmp/drs-smoke/nan 2> /tmp/drs-smoke/nan.err; \
+		test $$? -eq 2 && test $$(grep -c error: /tmp/drs-smoke/nan.err) -eq 1 && ! grep -q Traceback /tmp/drs-smoke/nan.err
 	@echo "smoke: OK"
 
 bench:

@@ -102,7 +102,7 @@ class RetryPolicy:
             raise ValueError(f"backoff_factor must be >= 1, got {self.backoff_factor}")
         if self.jitter_frac < 0:
             raise ValueError(f"jitter_frac must be non-negative, got {self.jitter_frac}")
-        if self.timeout_s is not None and self.timeout_s <= 0:
+        if self.timeout_s is not None and not self.timeout_s > 0:
             raise ValueError(f"timeout_s must be positive, got {self.timeout_s}")
 
     def backoff_s(self, failures: int, rng: np.random.Generator) -> float:

@@ -253,11 +253,11 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.retries < 0:
         parser.error(f"--retries must be >= 0, got {args.retries}")
-    if args.target_ci is not None and args.target_ci <= 0:
+    if args.target_ci is not None and not args.target_ci > 0:
         parser.error(f"--target-ci must be positive, got {args.target_ci}")
     if not 0.0 < args.ci_confidence < 1.0:
         parser.error(f"--ci-confidence must be in (0, 1), got {args.ci_confidence}")
-    if args.job_timeout is not None and args.job_timeout <= 0:
+    if args.job_timeout is not None and not args.job_timeout > 0:
         parser.error(f"--job-timeout must be positive, got {args.job_timeout}")
     if args.topology is not None:
         from repro.topology import parse_topology_spec

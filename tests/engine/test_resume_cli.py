@@ -90,3 +90,12 @@ def test_retries_flag_validation(tmp_path):
         runner.main(["--retries", "-1", "--out", str(tmp_path), "figure2"])
     with pytest.raises(SystemExit):
         runner.main(["--job-timeout", "0", "--out", str(tmp_path), "figure2"])
+
+
+@pytest.mark.parametrize("flag", ["--target-ci", "--job-timeout"])
+def test_nan_is_not_positive(tmp_path, flag):
+    # nan <= 0 is False: the check must be "not > 0".  --list keeps a missed
+    # rejection from running the experiment
+    with pytest.raises(SystemExit) as excinfo:
+        runner.main([flag, "nan", "--list", "--out", str(tmp_path), "figure2"])
+    assert excinfo.value.code == 2

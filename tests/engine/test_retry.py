@@ -54,6 +54,8 @@ class TestRetryPolicyValidation:
             RetryPolicy(jitter_frac=-0.1)
         with pytest.raises(ValueError):
             RetryPolicy(timeout_s=0.0)
+        with pytest.raises(ValueError):  # nan <= 0 is False; join(nan) would raise per attempt
+            RetryPolicy(timeout_s=float("nan"))
 
     def test_fail_fast_is_single_attempt_no_quarantine(self):
         assert FAIL_FAST.max_attempts == 1
