@@ -14,7 +14,8 @@ Run:  python examples/survivability_analysis.py
 
 import numpy as np
 
-from repro import crossover_n, simulate_success_probability, success_curve, success_probability
+from repro import crossover_n, success_curve, success_probability
+from repro.analysis import simulate_grid
 from repro.viz import line_chart, render_table
 
 
@@ -38,7 +39,7 @@ def main() -> None:
     print()
     check_rows = []
     for n, f in [(18, 2), (32, 3), (45, 4)]:
-        estimate = simulate_success_probability(n, f, iterations=200_000, rng=rng)
+        estimate = simulate_grid(n, (f,), 200_000, rng)[f]  # a point is a one-cell grid
         exact = success_probability(n, f)
         check_rows.append([n, f, exact, estimate, abs(exact - estimate)])
     print(render_table(["N", "f", "Equation 1", "Monte Carlo (200k)", "|diff|"], check_rows,

@@ -96,7 +96,6 @@ __all__, __getattr__, __dir__ = _lazy_exports(
             "success_probability",
             "success_curve",
             "crossover_n",
-            "simulate_success_probability",
             "sweep_time_s",
         ],
         "scenario": ["load_scenario", "run_scenario"],

@@ -40,8 +40,6 @@ __all__, __getattr__, __dir__ = _lazy_exports(
         ],
         "exhaustive": ["enumerate_success_probability", "pair_connected"],
         "montecarlo": [
-            "simulate_success_probability",
-            "simulate_curve",
             "simulate_grid",
             "simulate_full_grid",
             "DEFAULT_MAX_ADAPTIVE_TRIALS",
@@ -57,7 +55,6 @@ __all__, __getattr__, __dir__ = _lazy_exports(
             "endpoint_dead_conditional_mean",
             "allocate_stratum_trials",
             "sample_conditional_failure_matrix",
-            "stratified_grid",
             "stratified_success_probability",
         ],
         "convergence": [
@@ -78,7 +75,6 @@ __all__, __getattr__, __dir__ = _lazy_exports(
             "allpairs_good_combinations",
             "allpairs_success_probability",
             "allpairs_success_curve",
-            "simulate_allpairs_success",
         ],
         "weighted": [
             "weighted_failure_matrix",
@@ -90,7 +86,6 @@ __all__, __getattr__, __dir__ = _lazy_exports(
             "topology_connectivity_levels",
             "topology_keys",
             "sample_topology_failures",
-            "simulate_topology_success",
             "simulate_topology_grid",
             "enumerate_topology_success",
             "exact_topology_success",
@@ -103,6 +98,6 @@ __all__, __getattr__, __dir__ = _lazy_exports(
             "pair_availability",
             "AvailabilityReport",
         ],
-        "stats": ["wilson_interval", "normal_ppf", "mc_success_estimate", "ProportionEstimate"],
+        "stats": ["wilson_interval", "normal_ppf", "ProportionEstimate"],
     },
 )

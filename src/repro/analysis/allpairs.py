@@ -25,11 +25,13 @@ the remaining ``f-1`` failures must all land on the dead network's NICs —
 
 Validated against exhaustive enumeration in the test suite.
 
-:func:`simulate_allpairs_success` is the sweep loop at one cell: the
-dual-hub :class:`~repro.topology.model.Topology` under
-:class:`~repro.topology.model.AllTerminalsConnected`, on the caller's
-generator.  :func:`allpairs_connected_vec` is the hand-derived reference
-predicate the tests compare it (and the closed form) against.
+The Monte Carlo estimate is the sweep loop's one-cell topology grid::
+
+    simulate_topology_grid(dual_hub_cluster(n), (f,), iterations, rng,
+                           predicate=AllTerminalsConnected())[f]
+
+:func:`allpairs_connected_vec` is the hand-derived reference predicate the
+tests compare it (and the closed form) against.
 """
 
 from __future__ import annotations
@@ -38,8 +40,6 @@ import numpy as np
 
 from repro.analysis.combinatorics import comb0
 from repro.analysis.exact import _validate
-from repro.analysis.topokernel import simulate_topology_success
-from repro.topology import AllTerminalsConnected, dual_hub_cluster
 
 
 def allpairs_good_combinations(n: int, f: int) -> int:
@@ -98,17 +98,3 @@ def allpairs_connected_vec(failed: np.ndarray) -> np.ndarray:
     full0 = up0.all(axis=1)
     full1 = up1.all(axis=1)
     return cover & (bridge | full0 | full1)
-
-
-def simulate_allpairs_success(n: int, f: int, iterations: int, rng: np.random.Generator, batch: int = 200_000) -> float:
-    """Monte Carlo estimate of the all-pairs survivability.
-
-    One cell of :func:`~repro.analysis.topokernel.simulate_topology_grid`
-    over ``dual_hub_cluster(n)`` with the all-terminals predicate: the
-    level-``f`` failure set is the row's ``f`` smallest keys, the same set
-    :func:`~repro.analysis.montecarlo.sample_failure_matrix` picks, so the
-    count equals ``allpairs_connected_vec`` over that sample exactly.
-    """
-    return simulate_topology_success(
-        dual_hub_cluster(n), f, iterations, rng, batch=batch, predicate=AllTerminalsConnected()
-    )

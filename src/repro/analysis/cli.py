@@ -23,8 +23,8 @@ from repro.analysis import (
     crossover_n,
     expected_dark_pairs,
     max_nodes_within,
-    mc_success_estimate,
     pair_availability,
+    simulate_grid,
     success_probability,
     sweep_time_s,
 )
@@ -35,7 +35,7 @@ def _cmd_pair(args) -> int:
     print(f"P[pair survives | N={args.n}, f={args.f}] = {p:.6f}   (Equation 1)")
     if args.mc_precision is not None:
         rng = np.random.default_rng(args.seed)
-        est = mc_success_estimate(args.n, args.f, rng, target_half_width=args.mc_precision)
+        est = simulate_grid(args.n, (args.f,), 10_000, rng, target_half_width=args.mc_precision)[args.f]
         print(
             f"Monte Carlo: {est.point:.6f} "
             f"[{est.low:.6f}, {est.high:.6f}] at {est.trials} trials "

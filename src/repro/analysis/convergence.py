@@ -15,12 +15,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.analysis.exact import success_probability
-from repro.analysis.montecarlo import (
-    _resolve_streams,
-    simulate_full_grid,
-    simulate_grid,
-    simulate_success_probability,
-)
+from repro.analysis.montecarlo import simulate_full_grid, simulate_grid
+from repro.simkit.rng import spawn_seedseq
+
+
+def _streams(keys: dict, rng: np.random.Generator | None, seed: int | None) -> dict:
+    """A generator per N: the shared ``rng``, or a child of ``seed`` keyed by ``keys[n]``.
+
+    Exactly one of the two must be given.  A keyed child makes each N's
+    estimate independent of which others ran, in any order or process.
+    """
+    if (rng is None) == (seed is None):
+        raise TypeError("pass either rng= or seed=, not both and not neither")
+    if rng is not None:
+        return dict.fromkeys(keys, rng)
+    return {n: np.random.default_rng(spawn_seedseq(seed, key)) for n, key in keys.items()}
 
 
 def mean_absolute_deviation(
@@ -37,9 +46,9 @@ def mean_absolute_deviation(
     not depend on which cells ran before it.
     """
     ns = range(max(2, f + 1), n_max + 1)
-    streams = _resolve_streams({n: f"mad/f={f}/iters={iterations}/n={n}" for n in ns}, rng, seed)
+    streams = _streams({n: f"mad/f={f}/iters={iterations}/n={n}" for n in ns}, rng, seed)
     deviations = [
-        abs(simulate_success_probability(n, f, iterations, streams[n]) - success_probability(n, f))
+        abs(simulate_grid(n, (f,), iterations, streams[n])[f] - success_probability(n, f))
         for n in ns
     ]
     if not deviations:
@@ -87,7 +96,7 @@ def mean_absolute_deviation_grid(
         fs = tuple(f for f in f_values if n >= max(2, f + 1))
         if fs:
             per_n_fs[n] = fs
-    streams = _resolve_streams({n: f"mad-grid/n={n}" for n in per_n_fs}, rng, seed)
+    streams = _streams({n: f"mad-grid/n={n}" for n in per_n_fs}, rng, seed)
     common = {
         "target_half_width": target_half_width,
         "confidence": confidence,
@@ -96,11 +105,11 @@ def mean_absolute_deviation_grid(
     }
     if seed is not None and per_n_fs:
         estimates_by_n = simulate_full_grid(
-            tuple(per_n_fs), per_n_fs, iterations, rngs=streams, **common
+            tuple(per_n_fs), per_n_fs, iterations, streams, **common
         )
     else:
         estimates_by_n = {
-            n: simulate_grid(n, fs, iterations, rng=streams[n], **common)
+            n: simulate_grid(n, fs, iterations, streams[n], **common)
             for n, fs in per_n_fs.items()
         }
     deviations: dict[int, list[float]] = {f: [] for f in f_values}

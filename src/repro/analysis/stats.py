@@ -1,24 +1,19 @@
 """Statistical accounting for the Monte Carlo estimators.
 
 The paper reports raw simulation means; a production harness should also
-say how sure it is.  This module provides
-
-* the Wilson score interval for Bernoulli proportions (well-behaved near 0
-  and 1, where survivability estimates live), and
-* :func:`mc_success_estimate` — one pair-survivability cell run to a
-  requested interval half-width, so callers ask for a precision instead of
-  guessing an iteration count (the sweep loop's adaptive mode, one cell).
+say how sure it is.  This module provides the Wilson score interval for
+Bernoulli proportions (well-behaved near 0 and 1, where survivability
+estimates live), in the vector form the sweep loop's grid builders read a
+whole f-grid with.  A cell run to a requested interval half-width is the
+loop's adaptive mode at one cell:
+``simulate_grid(n, (f,), 10_000, rng, target_half_width=h)[f]``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.obs.precision import CellPrecision
 
 
 @dataclass(frozen=True)
@@ -130,25 +125,3 @@ def wilson_interval(successes: int, trials: int, confidence: float = 0.95) -> Pr
         low=float(low),
         high=float(high),
     )
-
-
-def mc_success_estimate(
-    n: int,
-    f: int,
-    rng: np.random.Generator,
-    target_half_width: float = 0.001,
-    confidence: float = 0.95,
-) -> CellPrecision:
-    """Pair survivability with a confidence interval at requested precision.
-
-    One adaptive cell of the sweep loop
-    (:func:`repro.analysis.montecarlo.simulate_grid` with
-    ``target_half_width``): rounds of 10,000 trials, doubling, until the
-    Wilson half-width is at or below the target or the sweep's trial
-    ceiling is hit (the best estimate achieved is returned either way).
-    """
-    from repro.analysis.montecarlo import simulate_grid
-
-    return simulate_grid(
-        n, (f,), 10_000, rng, target_half_width=target_half_width, confidence=confidence
-    )[f]

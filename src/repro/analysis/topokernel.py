@@ -23,10 +23,10 @@ apply, so the paper's topology pays nothing for the generality:
   (:func:`repro.analysis.montecarlo._padded_sweep`, the one
   :func:`~repro.analysis.montecarlo.simulate_grid` runs) with this
   topology as its single group, so stream consumption is identical and
-  the dual-hub topology replays byte-identical draws;
-  :func:`simulate_topology_success` is its one-cell case, and
-  :func:`_topology_stratified_sweep` the same loop with a per-stratum
-  draw step and a quadrature-combined grid builder.
+  the dual-hub topology replays byte-identical draws; a point is its
+  one-cell grid, ``simulate_topology_grid(t, (f,), iterations, rng)[f]``,
+  and :func:`_topology_stratified_sweep` is the same loop with a
+  per-stratum draw step and a quadrature-combined grid builder.
 * :func:`enumerate_topology_success` / :func:`exact_topology_success` —
   the exhaustive oracle and the closed-form dispatch.  Enumeration feeds
   the packed BFS too, a block of at most 2^16 failure sets at a time (its
@@ -50,7 +50,6 @@ from repro.analysis.montecarlo import (
     _check_method,
     _crn_grid,
     _padded_sweep,
-    _resolve_rng,
     _stacked_draw,
     _SweepGroup,
 )
@@ -314,30 +313,6 @@ def sample_topology_failures(
 
 
 # ----------------------------------------------------------------- estimators
-def simulate_topology_success(
-    topology: Topology,
-    f: int,
-    iterations: int,
-    rng: np.random.Generator | None = None,
-    seed: int | None = None,
-    batch: int = 200_000,
-    predicate: ConnectivityPredicate | None = None,
-) -> float:
-    """Monte Carlo survivability of one topology at exactly ``f`` failures.
-
-    The one-cell case of :func:`simulate_topology_grid` (``fs = (f,)``,
-    ``method="crn"``), as
-    :func:`~repro.analysis.montecarlo.simulate_success_probability` is of
-    ``simulate_grid``: seed-based callers get an independent stream keyed
-    by the topology name *and* ``f`` (``topo/{name}/f={f}``).  Like the
-    grid it needs a monotone predicate (every shipped one is).
-    """
-    rng = _resolve_rng(rng, seed, f"topo/{topology.name}/f={f}")
-    return simulate_topology_grid(
-        topology, (f,), iterations, rng=rng, batch=batch, predicate=predicate
-    )[f]
-
-
 def _strata_grid(
     group: _SweepGroup,
     elapsed: float,
@@ -478,8 +453,7 @@ def simulate_topology_grid(
     topology: Topology,
     fs: tuple[int, ...],
     iterations: int,
-    rng: np.random.Generator | None = None,
-    seed: int | None = None,
+    rng: np.random.Generator,
     batch: int = 200_000,
     predicate: ConnectivityPredicate | None = None,
     target_half_width: float | None = None,
@@ -494,30 +468,30 @@ def simulate_topology_grid(
     sweep loop as one group, nested failure sets, adaptive stopping,
     ``stats.cell`` events — with breakdown thresholds from
     :func:`topology_connectivity_levels` (monotone predicates only; every
-    shipped predicate qualifies) over the topology's weighted keys.
-    Seeding keys the spawned stream by the topology name alone
-    (``topo-grid/{name}``), so any f-subset reproduces its slice of the
+    shipped predicate qualifies) over the topology's weighted keys.  The
+    f-grid shares one stream, so any f-subset reproduces its slice of the
     full sweep, and the dual-hub topology's fast path replays the
     specialized kernel's byte-identical stream.
 
     ``method="stratified"`` conditions sampling on the topology's declared
     :attr:`~repro.topology.model.Topology.strata_sites` — through the
     family's attached specialized kernel when one exists (the dual-hub
-    builder wires :func:`repro.analysis.variance.stratified_grid`), else
-    through the generic :func:`_topology_stratified_sweep` (stream key
-    ``topo-strat/{name}``, uniform failure weights only).
+    builder wires the hub-stratified sweep of
+    :mod:`repro.analysis.variance`), else through the generic
+    :func:`_topology_stratified_sweep` (uniform failure weights only).
     ``method="stratified-cv"`` additionally requires the specialized
     kernel (control variates are family-specific closed forms).
     """
     _check_method(method)
     fs = tuple(fs)
+    for f in fs:
+        topology.validate_f(f)
     if method != "crn":
         if predicate is None and topology.stratified_fn is not None:
             return topology.stratified_fn(
                 fs=fs,
                 iterations=iterations,
                 rng=rng,
-                seed=seed,
                 batch=batch,
                 control_variate=method == "stratified-cv",
                 target_half_width=target_half_width,
@@ -540,15 +514,13 @@ def simulate_topology_grid(
                 f"stratified sampling requires uniform failure weights; topology "
                 f"{topology.name!r} declares per-site weights"
             )
-    for f in fs:
-        topology.validate_f(f)
     require_baseline_connectivity(topology, predicate)
     if method != "crn":
         return _topology_stratified_sweep(
             topology,
             fs,
             iterations,
-            _resolve_rng(rng, seed, f"topo-strat/{topology.name}"),
+            rng,
             batch,
             target_half_width,
             confidence,
@@ -562,9 +534,7 @@ def simulate_topology_grid(
         return {"surv": topology_connectivity_levels(topology, keys, predicate)}
 
     closed_form = predicate is None and topology.levels_fn is not None  # no binary search
-    group = _SweepGroup(
-        _cell_n(topology), topology.width, _resolve_rng(rng, seed, f"topo-grid/{topology.name}"), fs
-    )
+    group = _SweepGroup(_cell_n(topology), topology.width, rng, fs)
     return _padded_sweep(
         [group],
         # the packed BFS costs per call, not per key: only an attached closed form is tiled

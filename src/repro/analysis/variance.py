@@ -55,11 +55,11 @@ The sampling itself is :func:`repro.analysis.montecarlo._padded_sweep`,
 the one sweep loop: :func:`_stratified_full_grid` hands it NIC-only groups
 (:func:`_nic_group`), a two-track level function and the stratified cell
 builder.  ``simulate_full_grid(method="stratified" | "stratified-cv")`` is
-the many-N call, :func:`stratified_grid` the one-N case, and
-:func:`stratified_success_probability` the one-cell case for its default
-budget split; its explicit ``allocations`` path, with
-:func:`sample_conditional_failure_matrix`, stays as the reference sampler
-the property tests drive.
+the many-N call and ``simulate_grid`` with the same ``method`` the one-N
+case; :func:`stratified_success_probability` is one cell whose default
+budget split runs the same loop, and whose explicit ``allocations`` path,
+with :func:`sample_conditional_failure_matrix`, stays as the reference
+sampler the property tests drive.
 """
 
 from __future__ import annotations
@@ -71,10 +71,8 @@ from repro.analysis.exact import _validate
 from repro.analysis.montecarlo import (
     _at_least,
     _count_below,
-    _full_grid_fs,
     _mask_padded,
     _padded_sweep,
-    _resolve_rng,
     _stacked_draw,
     _SweepGroup,
     pair_connected_vec,
@@ -224,8 +222,7 @@ def sample_conditional_failure_matrix(
     f: int,
     stratum: int,
     iterations: int,
-    rng: np.random.Generator | None = None,
-    seed: int | None = None,
+    rng: np.random.Generator,
 ) -> np.ndarray:
     """Failure sets of size ``f`` conditional on the hub stratum.
 
@@ -233,8 +230,7 @@ def sample_conditional_failure_matrix(
     exactly ``stratum`` hub failures (columns 0–1) and ``f - stratum`` NIC
     failures, uniform over all such sets — the conditional analogue of
     :func:`repro.analysis.montecarlo.sample_failure_matrix`.  The one-hub
-    stratum picks the failed hub uniformly per row.  Seed-based callers
-    get a stream keyed ``mc-cond/n={n}/f={f}/j={stratum}``.
+    stratum picks the failed hub uniformly per row.
     """
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
@@ -248,7 +244,6 @@ def sample_conditional_failure_matrix(
         raise ValueError(f"no failure sets with {stratum} hub failures exist for f={f}, N={n}")
     if iterations < 1:
         raise ValueError(f"iterations must be >= 1, got {iterations}")
-    rng = _resolve_rng(rng, seed, f"mc-cond/n={n}/f={f}/j={stratum}")
     failed = np.zeros((iterations, width), dtype=bool)
     if stratum == 2:
         failed[:, :2] = True
@@ -390,7 +385,8 @@ def _stratified_full_grid(
     histograms answer every ``f`` of every ``N``; strata 1 and 2 never
     cost a trial.  Called by
     :func:`repro.analysis.montecarlo.simulate_full_grid` (one group per
-    N), :func:`stratified_grid` (one group) and
+    N), the dual-hub topology's ``stratified_fn`` (one group, its cells
+    labelled with the topology's name) and
     :func:`stratified_success_probability` (one group, one ``f``).
     """
 
@@ -418,56 +414,11 @@ def _stratified_full_grid(
     )
 
 
-def stratified_grid(
-    n: int,
-    fs: tuple[int, ...],
-    iterations: int,
-    rng: np.random.Generator | None = None,
-    seed: int | None = None,
-    two_hop: bool = True,
-    batch: int = 200_000,
-    control_variate: bool = True,
-    target_half_width: float | None = None,
-    confidence: float = 0.95,
-    max_iterations: int | None = None,
-    precision: bool = False,
-    topology: str | None = None,
-) -> dict[int, float] | dict[int, CellPrecision]:
-    """Hub-stratified P[Success] at one N for every ``f`` in ``fs`` at once.
-
-    ``simulate_grid(method="stratified-cv")`` (``control_variate=True``)
-    or ``method="stratified"`` under another spelling — the one-N case of
-    the stratified :func:`~repro.analysis.montecarlo.simulate_full_grid`,
-    on the same ``mc-strat/n={n}`` stream key, byte for byte: strata with
-    one or two hub failures are answered exactly, and one NIC-only
-    common-random-numbers sweep serves the sampled both-hubs-up stratum
-    across the whole f-grid (see the module docstring).  The one thing it
-    adds is ``topology``, which labels the published precision cells (the
-    dual-hub topology's attached stratified kernel threads its name
-    through).
-    """
-    fs = _full_grid_fs((n,), fs)[n]
-    rng = _resolve_rng(rng, seed, f"mc-strat/n={n}")
-    return _stratified_full_grid(
-        [_nic_group(n, rng, fs)],
-        iterations,
-        two_hop,
-        batch,
-        control_variate,
-        target_half_width,
-        confidence,
-        max_iterations,
-        precision,
-        topology=topology,
-    )[n]
-
-
 def stratified_success_probability(
     n: int,
     f: int,
     iterations: int,
-    rng: np.random.Generator | None = None,
-    seed: int | None = None,
+    rng: np.random.Generator,
     two_hop: bool = True,
     batch: int = 200_000,
     control_variate: bool = True,
@@ -475,20 +426,20 @@ def stratified_success_probability(
 ) -> float:
     """Stratified point estimate of Equation 1 for one (N, f) cell.
 
-    The per-point counterpart of :func:`stratified_grid`, mirroring
-    :func:`repro.analysis.montecarlo.simulate_success_probability`'s call
-    shape.  By default the whole budget goes to the only stratum that
-    needs sampling, as a one-cell call into the sweep loop (the stratum's
-    counts are the ``f``-th entries of its two histograms); strata with
+    Kept beside the one-cell grid ``simulate_grid(n, (f,), iterations,
+    rng, method="stratified-cv")[f]`` as the exhaustive-oracle tests'
+    reference: it splits ``rng`` into one child stream per hub stratum and
+    combines the strata in its own rounding order, so the two can differ
+    in the last bit.  By default the whole budget goes to the only stratum
+    that needs sampling, as a one-cell call into the sweep loop (the
+    stratum's counts are the ``f``-th entries of its two histograms); strata with
     zero trials are answered by their closed forms
     (:func:`both_hubs_up_conditional_success`,
     :func:`one_hub_conditional_success`, and the zero of the both-hubs-down
     stratum).  ``allocations`` is an explicit per-stratum trial split
     ``(m_0, m_1, m_2)`` and exercises the reference conditional sampler
     (:func:`sample_conditional_failure_matrix`) per stratum — the
-    exhaustive-oracle property tests drive it this way.  Seed-based
-    callers get a stream keyed ``mc-strat/n={n}/f={f}``, with one child
-    stream per stratum.
+    exhaustive-oracle property tests drive it this way.
     """
     _validate(n, f)
     if iterations < 1:
@@ -510,7 +461,6 @@ def stratified_success_probability(
             )
     else:
         allocations = (iterations, 0, 0)
-    rng = _resolve_rng(rng, seed, f"mc-strat/n={n}/f={f}")
     stratum_rngs = rng.spawn(3)
     weights = hub_stratum_weights(n, f)
     exact_conditionals = (

@@ -21,7 +21,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from repro.analysis.topokernel import simulate_topology_success
+from repro.analysis.topokernel import simulate_topology_grid
 from repro.topology import dual_hub_cluster
 
 #: Per-failure-event weights implied by the failure-log calibration
@@ -92,6 +92,6 @@ def simulate_weighted_success(
     reduces them with :func:`~repro.analysis.montecarlo.connectivity_levels`.
     """
     weights = (hub_weight,) * 2 + (nic_weight,) * (2 * n)
-    return simulate_topology_success(
-        replace(dual_hub_cluster(n), weights=weights), f, iterations, rng, batch=batch
-    )
+    return simulate_topology_grid(
+        replace(dual_hub_cluster(n), weights=weights), (f,), iterations, rng, batch=batch
+    )[f]

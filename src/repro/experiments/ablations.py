@@ -18,7 +18,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.analysis import simulate_success_probability, success_probability
+from repro.analysis import simulate_grid, success_probability
 from repro.analysis.combinatorics import comb0
 from repro.drs import DrsConfig
 from repro.engine import Job, JobPlan, run_plan
@@ -59,9 +59,8 @@ def measured_detection_latency(sweep_period_s: float, n: int = 6, repeats: int =
 def _no_two_hop_point(params: dict[str, Any], seed_seq: np.random.SeedSequence) -> float:
     """Engine job: Monte Carlo P[Success] without two-hop routing at (N, f)."""
     rng = np.random.default_rng(seed_seq)
-    return simulate_success_probability(
-        params["n"], params["f"], params["iterations"], rng, two_hop=False
-    )
+    n, f = params["n"], params["f"]
+    return simulate_grid(n, (f,), params["iterations"], rng, two_hop=False)[f]
 
 
 def _sweep_period_point(params: dict[str, Any], seed_seq: np.random.SeedSequence) -> tuple[float, float]:

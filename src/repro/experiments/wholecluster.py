@@ -21,11 +21,12 @@ from repro.analysis import (
     allpairs_success_probability,
     iid_allpairs_success_probability,
     iid_success_probability,
-    simulate_allpairs_success,
+    simulate_topology_grid,
     success_curve,
 )
 from repro.engine import Job, JobPlan, run_plan
 from repro.experiments.base import ExperimentResult
+from repro.topology import AllTerminalsConnected, dual_hub_cluster
 
 #: (N, f) points where the all-pairs closed form is spot-checked by MC.
 CHECK_POINTS: tuple[tuple[int, int], ...] = ((8, 3), (16, 4), (32, 5))
@@ -34,7 +35,10 @@ CHECK_POINTS: tuple[tuple[int, int], ...] = ((8, 3), (16, 4), (32, 5))
 def _allpairs_check(params: dict[str, Any], seed_seq: np.random.SeedSequence) -> float:
     """Engine job: Monte Carlo all-pairs survivability at one (N, f) point."""
     rng = np.random.default_rng(seed_seq)
-    return simulate_allpairs_success(params["n"], params["f"], params["iterations"], rng)
+    topology, f = dual_hub_cluster(params["n"]), params["f"]
+    return simulate_topology_grid(
+        topology, (f,), params["iterations"], rng, predicate=AllTerminalsConnected()
+    )[f]
 
 
 def build_plan(

@@ -13,8 +13,8 @@ steerable signal:
 * :class:`PrecisionGrid` — one sweep group's whole f-grid of such
   records as columns, what the sweep loop's grid builders return.
 * ``stats.cell`` flight events — the Monte Carlo estimators
-  (:func:`repro.analysis.montecarlo.simulate_grid` and the per-point
-  estimator) publish one event per cell per sampling batch through the
+  (:func:`repro.analysis.montecarlo.simulate_grid` and every other grid)
+  publish one event per cell per sampling batch through the
   engine flight recorder (:meth:`PrecisionGrid.publish`, straight from the
   columns; :func:`publish_cell_precision` for one record), so ``repro obs
   watch`` gains a live precision panel and the Perfetto export gains a

@@ -24,7 +24,7 @@ reproducibility contract), scaled by one primary ``size`` parameter so the
 
 ``build_topology`` parses CLI-friendly spec strings
 (``"khub"``, ``"khub:hubs=3"``, ``"fattree2:spines=4"``) against
-:data:`TOPOLOGY_FAMILIES`, which is also what ``drs-experiments
+:data:`TOPOLOGY_FAMILIES`, which is also what ``repro run
 --topology`` validates against.
 """
 
@@ -76,12 +76,15 @@ def dual_hub_cluster(size: int = 8) -> Topology:
             edges.append((nic, j))
     name = f"dual-hub(n={n})"
 
-    def stratified(**kwargs: Any):
+    def stratified(fs, iterations, rng, batch, control_variate, **sweep: Any):
         # hub-state stratification with closed-form strata (and optionally
         # the endpoint-dead control variate) — docs/model.md §11
-        from repro.analysis.variance import stratified_grid
+        from repro.analysis.variance import _nic_group, _stratified_full_grid
 
-        return stratified_grid(n, topology=name, **kwargs)
+        group = _nic_group(n, rng, fs)
+        return _stratified_full_grid(
+            [group], iterations, True, batch, control_variate, topology=name, **sweep
+        )[n]
 
     return Topology(
         name=name,

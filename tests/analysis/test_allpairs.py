@@ -8,11 +8,12 @@ from repro.analysis import (
     allpairs_success_curve,
     allpairs_success_probability,
     enumerate_success_probability,
-    simulate_allpairs_success,
+    simulate_topology_grid,
     success_probability,
 )
 from repro.analysis.allpairs import allpairs_connected_vec
 from repro.analysis.montecarlo import sample_failure_matrix
+from repro.topology import AllTerminalsConnected, dual_hub_cluster
 
 
 @pytest.mark.parametrize("n", range(2, 7))
@@ -81,7 +82,9 @@ def test_vectorized_predicate_matches_scalar_enumeration():
 def test_montecarlo_matches_closed_form():
     rng = np.random.default_rng(0)
     for n, f in [(6, 3), (12, 4)]:
-        estimate = simulate_allpairs_success(n, f, 100_000, rng)
+        estimate = simulate_topology_grid(
+            dual_hub_cluster(n), (f,), 100_000, rng, predicate=AllTerminalsConnected()
+        )[f]
         exact = allpairs_success_probability(n, f)
         assert abs(estimate - exact) < 0.006, (n, f)
 

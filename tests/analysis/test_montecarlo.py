@@ -3,12 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.analysis import (
-    sample_failure_matrix,
-    simulate_curve,
-    simulate_success_probability,
-    success_probability,
-)
+from repro.analysis import sample_failure_matrix, simulate_grid, success_probability
 from repro.analysis.montecarlo import pair_connected_vec
 
 
@@ -61,7 +56,7 @@ def test_vectorized_predicate_agrees_with_scalar():
 def test_estimator_converges_to_equation(seeded=3):
     rng = np.random.default_rng(seeded)
     for n, f in [(10, 2), (20, 3), (30, 4)]:
-        estimate = simulate_success_probability(n, f, iterations=200_000, rng=rng)
+        estimate = simulate_grid(n, (f,), 200_000, rng)[f]
         exact = success_probability(n, f)
         # 200k iterations: sampling error well under 0.005
         assert abs(estimate - exact) < 0.005, (n, f, estimate, exact)
@@ -69,26 +64,19 @@ def test_estimator_converges_to_equation(seeded=3):
 
 def test_estimator_batching_equivalent_total():
     rng = np.random.default_rng(5)
-    est = simulate_success_probability(8, 3, iterations=10_000, rng=rng, batch=999)
+    est = simulate_grid(8, (3,), 10_000, rng, batch=999)[3]
     assert 0.0 <= est <= 1.0
 
 
 def test_two_hop_ablation_reduces_success():
     rng = np.random.default_rng(9)
     n, f = 12, 4
-    with_hops = simulate_success_probability(n, f, 50_000, np.random.default_rng(9))
-    without = simulate_success_probability(n, f, 50_000, np.random.default_rng(9), two_hop=False)
+    with_hops = simulate_grid(n, (f,), 50_000, np.random.default_rng(9))[f]
+    without = simulate_grid(n, (f,), 50_000, np.random.default_rng(9), two_hop=False)[f]
     assert without < with_hops
 
 
-def test_simulate_curve_domain():
-    rng = np.random.default_rng(2)
-    ns, ps = simulate_curve(f=3, iterations=200, rng=rng, n_max=10)
-    assert ns[0] == 4 and ns[-1] == 10
-    assert ((0 <= ps) & (ps <= 1)).all()
-
-
 def test_reproducible_with_same_seed():
-    a = simulate_success_probability(10, 3, 5_000, np.random.default_rng(42))
-    b = simulate_success_probability(10, 3, 5_000, np.random.default_rng(42))
+    a = simulate_grid(10, (3,), 5_000, np.random.default_rng(42))[3]
+    b = simulate_grid(10, (3,), 5_000, np.random.default_rng(42))[3]
     assert a == b

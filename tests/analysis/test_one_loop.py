@@ -1,29 +1,32 @@
-"""The per-point estimators are one-cell calls into the sweep loop.
+"""A point is a one-cell call into the sweep loop.
 
 The identity that makes that collapse safe — the ``f`` smallest keys of a
 row are the same failure set whether picked by ``argpartition`` or by
 ``rank < f`` — is asserted here as a table: on the same generator state,
-every per-point estimator returns the bit-identical float of the one-cell
-grid call it now is.  The rest pins what the per-point estimators gain by
-going through the loop: the shared input validation and the telemetry
-(heartbeat trials, ``mc_iterations_total``, ``stats.cell`` events).
+the per-point reference (an ``argpartition`` sampler and a vectorized
+predicate) and the one-cell grid call return the bit-identical float.
+The rest pins what a one-cell estimate gains by going through the loop:
+the shared input validation and the telemetry (heartbeat trials,
+``mc_iterations_total``, ``stats.cell`` events).
 """
 
 from __future__ import annotations
-
-import dataclasses
 
 import numpy as np
 import pytest
 
 from repro.analysis import (
-    simulate_allpairs_success,
+    sample_failure_matrix,
+    sample_topology_failures,
+    simulate_full_grid,
     simulate_grid,
-    simulate_success_probability,
     simulate_topology_grid,
-    simulate_topology_success,
     simulate_weighted_success,
+    topology_connected_vec,
+    weighted_failure_matrix,
 )
+from repro.analysis.allpairs import allpairs_connected_vec
+from repro.analysis.montecarlo import pair_connected_vec
 from repro.engine import get_spec
 from repro.obs.flightrecorder import FlightRecorder, set_flight_recorder
 from repro.obs.metrics import MetricsRegistry, use_registry
@@ -39,25 +42,37 @@ def _topology(spec: str):
     return build_topology(spec, size=6)
 
 
-def _weighted_dual_hub(n: int, hub_weight: float, nic_weight: float = 1.0):
-    weights = (hub_weight,) * 2 + (nic_weight,) * (2 * n)
-    return dataclasses.replace(dual_hub_cluster(n), weights=weights)
+def _allpairs_cell(n, f, iterations, rng, batch=200_000):
+    """The whole-cluster estimate: one cell of the dual-hub topology under all-terminals."""
+    topology = dual_hub_cluster(n)
+    return simulate_topology_grid(
+        topology, (f,), iterations, rng, batch=batch, predicate=AllTerminalsConnected()
+    )[f]
+
+
+def _topology_reference(spec, predicate):
+    def estimate(rng):
+        topology = _topology(spec)
+        failed = sample_topology_failures(topology, 3, ITERATIONS, rng)
+        return topology_connected_vec(topology, failed, predicate).mean()
+
+    return estimate
 
 
 IDENTITIES = {
     "pair": (
-        lambda rng: simulate_success_probability(20, 4, ITERATIONS, rng),
+        lambda rng: pair_connected_vec(sample_failure_matrix(20, 4, ITERATIONS, rng)).mean(),
         lambda rng: simulate_grid(20, (4,), ITERATIONS, rng)[4],
     ),
     "pair/no-two-hop": (
-        lambda rng: simulate_success_probability(20, 4, ITERATIONS, rng, two_hop=False),
+        lambda rng: pair_connected_vec(
+            sample_failure_matrix(20, 4, ITERATIONS, rng), two_hop=False
+        ).mean(),
         lambda rng: simulate_grid(20, (4,), ITERATIONS, rng, two_hop=False)[4],
     ),
     **{
         f"topology/{spec}/{label}": (
-            lambda rng, spec=spec, predicate=predicate: simulate_topology_success(
-                _topology(spec), 3, ITERATIONS, rng, predicate=predicate
-            ),
+            _topology_reference(spec, predicate),
             lambda rng, spec=spec, predicate=predicate: simulate_topology_grid(
                 _topology(spec), (3,), ITERATIONS, rng, predicate=predicate
             )[3],
@@ -67,21 +82,21 @@ IDENTITIES = {
     },
     **{
         f"allpairs/n={n}/f={f}": (
-            lambda rng, n=n, f=f: simulate_allpairs_success(n, f, ITERATIONS, rng),
-            lambda rng, n=n, f=f: simulate_topology_grid(
-                dual_hub_cluster(n), (f,), ITERATIONS, rng, predicate=AllTerminalsConnected()
-            )[f],
+            lambda rng, n=n, f=f: allpairs_connected_vec(
+                sample_failure_matrix(n, f, ITERATIONS, rng)
+            ).mean(),
+            lambda rng, n=n, f=f: _allpairs_cell(n, f, ITERATIONS, rng),
         )
         for n, f in ((8, 3), (16, 4), (32, 5))
     },
     **{
         f"weighted/hub={hub}/nic={nic}": (
+            lambda rng, hub=hub, nic=nic: pair_connected_vec(
+                weighted_failure_matrix(16, 3, ITERATIONS, rng, hub_weight=hub, nic_weight=nic)
+            ).mean(),
             lambda rng, hub=hub, nic=nic: simulate_weighted_success(
                 16, 3, ITERATIONS, rng, hub_weight=hub, nic_weight=nic
             ),
-            lambda rng, hub=hub, nic=nic: simulate_topology_grid(
-                _weighted_dual_hub(16, hub, nic), (3,), ITERATIONS, rng
-            )[3],
         )
         for hub, nic in ((1.0, 1.0), (36.6, 1.0), (0.5, 2.0))
     },
@@ -99,7 +114,7 @@ def test_per_point_equals_the_one_cell_grid_call_bit_for_bit(name):
 
 # ------------------------------------------------- validation gained
 POINT_ESTIMATORS = {
-    "allpairs": simulate_allpairs_success,
+    "allpairs": _allpairs_cell,
     "weighted": simulate_weighted_success,
 }
 
@@ -173,6 +188,62 @@ def test_quick_experiment_reports_exactly_the_trials_its_plan_declares(name, ove
 def test_batch_below_one_is_rejected_by_the_loop(batch):
     """``batch=0`` used to spin forever (a round of zero trials never reaches the budget)."""
     with pytest.raises(ValueError, match=f"batch must be >= 1, got {batch}"):
-        simulate_grid(5, (1,), 10, seed=1, batch=batch)
+        simulate_grid(5, (1,), 10, np.random.default_rng(1), batch=batch)
     with pytest.raises(ValueError, match="batch must be >= 1"):
-        simulate_topology_grid(_topology("fattree2"), (1,), 10, seed=1, batch=batch)
+        simulate_topology_grid(_topology("fattree2"), (1,), 10, np.random.default_rng(1), batch=batch)
+
+
+#: every grid, called with the counts of one test case: ``(iterations, batch, max_iterations)``
+GRIDS = {
+    "full": lambda it, batch, cap, fs=(1,): simulate_full_grid(
+        (5, 6), fs, it, dict.fromkeys((5, 6), np.random.default_rng(1)), batch=batch,
+        target_half_width=None if cap is None else 0.01, max_iterations=cap,
+    ),
+    "full/stratified": lambda it, batch, cap, fs=(1,): simulate_full_grid(
+        (5, 6), fs, it, dict.fromkeys((5, 6), np.random.default_rng(1)), batch=batch,
+        target_half_width=None if cap is None else 0.01, max_iterations=cap, method="stratified",
+    ),
+    "topology": lambda it, batch, cap, fs=(1,): simulate_topology_grid(
+        _topology("fattree2"), fs, it, np.random.default_rng(1), batch=batch,
+        target_half_width=None if cap is None else 0.01, max_iterations=cap,
+    ),
+    "topology/stratified": lambda it, batch, cap, fs=(1,): simulate_topology_grid(
+        _topology("khub:hubs=3"), fs, it, np.random.default_rng(1), batch=batch,
+        target_half_width=None if cap is None else 0.01, max_iterations=cap, method="stratified",
+    ),
+}
+
+
+@pytest.mark.parametrize("grid", sorted(GRIDS))
+@pytest.mark.parametrize(
+    "name, counts",
+    [
+        # nan trials used to return {} without sampling, 2.5 to fail as a slicing TypeError
+        ("iterations", (float("nan"), 100, None)),
+        ("iterations", (2.5, 100, None)),
+        ("iterations", (float("inf"), 100, None)),
+        ("batch", (10, float("nan"), None)),
+        ("batch", (10, 2.5, None)),
+        # a nan budget with a target used to raise KeyError after the loop
+        ("max_iterations", (10, 100, float("nan"))),
+        ("max_iterations", (10, 100, 2_000.5)),
+    ],
+)
+def test_a_count_that_is_not_an_integer_is_a_value_error_naming_it(grid, name, counts):
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+        GRIDS[grid](*counts)
+
+
+@pytest.mark.parametrize("grid", sorted(GRIDS))
+def test_numpy_integer_counts_still_pass(grid):
+    counts = (np.int64(40), np.int32(25), np.int64(80))
+    assert GRIDS[grid](*counts[:2], None) == GRIDS[grid](40, 25, None)
+    assert GRIDS[grid](*counts).keys() == GRIDS[grid](40, 25, 80).keys()
+
+
+@pytest.mark.parametrize("grid", sorted(GRIDS))
+def test_a_fractional_failure_count_is_a_value_error(grid):
+    """``fs=(1.5,)`` used to pass the range checks and die as an ``IndexError`` in ``_at_least``."""
+    with pytest.raises(ValueError, match="^f must be an integer, got 1.5"):
+        GRIDS[grid](10, 100, None, fs=(1, 1.5))
+    assert GRIDS[grid](10, 100, None, fs=(np.int64(1),)).keys() == GRIDS[grid](10, 100, None).keys()

@@ -70,11 +70,11 @@ def test_covering_failures_sum_is_inclusion_exclusion_total(m):
 @settings(max_examples=20, deadline=None)
 @given(n=st.integers(2, 20), f=st.integers(0, 8), seed=st.integers(0, 2**32 - 1))
 def test_montecarlo_within_coarse_bounds(n, f, seed):
-    from repro.analysis import simulate_success_probability
+    from repro.analysis import simulate_grid
 
     f = min(f, 2 * n + 2)
     rng = np.random.default_rng(seed)
-    estimate = simulate_success_probability(n, f, iterations=3_000, rng=rng)
+    estimate = simulate_grid(n, (f,), 3_000, rng)[f]
     exact = success_probability(n, f)
     # 3000 iterations: 5 sigma of a Bernoulli(p) mean is < 0.046
     assert abs(estimate - exact) < 0.06

@@ -13,8 +13,9 @@ import numpy as np
 import pytest
 
 from repro.analysis.exact import success_probability
-from repro.analysis.montecarlo import sample_failure_matrix, simulate_success_probability
+from repro.analysis.montecarlo import sample_failure_matrix, simulate_grid
 from repro.analysis.stats import wilson_interval
+from tests.conftest import keyed
 
 PINNED_SEED = 12345
 MC_ITERATIONS = 20_000
@@ -29,7 +30,7 @@ CHI2_CRIT_0P001 = {14: 36.123, 19: 43.820}
 
 @pytest.mark.parametrize("n,f", GRID)
 def test_mc_agrees_with_exact_within_wilson_999_ci(n, f):
-    p_hat = simulate_success_probability(n, f, MC_ITERATIONS, seed=PINNED_SEED)
+    p_hat = simulate_grid(n, (f,), MC_ITERATIONS, keyed(PINNED_SEED, f"mc/n={n}/f={f}"))[f]
     successes = round(p_hat * MC_ITERATIONS)
     estimate = wilson_interval(successes, MC_ITERATIONS, confidence=0.999)
     exact = success_probability(n, f)

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from repro.analysis import (
-    mc_success_estimate,
     normal_ppf,
+    simulate_grid,
     success_probability,
     wilson_interval,
 )
@@ -107,7 +107,8 @@ def test_wilson_coverage_empirical():
 def test_mc_success_estimate_brackets_equation1():
     rng = np.random.default_rng(3)
     n, f = 12, 3
-    est = mc_success_estimate(n, f, rng, target_half_width=0.005)
+    # a success estimate at a requested precision: one adaptive cell of the grid
+    est = simulate_grid(n, (f,), 10_000, rng, target_half_width=0.005)[f]
     exact = success_probability(n, f)
     assert est.half_width <= 0.005
     # generous 2x interval check: the CI should bracket the closed form

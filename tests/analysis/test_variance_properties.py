@@ -121,8 +121,8 @@ def test_every_conditional_row_is_in_its_stratum(args, seed):
 @given(args=conditional_inputs(), seed=st.integers(0, 2**32 - 1))
 def test_conditional_sampling_is_deterministic_for_a_seed(args, seed):
     n, f, stratum, iterations = args
-    a = sample_conditional_failure_matrix(n, f, stratum, iterations, seed=seed)
-    b = sample_conditional_failure_matrix(n, f, stratum, iterations, seed=seed)
+    a = sample_conditional_failure_matrix(n, f, stratum, iterations, np.random.default_rng(seed))
+    b = sample_conditional_failure_matrix(n, f, stratum, iterations, np.random.default_rng(seed))
     np.testing.assert_array_equal(a, b)
 
 
@@ -228,7 +228,8 @@ def full_grid_inputs(draw):
 @given(args=full_grid_inputs(), seed=st.integers(0, 2**31 - 1))
 def test_padded_full_grid_slices_equal_per_n_runs(args, seed):
     ns, fs, method, iterations = args
-    grid = simulate_full_grid(ns, fs, iterations, seed=seed, method=method)
+    streams = {n: np.random.default_rng([seed, n]) for n in ns}
+    grid = simulate_full_grid(ns, fs, iterations, streams, method=method)
     for n in ns:
-        solo = simulate_grid(n, fs, iterations, seed=seed, method=method)
+        solo = simulate_grid(n, fs, iterations, np.random.default_rng([seed, n]), method=method)
         assert grid[n] == solo, (method, n)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.analysis import simulate_success_probability
+from repro.analysis import simulate_grid
 from repro.obs import (
     MetricsRegistry,
     ensure_core_metrics,
@@ -85,7 +85,7 @@ def test_montecarlo_publishes_throughput():
     reg = ensure_core_metrics(MetricsRegistry())
     rng = np.random.default_rng(7)
     with use_registry(reg):
-        p = simulate_success_probability(8, 2, 500, rng)
+        p = simulate_grid(8, (2,), 500, rng)[2]
     assert 0.0 <= p <= 1.0
     assert reg.counter("mc_iterations_total").value == 500
     assert reg.gauge("mc_iterations_per_second").value > 0

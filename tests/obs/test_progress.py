@@ -84,12 +84,12 @@ def test_current_heartbeat_install_and_clear():
 def test_montecarlo_batches_feed_the_heartbeat():
     import numpy as np
 
-    from repro.analysis.montecarlo import simulate_success_probability
+    from repro.analysis.montecarlo import simulate_grid
 
     reporter, _, _ = _reporter()
     set_heartbeat(reporter)
     try:
-        simulate_success_probability(8, 2, 1000, np.random.default_rng(0), batch=250)
+        simulate_grid(8, (2,), 1000, np.random.default_rng(0), batch=250)
     finally:
         set_heartbeat(None)
     assert reporter.trials == 1000

@@ -31,7 +31,6 @@ from repro.analysis import (
     enumerate_topology_success,
     exact_topology_success,
     simulate_topology_grid,
-    simulate_topology_success,
     success_probability,
     topology_connected_vec,
     topology_connectivity_levels,
@@ -39,6 +38,7 @@ from repro.analysis import (
 from repro.analysis.exact import good_combinations
 from repro.analysis.montecarlo import pair_connected_vec
 from repro.analysis.stats import wilson_interval
+from tests.conftest import keyed
 from repro.experiments.topologysweep import DEFAULT_TOPOLOGIES
 from repro.topology import (
     AllTerminalsConnected,
@@ -219,7 +219,8 @@ class TestWilsonAgreementOnPaperGrid:
     def test_generic_estimate_covers_equation1(self, n, f):
         topology = strip_fast_paths(dual_hub_cluster(n))
         trials = 60_000
-        p_hat = simulate_topology_success(topology, f, trials, seed=900 + 10 * n + f)
+        rng = keyed(900 + 10 * n + f, f"topo/{topology.name}/f={f}")
+        p_hat = simulate_topology_grid(topology, (f,), trials, rng)[f]
         interval = wilson_interval(round(p_hat * trials), trials, 0.999)
         assert interval.low <= success_probability(n, f) <= interval.high
 
@@ -236,8 +237,8 @@ class TestSharedValidation:
     def test_generic_kernels_share_the_contract(self):
         topology = dual_hub_cluster(4)  # width 10, same universe as N=4
         for call in (
-            lambda: simulate_topology_success(topology, 11, 100, seed=1),
-            lambda: simulate_topology_grid(topology, (2, 11), 100, seed=1),
+            lambda: simulate_topology_grid(topology, (11,), 100, np.random.default_rng(1)),
+            lambda: simulate_topology_grid(topology, (2, 11), 100, np.random.default_rng(1)),
             lambda: enumerate_topology_success(topology, 11),
             lambda: exact_topology_success(topology, 11),
         ):
@@ -253,9 +254,7 @@ class TestSharedValidation:
             predicate=PairConnected(0, 1),
         )
         with pytest.raises(ValueError, match="zero failures"):
-            simulate_topology_grid(dead, (1,), 100, seed=1)
-        with pytest.raises(ValueError, match="zero failures"):
-            simulate_topology_success(dead, 1, 100, seed=1)
+            simulate_topology_grid(dead, (1,), 100, np.random.default_rng(1))
 
     @pytest.mark.parametrize("strip", [False, True], ids=["fast-path", "generic"])
     def test_matrix_shape_is_checked_before_fast_path_dispatch(self, strip):
