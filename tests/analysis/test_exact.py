@@ -138,8 +138,11 @@ def test_success_curve_shape_and_domain():
 def test_success_curve_custom_range_and_validation():
     ns, ps = success_curve(f=2, n_max=20, n_min=10)
     assert ns[0] == 10 and ns[-1] == 20
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="empty N range"):
         success_curve(f=2, n_max=5, n_min=10)
+    # implicit n_min = f+1 beyond n_max is the same empty range
+    with pytest.raises(ValueError, match="empty N range"):
+        success_curve(f=12, n_max=10)
 
 
 def test_expected_dark_pairs_linearity():
