@@ -116,11 +116,18 @@ def load_manifest(path: str | Path) -> RunManifest:
 
 
 def write_metrics_files(registry: MetricsRegistry, out_dir: str | Path, name: str) -> list[Path]:
-    """Write both metrics snapshot forms for one run; returns the paths."""
+    """Write both metrics snapshot forms for one run (JSONL, Prometheus text); returns the paths.
+
+    Both texts are built before either file is touched, and each lands
+    through :func:`atomic_write_text`: a row that fails to encode leaves the
+    previous snapshot whole.
+    """
     out_dir = Path(out_dir)
+    jsonl = "".join(json.dumps(row) + "\n" for row in registry.snapshot())
+    prom = registry.render_prometheus()
     return [
-        registry.write_jsonl(out_dir / f"{name}.metrics.jsonl"),
-        registry.write_prometheus(out_dir / f"{name}.metrics.prom"),
+        atomic_write_text(out_dir / f"{name}.metrics.jsonl", jsonl),
+        atomic_write_text(out_dir / f"{name}.metrics.prom", prom),
     ]
 
 

@@ -21,10 +21,8 @@ parameter for direct use.
 
 from __future__ import annotations
 
-import json
 from bisect import bisect_left
 from contextlib import contextmanager
-from pathlib import Path
 from typing import Any, Iterator, Sequence
 
 from repro.simkit.trace import Counter
@@ -260,15 +258,6 @@ class MetricsRegistry:
                 raise ValueError(f"not a registry snapshot row ({exc!r}): {row!r:.80}") from None
         return registry
 
-    def write_jsonl(self, path: str | Path) -> Path:
-        """Write the snapshot as one JSON object per line."""
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with path.open("w") as fh:
-            for row in self.snapshot():
-                fh.write(json.dumps(row) + "\n")
-        return path
-
     def render_prometheus(self) -> str:
         """Prometheus text exposition format (histograms as cumulative _bucket)."""
         lines: list[str] = []
@@ -292,13 +281,6 @@ class MetricsRegistry:
                 lines.append(f"{name}_sum{suffix} {_fmt(obj.sum)}")
                 lines.append(f"{name}_count{suffix} {obj.count}")
         return "\n".join(lines) + ("\n" if lines else "")
-
-    def write_prometheus(self, path: str | Path) -> Path:
-        """Write :meth:`render_prometheus` output to a file."""
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(self.render_prometheus())
-        return path
 
     def reset(self) -> None:
         """Zero every metric (registrations survive)."""

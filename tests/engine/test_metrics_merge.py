@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.obs.artifacts import write_metrics_files
 from repro.obs.metrics import MetricsRegistry, ensure_core_metrics
 from repro.obs.progress import ProgressReporter
 from repro.simkit import Counter
@@ -152,8 +153,9 @@ def test_snapshot_rows_rebuild_the_registry_and_its_artifacts(tmp_path):
     assert rebuilt.snapshot() == registry.snapshot()
     # the two files a run writes come out byte for byte the same from the rows
     assert rebuilt.render_prometheus() == registry.render_prometheus()
-    assert (rebuilt.write_jsonl(tmp_path / "b.jsonl").read_bytes()
-            == registry.write_jsonl(tmp_path / "a.jsonl").read_bytes())
+    written = write_metrics_files(registry, tmp_path / "a", "run")
+    rewritten = write_metrics_files(rebuilt, tmp_path / "b", "run")
+    assert [path.read_bytes() for path in rewritten] == [path.read_bytes() for path in written]
     parent = _busy_registry()
     parent.merge(rebuilt)
     assert parent.counter("sim_events_total", labels={"category": "probe"}).value == 14

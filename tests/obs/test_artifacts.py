@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from repro.obs import (
     MetricsRegistry,
     RunManifest,
@@ -70,6 +72,20 @@ def test_write_metrics_files_pair(tmp_path):
     row = json.loads(jsonl.read_text().splitlines()[0])
     assert row == {"name": "c", "kind": "counter", "value": 3.0, "events": 1}
     assert "# TYPE c counter" in prom.read_text()
+
+
+def test_a_failed_metrics_write_leaves_the_previous_snapshot_whole(tmp_path):
+    good = MetricsRegistry()
+    good.counter("c").add(3)
+    before = [path.read_bytes() for path in write_metrics_files(good, tmp_path, "run1")]
+    bad = MetricsRegistry()
+    bad.counter("c").add(4)
+    bad.counter("d", labels={"k": object()}).add()  # its row cannot be JSON-encoded
+    with pytest.raises(TypeError):
+        write_metrics_files(bad, tmp_path, "run1")
+    after = [(tmp_path / f"run1.metrics.{ext}").read_bytes() for ext in ("jsonl", "prom")]
+    assert after == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run1.metrics.jsonl", "run1.metrics.prom"]
 
 
 def test_write_trace_jsonl(tmp_path):
