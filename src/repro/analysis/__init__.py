@@ -19,8 +19,6 @@ This package reproduces the paper's quantitative evaluation:
   study over ``f < N < 64`` (Figure 3 proper).
 * :mod:`~repro.analysis.cost` — the proactive-cost model of Figure 1:
   probe-sweep response time vs cluster size under a bandwidth budget.
-* :mod:`~repro.analysis.qmodel` — the unconditional layer: failure-count
-  weights ``q^f`` combined with Equation 1.
 """
 
 from repro import _lazy_exports
@@ -58,19 +56,14 @@ __all__, __getattr__, __dir__ = _lazy_exports(
             "stratified_success_probability",
         ],
         "convergence": [
-            "mean_absolute_deviation",
             "mean_absolute_deviation_grid",
-            "convergence_study",
         ],
         "cost": [
             "sweep_time_s",
             "max_nodes_within",
             "response_time_curve",
-            "detection_time_s",
             "frame_size_sensitivity",
-            "probe_bits_per_sweep",
         ],
-        "qmodel": ["failure_count_pmf", "unconditional_success"],
         "allpairs": [
             "allpairs_good_combinations",
             "allpairs_success_probability",

@@ -21,13 +21,6 @@ import numpy as np
 from repro.drs.config import PROBE_WIRE_BYTES
 
 
-def probe_bits_per_sweep(n: int, probe_wire_bytes: int = PROBE_WIRE_BYTES) -> int:
-    """Wire bits one full sweep puts on each network segment."""
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
-    return n * (n - 1) * 2 * probe_wire_bytes * 8
-
-
 def sweep_time_s(
     n: int | np.ndarray,
     budget: float,
@@ -102,14 +95,3 @@ def frame_size_sensitivity(
             )
         )
     return rows
-
-
-def detection_time_s(
-    n: int,
-    budget: float,
-    probe_timeout_s: float = 0.02,
-    probe_retries: int = 2,
-    bandwidth_bps: float = 100e6,
-) -> float:
-    """Worst-case failure-detection latency: one sweep plus retry timeouts."""
-    return float(sweep_time_s(n, budget, bandwidth_bps)) + probe_retries * probe_timeout_s

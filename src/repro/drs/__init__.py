@@ -40,6 +40,5 @@ __all__, __getattr__, __dir__ = _lazy_exports(
         "monitor": ["LinkMonitor"],
         "failover": ["FailoverEngine"],
         "daemon": ["DrsDaemon", "install_drs"],
-        "status": ["DeploymentHealth", "deployment_health", "status_report"],
     },
 )

@@ -46,7 +46,6 @@ __all__, __getattr__, __dir__ = _lazy_exports(
         "nic": ["Nic"],
         "node": ["Node"],
         "faults": ["FaultInjector", "FaultScenario", "component_universe"],
-        "capture": ["FrameCapture", "CapturedFrame"],
         "topology": ["Cluster", "build_dual_backplane_cluster"],
         "switch": ["Switch", "build_dual_switched_cluster"],
     },

@@ -104,7 +104,6 @@ __all__, __getattr__, __dir__ = _lazy_exports(
         "precision": [
             "STATS_CELL_KIND",
             "CellPrecision",
-            "publish_cell_precision",
             "fold_cells",
             "cells_from_manifest",
             "precision_report",

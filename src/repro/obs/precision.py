@@ -16,9 +16,8 @@ steerable signal:
   (:func:`repro.analysis.montecarlo.simulate_grid` and every other grid)
   publish one event per cell per sampling batch through the
   engine flight recorder (:meth:`PrecisionGrid.publish`, straight from the
-  columns; :func:`publish_cell_precision` for one record), so ``repro obs
-  watch`` gains a live precision panel and the Perfetto export gains a
-  CI-width counter track.
+  columns), so ``repro obs watch`` gains a live precision panel and the
+  Perfetto export gains a CI-width counter track.
 * Sweep-quality reports — :func:`fold_cells` reduces a flight stream (or
   manifest summary) to the latest state per cell, and
   :func:`precision_report` / :func:`render_precision_report` turn that
@@ -332,20 +331,6 @@ class PrecisionGrid:
                     self.method, std_error[i],
                 ),
             )
-
-
-def publish_cell_precision(cell: CellPrecision, done: bool = False) -> None:
-    """Emit one ``stats.cell`` event on the current flight recorder.
-
-    ``done=True`` marks the cell's final snapshot (it will receive no more
-    trials — it met its target, or the run's budget is exhausted).  One
-    global lookup plus a ``None`` check when recording is off, matching
-    the metrics/heartbeat hot-path pattern.
-    """
-    recorder = flight_recorder()
-    if recorder is None:
-        return
-    recorder.emit(STATS_CELL_KIND, **cell.event_fields(done=done))
 
 
 # ----------------------------------------------------------------- reduction

@@ -9,11 +9,11 @@ the style of SimPy, purpose-built for the DRS reproduction:
 * :class:`~repro.simkit.process.Process` — generator-based cooperative
   processes that ``yield`` delays or :class:`~repro.simkit.process.Signal`
   objects (used for protocol daemons such as the DRS monitor loop).
-* :class:`~repro.simkit.rng.RngRegistry` — named, independent random streams
-  split from one root :class:`numpy.random.SeedSequence` so adding a new
-  consumer never perturbs existing ones.
-* :mod:`~repro.simkit.trace` — counters, time-weighted averages and event
-  traces used by the measurement harness.
+* :func:`~repro.simkit.rng.spawn_seedseq` — independent random streams
+  keyed by name from one root seed, so adding a new consumer never perturbs
+  existing ones.
+* :mod:`~repro.simkit.trace` — counters and event traces used by the
+  measurement harness.
 
 The kernel is intentionally pure Python.  For the Monte Carlo experiments the
 vectorized estimator in :mod:`repro.analysis` is the hot path; for the
@@ -30,8 +30,8 @@ __all__, __getattr__, __dir__ = _lazy_exports(
         "simulator": ["Simulator", "SimProfile", "set_auto_profile"],
         "events": ["Event", "EventQueue"],
         "process": ["Process", "Signal", "Timeout"],
-        "rng": ["RngRegistry", "spawn_seedseq", "spawned_rng", "seed_fingerprint"],
-        "trace": ["Counter", "TimeWeightedValue", "TraceRecorder", "TraceEntry"],
-        "errors": ["SimulationError", "ScheduleInPastError", "StoppedSimulation"],
+        "rng": ["spawn_seedseq", "spawned_rng", "seed_fingerprint"],
+        "trace": ["Counter", "TraceRecorder", "TraceEntry"],
+        "errors": ["SimulationError", "ScheduleInPastError"],
     },
 )

@@ -12,7 +12,3 @@ class ScheduleInPastError(SimulationError):
         super().__init__(f"cannot schedule at t={when!r}: simulation time is already t={now!r}")
         self.now = now
         self.when = when
-
-
-class StoppedSimulation(SimulationError):
-    """Raised inside a process when the simulator is stopped underneath it."""

@@ -14,7 +14,7 @@ state change demands immediate repair.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Generator, Iterable
+from typing import Any, Generator
 
 from repro.simkit.errors import SimulationError
 from repro.simkit.simulator import Simulator
@@ -175,8 +175,3 @@ class Process:
             self._pending_event = None
         self._gen.close()
         self._finish(value=None)
-
-
-def all_finished(procs: Iterable[Process]) -> bool:
-    """True iff every process in ``procs`` has finished."""
-    return all(p.finished for p in procs)

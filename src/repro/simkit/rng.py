@@ -22,8 +22,7 @@ def spawn_seedseq(seed: int, *names: str) -> np.random.SeedSequence:
     This is the :meth:`SeedSequence.spawn` mechanism with the spawn key
     derived from ``names`` (via crc32, stable across processes) instead of a
     sequential counter, so a child depends only on ``(seed, names)`` — never
-    on how many siblings were spawned before it or in what order.  It is the
-    process-safe generalization of :meth:`RngRegistry.stream`: experiment
+    on how many siblings were spawned before it or in what order.  Experiment
     job plans use it to give every job an independent, reproducible stream.
     """
     key = tuple(zlib.crc32(name.encode("utf-8")) for name in names)
@@ -42,42 +41,3 @@ def seed_fingerprint(seq: np.random.SeedSequence) -> int:
     generators later built from it.
     """
     return int(seq.generate_state(1, np.uint64)[0])
-
-
-class RngRegistry:
-    """Factory of independent, name-keyed random streams."""
-
-    def __init__(self, seed: int = 0) -> None:
-        self._seed = int(seed)
-        self._streams: dict[str, np.random.Generator] = {}
-
-    @property
-    def seed(self) -> int:
-        """The root seed this registry was built from."""
-        return self._seed
-
-    def stream(self, name: str) -> np.random.Generator:
-        """Return the generator for ``name``, creating it on first use.
-
-        The same name always maps to the same stream object, so components
-        that share a name share draw state — name streams per component.
-        """
-        gen = self._streams.get(name)
-        if gen is None:
-            # Stable 32-bit hash of the name; zlib.crc32 is deterministic
-            # across processes (unlike built-in hash()).
-            key = zlib.crc32(name.encode("utf-8"))
-            gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence([self._seed, key])))
-            self._streams[name] = gen
-        return gen
-
-    def spawn(self, name: str) -> "RngRegistry":
-        """Derive a child registry (e.g. one per replication of an experiment)."""
-        key = zlib.crc32(name.encode("utf-8"))
-        return RngRegistry(seed=(self._seed * 0x9E3779B1 + key) % (2**63))
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._streams
-
-    def __len__(self) -> int:
-        return len(self._streams)

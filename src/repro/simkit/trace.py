@@ -1,4 +1,4 @@
-"""Measurement primitives: counters, time-weighted values, event traces."""
+"""Measurement primitives: counters and event traces."""
 
 from __future__ import annotations
 
@@ -40,73 +40,6 @@ class Counter:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"Counter({self.name!r}, value={self.value}, events={self.events})"
-
-
-class TimeWeightedValue:
-    """Tracks a piecewise-constant signal and integrates it over time.
-
-    Used for e.g. instantaneous link utilization and queue depth; the
-    time-weighted mean is the integral divided by observed duration.
-    """
-
-    def __init__(self, sim: Simulator, initial: float = 0.0, name: str = "") -> None:
-        self.sim = sim
-        self.name = name
-        self._value = initial
-        self._last_change = sim.now
-        self._integral = 0.0
-        self._t0 = sim.now
-
-    @property
-    def value(self) -> float:
-        """Current level of the signal."""
-        return self._value
-
-    def set(self, value: float) -> None:
-        """Step the signal to a new level at the current simulation time."""
-        now = self.sim.now
-        self._integral += self._value * (now - self._last_change)
-        self._value = value
-        self._last_change = now
-
-    def add(self, delta: float) -> None:
-        """Step the signal by ``delta``."""
-        self.set(self._value + delta)
-
-    def mean(self, until: float | None = None) -> float:
-        """Time-weighted mean over the observation window.
-
-        The window runs from construction (or the last :meth:`reset`) to
-        ``until``, defaulting to the current simulation time.  ``until``
-        must not precede the last recorded change — the signal's history
-        before that point has already been folded into the integral.
-        """
-        if until is None:
-            until = self.sim.now
-        if until < self._last_change:
-            raise ValueError(
-                f"until={until} precedes the last change at {self._last_change}; "
-                "windowed means can only extend forward"
-            )
-        duration = until - self._t0
-        if duration <= 0:
-            return self._value
-        integral = self._integral + self._value * (until - self._last_change)
-        return integral / duration
-
-    def reset(self, value: float | None = None) -> None:
-        """Restart the observation window at the current simulation time.
-
-        The signal level carries over unless ``value`` is given, so windowed
-        utilization measurements no longer require rebuilding the object
-        mid-run.
-        """
-        now = self.sim.now
-        if value is not None:
-            self._value = float(value)
-        self._integral = 0.0
-        self._last_change = now
-        self._t0 = now
 
 
 @dataclass(frozen=True)

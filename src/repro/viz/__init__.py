@@ -15,6 +15,5 @@ __all__, __getattr__, __dir__ = _lazy_exports(
         "tables": ["render_table", "metrics_summary_table"],
         "csvout": ["write_csv"],
         "svg": ["svg_line_chart"],
-        "timeline": ["render_timeline"],
     },
 )

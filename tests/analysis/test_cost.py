@@ -4,19 +4,17 @@ import numpy as np
 import pytest
 
 from repro.analysis import (
-    detection_time_s,
     max_nodes_within,
-    probe_bits_per_sweep,
     response_time_curve,
     sweep_time_s,
 )
 
 
 def test_probe_bits_per_sweep():
-    # n(n-1) ordered pairs, request+reply, 84 wire bytes each
-    assert probe_bits_per_sweep(10) == 10 * 9 * 2 * 84 * 8
+    # n(n-1) ordered pairs, request+reply, 84 wire bytes each: one second per bit at 1 b/s
+    assert sweep_time_s(10, 1.0, bandwidth_bps=1.0) == 10 * 9 * 2 * 84 * 8
     with pytest.raises(ValueError):
-        probe_bits_per_sweep(1)
+        sweep_time_s(1, 1.0)
 
 
 def test_paper_checkpoint_90_hosts_10_percent():
@@ -63,11 +61,6 @@ def test_response_time_curve_families():
     assert set(curves) == {0.05, 0.10, 0.25}
     # at every N, a bigger budget responds faster
     assert (curves[0.25] < curves[0.05]).all()
-
-
-def test_detection_time_adds_retry_timeouts():
-    base = sweep_time_s(20, 0.10)
-    assert detection_time_s(20, 0.10, probe_timeout_s=0.02, probe_retries=2) == pytest.approx(base + 0.04)
 
 
 def test_frame_size_sensitivity_monotone():

@@ -8,10 +8,11 @@ returned float and ``(successes, trials, point, low, high)`` of every returned
 ``CellPrecision`` for the call table below; calls that take a shared ``rng=``
 also pin the generator's next draw, i.e. how much of the stream the call
 consumed.  Entries recorded through since-removed entry points (a point, a
-curve, an all-pairs cell, the one-N stratified grid) replay as the grid
-calls those were, and entries recorded with ``seed=`` hand in the keyed
-generator the estimator used to spawn (``keyed(SEED, <its key>)``).  Do not re-record
-it to make a refactor pass: a moved value means the estimator changed.
+curve, an all-pairs cell, the one-N stratified grid, a one-f MAD, a MAD grid
+on a shared stream) replay as the grid calls those were, and entries
+recorded with ``seed=`` hand in the keyed generator the estimator used to
+spawn (``keyed(SEED, <its key>)``).  Do not re-record it to make a refactor
+pass: a moved value means the estimator changed.
 """
 
 from __future__ import annotations
@@ -23,13 +24,13 @@ import numpy as np
 import pytest
 
 from repro.analysis import (
-    mean_absolute_deviation,
     mean_absolute_deviation_grid,
     simulate_full_grid,
     simulate_grid,
     simulate_topology_grid,
     simulate_weighted_success,
     stratified_success_probability,
+    success_probability,
 )
 from repro.obs.precision import CellPrecision
 from repro.topology import AllTerminalsConnected, TerminalQuorum, build_topology, dual_hub_cluster
@@ -194,21 +195,35 @@ def _calls() -> dict:
     calls["curve/rng"] = _with_rng(
         lambda rng: [simulate_grid(n, (3,), 800, rng, two_hop=False)[3] for n in range(4, 13)]
     )
-    calls["mad/seed"] = lambda: mean_absolute_deviation(3, 500, seed=SEED, n_max=20)
-    calls["mad/rng"] = _with_rng(lambda rng: mean_absolute_deviation(3, 500, rng, n_max=20))
+    # a one-f MAD is a one-cell grid per N, on a keyed stream each or one shared stream
+    calls["mad/seed"] = lambda: _mad(
+        {n: (3,) for n in range(4, 21)}, lambda n: keyed(SEED, f"mad/f=3/iters=500/n={n}")
+    )[3]
+    calls["mad/rng"] = _with_rng(lambda rng: _mad({n: (3,) for n in range(4, 21)}, lambda n: rng)[3])
     for method in METHODS:
         calls[f"mad-grid/{method}/seed"] = lambda method=method: mean_absolute_deviation_grid(
             (2, 3, 6), 500, n_max=20, seed=SEED, method=method
         )
+        # a shared stream walked the Ns in order, one grid call each
         calls[f"mad-grid/{method}/rng"] = _with_rng(
-            lambda rng, method=method: mean_absolute_deviation_grid(
-                (2, 3, 6), 500, n_max=20, rng=rng, method=method
+            lambda rng, method=method: _mad(
+                {n: tuple(f for f in (2, 3, 6) if n > f) for n in range(3, 21)}, lambda n: rng, method
             )
         )
         calls[f"mad-grid/{method}/adaptive"] = lambda method=method: mean_absolute_deviation_grid(
             (2, 3), 300, n_max=16, seed=SEED, target_half_width=0.02, max_iterations=6_000, method=method
         )
     return calls
+
+
+def _mad(per_n_fs: dict, stream, method: str = "crn") -> dict:
+    """Mean |estimate - Equation 1| per f, over one ``simulate_grid`` call per N on ``stream(n)``."""
+    deviations: dict = {}
+    for n, fs in per_n_fs.items():
+        estimates = simulate_grid(n, fs, 500, stream(n), method=method)
+        for f in fs:
+            deviations.setdefault(f, []).append(abs(estimates[f] - success_probability(n, f)))
+    return {f: float(np.mean(values)) for f, values in sorted(deviations.items())}
 
 
 def _seeded_topology_grid(topology, fs, predicate, method, **kwargs):

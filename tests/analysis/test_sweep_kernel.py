@@ -30,11 +30,7 @@ from repro.analysis import (
     simulate_grid,
     success_probability,
 )
-from repro.analysis.convergence import (
-    convergence_study,
-    mean_absolute_deviation,
-    mean_absolute_deviation_grid,
-)
+from repro.analysis.convergence import mean_absolute_deviation_grid
 from repro.analysis.montecarlo import pair_connected_vec
 from repro.analysis.stats import wilson_interval
 from tests.conftest import grid_stream, keyed
@@ -248,11 +244,12 @@ def test_grid_agrees_with_per_point_within_wilson_999(n, f):
 
 
 def test_mad_grid_matches_per_f_mad_scale():
-    per_f = mean_absolute_deviation(3, 1_000, n_max=30, seed=PINNED_SEED)
+    alone = mean_absolute_deviation_grid((3,), 1_000, n_max=30, seed=PINNED_SEED)
     grid = mean_absolute_deviation_grid((2, 3, 4), 1_000, n_max=30, seed=PINNED_SEED)
     assert set(grid) == {2, 3, 4}
-    # both are ~1/sqrt(iterations)-scale errors against the same closed form
-    assert 0 < grid[3] < 0.02 and 0 < per_f < 0.02
+    # per-N streams keyed by N alone: the other f values change no draw of f=3's
+    assert grid[3] == alone[3]
+    assert 0 < grid[3] < 0.02
 
 
 # -------------------------------------------------------- adaptive stopping
@@ -397,22 +394,18 @@ def test_iterations_zero_raises_value_error_not_zero_division():
 
 
 def test_rng_and_seed_together_raise_type_error():
-    # only the Figure 3 study still derives streams from a seed
-    rng = np.random.default_rng(0)
-    with pytest.raises(TypeError, match="not both"):
-        convergence_study([3], [100], rng=rng, seed=1)
-    with pytest.raises(TypeError, match="not both"):
-        mean_absolute_deviation(3, 100, rng=rng, seed=1)
-    with pytest.raises(TypeError, match="not both"):
-        mean_absolute_deviation_grid((3,), 100, rng=rng, seed=1)
+    # the Figure 3 study derives its streams from seed= alone: rng= is refused
+    with pytest.raises(TypeError, match="unexpected keyword argument 'rng'"):
+        mean_absolute_deviation_grid((3,), 100, rng=np.random.default_rng(0), seed=1)
 
 
 def test_neither_rng_nor_seed_still_raises():
     # a grid draws only from the generator it is handed
     with pytest.raises(TypeError, match="'rng'"):
         simulate_grid(8, (3,), 100)
-    with pytest.raises(TypeError, match="either"):
-        mean_absolute_deviation(3, 100)
+    # only the Figure 3 study derives its streams, from a seed it must be given
+    with pytest.raises(TypeError, match="'seed'"):
+        mean_absolute_deviation_grid((3,), 100)
 
 
 def test_grid_validation_errors():

@@ -9,7 +9,7 @@ from repro.cluster import (
     generate_failure_log,
     to_fault_scenario,
 )
-from repro.drs import deployment_health, install_drs
+from repro.drs import install_drs
 from repro.netsim import build_dual_backplane_cluster
 from repro.protocols import install_stacks
 from repro.simkit import Simulator
@@ -75,7 +75,7 @@ def test_fleet_year_replay_on_des_with_drs():
     sim.run(until=horizon)
     injected_fails = sum(1 for e in scenario.events if e.action.value == "fail")
     assert injected_fails > 0
-    assert deployment_health(deployment).total_repairs > 0
+    assert sum(daemon.failover.repairs.value for daemon in deployment.routers.values()) > 0
     # after the last repair the cluster must be whole again
     assert cluster.all_up()
     for daemon in deployment.routers.values():

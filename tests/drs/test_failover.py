@@ -1,6 +1,6 @@
 """Integration tests: DRS detection and repair across failure modes."""
 
-from repro.drs import LinkState, deployment_health
+from repro.drs import LinkState
 from repro.protocols import RouteSource
 
 from tests.drs.conftest import routed_ping_ok
@@ -153,12 +153,16 @@ def test_probe_traffic_stays_within_budget(drs_rig):
     assert abs(used - expected) / expected < 0.25
 
 
+def _probe_bytes(deployment):
+    return sum(daemon.monitor.probe_bytes.value for daemon in deployment.routers.values())
+
+
 def test_stop_halts_probing(drs_rig):
     sim, cluster, stacks, deployment = drs_rig
     deployment.stop()
-    probes_before = deployment_health(deployment).total_probe_bytes
+    probes_before = _probe_bytes(deployment)
     sim.run(until=sim.now + 1.0)
-    assert deployment_health(deployment).total_probe_bytes == probes_before
+    assert _probe_bytes(deployment) == probes_before
     assert not deployment.routers[0].running
 
 
@@ -166,6 +170,6 @@ def test_restart_after_stop(drs_rig):
     sim, cluster, stacks, deployment = drs_rig
     deployment.stop()
     deployment.start()
-    probes_before = deployment_health(deployment).total_probe_bytes
+    probes_before = _probe_bytes(deployment)
     sim.run(until=sim.now + 1.0)
-    assert deployment_health(deployment).total_probe_bytes > probes_before
+    assert _probe_bytes(deployment) > probes_before

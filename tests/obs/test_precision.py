@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.analysis import wilson_interval
@@ -11,16 +12,25 @@ from repro.obs.flightrecorder import FlightRecorder, set_flight_recorder
 from repro.obs.precision import (
     STATS_CELL_KIND,
     CellPrecision,
+    PrecisionGrid,
     cells_from_manifest,
     fold_cells,
     precision_report,
-    publish_cell_precision,
     render_precision_report,
 )
 
 
 def _cell(n=8, f=3, successes=700, trials=1000, **kw):
     return CellPrecision.from_counts(n, f, successes, trials, **kw)
+
+
+def _publish(cell, done=False):
+    """Publish ``cell`` as the sweep loop does: one entry of a one-group :class:`PrecisionGrid`."""
+    grid = PrecisionGrid(
+        cell.n, (cell.f,), np.array([cell.successes]), cell.trials, cell.confidence,
+        np.array([cell.point]), np.array([cell.low]), np.array([cell.high]), cell.target_half_width,
+    )
+    grid.publish([(0, done)])
 
 
 class TestCellPrecision:
@@ -66,15 +76,15 @@ class TestCellPrecision:
 class TestPublishAndFold:
     def test_publish_is_a_noop_without_a_recorder(self):
         set_flight_recorder(None)
-        publish_cell_precision(_cell())  # must not raise
+        _publish(_cell())  # must not raise
 
     def test_publish_emits_stats_cell_and_fold_keeps_latest(self):
         rec = FlightRecorder(None, experiment="sweep")
         set_flight_recorder(rec)
         try:
-            publish_cell_precision(_cell(trials=500, successes=350))
-            publish_cell_precision(_cell(target_half_width=0.5), done=True)
-            publish_cell_precision(_cell(n=9, f=0, successes=1000))
+            _publish(_cell(trials=500, successes=350))
+            _publish(_cell(target_half_width=0.5), done=True)
+            _publish(_cell(n=9, f=0, successes=1000))
         finally:
             set_flight_recorder(None)
         events = rec.drain()
@@ -153,8 +163,8 @@ class TestPrecisionVerb:
         rec = FlightRecorder(path, experiment="sweep")
         set_flight_recorder(rec)
         try:
-            publish_cell_precision(_cell(target_half_width=0.5), done=True)
-            publish_cell_precision(_cell(n=9, f=1, trials=2000, successes=1500), done=True)
+            _publish(_cell(target_half_width=0.5), done=True)
+            _publish(_cell(n=9, f=1, trials=2000, successes=1500), done=True)
         finally:
             set_flight_recorder(None)
             rec.close()

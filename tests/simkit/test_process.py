@@ -3,7 +3,6 @@
 import pytest
 
 from repro.simkit import Process, Signal, SimulationError, Simulator, Timeout
-from repro.simkit.process import all_finished
 
 
 def test_process_sleeps_on_yielded_floats():
@@ -174,15 +173,3 @@ def test_exception_in_body_is_surfaced_and_recorded():
     with pytest.raises(ValueError):
         sim.run()
     assert p.finished and isinstance(p.error, ValueError)
-
-
-def test_all_finished_helper():
-    sim = Simulator()
-
-    def body():
-        yield 1.0
-
-    procs = [Process(sim, body()) for _ in range(3)]
-    assert not all_finished(procs)
-    sim.run()
-    assert all_finished(procs)

@@ -1,8 +1,6 @@
-"""Unit tests for counters, time-weighted values, and the trace recorder."""
+"""Unit tests for counters and the trace recorder."""
 
-import pytest
-
-from repro.simkit import Counter, Simulator, TimeWeightedValue, TraceRecorder
+from repro.simkit import Counter, Simulator, TraceRecorder
 
 
 def test_counter_accumulates():
@@ -12,29 +10,6 @@ def test_counter_accumulates():
     assert c.value == 3.5 and c.events == 2
     c.reset()
     assert c.value == 0 and c.events == 0
-
-
-def test_time_weighted_mean_piecewise_constant():
-    sim = Simulator()
-    tw = TimeWeightedValue(sim, initial=0.0)
-    sim.schedule(2.0, lambda: tw.set(10.0))   # 0 for [0,2)
-    sim.schedule(6.0, lambda: tw.set(0.0))    # 10 for [2,6)
-    sim.run(until=10.0)                        # 0 for [6,10)
-    # integral = 0*2 + 10*4 + 0*4 = 40 over 10s
-    assert tw.mean() == pytest.approx(4.0)
-
-
-def test_time_weighted_add_and_value():
-    sim = Simulator()
-    tw = TimeWeightedValue(sim, initial=1.0)
-    tw.add(2.0)
-    assert tw.value == 3.0
-
-
-def test_time_weighted_mean_at_zero_duration():
-    sim = Simulator()
-    tw = TimeWeightedValue(sim, initial=7.0)
-    assert tw.mean() == 7.0
 
 
 def test_trace_records_time_and_fields():
@@ -72,36 +47,6 @@ def test_trace_disabled_records_nothing():
     tr = TraceRecorder(sim, enabled=False)
     tr.record("a")
     assert len(tr) == 0
-
-
-def test_time_weighted_mean_with_until_window():
-    sim = Simulator()
-    tw = TimeWeightedValue(sim, initial=2.0)
-    sim.schedule(4.0, lambda: tw.set(0.0))
-    sim.run()  # now == 4.0
-    # extend the window beyond the last change: 2 for [0,4), 0 for [4,8)
-    assert tw.mean(until=8.0) == pytest.approx(1.0)
-    with pytest.raises(ValueError, match="precedes the last change"):
-        tw.mean(until=2.0)
-
-
-def test_time_weighted_reset_restarts_window():
-    sim = Simulator()
-    tw = TimeWeightedValue(sim, initial=10.0)
-    sim.schedule(5.0, lambda: tw.reset())
-    sim.run()
-    # the pre-reset history is gone; the level carries over
-    assert tw.value == 10.0
-    assert tw.mean(until=7.0) == pytest.approx(10.0)
-
-
-def test_time_weighted_reset_with_new_value():
-    sim = Simulator()
-    tw = TimeWeightedValue(sim, initial=10.0)
-    sim.schedule(5.0, lambda: tw.reset(3.0))
-    sim.run()
-    assert tw.value == 3.0
-    assert tw.mean(until=6.0) == pytest.approx(3.0)
 
 
 def test_trace_category_disable_enable():
