@@ -16,7 +16,7 @@ through a kill at any instant.  Superseded duplicates (a job
 re-recorded after a retry or requeue) and foreign lines accumulate as
 *stale* lines; once they outnumber the live records the file is compacted —
 rewritten via write-temp-then-``os.replace`` down to one line per live
-record.  ``drs-experiments --resume <run>`` feeds the file back through
+record.  ``repro run --resume <run>`` feeds the file back through
 :meth:`Checkpoint.load`, which keeps only records that still match the
 rebuilt plan (same experiment, same root seed, same per-job spawned-seed
 fingerprint) — so a checkpoint taken under one seed can never contaminate a

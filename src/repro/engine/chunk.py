@@ -9,7 +9,7 @@ codecs of what it carries (jobs out, outcomes back):
   whose fleet is fixed, precomputes the same sequence (:func:`guided_chunks`).
 * **Result** — :func:`~repro.engine.driver.run_chunk` returns
   :meth:`ChunkResult.to_wire`, plain JSON-safe data: the pool pickles it,
-  ``drs-worker`` frames it, both parents decode it with the validating
+  ``repro worker`` frames it, both parents decode it with the validating
   :meth:`ChunkResult.from_wire` in front of ``PlanDriver.settle``.
 * **Refusal** — a chunk that cannot be absorbed is refused *whole*: ``from_wire``
   names the field in a :class:`ProtocolError`, and ``settle`` merges the

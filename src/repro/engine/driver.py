@@ -99,8 +99,9 @@ class PlanDriver:
     plan's totals, ``plan.begin`` is emitted.  :meth:`run` then lets a
     transport move the :meth:`remaining` jobs and ends the plan.  Metrics,
     heartbeat and flight recorder are the caller's current ones, captured
-    once.  Not thread-safe by itself: a transport that settles from several
-    threads (the TCP coordinator) serializes calls under its own lock.
+    once.  Not thread-safe by itself: a transport whose results arrive on
+    several threads (the TCP coordinator) queues them to one settler thread
+    that makes every call (``distributed.py``'s ``_settle``).
     """
 
     def __init__(
@@ -290,7 +291,7 @@ def run_chunk(experiment: str, seed: int, jobs: list[Job], policy: RetryPolicy) 
     Returns :meth:`ChunkResult.to_wire <repro.engine.chunk.ChunkResult.to_wire>`:
     the per-job outcomes, the chunk's metrics registry, its silent heartbeat
     collector's summary, its buffered flight events (real PIDs and timestamps)
-    and its wall/CPU seconds — plain data a pool pickles and ``drs-worker`` frames.
+    and its wall/CPU seconds — plain data a pool pickles and ``repro worker`` frames.
     Module-level so process pools can pickle it regardless of start method.
     Retries and timeouts happen here: only quarantined outcomes (or, under a
     fail-fast policy, a :class:`~repro.engine.retry.JobError`) reach the parent.

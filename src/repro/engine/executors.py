@@ -14,7 +14,7 @@ that only moves jobs:
   wire form ``ChunkResult.from_wire`` decodes for ``settle``
   (:mod:`repro.engine.chunk`).  Survives ``BrokenProcessPool``.
 * :class:`~repro.engine.distributed.DistributedExecutor` (its own module)
-  — the same chunks, the same wire form, over TCP to ``drs-worker`` processes.
+  — the same chunks, the same wire form, over TCP to ``repro worker`` processes.
 
 All three run each job through :func:`repro.engine.retry.execute_job` under
 an optional :class:`~repro.engine.retry.RetryPolicy` (``policy=``); without
@@ -171,7 +171,7 @@ def make_executor(
     while ``--jobs N`` builds an N-worker pool and ``0``/``None`` uses all
     cores.  ``backend="distributed"`` runs the TCP coordinator of
     :class:`~repro.engine.distributed.DistributedExecutor` instead:
-    ``--jobs N`` spawns N local ``drs-worker`` processes against it, and
+    ``--jobs N`` spawns N local ``repro worker`` processes against it, and
     ``--jobs 0``/``None`` spawns none — the run waits for external workers
     to join at the ``coordinator`` address (``HOST:PORT``, default
     ``127.0.0.1:0`` = loopback, ephemeral port).  ``policy`` (if any) is
@@ -208,7 +208,7 @@ def run_plan(
 
     With a ``checkpoint``, jobs it already holds are skipped and every newly
     completed job is streamed into it (crash-safe), which is what backs
-    ``drs-experiments --resume``.
+    ``repro run --resume``.
 
     The reduced result's ``meta`` — when it has one, as every
     :class:`~repro.experiments.base.ExperimentResult` does — gains an

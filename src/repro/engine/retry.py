@@ -4,7 +4,7 @@ A multi-hour sweep must not lose everything to one flaky job.  This module
 gives the executors a :class:`RetryPolicy` — per-job attempt budget,
 exponential backoff with deterministic jitter, and a per-job wall-clock
 timeout — and :func:`execute_job`, the single code path the serial
-executor, the process-pool workers and every ``drs-worker`` run a job through.
+executor, the process-pool workers and every ``repro worker`` run a job through.
 
 It also normalises every ok value through the checkpoint codec, so ``reduce``
 receives the same object whether the job ran here, in a pool worker, on another

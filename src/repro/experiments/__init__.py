@@ -2,7 +2,7 @@
 
 Each driver exposes ``run(...) -> ExperimentResult`` producing the same
 rows/series the paper reports, and the CLI in :mod:`~repro.experiments.runner`
-(`drs-experiments`) regenerates everything into CSV + text reports.
+(`repro run`) regenerates everything into CSV + text reports.
 
 Each row of ``EXPERIMENTS`` below is one :class:`~repro.engine.ExperimentSpec`
 of the ``repro.engine`` registry: name, a ``"module:qualname"`` reference to
