@@ -236,11 +236,13 @@ quick-estimators:
 		"adaptive + stratified-cv telemetry, pinned stats.cell events)"
 
 # end-to-end benchmark smoke: every workload of benchmarks/e2e once at
-# reduced size, all output checks on (~7 s); the harness self-tests ride along
+# reduced size, all output checks on, plus the traced per-layer replays, which
+# read spec.run's module, its build_plan, each job's fn and the wire codecs
+# (~25 s); the harness self-tests ride along
 perf-smoke:
-	$(PYTHON) benchmarks/e2e/run.py --smoke
+	$(PYTHON) benchmarks/e2e/run.py --smoke --trace
 	$(PYTHON) -m pytest benchmarks/e2e/tests -q
-	@echo "perf-smoke: OK (all workloads ran, output checks passed)"
+	@echo "perf-smoke: OK (all workloads and their traced replays ran, output checks passed)"
 
 examples:
 	for ex in examples/*.py; do echo "== $$ex"; $(PYTHON) $$ex || exit 1; done

@@ -2,40 +2,72 @@
 
 Every runnable experiment is one row of the ``EXPERIMENTS`` table in
 :mod:`repro.experiments` — name, a ``"module:qualname"`` reference to its
-run function, ``quick`` / ``full`` parameter profiles, ``parallel``,
-``order`` and a description — and becomes one :class:`ExperimentSpec` here
-when this module loads, without importing any driver: :func:`experiment_specs`,
-:func:`spec_names` and ``repro run --list`` read the table alone.  A
-spec's driver module is imported the first time its ``run`` is read, which
-:func:`get_spec` does, so a caller that times ``spec.run(...)`` times the run
-and not the import.  The ``repro run`` CLI is a pure consumer of this
-registry.
+run function (``run=``) or, for a sweep, to its plan builder (``plan=``),
+``quick`` / ``full`` parameter profiles, ``order`` and a description — and
+becomes one :class:`ExperimentSpec` here when this module loads, without
+importing any driver: :func:`experiment_specs`, :func:`spec_names` and
+``repro run --list`` read the table alone.  A spec's driver module is
+imported the first time its ``run`` is read, which :func:`get_spec` does, so
+a caller that times ``spec.run(...)`` times the run and not the import.
+The ``repro run`` CLI is a pure consumer of this registry.
 """
 
 from __future__ import annotations
 
+import functools
 import inspect
 import pkgutil
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
+from repro.engine.executors import run_plan
 from repro.experiments import EXPERIMENTS
 
 PROFILES = ("quick", "full")
 
 
-class _EntryPoint:
-    """The ``run`` field: a callable, or a ``"module:qualname"`` imported on first read."""
+def _resolve(target: Callable[..., Any] | str) -> Callable[..., Any]:
+    return pkgutil.resolve_name(target) if isinstance(target, str) else target
 
-    def __get__(self, spec: Any, owner: type | None = None) -> Callable[..., Any]:
+
+def _plan_runner(build_plan: Callable[..., Any]) -> Callable[..., Any]:
+    """A plan row's ``run``: ``run_plan(build_plan(**kwargs), executor, checkpoint=)``.
+
+    It carries ``build_plan``'s name, module and docstring, and its
+    signature is ``build_plan``'s parameters plus ``executor`` and
+    ``checkpoint``, so ``accepts`` and ``sys.modules[run.__module__]`` see
+    the driver.
+    """
+
+    @functools.wraps(build_plan)
+    def run(*args: Any, executor: Any | None = None, checkpoint: Any | None = None, **kwargs: Any) -> Any:
+        return run_plan(build_plan(*args, **kwargs), executor, checkpoint=checkpoint)
+
+    signature = inspect.signature(build_plan)
+    engine = [inspect.Parameter(name, inspect.Parameter.KEYWORD_ONLY, default=None)
+              for name in ("executor", "checkpoint")]
+    run.__signature__ = signature.replace(  # type: ignore[attr-defined]
+        parameters=[*signature.parameters.values(), *engine],
+        return_annotation=inspect.Signature.empty,
+    )
+    return run
+
+
+class _EntryPoint:
+    """The ``run`` field: a callable, a ``"module:qualname"`` imported on first read,
+    or — on a plan row — :func:`_plan_runner` of the plan, built on first read."""
+
+    def __get__(self, spec: Any, owner: type | None = None) -> Callable[..., Any] | None:
         if spec is None:
-            raise AttributeError("run")  # no class-level default: the field is required
+            return None  # the field's default: a plan row has no run of its own
         run = spec.__dict__["run"]
-        if isinstance(run, str):
-            run = spec.__dict__["run"] = pkgutil.resolve_name(run)
+        if run is None:
+            run = spec.__dict__["run"] = _plan_runner(_resolve(spec.plan))
+        elif isinstance(run, str):
+            run = spec.__dict__["run"] = _resolve(run)
         return run
 
-    def __set__(self, spec: Any, run: Callable[..., Any] | str) -> None:
+    def __set__(self, spec: Any, run: Callable[..., Any] | str | None) -> None:
         spec.__dict__["run"] = run
 
 
@@ -43,23 +75,27 @@ class _EntryPoint:
 class ExperimentSpec:
     """One runnable experiment: its entry point and parameter profiles.
 
-    ``run`` is the entry point or a ``"module:qualname"`` reference to it,
-    resolved by import the first time ``spec.run`` is read.  ``profiles``
-    maps profile name to the kwargs passed to ``run`` (``full`` is usually
-    empty — the function's own defaults are the paper-scale configuration).
-    ``parallel`` marks runs that accept an ``executor=`` keyword (sweep
-    experiments decomposed into a job plan); ``order`` fixes the CLI's
-    default run/listing sequence.
+    A spec names exactly one of ``run`` — the entry point, or a
+    ``"module:qualname"`` reference to it — and ``plan``, a sweep's plan
+    builder (a :class:`~repro.engine.JobPlan` factory) or a reference to
+    it, whose ``spec.run`` is derived: it takes the builder's keywords
+    plus ``executor=`` and ``checkpoint=``.  Either is resolved by import
+    the first time ``spec.run`` is read.  ``profiles`` maps profile name
+    to the kwargs passed to ``run`` (``full`` is usually empty — the
+    function's own defaults are the paper-scale configuration); ``order``
+    fixes the CLI's default run/listing sequence.
     """
 
     name: str
-    run: Callable[..., Any] | str = _EntryPoint()
+    run: Callable[..., Any] | str | None = _EntryPoint()
+    plan: Callable[..., Any] | str | None = None
     profiles: dict[str, dict[str, Any]] = field(default_factory=dict)
-    parallel: bool = False
     order: int = 100
     description: str = ""
 
     def __post_init__(self) -> None:
+        if (self.__dict__["run"] is None) == (self.plan is None):
+            raise ValueError(f"spec {self.name!r} needs exactly one of run= and plan=")
         for profile in PROFILES:
             if profile not in self.profiles:
                 raise ValueError(f"spec {self.name!r} is missing the {profile!r} profile")
@@ -69,6 +105,11 @@ class ExperimentSpec:
         if profile not in self.profiles:
             raise KeyError(f"spec {self.name!r} has no profile {profile!r}: {list(self.profiles)}")
         return dict(self.profiles[profile])
+
+    @property
+    def parallel(self) -> bool:
+        """Whether the spec is a job plan: its ``run`` takes ``executor=`` and ``checkpoint=``."""
+        return self.plan is not None
 
     def accepts(self, keyword: str) -> bool:
         """Whether ``run`` takes ``keyword`` (CLI flags probe before passing)."""

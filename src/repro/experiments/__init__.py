@@ -1,16 +1,20 @@
 """Experiment drivers: one module per paper artifact.
 
-Each driver exposes ``run(...) -> ExperimentResult`` producing the same
-rows/series the paper reports, and the CLI in :mod:`~repro.experiments.runner`
-(`repro run`) regenerates everything into CSV + text reports.
+Each driver produces the same rows/series the paper reports as an
+``ExperimentResult``, and the CLI in :mod:`~repro.experiments.runner`
+(`repro run`) regenerates everything into CSV + text reports.  A one-shot
+driver exposes ``run(...)``; a sweep exposes ``build_plan(...)``, its
+decomposition into a :class:`~repro.engine.JobPlan` of independently
+seeded jobs, and is run through its spec.
 
 Each row of ``EXPERIMENTS`` below is one :class:`~repro.engine.ExperimentSpec`
 of the ``repro.engine`` registry: name, a ``"module:qualname"`` reference to
-the run function, the ``quick``/``full`` profiles (``full`` is usually empty:
-the function's own defaults are the paper-scale configuration), ``parallel``
-(``run`` takes ``executor=``, the sweep is a job plan), ``order`` (the CLI's
-listing and run sequence) and a description.  Listing the experiments imports
-none of them; a driver module is imported when its spec is first used.
+the run function (``run=``) or to the plan builder (``plan=``, whose
+``spec.run`` also takes ``executor=`` and ``checkpoint=``), the
+``quick``/``full`` profiles (``full`` is usually empty: the function's own
+defaults are the paper-scale configuration), ``order`` (the CLI's listing
+and run sequence) and a description.  Listing the experiments imports none
+of them; a driver module is imported when its spec is first used.
 """
 
 from repro import _lazy_exports
@@ -28,25 +32,22 @@ EXPERIMENTS = (
     ),
     dict(
         name="figure2",
-        run="repro.experiments.figure2:run",
+        plan="repro.experiments.figure2:build_plan",
         profiles={"quick": {"mc_iterations": 2_000}, "full": {"mc_iterations": 20_000}},
-        parallel=True,
         order=20,
         description="Fig. 2 P[Success] vs N, f=2..10, with MC overlay",
     ),
     dict(
         name="figure3",
-        run="repro.experiments.figure3:run",
+        plan="repro.experiments.figure3:build_plan",
         profiles={"quick": {"iteration_grid": (10, 100, 1_000), "n_max": 40}, "full": {}},
-        parallel=True,
         order=30,
         description="Fig. 3 MC convergence (MAD vs iterations)",
     ),
     dict(
         name="crossovers",
-        run="repro.experiments.crossovers:run",
+        plan="repro.experiments.crossovers:build_plan",
         profiles={"quick": {"mc_iterations": 2_000}, "full": {"mc_iterations": 20_000}},
-        parallel=True,
         order=40,
         description="prose 0.99 crossovers (18/32/45), with MC validation",
     ),
@@ -66,20 +67,18 @@ EXPERIMENTS = (
     ),
     dict(
         name="desval",
-        run="repro.experiments.desvalidation:run",
+        plan="repro.experiments.desvalidation:build_plan",
         profiles={"quick": {"replicates": 30, "f_values": (2, 3, 4)}, "full": {}},
-        parallel=True,
         order=70,
         description="DES survivability vs Equation 1",
     ),
     dict(
         name="ablations",
-        run="repro.experiments.ablations:run",
+        plan="repro.experiments.ablations:build_plan",
         profiles={
             "quick": {"n_values": (8, 32), "mc_iterations": 20_000, "sweep_periods": (0.5, 2.0)},
             "full": {},
         },
-        parallel=True,
         order=80,
         description="two-hop / dual-backplane / sweep-period ablations",
     ),
@@ -95,17 +94,15 @@ EXPERIMENTS = (
     ),
     dict(
         name="wholecluster",
-        run="repro.experiments.wholecluster:run",
+        plan="repro.experiments.wholecluster:build_plan",
         profiles={"quick": {"mc_iterations": 10_000}, "full": {}},
-        parallel=True,
         order=100,
         description="pairwise vs all-pairs survivability",
     ),
     dict(
         name="availability",
-        run="repro.experiments.availability:run",
+        plan="repro.experiments.availability:build_plan",
         profiles={"quick": {"n_values": (4, 16), "mc_iterations": 30_000}, "full": {}},
-        parallel=True,
         order=110,
         description="downtime minutes/year planning + field-weighted correction",
     ),
@@ -118,25 +115,22 @@ EXPERIMENTS = (
     ),
     dict(
         name="desval-curve",
-        run="repro.experiments.desvalidation:run_curve",
+        plan="repro.experiments.desvalidation:build_curve_plan",
         profiles={"quick": {"replicates": 25, "n_values": (4, 6, 8)}, "full": {}},
-        parallel=True,
         order=130,
         description="live-protocol Figure 2 slice at fixed f",
     ),
     dict(
         name="scaling",
-        run="repro.experiments.scaling:run",
+        plan="repro.experiments.scaling:build_plan",
         profiles={"quick": {"n_values": (4, 8, 12)}, "full": {}},
-        parallel=True,
         order=140,
         description="deployed-range size sweep + feasibility boundary",
     ),
     dict(
         name="topologysweep",
-        run="repro.experiments.topologysweep:run",
+        plan="repro.experiments.topologysweep:build_plan",
         profiles={"quick": {"mc_iterations": 2_000, "sizes": (4, 6, 8)}, "full": {}},
-        parallel=True,
         order=150,  # after every paper artifact: this is the generalization
         description="P[Success] grids over the pluggable topology catalog",
     ),
@@ -144,4 +138,6 @@ EXPERIMENTS = (
 
 __all__, __getattr__, __dir__ = _lazy_exports(__name__, {"base": ["ExperimentResult"]})
 # and every driver module the table names, imported when first read
-__all__ += dict.fromkeys(row["run"].partition(":")[0].rpartition(".")[2] for row in EXPERIMENTS)
+__all__ += dict.fromkeys(
+    (row.get("run") or row["plan"]).partition(":")[0].rpartition(".")[2] for row in EXPERIMENTS
+)

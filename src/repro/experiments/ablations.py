@@ -21,7 +21,7 @@ import numpy as np
 from repro.analysis import simulate_grid, success_probability
 from repro.analysis.combinatorics import comb0
 from repro.drs import DrsConfig
-from repro.engine import Job, JobPlan, run_plan
+from repro.engine import Job, JobPlan
 from repro.experiments.base import ExperimentResult
 from repro.scenario.run import peer_nic_failures
 from repro.scenario.spec import ScenarioSpec, Warmup
@@ -80,7 +80,7 @@ def build_plan(
     seed: int = 7,
     run_des: bool = True,
 ) -> JobPlan:
-    """One job per MC ablation point plus one per DES sweep period."""
+    """All three ablations: one job per MC ablation point plus one per DES sweep period."""
     jobs = [
         Job(
             name=f"no2hop/n={n}/f={f}",
@@ -153,25 +153,3 @@ def build_plan(
         reduce=reduce,
         meta={"total_trials": sum(j.params.get("iterations", 0) for j in jobs)},
     )
-
-
-def run(
-    n_values: tuple[int, ...] = (8, 16, 32, 48, 63),
-    f_values: tuple[int, ...] = (2, 4),
-    mc_iterations: int = 100_000,
-    sweep_periods: tuple[float, ...] = (0.25, 0.5, 1.0, 2.0, 4.0),
-    seed: int = 7,
-    run_des: bool = True,
-    executor: Any | None = None,
-    checkpoint: Any | None = None,
-) -> ExperimentResult:
-    """All three ablations."""
-    plan = build_plan(
-        n_values=n_values,
-        f_values=f_values,
-        mc_iterations=mc_iterations,
-        sweep_periods=sweep_periods,
-        seed=seed,
-        run_des=run_des,
-    )
-    return run_plan(plan, executor, checkpoint=checkpoint)

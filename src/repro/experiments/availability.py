@@ -27,7 +27,7 @@ from repro.analysis import (
     simulate_weighted_success,
     success_probability,
 )
-from repro.engine import Job, JobPlan, run_plan
+from repro.engine import Job, JobPlan
 from repro.experiments.base import ExperimentResult
 
 #: (N, f) grid of the field-calibrated weighted-failure spot checks.
@@ -51,7 +51,10 @@ def build_plan(
     mc_iterations: int = 150_000,
     seed: int = 5,
 ) -> JobPlan:
-    """One job per weighted-failure (N, f) spot check; the rest reduces."""
+    """Downtime table per cluster size and repair regime.
+
+    One job per weighted-failure (N, f) spot check; the rest reduces.
+    """
     jobs = [
         Job(
             name=f"weighted/n={n}/f={f}",
@@ -140,27 +143,3 @@ def build_plan(
         reduce=reduce,
         meta={"total_trials": sum(j.params.get("iterations", 0) for j in jobs)},
     )
-
-
-def run(
-    n_values: tuple[int, ...] = (4, 8, 12, 24, 48),
-    mtbf_hours: float = 8_760.0,
-    mttr_hours: float = 24.0,
-    drs_repair_s: float = 1.1,
-    reactive_repair_s: float = 9.0,
-    mc_iterations: int = 150_000,
-    seed: int = 5,
-    executor: Any | None = None,
-    checkpoint: Any | None = None,
-) -> ExperimentResult:
-    """Downtime table per cluster size and repair regime."""
-    plan = build_plan(
-        n_values=n_values,
-        mtbf_hours=mtbf_hours,
-        mttr_hours=mttr_hours,
-        drs_repair_s=drs_repair_s,
-        reactive_repair_s=reactive_repair_s,
-        mc_iterations=mc_iterations,
-        seed=seed,
-    )
-    return run_plan(plan, executor, checkpoint=checkpoint)

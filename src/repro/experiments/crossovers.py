@@ -17,42 +17,18 @@ from __future__ import annotations
 
 from typing import Any
 
-import numpy as np
-
-from repro.analysis import crossover_n, simulate_grid, success_probability
-from repro.engine import Job, JobPlan, cell_point, run_plan
+from repro.analysis import crossover_n, success_probability
+from repro.engine import Job, JobPlan, cell_point
 from repro.experiments.base import (
     ExperimentResult,
     add_precision_artifacts,
     collect_precision_cells,
 )
+from repro.experiments.figure2 import _mc_curve
 
 PAPER_CROSSOVERS = {2: 18, 3: 32, 4: 45}
 
 F_VALUES = (2, 3, 4, 5, 6, 7, 8, 9, 10)
-
-
-def _mc_curve(params: dict[str, Any], seed_seq: np.random.SeedSequence) -> dict[str, Any]:
-    """Engine job: sweep-kernel P[Success] at one N for every requested f.
-
-    With a ``target_ci`` in the params the kernel stops each cell at that
-    Wilson half-width and the row carries full precision dicts instead of
-    bare floats (see :mod:`repro.experiments.figure2`).
-    """
-    rng = np.random.default_rng(seed_seq)
-    target = params.get("target_ci")
-    if target is not None:
-        cells = simulate_grid(
-            params["n"],
-            tuple(params["fs"]),
-            params["iterations"],
-            rng,
-            target_half_width=target,
-            confidence=params.get("ci_confidence", 0.95),
-        )
-        return {str(f): cell.to_row() for f, cell in cells.items()}
-    estimates = simulate_grid(params["n"], tuple(params["fs"]), params["iterations"], rng)
-    return {str(f): p for f, p in estimates.items()}
 
 
 def build_plan(
@@ -63,11 +39,16 @@ def build_plan(
     target_ci: float | None = None,
     ci_confidence: float = 0.95,
 ) -> JobPlan:
-    """Analytic crossovers, plus one curve-level MC job per probed N.
+    """Compute the ``threshold`` crossover for each f and compare with the paper.
 
-    The probe domain is sized from the (memoized) analytic scan: a little
-    past the largest crossover, so every f's simulated crossing falls
-    inside the sampled range.
+    The analytic table is always computed in the reduction.
+    ``mc_iterations > 0`` adds the sweep-kernel validation table: one
+    curve-level MC job per probed N (figure2's job), over a probe domain
+    sized from the (memoized) analytic scan — a little past the largest
+    crossover, so every f's simulated crossing falls inside the sampled
+    range.  ``target_ci`` makes the validation adaptive (every cell stops
+    at that Wilson half-width) and adds the ``mc_precision`` table plus a
+    manifest precision block.
     """
     n_stars = {f: crossover_n(f, threshold=threshold) for f in f_values}
     jobs = []
@@ -148,32 +129,3 @@ def build_plan(
         reduce=reduce,
         meta={"total_trials": sum(j.params.get("iterations", 0) for j in jobs)},
     )
-
-
-def run(
-    f_values: tuple[int, ...] = F_VALUES,
-    threshold: float = 0.99,
-    mc_iterations: int = 0,
-    seed: int = 2000,
-    target_ci: float | None = None,
-    ci_confidence: float = 0.95,
-    executor: Any | None = None,
-    checkpoint: Any | None = None,
-) -> ExperimentResult:
-    """Compute 0.99 crossovers for each f and compare with the paper.
-
-    ``mc_iterations > 0`` adds the sweep-kernel validation table (one
-    curve-level job per probed N); the analytic table is always computed in
-    the reduction.  ``target_ci`` makes the validation adaptive (every
-    cell stops at that Wilson half-width) and adds the ``mc_precision``
-    table plus a manifest precision block.
-    """
-    plan = build_plan(
-        f_values=f_values,
-        threshold=threshold,
-        mc_iterations=mc_iterations,
-        seed=seed,
-        target_ci=target_ci,
-        ci_confidence=ci_confidence,
-    )
-    return run_plan(plan, executor, checkpoint=checkpoint)

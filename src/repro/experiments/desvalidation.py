@@ -23,7 +23,7 @@ import numpy as np
 
 from repro.analysis import success_probability
 from repro.drs import DrsConfig
-from repro.engine import Job, JobPlan, run_plan
+from repro.engine import Job, JobPlan
 from repro.experiments.base import ExperimentResult
 from repro.obs.progress import heartbeat
 from repro.scenario.run import run_scenario
@@ -84,7 +84,12 @@ def build_curve_plan(
     replicates: int = 100,
     seed: int = 2024,
 ) -> JobPlan:
-    """Replicate jobs for the live-protocol survivability curve at fixed f."""
+    """A live-protocol Figure 2: replicate jobs for DES survivability vs N at fixed f.
+
+    The paper's Figure 2 plots Equation 1; this sweeps the *implemented*
+    protocol over cluster sizes and overlays both — the strongest form of
+    the model-vs-system agreement claim.
+    """
     jobs = _replicate_jobs([(n, f) for n in n_values], replicates)
 
     def reduce(values: dict[str, Any]) -> ExperimentResult:
@@ -117,24 +122,6 @@ def build_curve_plan(
     return JobPlan(experiment="desvalidation_curve", seed=seed, jobs=jobs, reduce=reduce)
 
 
-def run_curve(
-    f: int = 2,
-    n_values: tuple[int, ...] = (4, 6, 8, 10, 12),
-    replicates: int = 100,
-    seed: int = 2024,
-    executor: Any | None = None,
-    checkpoint: Any | None = None,
-) -> ExperimentResult:
-    """A live-protocol Figure 2: DES survivability vs N at fixed f.
-
-    The paper's Figure 2 plots Equation 1; this sweeps the *implemented*
-    protocol over cluster sizes and overlays both — the strongest form of
-    the model-vs-system agreement claim.
-    """
-    plan = build_curve_plan(f=f, n_values=n_values, replicates=replicates, seed=seed)
-    return run_plan(plan, executor, checkpoint=checkpoint)
-
-
 def build_plan(
     n: int = 8,
     f_values: tuple[int, ...] = (1, 2, 3, 4, 5),
@@ -164,16 +151,3 @@ def build_plan(
         return result
 
     return JobPlan(experiment="desvalidation", seed=seed, jobs=jobs, reduce=reduce)
-
-
-def run(
-    n: int = 8,
-    f_values: tuple[int, ...] = (1, 2, 3, 4, 5),
-    replicates: int = 120,
-    seed: int = 2000,
-    executor: Any | None = None,
-    checkpoint: Any | None = None,
-) -> ExperimentResult:
-    """Empirical-vs-analytic comparison table for one cluster size."""
-    plan = build_plan(n=n, f_values=f_values, replicates=replicates, seed=seed)
-    return run_plan(plan, executor, checkpoint=checkpoint)

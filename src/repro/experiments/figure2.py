@@ -25,7 +25,7 @@ from typing import Any
 import numpy as np
 
 from repro.analysis import simulate_grid, success_curve
-from repro.engine import Job, JobPlan, cell_point, run_plan
+from repro.engine import Job, JobPlan, cell_point
 from repro.experiments.base import (
     ExperimentResult,
     add_precision_artifacts,
@@ -42,26 +42,22 @@ def _mc_curve(params: dict[str, Any], seed_seq: np.random.SeedSequence) -> dict[
     checkpoint codec: ``{"f": estimate}`` floats for fixed-count runs, or
     full per-cell precision dicts (point, Wilson bounds, trials) when the
     plan carries a ``target_ci`` — the adaptive-stopping kernel then runs
-    each cell only until its interval is tight enough.
+    each cell only until its interval is tight enough.  Every curve job of
+    figure2 and crossovers is this function.
     """
-    rng = np.random.default_rng(seed_seq)
     target = params.get("target_ci")
-    method = params.get("method", "crn")
-    if target is not None:
-        cells = simulate_grid(
-            params["n"],
-            tuple(params["fs"]),
-            params["iterations"],
-            rng,
-            target_half_width=target,
-            confidence=params.get("ci_confidence", 0.95),
-            method=method,
-        )
-        return {str(f): cell.to_row() for f, cell in cells.items()}
-    estimates = simulate_grid(
-        params["n"], tuple(params["fs"]), params["iterations"], rng, method=method
+    cells = simulate_grid(
+        params["n"],
+        tuple(params["fs"]),
+        params["iterations"],
+        np.random.default_rng(seed_seq),
+        target_half_width=target,
+        confidence=params.get("ci_confidence", 0.95),
+        method=params.get("method", "crn"),
     )
-    return {str(f): p for f, p in estimates.items()}
+    if target is None:
+        return {str(f): p for f, p in cells.items()}
+    return {str(f): cell.to_row() for f, cell in cells.items()}
 
 
 def build_plan(
@@ -73,15 +69,19 @@ def build_plan(
     ci_confidence: float = 0.95,
     mc_method: str = "crn",
 ) -> JobPlan:
-    """Decompose Figure 2 into one curve-level Monte Carlo job per N.
+    """Regenerate Figure 2: one curve-level Monte Carlo job per N.
 
     The Equation-1 curves are closed-form and cheap; they are computed in
-    the reduction rather than shipped as jobs.  With ``target_ci``, each
-    job samples adaptively: ``mc_iterations`` becomes the first-batch
-    floor and every (N, f) cell stops at that interval half-width.
+    the reduction rather than shipped as jobs.  ``mc_iterations > 0`` adds
+    a Monte Carlo overlay series per f (the paper's simulation points).
+    With ``target_ci``, each job samples adaptively: ``mc_iterations``
+    becomes the first-batch floor, every (N, f) cell stops at that
+    interval half-width at ``ci_confidence``, and the result gains the
+    ``mc_precision`` table plus a manifest precision block.
     ``mc_method`` selects the overlay estimator (``"crn"``,
     ``"stratified"``, or ``"stratified-cv"`` — see
-    :func:`repro.analysis.montecarlo.simulate_grid`).
+    :func:`repro.analysis.montecarlo.simulate_grid`).  The values do not
+    depend on the executor the plan runs on.
     """
     jobs = []
     if mc_iterations > 0:
@@ -159,38 +159,3 @@ def build_plan(
         # the engine installs this total on the ProgressReporter for ETA lines
         meta={"total_trials": sum(j.params.get("iterations", 0) for j in jobs)},
     )
-
-
-def run(
-    f_values: tuple[int, ...] = F_VALUES,
-    n_max: int = 63,
-    mc_iterations: int = 0,
-    seed: int = 2000,
-    target_ci: float | None = None,
-    ci_confidence: float = 0.95,
-    mc_method: str = "crn",
-    executor: Any | None = None,
-    checkpoint: Any | None = None,
-) -> ExperimentResult:
-    """Regenerate Figure 2.
-
-    ``mc_iterations > 0`` adds a Monte Carlo overlay series per f (the
-    paper's simulation points).  ``target_ci`` switches the overlay to
-    adaptive stopping — every cell samples until its interval half-width
-    at ``ci_confidence`` reaches the target — and adds the
-    ``mc_precision`` table plus a manifest precision block.  ``mc_method``
-    selects the overlay estimator (``"stratified"``/``"stratified-cv"``
-    for the variance-reduced kernels).  ``executor`` selects the engine
-    backend (default serial); results are executor-independent.
-    ``checkpoint`` streams completed jobs for crash-safe ``--resume``.
-    """
-    plan = build_plan(
-        f_values=f_values,
-        n_max=n_max,
-        mc_iterations=mc_iterations,
-        seed=seed,
-        target_ci=target_ci,
-        ci_confidence=ci_confidence,
-        mc_method=mc_method,
-    )
-    return run_plan(plan, executor, checkpoint=checkpoint)

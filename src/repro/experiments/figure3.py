@@ -26,7 +26,7 @@ import numpy as np
 
 from repro.analysis import mean_absolute_deviation_grid
 from repro.analysis.convergence import ConvergenceStudy
-from repro.engine import Job, JobPlan, curve_value, run_plan
+from repro.engine import Job, JobPlan, curve_value
 from repro.experiments.base import ExperimentResult
 from repro.simkit.rng import seed_fingerprint
 
@@ -76,7 +76,15 @@ def build_plan(
     ci_confidence: float = 0.95,
     mc_method: str = "crn",
 ) -> JobPlan:
-    """One curve-family job per iteration count (all f evaluated in-kernel)."""
+    """Regenerate Figure 3: one curve-family job per iteration count (all f in-kernel).
+
+    ``target_ci`` turns each column's iteration count into an adaptive
+    budget: cells stop sampling early once their interval half-width at
+    ``ci_confidence`` reaches the target (see :func:`_mad_column`).
+    ``mc_method`` selects the estimator per column (``"crn"``,
+    ``"stratified"``, ``"stratified-cv"``).  The values do not depend on
+    the executor the plan runs on.
+    """
     extra: dict[str, Any] = {}
     if target_ci is not None:
         extra = {"target_ci": target_ci, "ci_confidence": ci_confidence}
@@ -154,34 +162,3 @@ def build_plan(
         reduce=reduce,
         meta={"total_trials": n_count * sum(iteration_grid)},
     )
-
-
-def run(
-    f_values: tuple[int, ...] = F_VALUES,
-    iteration_grid: tuple[int, ...] = ITERATION_GRID,
-    n_max: int = 63,
-    seed: int = 2000,
-    target_ci: float | None = None,
-    ci_confidence: float = 0.95,
-    mc_method: str = "crn",
-    executor: Any | None = None,
-    checkpoint: Any | None = None,
-) -> ExperimentResult:
-    """Regenerate Figure 3 (executor-independent for a given seed).
-
-    ``target_ci`` turns each column's iteration count into an adaptive
-    budget: cells stop sampling early once their interval half-width at
-    ``ci_confidence`` reaches the target (see :func:`_mad_column`).
-    ``mc_method`` selects the estimator per column (``"crn"``,
-    ``"stratified"``, ``"stratified-cv"``).
-    """
-    plan = build_plan(
-        f_values=f_values,
-        iteration_grid=iteration_grid,
-        n_max=n_max,
-        seed=seed,
-        target_ci=target_ci,
-        ci_confidence=ci_confidence,
-        mc_method=mc_method,
-    )
-    return run_plan(plan, executor, checkpoint=checkpoint)

@@ -321,8 +321,8 @@ def main(argv: list[str] | None = None) -> int:
             kwargs["target_ci"] = args.target_ci
             if spec.accepts("ci_confidence"):
                 kwargs["ci_confidence"] = args.ci_confidence
-        if args.topology is not None and spec.accepts("topology"):
-            kwargs["topology"] = args.topology
+        if args.topology is not None and spec.accepts("topologies"):
+            kwargs["topologies"] = (args.topology,)
         if args.mc_method is not None and spec.accepts("mc_method"):
             kwargs["mc_method"] = args.mc_method
         if spec.parallel:

@@ -18,7 +18,7 @@ from typing import Any
 import numpy as np
 
 from repro.drs import DrsConfig
-from repro.engine import Job, JobPlan, run_plan
+from repro.engine import Job, JobPlan
 from repro.experiments.base import ExperimentResult
 from repro.scenario.run import peer_nic_failures
 from repro.scenario.spec import ScenarioSpec, Warmup
@@ -45,9 +45,12 @@ def build_plan(
     sweep_period_s: float = 0.5,
     detection_target_s: float = 1.0,
     budget_cap: float = 0.15,
-    seed: int = 0,
 ) -> JobPlan:
-    """One DES job per cluster size; the feasibility boundary reduces."""
+    """Scaling table plus the feasibility boundary: one DES job per cluster size.
+
+    The simulations are deterministic, so the plan takes no seed: its root
+    seed is 0 and ``repro run --seed`` does not apply.
+    """
     jobs = [
         Job(name=f"size/n={n}", fn=_size_point, params={"n": n, "sweep_period_s": sweep_period_s})
         for n in n_values
@@ -56,7 +59,7 @@ def build_plan(
     def reduce(values: dict[str, Any]) -> ExperimentResult:
         result = ExperimentResult("scaling")
         result.meta = {
-            "seed": seed,
+            "seed": 0,
             "n_values": list(n_values),
             "sweep_period_s": sweep_period_s,
             "detection_target_s": detection_target_s,
@@ -98,22 +101,4 @@ def build_plan(
         )
         return result
 
-    return JobPlan(experiment="scaling", seed=seed, jobs=jobs, reduce=reduce)
-
-
-def run(
-    n_values: tuple[int, ...] = (4, 8, 12, 16, 24),
-    sweep_period_s: float = 0.5,
-    detection_target_s: float = 1.0,
-    budget_cap: float = 0.15,
-    executor: Any | None = None,
-    checkpoint: Any | None = None,
-) -> ExperimentResult:
-    """Scaling table plus the feasibility boundary."""
-    plan = build_plan(
-        n_values=n_values,
-        sweep_period_s=sweep_period_s,
-        detection_target_s=detection_target_s,
-        budget_cap=budget_cap,
-    )
-    return run_plan(plan, executor, checkpoint=checkpoint)
+    return JobPlan(experiment="scaling", seed=0, jobs=jobs, reduce=reduce)

@@ -25,7 +25,7 @@ from typing import Any
 import numpy as np
 
 from repro.analysis import exact_topology_success, simulate_topology_grid
-from repro.engine import Job, JobPlan, cell_point, run_plan
+from repro.engine import Job, JobPlan, cell_point
 from repro.experiments.base import (
     ExperimentResult,
     add_precision_artifacts,
@@ -52,23 +52,19 @@ def _topo_grid(params: dict[str, Any], seed_seq: np.random.SeedSequence) -> dict
     the shared precision tooling apply unchanged.
     """
     topology = build_topology(params["spec"], size=params["size"])
-    rng = np.random.default_rng(seed_seq)
-    fs = tuple(f for f in params["fs"] if f <= topology.width)
     target = params.get("target_ci")
-    method = params.get("method", "crn")
-    if target is not None:
-        cells = simulate_topology_grid(
-            topology,
-            fs,
-            params["iterations"],
-            rng,
-            target_half_width=target,
-            confidence=params.get("ci_confidence", 0.95),
-            method=method,
-        )
-        return {str(f): cell.to_row() for f, cell in cells.items()}
-    estimates = simulate_topology_grid(topology, fs, params["iterations"], rng, method=method)
-    return {str(f): p for f, p in estimates.items()}
+    cells = simulate_topology_grid(
+        topology,
+        tuple(f for f in params["fs"] if f <= topology.width),
+        params["iterations"],
+        np.random.default_rng(seed_seq),
+        target_half_width=target,
+        confidence=params.get("ci_confidence", 0.95),
+        method=params.get("method", "crn"),
+    )
+    if target is None:
+        return {str(f): p for f, p in cells.items()}
+    return {str(f): cell.to_row() for f, cell in cells.items()}
 
 
 def build_plan(
@@ -81,7 +77,16 @@ def build_plan(
     ci_confidence: float = 0.95,
     mc_method: str = "crn",
 ) -> JobPlan:
-    """One sweep job per (topology spec, size) grid point."""
+    """Survivability grid per topology family: one sweep job per (topology spec, size).
+
+    Every entry of ``topologies`` (spec strings such as ``"khub:hubs=3"``;
+    the CLI's ``--topology`` passes one) is checked before any job runs.
+    ``target_ci`` switches every cell to adaptive interval-targeted
+    stopping, exactly as in figure2.  ``mc_method="stratified"`` uses
+    hub/spine/core-state stratification on families that declare strata
+    (``"stratified-cv"`` additionally needs the dual-hub closed-form
+    control variate).
+    """
     for spec in topologies:
         parse_topology_spec(spec)  # fail before any job runs, with the catalog
     jobs = []
@@ -179,41 +184,3 @@ def build_plan(
             "topology": ",".join(topologies),
         },
     )
-
-
-def run(
-    topologies: tuple[str, ...] = DEFAULT_TOPOLOGIES,
-    sizes: tuple[int, ...] = SIZES,
-    f_values: tuple[int, ...] = F_VALUES,
-    mc_iterations: int = 20_000,
-    seed: int = 2100,
-    topology: str | None = None,
-    target_ci: float | None = None,
-    ci_confidence: float = 0.95,
-    mc_method: str = "crn",
-    executor: Any | None = None,
-    checkpoint: Any | None = None,
-) -> ExperimentResult:
-    """Survivability grid per topology family.
-
-    ``topology`` (the CLI's ``--topology`` spec string, e.g.
-    ``"khub:hubs=3"``) restricts the sweep to one family; otherwise every
-    entry of ``topologies`` runs.  ``target_ci`` switches every cell to
-    adaptive interval-targeted stopping, exactly as in figure2.
-    ``mc_method="stratified"`` uses hub/spine/core-state stratification on
-    families that declare strata (``"stratified-cv"`` additionally needs
-    the dual-hub closed-form control variate).
-    """
-    if topology is not None:
-        topologies = (topology,)
-    plan = build_plan(
-        topologies=topologies,
-        sizes=sizes,
-        f_values=f_values,
-        mc_iterations=mc_iterations,
-        seed=seed,
-        target_ci=target_ci,
-        ci_confidence=ci_confidence,
-        mc_method=mc_method,
-    )
-    return run_plan(plan, executor, checkpoint=checkpoint)

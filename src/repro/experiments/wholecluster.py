@@ -24,7 +24,7 @@ from repro.analysis import (
     simulate_topology_grid,
     success_curve,
 )
-from repro.engine import Job, JobPlan, run_plan
+from repro.engine import Job, JobPlan
 from repro.experiments.base import ExperimentResult
 from repro.topology import AllTerminalsConnected, dual_hub_cluster
 
@@ -49,7 +49,10 @@ def build_plan(
     mc_iterations: int = 50_000,
     seed: int = 12,
 ) -> JobPlan:
-    """One job per Monte Carlo spot check; the closed forms reduce in-process."""
+    """Both regimes plus a Monte Carlo spot check of the all-pairs closed form.
+
+    One job per spot check; the closed forms reduce in-process.
+    """
     jobs = [
         Job(
             name=f"mc_check/n={n}/f={f}",
@@ -120,25 +123,3 @@ def build_plan(
         reduce=reduce,
         meta={"total_trials": sum(j.params.get("iterations", 0) for j in jobs)},
     )
-
-
-def run(
-    f_values: tuple[int, ...] = (2, 4, 6),
-    n_max: int = 63,
-    rho_values: tuple[float, ...] = (0.005, 0.02),
-    iid_n_values: tuple[int, ...] = (4, 8, 16, 32, 48, 63),
-    mc_iterations: int = 50_000,
-    seed: int = 12,
-    executor: Any | None = None,
-    checkpoint: Any | None = None,
-) -> ExperimentResult:
-    """Both regimes plus a Monte Carlo spot check of the new closed form."""
-    plan = build_plan(
-        f_values=f_values,
-        n_max=n_max,
-        rho_values=rho_values,
-        iid_n_values=iid_n_values,
-        mc_iterations=mc_iterations,
-        seed=seed,
-    )
-    return run_plan(plan, executor, checkpoint=checkpoint)

@@ -132,11 +132,14 @@ def write_metrics_files(registry: MetricsRegistry, out_dir: str | Path, name: st
 
 
 def write_trace_jsonl(recorder: TraceRecorder, path: str | Path) -> Path:
-    """Dump a :class:`TraceRecorder` as JSONL (non-serializable fields repr'd)."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w") as fh:
-        for entry in recorder.iter_entries():
-            row = {"time": entry.time, "category": entry.category, **entry.fields}
-            fh.write(json.dumps(row, default=str) + "\n")
-    return path
+    """Dump a :class:`TraceRecorder` as JSONL (non-serializable fields repr'd).
+
+    The text is built whole and written with :func:`atomic_write_text`, so
+    a row that fails to encode, or a kill mid-write, leaves the previous
+    file intact.
+    """
+    rows = (
+        {"time": entry.time, "category": entry.category, **entry.fields}
+        for entry in recorder.iter_entries()
+    )
+    return atomic_write_text(path, "".join(json.dumps(row, default=str) + "\n" for row in rows))

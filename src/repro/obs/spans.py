@@ -273,8 +273,8 @@ def load_trace_jsonl(path: str | Path) -> list[dict[str, Any]]:
     """Read a ``*.trace.jsonl`` artifact back into flat dict rows.
 
     Through the one reader (:func:`repro.obs.flightrecorder.read_jsonl`): a
-    torn final line — ``write_trace_jsonl`` is a plain write, so a kill
-    mid-write leaves one — is skipped, not raised.
+    torn final line is skipped, not raised.  ``write_trace_jsonl`` replaces
+    the file atomically, so only a file some other writer tore has one.
     """
     return read_jsonl(path)
 

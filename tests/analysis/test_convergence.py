@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.analysis import mean_absolute_deviation_grid
-from repro.experiments import figure3
+from repro.engine import get_spec
 
 
 def test_mad_positive_and_bounded():
@@ -49,7 +49,7 @@ def test_mad_empty_domain_raises():
 
 def test_convergence_study_grid_and_series():
     # Figure 3's study, as the experiment assembles it: one MAD per (f, iteration count)
-    result = figure3.run(f_values=(2, 3), iteration_grid=(10, 100), n_max=15)
+    result = get_spec("figure3").run(f_values=(2, 3), iteration_grid=(10, 100), n_max=15)
     curves = result.series["mad"].curves
     assert sorted(curves) == ["f=2", "f=3"]
     for xs, mad in curves.values():

@@ -10,8 +10,8 @@ import math
 
 import numpy as np
 
-from repro.engine import ParallelExecutor, curve_value
-from repro.experiments import crossovers, figure2, figure3
+from repro.engine import ParallelExecutor, curve_value, get_spec
+from repro.experiments import figure2, figure3
 
 
 def test_curve_value_reads_rows_and_tolerates_quarantine():
@@ -56,8 +56,8 @@ def test_figure2_montecarlo_row_values_are_checkpointable():
 
 
 def test_figure2_serial_and_pool_rows_byte_identical():
-    serial = figure2.run(f_values=(2, 3), n_max=12, mc_iterations=300, seed=9)
-    pooled = figure2.run(
+    serial = get_spec("figure2").run(f_values=(2, 3), n_max=12, mc_iterations=300, seed=9)
+    pooled = get_spec("figure2").run(
         f_values=(2, 3), n_max=12, mc_iterations=300, seed=9, executor=ParallelExecutor(workers=2)
     )
     for key in ("sim f=2", "sim f=3"):
@@ -69,7 +69,7 @@ def test_figure2_serial_and_pool_rows_byte_identical():
 
 def test_figure2_overlay_curves_monotone_in_f_at_every_n():
     # common random numbers: at each N the overlay cannot cross between f's
-    result = figure2.run(f_values=(2, 4, 6), n_max=16, mc_iterations=400, seed=3)
+    result = get_spec("figure2").run(f_values=(2, 4, 6), n_max=16, mc_iterations=400, seed=3)
     curves = result.series["montecarlo"].curves
     for lo, hi in ((2, 4), (4, 6)):
         ns_lo, ps_lo = curves[f"sim f={lo}"]
@@ -79,7 +79,7 @@ def test_figure2_overlay_curves_monotone_in_f_at_every_n():
 
 
 def test_crossovers_mc_table_monotone_and_near_analytic():
-    result = crossovers.run(f_values=(2, 3, 4), mc_iterations=4_000, seed=5)
+    result = get_spec("crossovers").run(f_values=(2, 3, 4), mc_iterations=4_000, seed=5)
     rows = result.tables["mc_crossovers"].rows
     assert [row[0] for row in rows] == [2, 3, 4]
     simulated = [row[2] for row in rows]
@@ -89,6 +89,6 @@ def test_crossovers_mc_table_monotone_and_near_analytic():
 
 
 def test_crossovers_without_mc_keeps_legacy_shape():
-    result = crossovers.run(f_values=(2, 3, 4))
+    result = get_spec("crossovers").run(f_values=(2, 3, 4))
     assert {row[0]: row[1] for row in result.tables["crossovers"].rows} == {2: 18, 3: 32, 4: 45}
     assert "mc_crossovers" not in result.tables

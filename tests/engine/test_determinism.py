@@ -10,7 +10,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.experiments import availability, figure2, runner
+from repro.engine import get_spec
+from repro.experiments import runner
 
 
 def _csvs(out: Path) -> dict[str, bytes]:
@@ -28,9 +29,9 @@ def test_quick_csvs_identical_serial_vs_two_workers(tmp_path, name):
 
 
 def test_seed_changes_montecarlo_bytes(tmp_path):
-    a = figure2.run(f_values=(2,), n_max=10, mc_iterations=500, seed=1)
-    b = figure2.run(f_values=(2,), n_max=10, mc_iterations=500, seed=2)
-    same = figure2.run(f_values=(2,), n_max=10, mc_iterations=500, seed=1)
+    a = get_spec("figure2").run(f_values=(2,), n_max=10, mc_iterations=500, seed=1)
+    b = get_spec("figure2").run(f_values=(2,), n_max=10, mc_iterations=500, seed=2)
+    same = get_spec("figure2").run(f_values=(2,), n_max=10, mc_iterations=500, seed=1)
     key = "sim f=2"
     assert a.series["montecarlo"].curves[key][1].tolist() == same.series["montecarlo"].curves[key][1].tolist()
     assert a.series["montecarlo"].curves[key][1].tolist() != b.series["montecarlo"].curves[key][1].tolist()
@@ -39,8 +40,8 @@ def test_seed_changes_montecarlo_bytes(tmp_path):
 def test_figure2_curves_use_independent_streams():
     # regression for the old bug: one generator threaded through every curve
     # made each f-curve's draws depend on which curves ran before it.
-    full = figure2.run(f_values=(2, 3), n_max=12, mc_iterations=500, seed=42)
-    alone = figure2.run(f_values=(3,), n_max=12, mc_iterations=500, seed=42)
+    full = get_spec("figure2").run(f_values=(2, 3), n_max=12, mc_iterations=500, seed=42)
+    alone = get_spec("figure2").run(f_values=(3,), n_max=12, mc_iterations=500, seed=42)
     key = "sim f=3"
     assert (
         full.series["montecarlo"].curves[key][1].tolist()
@@ -49,8 +50,8 @@ def test_figure2_curves_use_independent_streams():
 
 
 def test_availability_weighted_table_backend_independent():
-    serial = availability.run(mc_iterations=2_000, seed=5)
-    pooled = availability.run(mc_iterations=2_000, seed=5, executor=_two_workers())
+    serial = get_spec("availability").run(mc_iterations=2_000, seed=5)
+    pooled = get_spec("availability").run(mc_iterations=2_000, seed=5, executor=_two_workers())
     assert serial.tables["weighted"].rows == pooled.tables["weighted"].rows
 
 

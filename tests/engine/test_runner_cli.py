@@ -52,3 +52,17 @@ def test_non_parallel_experiment_ignores_jobs(tmp_path):
     manifest = json.loads((tmp_path / "figure1.manifest.json").read_text())
     assert manifest["extra"]["backend"] == "direct"
     assert manifest["extra"]["workers"] == 1
+
+
+def test_topology_restricts_the_sweep_to_one_family(tmp_path, capsys):
+    args = ["topologysweep", "--quick", "--topology", "khub:hubs=3", "--no-flight"]
+    assert runner.main([*args, "--out", str(tmp_path)]) == 0
+    mc = sorted(p.name for p in tmp_path.glob("topologysweep_mc_*.csv"))
+    assert mc == ["topologysweep_mc_khub_hubs3.csv"]
+    for table in ("exact_check", "families"):
+        rows = (tmp_path / f"topologysweep_{table}.csv").read_text().splitlines()[1:]
+        assert rows and {row.partition(",")[0] for row in rows} == {"khub:hubs=3"}, table
+    with pytest.raises(SystemExit) as exit_info:
+        runner.main(["topologysweep", "--quick", "--topology", "nosuch", "--out", str(tmp_path / "x")])
+    assert exit_info.value.code == 2
+    assert "unknown topology family 'nosuch'" in capsys.readouterr().err

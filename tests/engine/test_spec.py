@@ -1,5 +1,6 @@
 """The declarative experiment registry."""
 
+import inspect
 import sys
 
 import pytest
@@ -34,7 +35,7 @@ def test_the_registry_is_the_table():
     assert sorted(spec_names()) == sorted(row["name"] for row in EXPERIMENTS)
     for row in EXPERIMENTS:
         spec = get_spec(row["name"])
-        module, _, qualname = row["run"].partition(":")
+        module, _, qualname = (row.get("run") or row["plan"]).partition(":")
         assert (spec.run.__module__, spec.run.__qualname__) == (module, qualname)
         assert module in sys.modules  # get_spec imported the driver
 
@@ -48,6 +49,40 @@ def test_a_reference_resolves_on_first_read():
     assert spec.accepts("mc_iterations")
 
 
+def test_a_plan_row_runs_its_plan_builder(monkeypatch):
+    from repro.engine import spec as spec_module
+    from repro.experiments import figure2
+
+    spec = ExperimentSpec(name="ref", plan="repro.experiments.figure2:build_plan",
+                          profiles={"quick": {}, "full": {}})
+    assert spec.parallel and spec.__dict__["run"] is None
+    assert (spec.run.__module__, spec.run.__name__) == ("repro.experiments.figure2", "build_plan")
+    params = inspect.signature(spec.run).parameters
+    assert list(params) == [*inspect.signature(figure2.build_plan).parameters, "executor", "checkpoint"]
+    calls = []
+    monkeypatch.setattr(spec_module, "run_plan", lambda *a, **k: calls.append((a, k)) or "result")
+    assert spec.run(n_max=5, executor="pool", checkpoint="ckpt") == "result"
+    (plan, executor), keywords = calls[0]
+    assert (plan.experiment, executor, keywords) == ("figure2", "pool", {"checkpoint": "ckpt"})
+    assert plan.seed == 2000
+
+
+def test_a_spec_names_exactly_one_of_run_and_plan():
+    profiles = {"quick": {}, "full": {}}
+    with pytest.raises(ValueError, match="exactly one"):
+        ExperimentSpec(name="both", run=lambda: None, plan=lambda: None, profiles=profiles)
+    with pytest.raises(ValueError, match="exactly one"):
+        ExperimentSpec(name="neither", profiles=profiles)
+    assert not ExperimentSpec(name="direct", run=lambda: None, profiles=profiles).parallel
+    with pytest.raises(TypeError):
+        ExperimentSpec(name="flag", run=lambda: None, profiles=profiles, parallel=True)
+
+
+def test_no_row_carries_parallel():
+    # a plan row is parallel by construction; the table does not restate it
+    assert not [row["name"] for row in EXPERIMENTS if "parallel" in row]
+
+
 def test_specs_have_both_profiles_and_callables():
     for spec in experiment_specs():
         assert callable(spec.run), spec.name
@@ -56,8 +91,6 @@ def test_specs_have_both_profiles_and_callables():
 
 def test_quick_profiles_are_strict_reductions():
     # quick kwargs must be accepted by run(); smoke-call signature binding
-    import inspect
-
     for spec in experiment_specs():
         sig = inspect.signature(spec.run)
         for profile in PROFILES:

@@ -4,16 +4,8 @@ import math
 
 import pytest
 
-from repro.experiments import (
-    ablations,
-    crossovers,
-    desvalidation,
-    failover,
-    figure1,
-    figure2,
-    figure3,
-    motivation,
-)
+from repro.engine import get_spec
+from repro.experiments import ablations, failover, figure1, motivation
 
 
 def test_figure1_checkpoints_and_des_validation():
@@ -32,7 +24,7 @@ def test_figure1_checkpoints_and_des_validation():
 
 
 def test_figure2_curves_rise_toward_one():
-    result = figure2.run(f_values=(2, 5), n_max=40, mc_iterations=500)
+    result = get_spec("figure2").run(f_values=(2, 5), n_max=40, mc_iterations=500)
     eq = result.series["equation1"].curves
     for name, (ns, ps) in eq.items():
         assert ps[-1] > ps[0]
@@ -46,14 +38,14 @@ def test_figure2_curves_rise_toward_one():
 
 
 def test_figure3_mad_decreases():
-    result = figure3.run(f_values=(3,), iteration_grid=(10, 1_000), n_max=25)
+    result = get_spec("figure3").run(f_values=(3,), iteration_grid=(10, 1_000), n_max=25)
     xs, mad = result.series["mad"].curves["f=3"]
     assert mad[-1] < mad[0]
     assert result.tables["at_1000_iterations"].rows[0][1] < 0.02
 
 
 def test_crossovers_match_paper():
-    result = crossovers.run(f_values=(2, 3, 4))
+    result = get_spec("crossovers").run(f_values=(2, 3, 4))
     rows = {row[0]: row[1] for row in result.tables["crossovers"].rows}
     assert rows == {2: 18, 3: 32, 4: 45}
     assert any("reproduced exactly: True" in note for note in result.notes)
@@ -97,7 +89,7 @@ def test_failover_matrix_runs():
 
 
 def test_desvalidation_within_noise():
-    result = desvalidation.run(n=6, f_values=(2, 4), replicates=20, seed=5)
+    result = get_spec("desval").run(n=6, f_values=(2, 4), replicates=20, seed=5)
     for row in result.tables["validation"].rows:
         measured, expected, diff, two_sigma = row[3], row[4], row[5], row[6]
         assert abs(diff) <= max(2 * two_sigma, 0.15)
@@ -106,13 +98,13 @@ def test_desvalidation_within_noise():
 
 def test_desvalidation_survivability_improves_with_n():
     # the paper's headline trend, on the live protocol
-    result = desvalidation.run_curve(f=3, n_values=(4, 12), replicates=10, seed=7)
+    result = get_spec("desval-curve").run(f=3, n_values=(4, 12), replicates=10, seed=7)
     small, large = (row[1] for row in result.tables["curve_points"].rows)
     assert large >= small
 
 
 def test_desvalidation_curve_tracks_equation1():
-    result = desvalidation.run_curve(f=2, n_values=(4, 6), replicates=25, seed=9)
+    result = get_spec("desval-curve").run(f=2, n_values=(4, 6), replicates=25, seed=9)
     rows = result.tables["curve_points"].rows
     assert len(rows) == 2
     for n, measured, analytic, diff, two_sigma in rows:
@@ -122,7 +114,7 @@ def test_desvalidation_curve_tracks_equation1():
 
 
 def test_ablations_orderings():
-    result = ablations.run(
+    result = get_spec("ablations").run(
         n_values=(10, 30),
         f_values=(2,),
         mc_iterations=20_000,
@@ -143,7 +135,7 @@ def test_ablations_orderings():
 def test_ablations_gains_limits_and_period_bound():
     from repro.analysis import success_probability
 
-    result = ablations.run(
+    result = get_spec("ablations").run(
         n_values=(5, 16, 40), f_values=(4,), mc_iterations=20_000, sweep_periods=(0.25, 1.0, 4.0)
     )
     for n in (8, 16, 32, 63):

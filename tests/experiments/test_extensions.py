@@ -2,7 +2,8 @@
 
 import math
 
-from repro.experiments import availability, grayfailure, wholecluster
+from repro.engine import get_spec
+from repro.experiments import grayfailure
 
 
 def test_grayfailure_tradeoff_shape():
@@ -22,7 +23,7 @@ def test_grayfailure_tradeoff_shape():
 
 
 def test_wholecluster_orderings():
-    result = wholecluster.run(f_values=(3,), n_max=30, iid_n_values=(4, 32), mc_iterations=5_000)
+    result = get_spec("wholecluster").run(f_values=(3,), n_max=30, iid_n_values=(4, 32), mc_iterations=5_000)
     curves = result.series["conditional"].curves
     ns, pair_ps = curves["pair f=3"]
     _, all_ps = curves["all f=3"]
@@ -60,7 +61,7 @@ def test_scenariosuite_missing_dir_raises(tmp_path):
 
 
 def test_availability_orderings():
-    result = availability.run(n_values=(4, 24), mc_iterations=20_000)
+    result = get_spec("availability").run(n_values=(4, 24), mc_iterations=20_000)
     for row in result.tables["downtime"].rows:
         n, static_dt, reactive_dt, drs_dt, saved, nines = row
         assert static_dt > reactive_dt > drs_dt

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.drs import DrsConfig
-from repro.experiments import scaling
+from repro.engine import get_spec
 
 
 def test_for_deployment_meets_target():
@@ -42,7 +42,7 @@ def test_for_deployment_boundary_matches_figure1():
 
 
 def test_scaling_experiment_shape():
-    result = scaling.run(n_values=(4, 8), sweep_period_s=0.3)
+    result = get_spec("scaling").run(n_values=(4, 8), sweep_period_s=0.3)
     rows = result.tables["scaling"].rows
     assert len(rows) == 2
     latencies = [r[1] for r in rows]

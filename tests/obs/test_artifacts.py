@@ -100,3 +100,20 @@ def test_write_trace_jsonl(tmp_path):
     assert row["component"] == "nic0"
     # non-serializable fields fall back to repr instead of crashing the dump
     assert "object" in row["detail"]
+
+
+def test_a_failed_trace_write_leaves_the_previous_trace_whole(tmp_path):
+    sim = Simulator()
+    good = TraceRecorder(sim)
+    good.record("fault", component="nic0")
+    path = write_trace_jsonl(good, tmp_path / "run1.trace.jsonl")
+    before = path.read_bytes()
+    loop: list = []
+    loop.append(loop)  # json.dumps raises ValueError on the circular reference
+    bad = TraceRecorder(sim)
+    bad.record("fault", component="nic1")
+    bad.record("fault", component=loop)
+    with pytest.raises(ValueError):
+        write_trace_jsonl(bad, path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["run1.trace.jsonl"]

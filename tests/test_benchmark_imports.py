@@ -6,7 +6,9 @@ without any tier-1 test noticing.  This reads the harness files — it never
 edits or runs them — and checks every ``from repro... import`` name
 resolves, and every call of such a name binds to the current signature
 (e.g. the traced figure-2 replay's positional ``simulate_grid(n, fs,
-iterations, rng)``).
+iterations, rng)``).  It also binds, for every workload, what the harness
+calls through the workload's spec: ``spec.run`` and the ``build_plan`` of
+``spec.run``'s module.
 """
 
 from __future__ import annotations
@@ -14,6 +16,8 @@ from __future__ import annotations
 import ast
 import importlib
 import inspect
+import runpy
+import sys
 from pathlib import Path
 
 import pytest
@@ -78,3 +82,20 @@ def test_every_call_of_an_imported_function_binds(path):
         except TypeError as exc:
             unbound.append(f"line {node.lineno}: {node.func.id}: {exc}")
     assert not unbound, unbound
+
+
+WORKLOADS = runpy.run_path(str(HARNESS / "workloads.py"))["WORKLOADS"]
+
+
+@pytest.mark.parametrize("workload", WORKLOADS, ids=[w.name for w in WORKLOADS])
+def test_what_the_harness_reads_off_a_spec_binds(workload):
+    # child.py calls spec.run(**kwargs, seed=, executor=, checkpoint=); the traced
+    # replay (layers.py) finds build_plan in spec.run's module and calls it with
+    # **kwargs, seed=.  Nothing here runs.
+    from repro.engine import get_spec
+
+    spec = get_spec(workload.spec)
+    for kwargs in (workload.kwargs, workload.smoke):
+        inspect.signature(spec.run).bind(**kwargs, seed=1, executor=None, checkpoint=None)
+        build_plan = sys.modules[spec.run.__module__].build_plan
+        inspect.signature(build_plan).bind(**kwargs, seed=1)

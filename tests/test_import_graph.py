@@ -26,7 +26,7 @@ SRC = ROOT / "src"
 ENV = dict(os.environ, PYTHONPATH=f"{SRC}{os.pathsep}{os.environ.get('PYTHONPATH', '')}")
 
 #: the fourteen driver modules, as the table names them
-DRIVERS = sorted({row["run"].partition(":")[0] for row in EXPERIMENTS})
+DRIVERS = sorted({(row.get("run") or row["plan"]).partition(":")[0] for row in EXPERIMENTS})
 #: the protocol simulator above the event kernel (simkit itself is shared)
 DES_TOWER = ("netsim", "protocols", "drs", "baselines", "cluster", "scenario")
 
@@ -126,7 +126,8 @@ def test_list_loads_no_driver_and_prints_the_same_bytes():
 @pytest.mark.parametrize("name", sorted(SMOKE))
 def test_get_spec_loads_exactly_its_driver(name):
     modules = loaded(f"from repro.engine import get_spec\nget_spec({name!r})")
-    driver = next(row["run"] for row in EXPERIMENTS if row["name"] == name).partition(":")[0]
+    row = next(row for row in EXPERIMENTS if row["name"] == name)
+    driver = (row.get("run") or row["plan"]).partition(":")[0]
     assert modules & set(DRIVERS) == {driver}
     if name == "figure2":
         assert not under(modules, *DES_TOWER)

@@ -169,6 +169,6 @@ def test_every_definition_is_reached_or_a_named_reference():
 def test_the_graph_sees_the_entry_points():
     # the walk must start from real roots, or every definition would be dead
     dead = unreached()
-    for live in ("repro.__main__:main", "repro.experiments.figure3:run", "repro.drs.daemon:install_drs",
+    for live in ("repro.__main__:main", "repro.experiments.figure3:build_plan", "repro.drs.daemon:install_drs",
                  "repro.analysis.convergence:mean_absolute_deviation_grid"):
         assert live not in dead
