@@ -74,13 +74,8 @@ def test_a_spec_names_exactly_one_of_run_and_plan():
     with pytest.raises(ValueError, match="exactly one"):
         ExperimentSpec(name="neither", profiles=profiles)
     assert not ExperimentSpec(name="direct", run=lambda: None, profiles=profiles).parallel
-    with pytest.raises(TypeError):
+    with pytest.raises(TypeError):  # parallel is derived, not a field a row sets
         ExperimentSpec(name="flag", run=lambda: None, profiles=profiles, parallel=True)
-
-
-def test_no_row_carries_parallel():
-    # a plan row is parallel by construction; the table does not restate it
-    assert not [row["name"] for row in EXPERIMENTS if "parallel" in row]
 
 
 def test_specs_have_both_profiles_and_callables():

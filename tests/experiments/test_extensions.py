@@ -23,7 +23,9 @@ def test_grayfailure_tradeoff_shape():
 
 
 def test_wholecluster_orderings():
-    result = get_spec("wholecluster").run(f_values=(3,), n_max=30, iid_n_values=(4, 32), mc_iterations=5_000)
+    result = get_spec("wholecluster").run(
+        f_values=(3,), n_max=30, iid_n_values=(4, 32), mc_iterations=5_000
+    )
     curves = result.series["conditional"].curves
     ns, pair_ps = curves["pair f=3"]
     _, all_ps = curves["all f=3"]
