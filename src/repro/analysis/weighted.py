@@ -36,6 +36,13 @@ def hub_nic_weight_ratio(n: int, nic_share: float = 0.07, hub_share: float = 0.0
     return per_hub / per_nic
 
 
+def _check_weights(hub_weight: float, nic_weight: float) -> None:
+    """Both kind weights positive and finite (``nan <= 0`` is False, so say it both ways)."""
+    for name, weight in (("hub_weight", hub_weight), ("nic_weight", nic_weight)):
+        if not (weight > 0 and np.isfinite(weight)):
+            raise ValueError(f"{name} must be positive and finite, got {weight!r}")
+
+
 def weighted_failure_matrix(
     n: int,
     f: int,
@@ -58,8 +65,7 @@ def weighted_failure_matrix(
         raise ValueError(f"f must be in [0, {width}], got {f}")
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
-    if hub_weight <= 0 or nic_weight <= 0:
-        raise ValueError("weights must be positive")
+    _check_weights(hub_weight, nic_weight)
     log_w = np.empty(width)
     log_w[:2] = np.log(hub_weight)
     log_w[2:] = np.log(nic_weight)
@@ -91,6 +97,7 @@ def simulate_weighted_success(
     :func:`weighted_failure_matrix`'s do, and the dual-hub fast path
     reduces them with :func:`~repro.analysis.montecarlo.connectivity_levels`.
     """
+    _check_weights(hub_weight, nic_weight)
     weights = (hub_weight,) * 2 + (nic_weight,) * (2 * n)
     return simulate_topology_grid(
         replace(dual_hub_cluster(n), weights=weights), (f,), iterations, rng, batch=batch

@@ -248,8 +248,9 @@ class Topology:
                     f"weights length {len(self.weights)} != "
                     f"{len(self.failure_sites)} failure sites"
                 )
-            if any(w <= 0 for w in self.weights):
-                raise ValueError("failure weights must be positive")
+            bad = [w for w in self.weights if not (w > 0 and np.isfinite(w))]  # nan <= 0 is False
+            if bad:
+                raise ValueError(f"failure weights must be positive and finite, got {bad[0]!r}")
         if self.strata_sites is not None:
             if len(self.strata_sites) == 0:
                 raise ValueError("strata_sites must name at least one failure site (or be None)")

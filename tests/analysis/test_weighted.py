@@ -71,3 +71,25 @@ def test_validation():
         weighted_failure_matrix(5, 2, 0, rng)
     with pytest.raises(ValueError):
         weighted_failure_matrix(5, 2, 10, rng, hub_weight=0.0)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("kind", ["hub_weight", "nic_weight"])
+def test_non_finite_weights_are_refused_by_name(kind, bad):
+    """``nan <= 0`` is False: a NaN weight used to pass both checks and estimate 0.0."""
+    with pytest.raises(ValueError, match=f"{kind}.*{bad}"):
+        weighted_failure_matrix(8, 3, 10, np.random.default_rng(0), **{kind: bad})
+    with pytest.raises(ValueError, match=f"{kind}.*{bad}"):
+        simulate_weighted_success(8, 3, 2000, np.random.default_rng(0), **{kind: bad})
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_topology_refuses_a_non_finite_site_weight_by_name(bad):
+    from dataclasses import replace
+
+    from repro.topology import dual_hub_cluster
+
+    topology = dual_hub_cluster(3)
+    weights = (1.0,) * 5 + (bad,) + (1.0,) * 2
+    with pytest.raises(ValueError, match=f"failure weights must be positive and finite.*{bad}"):
+        replace(topology, weights=weights)
