@@ -43,10 +43,13 @@ grid ``f < N`` the ``c`` term is zero for most cells and the CV estimate
 lands exactly on Equation 1 — the Monte Carlo then only spends trials
 certifying the interval.
 
-Intervals: stratum 0 keeps a Wilson interval on its own counts (``(a, T)``
-plain, ``(a, a + c)`` scaled by ``1 - μ_X`` for the CV form — both keep the
-z²-continuity floor that makes adaptive stopping sound at p̂ near 1), and
-the combined cell interval is that half-width scaled by ``w_0``.  Cells are
+Intervals: stratum 0 keeps an interval centred on its own estimate
+(``(a, T)`` plain, ``(a, a + c)`` scaled by ``1 - μ_X`` for the CV form),
+whose half-width is the longer arm of the continuity-corrected Wilson
+interval (:func:`repro.analysis.stats.centred_half_width`): it covers at
+least nominally, and stays positive at p̂ = 1, which keeps adaptive
+stopping sound there.  The combined cell interval is that half-width scaled
+by ``w_0``.  Cells are
 published as :class:`repro.obs.precision.CellPrecision` records with
 ``method`` set, so precision CSVs, flight events, and the watch dashboard
 distinguish stratified intervals from plain binomial ones.
@@ -77,7 +80,7 @@ from repro.analysis.montecarlo import (
     _SweepGroup,
     pair_connected_vec,
 )
-from repro.analysis.stats import _z_for, wilson_bounds
+from repro.analysis.stats import _z_for, centred_half_width
 from repro.obs.precision import CellPrecision, PrecisionGrid
 
 
@@ -321,9 +324,12 @@ def _stratified_grid(
     needs ``d`` (endpoint-dead rows, indicator known-mean μ_X) and ``c``
     (the remaining bad rows).  ``S`` and ``X`` are mutually exclusive, so
     the optimal-coefficient control variate reduces to the ratio estimate
-    ``(1 - μ_X) a / (a + c)`` with a matching scaled Wilson interval; the
+    ``(1 - μ_X) a / (a + c)`` with a matching scaled interval; the
     combined cell interval is the stratum-0 half-width times ``w_0``
-    (strata 1 and 2 are exact and contribute no width).
+    (strata 1 and 2 are exact and contribute no width).  At a nominal 95 %
+    (N = f = 4, 400 trials, summed exactly over every outcome) Wilson's
+    half-width centred on the point covered 94.91 % plain and 94.59 % CV;
+    the corrected half-width covers 95.50 % and 97.23 %.
     """
     n, fs, trials = group.n, group.fs, group.trials
     weights = [hub_stratum_weights(n, f) for f in fs]
@@ -338,13 +344,12 @@ def _stratified_grid(
         covered_bad = trials - survivors - dead
         conditional_trials = survivors + covered_bad
         empty = conditional_trials == 0
-        point, low, high = wilson_bounds(survivors, np.where(empty, 1, conditional_trials), z)
+        point, half = centred_half_width(survivors, np.where(empty, 1, conditional_trials), z)
         stratum_estimate = np.where(empty, 0.0, (1.0 - mu_x) * point)
-        stratum_half = np.where(empty, 1.0 - mu_x, (1.0 - mu_x) * ((high - low) / 2.0))
+        stratum_half = np.where(empty, 1.0 - mu_x, (1.0 - mu_x) * half)
         method = "stratified-cv"
     else:
-        stratum_estimate, low, high = wilson_bounds(survivors, trials, z)
-        stratum_half = (high - low) / 2.0
+        stratum_estimate, stratum_half = centred_half_width(survivors, trials, z)
         method = "stratified"
     return PrecisionGrid.from_stratified(
         n,

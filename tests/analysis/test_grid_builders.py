@@ -3,7 +3,7 @@
 Each builder reads a group's whole f-grid as columns in one pass
 (:class:`repro.obs.precision.PrecisionGrid`).  The references below are the
 per-cell forms the builders replaced: one ``hists[f:].sum()`` and one scalar
-Wilson interval per ``f``.  Over generated histograms — survivor counts of 0
+Wilson interval (the dual-hub strata: one corrected half-width) per ``f``.  Over generated histograms — survivor counts of 0
 and of every trial, up to 5 M trials, table and non-table confidences — every
 :class:`~repro.obs.precision.CellPrecision` field and every ``stats.cell``
 payload must be equal with ``==`` (the payloads as serialized JSON, so a
@@ -50,6 +50,20 @@ def reference_wilson(successes: int, trials: int, confidence: float):
     return p, (high - low) / 2.0, low, high
 
 
+def reference_centred_half(successes: int, trials: int, confidence: float):
+    """The scalar stratum interval: ``(point, half_width)``, the corrected Wilson interval's longer arm."""
+    z = _z_for(confidence)
+    p = successes / trials
+    z2 = z * z
+    centre = 2 * successes + z2
+    denominator = 2 * (trials + z2)
+    low_root = np.sqrt(max(0.0, z2 - 2 - 1 / trials + 4 * p * (trials * (1 - p) + 1)))
+    high_root = np.sqrt(max(0.0, z2 + 2 - 1 / trials + 4 * p * (trials * (1 - p) - 1)))
+    low = 0.0 if successes == 0 else max(0.0, float((centre - 1 - z * low_root) / denominator))
+    high = 1.0 if successes == trials else min(1.0, float((centre + 1 + z * high_root) / denominator))
+    return p, max(p - low, high - p)
+
+
 def reference_stratified(n, f, successes, trials, point, half_width, confidence, target,
                          topology, method):
     return CellPrecision(
@@ -82,11 +96,11 @@ def reference_dual_hub(group, f, control_variate, confidence, target, topology):
         if conditional_trials == 0:
             estimate, half = 0.0, 1.0 - mu_x
         else:
-            point, half_width, _, _ = reference_wilson(survivors, conditional_trials, confidence)
+            point, half_width = reference_centred_half(survivors, conditional_trials, confidence)
             estimate, half = (1.0 - mu_x) * point, (1.0 - mu_x) * half_width
         method = "stratified-cv"
     else:
-        estimate, half, _, _ = reference_wilson(survivors, trials, confidence)
+        estimate, half = reference_centred_half(survivors, trials, confidence)
         method = "stratified"
     return reference_stratified(n, f, survivors, trials, exact_part + w0 * estimate, w0 * half,
                                 confidence, target, topology, method)

@@ -8,9 +8,9 @@ crude common-random-numbers Monte Carlo:
   identically, and the CV ratio form lands exactly on Equation 1 wherever
   the crossed-covering term vanishes (the whole paper grid ``f < N``);
 * interval honesty — on the full paper grid, 99.9% stratified intervals
-  cover Equation 1, and the non-binomial intervals' empirical coverage at
-  95% meets nominal over hundreds of replications of a residual-variance
-  cell;
+  cover Equation 1, and the non-binomial intervals' coverage at 95% meets
+  nominal on a residual-variance cell, both empirically over hundreds of
+  replications and exactly, summed over every outcome;
 * variance dominance — at matched trial counts, both reduced estimators
   have strictly smaller empirical variance than crude CRN sampling on
   representative cells;
@@ -20,6 +20,7 @@ crude common-random-numbers Monte Carlo:
 """
 
 from dataclasses import replace
+from math import exp, lgamma, log, log1p
 
 import numpy as np
 import pytest
@@ -36,6 +37,8 @@ from repro.analysis import (
     success_probability,
 )
 from repro.analysis.variance import (
+    _nic_group,
+    _stratified_grid,
     allocate_stratum_trials,
     both_hubs_up_conditional_success,
     endpoint_dead_conditional_mean,
@@ -175,11 +178,11 @@ def test_reduced_estimators_beat_crude_variance_at_matched_trials(n, f):
 
 
 @pytest.mark.parametrize(
-    "target,crude_trials,reduced_trials", [(0.0002, 1_256_000, 16_000), (0.002, 16_000, 1_000)]
+    "target,crude_trials,reduced_trials", [(0.0002, 1_256_000, 32_000), (0.002, 16_000, 4_000)]
 )
 def test_cv_reaches_the_crude_half_width_in_fewer_trials(target, crude_trials, reduced_trials):
-    # trials to a half-width are deterministic for the seed, so the 78.5x
-    # headline (1,256,000 / 16,000) is an exact fact, not a timing
+    # trials to a half-width are deterministic for the seed, so the 39x
+    # headline (1,256,000 / 32,000) is an exact fact, not a timing
     spent = {}
     for method in ("crn", "stratified-cv"):
         cells = simulate_grid(
@@ -214,6 +217,47 @@ def test_cv_interval_coverage_meets_nominal():
                 covered[method] += 1
     for method, hits in covered.items():
         assert hits / replications >= 0.95, (method, hits)
+
+
+def _binomial_pmf(trials: int, p: float) -> list[float]:
+    if p in (0.0, 1.0):
+        return [float(k == round(p * trials)) for k in range(trials + 1)]
+    return [
+        exp(lgamma(trials + 1) - lgamma(k + 1) - lgamma(trials - k + 1)
+            + k * log(p) + (trials - k) * log1p(-p))
+        for k in range(trials + 1)
+    ]
+
+
+def _outcome_cell(n: int, f: int, trials: int, alive: int, dead: int, control_variate: bool):
+    """The grid builder's cell for one sampled outcome: ``alive`` survivors, ``dead`` endpoint-dead."""
+    group = _nic_group(n, None, (f,))
+    group.trials = trials
+    group.hists["surv"][[0, f]] = trials - alive, alive
+    group.hists["dead"][[0, -1]] = dead, trials - dead
+    return _stratified_grid(group, 0.0, control_variate, 0.95, None, None).cell(0)
+
+
+def test_cv_interval_exact_coverage_meets_nominal():
+    # the same cell as above, its coverage summed exactly over every outcome
+    # of 400 trials (outcomes rarer than 1e-12 dropped, which only lowers
+    # it): 95.50% plain and 97.23% CV; Wilson's half-width centred on the
+    # point gave 94.91% and 94.59%
+    n, f, trials = 4, 4, 400
+    exact = success_probability(n, f)
+    p0 = both_hubs_up_conditional_success(n, f)
+    mu_x = endpoint_dead_conditional_mean(n, f)
+    for method, control_variate in (("stratified", False), ("stratified-cv", True)):
+        deads = _binomial_pmf(trials, mu_x) if control_variate else [1.0]
+        q = p0 / (1.0 - mu_x) if control_variate else p0
+        covered = 0.0
+        for dead, p_dead in enumerate(deads):
+            for alive, p_alive in enumerate(_binomial_pmf(trials - dead, q)):
+                if p_dead * p_alive < 1e-12:
+                    continue
+                cell = _outcome_cell(n, f, trials, alive, dead, control_variate)
+                covered += p_dead * p_alive * (cell.low <= exact <= cell.high)
+        assert covered >= 0.95, (method, covered)
 
 
 # ------------------------------------------------------- API equivalences
