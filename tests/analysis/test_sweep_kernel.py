@@ -275,7 +275,7 @@ def test_adaptive_saves_397_of_1000_fixed_trials_at_equal_precision():
         for n in ns
         for cell in simulate_grid(n, fs, budget, _stream(n, seed), precision=True).values()
     )
-    assert bar == pytest.approx(0.0021828766, abs=1e-10)
+    assert bar == pytest.approx(0.0021821635, abs=1e-10)
     rows = [
         simulate_grid(
             n, fs, 2_000, _stream(n, seed),
