@@ -31,3 +31,10 @@ def keyed(seed: int, key: str) -> np.random.Generator:
 def grid_stream(seed: int, n: int, method: str = "crn") -> np.random.Generator:
     """:func:`keyed` under a dual-hub grid's per-N key (``mc-strat`` for the stratified methods)."""
     return keyed(seed, f"{'mc-grid' if method == 'crn' else 'mc-strat'}/n={n}")
+
+
+def crn_keys(rng: np.random.Generator, rows: int, width: int) -> np.ndarray:
+    """The CRN key rule, written out apart from ``src``: ``ceil(width / 2)`` raw
+    PCG64 words a row, each split into its low then its high 32 bits."""
+    words = rng.bit_generator.random_raw((rows, (width + 1) // 2))
+    return np.stack([words & 0xFFFFFFFF, words >> 32], axis=2).reshape(rows, -1)[:, :width]
