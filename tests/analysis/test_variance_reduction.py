@@ -36,6 +36,8 @@ from repro.analysis import (
     stratified_success_probability,
     success_probability,
 )
+from repro.analysis.montecarlo import _SweepGroup
+from repro.analysis.topokernel import _strata_grid
 from repro.analysis.variance import (
     _nic_group,
     _stratified_grid,
@@ -258,6 +260,26 @@ def test_cv_interval_exact_coverage_meets_nominal():
                 cell = _outcome_cell(n, f, trials, alive, dead, control_variate)
                 covered += p_dead * p_alive * (cell.low <= exact <= cell.high)
         assert covered >= 0.95, (method, covered)
+
+
+def test_topology_strata_interval_exact_coverage_meets_nominal():
+    # one sampled stratum of weight 1 (the whole cell), 400 trials, nominal
+    # 95 %, coverage summed exactly over every outcome: Wilson's half-width
+    # centred on the point covered 94.20 %, 94.94 %, 94.60 % and 90.68 % at
+    # these p; the corrected half-width covers 96.67 %, 97.84 %, 99.18 % and
+    # 99.99 %
+    trials, f = 400, 1
+    for p in (0.75, 0.9, 0.97, 0.99):
+        covered = 0.0
+        for alive, p_alive in enumerate(_binomial_pmf(trials, p)):
+            if p_alive < 1e-12:
+                continue
+            group = _SweepGroup(2, 2, None, (f,), tracks=range(1))
+            group.hists[0][[0, f]] = trials - alive, alive
+            group.trials = trials
+            cell = _strata_grid(group, 0.0, np.array([[1.0]]), [trials], 0.95, None, "x").cell(0)
+            covered += p_alive * (cell.low <= p <= cell.high)
+        assert covered >= 0.95, (p, covered)
 
 
 # ------------------------------------------------------- API equivalences
