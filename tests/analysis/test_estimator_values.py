@@ -5,8 +5,10 @@ the sweep loops and per-point batch loops were collapsed into
 ``montecarlo._padded_sweep`` (``python -m tests.analysis.test_estimator_values``
 with the parent's ``src`` on ``PYTHONPATH``), and re-recorded when the
 stratified cells took the continuity-corrected half-width (the adaptive
-stratified calls moved, nothing else) and when the sweep's keys became
-32-bit halves of raw PCG64 words.  It holds ``repr()`` of every
+stratified calls moved, nothing else), when the sweep's keys became
+32-bit halves of raw PCG64 words, and when the topology-stratified cells
+took the corrected half-width too (the adaptive calls on a ``topo-strat``
+stream moved, nothing else).  It holds ``repr()`` of every
 returned float and ``(successes, trials, point, low, high)`` of every returned
 ``CellPrecision`` for the call table below; calls that take a shared ``rng=``
 also pin the generator's next draw, i.e. how much of the stream the call
