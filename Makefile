@@ -178,14 +178,16 @@ quick-obs:
 #    topology metadata in the manifest and topology-labelled precision cells,
 #    a --topology-restricted run must reproduce its slice of the full sweep,
 #    and a --jobs 2 rerun all seven CSVs (the enumerated exact_check included)
-# 2. an adaptive run (--target-ci) must emit per-cell CI columns, stats.cell
+# 2. an adaptive run (--target-ci) must emit per-cell CI columns, stats.grid
 #    flight telemetry, a manifest precision block showing real trial savings,
 #    and render through the precision verb and the watch panel
 # 3. the same with --mc-method stratified-cv must label its precision cells
 #    and flight events with the estimator method
-# 4. the stats.cell events of quick figure2/figure3/crossovers/topologysweep
-#    and of both adaptive runs must hash to the digests recorded before the
-#    sweep loop built its cells a whole f-grid at a time
+# 4. the cells of the stats.grid events of quick figure2/figure3/crossovers/
+#    topologysweep and of both adaptive runs, each rebuilt as the per-cell
+#    stats.cell event of flight schema 1, must hash to the digests recorded
+#    before the sweep loop built its cells a whole f-grid at a time, and no
+#    quick stream may still carry a stats.cell event
 EST := /tmp/drs-estimators
 DIGESTS := $(CURDIR)/tests/topology/data
 
@@ -232,8 +234,10 @@ quick-estimators:
 		figure2-ci-crn=$(EST)-ci/figure2.flight.jsonl \
 		figure2-ci-stratified-cv=$(EST)-cv/figure2.flight.jsonl \
 		| diff - tests/obs/data/stats_cell_quick.sha256
+	! grep -l '"kind": "stats.cell"' $(EST)/*.flight.jsonl $(EST)-one/*.flight.jsonl \
+		$(EST)-pool/*.flight.jsonl $(EST)-ci/*.flight.jsonl $(EST)-cv/*.flight.jsonl
 	@echo "quick-estimators: OK (pinned CSVs, pool == serial on all seven topologysweep CSVs," \
-		"adaptive + stratified-cv telemetry, pinned stats.cell events)"
+		"adaptive + stratified-cv telemetry, pinned cells expanded from stats.grid events)"
 
 # end-to-end benchmark smoke: every workload of benchmarks/e2e once at
 # reduced size, all output checks on, plus the traced per-layer replays, which

@@ -401,8 +401,8 @@ def _padded_sweep(
     then read every group's whole f-grid off those histograms through one
     ``grid_from_group(group, elapsed) ->``
     :class:`~repro.obs.precision.PrecisionGrid` call — every ``f`` from one
-    sampling pass, nested in ``f``, as columns.  ``stats.cell`` events are
-    emitted straight from the columns; a
+    sampling pass, nested in ``f``, as columns.  One ``stats.grid`` event
+    per group per round is emitted straight from the columns; a
     :class:`~repro.obs.precision.CellPrecision` is built only for a cell a
     caller keeps (frozen in adaptive mode, or ``precision=True``).
 
@@ -427,8 +427,8 @@ def _padded_sweep(
     batching-invariant.  Hence a cell frozen at ``T`` trials is
     **byte-identical** to a fixed-count run at ``iterations=T`` on the same
     stream, and every group of a multi-group run is byte-identical to its
-    solo run.  Every cell snapshot is published as a ``stats.cell`` flight
-    event when a recorder is installed.
+    solo run.  Every round's cell snapshots are published, one ``stats.grid``
+    flight event per group, when a recorder is installed.
     """
     _check_integer("iterations", iterations)
     if iterations < 1:

@@ -30,9 +30,9 @@ into:
   folding a flight stream into per-worker run state.
 * :mod:`repro.obs.precision` — statistical observability: per-cell Wilson
   CI records and the sweep loop's per-group ``PrecisionGrid`` columns
-  (``stats.cell`` flight events, formatted by ``_stats_cell_fields`` alone —
-  ``PrecisionGrid.publish`` and ``CellPrecision.event_fields`` both call
-  it — and parsed by ``cell_from_event`` alone),
+  (one ``stats.grid`` flight event per grid per round, its cells as
+  columns, written by ``PrecisionGrid.publish`` alone and expanded back
+  into cells by ``grid_payloads`` alone),
   adaptive-stopping bookkeeping, and the ``repro obs precision``
   sweep-quality report.
 * :mod:`repro.obs.cli` — the ``repro obs`` pretty-printer plus the
@@ -102,7 +102,7 @@ __all__, __getattr__, __dir__ = _lazy_exports(
         ],
         "watch": ["WatchState", "render_watch", "follow_flight"],
         "precision": [
-            "STATS_CELL_KIND",
+            "STATS_GRID_KIND",
             "CellPrecision",
             "fold_cells",
             "cells_from_manifest",

@@ -28,8 +28,9 @@ machine-readable JSON document.  Four verbs:
   while (or after) an engine run writes it.
 * ``precision`` — sweep-quality report over a run's per-cell Wilson
   intervals: worst cells, per-f target attainment, and trials saved versus
-  a fixed-count run.  Reads ``stats.cell`` events from a ``*.flight.jsonl``
-  stream or the precision block of a ``*.manifest.json``.
+  a fixed-count run.  Reads ``stats.grid`` events from a ``*.flight.jsonl``
+  stream (a flight-schema-1 stream is refused in one error line) or the
+  precision block of a ``*.manifest.json``.
 """
 
 from __future__ import annotations
@@ -354,7 +355,7 @@ def _cmd_precision(argv: list[str]) -> int:
     )
     parser.add_argument(
         "source",
-        help="a *.flight.jsonl stream (stats.cell events) or a *.manifest.json "
+        help="a *.flight.jsonl stream (stats.grid events) or a *.manifest.json "
         "run manifest (recorded precision block)",
     )
     parser.add_argument("--target", type=float, default=None, metavar="W",
@@ -367,7 +368,11 @@ def _cmd_precision(argv: list[str]) -> int:
 
     source = Path(args.source)
     if source.name.endswith(FLIGHT_SUFFIX):
-        cells = list(fold_cells(read_flight_events(source)).values())
+        try:
+            cells = list(fold_cells(read_flight_events(source)).values())
+        except ValueError as exc:  # a stream of another flight schema
+            print(f"error: {source}: {exc}", file=sys.stderr)
+            return 1
     elif source.name.endswith(".manifest.json"):
         cells, _ = cells_from_manifest(load_manifest(source).to_dict())
     else:

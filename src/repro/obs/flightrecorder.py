@@ -58,7 +58,7 @@ import weakref
 from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping, NamedTuple
 
-FLIGHT_SCHEMA_VERSION = 1
+FLIGHT_SCHEMA_VERSION = 2
 
 #: canonical suffix of flight-recorder artifacts (``repro obs`` dispatches on it)
 FLIGHT_SUFFIX = ".flight.jsonl"
@@ -126,10 +126,10 @@ KINDS: dict[str, Kind] = {
     "heartbeat": Kind("a `ProgressReporter` beat",
                       ("label", "trials", "total", "trials_per_second", "jobs", "jobs_total"),
                       "scheduler"),
-    "stats.cell": Kind("a Monte Carlo cell finished a sampling round (`target`, `met` when "
-                       "adaptive)",
-                       ("n", "f", "successes", "trials", "confidence", "point", "half_width",
-                        "done", "target", "met", "topology", "method", "std_error"),
+    "stats.grid": Kind("a Monte Carlo grid finished a sampling round: labels once, then one "
+                       "column entry per cell (`target`, `met` when adaptive)",
+                       ("n", "trials", "confidence", "target", "topology", "method", "f",
+                        "successes", "point", "half_width", "done", "met", "std_error"),
                        "counter"),
     "run.end": Kind("the recorder closed (carries the event tally)", ("events", "by_kind")),
 }

@@ -12,12 +12,13 @@ steerable signal:
   binomial-variance floor.
 * :class:`PrecisionGrid` — one sweep group's whole f-grid of such
   records as columns, what the sweep loop's grid builders return.
-* ``stats.cell`` flight events — the Monte Carlo estimators
+* ``stats.grid`` flight events — the Monte Carlo estimators
   (:func:`repro.analysis.montecarlo.simulate_grid` and every other grid)
-  publish one event per cell per sampling batch through the
-  engine flight recorder (:meth:`PrecisionGrid.publish`, straight from the
-  columns), so ``repro obs watch`` gains a live precision panel and the
-  Perfetto export gains a CI-width counter track.
+  publish one event per grid per sampling batch through the engine flight
+  recorder (:meth:`PrecisionGrid.publish`, straight from the columns), and
+  :func:`cells_from_event` expands one back into its cells, so ``repro obs
+  watch`` gains a live precision panel and the Perfetto export gains a
+  CI-width counter track.
 * Sweep-quality reports — :func:`fold_cells` reduces a flight stream (or
   manifest summary) to the latest state per cell, and
   :func:`precision_report` / :func:`render_precision_report` turn that
@@ -38,10 +39,18 @@ from typing import Any, Iterable, Mapping
 import numpy as np
 
 from repro.analysis.stats import _z_for, wilson_interval
-from repro.obs.flightrecorder import flight_recorder
+from repro.obs.flightrecorder import FLIGHT_SCHEMA_VERSION, flight_recorder
 
-#: flight-event kind carrying one cell's precision snapshot
-STATS_CELL_KIND = "stats.cell"
+#: flight-event kind carrying one grid's precision snapshot, its cells as columns
+STATS_GRID_KIND = "stats.grid"
+#: the labels every cell of a ``stats.grid`` event shares (absent when unset)
+GRID_LABELS = ("n", "trials", "confidence", "target", "topology", "method")
+#: its columns, entry ``i`` of each belonging to the cell at ``f[i]``
+GRID_COLUMNS = ("f", "successes", "point", "half_width", "done", "met", "std_error")
+#: flight schema 1 carried each cell in an event of its own, of this kind
+SCHEMA_1_CELL_KIND = "stats.cell"
+#: the kinds :func:`cells_from_event` reads (the schema-1 one only to refuse it)
+CELL_KINDS = frozenset({STATS_GRID_KIND, SCHEMA_1_CELL_KIND})
 
 
 @dataclass(frozen=True)
@@ -173,52 +182,6 @@ class CellPrecision:
             row["std_error"] = self.std_error
         return row
 
-    def event_fields(self, done: bool = False) -> dict[str, Any]:
-        """The ``stats.cell`` flight-event payload for this cell."""
-        return _stats_cell_fields(
-            self.n, self.f, self.successes, self.trials, self.confidence, self.point,
-            self.half_width, done, self.target_half_width, self.met_target, self.topology,
-            self.method, self.std_error,
-        )
-
-
-def _stats_cell_fields(
-    n: int,
-    f: int,
-    successes: int,
-    trials: int,
-    confidence: float,
-    point: float,
-    half_width: float,
-    done: bool,
-    target: float | None,
-    met: bool,
-    topology: str | None,
-    method: str,
-    std_error: float | None,
-) -> dict[str, Any]:
-    """The ``stats.cell`` payload of one cell — the one place it is formatted."""
-    fields: dict[str, Any] = {
-        "n": n,
-        "f": f,
-        "successes": successes,
-        "trials": trials,
-        "confidence": confidence,
-        "point": round(point, 8),
-        "half_width": round(half_width, 8),
-        "done": done,
-    }
-    if target is not None:
-        fields["target"] = target
-        fields["met"] = met
-    if topology is not None:
-        fields["topology"] = topology
-    if method != "wilson":
-        fields["method"] = method
-    if std_error is not None:
-        fields["std_error"] = round(std_error, 10)
-    return fields
-
 
 @dataclass(frozen=True)
 class PrecisionGrid:
@@ -229,7 +192,7 @@ class PrecisionGrid:
     ``point``, ``low``, ``high`` and ``std_error`` (stratified methods only)
     are NumPy columns; the rest are the labels every cell shares, with the
     meanings :class:`CellPrecision` gives them.  :meth:`publish` emits
-    ``stats.cell`` events straight from the columns, and :meth:`cell`
+    ``stats.grid`` events straight from the columns, and :meth:`cell`
     builds one :class:`CellPrecision` only where a caller keeps one.
     """
 
@@ -312,68 +275,115 @@ class PrecisionGrid:
         )
 
     def publish(self, cells: Iterable[tuple[int, bool]]) -> None:
-        """Emit one ``stats.cell`` event per ``(entry, done)`` pair, in order.
+        """Emit one ``stats.grid`` event of the ``(entry, done)`` pairs, in order.
 
-        A no-op (one global lookup) when no flight recorder is installed.
+        The :data:`GRID_LABELS` go in once, ``target`` only when adaptive,
+        ``topology`` when labelled and ``method`` when not ``"wilson"``;
+        each of the :data:`GRID_COLUMNS` holds one value per pair — ``met``
+        only when adaptive, ``std_error`` only for stratified methods.
+        ``point`` and ``half_width`` are rounded to 8 places, ``std_error``
+        to 10.  A no-op (one global lookup) when no flight recorder is
+        installed, and no event when there are no pairs.
         """
         recorder = flight_recorder()
         if recorder is None:
             return
+        pairs = list(cells)
+        if not pairs:
+            return
+        entries = [i for i, _ in pairs]
+        fields: dict[str, Any] = {"n": self.n, "trials": self.trials, "confidence": self.confidence}
+        if self.target_half_width is not None:
+            fields["target"] = self.target_half_width
+        if self.topology is not None:
+            fields["topology"] = self.topology
+        if self.method != "wilson":
+            fields["method"] = self.method
         successes, point = self.successes.tolist(), self.point.tolist()
-        half_width, met = self.half_width.tolist(), self.met_target.tolist()
-        std_error = [None] * len(self.fs) if self.std_error is None else self.std_error.tolist()
-        for i, done in cells:
-            recorder.emit(
-                STATS_CELL_KIND,
-                **_stats_cell_fields(
-                    self.n, self.fs[i], successes[i], self.trials, self.confidence, point[i],
-                    half_width[i], done, self.target_half_width, met[i], self.topology,
-                    self.method, std_error[i],
-                ),
-            )
+        half_width = self.half_width.tolist()
+        fields["f"] = [self.fs[i] for i in entries]
+        fields["successes"] = [successes[i] for i in entries]
+        fields["point"] = [round(point[i], 8) for i in entries]
+        fields["half_width"] = [round(half_width[i], 8) for i in entries]
+        fields["done"] = [done for _, done in pairs]
+        if self.target_half_width is not None:
+            met = self.met_target.tolist()
+            fields["met"] = [met[i] for i in entries]
+        if self.std_error is not None:
+            std_error = self.std_error.tolist()
+            fields["std_error"] = [round(std_error[i], 10) for i in entries]
+        recorder.emit(STATS_GRID_KIND, **fields)
 
 
 # ----------------------------------------------------------------- reduction
-def cell_from_event(event: Mapping[str, Any]) -> tuple[tuple, dict[str, Any]]:
-    """``(key, row)`` of one ``stats.cell`` event — the one place it is parsed.
+def grid_payloads(event: Mapping[str, Any]) -> list[dict[str, Any]]:
+    """The cells of one ``stats.grid`` event — the one place it is expanded.
 
-    Cells are keyed ``(n, f)`` for legacy (topology-less) events and
-    ``(topology, n, f)`` when the event carries a topology label, so one
-    multi-topology sweep can share a stream without same-(n, f) cells
-    clobbering each other.  The row is the event's payload, defaulted and
-    typed; the watch panel, :func:`fold_cells` and the Perfetto "ci
-    half-width" counter all read it.
+    Entry ``i``'s payload is the event's labels plus entry ``i`` of each of
+    its columns: one cell's snapshot, with exactly the keys and values that
+    flight schema 1 carried in an event of its own per cell.  A schema-1
+    cell event is refused by name (``ValueError``) rather than read as no
+    cells.
     """
-    n, f = int(event.get("n", -1)), int(event.get("f", -1))
-    topology = event.get("topology")
-    row = {
-        "n": n,
-        "f": f,
-        "topology": topology,
-        "successes": int(event.get("successes", 0)),
-        "trials": int(event.get("trials", 0)),
-        "confidence": float(event.get("confidence", 0.95)),
-        "point": float(event.get("point", 0.0)),
-        "half_width": float(event.get("half_width", 0.0)),
-        "target": event.get("target"),
-        "met": bool(event.get("met", False)),
-        "done": bool(event.get("done", False)),
-        "method": str(event.get("method", "wilson")),
-    }
-    return ((n, f) if topology is None else (str(topology), n, f)), row
+    if event.get("kind") == SCHEMA_1_CELL_KIND:
+        raise ValueError(
+            f"a {SCHEMA_1_CELL_KIND!r} event is flight schema 1; this reader takes schema "
+            f"{FLIGHT_SCHEMA_VERSION}, whose cells ride in {STATS_GRID_KIND!r} events"
+        )
+    labels = {key: event[key] for key in GRID_LABELS if key in event}
+    columns = [key for key in GRID_COLUMNS if key in event]
+    return [
+        {**labels, **dict(zip(columns, entry))}
+        for entry in zip(*(event[key] for key in columns))
+    ]
+
+
+def cells_from_event(event: Mapping[str, Any]) -> list[tuple[tuple, dict[str, Any]]]:
+    """``(key, row)`` per cell of one ``stats.grid`` event, in entry order.
+
+    Cells are keyed ``(n, f)`` for legacy (topology-less) grids and
+    ``(topology, n, f)`` when the grid carries a topology label, so one
+    multi-topology sweep can share a stream without same-(n, f) cells
+    clobbering each other.  A row is a cell's :func:`grid_payloads`
+    payload, defaulted and typed; the watch panel, :func:`fold_cells` and
+    the Perfetto "ci half-width" counter all read it.
+    """
+    cells = []
+    for cell in grid_payloads(event):
+        n, f = int(cell.get("n", -1)), int(cell.get("f", -1))
+        topology = cell.get("topology")
+        row = {
+            "n": n,
+            "f": f,
+            "topology": topology,
+            "successes": int(cell.get("successes", 0)),
+            "trials": int(cell.get("trials", 0)),
+            "confidence": float(cell.get("confidence", 0.95)),
+            "point": float(cell.get("point", 0.0)),
+            "half_width": float(cell.get("half_width", 0.0)),
+            "target": cell.get("target"),
+            "met": bool(cell.get("met", False)),
+            "done": bool(cell.get("done", False)),
+            "method": str(cell.get("method", "wilson")),
+        }
+        cells.append((((n, f) if topology is None else (str(topology), n, f)), row))
+    return cells
 
 
 def fold_cells(events: Iterable[Mapping[str, Any]]) -> dict[tuple, dict[str, Any]]:
-    """Latest ``stats.cell`` state per cell from a flight stream.
+    """Latest state per cell from a flight stream's ``stats.grid`` events.
 
-    Batch-progress events for one cell supersede each other; the returned
+    Batch-progress snapshots of one cell supersede each other; the returned
     dict holds each cell's most recent snapshot (the ``done`` one, for a
-    completed run), keyed as :func:`cell_from_event` keys it.
-    Non-``stats.cell`` events are ignored, so the whole stream can be passed
-    as-is.
+    completed run), keyed as :func:`cells_from_event` keys it.  Other
+    kinds are ignored, so the whole stream can be passed as-is; a schema-1
+    stream raises :func:`grid_payloads`' ``ValueError``.
     """
     return dict(
-        cell_from_event(event) for event in events if event.get("kind") == STATS_CELL_KIND
+        cell
+        for event in events
+        if event.get("kind") in CELL_KINDS
+        for cell in cells_from_event(event)
     )
 
 

@@ -35,7 +35,7 @@ from pathlib import Path
 from typing import Any, Iterable, Mapping
 
 from repro.obs.flightrecorder import KINDS, event_head, read_jsonl
-from repro.obs.precision import cell_from_event
+from repro.obs.precision import CELL_KINDS, cells_from_event
 from repro.simkit.trace import TraceEntry, TraceRecorder
 
 #: trace category all closed spans are emitted under
@@ -467,10 +467,11 @@ def flight_to_chrome_trace(events: Iterable[Mapping[str, Any]]) -> dict[str, Any
       writes, pool respawns, and worker spawn/exit;
     * counter (``ph: "C"``) tracks on the scheduler process fed by
       ``scheduler.gauge`` samples — queue depth and pool utilization over
-      wall time — plus a ``ci half-width`` counter fed by ``stats.cell``
-      precision snapshots: the worst current Wilson half-width over the
-      latest state of every Monte Carlo cell, so convergence to the
-      adaptive-stopping target is visible as a decaying staircase.
+      wall time — plus a ``ci half-width`` counter fed by ``stats.grid``
+      precision snapshots, one sample per grid: the worst current Wilson
+      half-width over the latest state of every Monte Carlo cell, so
+      convergence to the adaptive-stopping target is visible as a decaying
+      staircase.
 
     Timestamps are microseconds since the first event (Perfetto needs
     non-negative ``ts``); wall-clock ordering across workers is preserved
@@ -520,10 +521,10 @@ def flight_to_chrome_trace(events: Iterable[Mapping[str, Any]]) -> dict[str, Any
             out.append(counter("queue depth", ts, jobs=float(event.get("queue_depth", 0))))
             out.append(counter("pool utilization", ts,
                                busy_fraction=float(event.get("utilization", 0.0))))
-        elif kind == "stats.cell":
-            key, row = cell_from_event(event)
-            cell_widths[key] = row["half_width"]
-            out.append(counter("ci half-width", ts, worst=max(cell_widths.values())))
+        elif kind in CELL_KINDS:
+            cell_widths.update((key, row["half_width"]) for key, row in cells_from_event(event))
+            if cell_widths:
+                out.append(counter("ci half-width", ts, worst=max(cell_widths.values())))
         elif kind in FLIGHT_INSTANT_KINDS or kind in FLIGHT_SCHEDULER_INSTANTS:
             name = kind if "job" not in event else f"{kind}: {event['job']}"
             args = {

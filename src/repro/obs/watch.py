@@ -34,7 +34,7 @@ from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping, TextIO
 
 from repro.obs.flightrecorder import JsonlReader, event_head
-from repro.obs.precision import cell_from_event
+from repro.obs.precision import CELL_KINDS, cells_from_event
 
 #: exit code when the watched stream never produced a ``run.end`` in budget
 WATCH_EXIT_TIMEOUT = 4
@@ -94,8 +94,8 @@ class WatchState:
     events: int = 0
     finished: bool = False
     workers: dict[int, WorkerView] = field(default_factory=dict)
-    #: latest ``stats.cell`` snapshot per Monte Carlo cell — keyed (n, f),
-    #: or (topology, n, f) when the event carries a topology label
+    #: latest snapshot per Monte Carlo cell (``stats.grid`` events) — keyed
+    #: (n, f), or (topology, n, f) when the grid carries a topology label
     cells: dict[tuple, dict[str, Any]] = field(default_factory=dict)
 
     # ------------------------------------------------------------------ fold
@@ -166,9 +166,8 @@ class WatchState:
             self.trials_per_second = float(event.get("trials_per_second", 0.0))
             if event.get("total"):
                 self.total_trials = int(event["total"])
-        elif kind == "stats.cell":
-            key, row = cell_from_event(event)
-            self.cells[key] = row
+        elif kind in CELL_KINDS:
+            self.cells.update(cells_from_event(event))
         elif kind == "run.end":
             self.finished = True
 

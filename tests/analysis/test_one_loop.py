@@ -28,7 +28,7 @@ from repro.analysis.montecarlo import pair_connected_vec
 from repro.engine import get_spec
 from repro.obs.flightrecorder import FlightRecorder, set_flight_recorder
 from repro.obs.metrics import MetricsRegistry, use_registry
-from repro.obs.precision import STATS_CELL_KIND
+from repro.obs.precision import STATS_GRID_KIND, grid_payloads
 from repro.obs.progress import ProgressReporter, set_heartbeat
 from repro.topology import AllTerminalsConnected, build_topology, dual_hub_cluster
 from tests.conftest import crn_keys
@@ -173,7 +173,12 @@ def test_per_point_estimators_tick_every_telemetry_channel(estimator):
         set_flight_recorder(None)
     assert reporter.trials == 2_500
     assert registry.counter("mc_iterations_total").value == 2_500
-    cells = [e for e in recorder.drain() if e["kind"] == STATS_CELL_KIND]
+    cells = [
+        cell
+        for event in recorder.drain()
+        if event["kind"] == STATS_GRID_KIND
+        for cell in grid_payloads(event)
+    ]
     assert [(e["n"], e["f"], e["trials"], e["done"]) for e in cells] == [
         (8, 3, 1_000, False),
         (8, 3, 2_000, False),

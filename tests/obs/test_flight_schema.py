@@ -7,7 +7,11 @@ plans for retry / timeout / quarantine / ``job.dropped`` / ``pool.respawn`` /
 ``plan.interrupted`` / ``checkpoint.compact``.  The ``golden.*`` files next to
 it are what every view of that stream printed *before* the views were folded
 onto one schema table, one reader and one parser per kind; they must replay
-byte for byte.  Never re-record them to make a change pass.
+byte for byte.  Never re-record them to make a change pass.  (Flight schema
+2 re-recorded them once, as an artifact change: each per-cell ``stats.cell``
+line became a one-entry ``stats.grid`` line with the same ``t``, ``pid``,
+``seq`` and values, and the views moved only in the kind's name and the
+schema number.)
 """
 
 import json
@@ -27,7 +31,14 @@ from repro.obs.flightrecorder import (
     read_flight_events,
     read_jsonl,
 )
-from repro.obs.precision import fold_cells, precision_report, render_precision_report
+from repro.obs.precision import (
+    GRID_COLUMNS,
+    GRID_LABELS,
+    STATS_GRID_KIND,
+    fold_cells,
+    precision_report,
+    render_precision_report,
+)
 from repro.obs.spans import (
     FLIGHT_INSTANT_KINDS,
     FLIGHT_SCHEDULER_INSTANTS,
@@ -76,6 +87,7 @@ def test_fixture_is_small_and_exercises_every_kind(events):
     assert len(_golden("golden.flight.jsonl").splitlines()) <= 300
     assert {event["kind"] for event in events} == set(KINDS) == EVENT_KINDS
     assert len(KINDS) == 23
+    assert KINDS[STATS_GRID_KIND].fields == GRID_LABELS + GRID_COLUMNS
 
 
 def test_fixture_conforms_to_the_schema(events):
@@ -183,8 +195,8 @@ def test_ci_half_width_counter_keys_cells_like_every_other_view():
     # a multi-topology stream the second topology's (4, 1) cell clobbered the
     # first's and the counter under-reported the worst open interval
     def cell(t, topology, half_width):
-        return {"t": t, "kind": "stats.cell", "pid": 1, "topology": topology, "n": 4, "f": 1,
-                "half_width": half_width}
+        return {"t": t, "kind": "stats.grid", "pid": 1, "topology": topology, "n": 4, "f": [1],
+                "half_width": [half_width]}
 
     doc = flight_to_chrome_trace([cell(1.0, "dual-hub(n=4)", 0.02), cell(2.0, "khub(n=4)", 0.01)])
     worst = [e["args"]["worst"] for e in doc["traceEvents"] if e.get("name") == "ci half-width"]

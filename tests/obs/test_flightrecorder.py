@@ -281,15 +281,15 @@ class TestChromeExport:
         counters = {e["name"] for e in trace["traceEvents"] if e.get("ph") == "C"}
         assert counters == {"queue depth", "pool utilization"}
 
-    def test_stats_cell_events_become_a_ci_width_counter_track(self):
+    def test_stats_grid_events_become_a_ci_width_counter_track(self):
         events = [
             {"t": 0.0, "kind": "run.begin", "pid": 1},
-            {"t": 0.1, "kind": "stats.cell", "pid": 1, "n": 3, "f": 1,
-             "trials": 1000, "half_width": 0.03, "done": False},
-            {"t": 0.2, "kind": "stats.cell", "pid": 1, "n": 4, "f": 2,
-             "trials": 1000, "half_width": 0.05, "done": False},
-            {"t": 0.3, "kind": "stats.cell", "pid": 1, "n": 4, "f": 2,
-             "trials": 4000, "half_width": 0.02, "done": True},
+            {"t": 0.1, "kind": "stats.grid", "pid": 1, "n": 3, "trials": 1000,
+             "f": [1], "half_width": [0.03], "done": [False]},
+            {"t": 0.2, "kind": "stats.grid", "pid": 1, "n": 4, "trials": 1000,
+             "f": [2, 3], "half_width": [0.05, 0.04], "done": [False, False]},
+            {"t": 0.3, "kind": "stats.grid", "pid": 1, "n": 4, "trials": 4000,
+             "f": [2, 3], "half_width": [0.02, 0.01], "done": [True, True]},
         ]
         trace = flight_to_chrome_trace(events)
         assert validate_chrome_trace(trace) == []
@@ -297,6 +297,7 @@ class TestChromeExport:
             e for e in trace["traceEvents"]
             if e.get("ph") == "C" and e["name"] == "ci half-width"
         ]
-        # worst width over the latest per-cell state: 0.03, then the wider
-        # n=4 cell arrives, then its refinement brings the worst back down
+        # one sample per grid, the worst width over the latest per-cell
+        # state: 0.03, then the wider n=4 cells arrive, then their
+        # refinement brings the worst back down
         assert [s["args"]["worst"] for s in samples] == [0.03, 0.05, 0.03]

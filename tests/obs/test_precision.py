@@ -10,11 +10,13 @@ from repro.obs import RunManifest
 from repro.obs.cli import main as obs_main
 from repro.obs.flightrecorder import FlightRecorder, set_flight_recorder
 from repro.obs.precision import (
-    STATS_CELL_KIND,
+    STATS_GRID_KIND,
     CellPrecision,
     PrecisionGrid,
+    cells_from_event,
     cells_from_manifest,
     fold_cells,
+    grid_payloads,
     precision_report,
     render_precision_report,
 )
@@ -61,16 +63,26 @@ class TestCellPrecision:
         assert tight.met_target
         assert not _cell().met_target  # no target recorded
 
-    def test_to_row_and_event_fields_round_trip(self):
+    def test_to_row_and_grid_event_round_trip(self):
         plain = _cell().to_row()
         assert plain["p"] == 0.7
         assert "target" not in plain and "met" not in plain
         targeted = _cell(target_half_width=0.5).to_row()
         assert targeted["target"] == 0.5 and targeted["met"] is True
-        fields = _cell(target_half_width=0.5).event_fields(done=True)
-        assert fields["n"] == 8 and fields["f"] == 3 and fields["done"] is True
-        assert fields["half_width"] == pytest.approx(_cell().half_width, abs=1e-8)
-        json.dumps(fields)  # must be flight-event serializable
+        rec = FlightRecorder(None)
+        set_flight_recorder(rec)
+        try:
+            _publish(_cell(target_half_width=0.5), done=True)
+        finally:
+            set_flight_recorder(None)
+        (event,) = rec.drain()
+        # through JSON, as the stream carries it
+        (fields,) = grid_payloads(json.loads(json.dumps(event)))
+        assert fields == {
+            "n": 8, "f": 3, "successes": 700, "trials": 1000, "confidence": 0.95,
+            "point": 0.7, "half_width": round(_cell().half_width, 8), "done": True,
+            "target": 0.5, "met": True,
+        }
 
 
 class TestPublishAndFold:
@@ -78,7 +90,7 @@ class TestPublishAndFold:
         set_flight_recorder(None)
         _publish(_cell())  # must not raise
 
-    def test_publish_emits_stats_cell_and_fold_keeps_latest(self):
+    def test_publish_emits_stats_grid_and_fold_keeps_latest(self):
         rec = FlightRecorder(None, experiment="sweep")
         set_flight_recorder(rec)
         try:
@@ -88,12 +100,30 @@ class TestPublishAndFold:
         finally:
             set_flight_recorder(None)
         events = rec.drain()
-        assert [e["kind"] for e in events] == [STATS_CELL_KIND] * 3
+        assert [e["kind"] for e in events] == [STATS_GRID_KIND] * 3
         cells = fold_cells(events + [{"kind": "heartbeat", "trials": 1}])
         assert set(cells) == {(8, 3), (9, 0)}
         latest = cells[(8, 3)]  # second snapshot supersedes the first
         assert latest["trials"] == 1000 and latest["done"] and latest["met"]
         assert cells[(9, 0)]["target"] is None and not cells[(9, 0)]["done"]
+
+    def test_one_event_per_publish_and_none_for_no_entries(self):
+        grid = PrecisionGrid(
+            5, (1, 2, 4), np.array([90, 80, 40]), 100, 0.95, np.array([0.9, 0.8, 0.4]),
+            np.array([0.8, 0.7, 0.35]), np.array([0.95, 0.9, 0.45]), 0.06, topology="ring(n=5)",
+        )
+        rec = FlightRecorder(None, experiment="sweep")
+        set_flight_recorder(rec)
+        try:
+            grid.publish([(2, True), (0, False)])
+            grid.publish([])
+        finally:
+            set_flight_recorder(None)
+        (event,) = rec.drain()
+        assert event["f"] == [4, 1] and event["done"] == [True, False]
+        assert event["met"] == [True, False] and "std_error" not in event
+        assert [key for key, _ in cells_from_event(event)] == [("ring(n=5)", 5, 4),
+                                                               ("ring(n=5)", 5, 1)]
 
 
 class TestManifestExtraction:
@@ -204,3 +234,21 @@ class TestPrecisionVerb:
         empty.write_text('{"kind": "run.begin", "t": 0.0, "pid": 1}\n')
         assert obs_main(["precision", str(empty)]) == 1
         assert "no per-cell precision data" in capsys.readouterr().err
+
+    def test_a_schema_1_stream_is_refused_in_one_line(self, tmp_path, capsys):
+        # flight schema 1 carried one stats.cell event per cell; read as
+        # schema 2 it used to fold to no cells without a word
+        old = {"t": 0.1, "kind": "stats.cell", "pid": 1, "n": 3, "f": 1, "trials": 1000,
+               "point": 0.9, "half_width": 0.03, "done": True, "seq": 1}
+        refusal = r"'stats\.cell' event is flight schema 1; this reader takes schema 2"
+        with pytest.raises(ValueError, match=refusal):
+            cells_from_event(old)
+        with pytest.raises(ValueError, match=refusal):
+            fold_cells([{"kind": "heartbeat"}, old])
+        path = tmp_path / "old.flight.jsonl"
+        path.write_text(json.dumps(old) + "\n")
+        assert obs_main(["precision", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith(f"error: {path}: a 'stats.cell' event is flight schema 1")

@@ -1,4 +1,7 @@
-"""Every ``stats.cell`` event of six serial quick runs is the one pinned.
+"""Every cell snapshot of six serial quick runs is the one pinned.
+
+The pin holds flight schema 1's ``stats.cell`` events; each run's
+``stats.grid`` events are expanded back into those (``stats_cell_digest.py``).
 
 ``data/stats_cell_quick.sha256`` was recorded (by ``stats_cell_digest.py``)
 before the sweep loop built a group's cells as columns, and re-recorded

@@ -34,17 +34,14 @@ def _events():
 
 
 def _cell_events():
-    """Batch-progress ``stats.cell`` snapshots for two (n, f) cells."""
+    """Batch-progress ``stats.grid`` snapshots for two (n, f) cells."""
     return [
-        {"t": 1.4, "kind": "stats.cell", "pid": 101, "n": 3, "f": 1,
-         "trials": 2000, "half_width": 0.015, "target": 0.01, "met": False,
-         "done": False},
-        {"t": 1.5, "kind": "stats.cell", "pid": 101, "n": 3, "f": 1,
-         "trials": 4000, "half_width": 0.009, "target": 0.01, "met": True,
-         "done": True},
-        {"t": 1.6, "kind": "stats.cell", "pid": 102, "n": 4, "f": 2,
-         "trials": 1000, "half_width": 0.02, "target": 0.01, "met": False,
-         "done": False},
+        {"t": 1.4, "kind": "stats.grid", "pid": 101, "n": 3, "trials": 2000, "target": 0.01,
+         "f": [1], "half_width": [0.015], "met": [False], "done": [False]},
+        {"t": 1.5, "kind": "stats.grid", "pid": 101, "n": 3, "trials": 4000, "target": 0.01,
+         "f": [1], "half_width": [0.009], "met": [True], "done": [True]},
+        {"t": 1.6, "kind": "stats.grid", "pid": 102, "n": 4, "trials": 1000, "target": 0.01,
+         "f": [2], "half_width": [0.02], "met": [False], "done": [False]},
     ]
 
 
@@ -99,7 +96,7 @@ class TestWatchState:
         assert state.events == 1
         assert state.jobs_done == 0
 
-    def test_stats_cell_events_fold_into_a_precision_summary(self):
+    def test_stats_grid_events_fold_into_a_precision_summary(self):
         state = WatchState().apply_all(_events() + _cell_events())
         # the second n=3 snapshot supersedes the first
         assert state.cells[(3, 1)]["trials"] == 4000
@@ -113,8 +110,8 @@ class TestWatchState:
     def test_precision_summary_is_none_without_cells_and_untargeted_otherwise(self):
         assert WatchState().apply_all(_events()).precision_summary() is None
         state = WatchState()
-        state.apply({"t": 0.5, "kind": "stats.cell", "pid": 1, "n": 3, "f": 1,
-                     "trials": 100, "half_width": 0.05, "done": False})
+        state.apply({"t": 0.5, "kind": "stats.grid", "pid": 1, "n": 3, "trials": 100,
+                     "f": [1], "half_width": [0.05], "done": [False]})
         summary = state.precision_summary()
         assert summary["target"] is None and summary["at_target"] is None
 
@@ -180,7 +177,7 @@ class TestRenderWatch:
         assert lines[ci + 1].startswith("  worker")
 
     def test_ci_badge_goes_green_when_every_cell_is_at_target(self):
-        events = [e for e in _cell_events() if e.get("f") != 2]
+        events = [e for e in _cell_events() if e.get("f") != [2]]
         text = render_watch(WatchState().apply_all(_events() + events), color=True)
         assert "\x1b[32m1/1 at target 0.01" in text
 
