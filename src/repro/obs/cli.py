@@ -29,8 +29,10 @@ machine-readable JSON document.  Four verbs:
 * ``precision`` — sweep-quality report over a run's per-cell Wilson
   intervals: worst cells, per-f target attainment, and trials saved versus
   a fixed-count run.  Reads ``stats.grid`` events from a ``*.flight.jsonl``
-  stream (a flight-schema-1 stream is refused in one error line) or the
-  precision block of a ``*.manifest.json``.
+  stream or the precision block of a ``*.manifest.json``.
+
+Every form that folds a flight stream refuses one of flight schema 1 in
+one ``error:`` line (exit 1).
 """
 
 from __future__ import annotations
@@ -196,6 +198,34 @@ def _expand(paths: list[str]) -> list[Path]:
     return expanded
 
 
+def _fold_stream(source: str | Path, fold: Callable[[], int]) -> int:
+    """Run a verb's ``fold`` over the flight stream ``source``; returns its exit code.
+
+    A stream of another flight schema ends the fold in a ``ValueError``
+    (:func:`repro.obs.precision.grid_payloads` refuses it by name): every
+    verb reports it in the same one ``error:`` line and exits 1.
+    """
+    try:
+        return fold()
+    except ValueError as exc:
+        print(f"error: {source}: {exc}", file=sys.stderr)
+        return 1
+
+
+def _export_flight(source: str, out: str | None) -> int:
+    from repro.obs.spans import write_flight_chrome_trace
+
+    events = read_flight_events(source)
+    if not events:
+        print(f"error: {source}: no flight events recorded", file=sys.stderr)
+        return 1
+    path = Path(out) if out else Path(source.removesuffix(FLIGHT_SUFFIX) + ".chrome.json")
+    write_flight_chrome_trace(path, events)
+    workers = len(flight_summary(events)["workers"])
+    print(f"wrote {len(events)} flight event(s) ({workers} worker track(s)) -> {path}")
+    return 0
+
+
 def _load_spans(source: str):
     """Spans + instant rows from a trace artifact or a scenario spec.
 
@@ -234,19 +264,7 @@ def _cmd_export_trace(argv: list[str]) -> int:
     args = parser.parse_args(argv)
 
     if args.source.endswith(FLIGHT_SUFFIX):
-        from repro.obs.spans import write_flight_chrome_trace
-
-        events = read_flight_events(args.source)
-        if not events:
-            print(f"error: {args.source}: no flight events recorded", file=sys.stderr)
-            return 1
-        out = Path(args.out) if args.out else Path(
-            args.source.removesuffix(FLIGHT_SUFFIX) + ".chrome.json"
-        )
-        write_flight_chrome_trace(out, events)
-        workers = len(flight_summary(events)["workers"])
-        print(f"wrote {len(events)} flight event(s) ({workers} worker track(s)) -> {out}")
-        return 0
+        return _fold_stream(args.source, lambda: _export_flight(args.source, args.out))
 
     from repro.obs.spans import write_chrome_trace
 
@@ -330,14 +348,14 @@ def _cmd_watch(argv: list[str]) -> int:
     if args.once:
         Path(args.path).stat()  # a replay needs the stream; the live form waits for it
 
-    return follow(
+    return _fold_stream(args.path, lambda: follow(
         args.path,
         interval_s=args.interval,
         duration_s=args.duration,
         once=args.once,
         color=not args.no_color,
         as_json=args.json,
-    )
+    ))
 
 
 def _cmd_precision(argv: list[str]) -> int:
@@ -367,29 +385,24 @@ def _cmd_precision(argv: list[str]) -> int:
     args = parser.parse_args(argv)
 
     source = Path(args.source)
-    if source.name.endswith(FLIGHT_SUFFIX):
-        try:
-            cells = list(fold_cells(read_flight_events(source)).values())
-        except ValueError as exc:  # a stream of another flight schema
-            print(f"error: {source}: {exc}", file=sys.stderr)
+
+    def report(cells: list[dict[str, Any]]) -> int:
+        if not cells:
+            print(f"error: {source}: no per-cell precision data recorded", file=sys.stderr)
             return 1
-    elif source.name.endswith(".manifest.json"):
-        cells, _ = cells_from_manifest(load_manifest(source).to_dict())
-    else:
-        print(
-            f"error: {source}: expected a *.flight.jsonl or *.manifest.json artifact",
-            file=sys.stderr,
-        )
-        return 1
-    if not cells:
-        print(f"error: {source}: no per-cell precision data recorded", file=sys.stderr)
-        return 1
-    report = precision_report(cells, target=args.target, top=args.top)
-    if args.json:
-        print(json.dumps({"source": str(source), **report}, indent=2))
-    else:
-        print(render_precision_report(report, source=source.name))
-    return 0
+        summary = precision_report(cells, target=args.target, top=args.top)
+        if args.json:
+            print(json.dumps({"source": str(source), **summary}, indent=2))
+        else:
+            print(render_precision_report(summary, source=source.name))
+        return 0
+
+    if source.name.endswith(FLIGHT_SUFFIX):
+        return _fold_stream(source, lambda: report(list(fold_cells(read_flight_events(source)).values())))
+    if source.name.endswith(".manifest.json"):
+        return report(cells_from_manifest(load_manifest(source).to_dict())[0])
+    print(f"error: {source}: expected a *.flight.jsonl or *.manifest.json artifact", file=sys.stderr)
+    return 1
 
 
 #: ``repro obs <command> ...``; any other first word is an artifact path

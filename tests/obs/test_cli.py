@@ -153,3 +153,18 @@ def test_python_m_repro_obs_verb(tmp_path, scenario_file, capsys):
     assert "manifest: obs-smoke.manifest.json" in capsys.readouterr().out
     assert repro_main(["bogus"]) == 2
     assert repro_main([]) == 0
+
+
+@pytest.mark.parametrize("verb", [["watch", "--once"], ["export-trace"], ["precision"], []],
+                         ids=["watch", "export-trace", "precision", "bare"])
+def test_every_verb_refuses_a_schema_1_stream_in_one_line(tmp_path, capsys, verb):
+    # flight schema 1 carried one stats.cell event per cell
+    cells = [{"t": 0.1 * i, "kind": "stats.cell", "pid": 1, "seq": i, "n": 8, "f": 2 + i,
+              "trials": 1000, "point": 0.9, "half_width": 0.03, "done": True} for i in range(2)]
+    path = tmp_path / "old.flight.jsonl"
+    path.write_text("".join(json.dumps(cell) + "\n" for cell in cells))
+    assert repro_main(["obs", *verb, str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith(f"error: {path}: a 'stats.cell' event is flight schema 1; this reader takes schema 2")
+    assert not (tmp_path / "old.chrome.json").exists()
