@@ -178,11 +178,15 @@ def collect_precision_cells(values: dict[str, Any], prefix: str = "mc/n=") -> li
     return cells
 
 
+#: the confidence of every sweep interval: the estimators' default, which a
+#: ``--target-ci`` run's manifest records as ``ci_confidence``
+CI_CONFIDENCE = 0.95
+
+
 def add_precision_artifacts(
     result: ExperimentResult,
     cells: list[dict[str, Any]],
     target: float | None,
-    confidence: float,
 ) -> None:
     """Attach per-cell CI quality to a sweep result (table + manifest block).
 
@@ -217,10 +221,10 @@ def add_precision_artifacts(
             ]
             for c in sorted(cells, key=lambda c: (c["n"], c["f"]))
         ],
-        caption=f"Per-cell confidence intervals at {confidence:.3g} confidence",
+        caption=f"Per-cell confidence intervals at {CI_CONFIDENCE:.3g} confidence",
     )
     block = {k: v for k, v in report.items() if k != "worst_cells"}
-    block["confidence"] = confidence
+    block["confidence"] = CI_CONFIDENCE
     block["cells"] = cells
     result.meta["precision"] = block
     if target is not None:

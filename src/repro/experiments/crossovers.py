@@ -20,6 +20,7 @@ from typing import Any
 from repro.analysis import crossover_n, success_probability
 from repro.engine import Job, JobPlan, cell_point
 from repro.experiments.base import (
+    CI_CONFIDENCE,
     ExperimentResult,
     add_precision_artifacts,
     collect_precision_cells,
@@ -37,7 +38,6 @@ def build_plan(
     mc_iterations: int = 0,
     seed: int = 2000,
     target_ci: float | None = None,
-    ci_confidence: float = 0.95,
 ) -> JobPlan:
     """Compute the ``threshold`` crossover for each f and compare with the paper.
 
@@ -60,7 +60,6 @@ def build_plan(
             params: dict[str, Any] = {"n": n, "fs": fs, "iterations": mc_iterations}
             if target_ci is not None:
                 params["target_ci"] = target_ci
-                params["ci_confidence"] = ci_confidence
             jobs.append(Job(name=f"mc/n={n}", fn=_mc_curve, params=params))
 
     def reduce(values: dict[str, Any]) -> ExperimentResult:
@@ -73,7 +72,7 @@ def build_plan(
         }
         if target_ci is not None:
             result.meta["target_ci"] = target_ci
-            result.meta["ci_confidence"] = ci_confidence
+            result.meta["ci_confidence"] = CI_CONFIDENCE
         rows = []
         for f in f_values:
             n_star = n_stars[f]
@@ -117,9 +116,7 @@ def build_plan(
                 "simulated crossovers share per-N draws across f (common random "
                 "numbers), so they are monotone in f by construction"
             )
-            add_precision_artifacts(
-                result, collect_precision_cells(values), target_ci, ci_confidence
-            )
+            add_precision_artifacts(result, collect_precision_cells(values), target_ci)
         return result
 
     return JobPlan(

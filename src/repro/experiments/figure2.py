@@ -27,6 +27,7 @@ import numpy as np
 from repro.analysis import simulate_grid, success_curve
 from repro.engine import Job, JobPlan, cell_point
 from repro.experiments.base import (
+    CI_CONFIDENCE,
     ExperimentResult,
     add_precision_artifacts,
     collect_precision_cells,
@@ -52,7 +53,6 @@ def _mc_curve(params: dict[str, Any], seed_seq: np.random.SeedSequence) -> dict[
         params["iterations"],
         np.random.default_rng(seed_seq),
         target_half_width=target,
-        confidence=params.get("ci_confidence", 0.95),
         method=params.get("method", "crn"),
     )
     if target is None:
@@ -66,7 +66,6 @@ def build_plan(
     mc_iterations: int = 0,
     seed: int = 2000,
     target_ci: float | None = None,
-    ci_confidence: float = 0.95,
     mc_method: str = "crn",
 ) -> JobPlan:
     """Regenerate Figure 2: one curve-level Monte Carlo job per N.
@@ -76,7 +75,7 @@ def build_plan(
     a Monte Carlo overlay series per f (the paper's simulation points).
     With ``target_ci``, each job samples adaptively: ``mc_iterations``
     becomes the first-batch floor, every (N, f) cell stops at that
-    interval half-width at ``ci_confidence``, and the result gains the
+    interval half-width at :data:`CI_CONFIDENCE`, and the result gains the
     ``mc_precision`` table plus a manifest precision block.
     ``mc_method`` selects the overlay estimator (``"crn"``,
     ``"stratified"``, or ``"stratified-cv"`` — see
@@ -90,7 +89,6 @@ def build_plan(
             params: dict[str, Any] = {"n": n, "fs": fs, "iterations": mc_iterations}
             if target_ci is not None:
                 params["target_ci"] = target_ci
-                params["ci_confidence"] = ci_confidence
             if mc_method != "crn":
                 params["method"] = mc_method
             jobs.append(Job(name=f"mc/n={n}", fn=_mc_curve, params=params))
@@ -106,7 +104,7 @@ def build_plan(
         }
         if target_ci is not None:
             result.meta["target_ci"] = target_ci
-            result.meta["ci_confidence"] = ci_confidence
+            result.meta["ci_confidence"] = CI_CONFIDENCE
         curves: dict[str, tuple] = {}
         for f in f_values:
             ns, ps = success_curve(f, n_max=n_max)
@@ -134,9 +132,7 @@ def build_plan(
                 x_label="nodes",
                 y_label="P[Success]",
             )
-            add_precision_artifacts(
-                result, collect_precision_cells(values), target_ci, ci_confidence
-            )
+            add_precision_artifacts(result, collect_precision_cells(values), target_ci)
         # summary rows the paper quotes in prose
         rows = []
         for f in f_values:

@@ -27,7 +27,7 @@ import numpy as np
 from repro.analysis import mean_absolute_deviation_grid
 from repro.analysis.convergence import ConvergenceStudy
 from repro.engine import Job, JobPlan, curve_value
-from repro.experiments.base import ExperimentResult
+from repro.experiments.base import CI_CONFIDENCE, ExperimentResult
 from repro.simkit.rng import seed_fingerprint
 
 ITERATION_GRID = (10, 30, 100, 300, 1_000, 3_000, 10_000)
@@ -52,7 +52,6 @@ def _mad_column(params: dict[str, Any], seed_seq: np.random.SeedSequence) -> dic
     if target is not None:
         adaptive = {
             "target_half_width": target,
-            "confidence": params.get("ci_confidence", 0.95),
             "max_iterations": iters,
         }
         iters = max(1, iters // 8)
@@ -73,21 +72,20 @@ def build_plan(
     n_max: int = 63,
     seed: int = 2000,
     target_ci: float | None = None,
-    ci_confidence: float = 0.95,
     mc_method: str = "crn",
 ) -> JobPlan:
     """Regenerate Figure 3: one curve-family job per iteration count (all f in-kernel).
 
     ``target_ci`` turns each column's iteration count into an adaptive
     budget: cells stop sampling early once their interval half-width at
-    ``ci_confidence`` reaches the target (see :func:`_mad_column`).
+    :data:`CI_CONFIDENCE` reaches the target (see :func:`_mad_column`).
     ``mc_method`` selects the estimator per column (``"crn"``,
     ``"stratified"``, ``"stratified-cv"``).  The values do not depend on
     the executor the plan runs on.
     """
     extra: dict[str, Any] = {}
     if target_ci is not None:
-        extra = {"target_ci": target_ci, "ci_confidence": ci_confidence}
+        extra = {"target_ci": target_ci}
     if mc_method != "crn":
         extra["method"] = mc_method
     jobs = [
@@ -120,7 +118,7 @@ def build_plan(
         }
         if target_ci is not None:
             result.meta["target_ci"] = target_ci
-            result.meta["ci_confidence"] = ci_confidence
+            result.meta["ci_confidence"] = CI_CONFIDENCE
         curves = {
             f"f={f}": (np.array(iteration_grid, dtype=float), study.series(f))
             for f in f_values

@@ -77,7 +77,6 @@ RUN_STATE_FIELDS = (
     "fail_fast",
     "no_checkpoint",
     "target_ci",
-    "ci_confidence",
     "topology",
     "mc_method",
 )
@@ -185,13 +184,6 @@ def main(argv: list[str] | None = None) -> int:
         "half-width reaches W (experiments that support it)",
     )
     parser.add_argument(
-        "--ci-confidence",
-        type=float,
-        default=0.95,
-        metavar="C",
-        help="confidence level for --target-ci intervals (default 0.95)",
-    )
-    parser.add_argument(
         "--mc-method",
         choices=("crn", "stratified", "stratified-cv"),
         default=None,
@@ -255,8 +247,6 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(f"--retries must be >= 0, got {args.retries}")
     if args.target_ci is not None and not args.target_ci > 0:
         parser.error(f"--target-ci must be positive, got {args.target_ci}")
-    if not 0.0 < args.ci_confidence < 1.0:
-        parser.error(f"--ci-confidence must be in (0, 1), got {args.ci_confidence}")
     if args.job_timeout is not None and not args.job_timeout > 0:
         parser.error(f"--job-timeout must be positive, got {args.job_timeout}")
     if args.topology is not None:
@@ -272,10 +262,15 @@ def main(argv: list[str] | None = None) -> int:
             parser.error("--resume replays the original invocation; don't combine it with "
                          "experiment names, --quick, --seed, or --topology")
         resume_dir = Path(args.resume)
+        run_json = resume_dir / "run.json"
         try:
-            state = json.loads((resume_dir / "run.json").read_text())
+            state = json.loads(run_json.read_text())
         except (OSError, json.JSONDecodeError) as exc:
             parser.error(f"--resume needs the run.json a previous run wrote into DIR: {exc}")
+        found = state.get("schema") if isinstance(state, dict) else None
+        if found != RUN_STATE_VERSION:
+            parser.error(f"--resume: {run_json} records run state version {found!r}; "
+                         f"this repro takes version {RUN_STATE_VERSION}")
         for field in RUN_STATE_FIELDS:
             if field in state:
                 setattr(args, field, state[field])
@@ -319,8 +314,6 @@ def main(argv: list[str] | None = None) -> int:
             kwargs["seed"] = args.seed
         if args.target_ci is not None and spec.accepts("target_ci"):
             kwargs["target_ci"] = args.target_ci
-            if spec.accepts("ci_confidence"):
-                kwargs["ci_confidence"] = args.ci_confidence
         if args.topology is not None and spec.accepts("topologies"):
             kwargs["topologies"] = (args.topology,)
         if args.mc_method is not None and spec.accepts("mc_method"):

@@ -27,6 +27,7 @@ import numpy as np
 from repro.analysis import exact_topology_success, simulate_topology_grid
 from repro.engine import Job, JobPlan, cell_point
 from repro.experiments.base import (
+    CI_CONFIDENCE,
     ExperimentResult,
     add_precision_artifacts,
     collect_precision_cells,
@@ -59,7 +60,6 @@ def _topo_grid(params: dict[str, Any], seed_seq: np.random.SeedSequence) -> dict
         params["iterations"],
         np.random.default_rng(seed_seq),
         target_half_width=target,
-        confidence=params.get("ci_confidence", 0.95),
         method=params.get("method", "crn"),
     )
     if target is None:
@@ -74,7 +74,6 @@ def build_plan(
     mc_iterations: int = 20_000,
     seed: int = 2100,
     target_ci: float | None = None,
-    ci_confidence: float = 0.95,
     mc_method: str = "crn",
 ) -> JobPlan:
     """Survivability grid per topology family: one sweep job per (topology spec, size).
@@ -100,7 +99,6 @@ def build_plan(
             }
             if target_ci is not None:
                 params["target_ci"] = target_ci
-                params["ci_confidence"] = ci_confidence
             if mc_method != "crn":
                 params["method"] = mc_method
             jobs.append(Job(name=f"mc/{spec}/size={size}", fn=_topo_grid, params=params))
@@ -121,7 +119,7 @@ def build_plan(
         }
         if target_ci is not None:
             result.meta["target_ci"] = target_ci
-            result.meta["ci_confidence"] = ci_confidence
+            result.meta["ci_confidence"] = CI_CONFIDENCE
         xs = list(sizes)
         for spec in topologies:
             curves = {
@@ -171,7 +169,7 @@ def build_plan(
         cells = []
         for spec in topologies:
             cells.extend(collect_precision_cells(values, prefix=f"mc/{spec}/size="))
-        add_precision_artifacts(result, cells, target_ci, ci_confidence)
+        add_precision_artifacts(result, cells, target_ci)
         return result
 
     return JobPlan(

@@ -99,3 +99,48 @@ def test_nan_is_not_positive(tmp_path, flag):
     with pytest.raises(SystemExit) as excinfo:
         runner.main([flag, "nan", "--list", "--out", str(tmp_path), "figure2"])
     assert excinfo.value.code == 2
+
+
+#: the run.json a ``--target-ci 0.02`` quick figure2 wrote before ``--ci-confidence``
+#: was removed: it still records the option's one value
+RUN_JSON_WITH_CI_CONFIDENCE = {
+    "ci_confidence": 0.95, "fail_fast": False, "job_timeout": None, "mc_method": None,
+    "names": ["figure2"], "no_checkpoint": False, "quick": True, "retries": 2, "schema": 1,
+    "seed": None, "target_ci": 0.02, "topology": None,
+}
+
+
+def test_a_run_json_that_still_records_ci_confidence_resumes_to_the_same_csvs(tmp_path):
+    fresh = tmp_path / "fresh"
+    assert runner.main([*FIGURE2_ARGS, "--target-ci", "0.02", "--out", str(fresh)]) == 0
+    assert json.loads((fresh / "run.json").read_text()) == {
+        k: v for k, v in RUN_JSON_WITH_CI_CONFIDENCE.items() if k != "ci_confidence"
+    }
+    out = tmp_path / "resumed"
+    out.mkdir()
+    (out / "run.json").write_text(json.dumps(RUN_JSON_WITH_CI_CONFIDENCE, indent=2, sort_keys=True) + "\n")
+    checkpoint = (fresh / "figure2.checkpoint.jsonl").read_text().splitlines(keepends=True)
+    (out / "figure2.checkpoint.jsonl").write_text("".join(checkpoint[:20]))
+    assert runner.main(["--resume", str(out), "--heartbeat", "0"]) == 0
+    csvs = sorted(fresh.glob("*.csv"))
+    assert "figure2_mc_precision.csv" in [path.name for path in csvs]
+    for path in csvs:
+        assert (out / path.name).read_bytes() == path.read_bytes()
+    manifest = json.loads((out / "figure2.manifest.json").read_text())
+    assert manifest["config"]["ci_confidence"] == 0.95
+    assert len(manifest["extra"]["fault_tolerance"]["resumed"]) == 20
+
+
+@pytest.mark.parametrize("schema", [None, 0, 2, "1"], ids=["missing", "older", "newer", "a-string"])
+def test_resume_refuses_another_run_state_version_in_one_line(tmp_path, capsys, schema):
+    state = {"names": ["figure2"], "quick": True}
+    if schema is not None:
+        state["schema"] = schema
+    (tmp_path / "run.json").write_text(json.dumps(state))
+    with pytest.raises(SystemExit) as excinfo:
+        runner.main(["--resume", str(tmp_path)])
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err.strip().splitlines()[-1]
+    assert err == (f"repro run: error: --resume: {tmp_path / 'run.json'} records run state version "
+                   f"{schema!r}; this repro takes version {runner.RUN_STATE_VERSION}")
+    assert not (tmp_path / "figure2.manifest.json").exists()
