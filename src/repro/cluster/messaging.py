@@ -99,14 +99,6 @@ class ClusterComm:
         """The endpoint on one node."""
         return self.endpoints[node_id]
 
-    def total_sent(self) -> int:
-        """Cluster-wide sent-message count."""
-        return sum(int(e.sent.value) for e in self.endpoints.values())
-
-    def total_received(self) -> int:
-        """Cluster-wide delivered-message count."""
-        return sum(int(e.received.value) for e in self.endpoints.values())
-
 
 def install_messaging(sim: Simulator, stacks: dict[NodeId, HostStack]) -> ClusterComm:
     """Create an endpoint on every node."""

@@ -54,10 +54,6 @@ class MpiJobStats:
         """Iterations finished by every rank."""
         return len(self.iteration_times)
 
-    def mean_iteration_s(self) -> float:
-        """Mean wall time per iteration."""
-        return float(np.mean(self.iteration_times)) if self.iteration_times else 0.0
-
     def max_iteration_s(self) -> float:
         """Slowest iteration (the failure signature)."""
         return float(max(self.iteration_times)) if self.iteration_times else 0.0

@@ -89,10 +89,6 @@ class PeerTable:
         """True iff at least one direct link to ``peer`` is UP."""
         return bool(self.up_networks_to(peer))
 
-    def down_links(self) -> list[PeerLink]:
-        """All links currently declared DOWN."""
-        return [l for l in self.links() if l.state is LinkState.DOWN]
-
     # ----------------------------------------------------------- transitions
     def on_transition(self, listener: TransitionListener) -> None:
         """Register ``listener(link, old_state, new_state)``."""

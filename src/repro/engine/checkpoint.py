@@ -309,11 +309,6 @@ class Checkpoint:
                 bytes=self.path.stat().st_size if self.path.exists() else 0,
             )
 
-    # --------------------------------------------------------------- queries
-    def completed_jobs(self) -> list[str]:
-        """Names of the jobs currently persisted (after ``load``)."""
-        return list(self._records)
-
 
 def _injected_crash_cut(group: int) -> int | None:
     """Honor ``DRS_ENGINE_CRASH_AFTER``: where a commit of ``group`` records must be cut.

@@ -2,14 +2,12 @@
 
 Every hardware element the paper's probability model considers — the 2N NICs
 and the 2 backplanes — derives from :class:`Component`: a named object with
-an up/down state, fail/repair transitions, and state-change listeners (the
-fault injector and the trace recorder hook in here).
+an up/down state and fail/repair transitions, which the fault injector drives.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import Callable
 
 
 class ComponentKind(enum.Enum):
@@ -23,7 +21,7 @@ class Component:
     """Base class for anything that can fail.
 
     State transitions are idempotent: failing a failed component is a no-op
-    and does not re-notify listeners.
+    and is not counted again.
     """
 
     def __init__(self, name: str, kind: ComponentKind) -> None:
@@ -32,13 +30,8 @@ class Component:
         #: True while the component is operational; a plain attribute, so the
         #: frame path's up/down test is one compare (change it via fail/repair)
         self.up = True
-        self._listeners: list[Callable[["Component", bool], None]] = []
         self.fail_count = 0
         self.repair_count = 0
-
-    def on_state_change(self, listener: Callable[["Component", bool], None]) -> None:
-        """Register ``listener(component, up)`` for future transitions."""
-        self._listeners.append(listener)
 
     def fail(self) -> bool:
         """Take the component down. Returns True if the state changed."""
@@ -46,7 +39,6 @@ class Component:
             return False
         self.up = False
         self.fail_count += 1
-        self._notify()
         return True
 
     def repair(self) -> bool:
@@ -55,12 +47,7 @@ class Component:
             return False
         self.up = True
         self.repair_count += 1
-        self._notify()
         return True
-
-    def _notify(self) -> None:
-        for listener in self._listeners:
-            listener(self, self.up)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "up" if self.up else "DOWN"

@@ -8,8 +8,8 @@ Three injection styles cover every experiment in the reproduction:
   components chosen uniformly at random, which is precisely the conditional
   model behind Equation 1 (see :mod:`repro.analysis.exact`).
 * **Lifetime** — :meth:`FaultInjector.start_random_faults`: independent
-  exponential time-to-failure / time-to-repair per component, used by the
-  long-horizon availability studies and the failure-log generator.
+  exponential time-to-failure / time-to-repair per component.  No
+  experiment uses it; the churn soak tests drive DRS with it.
 """
 
 from __future__ import annotations
@@ -109,10 +109,6 @@ class FaultInjector:
             return self._by_name[name]
         except KeyError:
             raise KeyError(f"unknown component {name!r}; have {sorted(self._by_name)}") from None
-
-    def failed_components(self) -> list[Component]:
-        """Components currently down."""
-        return [c for c in self._order if not c.up]
 
     # -------------------------------------------------------------- immediate
     def fail(self, name: str) -> None:

@@ -50,10 +50,6 @@ class Node:
             return False
         return nic.send(Frame(nic.addr, dst, protocol, payload))
 
-    def nic_addr(self, network: NetworkId) -> InterfaceAddr:
-        """This node's address on ``network`` (raises KeyError if absent)."""
-        return self.nics[network].addr
-
     @property
     def networks(self) -> list[NetworkId]:
         """Networks this node is attached to, sorted."""

@@ -67,11 +67,6 @@ class Segment(Component):
             raise ValueError(f"NIC {nic.addr} does not belong on network {self.network_id}")
         self._nics[node] = nic
 
-    @property
-    def attached(self) -> list["Nic"]:
-        """All NICs attached to this segment (up or down)."""
-        return list(self._nics.values())
-
     # ------------------------------------------------------------- accounting
     def _carry(self, frame: Frame, free_at: float) -> float:
         """Account ``frame`` entering through a resource busy until ``free_at``.

@@ -36,10 +36,6 @@ class Cluster:
         """The node with the given id (ids are dense 0..n-1)."""
         return self.nodes[node_id]
 
-    def all_up(self) -> bool:
-        """True iff every hub and NIC is operational."""
-        return all(c.up for c in self.faults.components)
-
 
 def build_dual_backplane_cluster(
     sim: Simulator,

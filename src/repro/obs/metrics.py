@@ -57,10 +57,6 @@ class Gauge:
         """Shift the current value by ``delta``."""
         self.value += delta
 
-    def reset(self) -> None:
-        """Zero the gauge."""
-        self.value = 0.0
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"Gauge({self.name!r}, value={self.value})"
 
@@ -125,14 +121,6 @@ class Histogram:
             cumulative += in_bucket
             lower = bound
         return self.bounds[-1]
-
-    def reset(self) -> None:
-        """Drop all observations."""
-        self.counts = [0] * (len(self.bounds) + 1)
-        self.count = 0
-        self.sum = 0.0
-        self.min = float("inf")
-        self.max = float("-inf")
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"Histogram({self.name!r}, count={self.count}, mean={self.mean():.6g})"
@@ -281,11 +269,6 @@ class MetricsRegistry:
                 lines.append(f"{name}_sum{suffix} {_fmt(obj.sum)}")
                 lines.append(f"{name}_count{suffix} {obj.count}")
         return "\n".join(lines) + ("\n" if lines else "")
-
-    def reset(self) -> None:
-        """Zero every metric (registrations survive)."""
-        for _name, _labels, _kind, obj in self:
-            obj.reset()
 
     # ---------------------------------------------------------------- merging
     def merge(self, other: "MetricsRegistry") -> "MetricsRegistry":

@@ -1,15 +1,14 @@
 """Statistical observability: per-cell precision of Monte Carlo estimates.
 
 A finished sweep used to report point values with no visibility into *how
-good* each (N, f) cell's estimate is: CI widths, sampling efficiency, and
+good* each (N, f) cell's estimate is: CI widths, trial spend, and
 convergence behavior were invisible, and iteration counts were fixed
 guesses.  This module makes estimator quality a first-class, recorded, and
 steerable signal:
 
 * :class:`CellPrecision` — one (N, f) cell's quality record: successes,
-  trials, the Wilson interval at a configurable confidence, relative
-  half-width, throughput, and sampling efficiency against the
-  binomial-variance floor.
+  trials, the Wilson interval at a configurable confidence, its
+  half-width, throughput, and whether it met its target.
 * :class:`PrecisionGrid` — one sweep group's whole f-grid of such
   records as columns, what the sweep loop's grid builders return.
 * ``stats.grid`` flight events — the Monte Carlo estimators
@@ -38,7 +37,7 @@ from typing import Any, Iterable, Mapping
 
 import numpy as np
 
-from repro.analysis.stats import _z_for, wilson_interval
+from repro.analysis.stats import _z_for
 from repro.obs.flightrecorder import FLIGHT_SCHEMA_VERSION, flight_recorder
 
 #: flight-event kind carrying one grid's precision snapshot, its cells as columns
@@ -86,34 +85,6 @@ class CellPrecision:
     method: str = "wilson"
     std_error: float | None = None
 
-    @classmethod
-    def from_counts(
-        cls,
-        n: int,
-        f: int,
-        successes: int,
-        trials: int,
-        confidence: float = 0.95,
-        target_half_width: float | None = None,
-        elapsed_s: float = 0.0,
-        topology: str | None = None,
-    ) -> "CellPrecision":
-        """Build the record (Wilson interval included) from raw counts."""
-        est = wilson_interval(successes, trials, confidence)
-        return cls(
-            n=n,
-            f=f,
-            successes=successes,
-            trials=trials,
-            confidence=confidence,
-            point=est.point,
-            low=est.low,
-            high=est.high,
-            target_half_width=target_half_width,
-            elapsed_s=elapsed_s,
-            topology=topology,
-        )
-
     # --------------------------------------------------------------- derived
     @property
     def half_width(self) -> float:
@@ -121,39 +92,9 @@ class CellPrecision:
         return (self.high - self.low) / 2.0
 
     @property
-    def relative_half_width(self) -> float:
-        """Half-width as a fraction of the point estimate (inf at p = 0)."""
-        return self.half_width / self.point if self.point > 0 else float("inf")
-
-    @property
     def trials_per_second(self) -> float:
         """Sampling throughput attributed to this cell's row."""
         return self.trials / self.elapsed_s if self.elapsed_s > 0 else 0.0
-
-    @property
-    def efficiency(self) -> float:
-        """Trial-budget efficiency against the binomial-variance floor.
-
-        An ideal estimator at the binomial variance floor needs
-        ``z² p̂(1-p̂) / half_width²`` trials for this cell's achieved
-        half-width; efficiency is that floor divided by the trials
-        actually spent, in [0, 1].  Degenerate cells (p̂ at 0 or 1, where
-        the Wilson width is driven by the z²/trials continuity term, not
-        the variance) read as 0 — by design: their width cannot be bought
-        down by better sampling, only by more trials.
-
-        Variance-reduced methods (``method != "wilson"``) are *not* capped
-        at 1: beating the binomial floor is exactly what stratification
-        and control variates buy, and the excess over 1 is the observed
-        variance-reduction factor.
-        """
-        hw = self.half_width
-        if hw <= 0 or self.trials <= 0:
-            return 0.0
-        z = _z_for(self.confidence)
-        floor = z * z * self.point * (1.0 - self.point) / (hw * hw)
-        ratio = floor / self.trials
-        return ratio if self.method != "wilson" else min(1.0, ratio)
 
     @property
     def met_target(self) -> bool:

@@ -70,22 +70,20 @@ class ProgressReporter:
         self.heartbeats += int(summary.get("heartbeats", 0))
 
     # ----------------------------------------------------------------- output
-    def _format(self, elapsed: float, final: bool) -> str:
+    def _format(self, elapsed: float) -> str:
         rate = self.trials / elapsed if elapsed > 0 else 0.0
         progress = f"{self.trials}" if self.total is None else f"{self.trials}/{self.total}"
         parts = [f"[{self.label}] {progress} trials", f"{rate:,.0f} trials/s"]
         if self.jobs_total is not None:
             parts.append(f"jobs {self.counts.get('jobs', 0)}/{self.jobs_total}")
-        if not final and self.total is not None and rate > 0 and self.trials < self.total:
+        if self.total is not None and rate > 0 and self.trials < self.total:
             parts.append(f"ETA {(self.total - self.trials) / rate:,.0f}s")
-        if final:
-            parts.append(f"done in {elapsed:.1f}s")
         if self.counts:
             inner = " ".join(f"{k}={v}" for k, v in sorted(self.counts.items()))
             parts.append(f"incidents: {inner}")
         return ", ".join(parts)
 
-    def emit(self, final: bool = False, now: float | None = None) -> str:
+    def emit(self, now: float | None = None) -> str:
         """Write one heartbeat line to the stream; returns the line.
 
         Each emitted beat is also recorded on the current flight-recorder
@@ -96,7 +94,7 @@ class ProgressReporter:
         self._last_emit = now
         self.heartbeats += 1
         elapsed = now - self._started
-        line = self._format(elapsed, final)
+        line = self._format(elapsed)
         stream = self._stream if self._stream is not None else sys.stderr
         print(line, file=stream, flush=True)
         recorder = flight_recorder()
@@ -111,11 +109,6 @@ class ProgressReporter:
                 jobs_total=self.jobs_total,
             )
         return line
-
-    def finish(self) -> dict:
-        """Emit the final line and return the manifest-ready summary."""
-        self.emit(final=True)
-        return self.summary()
 
     def summary(self) -> dict:
         """Machine-readable run summary (merged into run manifests)."""

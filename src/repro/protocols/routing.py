@@ -60,7 +60,7 @@ class Route:
 
 
 class RoutingTable:
-    """Destination-keyed forwarding table with change notification.
+    """Destination-keyed forwarding table that counts its changes.
 
     Exactly one active route per destination — the DRS design point: repair
     replaces the broken entry rather than accumulating alternatives, and the
@@ -71,7 +71,6 @@ class RoutingTable:
         self.owner = owner
         self._routes: dict[NodeId, Route] = {}
         self._shadowed: dict[NodeId, Route] = {}
-        self._listeners: list[Callable[[NodeId, Route | None], None]] = []
         self.change_count = 0
 
     # ------------------------------------------------------------------ read
@@ -104,7 +103,7 @@ class RoutingTable:
         if prior is not None and prior.source is not route.source:
             self._shadowed[route.dst] = prior
         self._routes[route.dst] = route
-        self._changed(route.dst, route)
+        self.change_count += 1
 
     def withdraw(self, dst: NodeId, source: RouteSource) -> Route | None:
         """Remove the active route to ``dst`` if it was installed by ``source``.
@@ -120,24 +119,8 @@ class RoutingTable:
             self._routes[dst] = restored
         else:
             del self._routes[dst]
-        self._changed(dst, restored)
-        return restored
-
-    def replace_network(self, dst: NodeId, network: NetworkId, source: RouteSource, now: float) -> Route:
-        """Convenience: install a direct route to ``dst`` on ``network``."""
-        route = Route(dst=dst, network=network, next_hop=dst, source=source, installed_at=now)
-        self.install(route)
-        return route
-
-    # ------------------------------------------------------------- listeners
-    def on_change(self, listener: Callable[[NodeId, Route | None], None]) -> None:
-        """Register ``listener(dst, new_route_or_None)`` for future changes."""
-        self._listeners.append(listener)
-
-    def _changed(self, dst: NodeId, route: Route | None) -> None:
         self.change_count += 1
-        for listener in self._listeners:
-            listener(dst, route)
+        return restored
 
     # -------------------------------------------------------------- bulk init
     def install_defaults(self, peers: Iterator[NodeId] | list[NodeId], network: NetworkId = 0) -> None:

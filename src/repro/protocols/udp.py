@@ -47,10 +47,6 @@ class UdpService:
             raise ValueError(f"node {self.net.node.node_id}: UDP port {port} already bound")
         self._ports[port] = handler
 
-    def unbind(self, port: int) -> None:
-        """Release a local port (no-op if unbound)."""
-        self._ports.pop(port, None)
-
     # ------------------------------------------------------------------ send
     def send(self, dst_node: NodeId, dst_port: int, data: Any = None, data_bytes: int = 0, src_port: int = 0) -> bool:
         """Routed datagram send; returns False if it never left this host."""

@@ -122,13 +122,6 @@ class EventQueue:
             raise IndexError("pop from empty EventQueue")
         return ev
 
-    def peek_time(self) -> float | None:
-        """Return the time of the earliest live event, or ``None`` if empty."""
-        heap = self._heap
-        while heap and heap[0][3].cancelled:
-            heappop(heap)
-        return heap[0][0] if heap else None
-
     def clear(self) -> None:
         """Drop every pending event."""
         for entry in self._heap:

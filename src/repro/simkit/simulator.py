@@ -23,9 +23,9 @@ from repro.simkit.events import Event, EventQueue
 class SimProfile:
     """Wall-clock accounting of one simulator's event loop.
 
-    Tracks events fired, callback time by category (defaulting to the
-    defining module of each callback), and total time inside :meth:`run`,
-    from which events/sec falls out.  ``drain_deltas`` supports incremental
+    Tracks events fired, callback time by category (the defining module of
+    each callback), and total time inside :meth:`run`, from which events/sec
+    falls out.  ``drain_deltas`` supports incremental
     publication into a metrics registry across repeated ``run`` calls.
     """
 
@@ -38,10 +38,6 @@ class SimProfile:
         #: category -> [events, callback seconds]
         self.by_category: dict[str, list] = {}
         self._published = [0, 0.0, 0.0, {}]
-
-    def events_per_second(self) -> float:
-        """Throughput over all :meth:`Simulator.run` wall time so far."""
-        return self.events / self.run_seconds if self.run_seconds > 0 else 0.0
 
     def drain_deltas(self) -> dict[str, Any]:
         """What changed since the last drain (for incremental publication)."""
@@ -76,7 +72,7 @@ class SimProfile:
         return rows
 
 
-def _default_categorize(callback: Callable[[], Any]) -> str:
+def _categorize(callback: Callable[[], Any]) -> str:
     module = getattr(callback, "__module__", None)
     if module is None:
         func = getattr(callback, "func", None)  # functools.partial
@@ -125,7 +121,6 @@ class Simulator:
         self._now = 0.0
         self._stopped = False
         self._profile: SimProfile | None = SimProfile() if _AUTO_PROFILE else None
-        self._categorize: Callable[[Callable[[], Any]], str] = _default_categorize
 
     # -------------------------------------------------------------- profiling
     @property
@@ -133,23 +128,15 @@ class Simulator:
         """Event-loop accounting, or ``None`` while profiling is off."""
         return self._profile
 
-    def enable_profiling(
-        self, categorize: Callable[[Callable[[], Any]], str] | None = None
-    ) -> SimProfile:
+    def enable_profiling(self) -> SimProfile:
         """Start (or continue) wall-clock accounting of the event loop.
 
-        ``categorize`` maps a callback to a bucket name; the default buckets
-        by the callback's defining module (``icmp``, ``monitor``, ...).
+        Callbacks are bucketed by their defining module (``icmp``,
+        ``monitor``, ...).
         """
-        if categorize is not None:
-            self._categorize = categorize
         if self._profile is None:
             self._profile = SimProfile()
         return self._profile
-
-    def disable_profiling(self) -> None:
-        """Stop accounting; the accumulated profile is discarded."""
-        self._profile = None
 
     # ------------------------------------------------------------------ clock
     @property
@@ -205,7 +192,6 @@ class Simulator:
         """
         pop_due = self._queue.pop_due
         prof = self._profile
-        by_module = self._categorize is _default_categorize
         rows: dict[str, list] = {}
         seconds = 0.0
         fired = 0
@@ -225,8 +211,8 @@ class Simulator:
                     module = getattr(callback, "__module__", None)
                     row = rows.get(module)
                     if row is None:
-                        row = prof.by_category.setdefault(self._categorize(callback), [0, 0.0])
-                        if by_module and module is not None:
+                        row = prof.by_category.setdefault(_categorize(callback), [0, 0.0])
+                        if module is not None:
                             rows[module] = row
                     row[0] += 1
                     row[1] += elapsed

@@ -33,11 +33,6 @@ class Counter:
             total.value += amount
             total.events += 1
 
-    def reset(self) -> None:
-        """Zero this counter; its total keeps what it was fed."""
-        self.value = 0.0
-        self.events = 0
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"Counter({self.name!r}, value={self.value}, events={self.events})"
 
@@ -52,7 +47,7 @@ class TraceEntry:
 
 
 class TraceRecorder:
-    """Append-only structured trace with category filtering.
+    """Append-only structured trace, indexed by category.
 
     A shared recorder is threaded through the network model; tests and
     experiments query it instead of scraping stdout.
@@ -70,13 +65,12 @@ class TraceRecorder:
         self._entries: list[TraceEntry] = []
         self._by_category: dict[str, list[TraceEntry]] = {}
         self._hooks: list[Callable[[TraceEntry], None]] = []
-        self._disabled: set[str] = set()
         #: exceptions raised by detached hooks, in detachment order
         self.hook_errors: list[Exception] = []
 
     def record(self, category: str, **fields: Any) -> None:
         """Record one event at the current simulation time."""
-        if not self.enabled or category in self._disabled:
+        if not self.enabled:
             return
         entry = TraceEntry(time=self.sim.now, category=category, fields=fields)
         self._entries.append(entry)
@@ -104,21 +98,9 @@ class TraceRecorder:
         """True iff a :meth:`record` for this category would be kept.
 
         Hot paths check this before assembling expensive field values, so a
-        disabled category costs one set lookup instead of a dict build.
+        disabled recorder costs one attribute read instead of a dict build.
         """
-        return self.enabled and category not in self._disabled
-
-    def disable_category(self, *categories: str) -> None:
-        """Silently drop future entries in these categories."""
-        self._disabled.update(categories)
-
-    def enable_category(self, *categories: str) -> None:
-        """Re-admit previously disabled categories."""
-        self._disabled.difference_update(categories)
-
-    def set_category_filter(self, disabled: "set[str] | list[str] | tuple[str, ...]") -> None:
-        """Replace the disabled-category set wholesale."""
-        self._disabled = set(disabled)
+        return self.enabled
 
     def add_hook(self, hook: Callable[[TraceEntry], None]) -> None:
         """Invoke ``hook`` synchronously for every future entry."""

@@ -23,7 +23,7 @@ def test_send_and_receive_with_tag_and_payload():
     comm.endpoint(0).send(1, "work", {"k": 1}, size_bytes=512)
     sim.run()
     assert got == [(0, "work", {"k": 1}, 512)]
-    assert comm.total_sent() == 1 and comm.total_received() == 1
+    assert comm.endpoint(0).sent.value == 1 and comm.endpoint(1).received.value == 1
 
 
 def test_connection_reused_for_repeat_sends():
@@ -32,7 +32,7 @@ def test_connection_reused_for_repeat_sends():
         comm.endpoint(0).send(1, "t", None, 10)
     sim.run()
     assert len(comm.endpoint(0)._out) == 1
-    assert comm.total_received() == 5
+    assert comm.endpoint(1).received.value == 5
 
 
 def test_self_send_rejected():

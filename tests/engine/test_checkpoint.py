@@ -77,7 +77,6 @@ class TestCheckpointRoundTrip:
         assert set(records) == {"a", "b"}
         assert records["a"].value == 0.125 and records["a"].attempts == 2
         assert records["b"].value == (1.5, 2.5)
-        assert sorted(fresh.completed_jobs()) == ["a", "b"]
 
     def test_duplicate_records_last_wins(self, tmp_path):
         path = tmp_path / "toy.checkpoint.jsonl"

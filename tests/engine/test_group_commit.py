@@ -105,10 +105,10 @@ class TestCommit:
         # yet the file is rewritten once, after the whole group is durable
         checkpoint.commit(plan, _outcomes(["job/1", "job/0", "job/2"], value=2.0))
         assert checkpoint.compactions == 1
-        assert checkpoint.completed_jobs() == ["job/1", "job/0", "job/2"]
         assert len(path.read_text().splitlines()) == 3
-        assert {r.job: r.value for r in Checkpoint(path).load(plan)} == {
-            "job/0": 2.0, "job/1": 2.0, "job/2": 2.0}
+        reloaded = Checkpoint(path).load(plan)
+        assert [r.job for r in reloaded] == ["job/1", "job/0", "job/2"]
+        assert {r.job: r.value for r in reloaded} == {"job/0": 2.0, "job/1": 2.0, "job/2": 2.0}
 
     def test_the_first_commit_creates_a_missing_directory(self, tmp_path):
         path = tmp_path / "not" / "yet" / "grouptest.checkpoint.jsonl"

@@ -204,9 +204,8 @@ def test_ctrl_c_checkpoints_settled_jobs_and_resume_completes(backend, tmp_path)
     partial = excinfo.value.execution
     assert partial.interrupted and partial.backend == BACKENDS[backend]().name
     assert 3 <= len(partial.values) < 8 and "ctrl-c" not in partial.values
-    persisted = Checkpoint(path)
-    persisted.load(plan(done_marker))
-    assert sorted(persisted.completed_jobs()) == sorted(partial.values)
+    persisted = Checkpoint(path).load(plan(done_marker))
+    assert sorted(r.job for r in persisted) == sorted(partial.values)
     assert len(observed.events("plan.interrupted")) == 1
     assert not observed.events("plan.end")
 

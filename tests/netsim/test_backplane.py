@@ -19,7 +19,7 @@ def _rig(n=2, bandwidth=100e6, prop=5e-6):
     nics, received = [], []
     for i in range(n):
         nic = Nic(InterfaceAddr(i, 0), bp, trace=trace)
-        nic.set_receiver(lambda f, nic, i=i: received.append((sim.now, i, f)))
+        nic.use_handlers({"t": lambda f, nic, i=i: received.append((sim.now, i, f))})
         nics.append(nic)
     return sim, bp, nics, received, trace
 

@@ -87,8 +87,7 @@ class _Payload:
 @pytest.mark.parametrize("segment_type", [Backplane, Switch], ids=["hub", "switch"])
 def test_disabled_drop_category_formats_no_frame(segment_type):
     sim = Simulator()
-    trace = TraceRecorder(sim)
-    trace.disable_category("drop")
+    trace = TraceRecorder(sim, enabled=False)
     segment = segment_type(sim, network_id=0, trace=trace)
     nic = Nic(InterfaceAddr(0, 0), segment, trace=trace)
     segment.fail()
@@ -116,8 +115,8 @@ def test_each_frame_reads_its_size_once_whichever_fabric_carries_it(build, monke
     cluster = build(sim, 4, metrics=ensure_core_metrics(MetricsRegistry()))
     a, b = cluster.nodes[0], cluster.nodes[1]
     sent = [
-        a.send_frame(0, b.nic_addr(0), "t", _CountedPayload()),  # unknown unicast: a switch floods it
-        b.send_frame(0, a.nic_addr(0), "t", _CountedPayload()),
+        a.send_frame(0, b.nics[0].addr, "t", _CountedPayload()),  # unknown unicast: a switch floods it
+        b.send_frame(0, a.nics[0].addr, "t", _CountedPayload()),
         a.send_frame(1, broadcast_addr(1), "t", _CountedPayload()),  # three copies
     ]
     sim.run()
@@ -133,11 +132,11 @@ def test_a_payload_without_a_size_is_refused_when_its_frame_is_built(build):
     cluster = build(sim, 2, metrics=registry)
     a, b = cluster.nodes
     before = registry.snapshot()
-    first = Frame(a.nic_addr(0), b.nic_addr(0), "t", _Payload()).frame_id
+    first = Frame(a.nics[0].addr, b.nics[0].addr, "t", _Payload()).frame_id
     with pytest.raises(TypeError, match="size_bytes"):
-        a.send_frame(0, b.nic_addr(0), "t", object())
+        a.send_frame(0, b.nics[0].addr, "t", object())
     # nothing was counted or scheduled, and the refused frame took no id
-    assert Frame(a.nic_addr(0), b.nic_addr(0), "t", _Payload()).frame_id == first + 1
+    assert Frame(a.nics[0].addr, b.nics[0].addr, "t", _Payload()).frame_id == first + 1
     assert registry.snapshot() == before
     assert sim.pending == 0
     assert [s.frames_carried.value for s in cluster.backplanes] == [0, 0]

@@ -35,9 +35,9 @@ def test_fail_and_repair_by_name():
     fi = cluster.faults
     fi.fail("nic2.1")
     assert not cluster.nodes[2].nics[1].up
-    assert [c.name for c in fi.failed_components()] == ["nic2.1"]
+    assert [c.name for c in fi.components if not c.up] == ["nic2.1"]
     fi.repair("nic2.1")
-    assert cluster.all_up()
+    assert all(c.up for c in fi.components)
 
 
 def test_unknown_component_raises():
@@ -72,7 +72,7 @@ def test_apply_exact_failures_fails_exactly_f_distinct():
     chosen = cluster.faults.apply_exact_failures(5, rng)
     assert len(chosen) == 5
     assert len({c.name for c in chosen}) == 5
-    assert len(cluster.faults.failed_components()) == 5
+    assert sum(not c.up for c in cluster.faults.components) == 5
 
 
 def test_apply_exact_failures_bounds():
@@ -101,7 +101,7 @@ def test_repair_all():
     rng = np.random.default_rng(1)
     cluster.faults.apply_exact_failures(4, rng)
     cluster.faults.repair_all()
-    assert cluster.all_up()
+    assert all(c.up for c in cluster.faults.components)
 
 
 def test_random_lifetime_faults_toggle_components():
@@ -132,16 +132,6 @@ def test_duplicate_component_names_rejected():
         FaultInjector(sim, comps)
 
 
-def test_listener_notified_on_transitions():
-    comp = Component("c", ComponentKind.HUB)
-    log = []
-    comp.on_state_change(lambda c, up: log.append((c.name, up)))
-    comp.fail()
-    comp.fail()  # no duplicate notification
-    comp.repair()
-    assert log == [("c", False), ("c", True)]
-
-
 def test_cluster_builder_validation():
     sim = Simulator()
     with pytest.raises(ValueError):
@@ -152,4 +142,3 @@ def test_cluster_accessors():
     sim, cluster = _cluster(n=5)
     assert cluster.n == 5
     assert cluster.node(3).node_id == 3
-    assert cluster.all_up()

@@ -26,21 +26,21 @@ def test_send_frame_and_protocol_dispatch():
     sim, bps, (a, b) = _two_nodes()
     got = []
     b.register_handler("ping", lambda f, nic: got.append((f.protocol, nic.addr.network)))
-    assert a.send_frame(0, b.nic_addr(0), "ping", _Payload())
-    assert a.send_frame(1, b.nic_addr(1), "ping", _Payload())
+    assert a.send_frame(0, b.nics[0].addr, "ping", _Payload())
+    assert a.send_frame(1, b.nics[1].addr, "ping", _Payload())
     sim.run()
     assert sorted(got) == [("ping", 0), ("ping", 1)]
 
 
 def test_unregistered_protocol_silently_dropped():
     sim, bps, (a, b) = _two_nodes()
-    a.send_frame(0, b.nic_addr(0), "mystery", _Payload())
+    a.send_frame(0, b.nics[0].addr, "mystery", _Payload())
     sim.run()  # no exception
 
 
 def test_send_on_missing_network_returns_false():
     sim, bps, (a, b) = _two_nodes()
-    assert a.send_frame(7, b.nic_addr(0), "ping", _Payload()) is False
+    assert a.send_frame(7, b.nics[0].addr, "ping", _Payload()) is False
 
 
 def test_duplicate_handler_rejected():
@@ -71,14 +71,3 @@ def test_foreign_nic_rejected():
 def test_networks_property():
     sim, bps, (a, _) = _two_nodes()
     assert a.networks == [0, 1]
-
-
-def test_a_card_has_either_its_nodes_table_or_a_receiver_never_both():
-    # a receiver on a node's card would never see the node's protocols
-    sim, bps, (a, b) = _two_nodes()
-    with pytest.raises(RuntimeError, match="handler table"):
-        b.nics[0].set_receiver(lambda f, nic: None)
-    loose = Nic(InterfaceAddr(2, 0), bps[0])
-    loose.set_receiver(lambda f, nic: None)
-    with pytest.raises(RuntimeError, match="already has a receiver"):
-        Node(sim, 2).add_nic(loose)

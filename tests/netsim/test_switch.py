@@ -26,7 +26,7 @@ def _rig(n=3, **kw):
     nics, received = [], []
     for i in range(n):
         nic = Nic(InterfaceAddr(i, 0), sw)
-        nic.set_receiver(lambda f, nic, i=i: received.append((sim.now, i, f)))
+        nic.use_handlers({"t": lambda f, nic, i=i: received.append((sim.now, i, f))})
         nics.append(nic)
     return sim, sw, nics, received
 

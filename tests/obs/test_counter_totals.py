@@ -32,22 +32,6 @@ def test_total_is_the_sum_of_its_children_under_any_interleaving(k, adds):
     ]
 
 
-def test_resetting_a_child_leaves_the_total_alone():
-    total = Counter("total")
-    child, sibling = Counter("a", total=total), Counter("b", total=total)
-    child.add(3)
-    sibling.add(4)
-    child.reset()
-    assert (child.value, child.events) == (0.0, 0)
-    assert (total.value, total.events) == (7.0, 2)
-    child.add(1)
-    assert (total.value, total.events) == (8.0, 3)
-    # a counter without a total is what it always was
-    lone = Counter("lone")
-    lone.add(2.5)
-    assert (lone.value, lone.events, lone.total) == (2.5, 1, None)
-
-
 def test_adds_per_fired_event_stay_under_budget(monkeypatch):
     """No clock needed: a fact counted twice again shows as more ``add`` calls per event.
 

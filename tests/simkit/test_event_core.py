@@ -89,10 +89,6 @@ class ModelQueue:
         live[0][3] = "spent"
         return live[0]
 
-    def peek_time(self):
-        live = self.live()
-        return live[0][0] if live else None
-
     def clear(self):
         for row in self.rows:
             if row[3] == "live":
@@ -105,7 +101,6 @@ _ops = st.one_of(
     st.tuples(st.just("cancel"), st.integers(0, 200)),
     st.tuples(st.just("pop")),
     st.tuples(st.just("pop_due"), st.one_of(_times, st.just(INF), st.just(-1.0))),
-    st.tuples(st.just("peek_time")),
     st.tuples(st.just("clear")),
 )
 
@@ -135,8 +130,6 @@ def test_queue_matches_sorted_list_model(ops):
             if got is not None:
                 assert (got.time, got.priority, got.seq) == tuple(want[:3])
                 assert not got.cancelled
-        elif op[0] == "peek_time":
-            assert q.peek_time() == model.peek_time()
         else:
             q.clear()
             model.clear()

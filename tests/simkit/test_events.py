@@ -72,18 +72,6 @@ def test_pop_all_cancelled_raises():
         q.pop()
 
 
-def test_peek_time_skips_cancelled():
-    q = EventQueue()
-    ev = q.push(1.0, lambda: None)
-    q.push(5.0, lambda: None)
-    q.cancel(ev)
-    assert q.peek_time() == 5.0
-
-
-def test_peek_time_empty_is_none():
-    assert EventQueue().peek_time() is None
-
-
 def test_len_and_bool():
     q = EventQueue()
     assert not q

@@ -172,7 +172,6 @@ def test_profiling_accounts_events_and_categories():
     sim.run()
     assert prof.events == 2
     assert prof.run_seconds > 0
-    assert prof.events_per_second() > 0
     # both lambdas defined here -> one category named after this module
     assert sum(n for n, _secs in prof.by_category.values()) == 2
 
@@ -188,12 +187,3 @@ def test_profile_drain_deltas_are_incremental():
     sim.schedule(1.0, lambda: None)
     sim.run()
     assert prof.drain_deltas()["events"] == 1
-
-
-def test_disable_profiling_discards_profile():
-    sim = Simulator()
-    sim.enable_profiling()
-    sim.disable_profiling()
-    assert sim.profile is None
-    sim.schedule(1.0, lambda: None)
-    sim.run()  # must not crash without a profile

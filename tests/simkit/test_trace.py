@@ -8,8 +8,6 @@ def test_counter_accumulates():
     c.add()
     c.add(2.5)
     assert c.value == 3.5 and c.events == 2
-    c.reset()
-    assert c.value == 0 and c.events == 0
 
 
 def test_trace_records_time_and_fields():
@@ -49,43 +47,10 @@ def test_trace_disabled_records_nothing():
     assert len(tr) == 0
 
 
-def test_trace_category_disable_enable():
-    sim = Simulator()
-    tr = TraceRecorder(sim)
-    tr.disable_category("drop", "noise")
-    assert not tr.wants("drop")
-    assert tr.wants("fault")
-    tr.record("drop", n=1)
-    tr.record("fault", n=2)
-    assert tr.count("drop") == 0 and tr.count("fault") == 1
-    tr.enable_category("drop")
-    tr.record("drop", n=3)
-    assert tr.count("drop") == 1
-
-
-def test_trace_set_category_filter_replaces_set():
-    sim = Simulator()
-    tr = TraceRecorder(sim)
-    tr.disable_category("a")
-    tr.set_category_filter({"b"})
-    assert tr.wants("a") and not tr.wants("b")
-
-
 def test_trace_wants_false_when_disabled_globally():
     sim = Simulator()
     tr = TraceRecorder(sim, enabled=False)
     assert not tr.wants("anything")
-
-
-def test_trace_disabled_category_skips_hooks():
-    sim = Simulator()
-    tr = TraceRecorder(sim)
-    seen = []
-    tr.add_hook(lambda e: seen.append(e.category))
-    tr.disable_category("quiet")
-    tr.record("quiet")
-    tr.record("loud")
-    assert seen == ["loud"]
 
 
 def test_trace_hooks_fire():
