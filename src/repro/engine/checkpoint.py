@@ -109,6 +109,10 @@ def decode_value(value: Any) -> Any:
     return value
 
 
+class CheckpointVersionError(ValueError):
+    """A checkpoint record names a ``schema`` this repro does not read."""
+
+
 @dataclass(frozen=True)
 class CheckpointRecord:
     """One completed job: identity, provenance, and its (decoded) value."""
@@ -161,13 +165,23 @@ class Checkpoint:
         match, and the job must still exist in the plan.  The file is read
         through the one JSONL reader (:class:`~repro.obs.flightrecorder.JsonlReader`),
         which skips and counts corrupt lines — e.g. the torn tail of a crash
-        mid-append.
+        mid-append.  A line without a ``schema`` is skipped as foreign; a
+        record of another ``schema`` raises :class:`CheckpointVersionError`,
+        since its values may not mean what this version's would.
         """
         self._fingerprints = plan.job_seeds()
         kept: dict[str, CheckpointRecord] = {}
         reader = JsonlReader(self.path)
         rows = reader.read() if self.path.exists() else []
         for raw in rows:
+            found = raw.get("schema")
+            if found is None:
+                continue  # no writer of this repro left it: a foreign line
+            if found != CHECKPOINT_SCHEMA_VERSION:
+                raise CheckpointVersionError(
+                    f"{self.path}: checkpoint record schema {found!r}; "
+                    f"this repro reads schema {CHECKPOINT_SCHEMA_VERSION}"
+                )
             try:
                 record = CheckpointRecord(
                     experiment=raw["experiment"],

@@ -30,8 +30,7 @@ partial results and the manifest names them.  Completed jobs stream into
 ``<out>/<name>.checkpoint.jsonl`` (crash-safe); after an interruption,
 ``--resume <out>`` replays the original invocation (recorded in
 ``<out>/run.json``) and re-runs only the jobs the checkpoint is missing —
-final CSVs are byte-identical to an uninterrupted run.  ``--fail-fast``
-restores the legacy first-failure-raises behavior.
+final CSVs are byte-identical to an uninterrupted run.
 
 Every experiment also writes a run manifest (``<name>.manifest.json``) and a
 metrics snapshot (``<name>.metrics.jsonl`` + ``.prom``) next to its results,
@@ -51,6 +50,7 @@ import time
 from pathlib import Path
 
 from repro.engine import Checkpoint, PlanInterrupted, RetryPolicy, experiment_specs, make_executor
+from repro.engine.checkpoint import CheckpointVersionError
 from repro.obs import (
     MetricsRegistry,
     RunManifest,
@@ -74,7 +74,6 @@ RUN_STATE_FIELDS = (
     "seed",
     "retries",
     "job_timeout",
-    "fail_fast",
     "no_checkpoint",
     "target_ci",
     "topology",
@@ -208,11 +207,6 @@ def main(argv: list[str] | None = None) -> int:
         help="per-attempt wall-clock budget for each sweep job (default: unlimited)",
     )
     parser.add_argument(
-        "--fail-fast",
-        action="store_true",
-        help="legacy semantics: first job failure raises instead of retrying/quarantining",
-    )
-    parser.add_argument(
         "--no-checkpoint",
         action="store_true",
         help="skip the crash-safe <name>.checkpoint.jsonl stream (disables --resume)",
@@ -288,9 +282,7 @@ def main(argv: list[str] | None = None) -> int:
     unknown = [n for n in names if n not in registry]
     if unknown:
         parser.error(f"unknown experiments: {', '.join(unknown)}; have {', '.join(registry)}")
-    policy = None
-    if not args.fail_fast:
-        policy = RetryPolicy(max_attempts=args.retries + 1, timeout_s=args.job_timeout)
+    policy = RetryPolicy(max_attempts=args.retries + 1, timeout_s=args.job_timeout)
     try:
         executor = make_executor(
             args.jobs, policy=policy, backend=args.backend, coordinator=args.coordinator
@@ -337,6 +329,9 @@ def main(argv: list[str] | None = None) -> int:
                 result = spec.run(**kwargs)
         except (PlanInterrupted, KeyboardInterrupt) as exc:
             interrupt = exc
+        except CheckpointVersionError as exc:
+            print(f"{parser.prog}: error: {exc}", file=sys.stderr)
+            return 1
         finally:
             set_heartbeat(None)
             if recorder is not None:

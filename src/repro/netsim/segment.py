@@ -84,7 +84,7 @@ class Segment(Component):
 
     def _drop(self, frame: Frame, reason: str) -> None:
         self.frames_dropped.add()
-        if self.trace is not None and self.trace.wants("drop"):
+        if self.trace is not None and self.trace.enabled:
             self.trace.record(
                 "drop", where=self.name, reason=reason, frame=str(frame), network=self.network_id
             )

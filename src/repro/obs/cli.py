@@ -233,10 +233,10 @@ def _load_spans(source: str):
     as a scenario spec JSON, which is run in-process (seeded from the spec)
     and mined for its live span log.
     """
-    from repro.obs.spans import load_trace_jsonl, span_log, spans_from_entries
+    from repro.obs.spans import span_log, spans_from_entries
 
     if source.endswith(".trace.jsonl"):
-        rows = load_trace_jsonl(source)
+        rows = read_jsonl(source)
         return spans_from_entries(rows), rows
     from repro.scenario.run import run_scenario
     from repro.scenario.spec import load_scenario

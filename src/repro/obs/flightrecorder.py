@@ -23,14 +23,14 @@ The recorder is multiprocessing-safe by construction rather than by locks
 across processes:
 
 * In the **coordinating process** a :class:`FlightRecorder` opened with a
-  path is queue-backed: ``emit`` enqueues onto a thread-safe queue and a
-  daemon writer thread drains it to the JSONL sink, writing every line
-  queued since its last wake-up with one ``writelines`` and one ``flush``
-  — so a live ``repro obs watch`` tailing the file sees events within one
-  flush, and a hard kill loses at most the queued tail.
-  :meth:`FlightRecorder.flush` is a barrier the writer acknowledges after
-  that flush.  A torn final line (SIGKILL mid-write) is tolerated by
-  :func:`read_flight_events`.
+  path owns the JSONL sink: it opens the file once (truncating it) and,
+  under the recorder's lock, writes each event as it is sequenced, with
+  one ``flush`` per :meth:`~FlightRecorder.emit` and one per
+  :meth:`~FlightRecorder.ingest` batch.  Every event is therefore in the
+  file when the call returns — a live ``repro obs watch`` tailing it sees
+  it at once, and a run that exits without ``close`` loses nothing — and a
+  sink ``OSError`` reaches the caller.  A torn final line (SIGKILL
+  mid-write) is tolerated by :func:`read_flight_events`.
 * **Worker processes** (which cannot share a file handle or a queue with
   the parent under ``spawn``) run a buffer-mode recorder (``path=None``):
   events collect in memory and ride back to the parent with the chunk
@@ -51,12 +51,10 @@ from __future__ import annotations
 
 import json
 import os
-import queue
 import threading
 import time
-import weakref
 from pathlib import Path
-from typing import Any, Callable, Iterable, Mapping, NamedTuple
+from typing import IO, Any, Callable, Iterable, Mapping, NamedTuple
 
 FLIGHT_SCHEMA_VERSION = 2
 
@@ -155,31 +153,13 @@ if __doc__:  # absent under -OO
 _encode = json.JSONEncoder(default=str).encode
 
 
-def _drain_pending(
-    pending: "queue.SimpleQueue[str | threading.Event | None]", writer: threading.Thread | None
-) -> None:
-    """Finalizer: let the writer thread drain what is already queued.
-
-    Daemon threads are killed abruptly at interpreter exit, so a recorder
-    that was never :meth:`FlightRecorder.close`\\ d used to silently drop
-    its queued tail.  ``weakref.finalize`` runs this before threads die
-    (and at garbage collection of an abandoned recorder): it hands the
-    writer its stop sentinel and waits for the flush.  Takes the queue and
-    thread as arguments — never the recorder — so the finalizer holds no
-    reference that would keep the recorder alive.
-    """
-    if writer is None or not writer.is_alive():
-        return
-    pending.put(None)
-    writer.join(timeout=5.0)
-
-
 class FlightRecorder:
     """Structured event channel for one run.
 
-    With ``path`` the recorder owns the JSONL sink (queue + writer thread);
-    with ``path=None`` it is a worker-side buffer whose :meth:`drain` output
-    the parent feeds to :meth:`ingest`.  Either way :meth:`emit` is the one
+    With ``path`` the recorder owns the JSONL sink and writes every event
+    there before :meth:`emit` (or :meth:`ingest`) returns; with
+    ``path=None`` it is a worker-side buffer whose :meth:`drain` output the
+    parent feeds to :meth:`ingest`.  Either way :meth:`emit` is the one
     write API.  Thread-safe; cheap when idle.
     """
 
@@ -200,20 +180,10 @@ class FlightRecorder:
         #: pid -> names of jobs that *completed* there (manifest attribution)
         self.worker_jobs: dict[int, list[str]] = {}
         self._buffer: list[dict[str, Any]] = []
-        #: encoded lines, :meth:`flush` barriers, and the ``None`` stop sentinel
-        self._queue: "queue.SimpleQueue[str | threading.Event | None]" = queue.SimpleQueue()
-        self._writer: threading.Thread | None = None
-        self._finalizer: weakref.finalize | None = None
+        self._sink: IO[str] | None = None
         if self.path is not None:
             self.path.parent.mkdir(parents=True, exist_ok=True)
-            self.path.write_text("")  # truncate: one stream per run
-            self._writer = threading.Thread(
-                target=self._drain_to_sink, name="flight-recorder", daemon=True
-            )
-            self._writer.start()
-            # drain the queued tail even if close() never runs (interpreter
-            # exit, abandoned recorder): see _drain_pending
-            self._finalizer = weakref.finalize(self, _drain_pending, self._queue, self._writer)
+            self._sink = self.path.open("w")  # truncate: one stream per run
 
     # ----------------------------------------------------------------- writing
     def emit(self, kind: str, job: str | None = None, pid: int | None = None, **fields: Any) -> dict:
@@ -234,7 +204,7 @@ class FlightRecorder:
             event["job"] = job
         if fields:
             event.update(fields)
-        self._record(event)
+        self._record((event,))
         return event
 
     def ingest(self, events: Iterable[Mapping[str, Any]]) -> int:
@@ -245,27 +215,29 @@ class FlightRecorder:
         is a total order over the sink even when worker clocks interleave).
         Returns the number of events ingested.
         """
-        count = 0
-        for event in events:
-            self._record(dict(event))
-            count += 1
-        return count
+        batch = [dict(event) for event in events]
+        self._record(batch)
+        return len(batch)
 
-    def _record(self, event: dict[str, Any]) -> None:
+    def _record(self, events: Iterable[dict[str, Any]]) -> None:
+        """Sequence and tally ``events``, then buffer them or write them with one flush."""
         with self._lock:
             if self._closed:
                 return
-            self._seq += 1
-            event["seq"] = self._seq
-            self.events_written += 1
-            kind = event.get("kind", "?")
-            self.by_kind[kind] = self.by_kind.get(kind, 0) + 1
-            if kind == "job.completed" and "job" in event:
-                self.worker_jobs.setdefault(int(event.get("pid", 0)), []).append(event["job"])
-            if self.path is None:
-                self._buffer.append(event)
-            else:
-                self._queue.put(_encode(event))
+            for event in events:
+                self._seq += 1
+                event["seq"] = self._seq
+                self.events_written += 1
+                kind = event.get("kind", "?")
+                self.by_kind[kind] = self.by_kind.get(kind, 0) + 1
+                if kind == "job.completed" and "job" in event:
+                    self.worker_jobs.setdefault(int(event.get("pid", 0)), []).append(event["job"])
+                if self._sink is None:
+                    self._buffer.append(event)
+                else:
+                    self._sink.write(_encode(event) + "\n")
+            if self._sink is not None:
+                self._sink.flush()
 
     # ------------------------------------------------------------ worker side
     def drain(self) -> list[dict[str, Any]]:
@@ -276,42 +248,11 @@ class FlightRecorder:
             event.pop("seq", None)  # the parent assigns global sequence numbers
         return events
 
-    # ------------------------------------------------------------- sink thread
-    def _drain_to_sink(self) -> None:
-        """Writer thread: per wake-up, everything queued goes out in one writelines + flush.
-
-        Barriers (:meth:`flush`) are acknowledged only after the flush that
-        covers every line queued before them; ``None`` stops the thread.
-        """
-        assert self.path is not None
-        with self.path.open("a") as sink:
-            while True:
-                batch = [self._queue.get()]
-                while not self._queue.empty():  # the only consumer: get cannot block
-                    batch.append(self._queue.get())
-                lines = [item for item in batch if isinstance(item, str)]
-                if lines:
-                    # through the sink's buffer: no batch-sized string is built
-                    sink.writelines(f"{line}\n" for line in lines)
-                    sink.flush()
-                for item in batch:
-                    if isinstance(item, threading.Event):
-                        item.set()
-                if None in batch:
-                    return
-
-    def flush(self, timeout_s: float = 5.0) -> None:
-        """Block until every event emitted so far has reached the sink.
-
-        A barrier: the writer acknowledges it after the ``sink.flush()``
-        that covers every line queued before it.
-        """
-        writer = self._writer
-        if writer is None or not writer.is_alive():
-            return
-        written = threading.Event()
-        self._queue.put(written)
-        written.wait(timeout_s)
+    def flush(self) -> None:
+        """Flush the sink (every event is already there when ``emit`` returns)."""
+        with self._lock:
+            if self._sink is not None:
+                self._sink.flush()
 
     # ------------------------------------------------------------------ summary
     def summary(self) -> dict[str, Any]:
@@ -329,25 +270,15 @@ class FlightRecorder:
             }
 
     def close(self) -> dict[str, Any]:
-        """Emit ``run.end``, stop the writer, and return :meth:`summary`."""
+        """Emit ``run.end``, close the sink, and return :meth:`summary`."""
         if not self._closed:
             self.emit("run.end", events=self.events_written + 1, by_kind=dict(self.by_kind))
             with self._lock:
                 self._closed = True
-            if self._finalizer is not None:
-                self._finalizer.detach()  # close() supersedes the exit drain
-                self._finalizer = None
-            if self._writer is not None:
-                self._queue.put(None)
-                self._writer.join(timeout=5.0)
-                self._writer = None
+                if self._sink is not None:
+                    self._sink.close()
+                    self._sink = None
         return self.summary()
-
-    def __enter__(self) -> "FlightRecorder":
-        return self
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self.close()
 
 
 # ---------------------------------------------------------------- current scope

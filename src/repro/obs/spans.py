@@ -22,7 +22,7 @@ Exports:
   detection→repair critical path per incident.
 
 Cost discipline: every instrumentation site gates on :meth:`SpanLog.wants`
-(one attribute access + the recorder's ``wants`` set lookup), so a disabled
+(two attribute reads: the recorder's ``enabled`` flag), so a disabled
 trace — the benchmark configuration — pays no span overhead.
 """
 
@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterable, Mapping
 
-from repro.obs.flightrecorder import KINDS, event_head, read_jsonl
+from repro.obs.flightrecorder import KINDS, event_head
 from repro.obs.precision import CELL_KINDS, cells_from_event
 from repro.simkit.trace import TraceEntry, TraceRecorder
 
@@ -126,7 +126,7 @@ class SpanLog:
     # -------------------------------------------------------------- hot gate
     def wants(self) -> bool:
         """True iff span emission is currently enabled on the trace."""
-        return self.trace.wants(SPAN_CATEGORY)
+        return self.trace.enabled
 
     # ------------------------------------------------------------- lifecycle
     def begin(
@@ -267,16 +267,6 @@ def spans_from_entries(entries: Iterable[TraceEntry | Mapping[str, Any]]) -> lis
             spans.append(Span.from_fields(entry))
     spans.sort(key=lambda s: (s.start, s.span_id))
     return spans
-
-
-def load_trace_jsonl(path: str | Path) -> list[dict[str, Any]]:
-    """Read a ``*.trace.jsonl`` artifact back into flat dict rows.
-
-    Through the one reader (:func:`repro.obs.flightrecorder.read_jsonl`): a
-    torn final line is skipped, not raised.  ``write_trace_jsonl`` replaces
-    the file atomically, so only a file some other writer tore has one.
-    """
-    return read_jsonl(path)
 
 
 # --------------------------------------------------------- Chrome trace export

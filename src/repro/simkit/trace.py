@@ -93,15 +93,6 @@ class TraceRecorder:
         for hook in failed:
             self._hooks.remove(hook)
 
-    # ----------------------------------------------------------- hot-path gate
-    def wants(self, category: str) -> bool:
-        """True iff a :meth:`record` for this category would be kept.
-
-        Hot paths check this before assembling expensive field values, so a
-        disabled recorder costs one attribute read instead of a dict build.
-        """
-        return self.enabled
-
     def add_hook(self, hook: Callable[[TraceEntry], None]) -> None:
         """Invoke ``hook`` synchronously for every future entry."""
         self._hooks.append(hook)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.engine import Checkpoint, Job, JobOutcome, JobPlan
-from repro.engine.checkpoint import decode_value, encode_value
+from repro.engine.checkpoint import CHECKPOINT_SCHEMA_VERSION, decode_value, encode_value
 
 
 def _noop(params, seed_seq):
@@ -138,6 +138,39 @@ class TestCheckpointValidation:
 
     def test_missing_file_loads_empty(self, tmp_path):
         assert Checkpoint(tmp_path / "absent.jsonl").load(_plan()) == []
+
+    @pytest.mark.parametrize("schema", [0, 2, "1"], ids=["older", "newer", "a-string"])
+    def test_a_record_of_another_schema_is_refused_in_one_error(self, tmp_path, schema):
+        path = tmp_path / "toy.checkpoint.jsonl"
+        plan = _plan()
+        checkpoint = Checkpoint(path)
+        checkpoint.load(plan)
+        _record(checkpoint, plan, "a", 1.0)
+        record = json.loads(path.read_text())
+        record["schema"] = schema
+        with path.open("a") as fh:
+            fh.write(json.dumps(record) + "\n")
+        with pytest.raises(ValueError) as excinfo:
+            Checkpoint(path).load(plan)
+        assert str(excinfo.value) == (f"{path}: checkpoint record schema {schema!r}; "
+                                      f"this repro reads schema {CHECKPOINT_SCHEMA_VERSION}")
+
+    def test_a_line_without_schema_is_skipped_and_counted_stale(self, tmp_path):
+        path = tmp_path / "toy.checkpoint.jsonl"
+        plan = _plan()
+        checkpoint = Checkpoint(path)
+        checkpoint.load(plan)
+        _record(checkpoint, plan, "a", 1.0)
+        _record(checkpoint, plan, "b", 2.0)
+        first, second = path.read_text().splitlines()
+        record = json.loads(second)
+        del record["schema"]
+        path.write_text(f"{first}\n{json.dumps(record)}\n")
+        fresh = Checkpoint(path, compact_threshold=1)
+        assert [r.job for r in fresh.load(plan)] == ["a"]
+        _record(fresh, plan, "c", 3.0)  # the schema-less line is the one stale line
+        assert fresh.compactions == 1
+        assert [json.loads(line)["job"] for line in path.read_text().splitlines()] == ["a", "c"]
 
 
 class TestAtomicity:

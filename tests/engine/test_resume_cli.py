@@ -72,7 +72,7 @@ def test_run_json_records_the_invocation(tmp_path, baseline):
     state = json.loads((baseline / "run.json").read_text())
     assert state["names"] == ["figure2"]
     assert state["quick"] is True
-    assert state["fail_fast"] is False
+    assert "fail_fast" not in state
     assert state["retries"] == 2
 
 
@@ -102,7 +102,7 @@ def test_nan_is_not_positive(tmp_path, flag):
 
 
 #: the run.json a ``--target-ci 0.02`` quick figure2 wrote before ``--ci-confidence``
-#: was removed: it still records the option's one value
+#: and ``--fail-fast`` were removed: it still records each option's one value
 RUN_JSON_WITH_CI_CONFIDENCE = {
     "ci_confidence": 0.95, "fail_fast": False, "job_timeout": None, "mc_method": None,
     "names": ["figure2"], "no_checkpoint": False, "quick": True, "retries": 2, "schema": 1,
@@ -114,7 +114,7 @@ def test_a_run_json_that_still_records_ci_confidence_resumes_to_the_same_csvs(tm
     fresh = tmp_path / "fresh"
     assert runner.main([*FIGURE2_ARGS, "--target-ci", "0.02", "--out", str(fresh)]) == 0
     assert json.loads((fresh / "run.json").read_text()) == {
-        k: v for k, v in RUN_JSON_WITH_CI_CONFIDENCE.items() if k != "ci_confidence"
+        k: v for k, v in RUN_JSON_WITH_CI_CONFIDENCE.items() if k not in ("ci_confidence", "fail_fast")
     }
     out = tmp_path / "resumed"
     out.mkdir()
@@ -129,6 +129,25 @@ def test_a_run_json_that_still_records_ci_confidence_resumes_to_the_same_csvs(tm
     manifest = json.loads((out / "figure2.manifest.json").read_text())
     assert manifest["config"]["ci_confidence"] == 0.95
     assert len(manifest["extra"]["fault_tolerance"]["resumed"]) == 20
+
+
+def test_resume_refuses_a_checkpoint_of_another_schema_in_one_line(tmp_path, capsys, baseline):
+    out = tmp_path / "resumed"
+    out.mkdir()
+    (out / "run.json").write_text((baseline / "run.json").read_text())
+    lines = (baseline / "figure2.checkpoint.jsonl").read_text().splitlines(keepends=True)[:20]
+    record = json.loads(lines[5])
+    record["schema"] = 2
+    lines[5] = json.dumps(record) + "\n"
+    checkpoint = out / "figure2.checkpoint.jsonl"
+    checkpoint.write_text("".join(lines))
+    assert runner.main(["--resume", str(out), "--heartbeat", "0"]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.strip().splitlines()[-1] == (
+        f"repro run: error: {checkpoint}: checkpoint record schema 2; this repro reads schema 1"
+    )
+    assert not (out / "figure2_montecarlo.csv").exists()
 
 
 @pytest.mark.parametrize("schema", [None, 0, 2, "1"], ids=["missing", "older", "newer", "a-string"])

@@ -43,7 +43,6 @@ from repro.obs.spans import (
     FLIGHT_INSTANT_KINDS,
     FLIGHT_SCHEDULER_INSTANTS,
     flight_to_chrome_trace,
-    load_trace_jsonl,
     spans_from_entries,
     to_chrome_trace,
     validate_chrome_trace,
@@ -166,7 +165,7 @@ def test_perfetto_exports_replay(events):
     flight_doc = flight_to_chrome_trace(events)
     assert validate_chrome_trace(flight_doc) == []
     assert json.dumps(flight_doc) + "\n" == _golden("golden.flight.chrome.json")
-    rows = load_trace_jsonl(REPO_ROOT / TRACE)
+    rows = read_jsonl(REPO_ROOT / TRACE)
     trace_doc = to_chrome_trace(spans_from_entries(rows), rows)
     assert validate_chrome_trace(trace_doc) == []
     assert json.dumps(trace_doc) + "\n" == _golden("golden.trace.spans.json")

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -52,6 +53,33 @@ def _worker_killer(params, seed_seq):
 
 def _plan(jobs, experiment="flight", seed=5):
     return JobPlan(experiment=experiment, seed=seed, jobs=jobs, reduce=lambda v: v)
+
+
+class _ProxySink:
+    """A stand-in for the recorder's sink: what a subclass does not override goes to the real one."""
+
+    def __init__(self, sink):
+        self._sink = sink
+
+    def __getattr__(self, name):
+        return getattr(self._sink, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self._sink.close()
+
+
+def _use_sink(monkeypatch, path, proxy):
+    """Hand ``path.open("w")`` (the recorder opening its sink) a ``proxy`` of the real file."""
+    real_open = Path.open
+
+    def proxied_open(self, mode="r", *args, **kwargs):
+        sink = real_open(self, mode, *args, **kwargs)
+        return proxy(sink) if self == path and mode == "w" else sink
+
+    monkeypatch.setattr(Path, "open", proxied_open)
 
 
 @pytest.fixture
@@ -110,8 +138,8 @@ class TestRecorderCore:
         assert [e["kind"] for e in events] == ["plan.begin", "job.completed", "run.end"]
         assert flight_summary(events)["events"] == 3
 
-    def test_unclosed_exit_drains_queued_events(self, tmp_path):
-        """A recorder abandoned without close() must not lose its queued tail."""
+    def test_unclosed_exit_loses_nothing(self, tmp_path):
+        """A recorder abandoned without close() has already written every event."""
         path = tmp_path / "unclosed.flight.jsonl"
         script = (
             "import sys\n"
@@ -129,44 +157,27 @@ class TestRecorderCore:
         )
         events = read_flight_events(path)
         assert len(events) == 501
-        assert events[-1]["kind"] == "plan.end"  # the queued tail was drained
+        assert events[-1]["kind"] == "plan.end"
 
-    def test_close_after_finalizer_detach_is_idempotent(self, tmp_path):
+    def test_close_is_idempotent(self, tmp_path):
         path = tmp_path / "closed.flight.jsonl"
         rec = FlightRecorder(path, experiment="exp")
         rec.emit("plan.begin")
         rec.close()
-        del rec  # finalizer already detached by close(); no double-drain
+        rec.close()  # a second close writes no second run.end
         events = read_flight_events(path)
         assert [e["kind"] for e in events] == ["plan.begin", "run.end"]
 
     def test_flush_returns_only_after_the_last_line_is_on_disk(self, tmp_path, monkeypatch):
-        """flush() is a barrier: behind a slow sink it still waits for the sink's flush."""
+        """Behind a slow sink, the line is still on disk when flush() returns."""
         path = tmp_path / "slow.flight.jsonl"
-        real_open = Path.open
 
-        class SlowSink:
-            def __init__(self, sink):
-                self._sink = sink
-
+        class SlowSink(_ProxySink):
             def flush(self):
                 time.sleep(0.2)
                 return self._sink.flush()
 
-            def __getattr__(self, name):
-                return getattr(self._sink, name)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc_info):
-                self._sink.close()
-
-        def slow_append(self, mode="r", *args, **kwargs):
-            sink = real_open(self, mode, *args, **kwargs)
-            return SlowSink(sink) if self == path and mode == "a" else sink
-
-        monkeypatch.setattr(Path, "open", slow_append)
+        _use_sink(monkeypatch, path, SlowSink)
         rec = FlightRecorder(path, experiment="exp")
         try:
             rec.emit("plan.begin")
@@ -174,6 +185,42 @@ class TestRecorderCore:
             assert [e["kind"] for e in read_flight_events(path)] == ["plan.begin"]
         finally:
             rec.close()
+
+    def test_a_path_recorder_starts_no_thread(self, tmp_path):
+        before = threading.active_count()
+        rec = FlightRecorder(tmp_path / "a.flight.jsonl")
+        try:
+            rec.emit("plan.begin")
+            assert threading.active_count() == before
+        finally:
+            rec.close()
+
+    def test_an_event_is_on_disk_when_emit_and_ingest_return(self, tmp_path):
+        path = tmp_path / "a.flight.jsonl"
+        rec = FlightRecorder(path)
+        try:
+            rec.emit("plan.begin")
+            assert [e["kind"] for e in read_flight_events(path)] == ["plan.begin"]
+            rec.ingest([{"kind": "worker.spawn", "pid": 7}, {"kind": "job.completed", "pid": 7}])
+            assert [e["seq"] for e in read_flight_events(path)] == [1, 2, 3]
+        finally:
+            rec.close()
+
+    def test_a_sink_write_error_reaches_the_caller(self, tmp_path, monkeypatch):
+        path = tmp_path / "full.flight.jsonl"
+
+        class FullSink(_ProxySink):
+            def write(self, text):
+                if text:
+                    raise OSError(28, "No space left on device")
+                return 0
+
+        _use_sink(monkeypatch, path, FullSink)
+        rec = FlightRecorder(path, experiment="exp")
+        with pytest.raises(OSError, match="No space left"):
+            rec.emit("plan.begin")
+        with pytest.raises(OSError, match="No space left"):
+            rec.ingest([{"kind": "job.completed", "pid": 7}])
 
     def test_summary_attributes_jobs_to_worker_pids(self, tmp_path):
         rec = FlightRecorder(tmp_path / "a.flight.jsonl")

@@ -47,12 +47,6 @@ def test_trace_disabled_records_nothing():
     assert len(tr) == 0
 
 
-def test_trace_wants_false_when_disabled_globally():
-    sim = Simulator()
-    tr = TraceRecorder(sim, enabled=False)
-    assert not tr.wants("anything")
-
-
 def test_trace_hooks_fire():
     sim = Simulator()
     tr = TraceRecorder(sim)
