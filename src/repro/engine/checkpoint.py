@@ -20,7 +20,10 @@ record.  ``repro run --resume <run>`` feeds the file back through
 :meth:`Checkpoint.load`, which keeps only records that still match the
 rebuilt plan (same experiment, same root seed, same per-job spawned-seed
 fingerprint) — so a checkpoint taken under one seed can never contaminate a
-run under another.
+run under another.  Every record ends in a ``crc``, the CRC-32 of its other
+fields as serialized; a record whose fields no longer match it (a corrupt
+interior line that still parses) is skipped like a torn one, and its job
+runs again.
 
 Because job values are deterministic functions of ``(root seed, experiment,
 job name)`` (the engine's seed-spawning contract), a resumed run that skips
@@ -43,6 +46,7 @@ from __future__ import annotations
 import json
 import os
 import signal
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Iterable
@@ -56,7 +60,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.engine.jobs import JobPlan
     from repro.engine.retry import JobOutcome
 
-CHECKPOINT_SCHEMA_VERSION = 1
+CHECKPOINT_SCHEMA_VERSION = 2
 
 #: Test/CI-only fault injection: SIGKILL self after this many persisted records.
 CRASH_AFTER_ENV = "DRS_ENGINE_CRASH_AFTER"
@@ -167,7 +171,8 @@ class Checkpoint:
         which skips and counts corrupt lines — e.g. the torn tail of a crash
         mid-append.  A line without a ``schema`` is skipped as foreign; a
         record of another ``schema`` raises :class:`CheckpointVersionError`,
-        since its values may not mean what this version's would.
+        since its values may not mean what this version's would.  A record
+        whose ``crc`` does not match its other fields is skipped.
         """
         self._fingerprints = plan.job_seeds()
         kept: dict[str, CheckpointRecord] = {}
@@ -182,6 +187,8 @@ class Checkpoint:
                     f"{self.path}: checkpoint record schema {found!r}; "
                     f"this repro reads schema {CHECKPOINT_SCHEMA_VERSION}"
                 )
+            if raw.pop("crc", None) != _crc(json.dumps(raw)):
+                continue  # a field changed after it was written
             try:
                 record = CheckpointRecord(
                     experiment=raw["experiment"],
@@ -269,7 +276,8 @@ class Checkpoint:
         return len(group)
 
     def _serialize(self, record: CheckpointRecord, encoded_value: Any) -> str:
-        return json.dumps(
+        """The record's line: its fields, then the CRC-32 of their JSON text."""
+        fields = json.dumps(
             {
                 "schema": CHECKPOINT_SCHEMA_VERSION,
                 "experiment": record.experiment,
@@ -281,6 +289,7 @@ class Checkpoint:
                 "elapsed_s": record.elapsed_s,
             }
         )
+        return f'{fields[:-1]}, "crc": {_crc(fields)}}}'
 
     def _append(self, data: bytes) -> int:
         """Make one commit durable: append + flush + fsync; returns the file offset after it."""
@@ -322,6 +331,10 @@ class Checkpoint:
                 compactions=self.compactions,
                 bytes=self.path.stat().st_size if self.path.exists() else 0,
             )
+
+
+def _crc(fields: str) -> int:
+    return zlib.crc32(fields.encode("utf-8"))
 
 
 def _injected_crash_cut(group: int) -> int | None:

@@ -163,7 +163,7 @@ class CoordinatorCore:
 
     A ``next`` is answered with a guided-size chunk, ``idle`` or ``shutdown``.
     ``fleet`` (the workers the executor spawned) counts in full from the first
-    pull, so the first spawned worker to finish importing gets its share, not
+    pull, so the first spawned worker to finish starting gets its share, not
     a lone worker's.  The plan's jobs are always partitioned into pending,
     held, settling, settled and given up.
     """

@@ -1,11 +1,14 @@
 """Multi-host distributed execution: the TCP shell around the coordinator's core.
 
 A :class:`DistributedExecutor` runs the coordinator of one plan, and any
-number of ``repro worker`` processes, here or on other hosts, join over TCP,
-pull job chunks and stream results back.  Frames are length-prefixed JSON (a
-4-byte big-endian length, then one UTF-8 object) of the types in
-:data:`~repro.engine.coordinator.FRAMES`.  Workers trust their coordinator:
-run the protocol on a loopback or private network.
+number of workers join over TCP, pull job chunks and stream results back:
+``repro worker`` processes on any host, and the executor's own local fleet,
+which it forks from the coordinating process (Linux ``fork``), so each
+starts with the interpreter, NumPy and the experiment's modules already
+loaded.  Frames are length-prefixed JSON (a 4-byte big-endian length, then
+one UTF-8 object) of the types in :data:`~repro.engine.coordinator.FRAMES`.
+Workers trust their coordinator: run the protocol on a loopback or private
+network.
 
 Every decision is :class:`~repro.engine.coordinator.CoordinatorCore`'s; the
 shell moves bytes on three kinds of thread.  A *reader* per connection
@@ -22,14 +25,15 @@ from __future__ import annotations
 import json
 import os
 import queue
+import signal
 import socket
 import struct
-import subprocess
 import sys
 import threading
 from itertools import count
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
+import repro.engine.driver as driver_module
 from repro.engine.checkpoint import Checkpoint
 from repro.engine.chunk import (
     ProtocolError,
@@ -44,6 +48,11 @@ from repro.engine.coordinator import policy_from_wire, policy_to_wire
 from repro.engine.driver import PlanDriver, PlanExecution
 from repro.engine.jobs import JobPlan
 from repro.engine.retry import FAIL_FAST, RetryPolicy
+from repro.obs.flightrecorder import set_flight_recorder
+from repro.obs.progress import set_heartbeat
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from multiprocessing.process import BaseProcess
 
 __all__ = [
     "PROTOCOL_VERSION", "ProtocolError", "send_frame", "recv_frame", "parse_address",
@@ -127,7 +136,7 @@ def parse_address(spec: str) -> tuple[str, int]:
 
 # ------------------------------------------------------------- coordinator
 class Coordinator:
-    """The sockets, threads and spawned ``repro worker`` processes around a ``CoordinatorCore``:
+    """The sockets, threads and forked local workers around a ``CoordinatorCore``:
     the thread that calls :meth:`step` after :meth:`start` is the loop, which owns :attr:`core`."""
 
     def __init__(
@@ -138,7 +147,8 @@ class Coordinator:
         self.core = CoordinatorCore(driver.plan, driver.remaining(), policy, driver.workers)
         self.address = (host, port)
         self.spawn = spawn
-        self.fleet: list[subprocess.Popen] = []
+        #: the local workers this coordinator forked and has not seen exit
+        self.fleet: list[BaseProcess] = []
         #: every open connection's socket, by connection id
         self.socks: dict[int, socket.socket] = {}
         self.events: queue.SimpleQueue = queue.SimpleQueue()
@@ -150,14 +160,19 @@ class Coordinator:
         )
 
     def start(self) -> tuple[str, int]:
-        """Bind, listen, start accepting and settling, spawn the fleet; the bound address."""
+        """Bind, listen, fork the fleet, start accepting and settling; the bound address.
+
+        The fleet forks while this process has no thread of its own yet; its
+        workers' connections wait in the listen backlog until the accept
+        thread starts.
+        """
         self._listener = socket.create_server(self.address, backlog=64)
         self.address = (self.address[0], self._listener.getsockname()[1])
+        self.fleet = [self._spawn(respawn=False) for _ in range(self.spawn)]
         threading.Thread(
             target=self._accept, args=(self._listener,), name="drs-coordinator-accept", daemon=True
         ).start()
         self._settler.start()
-        self.fleet = [self._spawn(respawn=False) for _ in range(self.spawn)]
         return self.address
 
     def _accept(self, listener: socket.socket) -> None:
@@ -215,7 +230,7 @@ class Coordinator:
             raise event
         if event:
             self._apply(self.core.handle(event))
-        running = [proc for proc in self.fleet if proc.poll() is None]
+        running = [proc for proc in self.fleet if proc.exitcode is None]
         exited, self.fleet = len(self.fleet) - len(running), running
         self._apply(self.core.handle(Tick(exited, len(running))))
         return True
@@ -261,21 +276,54 @@ class Coordinator:
         except (KeyError, OSError):
             pass  # gone: its reader reports the connection lost
 
-    def _spawn(self, respawn: bool) -> subprocess.Popen:
-        env = dict(os.environ)
+    def _spawn(self, respawn: bool) -> BaseProcess:
+        """Fork one local worker; a respawn forks from the loop while the other threads run."""
+        import multiprocessing
+
+        from repro.engine.worker import WorkerSession  # loaded once here, not in every child
+
+        proc = multiprocessing.get_context("fork").Process(
+            target=self._work, args=(WorkerSession, respawn), name="drs-worker"
+        )
+        proc.start()
+        return proc
+
+    def _work(self, session: type, respawn: bool) -> None:
+        """The forked child: let go of the coordinator, then serve as a ``session`` worker.
+
+        It starts from a fresh worker's state and touches no lock that the
+        coordinator's reader and settle threads may have held at the fork.
+        """
+        if self._listener is not None:
+            self._listener.close()
+        for sock in list(self.socks.values()):
+            sock.close()
+        set_flight_recorder(None)
+        set_heartbeat(None)
+        driver_module._worker_announced = False
+        signal.signal(signal.SIGINT, signal.default_int_handler)
+        signal.signal(signal.SIGTERM, signal.SIG_DFL)
+        # new stdio objects: the old ones' buffer locks may be held forever here
+        sys.stdout = open(os.devnull, "w")
+        os.dup2(sys.stdout.fileno(), 1)
+        sys.stderr = open(2, "w", buffering=1, errors="backslashreplace", closefd=False)
         if respawn:
             # a replacement must not re-trigger the crash injection, or a
             # crash-looping fleet would burn the whole respawn budget on it
-            env.pop(WORKER_CRASH_ENV, None)
+            os.environ.pop(WORKER_CRASH_ENV, None)
         host, port = self.address
-        argv = ["-m", "repro.engine.worker", "--coordinator", f"{host}:{port}", "--quiet"]
-        return subprocess.Popen([sys.executable, *argv], env=env, stdout=subprocess.DEVNULL)
+        sys.exit(0 if session(host, port, quiet=True).serve() is not None else 1)
 
     def close(self) -> None:
         """Tell every worker to exit, hang up, finish the driver calls made, stop the fleet."""
         for conn in self.core.conns:
             self._send(conn, {"type": "shutdown"})
         if self._listener is not None:
+            try:  # the shutdown ends the accept thread's accept(); a close alone
+                # leaves it blocked there, still listening
+                self._listener.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
             self._listener.close()
         for conn in list(self.socks):
             self._hang_up(conn)
@@ -287,20 +335,21 @@ class Coordinator:
         for proc in self.fleet:
             proc.terminate()
         for proc in self.fleet:
-            try:
-                proc.wait(timeout=5.0)
-            except subprocess.TimeoutExpired:
+            proc.join(5.0)
+            if proc.exitcode is None:
                 proc.kill()
+                proc.join()
 
 
 # ---------------------------------------------------------------- executor
 class DistributedExecutor:
     """Run a plan as the coordinator of a TCP worker fleet.
 
-    ``spawn_workers`` local ``repro worker`` subprocesses are launched against
-    the bound address (the ``--jobs N`` analogue), and replaced when they die
-    within the core's respawn budget; with ``spawn_workers=0`` the coordinator
-    waits for ``repro worker --coordinator HOST:PORT`` to join from anywhere.
+    ``spawn_workers`` local workers (the ``--jobs N`` analogue) are forked
+    from this process and dial the bound address, and are replaced when
+    they die within the core's respawn budget; with ``spawn_workers=0`` the
+    coordinator waits for ``repro worker --coordinator HOST:PORT`` to join
+    from anywhere.
     """
 
     name = "distributed"

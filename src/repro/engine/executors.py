@@ -14,7 +14,8 @@ that only moves jobs:
   wire form ``ChunkResult.from_wire`` decodes for ``settle``
   (:mod:`repro.engine.chunk`).  Survives ``BrokenProcessPool``.
 * :class:`~repro.engine.distributed.DistributedExecutor` (its own module)
-  — the same chunks, the same wire form, over TCP to ``repro worker`` processes.
+  — the same chunks, the same wire form, over TCP to workers: ``repro
+  worker`` processes on any host, and local ones forked from this process.
 
 All three run each job through :func:`repro.engine.retry.execute_job` under
 an optional :class:`~repro.engine.retry.RetryPolicy` (``policy=``); without
@@ -171,8 +172,8 @@ def make_executor(
     while ``--jobs N`` builds an N-worker pool and ``0``/``None`` uses all
     cores.  ``backend="distributed"`` runs the TCP coordinator of
     :class:`~repro.engine.distributed.DistributedExecutor` instead:
-    ``--jobs N`` spawns N local ``repro worker`` processes against it, and
-    ``--jobs 0``/``None`` spawns none — the run waits for external workers
+    ``--jobs N`` forks N local workers from this process against it, and
+    ``--jobs 0``/``None`` starts none — the run waits for external workers
     to join at the ``coordinator`` address (``HOST:PORT``, default
     ``127.0.0.1:0`` = loopback, ephemeral port).  ``policy`` (if any) is
     threaded through to the chosen backend.

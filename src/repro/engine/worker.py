@@ -2,10 +2,12 @@
 
 A worker dials a :class:`~repro.engine.distributed.Coordinator`
 (``repro worker --coordinator HOST:PORT``), says ``hello`` and pulls job chunks
-until told ``shutdown``; any number can join or leave at any point.  It reads
-every frame through the coordinator's :data:`~repro.engine.coordinator.FRAMES`
-table, and one it cannot decode ends it cleanly, with one ``repro worker:``
-line naming the frame and the field.  Each chunk runs through
+until told ``shutdown``; any number can join or leave at any point.  The
+distributed backend's own local workers are the same :class:`WorkerSession`,
+run in a fork of the coordinating process.  It reads every frame through the
+coordinator's :data:`~repro.engine.coordinator.FRAMES` table, and one it
+cannot decode ends it cleanly, with one ``repro worker:`` line naming the
+frame and the field.  Each chunk runs through
 :func:`repro.engine.driver.run_chunk`, as on a process-pool worker, and what
 it returns *is* the ``chunk_done`` frame.  A daemon thread beats so the
 coordinator can tell a slow worker from a dead one.
@@ -44,8 +46,8 @@ from repro.engine.retry import JobError
 
 __all__ = ["WorkerSession", "main"]
 
-#: how long a worker keeps retrying the initial connect (the coordinator
-#: may still be binding when spawned workers start)
+#: how long a worker keeps retrying the initial connect (a worker started
+#: by hand may start before its coordinator has bound)
 CONNECT_RETRY_S = 20.0
 
 #: a reply to ``next`` should be immediate; anything this quiet means the

@@ -321,7 +321,10 @@ def main(argv: list[str] | None = None) -> int:
         set_heartbeat(reporter)
         recorder = None
         if not args.no_flight:
-            recorder = FlightRecorder(out_dir / f"{name}{FLIGHT_SUFFIX}", experiment=name)
+            # a resumed run's events follow the interrupted run's in one stream
+            recorder = FlightRecorder(
+                out_dir / f"{name}{FLIGHT_SUFFIX}", experiment=name, append=args.resume is not None
+            )
             set_flight_recorder(recorder)
         interrupt: BaseException | None = None
         try:

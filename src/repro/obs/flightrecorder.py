@@ -23,7 +23,8 @@ The recorder is multiprocessing-safe by construction rather than by locks
 across processes:
 
 * In the **coordinating process** a :class:`FlightRecorder` opened with a
-  path owns the JSONL sink: it opens the file once (truncating it) and,
+  path owns the JSONL sink: it opens the file once (truncating it, or with
+  ``append=True`` — a resumed run — keeping it and continuing its ``seq``) and,
   under the recorder's lock, writes each event as it is sequenced, with
   one ``flush`` per :meth:`~FlightRecorder.emit` and one per
   :meth:`~FlightRecorder.ingest` batch.  Every event is therefore in the
@@ -161,6 +162,11 @@ class FlightRecorder:
     ``path=None`` it is a worker-side buffer whose :meth:`drain` output the
     parent feeds to :meth:`ingest`.  Either way :meth:`emit` is the one
     write API.  Thread-safe; cheap when idle.
+
+    ``append=True`` keeps what the file holds (a resumed run's stream
+    follows the interrupted run's): a torn last line is cut at the last
+    newline, and ``seq`` continues after the last whole line.  The tallies
+    (:meth:`summary`) count this recorder's own events.
     """
 
     def __init__(
@@ -168,6 +174,7 @@ class FlightRecorder:
         path: str | Path | None,
         experiment: str = "",
         clock: Callable[[], float] = time.time,
+        append: bool = False,
     ) -> None:
         self.path = None if path is None else Path(path)
         self.experiment = experiment
@@ -183,7 +190,9 @@ class FlightRecorder:
         self._sink: IO[str] | None = None
         if self.path is not None:
             self.path.parent.mkdir(parents=True, exist_ok=True)
-            self._sink = self.path.open("w")  # truncate: one stream per run
+            if append and self.path.exists():
+                self._seq = _keep_whole_lines(self.path)
+            self._sink = self.path.open("a" if append else "w")
 
     # ----------------------------------------------------------------- writing
     def emit(self, kind: str, job: str | None = None, pid: int | None = None, **fields: Any) -> dict:
@@ -281,6 +290,20 @@ class FlightRecorder:
         return self.summary()
 
 
+def _keep_whole_lines(path: Path) -> int:
+    """Cut ``path`` after its last newline; the ``seq`` of its last whole event (0: none)."""
+    with path.open("rb+") as fh:
+        data = fh.read()
+        end = data.rfind(b"\n") + 1
+        fh.truncate(end)
+    for line in reversed(data[:end].splitlines()):
+        try:
+            return int(json.loads(line)["seq"])
+        except (ValueError, KeyError, TypeError):
+            continue  # not a whole event: look further back
+    return 0
+
+
 # ---------------------------------------------------------------- current scope
 _current: FlightRecorder | None = None
 
@@ -303,7 +326,8 @@ class JsonlReader:
     One policy: a line is a record iff it parses as a JSON object; anything
     else — the torn final line of a killed writer, a corrupt interior line,
     foreign text — is skipped and counted in :attr:`skipped`, so callers always
-    see the valid records of a damaged file.  Each :meth:`read` returns what
+    see the valid records of a damaged file.  A byte that is not UTF-8 reads
+    as U+FFFD, so it damages its line only.  Each :meth:`read` returns what
     was appended since the previous one.
     """
 
@@ -323,7 +347,7 @@ class JsonlReader:
         """
         if follow and not self.path.exists():
             return []
-        with self.path.open("r") as fh:
+        with self.path.open("r", errors="replace") as fh:
             fh.seek(self._offset)
             text = self._held + fh.read()
             self._offset = fh.tell()

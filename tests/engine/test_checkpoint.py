@@ -5,8 +5,13 @@ import json
 import numpy as np
 import pytest
 
-from repro.engine import Checkpoint, Job, JobOutcome, JobPlan
-from repro.engine.checkpoint import CHECKPOINT_SCHEMA_VERSION, decode_value, encode_value
+from repro.engine import Checkpoint, Job, JobOutcome, JobPlan, SerialExecutor
+from repro.engine.checkpoint import (
+    CHECKPOINT_SCHEMA_VERSION,
+    CheckpointVersionError,
+    decode_value,
+    encode_value,
+)
 
 
 def _noop(params, seed_seq):
@@ -139,7 +144,11 @@ class TestCheckpointValidation:
     def test_missing_file_loads_empty(self, tmp_path):
         assert Checkpoint(tmp_path / "absent.jsonl").load(_plan()) == []
 
-    @pytest.mark.parametrize("schema", [0, 2, "1"], ids=["older", "newer", "a-string"])
+    @pytest.mark.parametrize(
+        "schema",
+        [CHECKPOINT_SCHEMA_VERSION - 1, CHECKPOINT_SCHEMA_VERSION + 1, "1"],
+        ids=["older", "newer", "a-string"],
+    )
     def test_a_record_of_another_schema_is_refused_in_one_error(self, tmp_path, schema):
         path = tmp_path / "toy.checkpoint.jsonl"
         plan = _plan()
@@ -171,6 +180,49 @@ class TestCheckpointValidation:
         _record(fresh, plan, "c", 3.0)  # the schema-less line is the one stale line
         assert fresh.compactions == 1
         assert [json.loads(line)["job"] for line in path.read_text().splitlines()] == ["a", "c"]
+
+
+class TestCorruptInterior:
+    """A record whose bytes changed after the write is never taken for a value."""
+
+    VALUES = {"a": 0.1234567890123, "b": (3, -2.5e-7, "x"), "c": {"k": [1.5, True]}}
+
+    def _plan(self):
+        jobs = [Job(name=n, fn=_noop, params={"v": v}) for n, v in self.VALUES.items()]
+        return JobPlan(experiment="toy", seed=11, jobs=jobs, reduce=lambda v: v)
+
+    def test_a_flipped_bit_is_skipped_or_refused_never_a_changed_value(self, tmp_path):
+        path = tmp_path / "toy.checkpoint.jsonl"
+        plan = self._plan()
+        checkpoint = Checkpoint(path)
+        checkpoint.commit(plan, [JobOutcome(name=n, ok=True, value=v) for n, v in self.VALUES.items()])
+        lines = path.read_bytes().splitlines(keepends=True)
+        outcomes = {"loaded": 0, "skipped": 0, "refused": 0}
+        for i, line in enumerate(lines):
+            for bit in range(8 * len(line)):
+                flipped = bytearray(line)
+                flipped[bit // 8] ^= 1 << (bit % 8)
+                path.write_bytes(b"".join([*lines[:i], bytes(flipped), *lines[i + 1:]]))
+                try:
+                    records = Checkpoint(path).load(plan)
+                except CheckpointVersionError as exc:
+                    assert "\n" not in str(exc)
+                    outcomes["refused"] += 1
+                    continue
+                for record in records:
+                    assert encode_value(record.value) == encode_value(self.VALUES[record.job])
+                outcomes["loaded" if len(records) == len(lines) else "skipped"] += 1
+        assert outcomes["skipped"] and outcomes["refused"]
+
+    def test_the_job_of_a_skipped_record_runs_again(self, tmp_path):
+        path = tmp_path / "toy.checkpoint.jsonl"
+        plan = self._plan()
+        Checkpoint(path).commit(plan, [JobOutcome(name="a", ok=True, value=0.5)])
+        assert [r.value for r in Checkpoint(path).load(plan)] == [0.5]
+        # the same value written with one digit changed: the line still parses
+        path.write_text(path.read_text().replace('"value": 0.5', '"value": 0.6'))
+        resumed = SerialExecutor().run(plan, checkpoint=Checkpoint(path))
+        assert resumed.resumed == [] and resumed.values == self.VALUES
 
 
 class TestAtomicity:

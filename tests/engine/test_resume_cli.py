@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.engine.checkpoint import CHECKPOINT_SCHEMA_VERSION
 from repro.experiments import runner
 
 REPO_SRC = str(Path(__file__).resolve().parents[2] / "src")
@@ -137,7 +138,7 @@ def test_resume_refuses_a_checkpoint_of_another_schema_in_one_line(tmp_path, cap
     (out / "run.json").write_text((baseline / "run.json").read_text())
     lines = (baseline / "figure2.checkpoint.jsonl").read_text().splitlines(keepends=True)[:20]
     record = json.loads(lines[5])
-    record["schema"] = 2
+    record["schema"] = newer = CHECKPOINT_SCHEMA_VERSION + 1
     lines[5] = json.dumps(record) + "\n"
     checkpoint = out / "figure2.checkpoint.jsonl"
     checkpoint.write_text("".join(lines))
@@ -145,7 +146,8 @@ def test_resume_refuses_a_checkpoint_of_another_schema_in_one_line(tmp_path, cap
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert err.strip().splitlines()[-1] == (
-        f"repro run: error: {checkpoint}: checkpoint record schema 2; this repro reads schema 1"
+        f"repro run: error: {checkpoint}: checkpoint record schema {newer}; "
+        f"this repro reads schema {CHECKPOINT_SCHEMA_VERSION}"
     )
     assert not (out / "figure2_montecarlo.csv").exists()
 

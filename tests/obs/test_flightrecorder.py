@@ -138,6 +138,24 @@ class TestRecorderCore:
         assert [e["kind"] for e in events] == ["plan.begin", "job.completed", "run.end"]
         assert flight_summary(events)["events"] == 3
 
+    def test_an_appending_recorder_cuts_a_torn_tail_and_continues_seq(self, tmp_path):
+        path = tmp_path / "resumed.flight.jsonl"
+        rec = FlightRecorder(path, experiment="exp")
+        rec.emit("plan.begin")
+        rec.emit("job.completed", job="j1")
+        whole = path.read_bytes()
+        with path.open("a") as sink:  # killed mid-write
+            sink.write('{"t": 1.0, "kind": "job.comp')
+        resumed = FlightRecorder(path, experiment="exp", append=True)
+        resumed.emit("plan.begin")
+        resumed.close()
+        assert path.read_bytes().startswith(whole)
+        events = [json.loads(line) for line in path.read_text().splitlines()]
+        assert [(e["kind"], e["seq"]) for e in events] == [
+            ("plan.begin", 1), ("job.completed", 2), ("plan.begin", 3), ("run.end", 4),
+        ]
+        assert resumed.summary()["events"] == 2  # its own tally
+
     def test_unclosed_exit_loses_nothing(self, tmp_path):
         """A recorder abandoned without close() has already written every event."""
         path = tmp_path / "unclosed.flight.jsonl"
@@ -348,3 +366,34 @@ class TestChromeExport:
         # state: 0.03, then the wider n=4 cells arrive, then their
         # refinement brings the worst back down
         assert [s["args"]["worst"] for s in samples] == [0.03, 0.05, 0.03]
+
+
+class TestResumedRunStream:
+    def test_a_resumed_run_keeps_the_interrupted_runs_events(self, tmp_path, capsys):
+        from repro.experiments import runner
+        from repro.obs.cli import main as obs_main
+
+        out = tmp_path / "run"
+        env = dict(os.environ, DRS_ENGINE_CRASH_AFTER="20")
+        env["PYTHONPATH"] = str(Path(__file__).resolve().parents[2] / "src")
+        env.pop("DRS_WORKER_CRASH_AFTER_CHUNKS", None)
+        killed = subprocess.run(
+            [sys.executable, "-m", "repro", "run", "figure2", "--quick", "--heartbeat", "0",
+             "--out", str(out)],
+            env=env, capture_output=True, timeout=120.0,
+        )
+        assert killed.returncode != 0, "the crash hook never fired"
+        stream = out / "figure2.flight.jsonl"
+        interrupted = stream.read_bytes()
+        interrupted = interrupted[: interrupted.rfind(b"\n") + 1]  # its whole lines
+        assert runner.main(["--resume", str(out), "--heartbeat", "0"]) == 0
+
+        assert stream.read_bytes().startswith(interrupted)
+        events = read_flight_events(stream)
+        assert [e["seq"] for e in events] == list(range(1, len(events) + 1))
+        begins = [e for e in events if e["kind"] == "plan.begin"]
+        assert len(begins) == 2 and begins[1]["resumed"] == 20
+        assert begins[1]["seq"] > len(interrupted.splitlines())
+        assert obs_main(["watch", str(stream), "--once", "--no-color"]) == 0
+        assert obs_main(["precision", str(stream)]) == 0
+        capsys.readouterr()

@@ -73,6 +73,12 @@ class TestWatchState:
         assert state.finished
         assert state.eta_s() is None
 
+    def test_a_resumed_run_after_the_last_run_end_is_not_finished(self):
+        state = WatchState().apply_all(_events())
+        state.apply({"t": 2.0, "kind": "run.end", "pid": 1, "events": 15})
+        state.apply({"t": 3.0, "kind": "plan.begin", "pid": 1, "jobs": 4, "resumed": 1})
+        assert not state.finished
+
     def test_resumed_jobs_count_as_done(self):
         state = WatchState()
         state.apply({"t": 0.0, "kind": "plan.begin", "pid": 1, "jobs": 2,
