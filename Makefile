@@ -177,7 +177,10 @@ quick-obs:
 #    the dense kernel the bit-packed one replaced); the catalog run must carry
 #    topology metadata in the manifest and topology-labelled precision cells,
 #    a --topology-restricted run must reproduce its slice of the full sweep,
-#    and a --jobs 2 rerun all seven CSVs (the enumerated exact_check included)
+#    and a --jobs 2 rerun all seven CSVs (the enumerated exact_check included);
+#    the topology-stratified sweep (--mc-method stratified) must reproduce its
+#    seven CSVs as recorded before the threshold search was bracketed, serially
+#    and under --jobs 2
 # 2. an adaptive run (--target-ci) must emit per-cell CI columns, stats.grid
 #    flight telemetry, a manifest precision block showing real trial savings,
 #    and render through the precision verb and the watch panel
@@ -192,7 +195,7 @@ EST := /tmp/drs-estimators
 DIGESTS := $(CURDIR)/tests/topology/data
 
 quick-estimators:
-	rm -rf $(EST) $(EST)-one $(EST)-pool $(EST)-ci $(EST)-cv
+	rm -rf $(EST) $(EST)-one $(EST)-pool $(EST)-ci $(EST)-cv $(EST)-strat $(EST)-strat-pool
 	$(PYTHON) -m repro run --quick --out $(EST) \
 		figure2 figure3 crossovers wholecluster availability ablations topologysweep
 	cd $(EST) && sha256sum -c $(DIGESTS)/estimators_quick.sha256 $(DIGESTS)/topologysweep_quick.sha256
@@ -206,6 +209,13 @@ quick-estimators:
 	$(PYTHON) -m repro run --quick topologysweep --jobs 2 --out $(EST)-pool
 	for csv in $(EST)/topologysweep_*.csv; do cmp $$csv $(EST)-pool/$$(basename $$csv) || exit 1; done
 	test $$(ls $(EST)-pool/topologysweep_*.csv | wc -l) -eq 7
+	$(PYTHON) -m repro run --quick topologysweep --mc-method stratified --out $(EST)-strat
+	cd $(EST)-strat && sha256sum -c $(CURDIR)/tests/experiments/data/topologysweep_stratified_quick.sha256
+	$(PYTHON) -m repro run --quick topologysweep --mc-method stratified --jobs 2 \
+		--out $(EST)-strat-pool
+	for csv in $(EST)-strat/topologysweep_*.csv; do \
+		cmp $$csv $(EST)-strat-pool/$$(basename $$csv) || exit 1; done
+	test $$(ls $(EST)-strat-pool/topologysweep_*.csv | wc -l) -eq 7
 	$(PYTHON) -m repro run --quick figure2 --target-ci 0.01 --out $(EST)-ci
 	test -f $(EST)-ci/figure2_mc_precision.csv
 	head -1 $(EST)-ci/figure2_mc_precision.csv | grep -q ci_low
@@ -235,9 +245,10 @@ quick-estimators:
 		figure2-ci-stratified-cv=$(EST)-cv/figure2.flight.jsonl \
 		| diff - tests/obs/data/stats_cell_quick.sha256
 	! grep -l '"kind": "stats.cell"' $(EST)/*.flight.jsonl $(EST)-one/*.flight.jsonl \
-		$(EST)-pool/*.flight.jsonl $(EST)-ci/*.flight.jsonl $(EST)-cv/*.flight.jsonl
+		$(EST)-pool/*.flight.jsonl $(EST)-ci/*.flight.jsonl $(EST)-cv/*.flight.jsonl \
+		$(EST)-strat/*.flight.jsonl $(EST)-strat-pool/*.flight.jsonl
 	@echo "quick-estimators: OK (pinned CSVs, pool == serial on all seven topologysweep CSVs," \
-		"adaptive + stratified-cv telemetry, pinned cells expanded from stats.grid events)"
+		"crn and stratified, adaptive + stratified-cv telemetry, pinned cells expanded from stats.grid events)"
 
 # end-to-end benchmark smoke: every workload of benchmarks/e2e once at
 # reduced size, all output checks on, plus the traced per-layer replays, which
