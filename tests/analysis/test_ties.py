@@ -11,14 +11,15 @@ so nearly every row ties:
 
 * each closed form equals its predicate evaluated on ``ranks < f`` at every
   ``f``, padded rows included;
-* the generic binary search (``topology_connectivity_levels``, whose ranks
-  no longer depend on how ``argsort`` orders equal keys) equals the
-  row-wise reference BFS for every catalog family and predicate, and the
-  dual-hub fast path equals the generic search.
+* the generic binary search (``topology_connectivity_levels``, which fails
+  every key at most a row's ``f``-th smallest, so no level depends on how
+  a sort orders equal keys) equals the row-wise reference BFS for every
+  catalog family and predicate, and the dual-hub fast path equals the
+  generic search.
 
-Across hosts, the same ranks come out whichever sort kernel NumPy
-dispatches ``argsort`` to: with its x86 SIMD kernels turned off it leaves
-equal keys in another order, and the ranks do not move.
+Across hosts, the same levels come out whichever sort kernel NumPy
+dispatches to: with its x86 SIMD kernels turned off, the generic search's
+levels on tied keys do not move.
 
 A tie does not fail in site order: in the row ``[5, 5, 9, 9, 9, 9]`` both
 hubs fail together at level 1, where failing hub 0 alone would leave the
@@ -44,16 +45,21 @@ from tests.topology.test_oracle import PREDICATES, reference_levels, strip_fast_
 
 ALPHABET = np.array([0, 1, 2, 3, 4, _PAD_KEY], dtype=np.uint32)
 SRC = Path(__file__).resolve().parents[2] / "src"
-#: NumPy's x86 SIMD sort kernels (AVX2 and AVX-512) off: ``argsort`` takes its scalar sort
+#: NumPy's x86 SIMD sort kernels (AVX2 and AVX-512) off: ``sort`` takes its scalar code
 NO_SIMD_SORT = {"NPY_DISABLE_CPU_FEATURES": "X86_V3 X86_V4"}
-#: prints the digests of ``argsort``'s order and of ``_rank_columns`` over the saved keys
+#: prints, per catalog family, the digest of the generic search's levels over tied keys
 SORT_PROBE = """
-import hashlib, sys
+import hashlib
 import numpy as np
-from repro.analysis.topokernel import _rank_columns
-keys = np.load(sys.argv[1])
-for out in (np.argsort(keys, axis=1), _rank_columns(keys)):
-    print(hashlib.sha256(np.ascontiguousarray(out).tobytes()).hexdigest())
+from repro.analysis import topology_connectivity_levels
+from repro.experiments.topologysweep import DEFAULT_TOPOLOGIES
+from repro.topology import PairConnected, build_topology
+alphabet = np.array([0, 1, 2, 3, 4, 0xFFFFFFFF], dtype=np.uint32)
+for spec in DEFAULT_TOPOLOGIES:
+    topology = build_topology(spec, size=4)
+    keys = np.random.default_rng(0).choice(alphabet, size=(2_000, topology.width))
+    levels = topology_connectivity_levels(topology, keys, PairConnected())
+    print(spec, hashlib.sha256(levels.astype("<i8").tobytes()).hexdigest())
 """
 
 
@@ -127,22 +133,17 @@ def test_the_dual_hub_fast_path_equals_the_generic_search_on_tied_keys(n):
     )
 
 
-def _probe(path: Path, features: dict) -> list[str]:
+def _probe(features: dict) -> list[str]:
     env = dict(os.environ, PYTHONPATH=f"{SRC}{os.pathsep}{os.environ.get('PYTHONPATH', '')}", **features)
-    proc = subprocess.run(
-        [sys.executable, "-c", SORT_PROBE, str(path)], env=env, capture_output=True, text=True
-    )
+    proc = subprocess.run([sys.executable, "-c", SORT_PROBE], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    return proc.stdout.split()
+    return proc.stdout.splitlines()
 
 
-def test_ranks_do_not_depend_on_the_sort_dispatch(tmp_path):
+def test_levels_do_not_depend_on_the_sort_dispatch():
     off = dict(os.environ, **NO_SIMD_SORT)
     if subprocess.run([sys.executable, "-c", "import numpy"], env=off).returncode != 0:
         pytest.skip(f"this NumPy cannot start with {NO_SIMD_SORT}")
-    path = tmp_path / "keys.npy"
-    np.save(path, tied_keys(2_000, 75, 0))
-    (order, ranks), (order_off, ranks_off) = _probe(path, {}), _probe(path, NO_SIMD_SORT)
-    if order == order_off:
-        pytest.skip("argsort leaves equal keys in one order with or without its SIMD kernels here")
-    assert ranks == ranks_off
+    digests = _probe({})
+    assert len(digests) == len(DEFAULT_TOPOLOGIES)
+    assert digests == _probe(NO_SIMD_SORT)

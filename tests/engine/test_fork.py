@@ -99,6 +99,17 @@ def test_a_forked_worker_holds_no_socket_of_the_coordinator(serving, monkeypatch
         held.close()
 
 
+def test_a_worker_that_died_leaves_no_socket_behind(serving, monkeypatch):
+    monkeypatch.setenv(WORKER_CRASH_ENV, "0")  # the first worker dies on its first chunk
+    plan = _plan(4, sleep_s=0.2)
+    server = Coordinator(PlanDriver(plan, None, "distributed", 1), FAST_RETRY, spawn=1)
+    _address, done = serving(server)
+    _eventually(lambda: 1 in server.core.workers and not server.core.workers[1].alive)
+    # its reader reported it lost; the loop hangs its socket up, not close()
+    _eventually(lambda: server.core.workers[1].conn not in server.socks)
+    assert done.wait(30.0), "the replacement never finished the plan"
+
+
 def test_once_the_coordinator_has_closed_a_connect_is_refused():
     executor = DistributedExecutor(spawn_workers=1)
     assert executor.run(_plan(2)).values == SerialExecutor().run(_plan(2)).values
