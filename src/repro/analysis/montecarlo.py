@@ -230,6 +230,9 @@ class _SweepGroup:
     ``"dead"`` for endpoint-death ranks, the topology-stratified one keeps
     a threshold histogram per stratum); ``trials`` is the trial count the
     histograms cover; ``n`` labels the group's precision cells and result.
+    The generic topology sweeps search thresholds only inside the bracket
+    ``fs`` reads, so their ``hists`` are exact only through
+    :func:`_at_least` at ``fs``: a threshold outside is clipped to its edge.
     """
 
     __slots__ = ("n", "width", "rng", "fs", "hists", "frozen", "trials")
