@@ -107,7 +107,8 @@ class WatchState:
             self.started_t = t
         self.last_t = max(self.last_t, t)
         if kind == "plan.begin":
-            self.finished = False  # a resumed run's stream goes on after the last run.end
+            # a resumed run's stream goes on after the last run.end (and plan.interrupted)
+            self.finished = self.interrupted = False
             self.experiment = str(event.get("experiment", self.experiment))
             self.backend = str(event.get("backend", self.backend))
             self.expected_workers = int(event.get("workers", 0))
