@@ -190,7 +190,8 @@ quick-obs:
 #    topologysweep and of both adaptive runs, each rebuilt as the per-cell
 #    stats.cell event of flight schema 1, must hash to the digests recorded
 #    before the sweep loop built its cells a whole f-grid at a time, and no
-#    quick stream may still carry a stats.cell event
+#    quick stream may still carry a stats.cell event (schema 1) or a
+#    stats.grid event with a scalar n (schema 2, one event per group)
 EST := /tmp/drs-estimators
 DIGESTS := $(CURDIR)/tests/topology/data
 
@@ -247,6 +248,9 @@ quick-estimators:
 	! grep -l '"kind": "stats.cell"' $(EST)/*.flight.jsonl $(EST)-one/*.flight.jsonl \
 		$(EST)-pool/*.flight.jsonl $(EST)-ci/*.flight.jsonl $(EST)-cv/*.flight.jsonl \
 		$(EST)-strat/*.flight.jsonl $(EST)-strat-pool/*.flight.jsonl
+	! grep -lE '"kind": "stats.grid".*"n": [0-9]' $(EST)/*.flight.jsonl \
+		$(EST)-one/*.flight.jsonl $(EST)-pool/*.flight.jsonl $(EST)-ci/*.flight.jsonl \
+		$(EST)-cv/*.flight.jsonl $(EST)-strat/*.flight.jsonl $(EST)-strat-pool/*.flight.jsonl
 	@echo "quick-estimators: OK (pinned CSVs, pool == serial on all seven topologysweep CSVs," \
 		"crn and stratified, adaptive + stratified-cv telemetry, pinned cells expanded from stats.grid events)"
 

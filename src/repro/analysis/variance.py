@@ -76,6 +76,7 @@ from repro.analysis.montecarlo import (
     _count_below,
     _mask_padded,
     _padded_sweep,
+    _Round,
     _stacked_draw,
     _SweepGroup,
     pair_connected_vec,
@@ -311,16 +312,18 @@ def endpoint_dead_levels(
 
 # -------------------------------------------------------- grid estimators
 def _stratified_grid(
-    group: _SweepGroup,
-    elapsed: float,
+    groups: list[_SweepGroup],
     control_variate: bool,
     confidence: float,
     target_half_width: float | None,
     topology: str | None,
-) -> PrecisionGrid:
-    """Fold one group's histograms into its stratified f-grid of precision cells.
+):
+    """Grid builder of the hub-stratified estimator over ``groups``' rounds.
 
-    ``a`` counts stratum-0 rows surviving at level ``f``; the CV form also
+    Each group's closed forms — ``w_0``, the exact one-hub part and (CV)
+    ``μ_X`` at each of its ``f`` — are computed once, here; a round's grid
+    then folds every open group's histograms at once.  ``a`` counts
+    stratum-0 rows surviving at level ``f``; the CV form also
     needs ``d`` (endpoint-dead rows, indicator known-mean μ_X) and ``c``
     (the remaining bad rows).  ``S`` and ``X`` are mutually exclusive, so
     the optimal-coefficient control variate reduces to the ratio estimate
@@ -331,39 +334,49 @@ def _stratified_grid(
     half-width centred on the point covered 94.91 % plain and 94.59 % CV;
     the corrected half-width covers 95.50 % and 97.23 %.
     """
-    n, fs, trials = group.n, group.fs, group.trials
-    weights = [hub_stratum_weights(n, f) for f in fs]
-    w0 = np.array([w[0] for w in weights])
-    exact_part = np.array([w[1] * one_hub_conditional_success(n, f) for w, f in zip(weights, fs)])
-    survivors = _at_least(group.hists["surv"], fs)
+    constants = {}
+    for group in groups:
+        n, fs = group.n, group.fs
+        weights = [hub_stratum_weights(n, f) for f in fs]
+        constants[group] = (
+            np.array([w[0] for w in weights]),
+            np.array([w[1] * one_hub_conditional_success(n, f) for w, f in zip(weights, fs)]),
+            np.array([endpoint_dead_conditional_mean(n, f) for f in fs] if control_variate else []),
+        )
     z = _z_for(confidence)
-    if control_variate:
-        mu_x = np.array([endpoint_dead_conditional_mean(n, f) for f in fs])
-        ranks = group.hists["dead"]
-        dead = ranks.sum() - _at_least(ranks, fs)  # ranks[:f].sum() per f
-        covered_bad = trials - survivors - dead
-        conditional_trials = survivors + covered_bad
-        empty = conditional_trials == 0
-        point, half = centred_half_width(survivors, np.where(empty, 1, conditional_trials), z)
-        stratum_estimate = np.where(empty, 0.0, (1.0 - mu_x) * point)
-        stratum_half = np.where(empty, 1.0 - mu_x, (1.0 - mu_x) * half)
-        method = "stratified-cv"
-    else:
-        stratum_estimate, stratum_half = centred_half_width(survivors, trials, z)
-        method = "stratified"
-    return PrecisionGrid.from_stratified(
-        n,
-        fs,
-        survivors,
-        trials,
-        point=exact_part + w0 * stratum_estimate,
-        half_width=w0 * stratum_half,
-        confidence=confidence,
-        target_half_width=target_half_width,
-        elapsed_s=elapsed,
-        topology=topology,
-        method=method,
-    )
+    method = "stratified-cv" if control_variate else "stratified"
+
+    def grid(round_: _Round, elapsed: float) -> PrecisionGrid:
+        active = round_.groups
+        w0, exact_part, mu_x = map(np.concatenate, zip(*(constants[group] for group in active)))
+        trials = active[0].trials
+        survivors = _at_least(round_, "surv")
+        if control_variate:
+            # every trial has a death rank, so this is hists["dead"][:f].sum() per f
+            dead = trials - _at_least(round_, "dead")
+            covered_bad = trials - survivors - dead
+            conditional_trials = survivors + covered_bad
+            empty = conditional_trials == 0
+            point, half = centred_half_width(survivors, np.where(empty, 1, conditional_trials), z)
+            stratum_estimate = np.where(empty, 0.0, (1.0 - mu_x) * point)
+            stratum_half = np.where(empty, 1.0 - mu_x, (1.0 - mu_x) * half)
+        else:
+            stratum_estimate, stratum_half = centred_half_width(survivors, trials, z)
+        return PrecisionGrid.from_stratified(
+            round_.ns,
+            round_.fs,
+            survivors,
+            trials,
+            point=exact_part + w0 * stratum_estimate,
+            half_width=w0 * stratum_half,
+            confidence=confidence,
+            target_half_width=target_half_width,
+            elapsed_s=elapsed,
+            topology=topology,
+            method=method,
+        )
+
+    return grid
 
 
 def _nic_group(n: int, rng: np.random.Generator, fs: tuple[int, ...]) -> _SweepGroup:
@@ -401,15 +414,10 @@ def _stratified_full_grid(
             "dead": endpoint_dead_levels(keys, widths=widths),
         }
 
-    def grid(group: _SweepGroup, elapsed: float) -> PrecisionGrid:
-        return _stratified_grid(
-            group, elapsed, control_variate, confidence, target_half_width, topology
-        )
-
     return _padded_sweep(
         groups,
         _stacked_draw(levels),
-        grid,
+        _stratified_grid(groups, control_variate, confidence, target_half_width, topology),
         iterations,
         batch,
         target_half_width,

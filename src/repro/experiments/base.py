@@ -128,7 +128,8 @@ class ExperimentResult:
                 elif list(curve_x) != xs:
                     aligned = False
             if aligned and xs is not None:
-                rows = [[x, *(list(ys)[i] for _, ys in s.curves.values())] for i, x in enumerate(xs)]
+                columns = [list(ys) for _, ys in s.curves.values()]
+                rows = [[x, *(column[i] for column in columns)] for i, x in enumerate(xs)]
                 written.append(write_csv(out_dir / f"{self.name}_{key}.csv", headers, rows))
             else:
                 # unaligned x grids: long format

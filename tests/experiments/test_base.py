@@ -38,3 +38,23 @@ def test_write_unaligned_series_long_format(tmp_path):
     lines = (tmp_path / "demo2_s.csv").read_text().splitlines()
     assert lines[0] == "series,x,y"
     assert len(lines) == 1 + 2 + 3
+
+
+def test_aligned_series_csv_bytes(tmp_path):
+    # the CSV of aligned curves, NumPy and list ones mixed, against the bytes
+    # the writer gave when it rebuilt every curve's list once per row
+    import numpy as np
+
+    xs = np.array([10, 100, 1000])
+    r = ExperimentResult("demo3")
+    r.add_series("s", {
+        "f=2": (xs, np.array([0.25, 1 / 3, 2.5e-7])),
+        "f=3": ([10, 100, 1000], [1, 0.5, np.float64(0.125)]),
+    })
+    r.write(tmp_path)
+    assert (tmp_path / "demo3_s.csv").read_bytes() == (
+        b"x,f=2,f=3\r\n"
+        b"10,0.25,1\r\n"
+        b"100,0.3333333333333333,0.5\r\n"
+        b"1000,2.5e-07,0.125\r\n"
+    )

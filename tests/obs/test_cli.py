@@ -166,5 +166,22 @@ def test_every_verb_refuses_a_schema_1_stream_in_one_line(tmp_path, capsys, verb
     assert repro_main(["obs", *verb, str(path)]) == 1
     err = capsys.readouterr().err
     assert err.count("\n") == 1
-    assert err.startswith(f"error: {path}: a 'stats.cell' event is flight schema 1; this reader takes schema 2")
+    assert err.startswith(f"error: {path}: a 'stats.cell' event is flight schema 1; this reader takes schema 3")
+    assert not (tmp_path / "old.chrome.json").exists()
+
+
+@pytest.mark.parametrize("verb", [["watch", "--once"], ["export-trace"], ["precision"], []],
+                         ids=["watch", "export-trace", "precision", "bare"])
+def test_every_verb_refuses_a_schema_2_stream_in_one_line(tmp_path, capsys, verb):
+    # flight schema 2 published one stats.grid event per group, its n a scalar label
+    grid = {"t": 0.1, "kind": "stats.grid", "pid": 1, "seq": 1, "n": 8, "trials": 1000,
+            "confidence": 0.95, "f": [2, 3], "successes": [900, 880], "point": [0.9, 0.88],
+            "half_width": [0.03, 0.03], "done": [True, True]}
+    path = tmp_path / "old.flight.jsonl"
+    path.write_text(json.dumps(grid) + "\n")
+    assert repro_main(["obs", *verb, str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith(f"error: {path}: a 'stats.grid' event with a scalar 'n' is flight "
+                          f"schema 2; this reader takes schema 3")
     assert not (tmp_path / "old.chrome.json").exists()

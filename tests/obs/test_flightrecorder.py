@@ -349,11 +349,11 @@ class TestChromeExport:
     def test_stats_grid_events_become_a_ci_width_counter_track(self):
         events = [
             {"t": 0.0, "kind": "run.begin", "pid": 1},
-            {"t": 0.1, "kind": "stats.grid", "pid": 1, "n": 3, "trials": 1000,
+            {"t": 0.1, "kind": "stats.grid", "pid": 1, "n": [3], "trials": 1000,
              "f": [1], "half_width": [0.03], "done": [False]},
-            {"t": 0.2, "kind": "stats.grid", "pid": 1, "n": 4, "trials": 1000,
+            {"t": 0.2, "kind": "stats.grid", "pid": 1, "n": [4, 4], "trials": 1000,
              "f": [2, 3], "half_width": [0.05, 0.04], "done": [False, False]},
-            {"t": 0.3, "kind": "stats.grid", "pid": 1, "n": 4, "trials": 4000,
+            {"t": 0.3, "kind": "stats.grid", "pid": 1, "n": [4, 4], "trials": 4000,
              "f": [2, 3], "half_width": [0.02, 0.01], "done": [True, True]},
         ]
         trace = flight_to_chrome_trace(events)

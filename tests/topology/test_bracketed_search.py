@@ -1,7 +1,7 @@
 """The breakdown search is bracketed by the f-grid a sweep reads.
 
-A sweep reads its threshold histograms only through ``_at_least(hist,
-fs)``, so :func:`~repro.analysis.topokernel._levels_within` searches each
+A sweep reads its threshold histograms only through ``_at_least`` at its
+``fs``, so :func:`~repro.analysis.topokernel._levels_within` searches each
 row's threshold only inside ``[max(min(fs) - 1, 0), max(fs) + 1)``.  A
 threshold outside comes back clipped to the bracket's edge, which moves
 no count the sweep takes.  Held here:
